@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-events bench-snapshot recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze obs-overhead-smoke capacity-overhead-smoke ci check clean
+.PHONY: build test vet fmt-check race determinism fuzz-smoke bench recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
 
 build:
 	$(GO) build ./...
@@ -45,25 +45,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzVarintPostings -fuzztime=5s -run '^$$' ./internal/vpost
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=5s -run '^$$' ./internal/snapshot
 
-# Flood hot-path, parallel-engine and term-index measurements ->
-# out/BENCH_flood.json (the index section compares interned vs legacy
-# string indexes at the default scale).
+# The repo's one benchmark (see benchmarks/README.md): every workload's
+# end-to-end metrics and per-layer costs, printed as a table.
 bench:
-	$(GO) run ./cmd/qc-bench -o out/BENCH_flood.json -scale small -index-scale default
-
-# Discrete-event engine throughput -> out/BENCH_events.json: queue-dispatch
-# micro-benchmarks plus a full steady-state scenario at the small scale.
-bench-events:
-	$(GO) run ./cmd/qc-bench -events -o out/BENCH_events.json -scale small
-
-# Snapshot persistence round trip -> out/BENCH_snapshot.json: build the
-# default-scale network, save it, load it back — down both the copying
-# read path and the zero-copy memory-mapped path — verify the restored
-# index checksums and report save/load wall-clock, file size and how far
-# the varint arenas compress the postings.
-bench-snapshot:
-	$(GO) run ./cmd/qc-bench -index-only -index-scale default -index-legacy=false \
-		-snapshot-file out/net_default.qcsnap -o out/BENCH_snapshot.json
+	$(GO) run ./benchmarks -workload all -seed 1
 
 # Recovery smoke: a tiny-scale correlated-crash run through the CLI must end
 # with the repaired overlay no worse than the unrepaired one.
@@ -111,7 +96,7 @@ querycentric-smoke:
 	$(GO) test -race -run 'TestQueryCentricMetricsInert|TestWorkerInvariance' ./internal/experiments/ ./internal/adaptive/
 
 # Paper-scale construction smoke: build the ScaleFull catalog + network +
-# interned indexes (no trials, no legacy twin) under a wall-clock budget so
+# interned indexes (no trials) under a wall-clock budget so
 # regressions that push 37k-peer / 8.1M-object construction out of a CI-able
 # budget are caught without running full experiments. The budget leaves
 # ~2x headroom over the measured single-CPU build (see BENCH_index_full.json).
@@ -122,7 +107,7 @@ querycentric-smoke:
 # through the shard-and-spill pipeline and fails unless its file is
 # byte-identical to the in-heap save (the paper-scale identity gate).
 scalefull-smoke:
-	$(GO) run ./cmd/qc-bench -index-only -index-scale full -index-legacy=false \
+	$(GO) run ./cmd/qc-bench -index-scale full \
 		-budget 10m -sharded -shard-size 8192 \
 		-snapshot-file out/net_full.qcsnap -o out/BENCH_index_full.json
 
@@ -144,30 +129,14 @@ scale1m-smoke:
 api-freeze:
 	$(GO) test -run 'TestAPIFrozen|TestNoInternalImportsOutsideFacade' .
 
-# Metrics-overhead smoke: the flood hot path with a live registry attached
-# must stay within 10% of the detached baseline (or the recorded flood_ctx
-# row in out/BENCH_flood.json, whichever is looser).
-obs-overhead-smoke:
-	$(GO) run ./cmd/qc-bench -obs-overhead -peers 500 -benchtime 100ms \
-		-o out/BENCH_flood.json
-
-# Capacity-overhead smoke: floods with the capacity plane attached but
-# disabled must stay within 5% of the no-plane baseline (or the recorded
-# flood_ctx row, whichever is looser) — the inert-by-default contract as a
-# perf gate. The enabled-unbounded cost is reported but not budgeted.
-capacity-overhead-smoke:
-	$(GO) run ./cmd/qc-bench -capacity-overhead -peers 500 -benchtime 100ms \
-		-o out/BENCH_flood.json
-
 # The CI gate: static checks, formatting, a clean build, the full suite
 # under the race detector, the workers=8 determinism regression, the
 # decoder, churn-timeline, posting-codec and snapshot-loader fuzz smokes,
 # the fault-burst recovery smoke, the flash-crowd saturation smoke, the
-# query-centric adaptive-overlay smoke, the API freeze, the metrics- and
-# capacity-overhead smokes, the paper-scale construction smoke (with the
-# sharded byte-identity gate) and the million-peer sharded-construction
-# smoke.
-ci: vet fmt-check build race determinism fuzz-smoke recovery-smoke saturation-smoke querycentric-smoke api-freeze obs-overhead-smoke capacity-overhead-smoke scalefull-smoke scale1m-smoke
+# query-centric adaptive-overlay smoke, the API freeze, the paper-scale
+# construction smoke (with the sharded byte-identity gate) and the
+# million-peer sharded-construction smoke.
+ci: vet fmt-check build race determinism fuzz-smoke recovery-smoke saturation-smoke querycentric-smoke api-freeze scalefull-smoke scale1m-smoke
 
 check: ci
 

@@ -1,30 +1,18 @@
-// Command qc-bench measures the flood hot path and the parallel trial
-// engine and writes a machine-readable report (out/BENCH_flood.json):
+// Command qc-bench runs the two construction gates a 20-second benchmark
+// run cannot host — the paper-scale and the million-peer substrate builds —
+// and writes a machine-readable report. Steady-state performance (floods,
+// scenarios, snapshot load-to-first-flood, per-layer cost) is measured by
+// `go run ./benchmarks`, not here.
 //
-//   - ns/op, B/op and allocs/op for one TTL-4 flood on a populated
-//     network, for both the optimised FloodCtx and a map-based baseline
-//     that replays the pre-optimisation algorithm (fresh seen map,
-//     per-envelope decode, per-forwarder encode);
-//   - wall-clock for the Figure 8 sweep at 1, 2, 4 and 8 workers, with
-//     speedups relative to 1 worker;
-//   - an `index` section: catalog/network/index build times, dictionary
-//     size and heap-in-use around construction, and (unless
-//     -index-legacy=false) the legacy string-keyed index built from the
-//     same catalog with a match micro-benchmark down both paths.
-//
-// The baseline's equivalence to the historical implementation is pinned
-// by TestFloodMatchesNaiveReference in internal/gnet, and the two index
-// paths' by TestFloodMatchesLegacyStringIndex.
-//
-// With -index-only the flood and Fig8 sections are skipped — this is the
-// paper-scale construction smoke (`make scalefull-smoke`), which fails if
-// construction exceeds -budget. Adding -snapshot-file appends a `snapshot`
-// section: the built network is saved to the given file and loaded back,
-// timing both legs and verifying the restored index checksum; in
-// -index-only mode the smoke additionally fails unless the load completes
-// in at most a tenth of the build time. The snapshot section also times
-// the memory-mapped zero-copy loader against the copying one (in
-// -index-only mode the mapped load must win), and with -sharded it runs a
+// By default the command builds the -index-scale catalog, network and
+// posting indexes, reporting wall-clock per phase, dictionary size and
+// heap-in-use around construction, and fails if construction exceeds
+// -budget (`make scalefull-smoke`). Adding -snapshot-file appends a
+// `snapshot` section: the built network is saved to the given file and
+// loaded back — down the copying read path and the zero-copy memory
+// mapping — and the command fails unless both restored index checksums
+// match, the copying load completes in at most a tenth of the build time
+// and the mapped load beats it. With -sharded it also runs a
 // shard-and-spill build from the identical configuration and fails unless
 // the resulting file is byte-identical to the in-heap save.
 //
@@ -35,32 +23,12 @@
 // million-peer smoke (`make scale1m-smoke`) — the whole substrate never
 // fits on the heap, only one shard plus the dictionary does.
 //
-// With -obs-overhead the command instead runs the observability-plane
-// overhead smoke: the flood micro-benchmark once with the metrics plane
-// detached and once with a live registry attached, failing (exit 1) if the
-// instrumented flood is more than 10% slower than both the detached
-// same-run baseline and the flood_ctx row recorded in -o (when present).
-//
-// With -capacity-overhead the command runs the analogous smoke for the
-// capacity plane: floods with no plane versus an attached-but-idle plane
-// (unbounded policy, nothing shed), failing (exit 1) if the idle plane
-// costs more than 5% against the same baselines.
-//
-// With -events the command instead measures the discrete-event engine
-// (internal/events): pure queue-dispatch micro-benchmarks plus a full
-// steady-state scenario at -scale, written as BENCH_events.json.
-//
 // Usage:
 //
-//	qc-bench -o out/BENCH_flood.json -scale tiny
-//	qc-bench -index-only -index-scale full -index-legacy=false -budget 15m
-//	qc-bench -index-only -snapshot-file out/net.qcsnap -o out/BENCH_snapshot.json
-//	qc-bench -index-only -sharded -shard-size 8192 -snapshot-file out/net.qcsnap
+//	qc-bench -index-scale full -budget 10m -sharded -shard-size 8192 \
+//	         -snapshot-file out/net_full.qcsnap -o out/BENCH_index_full.json
 //	qc-bench -sharded-only -index-scale 1m -shard-size 65536 -snapshot-file out/net_1m.qcsnap \
-//	         -budget 40m -rss-ceiling-mb 4096 -o out/BENCH_index_1m.json
-//	qc-bench -obs-overhead -peers 500 -benchtime 100ms
-//	qc-bench -capacity-overhead -peers 500 -benchtime 100ms
-//	qc-bench -events -o out/BENCH_events.json -scale small
+//	         -budget 6m -rss-ceiling-mb 6144 -o out/BENCH_index_1m.json
 package main
 
 import (
@@ -75,42 +43,19 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
-	qc "querycentric"
-	"querycentric/internal/capacity"
 	"querycentric/internal/catalog"
 	"querycentric/internal/cliflags"
-	"querycentric/internal/events"
 	"querycentric/internal/experiments"
-	"querycentric/internal/gmsg"
 	"querycentric/internal/gnet"
-	"querycentric/internal/obs"
 	"querycentric/internal/rng"
 	"querycentric/internal/snapshot"
 )
 
-// FloodBench is one micro-benchmark row.
-type FloodBench struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// Fig8Point is one worker-count timing of the Figure 8 sweep.
-type Fig8Point struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-	Speedup float64 `json:"speedup_vs_1_worker"`
-}
-
 // IndexBench records network-construction cost and the term-index memory
-// footprint at one scale: wall-clock per phase, runtime.MemStats heap-in-use
-// around each phase, and (optionally) the retained string-keyed index built
-// from the same catalog for an honest before/after comparison.
+// footprint at one scale: wall-clock per phase and runtime.MemStats
+// heap-in-use around each phase.
 type IndexBench struct {
 	Scale      string `json:"scale"`
 	Peers      int    `json:"peers"`
@@ -132,15 +77,6 @@ type IndexBench struct {
 	HeapBeforeBytes     uint64 `json:"heap_before_bytes"`
 	HeapAfterBuildBytes uint64 `json:"heap_after_build_bytes"`
 	HeapAfterIndexBytes uint64 `json:"heap_after_index_bytes"`
-
-	// Legacy comparison (omitted when -index-legacy=false).
-	LegacyHeapBytes     uint64  `json:"legacy_index_heap_bytes,omitempty"`
-	LegacyMeasuredBytes uint64  `json:"legacy_measured_delta_bytes,omitempty"`
-	HeapRatio           float64 `json:"index_heap_ratio_legacy_over_interned,omitempty"`
-
-	MatchLegacyNsPerOp   float64 `json:"match_legacy_ns_per_op,omitempty"`
-	MatchInternedNsPerOp float64 `json:"match_interned_ns_per_op,omitempty"`
-	MatchSpeedup         float64 `json:"match_speedup,omitempty"`
 
 	BudgetSeconds float64 `json:"budget_seconds,omitempty"`
 	WithinBudget  bool    `json:"within_budget"`
@@ -210,44 +146,12 @@ type ShardedBench struct {
 	WithinBudget     bool    `json:"within_budget"`
 }
 
-// EventsBench records discrete-event engine throughput (the -events
-// section, BENCH_events.json): two pure dispatch micro-benchmarks on the
-// priority queue — a self-rescheduling tick chain (shallow queue, the
-// maintenance-cycle shape) and a fully pre-scheduled run (deep queue, the
-// worst-case heap depth) — plus one complete steady-state scenario at a
-// real scale, where events carry network maintenance and query-batch work.
-type EventsBench struct {
-	DispatchEvents    int     `json:"dispatch_events"`
-	ChainNsPerEvent   float64 `json:"dispatch_chain_ns_per_event"`
-	ChainEventsPerSec float64 `json:"dispatch_chain_events_per_sec"`
-	WideNsPerEvent    float64 `json:"dispatch_wide_ns_per_event"`
-	WideEventsPerSec  float64 `json:"dispatch_wide_events_per_sec"`
-
-	Scale                 string  `json:"scale"`
-	Peers                 int     `json:"peers"`
-	ScenarioHorizon       int64   `json:"scenario_horizon_s"`
-	ScenarioEvents        uint64  `json:"scenario_events"`
-	ScenarioQueries       int     `json:"scenario_queries"`
-	ScenarioSeconds       float64 `json:"scenario_wall_seconds"`
-	ScenarioEventsPerSec  float64 `json:"scenario_events_per_sec"`
-	ScenarioQueriesPerSec float64 `json:"scenario_queries_per_sec"`
-}
-
-// Report is the BENCH_flood.json schema.
+// Report is the schema of out/BENCH_index_full.json and
+// out/BENCH_index_1m.json.
 type Report struct {
 	GoVersion  string `json:"go_version"`
 	NumCPU     int    `json:"num_cpu"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-
-	FloodPeers   int          `json:"flood_peers,omitempty"`
-	FloodTTL     int          `json:"flood_ttl,omitempty"`
-	Flood        []FloodBench `json:"flood,omitempty"`
-	FloodSpeedup float64      `json:"flood_speedup_ns,omitempty"`
-	AllocsRatio  float64      `json:"flood_allocs_ratio,omitempty"`
-
-	Fig8Scale string      `json:"fig8_scale,omitempty"`
-	Fig8Nodes int         `json:"fig8_nodes,omitempty"`
-	Fig8      []Fig8Point `json:"fig8,omitempty"`
 
 	Index *IndexBench `json:"index,omitempty"`
 
@@ -255,36 +159,22 @@ type Report struct {
 
 	Sharded *ShardedBench `json:"sharded,omitempty"`
 
-	Events *EventsBench `json:"events,omitempty"`
-
 	Note string `json:"note"`
 }
 
 func main() {
-	testing.Init() // register -test.* flags so benchtime is adjustable
 	var (
-		out         = flag.String("o", "out/BENCH_flood.json", "output file (parent directory is created)")
-		peers       = flag.Int("peers", 2000, "network size for the flood micro-benchmark")
-		scaleName   = cliflags.AddScale(flag.CommandLine, "tiny")
+		out         = flag.String("o", "out/BENCH_index.json", "output file (parent directory is created)")
 		seed        = cliflags.AddSeed(flag.CommandLine)
-		benchtime   = flag.Duration("benchtime", time.Second, "target duration per micro-benchmark")
-		indexScale  = flag.String("index-scale", "default", "scale for the index build/memory section (tiny|small|default|full)")
-		indexOnly   = flag.Bool("index-only", false, "run only the index section (the ScaleFull construction smoke)")
-		indexLegac  = flag.Bool("index-legacy", true, "also build the legacy string index for a before/after comparison")
-		budget      = flag.Duration("budget", 0, "fail if the index section's construction phases exceed this wall-clock budget (0 = no budget)")
-		obsOverhead = flag.Bool("obs-overhead", false, "run only the observability-plane overhead smoke (exit 1 if instrumented floods are >10% slower)")
-		capOverhead = flag.Bool("capacity-overhead", false, "run only the capacity-plane overhead smoke (exit 1 if floods with an attached-but-idle plane are >5% slower)")
-		eventsOnly  = flag.Bool("events", false, "run only the discrete-event engine throughput section (BENCH_events.json)")
-		snapFile    = flag.String("snapshot-file", "", "also save/load the index section's network through this snapshot file and report the round trip")
+		indexScale  = flag.String("index-scale", "default", "scale to build (tiny|small|default|full|1m)")
+		budget      = flag.Duration("budget", 0, "fail if construction exceeds this wall-clock budget (0 = no budget)")
+		snapFile    = flag.String("snapshot-file", "", "also save/load the built network through this snapshot file and gate the round trip")
 		sharded     = flag.Bool("sharded", false, "with -snapshot-file: also run a shard-and-spill build from the same configuration and fail unless its file is byte-identical to the in-heap save")
 		shardedOnly = flag.Bool("sharded-only", false, "skip the in-heap build: shard-and-spill straight into -snapshot-file, restore through the memory mapping, flood-probe, and gate on -budget and -rss-ceiling-mb (the 1m smoke)")
 		shardSize   = flag.Int("shard-size", 0, "peers per shard for -sharded/-sharded-only (0 = builder default)")
 		rssCeiling  = flag.Int("rss-ceiling-mb", 0, "with -sharded-only: fail if process peak RSS (VmHWM) exceeds this many MiB (0 = no ceiling)")
 	)
 	flag.Parse()
-	if err := cliflags.CheckPositive("-peers", *peers); err != nil {
-		fail(err)
-	}
 	if err := cliflags.CheckNonNegative("-shard-size", *shardSize); err != nil {
 		fail(err)
 	}
@@ -295,38 +185,10 @@ func main() {
 		fail(fmt.Errorf("-sharded/-sharded-only need -snapshot-file"))
 	}
 
-	if *obsOverhead {
-		runObsOverhead(*peers, *benchtime, *out)
-		return
-	}
-	if *capOverhead {
-		runCapacityOverhead(*peers, *benchtime, *out)
-		return
-	}
-
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "flood rows compare the optimised FloodCtx against the " +
-			"pre-optimisation map-based algorithm on the same network and " +
-			"query stream; fig8 speedups are bounded above by gomaxprocs; " +
-			"the index section compares the interned term index against the " +
-			"retained string-keyed path built from the same catalog.",
-	}
-
-	if *eventsOnly {
-		eb, err := runEventsBench(*scaleName, *seed, *benchtime)
-		if err != nil {
-			fail(err)
-		}
-		rep.Events = eb
-		rep.Note = "dispatch rows isolate the event queue (handlers only " +
-			"reschedule); the scenario row runs a full steady-state scenario " +
-			"where events carry maintenance rounds and query batches, so its " +
-			"events/sec is dominated by handler work, not the queue."
-		writeReport(rep, *out)
-		return
 	}
 
 	if *shardedOnly {
@@ -358,70 +220,14 @@ func main() {
 		return
 	}
 
-	if !*indexOnly {
-		rep.FloodPeers = *peers
-		rep.FloodTTL = 4
-		nw, criteria := buildNet(*peers)
-		fmt.Fprintf(os.Stderr, "qc-bench: flood micro-benchmark, %d peers, ttl %d\n", *peers, rep.FloodTTL)
-		naive := runBench("flood_naive_map", *benchtime, func(b *testing.B) {
-			r := rng.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := floodBaseline(nw, i%*peers, criteria, 4, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		ctx := nw.NewFloodCtx()
-		opt := runBench("flood_ctx", *benchtime, func(b *testing.B) {
-			r := rng.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ctx.Flood(i%*peers, criteria, 4, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rep.Flood = []FloodBench{naive, opt}
-		if opt.NsPerOp > 0 {
-			rep.FloodSpeedup = naive.NsPerOp / opt.NsPerOp
-		}
-		if opt.AllocsPerOp > 0 {
-			rep.AllocsRatio = float64(naive.AllocsPerOp) / float64(opt.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "qc-bench: naive %.0f ns/op %d allocs/op; ctx %.0f ns/op %d allocs/op (%.2fx ns, %.1fx allocs)\n",
-			naive.NsPerOp, naive.AllocsPerOp, opt.NsPerOp, opt.AllocsPerOp, rep.FloodSpeedup, rep.AllocsRatio)
-
-		scale, err := qc.ParseScale(*scaleName)
-		if err != nil {
-			fail(err)
-		}
-		rep.Fig8Scale = *scaleName
-		for _, workers := range []int{1, 2, 4, 8} {
-			env := qc.NewEnv(scale, *seed)
-			env.Workers = workers
-			start := time.Now()
-			f8, err := qc.Fig8(env)
-			if err != nil {
-				fail(err)
-			}
-			secs := time.Since(start).Seconds()
-			rep.Fig8Nodes = f8.Nodes
-			pt := Fig8Point{Workers: workers, Seconds: secs, Speedup: 1}
-			if len(rep.Fig8) > 0 && secs > 0 {
-				pt.Speedup = rep.Fig8[0].Seconds / secs
-			}
-			rep.Fig8 = append(rep.Fig8, pt)
-			fmt.Fprintf(os.Stderr, "qc-bench: fig8 %s workers=%d %.2fs (%.2fx)\n", *scaleName, workers, secs, pt.Speedup)
-		}
-	}
-
-	ib, sb, err := runIndexBench(*indexScale, *seed, *indexLegac, *budget, *benchtime, *snapFile, *sharded, *shardSize)
+	ib, sb, err := runIndexBench(*indexScale, *seed, *budget, *snapFile, *sharded, *shardSize)
 	if err != nil {
 		fail(err)
 	}
 	rep.Index = ib
 	rep.Snapshot = sb
+	rep.Note = "construction gate: one build of the catalog, network and " +
+		"posting indexes at index.scale, measured once on this machine."
 	if sb != nil {
 		rep.Note += " The snapshot section is one save/load round trip " +
 			"measured on this machine, not a benchmark mean; the load " +
@@ -438,24 +244,27 @@ func main() {
 			ib.CatalogSeconds+ib.NetworkSeconds+ib.IndexBuildSeconds, ib.BudgetSeconds)
 		os.Exit(1)
 	}
-	if sb != nil && !sb.ChecksumMatch {
+	if sb == nil {
+		return
+	}
+	if !sb.ChecksumMatch {
 		fmt.Fprintln(os.Stderr, "qc-bench: snapshot round trip changed the index checksum")
 		os.Exit(1)
 	}
-	if sb != nil && !sb.MappedChecksumMatch {
+	if !sb.MappedChecksumMatch {
 		fmt.Fprintln(os.Stderr, "qc-bench: mapped snapshot load changed the index checksum")
 		os.Exit(1)
 	}
-	if *sharded && sb != nil && !sb.ShardedFileMatch {
+	if *sharded && !sb.ShardedFileMatch {
 		fmt.Fprintln(os.Stderr, "qc-bench: sharded build is not byte-identical to the in-heap save")
 		os.Exit(1)
 	}
-	if *indexOnly && sb != nil && sb.LoadSeconds > sb.BuildSeconds/10 {
+	if sb.LoadSeconds > sb.BuildSeconds/10 {
 		fmt.Fprintf(os.Stderr, "qc-bench: snapshot load %.2fs exceeds a tenth of the %.2fs build\n",
 			sb.LoadSeconds, sb.BuildSeconds)
 		os.Exit(1)
 	}
-	if *indexOnly && sb != nil && sb.MappedLoadSeconds >= sb.LoadSeconds {
+	if sb.MappedLoadSeconds >= sb.LoadSeconds {
 		fmt.Fprintf(os.Stderr, "qc-bench: mapped load %.2fs did not beat the read-path load %.2fs\n",
 			sb.MappedLoadSeconds, sb.LoadSeconds)
 		os.Exit(1)
@@ -480,125 +289,6 @@ func writeReport(rep Report, path string) {
 	fmt.Fprintf(os.Stderr, "qc-bench: wrote %s\n", path)
 }
 
-// runEventsBench measures discrete-event engine throughput: the queue in
-// isolation (two dispatch shapes) and a full steady-state scenario at one
-// scale.
-func runEventsBench(scaleName string, seed uint64, benchtime time.Duration) (*EventsBench, error) {
-	const dispatchEvents = 1 << 12
-	eb := &EventsBench{DispatchEvents: dispatchEvents, Scale: scaleName}
-
-	// Chain shape: one self-rescheduling tick per simulated second — the
-	// maintenance-cycle pattern, queue depth stays at 1.
-	chain := runBench("events_dispatch_chain", benchtime, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng, err := events.New(seed, dispatchEvents)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tick events.Handler
-			tick = func(now int64, _ *rng.Source) error {
-				if now >= dispatchEvents {
-					return nil
-				}
-				return eng.Schedule(now+1, events.PrioMaint, fmt.Sprintf("tick/%d", now+1), tick)
-			}
-			if err := eng.Schedule(1, events.PrioMaint, "tick/1", tick); err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if eng.Processed() != dispatchEvents {
-				b.Fatalf("processed %d events, want %d", eng.Processed(), dispatchEvents)
-			}
-		}
-	})
-	eb.ChainNsPerEvent = chain.NsPerOp / dispatchEvents
-	if eb.ChainNsPerEvent > 0 {
-		eb.ChainEventsPerSec = 1e9 / eb.ChainNsPerEvent
-	}
-
-	// Wide shape: everything pre-scheduled with interleaved priorities, so
-	// dispatch pays full heap depth (the fault-burst / flash-crowd pattern).
-	prios := []events.Priority{
-		events.PrioChurn, events.PrioFault, events.PrioMaint,
-		events.PrioQuery, events.PrioWindow,
-	}
-	noop := func(int64, *rng.Source) error { return nil }
-	wide := runBench("events_dispatch_wide", benchtime, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng, err := events.New(seed, dispatchEvents)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < dispatchEvents; j++ {
-				at := int64(j%dispatchEvents) + 1
-				if err := eng.Schedule(at, prios[j%len(prios)], fmt.Sprintf("ev/%d", j), noop); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if eng.Processed() != dispatchEvents {
-				b.Fatalf("processed %d events, want %d", eng.Processed(), dispatchEvents)
-			}
-		}
-	})
-	eb.WideNsPerEvent = wide.NsPerOp / dispatchEvents
-	if eb.WideNsPerEvent > 0 {
-		eb.WideEventsPerSec = 1e9 / eb.WideNsPerEvent
-	}
-	fmt.Fprintf(os.Stderr, "qc-bench: events dispatch chain %.0f ns/event (%.2fM events/s), wide %.0f ns/event (%.2fM events/s)\n",
-		eb.ChainNsPerEvent, eb.ChainEventsPerSec/1e6, eb.WideNsPerEvent, eb.WideEventsPerSec/1e6)
-
-	// Full scenario: the same network construction the experiments use,
-	// then one steady-state run where events do real maintenance and
-	// query-batch work.
-	scale, err := experiments.ParseScale(scaleName)
-	if err != nil {
-		return nil, err
-	}
-	par := experiments.ParamsFor(scale)
-	cat, err := catalog.Build(catalog.Config{
-		Seed: seed, Peers: par.GnutellaPeers, UniqueObjects: par.UniqueObjects,
-		ReplicaAlpha: 2.45, VariantProb: 0.08, NonSpecificPeerFrac: 0.05,
-	})
-	if err != nil {
-		return nil, err
-	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(seed), cat)
-	if err != nil {
-		return nil, err
-	}
-	cfg := events.SteadyStateScenario(seed)
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	s, err := events.NewScenario(nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	eb.Peers = par.GnutellaPeers
-	eb.ScenarioHorizon = cfg.Duration
-	start := time.Now()
-	res, err := s.Run()
-	if err != nil {
-		return nil, err
-	}
-	eb.ScenarioSeconds = time.Since(start).Seconds()
-	eb.ScenarioEvents = res.EventsProcessed
-	eb.ScenarioQueries = len(res.Windows) * cfg.QueriesPerWindow
-	if eb.ScenarioSeconds > 0 {
-		eb.ScenarioEventsPerSec = float64(eb.ScenarioEvents) / eb.ScenarioSeconds
-		eb.ScenarioQueriesPerSec = float64(eb.ScenarioQueries) / eb.ScenarioSeconds
-	}
-	fmt.Fprintf(os.Stderr, "qc-bench: steady-state scenario %s (%d peers, %ds horizon): %d events, %d queries in %.2fs (%.0f events/s, %.0f queries/s)\n",
-		scaleName, eb.Peers, eb.ScenarioHorizon, eb.ScenarioEvents, eb.ScenarioQueries,
-		eb.ScenarioSeconds, eb.ScenarioEventsPerSec, eb.ScenarioQueriesPerSec)
-	return eb, nil
-}
-
 // heapUsed returns heap-in-use after a forced collection, so phase deltas
 // measure retained structures rather than garbage.
 func heapUsed() uint64 {
@@ -609,15 +299,13 @@ func heapUsed() uint64 {
 }
 
 // runIndexBench measures network construction and the term-index footprint
-// at one scale: catalog build, network+dictionary build, eager index build,
-// heap-in-use around each phase, and optionally the legacy string index
-// built from the same catalog plus a match micro-benchmark down both paths.
-// With a non-empty snapFile it also rounds the network through a snapshot
-// (save, stat, load, checksum — copying and memory-mapped) and returns
-// that leg as a SnapshotBench; withSharded additionally reruns the whole
-// construction through the shard-and-spill pipeline and byte-compares the
-// two files.
-func runIndexBench(scaleName string, seed uint64, withLegacy bool, budget, benchtime time.Duration, snapFile string, withSharded bool, shardSize int) (*IndexBench, *SnapshotBench, error) {
+// at one scale: catalog build, network+dictionary build, eager index build
+// and heap-in-use around each phase. With a non-empty snapFile it also
+// rounds the network through a snapshot (save, stat, load, checksum —
+// copying and memory-mapped) and returns that leg as a SnapshotBench;
+// withSharded additionally reruns the whole construction through the
+// shard-and-spill pipeline and byte-compares the two files.
+func runIndexBench(scaleName string, seed uint64, budget time.Duration, snapFile string, withSharded bool, shardSize int) (*IndexBench, *SnapshotBench, error) {
 	scale, err := experiments.ParseScale(scaleName)
 	if err != nil {
 		return nil, nil, err
@@ -678,69 +366,6 @@ func runIndexBench(scaleName string, seed uint64, withLegacy bool, budget, bench
 		ib.WithinBudget = total <= ib.BudgetSeconds
 	}
 
-	if withLegacy {
-		lw, err := gnet.NewFromCatalog(gcfg, cat)
-		if err != nil {
-			return nil, nil, err
-		}
-		lw.UseLegacyStringIndex()
-		before := heapUsed()
-		if err := lw.BuildIndexes(0); err != nil {
-			return nil, nil, err
-		}
-		after := heapUsed()
-		if after > before {
-			ib.LegacyMeasuredBytes = after - before
-		}
-		lst, err := lw.IndexStats()
-		if err != nil {
-			return nil, nil, err
-		}
-		ib.LegacyHeapBytes = lst.HeapBytes
-		if ib.InternedHeapBytes > 0 {
-			ib.HeapRatio = float64(lst.HeapBytes) / float64(ib.InternedHeapBytes)
-		}
-
-		// Match micro-benchmark down both paths: same peer, same criteria
-		// stream (the networks share the catalog, so libraries match).
-		target := 0
-		for i, p := range nw.Peers {
-			if len(p.Library) > len(nw.Peers[target].Library) {
-				target = i
-			}
-		}
-		criteria := make([]string, 0, 64)
-		for _, p := range nw.Peers {
-			if len(p.Library) > 0 {
-				criteria = append(criteria, p.Library[0].Name)
-				if len(criteria) == 64 {
-					break
-				}
-			}
-		}
-		pi, pl := nw.Peers[target], lw.Peers[target]
-		legacyRow := runBench("match_legacy", benchtime, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pl.Match(criteria[i%len(criteria)])
-			}
-		})
-		internedRow := runBench("match_interned", benchtime, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pi.Match(criteria[i%len(criteria)])
-			}
-		})
-		ib.MatchLegacyNsPerOp = legacyRow.NsPerOp
-		ib.MatchInternedNsPerOp = internedRow.NsPerOp
-		if internedRow.NsPerOp > 0 {
-			ib.MatchSpeedup = legacyRow.NsPerOp / internedRow.NsPerOp
-		}
-		fmt.Fprintf(os.Stderr, "qc-bench: index heap legacy ~%.1f MiB vs interned ~%.1f MiB (%.1fx); match %.0f vs %.0f ns/op (%.2fx)\n",
-			float64(ib.LegacyHeapBytes)/(1<<20), float64(ib.InternedHeapBytes)/(1<<20), ib.HeapRatio,
-			legacyRow.NsPerOp, internedRow.NsPerOp, ib.MatchSpeedup)
-		runtime.KeepAlive(lw)
-	}
 	runtime.KeepAlive(nw)
 	runtime.KeepAlive(cat)
 
@@ -963,282 +588,6 @@ func fileSHA256(path string) (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// runBench adapts testing.Benchmark to a FloodBench row.
-func runBench(name string, d time.Duration, fn func(b *testing.B)) FloodBench {
-	prev := flag.Lookup("test.benchtime")
-	if prev != nil {
-		prev.Value.Set(d.String())
-	}
-	r := testing.Benchmark(fn)
-	return FloodBench{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
-}
-
-// buildNet constructs the benchmark network (the same configuration as
-// BenchmarkFloodOnce) and returns a criteria string that hits.
-func buildNet(peers int) (*gnet.Network, string) {
-	cat, err := catalog.Build(catalog.Config{
-		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
-		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
-	if err != nil {
-		fail(err)
-	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(5), cat)
-	if err != nil {
-		fail(err)
-	}
-	// Build term indexes (and the global term-frequency table floods use
-	// for rarest-first probing) outside the timed region.
-	if err := nw.BuildIndexes(0); err != nil {
-		fail(err)
-	}
-	criteria := ""
-	for _, p := range nw.Peers {
-		if len(p.Library) > 0 {
-			criteria = p.Library[0].Name
-			break
-		}
-	}
-	return nw, criteria
-}
-
-// floodBaseline replays the pre-optimisation flood on a fault-free,
-// QRP-free network through the exported API: a fresh seen map per flood,
-// one Decode per delivered envelope and one Encode per forwarding peer.
-// TestFloodMatchesNaiveReference (internal/gnet) pins this algorithm's
-// equivalence with the optimised path.
-func floodBaseline(nw *gnet.Network, origin int, criteria string, ttl int, r *rng.Source) (*gnet.FloodResult, error) {
-	guid := gmsg.GUIDFromUint64s(r.Uint64(), r.Uint64())
-	q := &gmsg.Message{
-		Header: gmsg.Header{GUID: guid, Type: gmsg.TypeQuery, TTL: byte(ttl)},
-		Query:  &gmsg.Query{Criteria: criteria},
-	}
-	res := &gnet.FloodResult{GUID: guid, Criteria: criteria, TTL: ttl}
-	seen := map[int]bool{origin: true}
-	type envelope struct {
-		to  int
-		raw []byte
-	}
-	frontier := make([]envelope, 0, len(nw.Peers[origin].Neighbors))
-	raw, err := gmsg.Encode(q)
-	if err != nil {
-		return nil, err
-	}
-	for _, nb := range nw.Peers[origin].Neighbors {
-		frontier = append(frontier, envelope{to: nb, raw: raw})
-		res.Messages++
-	}
-	for len(frontier) > 0 {
-		var next []envelope
-		for _, env := range frontier {
-			if seen[env.to] {
-				continue
-			}
-			seen[env.to] = true
-			m, _, err := gmsg.Decode(env.raw)
-			if err != nil {
-				return nil, err
-			}
-			res.PeersReached++
-			peer := nw.Peers[env.to]
-			if files := peer.Match(m.Query.Criteria); len(files) > 0 {
-				hit := gnet.Hit{PeerID: env.to, Hops: int(m.Header.Hops) + 1}
-				for _, f := range files {
-					hit.Files = append(hit.Files, gmsg.Result{
-						FileIndex: f.Index, FileSize: f.Size, FileName: f.Name,
-					})
-				}
-				res.Hits = append(res.Hits, hit)
-				res.TotalResults += len(files)
-			}
-			if m.Header.TTL <= 1 {
-				continue
-			}
-			if nw.Config.UltrapeerFrac > 0 && !peer.Ultrapeer {
-				continue
-			}
-			fwd := *m
-			fwd.Header.TTL--
-			fwd.Header.Hops++
-			fraw, err := gmsg.Encode(&fwd)
-			if err != nil {
-				return nil, err
-			}
-			for _, nb := range peer.Neighbors {
-				if !seen[nb] {
-					next = append(next, envelope{to: nb, raw: fraw})
-					res.Messages++
-				}
-			}
-		}
-		frontier = next
-	}
-	return res, nil
-}
-
-// runObsOverhead is the `make ci` metrics-overhead smoke: it benchmarks
-// the optimised flood once with the observability plane detached and once
-// with a live registry (and flood-trace recorder) attached. The smoke
-// passes if the instrumented flood stays within 10% of EITHER the detached
-// same-run baseline or the flood_ctx row previously recorded in
-// baselinePath — the recorded row absorbs machine-load noise between the
-// two same-run measurements.
-func runObsOverhead(peers int, benchtime time.Duration, baselinePath string) {
-	nw, criteria := buildNet(peers)
-	ctx := nw.NewFloodCtx()
-	disabled := runBench("flood_ctx_obs_off", benchtime, func(b *testing.B) {
-		r := rng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.Flood(i%peers, criteria, 4, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	reg := obs.NewRegistry()
-	nw.Instrument(reg, obs.NewFloodTraces(0))
-	ictx := nw.NewFloodCtx()
-	enabled := runBench("flood_ctx_obs_on", benchtime, func(b *testing.B) {
-		r := rng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ictx.Flood(i%peers, criteria, 4, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if reg.Counter("gnet_floods_total").Value() == 0 {
-		fail(fmt.Errorf("obs-overhead: instrumented floods recorded no metrics"))
-	}
-
-	const tolerance = 1.10
-	limit := disabled.NsPerOp * tolerance
-	recorded := recordedFloodCtxNs(baselinePath)
-	if recorded > 0 && recorded*tolerance > limit {
-		limit = recorded * tolerance
-	}
-	fmt.Fprintf(os.Stderr,
-		"qc-bench: obs overhead %d peers: off %.0f ns/op, on %.0f ns/op (%.2fx); recorded flood_ctx %.0f ns/op; limit %.0f\n",
-		peers, disabled.NsPerOp, enabled.NsPerOp, enabled.NsPerOp/disabled.NsPerOp, recorded, limit)
-	if enabled.NsPerOp > limit {
-		fail(fmt.Errorf("obs-overhead: instrumented flood %.0f ns/op exceeds limit %.0f ns/op", enabled.NsPerOp, limit))
-	}
-	fmt.Fprintln(os.Stderr, "qc-bench: obs overhead within budget")
-}
-
-// runCapacityOverhead is the `make ci` capacity-plane overhead smoke: it
-// benchmarks the optimised flood once with no plane and once with an
-// attached-but-idle plane — constructed and wired into the network but
-// disabled, exactly the state every capacity-unaware run ships with. The
-// inert-by-default contract says that state is free, so the smoke fails
-// if the idle-plane flood is more than 5% slower than EITHER the detached
-// same-run baseline or the flood_ctx row previously recorded in
-// baselinePath (the recorded row absorbs machine-load noise between the
-// two same-run measurements). An enabled unbounded plane — per-message
-// admission accounting with nothing ever shed — is measured too and
-// reported as the modeling cost of turning the plane on, without a
-// budget: that cost buys the queue model and is paid only when asked for.
-func runCapacityOverhead(peers int, benchtime time.Duration, baselinePath string) {
-	nw, criteria := buildNet(peers)
-	ctx := nw.NewFloodCtx()
-	detached := runBench("flood_ctx_capacity_off", benchtime, func(b *testing.B) {
-		r := rng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.Flood(i%peers, criteria, 4, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	idleCfg := capacity.Config{Seed: 1} // disabled: zero service cost
-	idlePl, err := capacity.New(idleCfg, len(nw.Peers))
-	if err != nil {
-		fail(err)
-	}
-	nw.SetCapacity(idlePl)
-	ictx := nw.NewFloodCtx()
-	idle := runBench("flood_ctx_capacity_idle", benchtime, func(b *testing.B) {
-		r := rng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ictx.Flood(i%peers, criteria, 4, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	idlePl.Commit(1)
-	if st := idlePl.Stats(); st != (capacity.Stats{}) {
-		fail(fmt.Errorf("capacity-overhead: disabled plane recorded state %+v; it must be inert", st))
-	}
-
-	ccfg := capacity.DefaultConfig(1)
-	ccfg.Policy = capacity.Unbounded
-	ccfg.Breakers = false
-	pl, err := capacity.New(ccfg, len(nw.Peers))
-	if err != nil {
-		fail(err)
-	}
-	nw.SetCapacity(pl)
-	uctx := nw.NewFloodCtx()
-	unbounded := runBench("flood_ctx_capacity_unbounded", benchtime, func(b *testing.B) {
-		r := rng.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := uctx.Flood(i%peers, criteria, 4, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	pl.Commit(1) // fold the phase tallies so Stats sees the admissions
-	if pl.Stats().Enqueued == 0 {
-		fail(fmt.Errorf("capacity-overhead: unbounded plane admitted nothing; floods bypassed it"))
-	}
-	if pl.Stats().Shed != 0 {
-		fail(fmt.Errorf("capacity-overhead: unbounded plane shed %d messages; it must shed nothing", pl.Stats().Shed))
-	}
-
-	const tolerance = 1.05
-	limit := detached.NsPerOp * tolerance
-	recorded := recordedFloodCtxNs(baselinePath)
-	if recorded > 0 && recorded*tolerance > limit {
-		limit = recorded * tolerance
-	}
-	fmt.Fprintf(os.Stderr,
-		"qc-bench: capacity overhead %d peers: off %.0f ns/op, idle %.0f ns/op (%.2fx), enabled-unbounded %.0f ns/op (%.2fx); recorded flood_ctx %.0f ns/op; idle limit %.0f\n",
-		peers, detached.NsPerOp, idle.NsPerOp, idle.NsPerOp/detached.NsPerOp,
-		unbounded.NsPerOp, unbounded.NsPerOp/detached.NsPerOp, recorded, limit)
-	if idle.NsPerOp > limit {
-		fail(fmt.Errorf("capacity-overhead: idle-plane flood %.0f ns/op exceeds limit %.0f ns/op", idle.NsPerOp, limit))
-	}
-	fmt.Fprintln(os.Stderr, "qc-bench: capacity overhead within budget")
-}
-
-// recordedFloodCtxNs returns the flood_ctx ns/op recorded in a previous
-// BENCH_flood.json report, or 0 when the file or row is absent.
-func recordedFloodCtxNs(path string) float64 {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0
-	}
-	for _, row := range rep.Flood {
-		if row.Name == "flood_ctx" {
-			return row.NsPerOp
-		}
-	}
-	return 0
 }
 
 func fail(err error) {

@@ -111,6 +111,32 @@ func TestDropTailShedsAtDepth(t *testing.T) {
 	}
 }
 
+// TestUnboundedShedsNothing: an enabled plane under the unbounded policy
+// accounts every message and never rejects one, however far past
+// QueueDepth the backlog grows — what makes it the cost-of-modelling
+// baseline the benchmark's capacity ablation row measures.
+func TestUnboundedShedsNothing(t *testing.T) {
+	cfg := DefaultConfig(7)
+	cfg.Policy = Unbounded
+	cfg.Breakers = false
+	cfg.QueueDepth = 4
+	p := mustPlane(t, cfg, 2)
+	for phase := 0; phase < 3; phase++ {
+		for i := 0; i < 40; i++ {
+			if !p.Admit(uint64(phase), 0, uint64(i), 1+i%3, 3) {
+				t.Fatalf("unbounded plane shed message %d of phase %d", i, phase)
+			}
+		}
+		p.Commit(0)
+	}
+	if st := p.Stats(); st.Enqueued != 120 || st.Shed != 0 {
+		t.Fatalf("stats = %+v, want 120 enqueued / 0 shed", st)
+	}
+	if d := p.Depth(0); d != 120 {
+		t.Fatalf("depth = %d, want the whole backlog (120)", d)
+	}
+}
+
 func TestREDRampsDeterministically(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.QueueDepth = 8

@@ -1,8 +1,10 @@
-// Package churn simulates peer session dynamics — the defining property of
+// Package churn models peer session dynamics — the defining property of
 // the systems the paper studies. Peers alternate between online and offline
-// sessions (exponential durations, as measured in Gnutella), driven by the
-// discrete-event kernel; at sampling points a TTL-bounded flood over the
-// *currently online* subgraph measures search success.
+// sessions (exponential durations, as measured in Gnutella); at sampling
+// points a TTL-bounded flood over the *currently online* subgraph measures
+// search success. This package holds the model (Config, Sample, Result,
+// timelines, liveness masks); the graph-level run itself is
+// events.RunGraphChurn, on the one discrete-event engine.
 //
 // The experiment built on this package shows that churn amplifies the
 // paper's finding: under uniform replication a query survives any single
@@ -14,10 +16,7 @@ import (
 	"fmt"
 	"math"
 
-	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
-	"querycentric/internal/search"
-	"querycentric/internal/sim"
 )
 
 // Config shapes a churn simulation.
@@ -76,7 +75,8 @@ func (c Config) Validate() error {
 
 // OnlineMask samples each of n peers' online state from the stationary
 // distribution of the (meanOnline, meanOffline) session process — the same
-// distribution Run uses to initialize its session state machines. Fault
+// distribution events.RunGraphChurn uses to initialize its session state
+// machines. Fault
 // planes (internal/faults) install the result as a liveness mask, so
 // crawls and floods observe the session dynamics this package models.
 func OnlineMask(seed uint64, n int, meanOnline, meanOffline float64) ([]bool, error) {
@@ -105,7 +105,7 @@ type Sample struct {
 	SuccessRate float64
 }
 
-// Result is a full churn run.
+// Result is a full churn run (see events.RunGraphChurn).
 type Result struct {
 	Samples []Sample
 	// MeanSuccess averages the per-sample success rates.
@@ -113,145 +113,4 @@ type Result struct {
 	// MeanOnline averages the online fraction (sanity: should approach
 	// MeanOnline/(MeanOnline+MeanOffline)).
 	MeanOnline float64
-}
-
-// Run simulates churn over the graph with the given placement and measures
-// flood success over time. Origins are drawn among online peers; a query
-// succeeds when some online replica is reachable through online relays
-// within the TTL.
-func Run(g *overlay.Graph, p *search.Placement, cfg Config) (*Result, error) {
-	if p.Nodes != g.N() {
-		return nil, fmt.Errorf("churn: placement covers %d nodes, graph has %d", p.Nodes, g.N())
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	n := g.N()
-	online := make([]bool, n)
-	r := rng.NewNamed(cfg.Seed, "churn/sessions")
-	k := sim.New()
-
-	// Session state machines: initialize from the stationary distribution
-	// and schedule transitions.
-	stationary := cfg.MeanOnline / (cfg.MeanOnline + cfg.MeanOffline)
-	var schedule func(v int)
-	schedule = func(v int) {
-		var d int64
-		if online[v] {
-			d = 1 + int64(r.ExpFloat64()*cfg.MeanOnline)
-		} else {
-			d = 1 + int64(r.ExpFloat64()*cfg.MeanOffline)
-		}
-		if err := k.After(d, func(int64) {
-			online[v] = !online[v]
-			schedule(v)
-		}); err != nil {
-			panic(err) // After only fails on negative delay
-		}
-	}
-	for v := 0; v < n; v++ {
-		online[v] = r.Bool(stationary)
-		schedule(v)
-	}
-
-	res := &Result{}
-	qr := rng.NewNamed(cfg.Seed, "churn/queries")
-	mark := make([]int64, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	var epoch int64
-
-	measure := func(now int64) {
-		onlineCount := 0
-		for _, up := range online {
-			if up {
-				onlineCount++
-			}
-		}
-		s := Sample{Time: now, OnlineFrac: float64(onlineCount) / float64(n)}
-		if onlineCount > 0 {
-			hits := 0
-			for q := 0; q < cfg.QueriesPerSample; q++ {
-				origin := qr.Intn(n)
-				for !online[origin] {
-					origin = qr.Intn(n)
-				}
-				obj := qr.Intn(p.Objects())
-				epoch++
-				if aliveFlood(g, online, mark, epoch, origin, cfg.TTL, p.Holders[obj]) {
-					hits++
-				}
-			}
-			s.SuccessRate = float64(hits) / float64(cfg.QueriesPerSample)
-		}
-		res.Samples = append(res.Samples, s)
-	}
-	for t := cfg.SampleEvery; t <= cfg.Duration; t += cfg.SampleEvery {
-		if err := k.Schedule(t, measure); err != nil {
-			return nil, err
-		}
-	}
-	k.RunUntil(cfg.Duration)
-
-	var sSum, oSum float64
-	for _, s := range res.Samples {
-		sSum += s.SuccessRate
-		oSum += s.OnlineFrac
-	}
-	if len(res.Samples) > 0 {
-		res.MeanSuccess = sSum / float64(len(res.Samples))
-		res.MeanOnline = oSum / float64(len(res.Samples))
-	}
-	return res, nil
-}
-
-// aliveFlood runs a TTL-bounded flood from origin over online nodes only,
-// returning whether any online holder was reached (or the origin holds it).
-func aliveFlood(g *overlay.Graph, online []bool, mark []int64, epoch int64, origin, ttl int, holders []int32) bool {
-	for _, h := range holders {
-		if int(h) == origin {
-			return true
-		}
-	}
-	holderSet := make(map[int32]struct{}, len(holders))
-	for _, h := range holders {
-		if online[h] {
-			holderSet[h] = struct{}{}
-		}
-	}
-	if len(holderSet) == 0 {
-		return false
-	}
-	mark[origin] = epoch
-	frontier := make([]int32, 0, 16)
-	for _, nb := range g.Neighbors(origin) {
-		if online[nb] {
-			frontier = append(frontier, nb)
-		}
-	}
-	var next []int32
-	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			if mark[v] == epoch {
-				continue
-			}
-			mark[v] = epoch
-			if _, ok := holderSet[v]; ok {
-				return true
-			}
-			if hop == ttl || !g.Ultra(int(v)) {
-				continue
-			}
-			for _, nb := range g.Neighbors(int(v)) {
-				if online[nb] && mark[nb] != epoch {
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return false
 }

@@ -3,38 +3,7 @@ package churn
 import (
 	"math"
 	"testing"
-
-	"querycentric/internal/overlay"
-	"querycentric/internal/search"
 )
-
-func testGraph(t *testing.T, n int) *overlay.Graph {
-	t.Helper()
-	g, err := overlay.NewGnutella(n, overlay.DefaultGnutellaConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestRunValidation(t *testing.T) {
-	g := testGraph(t, 100)
-	p, _ := search.UniformPlacement(100, 10, 2, 1)
-	bad := DefaultConfig(1)
-	bad.MeanOnline = 0
-	if _, err := Run(g, p, bad); err == nil {
-		t.Error("zero session mean accepted")
-	}
-	bad2 := DefaultConfig(1)
-	bad2.TTL = 0
-	if _, err := Run(g, p, bad2); err == nil {
-		t.Error("zero TTL accepted")
-	}
-	wrong, _ := search.UniformPlacement(50, 10, 2, 1)
-	if _, err := Run(g, wrong, DefaultConfig(1)); err == nil {
-		t.Error("mismatched placement accepted")
-	}
-}
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(1).Validate(); err != nil {
@@ -59,26 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-func TestRunRejectsInvalidSchedules(t *testing.T) {
-	// These configurations used to loop forever or panic; they must be
-	// rejected up front.
-	g := testGraph(t, 60)
-	p, _ := search.UniformPlacement(60, 5, 2, 1)
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.SampleEvery = 0 },
-		func(c *Config) { c.SampleEvery = -10 },
-		func(c *Config) { c.Duration = 0 },
-		func(c *Config) { c.MeanOnline = -3000 },
-		func(c *Config) { c.MeanOffline = -1200 },
-	} {
-		cfg := DefaultConfig(4)
-		mutate(&cfg)
-		if _, err := Run(g, p, cfg); err == nil {
-			t.Errorf("invalid schedule %+v accepted", cfg)
 		}
 	}
 }
@@ -122,119 +71,6 @@ func TestOnlineMask(t *testing.T) {
 	for _, up := range all {
 		if !up {
 			t.Fatal("zero MeanOffline should leave every peer online")
-		}
-	}
-}
-
-func TestStationaryOnlineFraction(t *testing.T) {
-	g := testGraph(t, 500)
-	p, _ := search.UniformPlacement(500, 20, 5, 2)
-	cfg := DefaultConfig(2)
-	cfg.Duration = 4 * 3600
-	res, err := Run(g, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.MeanOnline / (cfg.MeanOnline + cfg.MeanOffline)
-	if math.Abs(res.MeanOnline-want) > 0.08 {
-		t.Errorf("mean online fraction %v, want ~%v", res.MeanOnline, want)
-	}
-	if len(res.Samples) != int(cfg.Duration/cfg.SampleEvery) {
-		t.Errorf("got %d samples", len(res.Samples))
-	}
-}
-
-func TestAlwaysOnlineMatchesStaticSearch(t *testing.T) {
-	// With offline mean 0 every peer stays up: success should be high for
-	// a well-replicated object set.
-	g := testGraph(t, 300)
-	p, _ := search.UniformPlacement(300, 20, 30, 3)
-	cfg := DefaultConfig(3)
-	cfg.MeanOffline = 0
-	cfg.Duration = 3600
-	cfg.SampleEvery = 600
-	res, err := Run(g, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanOnline < 0.999 {
-		t.Errorf("mean online %v with zero offline mean", res.MeanOnline)
-	}
-	if res.MeanSuccess < 0.9 {
-		t.Errorf("success %v for 10%% replication with no churn", res.MeanSuccess)
-	}
-}
-
-func TestChurnAmplifiesZipfPenalty(t *testing.T) {
-	// The headline property: at equal churn, uniform replication keeps
-	// most queries alive while single-copy-heavy Zipf placement loses
-	// whatever its holder's uptime loses.
-	g := testGraph(t, 600)
-	uni, err := search.UniformPlacement(600, 60, 12, 4) // 2% replication
-	if err != nil {
-		t.Fatal(err)
-	}
-	zpf, err := search.ZipfPlacement(600, 60, 2.45, 60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(5)
-	cfg.Duration = 2 * 3600
-	rUni, err := Run(g, uni, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rZpf, err := Run(g, zpf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rZpf.MeanSuccess >= rUni.MeanSuccess {
-		t.Errorf("Zipf success %v not below uniform %v under churn",
-			rZpf.MeanSuccess, rUni.MeanSuccess)
-	}
-	// The Zipf ceiling: ~70% of objects have one copy and that copy is
-	// online ~71% of the time, so success should sit well under uniform's.
-	if rUni.MeanSuccess-rZpf.MeanSuccess < 0.1 {
-		t.Errorf("churn gap too small: uniform %v vs zipf %v",
-			rUni.MeanSuccess, rZpf.MeanSuccess)
-	}
-}
-
-func TestDeterministic(t *testing.T) {
-	g := testGraph(t, 200)
-	p, _ := search.UniformPlacement(200, 20, 4, 6)
-	cfg := DefaultConfig(7)
-	cfg.Duration = 3600
-	a, err := Run(g, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(g, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Samples {
-		if a.Samples[i] != b.Samples[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a.Samples[i], b.Samples[i])
-		}
-	}
-}
-
-func BenchmarkChurnRun(b *testing.B) {
-	g, err := overlay.NewGnutella(500, overlay.DefaultGnutellaConfig(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := search.ZipfPlacement(500, 50, 2.45, 50, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(3)
-	cfg.Duration = 3600
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, p, cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

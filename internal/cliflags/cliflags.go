@@ -44,8 +44,7 @@ type SnapshotFlags struct {
 	Save string
 	Load string
 	// Mmap restores via a zero-copy read-only memory mapping instead of
-	// copying the snapshot onto the heap (v2 snapshots; v1 files fall back
-	// to the copying loader). Only meaningful with Load.
+	// copying the snapshot onto the heap. Only meaningful with Load.
 	Mmap bool
 	// ShardSize, when positive with Save (and no Load), builds the
 	// population shard-by-shard directly into the snapshot file instead of

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"querycentric/internal/churn"
+	"querycentric/internal/events"
 	"querycentric/internal/overlay"
 	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
@@ -48,7 +49,7 @@ func ChurnComparison(e *Env) (*ChurnResult, error) {
 	cfg := churn.DefaultConfig(e.Seed + 82)
 	cfg.Duration = 2 * 3600
 	cfg.QueriesPerSample = maxIntE(e.P.SimTrials/4, 50)
-	// churn.Run validates too, but failing here keeps the error out of the
+	// events.RunGraphChurn validates too, but failing here keeps the error out of the
 	// fanned-out goroutines and names the experiment that built the config.
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: churn comparison config: %w", err)
@@ -57,7 +58,7 @@ func ChurnComparison(e *Env) (*ChurnResult, error) {
 	// them out (each run is internally deterministic from its own config).
 	places := []*search.Placement{uni, zpf}
 	runs, err := parallel.Map(e.workers(), len(places), func(i int) (*churn.Result, error) {
-		return churn.Run(g, places[i], cfg)
+		return events.RunGraphChurn(g, places[i], cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -177,8 +177,7 @@ type Env struct {
 	SnapshotSave string
 
 	// SnapshotMmap restores SnapshotLoad through a read-only memory mapping
-	// (zero-copy file names and posting arenas); version-1 snapshots fall
-	// back to the copying loader transparently.
+	// (zero-copy file names and posting arenas).
 	SnapshotMmap bool
 	// SnapshotShardSize, when positive with SnapshotSave (and no
 	// SnapshotLoad), builds the population shard-by-shard straight into the
@@ -240,68 +239,16 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 	if e.objTrace != nil {
 		return e.objTrace, e.objStats, nil
 	}
-	var nw *gnet.Network
-	saved := false
-	switch {
-	case e.SnapshotLoad != "":
-		stop := e.Obs.StartPhase("env/snapshot-load")
-		var err error
-		if e.SnapshotMmap {
-			nw, _, err = snapshot.LoadPreferMapped(e.SnapshotLoad, e.Workers)
-		} else {
-			nw, err = snapshot.Load(e.SnapshotLoad, e.Workers)
-		}
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: loading snapshot: %w", err)
-		}
-	case e.SnapshotShardSize > 0 && e.SnapshotSave != "":
-		// Shard-and-spill: the population goes straight to disk, then the
-		// network comes back from the (byte-identical) snapshot — the whole
-		// substrate is never resident during construction.
-		gcfg := gnet.DefaultConfig(e.Seed)
-		gcfg.FirewalledFrac = e.P.FirewalledFrac
-		stop := e.Obs.StartPhase("env/snapshot-build-sharded")
-		_, err := snapshot.BuildSharded(e.SnapshotSave, snapshot.BuildConfig{
-			Catalog:   e.catalogConfig(),
-			Network:   gcfg,
-			Workers:   e.Workers,
-			ShardSize: e.SnapshotShardSize,
-		})
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: sharded snapshot build: %w", err)
-		}
-		saved = true
-		stop = e.Obs.StartPhase("env/snapshot-load")
-		nw, err = snapshot.Load(e.SnapshotSave, e.Workers)
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: loading sharded snapshot: %w", err)
-		}
-	default:
-		stop := e.Obs.StartPhase("env/catalog")
-		cat, err := catalog.BuildWorkers(e.catalogConfig(), e.Workers)
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: building catalog: %w", err)
-		}
-		gcfg := gnet.DefaultConfig(e.Seed)
-		gcfg.FirewalledFrac = e.P.FirewalledFrac
-		stop = e.Obs.StartPhase("env/network")
-		nw, err = gnet.NewFromCatalogWorkers(gcfg, cat, e.Workers)
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: building network: %w", err)
-		}
-	}
-	if e.SnapshotSave != "" && !saved {
-		stop := e.Obs.StartPhase("env/snapshot-save")
-		_, err := snapshot.Save(e.SnapshotSave, nw, e.Workers)
-		stop()
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: saving snapshot: %w", err)
-		}
+	gcfg := gnet.DefaultConfig(e.Seed)
+	gcfg.FirewalledFrac = e.P.FirewalledFrac
+	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.SnapshotMmap, snapshot.BuildConfig{
+		Catalog:   e.catalogConfig(),
+		Network:   gcfg,
+		Workers:   e.Workers,
+		ShardSize: e.SnapshotShardSize,
+	}, e.Obs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
 	e.instrumentNetwork(nw)
 	ccfg := crawler.DefaultConfig()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 
 	"querycentric/internal/faults"
@@ -13,9 +14,11 @@ import (
 
 // floodNaive is the pre-optimisation flood kept as a reference oracle and
 // perf baseline: a fresh `seen` map per flood, one Decode per delivered
-// envelope, one Encode per forwarding peer, and a per-edge QRP hash of the
-// criteria. Fault semantics match the optimised path (per-flood salted
-// loss schedule, liveness snapshot) so results must be byte-identical.
+// envelope, one Encode per forwarding peer, a per-edge QRP hash of the
+// criteria, and a linear scan of each reached library (linearMatch) instead
+// of the posting index under test. Fault semantics match the optimised
+// path (per-flood salted loss schedule, liveness snapshot) so results must
+// be byte-identical.
 func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source) (*FloodResult, error) {
 	if origin < 0 || origin >= len(nw.Peers) {
 		return nil, fmt.Errorf("gnet: origin %d out of range", origin)
@@ -75,7 +78,7 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 			}
 			res.PeersReached++
 			peer := nw.Peers[env.to]
-			if files := peer.Match(m.Query.Criteria); len(files) > 0 {
+			if files := linearMatch(peer.Library, m.Query.Criteria); len(files) > 0 {
 				hit := Hit{PeerID: env.to, Hops: int(m.Header.Hops) + 1}
 				for _, f := range files {
 					hit.Files = append(hit.Files, gmsg.Result{
@@ -115,34 +118,41 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 }
 
 // TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx
-// against the map-based reference on plain, QRP and lossy networks.
+// against the map-based reference on plain, QRP, lossy and QRP-plus-lossy
+// networks. Every fifth trial also floods the criteria with an unknown term
+// appended, the mismatch case that must still spread and hit nothing.
 func TestFloodMatchesNaiveReference(t *testing.T) {
-	for _, mode := range []string{"plain", "qrp", "lossy"} {
+	for _, mode := range []string{"plain", "qrp", "lossy", "qrp+lossy"} {
 		t.Run(mode, func(t *testing.T) {
 			nw := populatedNet(t, 180)
-			switch mode {
-			case "qrp":
+			if strings.Contains(mode, "qrp") {
 				if err := nw.EnableQRP(16); err != nil {
 					t.Fatal(err)
 				}
-			case "lossy":
+			}
+			if strings.Contains(mode, "lossy") {
 				nw.SetFaults(faults.New(faults.Config{Seed: 11, MessageLoss: 0.2, PeerDepart: 0.1}))
 			}
 			ctx := nw.NewFloodCtx()
 			for trial := 0; trial < 30; trial++ {
 				origin := trial * 7 % len(nw.Peers)
-				criteria := fileOf(t, nw, trial*13+2)
-				want, err := floodNaive(nw, origin, criteria, 4, rng.New(uint64(trial)))
-				if err != nil {
-					t.Fatal(err)
+				queries := []string{fileOf(t, nw, trial*13+2)}
+				if trial%5 == 0 {
+					queries = append(queries, queries[0]+" zqxjkwv")
 				}
-				got, err := ctx.Flood(origin, criteria, 4, rng.New(uint64(trial)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s trial %d: optimised flood diverged from reference:\n%+v\nvs\n%+v",
-						mode, trial, got, want)
+				for _, criteria := range queries {
+					want, err := floodNaive(nw, origin, criteria, 4, rng.New(uint64(trial)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ctx.Flood(origin, criteria, 4, rng.New(uint64(trial)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s trial %d (%q): optimised flood diverged from reference:\n%+v\nvs\n%+v",
+							mode, trial, criteria, got, want)
+					}
 				}
 			}
 		})

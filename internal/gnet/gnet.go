@@ -59,13 +59,6 @@ type Peer struct {
 	dict *dict.Dict
 	idx  postingIndex
 
-	// termIndex is the pre-interning map-keyed index, built only when the
-	// network is switched to the legacy path (see UseLegacyStringIndex);
-	// retained as the reference implementation for the equivalence gate
-	// and the before/after memory benchmarks.
-	termIndex map[string][]int32
-	legacy    bool
-
 	// indexOnce guards lazy index construction (parallel floods may race
 	// to the first Match).
 	indexOnce sync.Once
@@ -103,10 +96,10 @@ type Network struct {
 	firewalled []bool
 
 	// dict is the network-wide interned term dictionary, built once from
-	// the catalog all peers share (nil for networks assembled without one,
-	// and after UseLegacyStringIndex). termDF[id] is the network-wide
-	// posting count of term id, folded by BuildIndexes so floods can probe
-	// each peer's index rarest-term-first (see sortByGlobalDF).
+	// the catalog all peers share (nil for networks assembled without
+	// one). termDF[id] is the network-wide posting count of term id, folded
+	// by BuildIndexes so floods can probe each peer's index
+	// rarest-term-first (see sortByGlobalDF).
 	dict   *dict.Dict
 	termDF []int32
 
@@ -185,7 +178,7 @@ func (nw *Network) EnableQRP(bits uint) error {
 		if err != nil {
 			return err
 		}
-		if interned && !p.legacy {
+		if interned {
 			// p.dict is the shared dictionary unless this peer's library
 			// was mutated after construction and it fell back to a local
 			// one; either way the index's term IDs resolve against p.dict.
@@ -455,7 +448,6 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	lib[len(p.Library)] = File{Index: uint32(len(p.Library)), Size: size, Name: name}
 	p.Library = lib
 	p.idx = postingIndex{}
-	p.termIndex = nil
 	p.indexOnce = sync.Once{}
 	return nil
 }

@@ -15,12 +15,10 @@ import (
 // This file implements the interned-ID query path: per-peer posting indexes
 // keyed by dict.TermID instead of strings. A peer's index is a blocked
 // varint arena — a skip array of every postingBlockLen-th term ID plus one
-// delta-encoded byte arena holding term-ID gaps and posting lists — which
-// replaces both the map[string][]int32 of the legacy path (index_legacy.go)
-// and the flat []int32 arena of the first interned layout at roughly a
-// quarter of the retained heap. Lookups binary-search the skip array and
-// scan at most one block; intersections stream posting lists through
-// vpost.Cursor without materializing anything but the rarest list.
+// delta-encoded byte arena holding term-ID gaps and posting lists. Lookups
+// binary-search the skip array and scan at most one block; intersections
+// stream posting lists through vpost.Cursor without materializing anything
+// but the rarest list.
 
 // postingBlockLen is how many terms share one skip-array entry. Smaller
 // blocks cost more skip-array memory (8 bytes per block) but shorten the
@@ -110,13 +108,16 @@ func (r postingsRef) cursor() vpost.Cursor {
 
 // lookup finds id's posting list: binary search for the block that could
 // hold it, then an early-exit scan of the block's id-delta section — no
-// payload byte is touched unless the term is present. NoTerm (and any
-// absent id) misses; the conjunctive match rule turns that into an empty
-// result after this single probe. The varint decodes are inlined: this is
-// the innermost loop of every flood, called once per (reached peer, query
-// term) until the first miss.
+// payload byte is touched unless the term is present. NoTerm misses before
+// the filter is consulted: it is in no index, but its filter slot can
+// collide with a ubiquitous term's, which would send every unknown-term
+// probe down the whole last block. Any other absent id misses too; the
+// conjunctive match rule turns a miss into an empty result after this
+// single probe. The varint decodes are inlined: this is the innermost loop
+// of every flood, called once per (reached peer, query term) until the
+// first miss.
 func (ix *postingIndex) lookup(id dict.TermID) (postingsRef, bool) {
-	if ix.filter == nil || !ix.mayContain(id) {
+	if id == dict.NoTerm || ix.filter == nil || !ix.mayContain(id) {
 		return postingsRef{}, false
 	}
 	first := ix.blockFirst
@@ -319,8 +320,7 @@ func buildPostings(d *dict.Dict, lib []File, bs *buildScratch) (postingIndex, bo
 	}
 	bs.pairs, bs.fileIDs = pairs, fileIDs
 	// Files were visited in ascending order, so sorting by (id, file) keeps
-	// every posting list ascending — the same order the legacy map path
-	// produces by appending file indices as it scans the library.
+	// every posting list ascending.
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].id != pairs[b].id {
 			return pairs[a].id < pairs[b].id
@@ -446,8 +446,8 @@ func libraryNames(lib []File) []string {
 	return names
 }
 
-// buildIndex builds the peer's term → file index (interned or legacy).
-// Always reached through indexOnce.
+// buildIndex builds the peer's term → file index. Always reached through
+// indexOnce.
 func (p *Peer) buildIndex() {
 	var bs buildScratch
 	p.buildIndexWith(&bs)
@@ -456,10 +456,6 @@ func (p *Peer) buildIndex() {
 // buildIndexWith is buildIndex with the construction scratch hoisted out,
 // so BuildIndexes reuses one scratch per worker across thousands of peers.
 func (p *Peer) buildIndexWith(bs *buildScratch) {
-	if p.legacy {
-		p.buildLegacyIndex()
-		return
-	}
 	if p.dict == nil {
 		// Peer assembled without a catalog (tests, hand-built networks):
 		// intern against a dictionary of its own library.
@@ -518,7 +514,7 @@ func (nw *Network) buildTermDF(workers int) {
 		counts := make([]int32, n)
 		for i := w; i < len(nw.Peers); i += ws {
 			p := nw.Peers[i]
-			if p.legacy || p.dict != nw.dict {
+			if p.dict != nw.dict {
 				continue
 			}
 			p.idx.forEach(func(id dict.TermID, ref postingsRef) {
@@ -558,31 +554,14 @@ func (nw *Network) sortByGlobalDF(ids []dict.TermID) {
 	}
 }
 
-// UseLegacyStringIndex switches the whole network to the pre-interning
-// map[string][]int32 index and string-keyed match path. Retained as the
-// reference implementation for equivalence tests and memory benchmarks.
-// Call before anything triggers index construction (Match, Flood,
-// EnableQRP, BuildIndexes); indexes already built stay as they are.
-func (nw *Network) UseLegacyStringIndex() {
-	nw.dict = nil
-	nw.termDF = nil
-	for _, p := range nw.Peers {
-		p.dict = nil
-		p.legacy = true
-	}
-}
-
 // TermDict returns the network-wide interned dictionary (nil for networks
-// without one — hand-assembled peers or after UseLegacyStringIndex).
+// assembled by hand rather than built from a catalog).
 func (nw *Network) TermDict() *dict.Dict { return nw.dict }
 
 // Match returns the library files matching the query criteria under the
 // Gnutella keyword rule (every query token must appear in the file name).
 func (p *Peer) Match(criteria string) []File {
 	p.indexOnce.Do(p.buildIndex)
-	if p.legacy {
-		return p.matchTokensLegacy(TokenizeQuery(criteria))
-	}
 	toks := TokenizeQuery(criteria)
 	if len(toks) == 0 {
 		return nil
@@ -600,14 +579,10 @@ func (p *Peer) Match(criteria string) []File {
 }
 
 // MatchTokens is Match with tokenization hoisted out: toks must come from
-// TokenizeQuery. scratch is grown as needed and returned for reuse across
-// calls (floods use the richer matchForFlood instead).
+// TokenizeQuery. scratch is returned untouched; the interned path needs no
+// string scratch (floods use the richer matchForFlood instead).
 func (p *Peer) MatchTokens(toks, scratch []string) ([]File, []string) {
 	p.indexOnce.Do(p.buildIndex)
-	if p.legacy {
-		scratch = append(scratch[:0], toks...)
-		return p.matchTokensLegacy(scratch), scratch
-	}
 	if len(toks) == 0 {
 		return nil, scratch
 	}
@@ -621,14 +596,10 @@ func (p *Peer) MatchTokens(toks, scratch []string) ([]File, []string) {
 
 // matchForFlood matches one flood's query against this peer. d and qids are
 // the flood's hoisted dictionary and resolved term IDs (d == nw.dict); toks
-// are the deduped string tokens for peers that cannot use qids — legacy
-// peers, and peers whose mutated library forced a local dictionary.
+// are the deduped string tokens for peers that cannot use qids: those whose
+// mutated library forced a local dictionary.
 func (p *Peer) matchForFlood(d *dict.Dict, qids []dict.TermID, toks []string, s *matchScratch) []File {
 	p.indexOnce.Do(p.buildIndex)
-	if p.legacy {
-		s.str = append(s.str[:0], toks...)
-		return p.matchTokensLegacy(s.str)
-	}
 	ids := qids
 	if p.dict != d {
 		var ok bool
@@ -642,13 +613,12 @@ func (p *Peer) matchForFlood(d *dict.Dict, qids []dict.TermID, toks []string, s 
 }
 
 // matchScratch is per-flood match state, reused across every reached peer:
-// resolved fallback IDs, the per-term refs being sorted, the decode buffer
-// the rarest posting list lands in, and legacy-path token copies.
+// resolved fallback IDs, the per-term refs being sorted and the decode
+// buffer the rarest posting list lands in.
 type matchScratch struct {
 	ids  []dict.TermID
 	sel  []postingsRef
 	post []int32
-	str  []string
 }
 
 // matchIDs intersects the posting lists of ids, rarest term first so the
@@ -669,7 +639,7 @@ func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []File {
 	}
 	sel := s.sel
 	// Insertion sort by posting-list length: queries have a handful of
-	// terms, and this replaces the legacy sort.Slice on strings.
+	// terms.
 	for i := 1; i < len(sel); i++ {
 		for j := i; j > 0 && sel[j].count < sel[j-1].count; j-- {
 			sel[j], sel[j-1] = sel[j-1], sel[j]
@@ -740,30 +710,6 @@ func intersectRef(cur []int32, w postingsRef) []int32 {
 	return out
 }
 
-// intersectPostings intersects two ascending posting lists into a fresh
-// slice (the legacy map path's helper; the compressed path streams through
-// intersectRef instead).
-func intersectPostings(a, b []int32) []int32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]int32, 0, n)
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // smallQueryDedupe is the token count below which TokenizeQuery dedupes
 // with a quadratic scan instead of allocating a map — real queries are a
 // few keywords, and the scan beats the map allocation there.
@@ -826,9 +772,7 @@ type IndexStats struct {
 }
 
 // IndexStats builds all indexes (sequentially if not already built) and
-// returns their footprint. Legacy-path networks report the map-based
-// estimate: per-entry map overhead plus key headers plus posting slices —
-// an undercount, since legacy keys also pin lowered copies of file names.
+// returns their footprint.
 func (nw *Network) IndexStats() (IndexStats, error) {
 	if err := nw.BuildIndexes(0); err != nil {
 		return IndexStats{}, err
@@ -840,15 +784,6 @@ func (nw *Network) IndexStats() (IndexStats, error) {
 		st.HeapBytes += uint64(len(nw.termDF)) * 4
 	}
 	for _, p := range nw.Peers {
-		if p.legacy {
-			for tok, posts := range p.termIndex {
-				st.IndexTerms++
-				st.Postings += len(posts)
-				// key header + bytes, slice header + data, ~map bucket share.
-				st.HeapBytes += 16 + uint64(len(tok)) + 24 + uint64(len(posts))*4 + 16
-			}
-			continue
-		}
 		st.IndexTerms += p.idx.nTerms
 		st.Postings += p.idx.nPostings
 		st.HeapBytes += p.idx.heapBytes()

@@ -6,82 +6,51 @@ import (
 	"strings"
 	"testing"
 
-	"querycentric/internal/catalog"
-	"querycentric/internal/faults"
 	"querycentric/internal/rng"
+	"querycentric/internal/terms"
 )
 
-// legacyTwin rebuilds the same populated network switched to the
-// pre-interning string-keyed index, for path-equivalence comparisons.
-func legacyTwin(t *testing.T, peers int) *Network {
-	t.Helper()
-	nw := populatedNet(t, peers)
-	nw.UseLegacyStringIndex()
-	return nw
-}
-
-// TestFloodMatchesLegacyStringIndex is the interning equivalence gate: the
-// interned-ID match path must return FloodResults identical — hits, order,
-// messages — to the retained string path, on plain, QRP and lossy networks.
-func TestFloodMatchesLegacyStringIndex(t *testing.T) {
-	for _, mode := range []string{"plain", "qrp", "lossy"} {
-		t.Run(mode, func(t *testing.T) {
-			interned := populatedNet(t, 180)
-			legacy := legacyTwin(t, 180)
-			switch mode {
-			case "qrp":
-				for _, nw := range []*Network{interned, legacy} {
-					if err := nw.EnableQRP(16); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case "lossy":
-				for _, nw := range []*Network{interned, legacy} {
-					nw.SetFaults(faults.New(faults.Config{Seed: 11, MessageLoss: 0.2, PeerDepart: 0.1}))
-				}
-			}
-			ictx, lctx := interned.NewFloodCtx(), legacy.NewFloodCtx()
-			for trial := 0; trial < 30; trial++ {
-				origin := trial * 7 % len(interned.Peers)
-				criteria := fileOf(t, interned, trial*13+2)
-				if trial%5 == 0 {
-					// Also exercise the mismatch case down both paths.
-					criteria += " zqxjkwv"
-				}
-				want, err := lctx.Flood(origin, criteria, 4, rng.New(uint64(trial)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ictx.Flood(origin, criteria, 4, rng.New(uint64(trial)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s trial %d (%q): interned flood diverged from legacy:\n%+v\nvs\n%+v",
-						mode, trial, criteria, got, want)
-				}
-			}
-		})
+// linearMatch is the index-free match oracle: scan the library and keep
+// every file whose name holds all of the query's tokens.
+func linearMatch(lib []File, criteria string) []File {
+	q := terms.Tokenize(criteria)
+	var out []File
+	for _, f := range lib {
+		if terms.Matches(q, terms.TokenSet(f.Name)) {
+			out = append(out, f)
+		}
 	}
+	return out
 }
 
-// TestMatchEquivalentToLegacy spot-checks Peer.Match itself across paths,
-// including multi-token and repeated-token criteria.
-func TestMatchEquivalentToLegacy(t *testing.T) {
-	interned := populatedNet(t, 120)
-	legacy := legacyTwin(t, 120)
-	for i, p := range interned.Peers {
-		if len(p.Library) == 0 {
-			continue
+// TestMatchEquivalentToLinearScan checks Peer.Match against the linear-scan
+// oracle for every (peer, query) pair of the fixture, with queries drawn
+// from every library — single names, repeated tokens, a common token, the
+// empty query — and one peer forced onto the local-dictionary fallback by a
+// file whose tokens the shared dictionary never saw.
+func TestMatchEquivalentToLinearScan(t *testing.T) {
+	nw := populatedNet(t, 120)
+	fallback := nw.Peers[5]
+	fallback.Library = append(fallback.Library, File{
+		Index: uint32(len(fallback.Library)), Size: 99, Name: "Zzzz Novel Tokens Everywhere.mp3",
+	})
+	queries := []string{"track", "", "novel tokens", "novel track"}
+	for _, p := range nw.Peers {
+		if len(p.Library) > 0 {
+			name := p.Library[len(p.Library)/2].Name
+			queries = append(queries, name, name+" "+name)
 		}
-		name := p.Library[len(p.Library)/2].Name
-		for _, criteria := range []string{name, name + " " + name, "track", ""} {
-			got := p.Match(criteria)
-			want := legacy.Peers[i].Match(criteria)
+	}
+	for _, p := range nw.Peers {
+		for _, criteria := range queries {
+			got, want := p.Match(criteria), linearMatch(p.Library, criteria)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("peer %d Match(%q): interned %v vs legacy %v", i, criteria, got, want)
+				t.Fatalf("peer %d Match(%q): index %v vs linear scan %v", p.ID, criteria, got, want)
 			}
 		}
+	}
+	if fallback.dict == nw.dict {
+		t.Fatal("peer 5 did not fall back to a local dictionary")
 	}
 }
 
@@ -116,22 +85,19 @@ func TestMatchUnknownTerm(t *testing.T) {
 	}
 }
 
-// TestMatchEmptyCriteria: no keywords, no matches, down both paths.
+// TestMatchEmptyCriteria: no keywords, no matches.
 func TestMatchEmptyCriteria(t *testing.T) {
-	interned := populatedNet(t, 40)
-	legacy := legacyTwin(t, 40)
-	for _, nw := range []*Network{interned, legacy} {
-		for _, criteria := range []string{"", "  ", "!!", "a"} { // below MinTokenLength too
-			if files := nw.Peers[1].Match(criteria); files != nil {
-				t.Fatalf("Match(%q) = %v, want nil", criteria, files)
-			}
-			res, err := nw.Flood(0, criteria, 3, rng.New(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.TotalResults != 0 {
-				t.Fatalf("Flood(%q) returned %d results, want 0", criteria, res.TotalResults)
-			}
+	nw := populatedNet(t, 40)
+	for _, criteria := range []string{"", "  ", "!!", "a"} { // below MinTokenLength too
+		if files := nw.Peers[1].Match(criteria); files != nil {
+			t.Fatalf("Match(%q) = %v, want nil", criteria, files)
+		}
+		res, err := nw.Flood(0, criteria, 3, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalResults != 0 {
+			t.Fatalf("Flood(%q) returned %d results, want 0", criteria, res.TotalResults)
 		}
 	}
 }
@@ -237,27 +203,36 @@ func TestIndexChecksumWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestIndexStatsShrink pins the memory claim at test scale: the interned
-// index estimate must be well under the legacy map estimate.
+// TestIndexStatsShrink pins what IndexStats reports: term and posting
+// counts equal to a token-set scan of every library, and varint arenas
+// smaller than the flat 4-bytes-per-posting layout they replaced.
 func TestIndexStatsShrink(t *testing.T) {
-	interned := populatedNet(t, 120)
-	legacy := legacyTwin(t, 120)
-	si, err := interned.IndexStats()
+	nw := populatedNet(t, 120)
+	st, err := nw.IndexStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := legacy.IndexStats()
-	if err != nil {
-		t.Fatal(err)
+	wantTerms, wantPostings := 0, 0
+	for _, p := range nw.Peers {
+		distinct := map[string]struct{}{}
+		for _, f := range p.Library {
+			set := terms.TokenSet(f.Name)
+			wantPostings += len(set)
+			for tok := range set {
+				distinct[tok] = struct{}{}
+			}
+		}
+		wantTerms += len(distinct)
 	}
-	if si.IndexTerms != sl.IndexTerms || si.Postings != sl.Postings {
-		t.Fatalf("paths disagree on index contents: %+v vs %+v", si, sl)
+	if st.IndexTerms != wantTerms || st.Postings != wantPostings {
+		t.Fatalf("stats report %d terms / %d postings, library scan finds %d / %d",
+			st.IndexTerms, st.Postings, wantTerms, wantPostings)
 	}
-	if si.DictTerms == 0 || si.HeapBytes == 0 {
-		t.Fatalf("interned stats empty: %+v", si)
+	if st.DictTerms == 0 || st.HeapBytes == 0 {
+		t.Fatalf("stats empty: %+v", st)
 	}
-	if si.HeapBytes >= sl.HeapBytes {
-		t.Fatalf("interned index (%d B) not smaller than legacy (%d B)", si.HeapBytes, sl.HeapBytes)
+	if st.ArenaBytes >= 4*uint64(st.Postings) {
+		t.Fatalf("posting arenas (%d B) not smaller than flat postings (%d B)", st.ArenaBytes, 4*st.Postings)
 	}
 }
 
@@ -298,46 +273,4 @@ func BenchmarkDedupe(b *testing.B) {
 			dedupeMap(scratch)
 		}
 	})
-}
-
-// BenchmarkMatchLegacy is BenchmarkMatch on the retained string path (the
-// before side of the interning speedup).
-func BenchmarkMatchLegacy(b *testing.B) {
-	nw := benchNetLegacy(b, 50)
-	criteria := make([]string, 0, 64)
-	for _, p := range nw.Peers {
-		if len(p.Library) > 0 {
-			criteria = append(criteria, p.Library[0].Name)
-			if len(criteria) == 64 {
-				break
-			}
-		}
-	}
-	p := nw.Peers[7]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Match(criteria[i%len(criteria)])
-	}
-}
-
-// benchNetLegacy is benchNet switched to the string index before warmup.
-func benchNetLegacy(b *testing.B, peers int) *Network {
-	b.Helper()
-	cat, err := catalog.Build(catalog.Config{
-		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
-		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := NewFromCatalog(DefaultConfig(5), cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw.UseLegacyStringIndex()
-	for _, p := range nw.Peers {
-		p.Match("warmup")
-	}
-	return nw
 }

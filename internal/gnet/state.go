@@ -57,13 +57,13 @@ type NetworkState struct {
 // ExportState builds every index (if not already built) and returns the
 // network's persistable state. The returned state shares slices with the
 // live network — treat it as an immutable view and do not mutate the
-// network while it is in use. Only catalog-built networks on the interned
-// path can be exported: legacy string-index networks and peers that fell
-// back to a local dictionary (library mutated after construction) have no
-// shared-dictionary representation to persist.
+// network while it is in use. Only catalog-built networks can be exported:
+// hand-assembled networks and peers that fell back to a local dictionary
+// (library mutated after construction) have no shared-dictionary
+// representation to persist.
 func (nw *Network) ExportState() (*NetworkState, error) {
 	if nw.dict == nil {
-		return nil, fmt.Errorf("gnet: ExportState: network has no shared dictionary (legacy or hand-assembled)")
+		return nil, fmt.Errorf("gnet: ExportState: network has no shared dictionary (hand-assembled)")
 	}
 	if err := nw.BuildIndexes(0); err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 	}
 	st.DictBytes, st.DictOff = nw.dict.Raw()
 	for i, p := range nw.Peers {
-		if p.legacy || p.dict != nw.dict {
+		if p.dict != nw.dict {
 			return nil, fmt.Errorf("gnet: ExportState: peer %d does not use the shared dictionary", i)
 		}
 		st.Peers[i] = PeerState{

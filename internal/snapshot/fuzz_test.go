@@ -13,13 +13,13 @@ import (
 // FuzzSnapshotLoad asserts the loaders' contract over arbitrary bytes:
 // every input yields either one of the package's typed sentinel errors or
 // a fingerprint-verified network — never a panic, never an untyped
-// failure, and never a "valid" network from damaged bytes (v1's trailing
-// SHA-256 and v2's per-section digests make any mutation loud). Both the
-// copying Load and the zero-copy LoadMapped run over every input; mapped
-// networks additionally survive a flood-path probe before their mapping is
-// released. Seeded with real v2 and v1 snapshots of a small catalog-backed
-// network plus the classic traps: empty file, bare magic, bumped version,
-// truncated and bit-flipped variants.
+// failure, and never a "valid" network from damaged bytes (the per-section
+// digests make any mutation loud). Both the copying Load and the zero-copy
+// LoadMapped run over every input; mapped networks additionally survive a
+// flood-path probe before their mapping is released. Seeded with a real
+// snapshot of a small catalog-backed network plus the classic traps: empty
+// file, bare magic, bumped version, the retired version-1 header, truncated
+// and bit-flipped variants.
 func FuzzSnapshotLoad(f *testing.F) {
 	cat, err := catalog.Build(catalog.Config{
 		Seed: 11, Peers: 12, UniqueObjects: 48, ReplicaAlpha: 2.45,
@@ -50,30 +50,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	// A genuine version-1 file: the compatibility decoder must keep reading
-	// it and LoadMapped must keep refusing it, whatever the fuzzer grows
-	// from it.
-	st, err := nw.ExportState()
-	if err != nil {
-		f.Fatal(err)
-	}
-	v1path := filepath.Join(f.TempDir(), "seed_v1.qcsnap")
-	v1f, err := os.Create(v1path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := writeSnapshotV1(v1f, st); err != nil {
-		f.Fatal(err)
-	}
-	if err := v1f.Close(); err != nil {
-		f.Fatal(err)
-	}
-	seedV1, err := os.ReadFile(v1path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedV1)
-	f.Add(seedV1[:len(seedV1)/2])
+	f.Add(v1Header)
+	stampedV1 := append([]byte(nil), seed...)
+	stampedV1[len(magic)] = 1 // full-length body under the retired version number
+	f.Add(stampedV1)
 
 	typed := func(err error) bool {
 		for _, sentinel := range []error{ErrFormat, ErrVersion, ErrTruncated, ErrCorrupt, ErrFingerprint} {

@@ -188,9 +188,8 @@ func TestMappedFloodsIdentical(t *testing.T) {
 }
 
 // TestLoadMappedFailurePaths: every damage mode must surface its typed
-// sentinel from the mapped path without crashing — and a version-1 file
-// must be refused with ErrVersion (nothing in it is aligned for mapping)
-// while LoadPreferMapped transparently falls back to the copying loader.
+// sentinel from the mapped path without crashing — and a version-1 header
+// must be refused with ErrVersion by both loaders.
 func TestLoadMappedFailurePaths(t *testing.T) {
 	nw := buildNet(t, 80)
 	_, path := saveTo(t, nw)
@@ -245,57 +244,10 @@ func TestLoadMappedFailurePaths(t *testing.T) {
 	})
 
 	t.Run("v1 file", func(t *testing.T) {
-		st, err := nw.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(t.TempDir(), "v1.qcsnap")
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := writeSnapshotV1(f, st); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		p := write(t, v1Header)
 		expect(t, p, ErrVersion)
-
-		// The copying loader still reads it…
-		v1, err := Load(p, 0)
-		if err != nil {
-			t.Fatalf("Load(v1): %v", err)
-		}
-		wantSum, err := nw.IndexChecksum()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSum, err := v1.IndexChecksum()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSum != wantSum {
-			t.Fatal("v1 round trip changed the index checksum")
-		}
-		// …and LoadPreferMapped falls back to it transparently.
-		pm, mapped, err := LoadPreferMapped(p, 0)
-		if err != nil {
-			t.Fatalf("LoadPreferMapped(v1): %v", err)
-		}
-		if mapped || pm.Borrowed() {
-			t.Fatal("v1 file claimed the mapped path")
-		}
-	})
-
-	t.Run("prefer mapped on v2", func(t *testing.T) {
-		pm, mapped, err := LoadPreferMapped(path, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pm.Close()
-		if !mapped || !pm.Borrowed() {
-			t.Fatal("v2 file did not take the mapped path")
+		if _, err := Load(p, 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("Load: got %v, want ErrVersion", err)
 		}
 	})
 }

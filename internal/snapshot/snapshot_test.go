@@ -218,13 +218,30 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 	})
 }
 
-// TestSaveRejectsLegacyNetworks: the legacy string index has no shared
-// dictionary to persist; Save must refuse rather than write a partial
-// snapshot.
-func TestSaveRejectsLegacyNetworks(t *testing.T) {
-	nw := buildNet(t, 80)
-	nw.UseLegacyStringIndex()
-	if _, err := Save(filepath.Join(t.TempDir(), "x.qcsnap"), nw, 0); err == nil {
-		t.Fatal("Save accepted a legacy-index network")
+// TestSaveRejectsNetworkWithoutDictionary: a network assembled by hand
+// (gnet.New plus libraries) has no shared dictionary to persist; Save must
+// refuse rather than write a partial snapshot, and leave no file behind.
+func TestSaveRejectsNetworkWithoutDictionary(t *testing.T) {
+	nw, err := gnet.New(gnet.DefaultConfig(3), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Peers[4].Library = []gnet.File{{Index: 0, Size: 7, Name: "Hand Built Song.mp3"}}
+	if got := nw.Peers[4].Match("hand song"); len(got) != 1 {
+		t.Fatalf("hand-assembled peer does not match its own file: %v", got)
+	}
+	path := filepath.Join(t.TempDir(), "x.qcsnap")
+	if _, err := Save(path, nw, 0); err == nil {
+		t.Fatal("Save accepted a network with no shared dictionary")
+	}
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("refused Save left %s behind (stat err %v)", p, err)
+		}
 	}
 }
+
+// v1Header is all the retired version-1 format has in common with today's:
+// magic, u16le version 1, section count. Both loaders must name such a file
+// with ErrVersion rather than calling it truncated or corrupt.
+var v1Header = []byte{'Q', 'C', 'S', 'N', 'A', 'P', 1, 0, 5}

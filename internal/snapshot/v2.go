@@ -1,11 +1,7 @@
 // Version-2 snapshot format: the mmap-ready layout.
 //
-// Version 1 framed sections with inline length prefixes and varint-packed
-// payloads, and sealed the file with one whole-file SHA-256. That shape
-// forces a copying decode: offsets arrive as deltas, u32 arrays as varints,
-// and nothing is aligned, so a loader must materialize every array on the
-// heap. Version 2 keeps the same five sections and the same byte-exact
-// content but lays them out for zero-copy loading:
+// Five sections (meta, dict, topology, libraries, indexes) laid out for
+// zero-copy loading:
 //
 //	offset 0    "QCSNAP" magic (6), u16le version = 2, u8 section count,
 //	            7 zero bytes of padding            — 16-byte header
@@ -501,14 +497,19 @@ func writeSnapshotV2(f *os.File, st *gnet.NetworkState) (int64, error) {
 // parseV2 decodes data (a complete version-2 file) into a NetworkState
 // whose slices view data in place wherever alignment allows.
 func parseV2(data []byte) (*gnet.NetworkState, error) {
-	if len(data) < firstSectionOff {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold a v2 prelude", ErrTruncated, len(data))
+	// Magic and version are judged before the prelude length, so a foreign
+	// file or another format revision is named as such however short it is.
+	if len(data) < len(magic)+2 {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold a snapshot header", ErrTruncated, len(data))
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w (bad magic %q)", ErrFormat, data[:len(magic)])
 	}
 	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != Version {
-		return nil, fmt.Errorf("%w: file has version %d, this parser reads %d", ErrVersion, v, Version)
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, v, Version)
+	}
+	if len(data) < firstSectionOff {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold a v2 prelude", ErrTruncated, len(data))
 	}
 	if n := data[len(magic)+2]; n != numSections {
 		return nil, fmt.Errorf("%w: %d sections, want %d", ErrCorrupt, n, numSections)

@@ -38,16 +38,13 @@ var (
 // file. Loading is an order of magnitude faster than rebuilding, and a
 // restored network behaves byte-identically to the one saved.
 //
-// LoadNetworkSnapshotMapped memory-maps a version-2 snapshot read-only and
-// serves file names and posting arenas zero-copy from the mapping (the
-// network reports Borrowed and Close releases the mapping);
-// LoadNetworkSnapshotPreferMapped falls back to the copying loader for
-// version-1 files.
+// LoadNetworkSnapshotMapped memory-maps a snapshot read-only and serves
+// file names and posting arenas zero-copy from the mapping (the network
+// reports Borrowed and Close releases the mapping).
 var (
-	SaveNetworkSnapshot             = snapshot.Save
-	LoadNetworkSnapshot             = snapshot.Load
-	LoadNetworkSnapshotMapped       = snapshot.LoadMapped
-	LoadNetworkSnapshotPreferMapped = snapshot.LoadPreferMapped
+	SaveNetworkSnapshot       = snapshot.Save
+	LoadNetworkSnapshot       = snapshot.Load
+	LoadNetworkSnapshotMapped = snapshot.LoadMapped
 )
 
 // Shard-and-spill snapshot construction (see internal/snapshot): build a
@@ -183,8 +180,7 @@ type GnutellaCrawlConfig struct {
 	SnapshotLoad string
 	SnapshotSave string
 	// SnapshotMmap restores SnapshotLoad through a read-only memory
-	// mapping (zero-copy; version-1 files fall back to the copying
-	// loader).
+	// mapping (zero-copy).
 	SnapshotMmap bool
 	// SnapshotShardSize, when positive with SnapshotSave and no
 	// SnapshotLoad, builds the population shard-by-shard directly into the
@@ -207,47 +203,13 @@ func GnutellaCrawl(cfg GnutellaCrawlConfig) (*ObjectTrace, *CrawlStats, error) {
 	}
 	gcfg := gnet.DefaultConfig(cfg.Seed)
 	gcfg.FirewalledFrac = cfg.FirewalledFrac
-	var nw *gnet.Network
-	saved := false
-	switch {
-	case cfg.SnapshotLoad != "":
-		var err error
-		if cfg.SnapshotMmap {
-			nw, _, err = snapshot.LoadPreferMapped(cfg.SnapshotLoad, 0)
-		} else {
-			nw, err = snapshot.Load(cfg.SnapshotLoad, 0)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	case cfg.SnapshotShardSize > 0 && cfg.SnapshotSave != "":
-		if _, err := snapshot.BuildSharded(cfg.SnapshotSave, snapshot.BuildConfig{
-			Catalog:   ccat,
-			Network:   gcfg,
-			ShardSize: cfg.SnapshotShardSize,
-		}); err != nil {
-			return nil, nil, err
-		}
-		saved = true
-		var err error
-		nw, err = snapshot.Load(cfg.SnapshotSave, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		cat, err := catalog.Build(ccat)
-		if err != nil {
-			return nil, nil, err
-		}
-		nw, err = gnet.NewFromCatalog(gcfg, cat)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if cfg.SnapshotSave != "" && !saved {
-		if _, err := snapshot.Save(cfg.SnapshotSave, nw, 0); err != nil {
-			return nil, nil, err
-		}
+	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, cfg.SnapshotMmap, snapshot.BuildConfig{
+		Catalog:   ccat,
+		Network:   gcfg,
+		ShardSize: cfg.SnapshotShardSize,
+	}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	if cfg.Obs != nil {
 		nw.Instrument(cfg.Obs, cfg.FloodTraces)
