@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race determinism fuzz-smoke bench recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
+.PHONY: build test vet fmt-check race determinism fuzz-smoke bench digest-check recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
 
 build:
 	$(GO) build ./...
@@ -35,20 +35,35 @@ determinism:
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
-# the varint posting codec and the snapshot loader: five seconds of
-# mutation each must surface no panics, over-reads or contract violations
-# (ordering, alternation, determinism, round-trip identity, typed errors
-# on damaged bytes).
+# the varint posting codec, the snapshot loader and the frontier kernel
+# (against its map-and-slice reference): five seconds of mutation each
+# must surface no panics, over-reads or contract violations (ordering,
+# alternation, determinism, round-trip identity, typed errors on damaged
+# bytes, ring/hop/message-count agreement).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
 	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
 	$(GO) test -fuzz=FuzzVarintPostings -fuzztime=5s -run '^$$' ./internal/vpost
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=5s -run '^$$' ./internal/snapshot
+	$(GO) test -fuzz=FuzzFrontierVsReference -fuzztime=5s -run '^$$' ./internal/overlay
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
 bench:
 	$(GO) run ./benchmarks -workload all -seed 1
+
+# Refactor gate: the six workloads' sim_digest values at -smoke sizes
+# (~4 s) must equal the committed SIM_DIGESTS.txt. A digest is a pure
+# function of (code, seed); re-record the file only with a change that is
+# meant to move simulation results.
+digest-check:
+	@$(GO) run ./benchmarks -workload all -seed 1 -smoke | awk ' \
+		/sim_digest=/ { w = ""; d = ""; \
+			for (i = 1; i <= NF; i++) { \
+				if ($$i ~ /^workload=/) w = substr($$i, 10); \
+				if ($$i ~ /^sim_digest=/) d = substr($$i, 12) }; \
+			print w, d }' | diff - SIM_DIGESTS.txt \
+		&& echo "digest-check: ok (6 sim_digests match SIM_DIGESTS.txt)"
 
 # Recovery smoke: a tiny-scale correlated-crash run through the CLI must end
 # with the repaired overlay no worse than the unrepaired one.
@@ -131,12 +146,13 @@ api-freeze:
 
 # The CI gate: static checks, formatting, a clean build, the full suite
 # under the race detector, the workers=8 determinism regression, the
-# decoder, churn-timeline, posting-codec and snapshot-loader fuzz smokes,
-# the fault-burst recovery smoke, the flash-crowd saturation smoke, the
-# query-centric adaptive-overlay smoke, the API freeze, the paper-scale
+# decoder, churn-timeline, posting-codec, snapshot-loader
+# and frontier-kernel fuzz smokes, the fault-burst recovery smoke, the
+# flash-crowd saturation smoke, the query-centric adaptive-overlay smoke,
+# the API freeze, the sim-digest refactor gate, the paper-scale
 # construction smoke (with the sharded byte-identity gate) and the
 # million-peer sharded-construction smoke.
-ci: vet fmt-check build race determinism fuzz-smoke recovery-smoke saturation-smoke querycentric-smoke api-freeze scalefull-smoke scale1m-smoke
+ci: vet fmt-check build race determinism fuzz-smoke recovery-smoke saturation-smoke querycentric-smoke api-freeze digest-check scalefull-smoke scale1m-smoke
 
 check: ci
 

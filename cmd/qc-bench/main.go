@@ -315,25 +315,20 @@ func runIndexBench(scaleName string, seed uint64, budget time.Duration, snapFile
 		Scale: scaleName, Peers: par.GnutellaPeers, Objects: par.UniqueObjects,
 		WithinBudget: true,
 	}
-	ccfg := catalog.Config{
-		Seed: seed, Peers: par.GnutellaPeers, UniqueObjects: par.UniqueObjects,
-		ReplicaAlpha: 2.45, VariantProb: 0.08, NonSpecificPeerFrac: 0.05,
-	}
-	gcfg := gnet.DefaultConfig(seed)
-	gcfg.FirewalledFrac = par.FirewalledFrac
+	bcfg := par.Population(seed)
 
 	fmt.Fprintf(os.Stderr, "qc-bench: index section, scale %s (%d peers, %d objects)\n",
 		scaleName, par.GnutellaPeers, par.UniqueObjects)
 	ib.HeapBeforeBytes = heapUsed()
 	t0 := time.Now()
-	cat, err := catalog.Build(ccfg)
+	cat, err := catalog.Build(bcfg.Catalog)
 	if err != nil {
 		return nil, nil, err
 	}
 	ib.CatalogSeconds = time.Since(t0).Seconds()
 	ib.Placements = cat.TotalPlacements
 	t0 = time.Now()
-	nw, err := gnet.NewFromCatalog(gcfg, cat)
+	nw, err := gnet.NewFromCatalog(bcfg.Network, cat)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -443,11 +438,8 @@ func runIndexBench(scaleName string, seed uint64, budget time.Duration, snapFile
 		sb.ShardSize = shardSize
 		shardPath := snapFile + ".sharded"
 		t0 = time.Now()
-		sstats, err := snapshot.BuildSharded(shardPath, snapshot.BuildConfig{
-			Catalog:   ccfg,
-			Network:   gcfg,
-			ShardSize: shardSize,
-		})
+		bcfg.ShardSize = shardSize
+		sstats, err := snapshot.BuildSharded(shardPath, bcfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -481,19 +473,12 @@ func runShardedBench(scaleName string, seed uint64, shardSize int, budget time.D
 		Scale: scaleName, Peers: par.GnutellaPeers, Objects: par.UniqueObjects,
 		WithinBudget: true, WithinRSSCeiling: true,
 	}
-	gcfg := gnet.DefaultConfig(seed)
-	gcfg.FirewalledFrac = par.FirewalledFrac
+	bcfg := par.Population(seed)
+	bcfg.ShardSize = shardSize
 	fmt.Fprintf(os.Stderr, "qc-bench: sharded-only build, scale %s (%d peers, %d objects), shard size %d\n",
 		scaleName, par.GnutellaPeers, par.UniqueObjects, shardSize)
 	t0 := time.Now()
-	stats, err := snapshot.BuildSharded(snapFile, snapshot.BuildConfig{
-		Catalog: catalog.Config{
-			Seed: seed, Peers: par.GnutellaPeers, UniqueObjects: par.UniqueObjects,
-			ReplicaAlpha: 2.45, VariantProb: 0.08, NonSpecificPeerFrac: 0.05,
-		},
-		Network:   gcfg,
-		ShardSize: shardSize,
-	})
+	stats, err := snapshot.BuildSharded(snapFile, bcfg)
 	if err != nil {
 		return nil, err
 	}

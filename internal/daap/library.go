@@ -212,12 +212,12 @@ func BuildPopulation(cfg Config) (*Population, error) {
 	if vcfg.Artists == 0 {
 		vcfg = vocab.Config{
 			Seed:    cfg.Seed,
-			Artists: maxInt(400, cfg.UniqueSongs),
+			Artists: max(400, cfg.UniqueSongs),
 			// Titles must comfortably exceed songs: the paper saw 171,068
 			// unique objects collapse only to 152,850 unique song names,
 			// i.e. ~10% title collision.
-			Titles: maxInt(2000, 4*cfg.UniqueSongs),
-			Albums: maxInt(300, (cfg.UniqueSongs*4)/5),
+			Titles: max(2000, 4*cfg.UniqueSongs),
+			Albums: max(300, (cfg.UniqueSongs*4)/5),
 			Genres: 500,
 			Extra:  200,
 		}
@@ -329,13 +329,6 @@ func upper(s string) string {
 		}
 	}
 	return string(b)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TotalSongs counts song instances across readable shares.

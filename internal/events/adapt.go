@@ -1,45 +1,12 @@
 package events
 
-import (
-	"fmt"
-
-	"querycentric/internal/rng"
-)
-
-// ScheduleAdaptationRounds schedules a self-rescheduling adaptation tick:
-// fn(round, now) runs at start, start+interval, ... at PrioAdapt — after
-// the instant's maintenance, before its queries — until the next tick
-// would pass the engine's horizon. This is how a query-centric overlay's
-// adaptation loop (internal/adaptive.AdaptRound) enters simulated time:
-// query batches observe the stream at PrioQuery, and the rounds scheduled
-// here mutate topology and placement between them, preserving the
-// phase-alternation contract because handlers never overlap.
-//
-// Rounds are numbered from 0 and named "adapt/<round>", so each gets its
-// own derived stream; fn typically ignores it in favor of the adaptive
-// system's internal per-(round, peer) streams.
+// ScheduleAdaptationRounds schedules the adaptation tick "adapt/<round>"
+// at PrioAdapt — after the instant's maintenance, before its queries (see
+// Every). This is how a query-centric overlay's adaptation loop
+// (internal/adaptive.AdaptRound) enters simulated time: query batches
+// observe the stream at PrioQuery, and the rounds scheduled here mutate
+// topology and placement between them, preserving the phase-alternation
+// contract because handlers never overlap.
 func ScheduleAdaptationRounds(e *Engine, start, interval int64, fn func(round int, now int64) error) error {
-	if interval < 1 {
-		return fmt.Errorf("events: adaptation interval must be positive, got %d", interval)
-	}
-	if start < 0 {
-		return fmt.Errorf("events: adaptation start must be non-negative, got %d", start)
-	}
-	round := 0
-	var tick Handler
-	tick = func(now int64, _ *rng.Source) error {
-		if err := fn(round, now); err != nil {
-			return err
-		}
-		next := now + interval
-		if next > e.Horizon() {
-			return nil
-		}
-		round++
-		return e.Schedule(next, PrioAdapt, fmt.Sprintf("adapt/%d", round), tick)
-	}
-	if start > e.Horizon() {
-		return nil
-	}
-	return e.Schedule(start, PrioAdapt, "adapt/0", tick)
+	return Every(e, start, interval, PrioAdapt, "adapt", fn)
 }

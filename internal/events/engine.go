@@ -196,3 +196,34 @@ func (e *Engine) Run() error {
 	e.now = e.horizon
 	return nil
 }
+
+// Every schedules a self-rescheduling periodic event: fn(round, now) runs
+// at start, start+interval, ... at the given priority until the next tick
+// would pass the engine's horizon. Rounds are numbered from 0 and named
+// "<prefix>/<round>", so each gets its own derived stream (which fn does
+// not see: periodic work draws from its subsystem's own streams).
+func Every(e *Engine, start, interval int64, prio Priority, prefix string, fn func(round int, now int64) error) error {
+	if interval < 1 {
+		return fmt.Errorf("events: %s interval must be positive, got %d", prefix, interval)
+	}
+	if start < 0 {
+		return fmt.Errorf("events: %s start must be non-negative, got %d", prefix, start)
+	}
+	round := 0
+	var tick Handler
+	tick = func(now int64, _ *rng.Source) error {
+		if err := fn(round, now); err != nil {
+			return err
+		}
+		next := now + interval
+		if next > e.Horizon() {
+			return nil
+		}
+		round++
+		return e.Schedule(next, prio, fmt.Sprintf("%s/%d", prefix, round), tick)
+	}
+	if start > e.Horizon() {
+		return nil
+	}
+	return e.Schedule(start, prio, prefix+"/0", tick)
+}

@@ -7,6 +7,7 @@ import (
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
+	"querycentric/internal/strategy"
 )
 
 // RunGraphChurn simulates churn over the graph with the given placement and
@@ -60,11 +61,8 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 
 	res := &churn.Result{}
 	qr := rng.NewNamed(cfg.Seed, "churn/queries")
-	mark := make([]int64, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	var epoch int64
+	fr := overlay.NewFrontier(g)
+	holders := overlay.NewVertexSet(n)
 
 	measure := func(now int64, _ *rng.Source) error {
 		onlineCount := 0
@@ -75,19 +73,16 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 		}
 		s := churn.Sample{Time: now, OnlineFrac: float64(onlineCount) / float64(n)}
 		if onlineCount > 0 {
-			hits := 0
+			var t strategy.Tally
 			for q := 0; q < cfg.QueriesPerSample; q++ {
 				origin := qr.Intn(n)
 				for !online[origin] {
 					origin = qr.Intn(n)
 				}
 				obj := qr.Intn(p.Objects())
-				epoch++
-				if aliveFlood(g, online, mark, epoch, origin, cfg.TTL, p.Holders[obj]) {
-					hits++
-				}
+				t.Add(strategy.Outcome{Found: onlineHit(fr, &holders, online, origin, cfg.TTL, p.Holders[obj])})
 			}
-			s.SuccessRate = float64(hits) / float64(cfg.QueriesPerSample)
+			s.SuccessRate = t.Success()
 		}
 		res.Samples = append(res.Samples, s)
 		return nil
@@ -113,51 +108,24 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 	return res, nil
 }
 
-// aliveFlood runs a TTL-bounded flood from origin over online nodes only,
-// returning whether any online holder was reached (or the origin holds it).
-func aliveFlood(g *overlay.Graph, online []bool, mark []int64, epoch int64, origin, ttl int, holders []int32) bool {
-	for _, h := range holders {
+// onlineHit reports whether a TTL-bounded flood from origin over online
+// nodes reaches a holder (or the origin holds the object). Rings only ever
+// contain online vertices, so offline holders need no filtering.
+func onlineHit(fr *overlay.Frontier, holders *overlay.VertexSet, online []bool, origin, ttl int, hs []int32) bool {
+	holders.Reset()
+	for _, h := range hs {
 		if int(h) == origin {
 			return true
 		}
+		holders.Add(h)
 	}
-	holderSet := make(map[int32]struct{}, len(holders))
-	for _, h := range holders {
-		if online[h] {
-			holderSet[h] = struct{}{}
-		}
-	}
-	if len(holderSet) == 0 {
-		return false
-	}
-	mark[origin] = epoch
-	frontier := make([]int32, 0, 16)
-	for _, nb := range g.Neighbors(origin) {
-		if online[nb] {
-			frontier = append(frontier, nb)
-		}
-	}
-	var next []int32
-	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			if mark[v] == epoch {
-				continue
-			}
-			mark[v] = epoch
-			if _, ok := holderSet[v]; ok {
+	fr.Start(origin, ttl, online)
+	for ring := fr.Next(); len(ring) > 0; ring = fr.Next() {
+		for _, v := range ring {
+			if holders.Has(v) {
 				return true
 			}
-			if hop == ttl || !g.Ultra(int(v)) {
-				continue
-			}
-			for _, nb := range g.Neighbors(int(v)) {
-				if online[nb] && mark[nb] != epoch {
-					next = append(next, nb)
-				}
-			}
 		}
-		frontier, next = next, frontier
 	}
 	return false
 }

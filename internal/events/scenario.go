@@ -11,6 +11,7 @@ import (
 	"querycentric/internal/obs"
 	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
+	"querycentric/internal/strategy"
 )
 
 // The scenario layer turns the bare queue into named long-horizon
@@ -298,9 +299,7 @@ type Scenario struct {
 	flashCriteria string
 
 	// Current-window accumulators, reset at each window close.
-	winQueries  int
-	winHits     int
-	winMessages int64
+	win         strategy.Tally
 	winRepaired int
 	winLatency  int64
 
@@ -399,41 +398,45 @@ func (s *Scenario) Engine() *Engine { return s.eng }
 // a flash crowd chases: a library entry of a deterministically drawn peer.
 func pickFlashObject(nw *gnet.Network, seed uint64) string {
 	r := rng.NewNamed(seed, "events/flash")
-	n := len(nw.Peers)
-	for tries := 0; tries < 4*n; tries++ {
-		p := nw.Peers[r.Intn(n)]
-		if len(p.Library) > 0 {
-			return p.Library[r.Intn(len(p.Library))].Name
+	id := nw.PickLive(nil, r, -1)
+	if id < 0 {
+		return ""
+	}
+	lib := nw.Peers[id].Library
+	return lib[r.Intn(len(lib))].Name
+}
+
+// ScheduleTimeline replays a churn timeline onto a maintained overlay: one
+// PrioChurn event "churn/<i>" per transition, in timeline order. after,
+// when non-nil, runs once each transition has applied.
+func ScheduleTimeline(e *Engine, tl *churn.Timeline, m *gnet.Maintainer, after func(now int64)) error {
+	for i, ev := range tl.Events {
+		err := e.Schedule(ev.Time, PrioChurn, fmt.Sprintf("churn/%d", i), func(now int64, _ *rng.Source) error {
+			var err error
+			if ev.Up {
+				err = m.PeerUp(int(ev.Peer), now)
+			} else {
+				err = m.PeerDown(int(ev.Peer), ev.Polite)
+			}
+			if err == nil && after != nil {
+				after(now)
+			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return ""
+	return nil
 }
 
 // schedule enqueues every event of the run.
 func (s *Scenario) schedule() error {
 	cfg := s.cfg
 
-	// Churn transitions, one event each, in timeline order.
 	if s.tl != nil {
-		for i, ev := range s.tl.Events {
-			ev := ev
-			name := fmt.Sprintf("churn/%d", i)
-			err := s.eng.Schedule(ev.Time, PrioChurn, name, func(now int64, _ *rng.Source) error {
-				var err error
-				if ev.Up {
-					err = s.m.PeerUp(int(ev.Peer), now)
-				} else {
-					err = s.m.PeerDown(int(ev.Peer), ev.Polite)
-				}
-				if err != nil {
-					return err
-				}
-				s.noteDeficits(now)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+		if err := ScheduleTimeline(s.eng, s.tl, s.m, s.noteDeficits); err != nil {
+			return err
 		}
 	}
 
@@ -460,26 +463,17 @@ func (s *Scenario) schedule() error {
 	// no-repair arm skips them entirely (Tick would be a no-op).
 	if cfg.Repair.Repair {
 		interval := cfg.Repair.PingInterval
-		var tick func(now int64, r *rng.Source) error
-		round := 0
-		tick = func(now int64, _ *rng.Source) error {
+		err := Every(s.eng, interval, interval, PrioMaint, "maint", func(_ int, now int64) error {
 			// Service time elapses before the round's pings charge the
 			// queues; the round's admissions fold immediately after.
 			s.capPlane.Advance(now)
 			s.m.Tick(now)
 			s.capPlane.Commit(now)
 			s.noteDeficits(now)
-			next := now + interval
-			if next > cfg.Duration {
-				return nil
-			}
-			round++
-			return s.eng.Schedule(next, PrioMaint, fmt.Sprintf("maint/%d", round), tick)
-		}
-		if interval <= cfg.Duration {
-			if err := s.eng.Schedule(interval, PrioMaint, "maint/0", tick); err != nil {
-				return err
-			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 
@@ -569,29 +563,24 @@ func (s *Scenario) queryBatch(now int64, name string, count int) error {
 	pl := s.capPlane
 	pl.Advance(now)
 	deadline := s.answerDeadline()
-	type trial struct {
-		hit  bool
-		msgs int
-	}
-	runTrial := func(ctx *gnet.FloodCtx, q int) (trial, error) {
-		r := s.qbase.Derive(fmt.Sprintf("%s/trial/%d", name, q))
+	runTrial := func(ctx *gnet.FloodCtx, q int, r *rng.Source) (strategy.Outcome, error) {
+		var t strategy.Outcome
 		criteria := ""
 		if flashFrac > 0 && r.Bool(flashFrac) {
 			criteria = s.flashCriteria
 		}
-		origin := pickOnline(s.nw, online, r, -1)
+		origin := s.nw.PickLive(online, r, -1)
 		if origin < 0 {
-			return trial{}, nil
+			return t, nil
 		}
 		if criteria == "" {
-			target := pickOnline(s.nw, online, r, origin)
+			target := s.nw.PickLive(online, r, origin)
 			if target < 0 {
-				return trial{}, nil
+				return t, nil
 			}
 			lib := s.nw.Peers[target].Library
 			criteria = lib[r.Intn(len(lib))].Name
 		}
-		var t trial
 		for a := 0; a <= s.cfg.QueryRetries; a++ {
 			ar := r
 			if a > 0 {
@@ -601,9 +590,9 @@ func (s *Scenario) queryBatch(now int64, name string, count int) error {
 			if err != nil {
 				break // flood errors count as misses
 			}
-			t.msgs += fr.Messages
+			t.Messages += fr.Messages
 			if s.timelyHit(fr, deadline) {
-				t.hit = true
+				t.Found = true
 				break
 			}
 		}
@@ -614,25 +603,12 @@ func (s *Scenario) queryBatch(now int64, name string, count int) error {
 		stride = ce
 	}
 	for lo := 0; lo < count; lo += stride {
-		n := stride
-		if lo+n > count {
-			n = count - lo
-		}
-		results, err := parallel.MapWith(parallel.Workers(s.cfg.Workers), n,
-			func() *gnet.FloodCtx { return s.nw.NewFloodCtx() },
-			func(ctx *gnet.FloodCtx, j int) (trial, error) {
-				return runTrial(ctx, lo+j)
-			})
+		t, err := strategy.RunTrials(parallel.Workers(s.cfg.Workers), lo, min(lo+stride, count),
+			s.qbase, name+"/trial/", s.nw.NewFloodCtx, runTrial)
 		if err != nil {
 			return err
 		}
-		for _, t := range results {
-			s.winQueries++
-			if t.hit {
-				s.winHits++
-			}
-			s.winMessages += int64(t.msgs)
-		}
+		s.win.Merge(t)
 		pl.Commit(now)
 	}
 	return nil
@@ -663,20 +639,6 @@ func (s *Scenario) timelyHit(fr *gnet.FloodResult, deadline int64) bool {
 		}
 	}
 	return false
-}
-
-// pickOnline draws an online, non-empty-library peer distinct from exclude
-// (bounded rejection sampling; -1 when none found).
-func pickOnline(nw *gnet.Network, online []bool, r *rng.Source, exclude int) int {
-	n := len(nw.Peers)
-	for tries := 0; tries < 4*n; tries++ {
-		id := r.Intn(n)
-		if id == exclude || !online[id] || len(nw.Peers[id].Library) == 0 {
-			continue
-		}
-		return id
-	}
-	return -1
 }
 
 // liveDegree is peer id's ground-truth repair-relevant degree: connections
@@ -726,35 +688,20 @@ func (s *Scenario) noteDeficits(now int64) {
 // accumulators.
 func (s *Scenario) closeWindow(start, end int64) {
 	w := Window{
-		Start:    start,
-		End:      end,
-		Queries:  s.winQueries,
-		Hits:     s.winHits,
-		Messages: s.winMessages,
-		Repaired: s.winRepaired,
-	}
-	if w.Queries > 0 {
-		w.Success = float64(w.Hits) / float64(w.Queries)
-		w.MsgPerQuery = float64(w.Messages) / float64(w.Queries)
+		Start:       start,
+		End:         end,
+		Queries:     s.win.Queries,
+		Hits:        s.win.Hits,
+		Messages:    int64(s.win.Messages),
+		Success:     s.win.Success(),
+		MsgPerQuery: s.win.MeanMessages(),
+		Repaired:    s.winRepaired,
 	}
 	if w.Repaired > 0 {
 		w.RepairLatency = float64(s.winLatency) / float64(w.Repaired)
 	}
 	online := s.m.Online()
-	n := len(s.nw.Peers)
-	up, degSum := 0, 0
-	for id, ok := range online {
-		if ok {
-			up++
-			degSum += len(s.nw.Peers[id].Neighbors)
-		}
-	}
-	if n > 0 {
-		w.OnlineFrac = float64(up) / float64(n)
-	}
-	if up > 0 {
-		w.MeanDegree = float64(degSum) / float64(up)
-	}
+	w.OnlineFrac, w.MeanDegree = gnet.LiveDegree(s.nw, online)
 	w.Partitions = onlinePartitions(s.nw, online)
 	if s.capPlane != nil {
 		s.capPlane.Advance(end)
@@ -781,8 +728,7 @@ func (s *Scenario) closeWindow(start, end int64) {
 		s.wlog.Add(s.prefix+"shed_frac", start, end, w.ShedFrac)
 	}
 
-	s.winQueries, s.winHits, s.winMessages = 0, 0, 0
-	s.winRepaired, s.winLatency = 0, 0
+	s.win, s.winRepaired, s.winLatency = strategy.Tally{}, 0, 0
 }
 
 // onlinePartitions counts connected components of the subgraph induced by

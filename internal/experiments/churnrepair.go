@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"querycentric/internal/catalog"
 	"querycentric/internal/churn"
+	"querycentric/internal/events"
 	"querycentric/internal/gnet"
-	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
 )
 
@@ -115,24 +114,11 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 	}
 	queries := cfg.QueriesPerSample
 	if queries == 0 {
-		queries = e.P.SimTrials / 4
-		if queries < 40 {
-			queries = 40
-		}
-		if queries > 200 {
-			queries = 200
-		}
+		queries = e.queriesPerSample(40, 200)
 	}
-	cat, err := catalog.Build(catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	})
+	cat, err := e.buildCatalog()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+		return nil, err
 	}
 	tl, err := churn.GenerateTimeline(cfg.Timeline, e.P.GnutellaPeers)
 	if err != nil {
@@ -145,53 +131,19 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 		Events: len(tl.Events),
 	}
 
-	build := func() (*gnet.Network, error) {
-		gcfg := gnet.DefaultConfig(e.Seed)
-		gcfg.FirewalledFrac = e.P.FirewalledFrac
-		nw, err := gnet.NewFromCatalog(gcfg, cat)
-		if err == nil {
-			e.instrumentNetwork(nw)
-		}
-		return nw, err
-	}
-
 	// measure floods known-item queries from live origins; sample si of
 	// every scenario shares the stream family "sample/si/trial/*", so
 	// scenarios differ only through topology and liveness.
+	qbase := rng.NewNamed(e.Seed, "experiments/churn-repair-queries")
 	measure := func(nw *gnet.Network, si int) (float64, error) {
-		base := rng.NewNamed(e.Seed, "experiments/churn-repair-queries")
-		plane := nw.Faults()
-		found, err := parallel.MapWith(e.workers(), queries,
-			func() *gnet.FloodCtx { return nw.NewFloodCtx() },
-			func(ctx *gnet.FloodCtx, q int) (bool, error) {
-				r := base.Derive(fmt.Sprintf("sample/%d/trial/%d", si, q))
-				origin := pickAlive(nw, plane, r, -1)
-				target := pickAlive(nw, plane, r, origin)
-				if origin < 0 || target < 0 {
-					return false, nil
-				}
-				lib := nw.Peers[target].Library
-				criteria := lib[r.Intn(len(lib))].Name
-				fr, err := ctx.Flood(origin, criteria, cfg.TTL, r)
-				return err == nil && fr.TotalResults > 0, nil
-			})
-		if err != nil {
-			return 0, err
-		}
-		hits := 0
-		for _, f := range found {
-			if f {
-				hits++
-			}
-		}
-		return float64(hits) / float64(queries), nil
+		return e.knownItemSuccess(nw, queries, cfg.TTL, qbase, fmt.Sprintf("sample/%d/trial/", si))
 	}
 
 	samples := int(cfg.Timeline.Duration / cfg.SampleEvery)
 
 	// Static anchor: the untouched overlay, everyone online, same query
 	// streams averaged over the same sample indices.
-	static, err := build()
+	static, err := e.newNetwork(cat)
 	if err != nil {
 		return nil, err
 	}
@@ -207,10 +159,12 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 		res.StaticSuccess = sum / float64(samples)
 	}
 
-	// run replays the timeline against a fresh overlay, interleaving
-	// churn events, maintenance ticks and measurements in time order.
+	// run replays the timeline against a fresh overlay on the event engine:
+	// within one simulated second churn transitions apply first, then the
+	// maintenance tick, then the measurement (PrioChurn < PrioMaint <
+	// PrioQuery).
 	run := func(repair bool) ([]ChurnRepairSample, gnet.RepairStats, error) {
-		nw, err := build()
+		nw, err := e.newNetwork(cat)
 		if err != nil {
 			return nil, gnet.RepairStats{}, err
 		}
@@ -220,44 +174,34 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 		if err != nil {
 			return nil, gnet.RepairStats{}, err
 		}
+		eng, err := events.New(e.Seed, cfg.Timeline.Duration)
+		if err != nil {
+			return nil, gnet.RepairStats{}, err
+		}
+		if err := events.ScheduleTimeline(eng, tl, m, nil); err != nil {
+			return nil, gnet.RepairStats{}, err
+		}
+		err = events.Every(eng, rcfg.PingInterval, rcfg.PingInterval, events.PrioMaint, "maint", func(_ int, now int64) error {
+			m.Tick(now)
+			return nil
+		})
+		if err != nil {
+			return nil, gnet.RepairStats{}, err
+		}
 		var out []ChurnRepairSample
-		ei, si := 0, 0
-		for now := int64(1); now <= cfg.Timeline.Duration; now++ {
-			for ei < len(tl.Events) && tl.Events[ei].Time == now {
-				ev := tl.Events[ei]
-				ei++
-				if ev.Up {
-					err = m.PeerUp(int(ev.Peer), now)
-				} else {
-					err = m.PeerDown(int(ev.Peer), ev.Polite)
-				}
-				if err != nil {
-					return nil, gnet.RepairStats{}, err
-				}
-			}
-			if now%rcfg.PingInterval == 0 {
-				m.Tick(now)
-			}
-			if now%cfg.SampleEvery == 0 && si < samples {
-				s := ChurnRepairSample{Time: now}
-				online, degSum := 0, 0
-				for id, up := range m.Online() {
-					if up {
-						online++
-						degSum += len(nw.Peers[id].Neighbors)
-					}
-				}
-				n := len(nw.Peers)
-				s.OnlineFrac = float64(online) / float64(n)
-				if online > 0 {
-					s.MeanDegree = float64(degSum) / float64(online)
-				}
-				if s.Success, err = measure(nw, si); err != nil {
-					return nil, gnet.RepairStats{}, err
-				}
-				out = append(out, s)
-				si++
-			}
+		err = events.Every(eng, cfg.SampleEvery, cfg.SampleEvery, events.PrioQuery, "sample", func(si int, now int64) error {
+			s := ChurnRepairSample{Time: now}
+			s.OnlineFrac, s.MeanDegree = gnet.LiveDegree(nw, m.Online())
+			var err error
+			s.Success, err = measure(nw, si)
+			out = append(out, s)
+			return err
+		})
+		if err != nil {
+			return nil, gnet.RepairStats{}, err
+		}
+		if err := eng.Run(); err != nil {
+			return nil, gnet.RepairStats{}, err
 		}
 		return out, m.Stats(), nil
 	}

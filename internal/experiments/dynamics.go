@@ -9,6 +9,7 @@ import (
 	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
+	"querycentric/internal/strategy"
 )
 
 // ChurnResult compares search availability under session churn for uniform
@@ -29,16 +30,13 @@ type ChurnResult struct {
 // Zipf penalty: most objects have a single copy whose availability is one
 // peer's uptime.
 func ChurnComparison(e *Env) (*ChurnResult, error) {
-	nodes := e.P.SimNodes / 16
-	if nodes < 400 {
-		nodes = 400
-	}
+	nodes := max(e.P.SimNodes/16, 400)
 	g, err := overlay.NewGnutella(nodes, overlay.DefaultGnutellaConfig(), e.Seed+80)
 	if err != nil {
 		return nil, err
 	}
 	objects := 80
-	uni, err := search.UniformPlacement(nodes, objects, maxIntE(nodes/50, 2), e.Seed+81)
+	uni, err := search.UniformPlacement(nodes, objects, max(nodes/50, 2), e.Seed+81)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +46,7 @@ func ChurnComparison(e *Env) (*ChurnResult, error) {
 	}
 	cfg := churn.DefaultConfig(e.Seed + 82)
 	cfg.Duration = 2 * 3600
-	cfg.QueriesPerSample = maxIntE(e.P.SimTrials/4, 50)
+	cfg.QueriesPerSample = max(e.P.SimTrials/4, 50)
 	// events.RunGraphChurn validates too, but failing here keeps the error out of the
 	// fanned-out goroutines and names the experiment that built the config.
 	if err := cfg.Validate(); err != nil {
@@ -91,10 +89,7 @@ type WalkVsFloodResult struct {
 // to all three: none can find what is barely replicated; the mechanisms
 // differ only in how much they pay to fail.
 func WalkVsFlood(e *Env) (*WalkVsFloodResult, error) {
-	nodes := e.P.SimNodes / 8
-	if nodes < 500 {
-		nodes = 500
-	}
+	nodes := max(e.P.SimNodes/8, 500)
 	g, err := overlay.NewGnutella(nodes, overlay.DefaultGnutellaConfig(), e.Seed+90)
 	if err != nil {
 		return nil, err
@@ -108,72 +103,40 @@ func WalkVsFlood(e *Env) (*WalkVsFloodResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trials := e.P.SimTrials
-	if trials < 150 {
-		trials = 150
-	}
+	trials := max(e.P.SimTrials, 150)
 	base := rng.NewNamed(e.Seed, "experiments/walk-vs-flood")
-	res := &WalkVsFloodResult{Nodes: nodes}
 	// Trial i draws origin, object and walk randomness from the derived
-	// stream "trial/i"; each worker searches through its own Searcher.
-	type trial struct {
-		fFound, wFound, rFound bool
-		fMsgs, wMsgs, rMsgs    int
-	}
-	out, err := parallel.MapWith(e.workers(), trials,
-		func() *search.Searcher { return eng.NewSearcher() },
-		func(s *search.Searcher, i int) (trial, error) {
+	// stream "trial/i"; each worker searches through its own Searcher. One
+	// trial runs all three mechanisms on the same (origin, object).
+	const flood, walk, ring = 0, 1, 2
+	out, err := parallel.MapWith(e.workers(), trials, eng.NewSearcher,
+		func(s *search.Searcher, i int) (res [3]search.Result, err error) {
 			r := base.Derive(fmt.Sprintf("trial/%d", i))
 			origin := r.Intn(nodes)
 			obj := r.Intn(objects)
-			var t trial
-			fl, err := s.Flood(origin, obj, 3)
-			if err != nil {
-				return t, err
+			if res[flood], err = s.Flood(origin, obj, 3); err != nil {
+				return res, err
 			}
-			t.fFound, t.fMsgs = fl.Found, fl.Messages
 			// Walker budget below the flood cost (8 walkers × 48 steps).
-			wk, err := s.RandomWalk(origin, obj, 8, 48, r)
-			if err != nil {
-				return t, err
+			if res[walk], err = s.RandomWalk(origin, obj, 8, 48, r); err != nil {
+				return res, err
 			}
-			t.wFound, t.wMsgs = wk.Found, wk.Messages
-			er, err := s.ExpandingRing(origin, obj, 3)
-			if err != nil {
-				return t, err
-			}
-			t.rFound, t.rMsgs = er.Found, er.Messages
-			return t, nil
+			res[ring], err = s.ExpandingRing(origin, obj, 3)
+			return res, err
 		})
 	if err != nil {
 		return nil, err
 	}
-	var fHits, wHits, rHits int
-	var fMsgs, wMsgs, rMsgs int
-	for _, t := range out {
-		if t.fFound {
-			fHits++
+	var tally [3]strategy.Tally
+	for _, res := range out {
+		for m := range res {
+			tally[m].Add(search.Outcome(res[m]))
 		}
-		if t.wFound {
-			wHits++
-		}
-		if t.rFound {
-			rHits++
-		}
-		fMsgs += t.fMsgs
-		wMsgs += t.wMsgs
-		rMsgs += t.rMsgs
 	}
-	ft := float64(trials)
-	res.FloodSuccess, res.FloodMessages = float64(fHits)/ft, float64(fMsgs)/ft
-	res.WalkSuccess, res.WalkMessages = float64(wHits)/ft, float64(wMsgs)/ft
-	res.RingSuccess, res.RingMessages = float64(rHits)/ft, float64(rMsgs)/ft
-	return res, nil
-}
-
-func maxIntE(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return &WalkVsFloodResult{
+		Nodes:        nodes,
+		FloodSuccess: tally[flood].Success(), FloodMessages: tally[flood].MeanMessages(),
+		WalkSuccess: tally[walk].Success(), WalkMessages: tally[walk].MeanMessages(),
+		RingSuccess: tally[ring].Success(), RingMessages: tally[ring].MeanMessages(),
+	}, nil
 }

@@ -13,12 +13,15 @@ import (
 	"querycentric/internal/catalog"
 	"querycentric/internal/crawler"
 	"querycentric/internal/daap"
+	"querycentric/internal/events"
 	"querycentric/internal/faults"
 	"querycentric/internal/gnet"
 	"querycentric/internal/obs"
 	"querycentric/internal/parallel"
 	"querycentric/internal/querygen"
+	"querycentric/internal/rng"
 	"querycentric/internal/snapshot"
+	"querycentric/internal/strategy"
 	"querycentric/internal/trace"
 )
 
@@ -202,18 +205,90 @@ func NewEnv(scale Scale, seed uint64) *Env {
 // workers resolves the environment's worker bound.
 func (e *Env) workers() int { return parallel.Workers(e.Workers) }
 
-// catalogConfig is the one content-population recipe every build path
-// (in-heap, sharded, snapshot round trips) derives from, so they all draw
-// the identical catalog.
-func (e *Env) catalogConfig() catalog.Config {
-	return catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
+// Population is the one recipe for "the calibrated Gnutella population":
+// the catalog shape measured by the paper's crawl plus the overlay that
+// carries it. Every build path — in-heap, sharded, snapshot round trips,
+// the per-arm rebuilds of the runners, qc-bench's construction gates and
+// the facade's GnutellaCrawl — derives from it, so they all draw the
+// identical population. Callers add Workers / ShardSize as needed.
+func (p Params) Population(seed uint64) snapshot.BuildConfig {
+	gcfg := gnet.DefaultConfig(seed)
+	gcfg.FirewalledFrac = p.FirewalledFrac
+	return snapshot.BuildConfig{
+		Catalog: catalog.Config{
+			Seed: seed, Peers: p.GnutellaPeers, UniqueObjects: p.UniqueObjects,
+			ReplicaAlpha: 2.45, VariantProb: 0.08, NonSpecificPeerFrac: 0.05,
+		},
+		Network: gcfg,
 	}
+}
+
+// buildCatalog materializes the calibrated content population.
+func (e *Env) buildCatalog() (*catalog.Catalog, error) {
+	cat, err := catalog.BuildWorkers(e.P.Population(e.Seed).Catalog, e.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+	}
+	return cat, nil
+}
+
+// newNetwork builds a fresh instrumented overlay over cat. Runners that
+// mutate topology or attach planes call it once per arm or sweep point, so
+// nothing leaks between them. The build resolves its own worker count:
+// the dictionary shards by it, so threading e.Workers through would make
+// parallel_map_units_total depend on -workers.
+func (e *Env) newNetwork(cat *catalog.Catalog) (*gnet.Network, error) {
+	nw, err := gnet.NewFromCatalog(e.P.Population(e.Seed).Network, cat)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: building network: %w", err)
+	}
+	e.instrumentNetwork(nw)
+	return nw, nil
+}
+
+// runScenario runs one event-engine scenario over a fresh overlay, with the
+// environment's worker bound and observability plane attached.
+func (e *Env) runScenario(cat *catalog.Catalog, scfg events.ScenarioConfig) (*events.ScenarioResult, error) {
+	nw, err := e.newNetwork(cat)
+	if err != nil {
+		return nil, err
+	}
+	scfg.Workers = e.Workers
+	s, err := events.NewScenario(nw, scfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Instrument(e.Obs, e.Windows)
+	return s.Run()
+}
+
+// queriesPerSample is the measurement-flood volume of one sample point or
+// window when the runner's config leaves it to the environment: a quarter
+// of SimTrials, clamped to [lo, hi].
+func (e *Env) queriesPerSample(lo, hi int) int {
+	return min(max(e.P.SimTrials/4, lo), hi)
+}
+
+// knownItemSuccess floods queries known-item queries (an existing file
+// name, held by at least one other peer) from random live origins and
+// reports the hit fraction. Trial q draws everything — origin, target, flood
+// randomness — from base.Derive(stream+q) and each worker floods through
+// its own context (strategy.RunTrials), so the fraction is byte-identical at
+// every worker count. Flood errors count as misses.
+func (e *Env) knownItemSuccess(nw *gnet.Network, queries, ttl int, base *rng.Source, stream string) (float64, error) {
+	alive := nw.Faults().LivenessSnapshot()
+	t, err := strategy.RunTrials(e.workers(), 0, queries, base, stream, nw.NewFloodCtx,
+		func(ctx *gnet.FloodCtx, _ int, r *rng.Source) (strategy.Outcome, error) {
+			origin := nw.PickLive(alive, r, -1)
+			target := nw.PickLive(alive, r, origin)
+			if origin < 0 || target < 0 {
+				return strategy.Outcome{}, nil
+			}
+			lib := nw.Peers[target].Library
+			res, err := ctx.Flood(origin, lib[r.Intn(len(lib))].Name, ttl, r)
+			return strategy.Outcome{Found: err == nil && res.TotalResults > 0}, nil
+		})
+	return t.Success(), err
 }
 
 // instrumentNetwork attaches the environment's observability plane to a
@@ -239,14 +314,9 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 	if e.objTrace != nil {
 		return e.objTrace, e.objStats, nil
 	}
-	gcfg := gnet.DefaultConfig(e.Seed)
-	gcfg.FirewalledFrac = e.P.FirewalledFrac
-	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.SnapshotMmap, snapshot.BuildConfig{
-		Catalog:   e.catalogConfig(),
-		Network:   gcfg,
-		Workers:   e.Workers,
-		ShardSize: e.SnapshotShardSize,
-	}, e.Obs)
+	bcfg := e.P.Population(e.Seed)
+	bcfg.Workers, bcfg.ShardSize = e.Workers, e.SnapshotShardSize
+	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.SnapshotMmap, bcfg, e.Obs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"querycentric/internal/catalog"
 	"querycentric/internal/churn"
 	"querycentric/internal/crawler"
 	"querycentric/internal/faults"
-	"querycentric/internal/gnet"
-	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
 )
 
@@ -77,16 +74,9 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	cat, err := catalog.Build(catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	})
+	cat, err := e.buildCatalog()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+		return nil, err
 	}
 
 	res := &FaultSweepResult{
@@ -94,26 +84,17 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 		DeadFrac:    cfg.DeadFrac,
 		MaxAttempts: cfg.MaxAttempts,
 	}
-	queries := e.P.SimTrials / 4
-	if queries < 50 {
-		queries = 50
-	}
-	if queries > 300 {
-		queries = 300
-	}
+	queries := e.queriesPerSample(50, 300)
 
 	cleanRecords := 0
 	for i, rate := range rates {
 		if rate < 0 || rate > 1 {
 			return nil, fmt.Errorf("experiments: fault rate %g out of range", rate)
 		}
-		gcfg := gnet.DefaultConfig(e.Seed)
-		gcfg.FirewalledFrac = e.P.FirewalledFrac
-		nw, err := gnet.NewFromCatalog(gcfg, cat)
+		nw, err := e.newNetwork(cat)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: building network: %w", err)
+			return nil, err
 		}
-		e.instrumentNetwork(nw)
 		if rate > 0 {
 			plane := faults.New(faults.Config{
 				Seed:           e.Seed + uint64(i),
@@ -165,55 +146,13 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 		if cleanRecords > 0 {
 			pt.RecordFrac = float64(len(tr.Records)) / float64(cleanRecords)
 		}
-		pt.FloodSuccess = floodSuccess(nw, queries, e.Seed+uint64(i), e.workers())
+		// The crawl-independent flood-degradation measure (Figure 8 under
+		// the same loss).
+		qbase := rng.NewNamed(e.Seed+uint64(i), "experiments/faultsweep-queries")
+		if pt.FloodSuccess, err = e.knownItemSuccess(nw, queries, 4, qbase, "trial/"); err != nil {
+			return nil, err
+		}
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// floodSuccess floods known-item queries (an existing file name, held by
-// at least one other peer) from random live origins and reports the hit
-// fraction — the crawl-independent flood-degradation measure. Query q
-// draws everything (origin, target, flood randomness) from the derived
-// stream "trial/q" and each worker floods through its own context, so the
-// fraction is byte-identical at every worker count.
-func floodSuccess(nw *gnet.Network, queries int, seed uint64, workers int) float64 {
-	base := rng.NewNamed(seed, "experiments/faultsweep-queries")
-	plane := nw.Faults()
-	found, _ := parallel.MapWith(workers, queries,
-		func() *gnet.FloodCtx { return nw.NewFloodCtx() },
-		func(ctx *gnet.FloodCtx, q int) (bool, error) {
-			r := base.Derive(fmt.Sprintf("trial/%d", q))
-			origin := pickAlive(nw, plane, r, -1)
-			target := pickAlive(nw, plane, r, origin)
-			if origin < 0 || target < 0 {
-				return false, nil
-			}
-			lib := nw.Peers[target].Library
-			criteria := lib[r.Intn(len(lib))].Name
-			res, err := ctx.Flood(origin, criteria, 4, r)
-			// Flood errors count as misses, as in the sequential sweep.
-			return err == nil && res.TotalResults > 0, nil
-		})
-	hits := 0
-	for _, f := range found {
-		if f {
-			hits++
-		}
-	}
-	return float64(hits) / float64(queries)
-}
-
-// pickAlive draws a live, non-empty-library peer distinct from exclude
-// (bounded rejection sampling; -1 when none found).
-func pickAlive(nw *gnet.Network, plane *faults.Plane, r *rng.Source, exclude int) int {
-	n := len(nw.Peers)
-	for tries := 0; tries < 4*n; tries++ {
-		id := r.Intn(n)
-		if id == exclude || !plane.Alive(id) || len(nw.Peers[id].Library) == 0 {
-			continue
-		}
-		return id
-	}
-	return -1
 }

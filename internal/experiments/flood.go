@@ -80,49 +80,50 @@ func Fig8(e *Env) (*Fig8Result, error) {
 	trials := e.P.SimTrials
 	pick := func(r *rng.Source) int { return r.Intn(objects) }
 
+	// sweep measures one placement's success curve over TTL 1..MaxTTL;
+	// TTL t draws its trials from seed+t.
+	sweep := func(label string, reps int, p *search.Placement, seed uint64) (Fig8Curve, error) {
+		curve := Fig8Curve{Label: label, Replicas: reps}
+		eng, err := search.NewEngine(g, p)
+		if err != nil {
+			return curve, err
+		}
+		for ttl := 1; ttl <= MaxTTL; ttl++ {
+			rate, err := eng.SuccessRateN(ttl, trials, pick, seed+uint64(ttl), e.workers())
+			if err != nil {
+				return curve, err
+			}
+			curve.Success = append(curve.Success, rate)
+		}
+		out.Curves = append(out.Curves, curve)
+		return curve, nil
+	}
+
 	for _, base := range fig8UniformReplicas {
 		reps := scaleReplicas(base, nodes)
 		p, err := search.UniformPlacement(nodes, objects, reps, e.Seed+6)
 		if err != nil {
 			return nil, err
 		}
-		eng, err := search.NewEngine(g, p)
+		curve, err := sweep(fmt.Sprintf("uniform-%d", base), reps, p, e.Seed+7)
 		if err != nil {
 			return nil, err
-		}
-		curve := Fig8Curve{Label: fmt.Sprintf("uniform-%d", base), Replicas: reps}
-		for ttl := 1; ttl <= MaxTTL; ttl++ {
-			rate, err := eng.SuccessRateN(ttl, trials, pick, e.Seed+7+uint64(ttl), e.workers())
-			if err != nil {
-				return nil, err
-			}
-			curve.Success = append(curve.Success, rate)
 		}
 		if base == 39 {
 			out.Uni39AtTTL3 = curve.Success[2]
 		}
-		out.Curves = append(out.Curves, curve)
 	}
 
 	zp, err := search.ZipfPlacement(nodes, objects, 2.45, nodes/10, e.Seed+8)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := search.NewEngine(g, zp)
+	curve, err := sweep("zipf", 0, zp, e.Seed+20)
 	if err != nil {
 		return nil, err
 	}
-	curve := Fig8Curve{Label: "zipf"}
-	for ttl := 1; ttl <= MaxTTL; ttl++ {
-		rate, err := eng.SuccessRateN(ttl, trials, pick, e.Seed+20+uint64(ttl), e.workers())
-		if err != nil {
-			return nil, err
-		}
-		curve.Success = append(curve.Success, rate)
-	}
 	out.ZipfAtTTL3 = curve.Success[2]
 	out.ZipfMean = zp.MeanReplicas()
-	out.Curves = append(out.Curves, curve)
 	return out, nil
 }
 

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"querycentric/internal/catalog"
 	"querycentric/internal/gnet"
-	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
+	"querycentric/internal/strategy"
 	"querycentric/internal/terms"
 )
 
@@ -29,10 +27,7 @@ type QRPResult struct {
 // workload mixes queries derived from real file names (findable) with
 // query-vocabulary terms (the mismatched majority, per Figure 7).
 func QRPEffect(e *Env) (*QRPResult, error) {
-	peers := e.P.GnutellaPeers / 2
-	if peers < 200 {
-		peers = 200
-	}
+	peers := max(e.P.GnutellaPeers/2, 200)
 	cat, err := catalog.Build(catalog.Config{
 		Seed: e.Seed + 70, Peers: peers, UniqueObjects: peers * 20, ReplicaAlpha: 2.45,
 	})
@@ -48,10 +43,7 @@ func QRPEffect(e *Env) (*QRPResult, error) {
 	// Build the query list: 30% findable (two tokens of a random shared
 	// name), 70% mismatched (query-vocabulary words absent from content).
 	qr := rng.NewNamed(e.Seed, "experiments/qrp-queries")
-	nQueries := e.P.SimTrials
-	if nQueries < 150 {
-		nQueries = 150
-	}
+	nQueries := max(e.P.SimTrials, 150)
 	queries := make([]string, 0, nQueries)
 	for len(queries) < nQueries {
 		if qr.Bool(0.3) {
@@ -72,46 +64,34 @@ func QRPEffect(e *Env) (*QRPResult, error) {
 	}
 
 	// Each query floods under its own derived stream "trial/i" on a
-	// per-worker context; hits and messages are summed in query order, so
-	// both passes (plain, QRP) are byte-identical at any worker count.
-	run := func(seed uint64) (success float64, messages int, err error) {
-		base := rng.NewNamed(seed, "experiments/qrp-run")
-		type trial struct {
-			hit  bool
-			msgs int
-		}
-		out, err := parallel.MapWith(e.workers(), len(queries),
-			func() *gnet.FloodCtx { return nw.NewFloodCtx() },
-			func(ctx *gnet.FloodCtx, i int) (trial, error) {
-				r := base.Derive(fmt.Sprintf("trial/%d", i))
+	// per-worker context, so both passes (plain, QRP) are byte-identical at
+	// any worker count.
+	run := func(seed uint64) (strategy.Tally, error) {
+		return strategy.RunTrials(e.workers(), 0, len(queries), rng.NewNamed(seed, "experiments/qrp-run"), "trial/", nw.NewFloodCtx,
+			func(ctx *gnet.FloodCtx, i int, r *rng.Source) (strategy.Outcome, error) {
 				res, err := ctx.Flood(i%peers, queries[i], 4, r)
 				if err != nil {
-					return trial{}, err
+					return strategy.Outcome{}, err
 				}
-				return trial{hit: res.TotalResults > 0, msgs: res.Messages}, nil
+				return strategy.Outcome{Found: res.TotalResults > 0, Messages: res.Messages}, nil
 			})
-		if err != nil {
-			return 0, 0, err
-		}
-		hits := 0
-		for _, t := range out {
-			if t.hit {
-				hits++
-			}
-			messages += t.msgs
-		}
-		return float64(hits) / float64(len(queries)), messages, nil
 	}
 
-	out := &QRPResult{Peers: peers, Queries: len(queries)}
-	if out.PlainSuccess, out.PlainMessages, err = run(e.Seed + 71); err != nil {
+	plain, err := run(e.Seed + 71)
+	if err != nil {
 		return nil, err
 	}
 	if err := nw.EnableQRP(16); err != nil {
 		return nil, err
 	}
-	if out.QRPSuccess, out.QRPMessages, err = run(e.Seed + 71); err != nil {
+	routed, err := run(e.Seed + 71)
+	if err != nil {
 		return nil, err
+	}
+	out := &QRPResult{
+		Peers: peers, Queries: len(queries),
+		PlainSuccess: plain.Success(), PlainMessages: plain.Messages,
+		QRPSuccess: routed.Success(), QRPMessages: routed.Messages,
 	}
 	if out.PlainMessages > 0 {
 		out.MessageSavings = 1 - float64(out.QRPMessages)/float64(out.PlainMessages)

@@ -128,14 +128,14 @@ func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 // Zipf(1.2) query distribution, and replica counts growing quadratically
 // with query rank (reversed popularity).
 func qcBuildPopulation(e *Env) (*qcPopulation, error) {
-	peers := maxIntE(3*e.P.GnutellaPeers, 360)
+	peers := max(3*e.P.GnutellaPeers, 360)
 	const m = 60
 	qd, err := zipf.New(m, 1.2)
 	if err != nil {
 		return nil, err
 	}
 	place := rng.NewNamed(e.Seed+120, "experiments/query-centric/place")
-	maxRep := maxIntE(peers/18, 8)
+	maxRep := max(peers/18, 8)
 	objs := make([]adaptive.Object, m)
 	for i := range objs {
 		rep := 1 + i*i*maxRep/((m-1)*(m-1))
@@ -215,7 +215,7 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 	}
 	warmBatches := 8
 	warmup := warmBatches * acfg.AdaptInterval
-	measured := maxIntE(2*e.P.SimTrials, 300)
+	measured := max(2*e.P.SimTrials, 300)
 	res := &QueryCentricResult{Objects: len(pop.objs), Peers: pop.peers, Warmup: warmup, Queries: measured}
 	wseed, mseed := e.Seed+124, e.Seed+125
 
@@ -345,7 +345,7 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 		return nil, err
 	}
 	mBase := strategy.WorkloadStream(mseed)
-	var chordHops int
+	var chordTally strategy.Tally
 	for i := 0; i < measured; i++ {
 		r := strategy.QueryStream(mBase, i)
 		origin := r.Intn(pop.peers)
@@ -354,14 +354,9 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 		if err != nil {
 			return nil, err
 		}
-		chordHops += hops
+		chordTally.Add(strategy.Outcome{Found: true, Hops: hops, Messages: hops})
 	}
-	res.Arms = append(res.Arms, QueryCentricArm{
-		Arm:          "chord",
-		Success:      1,
-		MeanMessages: float64(chordHops) / float64(measured),
-		MeanHops:     float64(chordHops) / float64(measured),
-	})
+	res.Arms = append(res.Arms, armFromStats("chord", chordTally.Stats()))
 
 	if stStatic.Success > 0 {
 		res.AdaptiveGain = stAdapt.Success / stStatic.Success

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"querycentric/internal/catalog"
 	"querycentric/internal/events"
 	"querycentric/internal/faults"
 	"querycentric/internal/gnet"
@@ -126,37 +125,17 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 	}
 	queries := cfg.QueriesPerWindow
 	if queries == 0 {
-		queries = e.P.SimTrials / 4
-		if queries < 40 {
-			queries = 40
-		}
-		if queries > 200 {
-			queries = 200
-		}
+		queries = e.queriesPerSample(40, 200)
 	}
-	cat, err := catalog.BuildWorkers(catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	}, e.Workers)
+	cat, err := e.buildCatalog()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+		return nil, err
 	}
 
 	run := func(repair bool, prefix string) (*events.ScenarioResult, error) {
-		gcfg := gnet.DefaultConfig(e.Seed)
-		gcfg.FirewalledFrac = e.P.FirewalledFrac
-		nw, err := gnet.NewFromCatalogWorkers(gcfg, cat, e.Workers)
-		if err != nil {
-			return nil, err
-		}
-		e.instrumentNetwork(nw)
 		rcfg := cfg.Repair
 		rcfg.Repair = repair
-		scfg := events.ScenarioConfig{
+		return e.runScenario(cat, events.ScenarioConfig{
 			Kind:             events.FaultRecovery,
 			Seed:             e.Seed,
 			Duration:         cfg.Duration,
@@ -164,17 +143,10 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 			QueriesPerWindow: queries,
 			BatchesPerWindow: cfg.BatchesPerWindow,
 			TTL:              cfg.TTL,
-			Workers:          e.Workers,
 			Repair:           rcfg,
 			Bursts:           []faults.Burst{{Time: cfg.BurstTime, Frac: cfg.BurstFrac}},
 			SeriesPrefix:     prefix,
-		}
-		s, err := events.NewScenario(nw, scfg)
-		if err != nil {
-			return nil, err
-		}
-		s.Instrument(e.Obs, e.Windows)
-		return s.Run()
+		})
 	}
 
 	withRepair, err := run(true, "recovery_repair_")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"querycentric/internal/capacity"
-	"querycentric/internal/catalog"
 	"querycentric/internal/events"
 	"querycentric/internal/gnet"
 )
@@ -226,16 +225,9 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cat, err := catalog.BuildWorkers(catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	}, e.Workers)
+	cat, err := e.buildCatalog()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+		return nil, err
 	}
 
 	res := &SaturationResult{
@@ -260,22 +252,8 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 		}
 		a := SaturationArm{Arm: armName(arm)}
 		for _, load := range cfg.Loads {
-			gcfg := gnet.DefaultConfig(e.Seed)
-			gcfg.FirewalledFrac = e.P.FirewalledFrac
-			nw, err := gnet.NewFromCatalogWorkers(gcfg, cat, e.Workers)
-			if err != nil {
-				return nil, err
-			}
-			e.instrumentNetwork(nw)
 			prefix := fmt.Sprintf("saturation_%s_%d_", armName(arm), load)
-			scfg := cfg.scenarioConfig(e.Seed, arm, load, prefix)
-			scfg.Workers = e.Workers
-			s, err := events.NewScenario(nw, scfg)
-			if err != nil {
-				return nil, err
-			}
-			s.Instrument(e.Obs, e.Windows)
-			sr, err := s.Run()
+			sr, err := e.runScenario(cat, cfg.scenarioConfig(e.Seed, arm, load, prefix))
 			if err != nil {
 				return nil, err
 			}

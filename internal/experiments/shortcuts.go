@@ -5,6 +5,7 @@ import (
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
 	"querycentric/internal/shortcuts"
+	"querycentric/internal/strategy"
 	"querycentric/internal/zipf"
 )
 
@@ -26,16 +27,13 @@ type ShortcutsResult struct {
 // transients (where they stop helping until relearned). Query-centric
 // structures must therefore track popularity over time — the thesis again.
 func ShortcutsExperiment(e *Env) (*ShortcutsResult, error) {
-	nodes := e.P.SimNodes / 16
-	if nodes < 400 {
-		nodes = 400
-	}
+	nodes := max(e.P.SimNodes/16, 400)
 	const objects = 120
 	g, err := overlay.NewGnutella(nodes, overlay.DefaultGnutellaConfig(), e.Seed+110)
 	if err != nil {
 		return nil, err
 	}
-	p, err := search.UniformPlacement(nodes, objects, maxIntE(nodes/60, 2), e.Seed+111)
+	p, err := search.UniformPlacement(nodes, objects, max(nodes/60, 2), e.Seed+111)
 	if err != nil {
 		return nil, err
 	}
@@ -50,10 +48,7 @@ func ShortcutsExperiment(e *Env) (*ShortcutsResult, error) {
 	oldPick := func(r *rng.Source) int { return qd.Sample(r) - 1 }
 	newPick := func(r *rng.Source) int { return objects/2 + qd.Sample(r) - 1 }
 
-	queries := e.P.SimTrials * 3
-	if queries < 600 {
-		queries = 600
-	}
+	queries := max(e.P.SimTrials*3, 600)
 	res := &ShortcutsResult{Nodes: nodes}
 	warm, err := sys.RunWorkload(queries, oldPick, e.Seed+112)
 	if err != nil {
@@ -78,15 +73,14 @@ func ShortcutsExperiment(e *Env) (*ShortcutsResult, error) {
 		return nil, err
 	}
 	r := rng.NewNamed(e.Seed, "experiments/shortcuts-baseline")
-	msgs := 0
-	n := queries / 2
-	for i := 0; i < n; i++ {
+	var baseline strategy.Tally
+	for i := 0; i < queries/2; i++ {
 		fl, err := eng.Flood(r.Intn(nodes), oldPick(r), shortcuts.DefaultConfig().TTL)
 		if err != nil {
 			return nil, err
 		}
-		msgs += fl.Messages
+		baseline.Add(search.Outcome(fl))
 	}
-	res.FloodMessages = float64(msgs) / float64(n)
+	res.FloodMessages = baseline.MeanMessages()
 	return res, nil
 }

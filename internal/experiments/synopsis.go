@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"querycentric/internal/core"
 	"querycentric/internal/dict"
@@ -9,6 +10,7 @@ import (
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
+	"querycentric/internal/strategy"
 	"querycentric/internal/synopsis"
 	"querycentric/internal/terms"
 	"querycentric/internal/zipf"
@@ -87,10 +89,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 	const window = 20
 	const hotOffset = 200
 	const rounds = 6
-	queriesPerRound := e.P.SimTrials
-	if queriesPerRound < 100 {
-		queriesPerRound = 100
-	}
+	queriesPerRound := max(e.P.SimTrials, 100)
 	if need := hotOffset + window*(rounds+2); len(ranked) < need {
 		return nil, fmt.Errorf("experiments: only %d file terms, need %d", len(ranked), need)
 	}
@@ -118,30 +117,19 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 		return true
 	}
 	fr := rng.NewNamed(e.Seed, "experiments/synopsis-flood")
-	floodHits, floodTrials := 0, 0
+	var flood strategy.Tally
 	for round := 1; round < rounds; round++ {
 		for i := 0; i < queriesPerRound; i++ {
 			q := roundTerms(round, fr)
 			origin := fr.Intn(tr.Peers)
-			if has(int32(origin), q) {
-				floodHits++
-				floodTrials++
-				continue
+			found := has(int32(origin), q)
+			if !found {
+				found = slices.ContainsFunc(cov.Reached(origin, synopsisTTL), func(v int32) bool { return has(v, q) })
 			}
-			found := false
-			for _, v := range cov.Reached(origin, synopsisTTL) {
-				if has(v, q) {
-					found = true
-					break
-				}
-			}
-			if found {
-				floodHits++
-			}
-			floodTrials++
+			flood.Add(strategy.Outcome{Found: found})
 		}
 	}
-	res.FloodSuccess = float64(floodHits) / float64(floodTrials)
+	res.FloodSuccess = flood.Success()
 
 	run := func(adaptive bool) (float64, error) {
 		scfg := synopsis.DefaultConfig(e.Seed + 41)
@@ -159,7 +147,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 			return 0, err
 		}
 		qr := rng.NewNamed(e.Seed, fmt.Sprintf("experiments/synopsis-run-%v", adaptive))
-		hits, trials := 0, 0
+		var t strategy.Tally
 		for round := 0; round < rounds; round++ {
 			// Queries of this round: measure (except round 0, warmup) and
 			// feed the tracker.
@@ -170,10 +158,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 					if err != nil {
 						return 0, err
 					}
-					if r.Found {
-						hits++
-					}
-					trials++
+					t.Add(strategy.Outcome{Found: r.Found})
 				}
 				if err := tracker.Observe(int64(round), join(q)); err != nil {
 					return 0, err
@@ -184,7 +169,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 				return 0, err
 			}
 		}
-		return float64(hits) / float64(trials), nil
+		return t.Success(), nil
 	}
 	if res.StaticSuccess, err = run(false); err != nil {
 		return nil, err

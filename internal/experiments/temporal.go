@@ -136,7 +136,7 @@ func Fig7(e *Env) (*Fig7Result, error) {
 		}
 	}
 	var fx, qy []float64
-	for _, tc := range ranked[:minInt(len(ranked), fStarSize)] {
+	for _, tc := range ranked[:min(len(ranked), fStarSize)] {
 		fx = append(fx, float64(tc.Count))
 		qy = append(qy, float64(queryCounts[tc.Term]))
 	}
@@ -144,13 +144,6 @@ func Fig7(e *Env) (*Fig7Result, error) {
 		out.RankCorrelation = rho
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SweepPoint is one evaluation-interval setting's mean statistic.

@@ -60,8 +60,7 @@ type System struct {
 	// oneHop[v] = set of objects replicated on v or any neighbour of v,
 	// realized as a sorted slice for binary search.
 	holderOf  [][]int32 // object -> holders (from placement)
-	mark      []int32
-	epoch     int32
+	visited   overlay.VertexSet
 	walkSteps int
 }
 
@@ -150,10 +149,7 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 		tr.ShuffleInts(stubs)
 	}
 	s.Graph = g
-	s.mark = make([]int32, n)
-	for i := range s.mark {
-		s.mark[i] = -1
-	}
+	s.visited = overlay.NewVertexSet(n)
 	return s, nil
 }
 
@@ -190,9 +186,9 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 		holders[h] = struct{}{}
 	}
 	res := search.Result{}
-	s.epoch++
+	s.visited.Reset()
 	cur := int32(origin)
-	s.mark[cur] = s.epoch
+	s.visited.Add(cur)
 	if s.hasOneHop(cur, holders) {
 		res.Found = true
 		res.Results = 1
@@ -207,7 +203,7 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 		best := int32(-1)
 		var bestCap float64
 		for _, nb := range nbs {
-			if s.mark[nb] == s.epoch {
+			if s.visited.Has(nb) {
 				continue
 			}
 			if c := s.Capacities[nb]; best < 0 || c > bestCap {
@@ -219,8 +215,7 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 		}
 		cur = best
 		res.Messages++
-		if s.mark[cur] != s.epoch {
-			s.mark[cur] = s.epoch
+		if s.visited.Add(cur) {
 			res.Peers++
 		}
 		if s.hasOneHop(cur, holders) {
@@ -249,26 +244,16 @@ func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uin
 		steps = 128
 	}
 	base := strategy.WorkloadStream(seed)
-	st := &strategy.Stats{Queries: queries}
-	var hits, msgs, hops int
+	var t strategy.Tally
 	for i := 0; i < queries; i++ {
 		r := strategy.QueryStream(base, i)
 		res, err := s.Search(r.Intn(s.Graph.N()), pick(r), steps, r)
 		if err != nil {
 			return nil, err
 		}
-		if res.Found {
-			hits++
-			hops += res.Hops
-		}
-		msgs += res.Messages
+		t.Add(search.Outcome(res))
 	}
-	st.Success = float64(hits) / float64(queries)
-	if hits > 0 {
-		st.MeanHops = float64(hops) / float64(hits)
-	}
-	st.MeanMessages = float64(msgs) / float64(queries)
-	return st, nil
+	return t.Stats(), nil
 }
 
 // The unified interface is implemented.
@@ -285,15 +270,13 @@ func (s *System) SuccessRate(maxSteps, trials int, pick func(r *rng.Source) int,
 		return 0, fmt.Errorf("gia: trials must be positive")
 	}
 	r := rng.NewNamed(seed, "gia/success")
-	hits := 0
+	var t strategy.Tally
 	for i := 0; i < trials; i++ {
 		res, err := s.Search(r.Intn(s.Graph.N()), pick(r), maxSteps, r)
 		if err != nil {
 			return 0, err
 		}
-		if res.Found {
-			hits++
-		}
+		t.Add(search.Outcome(res))
 	}
-	return float64(hits) / float64(trials), nil
+	return t.Success(), nil
 }

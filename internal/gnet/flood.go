@@ -491,42 +491,3 @@ func (nw *Network) qrpAllowsHoisted(id int, h qrpHoist) bool {
 	}
 	return t.ContainsAll(h.hashes)
 }
-
-// Reach returns how many peers a TTL-limited flood from origin would
-// process, without matching any content (topology-only coverage).
-func (nw *Network) Reach(origin, ttl int) int {
-	if origin < 0 || origin >= len(nw.Peers) || ttl < 1 {
-		return 0
-	}
-	seen := map[int]bool{origin: true}
-	type hop struct{ id, ttl int }
-	frontier := []hop{}
-	for _, nb := range nw.Peers[origin].Neighbors {
-		frontier = append(frontier, hop{nb, ttl})
-	}
-	reached := 0
-	for len(frontier) > 0 {
-		var next []hop
-		for _, h := range frontier {
-			if seen[h.id] {
-				continue
-			}
-			seen[h.id] = true
-			reached++
-			peer := nw.Peers[h.id]
-			if h.ttl <= 1 {
-				continue
-			}
-			if nw.Config.UltrapeerFrac > 0 && !peer.Ultrapeer {
-				continue
-			}
-			for _, nb := range peer.Neighbors {
-				if !seen[nb] {
-					next = append(next, hop{nb, h.ttl - 1})
-				}
-			}
-		}
-		frontier = next
-	}
-	return reached
-}

@@ -322,6 +322,41 @@ func (nw *Network) PeerByAddr(addr Addr) *Peer {
 // Firewalled reports whether peer id refuses inbound crawler connections.
 func (nw *Network) Firewalled(id int) bool { return nw.firewalled[id] }
 
+// PickLive draws a live, non-empty-library peer distinct from exclude: the
+// query-origin / known-item-target draw of every wire-level experiment
+// (bounded rejection sampling, one r.Intn per try; -1 when none found). A
+// nil mask — or an id past its end — counts as alive, matching
+// faults.Plane.LivenessSnapshot.
+func (nw *Network) PickLive(alive []bool, r *rng.Source, exclude int) int {
+	n := len(nw.Peers)
+	for tries := 0; tries < 4*n; tries++ {
+		id := r.Intn(n)
+		if id == exclude || (id < len(alive) && !alive[id]) || len(nw.Peers[id].Library) == 0 {
+			continue
+		}
+		return id
+	}
+	return -1
+}
+
+// LiveDegree is the topology-health sample of the churn experiments: the
+// online fraction of the population and the mean connection count over
+// online peers (ghost edges count: the peer believes in them). A function
+// rather than a method only because Network's method set is frozen API.
+func LiveDegree(nw *Network, online []bool) (onlineFrac, meanDegree float64) {
+	up, degSum := 0, 0
+	for id, ok := range online {
+		if ok {
+			up++
+			degSum += len(nw.Peers[id].Neighbors)
+		}
+	}
+	if up == 0 {
+		return 0, 0
+	}
+	return float64(up) / float64(len(nw.Peers)), float64(degSum) / float64(up)
+}
+
 // buildTwoTier wires the ultrapeer/leaf topology: ultrapeers form a random
 // graph of degree UltraDegree; each leaf attaches to LeafUltras ultrapeers.
 func (nw *Network) buildTwoTier() {

@@ -223,8 +223,13 @@ func TestFloodReachAgreesWithFlood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := nw.Reach(10, ttl); got != res.PeersReached {
-			t.Errorf("TTL %d: Reach=%d Flood=%d", ttl, got, res.PeersReached)
+		want, err := floodNaive(nw, 10, "zzz qqq", ttl, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.PeersReached != res.PeersReached || want.Messages != res.Messages {
+			t.Errorf("TTL %d: naive reached=%d msgs=%d, Flood reached=%d msgs=%d",
+				ttl, want.PeersReached, want.Messages, res.PeersReached, res.Messages)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
+	"querycentric/internal/strategy"
 )
 
 // Config tunes the hybrid policy.
@@ -156,9 +157,8 @@ func (s *System) Compare(cfg Config, trials int, pick func(r *rng.Source) int, s
 		return nil, fmt.Errorf("hybrid: trials must be positive")
 	}
 	r := rng.NewNamed(seed, "hybrid/compare")
-	c := &Comparison{Trials: trials}
-	var hybridCost, dhtCost float64
-	var hybridHits, dhtHits, fallbacks int
+	var hyb, dht strategy.Tally
+	fallbacks := 0
 	for i := 0; i < trials; i++ {
 		origin := r.Intn(s.Engine.GraphN())
 		obj := pick(r)
@@ -170,22 +170,18 @@ func (s *System) Compare(cfg Config, trials int, pick func(r *rng.Source) int, s
 		if err != nil {
 			return nil, err
 		}
-		hybridCost += float64(h.TotalCost())
-		dhtCost += float64(d.TotalCost())
-		if h.Found {
-			hybridHits++
-		}
-		if d.Found {
-			dhtHits++
-		}
+		hyb.Add(strategy.Outcome{Found: h.Found, Messages: h.TotalCost()})
+		dht.Add(strategy.Outcome{Found: d.Found, Messages: d.TotalCost()})
 		if h.UsedDHT {
 			fallbacks++
 		}
 	}
-	c.HybridSuccess = float64(hybridHits) / float64(trials)
-	c.DHTSuccess = float64(dhtHits) / float64(trials)
-	c.HybridMeanCost = hybridCost / float64(trials)
-	c.DHTMeanCost = dhtCost / float64(trials)
-	c.DHTFallbackFrac = float64(fallbacks) / float64(trials)
-	return c, nil
+	return &Comparison{
+		Trials:          trials,
+		HybridSuccess:   hyb.Success(),
+		DHTSuccess:      dht.Success(),
+		HybridMeanCost:  hyb.MeanMessages(),
+		DHTMeanCost:     dht.MeanMessages(),
+		DHTFallbackFrac: float64(fallbacks) / float64(trials),
+	}, nil
 }

@@ -24,7 +24,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -325,15 +324,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// PublishExpvar exposes the registry under the given expvar name (for
-// net/http/pprof-style debug endpoints on long runs). Publishing the same
-// name twice is a no-op rather than the expvar panic, so commands can call
-// it unconditionally.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

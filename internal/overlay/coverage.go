@@ -8,79 +8,30 @@ import (
 )
 
 // BFS computes the set of vertices a TTL-bounded flood from origin
-// processes, excluding the origin itself. In two-tier graphs only
-// ultrapeers relay (leaves receive but do not forward), matching Gnutella
-// semantics. The returned epoch buffer can be reused across calls via
-// BFSInto for allocation-free sweeps.
+// processes, excluding the origin itself, in ring order (see Frontier for
+// the flood semantics). Sweeps should reuse one Coverage instead.
 func (g *Graph) BFS(origin, ttl int) []int32 {
-	visited := make([]int32, 0, 64)
-	mark := make([]int32, g.n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	return g.bfsInto(origin, ttl, mark, 0, visited)
+	return NewCoverage(g).Reached(origin, ttl)
 }
 
 // Coverage is a reusable TTL-bounded flood engine over one graph.
 type Coverage struct {
-	g     *Graph
-	mark  []int32
-	epoch int32
-	buf   []int32
+	f   *Frontier
+	buf []int32
 }
 
 // NewCoverage creates a reusable engine.
-func NewCoverage(g *Graph) *Coverage {
-	mark := make([]int32, g.N())
-	for i := range mark {
-		mark[i] = -1
-	}
-	return &Coverage{g: g, mark: mark}
-}
+func NewCoverage(g *Graph) *Coverage { return &Coverage{f: NewFrontier(g)} }
 
 // Reached returns the vertices processed by a TTL-bounded flood from
 // origin (origin excluded). The returned slice is reused by the next call.
 func (c *Coverage) Reached(origin, ttl int) []int32 {
-	c.epoch++
-	c.buf = c.g.bfsInto(origin, ttl, c.mark, c.epoch, c.buf[:0])
+	c.buf = c.buf[:0]
+	c.f.Start(origin, ttl, nil)
+	for ring := c.f.Next(); len(ring) > 0; ring = c.f.Next() {
+		c.buf = append(c.buf, ring...)
+	}
 	return c.buf
-}
-
-// bfsInto runs the flood, marking visits with the given epoch value.
-func (g *Graph) bfsInto(origin, ttl int, mark []int32, epoch int32, out []int32) []int32 {
-	if origin < 0 || origin >= g.n || ttl < 1 {
-		return out
-	}
-	type item struct {
-		v   int32
-		ttl int32
-	}
-	mark[origin] = epoch
-	frontier := make([]item, 0, len(g.adj[origin]))
-	for _, nb := range g.adj[origin] {
-		frontier = append(frontier, item{nb, int32(ttl)})
-	}
-	var next []item
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, it := range frontier {
-			if mark[it.v] == epoch {
-				continue
-			}
-			mark[it.v] = epoch
-			out = append(out, it.v)
-			if it.ttl <= 1 || !g.Ultra(int(it.v)) {
-				continue
-			}
-			for _, nb := range g.adj[it.v] {
-				if mark[nb] != epoch {
-					next = append(next, item{nb, it.ttl - 1})
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return out
 }
 
 // CoverageStats reports the mean fraction of the network processed by
@@ -93,7 +44,7 @@ func CoverageStats(g *Graph, maxTTL, samples int, seed uint64) ([]float64, error
 
 // CoverageStatsN is CoverageStats fanned out over a bounded worker pool.
 // Sample i draws its origin from the derived stream "sample/i" and each
-// worker floods through its own Coverage engine; per-sample fractions are
+// worker floods through its own Frontier; per-sample fractions are
 // summed in sample order, so the result is byte-identical for every
 // workers value.
 func CoverageStatsN(g *Graph, maxTTL, samples int, seed uint64, workers int) ([]float64, error) {
@@ -105,12 +56,17 @@ func CoverageStatsN(g *Graph, maxTTL, samples int, seed uint64, workers int) ([]
 	}
 	base := rng.NewNamed(seed, "overlay/coverage")
 	perSample, err := parallel.MapWith(workers, samples,
-		func() *Coverage { return NewCoverage(g) },
-		func(cov *Coverage, i int) ([]float64, error) {
+		func() *Frontier { return NewFrontier(g) },
+		func(f *Frontier, i int) ([]float64, error) {
 			origin := base.Derive(fmt.Sprintf("sample/%d", i)).Intn(g.N())
+			// Ring h of a flood is the same for every TTL >= h, so one
+			// maxTTL flood yields every shallower TTL's reach as a prefix sum.
 			fracs := make([]float64, maxTTL)
+			reached := 0
+			f.Start(origin, maxTTL, nil)
 			for ttl := 1; ttl <= maxTTL; ttl++ {
-				fracs[ttl-1] = float64(len(cov.Reached(origin, ttl))) / float64(g.N())
+				reached += len(f.Next())
+				fracs[ttl-1] = float64(reached) / float64(g.N())
 			}
 			return fracs, nil
 		})
@@ -136,14 +92,6 @@ func MeanQueryHops(g *Graph, ttl, samples int, seed uint64) (float64, error) {
 	return MeanQueryHopsN(g, ttl, samples, seed, 1)
 }
 
-// hopScratch is the per-worker state of a MeanQueryHopsN sample: an
-// epoch-stamped visited array plus reusable level buffers.
-type hopScratch struct {
-	mark        []int32
-	epoch       int32
-	level, next []int32
-}
-
 // MeanQueryHopsN is MeanQueryHops fanned out over a bounded worker pool.
 // Sample i draws its origin from the derived stream "sample/i"; the
 // per-sample (hops, peers) tallies are summed in sample order, so the
@@ -155,38 +103,15 @@ func MeanQueryHopsN(g *Graph, ttl, samples int, seed uint64, workers int) (float
 	base := rng.NewNamed(seed, "overlay/hops")
 	type tally struct{ hops, peers float64 }
 	perSample, err := parallel.MapWith(workers, samples,
-		func() *hopScratch { return &hopScratch{mark: make([]int32, g.N())} },
-		func(sc *hopScratch, i int) (tally, error) {
+		func() *Frontier { return NewFrontier(g) },
+		func(f *Frontier, i int) (tally, error) {
 			origin := base.Derive(fmt.Sprintf("sample/%d", i)).Intn(g.N())
-			sc.epoch++
-			s := sc.epoch
 			var t tally
-			// BFS by levels, weighting each level by its hop count.
-			sc.mark[origin] = s
-			level, next := sc.level[:0], sc.next[:0]
-			defer func() { sc.level, sc.next = level[:0], next[:0] }()
-			for _, nb := range g.adj[origin] {
-				level = append(level, nb)
-			}
-			for hop := 1; hop <= ttl && len(level) > 0; hop++ {
-				next = next[:0]
-				for _, v := range level {
-					if sc.mark[v] == s {
-						continue
-					}
-					sc.mark[v] = s
-					t.hops += float64(hop)
-					t.peers++
-					if hop == ttl || !g.Ultra(int(v)) {
-						continue
-					}
-					for _, nb := range g.adj[v] {
-						if sc.mark[nb] != s {
-							next = append(next, nb)
-						}
-					}
-				}
-				level, next = next, level
+			// Each ring weighs in at its hop count.
+			f.Start(origin, ttl, nil)
+			for ring := f.Next(); len(ring) > 0; ring = f.Next() {
+				t.hops += float64(f.Hop() * len(ring))
+				t.peers += float64(len(ring))
 			}
 			return t, nil
 		})

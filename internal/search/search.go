@@ -13,8 +13,8 @@ import (
 	"fmt"
 
 	"querycentric/internal/overlay"
-	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
+	"querycentric/internal/strategy"
 	"querycentric/internal/zipf"
 )
 
@@ -109,6 +109,12 @@ type Result struct {
 	Results  int // replica holders encountered (the hybrid rare-query rule counts these)
 }
 
+// Outcome is a result's contribution to a strategy.Tally (a function, not
+// a method: Result is re-exported by the frozen root API).
+func Outcome(r Result) strategy.Outcome {
+	return strategy.Outcome{Found: r.Found, Hops: r.Hops, Messages: r.Messages}
+}
+
 // Engine holds the immutable state of one (graph, placement) pair. Its
 // search methods delegate to a default Searcher, so a single-goroutine
 // caller can use the Engine directly; parallel trial loops give each worker
@@ -119,15 +125,15 @@ type Engine struct {
 	def   *Searcher
 }
 
-// Searcher carries the per-goroutine scratch of one search worker:
-// epoch-stamped visited and holder marks, so no per-search map or clearing
-// pass is needed. A Searcher must not be shared between goroutines; the
-// Engine it was built from is read-only and may be shared freely.
+// Searcher carries the per-goroutine scratch of one search worker: the
+// flood kernel and the current object's holder set, both epoch-stamped so
+// no per-search map or clearing pass is needed. A Searcher must not be
+// shared between goroutines; the Engine it was built from is read-only and
+// may be shared freely.
 type Searcher struct {
-	e          *Engine
-	mark       []int32 // visited stamp
-	holderMark []int32 // current object's holders stamp
-	epoch      int32
+	e       *Engine
+	fr      *overlay.Frontier
+	holders overlay.VertexSet
 }
 
 // NewEngine builds a search engine. The placement must cover the graph's
@@ -144,8 +150,7 @@ func NewEngine(g *overlay.Graph, p *Placement) (*Engine, error) {
 // NewSearcher returns a fresh search worker over this engine's graph and
 // placement.
 func (e *Engine) NewSearcher() *Searcher {
-	n := e.g.N()
-	return &Searcher{e: e, mark: make([]int32, n), holderMark: make([]int32, n)}
+	return &Searcher{e: e, fr: overlay.NewFrontier(e.g), holders: overlay.NewVertexSet(e.g.N())}
 }
 
 // GraphN returns the number of nodes in the engine's graph.
@@ -165,82 +170,46 @@ func (e *Engine) RandomWalk(origin, obj, walkers, maxSteps int, r *rng.Source) (
 	return e.def.RandomWalk(origin, obj, walkers, maxSteps, r)
 }
 
-// begin opens a new search epoch and stamps obj's holders, replacing the
-// per-search holder map of the naive implementation with an O(replicas)
-// stamping pass over a reused array.
-func (s *Searcher) begin(obj int) int32 {
-	s.epoch++
-	if s.epoch == 1<<31-1 {
-		for i := range s.mark {
-			s.mark[i] = 0
-			s.holderMark[i] = 0
-		}
-		s.epoch = 1
-	}
+// begin stamps obj's holders, replacing the per-search holder map of the
+// naive implementation with an O(replicas) pass over a reused array.
+func (s *Searcher) begin(obj int) {
+	s.holders.Reset()
 	for _, h := range s.e.place.Holders[obj] {
-		s.holderMark[h] = s.epoch
+		s.holders.Add(h)
 	}
-	return s.epoch
 }
 
 // Flood performs a TTL-bounded flood from origin for object obj. The origin
 // holding the object counts as an immediate hit at hop 0.
 func (s *Searcher) Flood(origin, obj, ttl int) (Result, error) {
-	e := s.e
-	if err := e.check(origin, obj); err != nil {
+	if err := s.e.check(origin, obj); err != nil {
 		return Result{}, err
 	}
 	if ttl < 1 {
 		return Result{}, fmt.Errorf("search: TTL must be at least 1, got %d", ttl)
 	}
-	epoch := s.begin(obj)
+	s.begin(obj)
+	if s.holders.Has(int32(origin)) {
+		// A real servent searches its own library first and stops; the
+		// immediate hit is reported and no flood goes out.
+		return Result{Found: true, Results: 1}, nil
+	}
 	res := Result{}
-	if s.holderMark[origin] == epoch {
-		res.Found = true
-		res.Results = 1
-		// The origin's own copy counts, but the flood still goes out (a
-		// real servent searches its own library first and would stop; for
-		// measurement we report the immediate hit).
-		return res, nil
-	}
-	s.mark[origin] = epoch
-	frontier := make([]int32, 0, len(e.g.Neighbors(origin)))
-	for _, nb := range e.g.Neighbors(origin) {
-		frontier = append(frontier, nb)
-		res.Messages++
-	}
-	var next []int32
-	found := false
-	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			if s.mark[v] == epoch {
-				continue
-			}
-			s.mark[v] = epoch
-			res.Peers++
-			if s.holderMark[v] == epoch {
+	// A real flood keeps propagating after the first hit: cost keeps
+	// accruing through the TTL but the first-hit hop is kept.
+	s.fr.Start(origin, ttl, nil)
+	for ring := s.fr.Next(); len(ring) > 0; ring = s.fr.Next() {
+		res.Peers += len(ring)
+		for _, v := range ring {
+			if s.holders.Has(v) {
 				res.Results++
-				if !found {
-					found = true
-					res.Found = true
-					res.Hops = hop
-					// A real flood keeps propagating after the first hit;
-					// cost keeps accruing but the first-hit hop is kept.
-				}
-			}
-			if hop == ttl || !e.g.Ultra(int(v)) {
-				continue
-			}
-			for _, nb := range e.g.Neighbors(int(v)) {
-				if s.mark[nb] != epoch {
-					next = append(next, nb)
-					res.Messages++
+				if !res.Found {
+					res.Found, res.Hops = true, s.fr.Hop()
 				}
 			}
 		}
-		frontier, next = next, frontier
 	}
+	res.Messages = s.fr.Sent()
 	return res, nil
 }
 
@@ -278,11 +247,13 @@ func (s *Searcher) RandomWalk(origin, obj, walkers, maxSteps int, r *rng.Source)
 	if walkers < 1 || maxSteps < 1 {
 		return Result{}, fmt.Errorf("search: walkers and maxSteps must be positive")
 	}
-	epoch := s.begin(obj)
-	if s.holderMark[origin] == epoch {
+	s.begin(obj)
+	if s.holders.Has(int32(origin)) {
 		return Result{Found: true, Hops: 0}, nil
 	}
-	s.mark[origin] = epoch
+	visited := s.fr.Seen()
+	visited.Reset()
+	visited.Add(int32(origin))
 	res := Result{}
 	for w := 0; w < walkers; w++ {
 		cur := int32(origin)
@@ -293,11 +264,10 @@ func (s *Searcher) RandomWalk(origin, obj, walkers, maxSteps int, r *rng.Source)
 			}
 			cur = nbs[r.Intn(len(nbs))]
 			res.Messages++
-			if s.mark[cur] != epoch {
-				s.mark[cur] = epoch
+			if visited.Add(cur) {
 				res.Peers++
 			}
-			if s.holderMark[cur] == epoch {
+			if s.holders.Has(cur) {
 				if !res.Found || step < res.Hops {
 					res.Found = true
 					res.Hops = step
@@ -331,30 +301,17 @@ func (e *Engine) SuccessRate(ttl, trials int, pick func(r *rng.Source) int, seed
 // SuccessRateN is SuccessRate fanned out over a bounded worker pool. Each
 // trial derives its own RNG stream from the seed by trial index and each
 // worker floods through its own Searcher, so the result is byte-identical
-// for every workers value (hits are summed in trial order). pick must be
-// safe for concurrent calls (pure functions of r are).
+// for every workers value (see strategy.RunTrials). pick must be safe for
+// concurrent calls (pure functions of r are).
 func (e *Engine) SuccessRateN(ttl, trials int, pick func(r *rng.Source) int, seed uint64, workers int) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("search: trials must be positive")
 	}
-	base := rng.NewNamed(seed, "search/success")
-	found, err := parallel.MapWith(workers, trials,
-		func() *Searcher { return e.NewSearcher() },
-		func(s *Searcher, i int) (bool, error) {
-			r := base.Derive(fmt.Sprintf("trial/%d", i))
+	t, err := strategy.RunTrials(workers, 0, trials, rng.NewNamed(seed, "search/success"), "trial/", e.NewSearcher,
+		func(s *Searcher, _ int, r *rng.Source) (strategy.Outcome, error) {
 			origin := r.Intn(e.g.N())
-			obj := pick(r)
-			res, err := s.Flood(origin, obj, ttl)
-			return res.Found, err
+			res, err := s.Flood(origin, pick(r), ttl)
+			return Outcome(res), err
 		})
-	if err != nil {
-		return 0, err
-	}
-	hits := 0
-	for _, f := range found {
-		if f {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials), nil
+	return t.Success(), err
 }

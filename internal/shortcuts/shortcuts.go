@@ -154,29 +154,23 @@ func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uin
 		return nil, fmt.Errorf("shortcuts: queries must be positive")
 	}
 	base := strategy.WorkloadStream(seed)
-	st := &strategy.Stats{Queries: queries}
-	var hits, scHits, msgs, hops int
+	var t strategy.Tally
+	scHits := 0
 	for i := 0; i < queries; i++ {
 		r := strategy.QueryStream(base, i)
 		res, err := s.Search(r.Intn(s.g.N()), pick(r))
 		if err != nil {
 			return nil, err
 		}
-		if res.Found {
-			hits++
-			hops += res.Hops
-			if res.ViaShortcut {
-				scHits++
-			}
+		t.Add(search.Outcome(res.Result))
+		if res.ViaShortcut {
+			scHits++
 		}
-		msgs += res.Messages
 	}
-	st.Success = float64(hits) / float64(queries)
-	if hits > 0 {
-		st.ShortcutHits = float64(scHits) / float64(hits)
-		st.MeanHops = float64(hops) / float64(hits)
+	st := t.Stats()
+	if t.Hits > 0 {
+		st.ShortcutHits = float64(scHits) / float64(t.Hits)
 	}
-	st.MeanMessages = float64(msgs) / float64(queries)
 	return st, nil
 }
 

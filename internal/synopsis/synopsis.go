@@ -125,7 +125,7 @@ func (n *Network) SetPopular(terms []string) error {
 func (n *Network) rebuild() error {
 	for v := range n.syn {
 		adv := n.advertised(v)
-		f, err := bloom.New(maxInt(len(adv), 8), n.cfg.FPRate)
+		f, err := bloom.New(max(len(adv), 8), n.cfg.FPRate)
 		if err != nil {
 			return err
 		}
@@ -262,11 +262,4 @@ func (n *Network) forwardSet(v int32, qterms []string) []int32 {
 		out = append(out, nbs[n.r.Intn(len(nbs))])
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

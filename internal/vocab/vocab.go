@@ -222,10 +222,3 @@ func title(s string) string {
 	}
 	return strings.Join(parts, " ")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@ import (
 	"querycentric/internal/crawler"
 	"querycentric/internal/daap"
 	"querycentric/internal/dict"
+	"querycentric/internal/experiments"
 	"querycentric/internal/faults"
 	"querycentric/internal/gnet"
 	"querycentric/internal/querygen"
@@ -193,21 +194,11 @@ type GnutellaCrawlConfig struct {
 // in-process Gnutella network, runs the Cruiser-like crawler against it
 // over the real wire format, and returns the observed object trace.
 func GnutellaCrawl(cfg GnutellaCrawlConfig) (*ObjectTrace, *CrawlStats, error) {
-	ccat := catalog.Config{
-		Seed:                cfg.Seed,
-		Peers:               cfg.Peers,
-		UniqueObjects:       cfg.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	}
-	gcfg := gnet.DefaultConfig(cfg.Seed)
-	gcfg.FirewalledFrac = cfg.FirewalledFrac
-	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, cfg.SnapshotMmap, snapshot.BuildConfig{
-		Catalog:   ccat,
-		Network:   gcfg,
-		ShardSize: cfg.SnapshotShardSize,
-	}, nil)
+	bcfg := experiments.Params{
+		GnutellaPeers: cfg.Peers, UniqueObjects: cfg.UniqueObjects, FirewalledFrac: cfg.FirewalledFrac,
+	}.Population(cfg.Seed)
+	bcfg.ShardSize = cfg.SnapshotShardSize
+	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, cfg.SnapshotMmap, bcfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
