@@ -231,8 +231,8 @@ func main() {
 	if sb != nil {
 		rep.Note += " The snapshot section is one save/load round trip " +
 			"measured on this machine, not a benchmark mean; the load " +
-			"rebuilds derived structures (membership filters, QRP hash " +
-			"products, global term frequencies) in parallel, so with " +
+			"rebuilds derived structures (QRP hash products, the holder " +
+			"index) in parallel, so with " +
 			"num_cpu=1 the reported load time is the serial worst case. " +
 			"The mapped row restores the same file zero-copy through a " +
 			"read-only memory mapping."

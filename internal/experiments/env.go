@@ -232,13 +232,19 @@ func (e *Env) buildCatalog() (*catalog.Catalog, error) {
 	return cat, nil
 }
 
-// newNetwork builds a fresh instrumented overlay over cat. Runners that
-// mutate topology or attach planes call it once per arm or sweep point, so
-// nothing leaks between them. The build resolves its own worker count:
-// the dictionary shards by it, so threading e.Workers through would make
+// newNetwork builds a fresh instrumented overlay over cat, indexes
+// included: every runner floods it, and a flood over a network whose
+// indexes were left lazy has no holder index to consult and probes every
+// peer it reaches. Runners that mutate topology or attach planes call it
+// once per arm or sweep point, so nothing leaks between them. The build
+// resolves its own worker count: the dictionary and the holder index shard
+// by it, so threading e.Workers through would make
 // parallel_map_units_total depend on -workers.
 func (e *Env) newNetwork(cat *catalog.Catalog) (*gnet.Network, error) {
 	nw, err := gnet.NewFromCatalog(e.P.Population(e.Seed).Network, cat)
+	if err == nil {
+		err = nw.BuildIndexes(0)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building network: %w", err)
 	}

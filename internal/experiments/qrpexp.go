@@ -35,6 +35,9 @@ func QRPEffect(e *Env) (*QRPResult, error) {
 		return nil, err
 	}
 	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(e.Seed+70), cat)
+	if err == nil {
+		err = nw.BuildIndexes(0) // the plain pass floods before EnableQRP would
+	}
 	if err != nil {
 		return nil, err
 	}

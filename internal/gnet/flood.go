@@ -58,6 +58,7 @@ type FloodCtx struct {
 	lossN     []int32 // per-flood deliveries attempted to the peer
 	capEpoch  []int32 // epoch stamp validating capN
 	capN      []int32 // per-flood queue-admission attempts at the peer
+	cand      []int32 // epoch stamp of the flood whose rarest term the peer holds (selectHolders)
 	epoch     int32
 
 	frontier []int32
@@ -110,6 +111,9 @@ func (c *FloodCtx) bump() int32 {
 		}
 		for i := range c.pathEpoch {
 			c.pathEpoch[i] = 0
+		}
+		for i := range c.cand {
+			c.cand[i] = 0
 		}
 		c.epoch = 1
 	}
@@ -223,24 +227,22 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	}
 
 	// Per-flood hoists: the query's deduped token list resolved to shared
-	// TermIDs (identical for every reached peer), the QRP hash of the
-	// criteria (identical for every candidate edge), the liveness mask,
-	// and whether loss rolls are live. A query term unknown to the shared
-	// dictionary resolves to NoTerm, which no posting index contains, so
-	// such floods still spread and count messages but miss at every peer
-	// after one binary-search probe (the paper's query/annotation mismatch
-	// case). The miss stays per-peer rather than flood-wide because a peer
-	// whose library was mutated after construction matches through its own
-	// local dictionary, which may know terms the shared one never saw.
+	// TermIDs (identical for every reached peer), the peers worth a match
+	// probe, the QRP hash of the criteria (identical for every candidate
+	// edge), the liveness mask, and whether loss rolls are live. A query
+	// term unknown to the shared dictionary resolves to NoTerm, which no
+	// posting index contains, so such floods still spread and count messages
+	// but hit nowhere (the paper's query/annotation mismatch case) — except
+	// at a peer whose library was mutated after construction: it matches
+	// through its own local dictionary, which may know terms the shared one
+	// never saw, and is probed whatever the holder index says.
 	toks := TokenizeQuery(criteria)
 	d := nw.dict
 	matchable := len(toks) > 0
+	gated := false
 	if matchable && d != nil {
 		c.qids, _ = d.Resolve(toks, c.qids[:0])
-		// Probe order only: globally-rare terms miss at most peers, and one
-		// miss ends a conjunctive match, so every reached peer's first
-		// binary-search probe is the one likeliest to settle it.
-		nw.sortByGlobalDF(c.qids)
+		gated = c.selectHolders(c.qids)
 	}
 	hoist := c.hoistQRPToks(criteria, toks)
 	plane := nw.faults
@@ -332,19 +334,19 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 			}
 			res.PeersReached++
 			peer := nw.Peers[to]
-			var files []File
-			if matchable {
-				files = peer.matchForFlood(d, c.qids, toks, &c.ms)
-			}
-			if len(files) > 0 {
-				hit := Hit{PeerID: int(to), Hops: hops, Files: make([]gmsg.Result, 0, len(files))}
-				for _, f := range files {
-					hit.Files = append(hit.Files, gmsg.Result{
-						FileIndex: f.Index, FileSize: f.Size, FileName: f.Name,
-					})
+			// The peer has processed the query; whether its index is probed
+			// changes no count above. A gated flood asks only the holders of
+			// its rarest term and the peers the holder index does not cover.
+			if matchable && (!gated || c.cand[to] == epoch || peer.unlisted) {
+				if idx := peer.matchForFlood(d, c.qids, toks, &c.ms); len(idx) > 0 {
+					hit := Hit{PeerID: int(to), Hops: hops, Files: make([]gmsg.Result, len(idx))}
+					for i, fi := range idx {
+						f := &peer.Library[fi]
+						hit.Files[i] = gmsg.Result{FileIndex: f.Index, FileSize: f.Size, FileName: f.Name}
+					}
+					res.Hits = append(res.Hits, hit)
+					res.TotalResults += len(idx)
 				}
-				res.Hits = append(res.Hits, hit)
-				res.TotalResults += len(files)
 			}
 			// Forward if TTL remains; leaves don't forward in two-tier
 			// Gnutella (only ultrapeers relay).

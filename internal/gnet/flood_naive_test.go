@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"querycentric/internal/capacity"
+	"querycentric/internal/dict"
 	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
 	"querycentric/internal/rng"
@@ -15,10 +17,11 @@ import (
 // floodNaive is the pre-optimisation flood kept as a reference oracle and
 // perf baseline: a fresh `seen` map per flood, one Decode per delivered
 // envelope, one Encode per forwarding peer, a per-edge QRP hash of the
-// criteria, and a linear scan of each reached library (linearMatch) instead
-// of the posting index under test. Fault semantics match the optimised
-// path (per-flood salted loss schedule, liveness snapshot) so results must
-// be byte-identical.
+// criteria, and a linear scan of every reached library (linearMatch) instead
+// of the holder and posting indexes under test. Fault and capacity semantics
+// match the optimised path (per-flood salted loss schedule, liveness
+// snapshot, per-flood admission attempt counts against the phase-frozen
+// queues) so results must be byte-identical.
 func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source) (*FloodResult, error) {
 	if origin < 0 || origin >= len(nw.Peers) {
 		return nil, fmt.Errorf("gnet: origin %d out of range", origin)
@@ -47,6 +50,16 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 		lossAttempts[to] = n + 1
 		return plane.MessageLossAt(salt, to, n)
 	}
+	cp := nw.capacity
+	capAttempts := map[int]uint64{}
+	shed := func(to int, copyTTL byte) bool {
+		if !cp.Enabled() {
+			return false
+		}
+		n := capAttempts[to]
+		capAttempts[to] = n + 1
+		return !cp.Admit(salt, to, n, int(copyTTL), ttl)
+	}
 
 	type envelope struct {
 		to  int
@@ -58,6 +71,9 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 		return nil, err
 	}
 	for _, nb := range nw.Peers[origin].Neighbors {
+		if cp.Blocked(nb) {
+			continue
+		}
 		frontier = append(frontier, envelope{to: nb, raw: raw})
 		res.Messages++
 	}
@@ -71,11 +87,14 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 			if (alive != nil && env.to < len(alive) && !alive[env.to]) || lost(env.to) {
 				continue
 			}
-			seen[env.to] = true
 			m, _, err := gmsg.Decode(env.raw)
 			if err != nil {
 				return nil, fmt.Errorf("gnet: hop decode: %w", err)
 			}
+			if shed(env.to, m.Header.TTL) {
+				continue
+			}
+			seen[env.to] = true
 			res.PeersReached++
 			peer := nw.Peers[env.to]
 			if files := linearMatch(peer.Library, m.Query.Criteria); len(files) > 0 {
@@ -105,7 +124,7 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 				if seen[nb] {
 					continue
 				}
-				if !nw.qrpAllows(nb, criteria) {
+				if !nw.qrpAllows(nb, criteria) || cp.Blocked(nb) {
 					continue
 				}
 				next = append(next, envelope{to: nb, raw: fraw})
@@ -117,30 +136,51 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 	return res, nil
 }
 
-// TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx
-// against the map-based reference on plain, QRP, lossy and QRP-plus-lossy
-// networks. Every fifth trial also floods the criteria with an unknown term
-// appended, the mismatch case that must still spread and hit nothing.
+// TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx — the
+// holder-index gate in front of the per-peer probe included — against the
+// map-based, probe-every-peer reference: over networks of several sizes,
+// lazily indexed (no holder index: every reached peer is probed) and built
+// (gated floods), under every gate a flood can carry, for every shape of
+// query the gate treats differently, and again after AddFile has grown
+// libraries behind the holder index's back.
 func TestFloodMatchesNaiveReference(t *testing.T) {
-	for _, mode := range []string{"plain", "qrp", "lossy", "qrp+lossy"} {
+	for _, mode := range []string{"plain", "qrp", "lossy", "qrp+lossy", "capacity", "paths"} {
 		t.Run(mode, func(t *testing.T) {
-			nw := populatedNet(t, 180)
-			if strings.Contains(mode, "qrp") {
-				if err := nw.EnableQRP(16); err != nil {
-					t.Fatal(err)
+			for _, v := range []struct {
+				peers int
+				built bool
+			}{{100, false}, {100, true}, {45, true}} {
+				nw := populatedNet(t, v.peers)
+				if v.built {
+					if err := nw.BuildIndexes(2); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			if strings.Contains(mode, "lossy") {
-				nw.SetFaults(faults.New(faults.Config{Seed: 11, MessageLoss: 0.2, PeerDepart: 0.1}))
-			}
-			ctx := nw.NewFloodCtx()
-			for trial := 0; trial < 30; trial++ {
-				origin := trial * 7 % len(nw.Peers)
-				queries := []string{fileOf(t, nw, trial*13+2)}
-				if trial%5 == 0 {
-					queries = append(queries, queries[0]+" zqxjkwv")
+				if strings.Contains(mode, "qrp") {
+					if err := nw.EnableQRP(16); err != nil {
+						t.Fatal(err)
+					}
 				}
-				for _, criteria := range queries {
+				if strings.Contains(mode, "lossy") {
+					nw.SetFaults(faults.New(faults.Config{Seed: 11, MessageLoss: 0.2, PeerDepart: 0.1}))
+				}
+				var plane *capacity.Plane
+				if mode == "capacity" {
+					cfg := capacity.DefaultConfig(11)
+					cfg.QueueDepth, cfg.Policy, cfg.Breakers = 6, capacity.TTLAware, true
+					var err error
+					if plane, err = capacity.New(cfg, v.peers); err != nil {
+						t.Fatal(err)
+					}
+					nw.SetCapacity(plane)
+				}
+				ctx := nw.NewFloodCtx()
+				ctx.SetPathCapture(mode == "paths")
+				common := commonestTerm(t, v.peers)
+				trial, now := 0, int64(0)
+				check := func(origin int, criteria string) {
+					t.Helper()
+					trial++
 					want, err := floodNaive(nw, origin, criteria, 4, rng.New(uint64(trial)))
 					if err != nil {
 						t.Fatal(err)
@@ -150,13 +190,91 @@ func TestFloodMatchesNaiveReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s trial %d (%q): optimised flood diverged from reference:\n%+v\nvs\n%+v",
-							mode, trial, criteria, got, want)
+						t.Fatalf("%s peers=%d built=%v trial %d (%q): optimised flood diverged from reference:\n%+v\nvs\n%+v",
+							mode, v.peers, v.built, trial, criteria, got, want)
 					}
+					for _, h := range got.Hits {
+						if mode == "paths" && ctx.AnswerPath(h.PeerID) == nil {
+							t.Fatalf("no answer path to hit peer %d", h.PeerID)
+						}
+					}
+					if plane != nil && trial%8 == 0 {
+						// Fold the attempts into queue depth so later floods
+						// meet real backlog, shedding and open breakers.
+						now += 20
+						plane.Commit(now)
+						plane.Advance(now)
+					}
+				}
+				sweep := func() {
+					for i := 0; i < 5; i++ {
+						origin := i * 7 % len(nw.Peers)
+						name := fileOf(t, nw, i*13+2)
+						toks := TokenizeQuery(name)
+						for _, criteria := range []string{
+							name, // every term known
+							strings.Join(toks[:min(2, len(toks))], " "), // a short query: longer holder lists
+							name + " zqxjkwv",    // one term no dictionary knows
+							"!! ?",               // keywordless
+							name + " " + toks[0], // duplicate tokens
+							common,               // rarest term held by a large share: no gate
+						} {
+							check(origin, criteria)
+						}
+					}
+				}
+				sweep()
+				// Grow libraries behind the holder index: a name of known terms
+				// (rebuilt against the shared dictionary, still unlisted) and
+				// one with a term the shared dictionary never saw (local
+				// dictionary). Both must be found, and nothing else may move.
+				known, novel := fileOf(t, nw, 5), "zzqx unseen replica token"
+				n := len(nw.Peers)
+				for _, id := range []int{3, n / 2, n - 1} {
+					if err := nw.AddFile(id, known, 4096); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, id := range []int{0, n / 2, n - 2} { // n/2 gets both
+					if err := nw.AddFile(id, novel, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for origin := 0; origin < len(nw.Peers); origin += 29 {
+					check(origin, known)
+					check(origin, novel)
+					check(origin, "unseen zzqx")
+					check(origin, novel+" "+known)
+				}
+				sweep()
+				if plane != nil && plane.Stats().Shed == 0 {
+					t.Fatal("capacity mode never shed a copy; tighten QueueDepth")
 				}
 			}
 		})
 	}
+}
+
+// commonestTerm returns the term held by the most peers of populatedNet(t,
+// peers), and insists it is held widely enough that a flood for it declines
+// to decode its holder list.
+func commonestTerm(t *testing.T, peers int) string {
+	t.Helper()
+	nw := populatedNet(t, peers)
+	if err := nw.BuildIndexes(1); err != nil {
+		t.Fatal(err)
+	}
+	h := &nw.holders
+	best := dict.TermID(0)
+	for id := range h.off[:len(h.off)-1] {
+		if len(h.list(dict.TermID(id))) > len(h.list(best)) {
+			best = dict.TermID(id)
+		}
+	}
+	if len(h.list(best))*holderDenseShare <= peers {
+		t.Fatalf("commonest term %q is held by too few of %d peers to be dense", nw.dict.Term(best), peers)
+	}
+	return nw.dict.Term(best)
 }
 
 // BenchmarkFloodNaive is the pre-optimisation baseline for

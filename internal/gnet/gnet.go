@@ -59,6 +59,11 @@ type Peer struct {
 	dict *dict.Dict
 	idx  postingIndex
 
+	// unlisted marks a peer the network's holder index does not cover — its
+	// library changed (AddFile) after the index was built, or it matches
+	// through a local dictionary — so gated floods always probe it.
+	unlisted bool
+
 	// indexOnce guards lazy index construction (parallel floods may race
 	// to the first Match).
 	indexOnce sync.Once
@@ -97,11 +102,11 @@ type Network struct {
 
 	// dict is the network-wide interned term dictionary, built once from
 	// the catalog all peers share (nil for networks assembled without
-	// one). termDF[id] is the network-wide posting count of term id, folded
-	// by BuildIndexes so floods can probe each peer's index
-	// rarest-term-first (see sortByGlobalDF).
-	dict   *dict.Dict
-	termDF []int32
+	// one). holders lists, per dictionary term, the peers whose index holds
+	// it: built by BuildIndexes and NewFromState, consulted once per flood
+	// in place of a probe at every reached peer (see holders.go).
+	dict    *dict.Dict
+	holders holderIndex
 
 	// qrpTables[p] is leaf p's query-route table, held by its ultrapeers;
 	// nil while QRP is disabled. qrpBits is the table width, recorded so
@@ -468,8 +473,9 @@ func (nw *Network) DisconnectPeers(a, b int) bool {
 // networks never write through their borrowed views. Like ConnectPeers,
 // library mutation must not race floods: callers alternate adaptation and
 // measurement phases. QRP route tables built before the mutation go stale
-// until EnableQRP runs again, and the global DF probe ordering drifts —
-// which changes probe order, never match results.
+// until EnableQRP runs again. The holder index is not updated either: the
+// peer is flagged unlisted instead, so every flood that reaches it probes
+// its rebuilt index directly, whatever the holder lists say.
 func (nw *Network) AddFile(id int, name string, size uint32) error {
 	if id < 0 || id >= len(nw.Peers) {
 		return fmt.Errorf("gnet: add file: peer %d out of range", id)
@@ -484,6 +490,7 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	p.Library = lib
 	p.idx = postingIndex{}
 	p.indexOnce = sync.Once{}
+	p.unlisted = true
 	return nil
 }
 

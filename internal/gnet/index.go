@@ -46,48 +46,10 @@ type postingIndex struct {
 	blockFirst []dict.TermID
 	blockOff   []uint32
 	arena      []byte
-
-	// filter is a one-hash membership bitset over the index's term IDs
-	// (≥ filterBitsPerTerm bits per term, power-of-two sized). Most flood
-	// probes are for terms the peer does not hold; the filter rejects
-	// ~90% of those with a single load before the block scan runs. No
-	// false negatives: every present term's bit is set.
-	filter []uint64
-	fbits  uint // log2 of the filter size in bits
 }
 
 // blockHeaderLen is the fixed per-block prefix: idLen byte + multiMask.
 const blockHeaderLen = 3
-
-// filterBitsPerTerm sizes the membership filter: ~8 bits per term keeps
-// the false-positive rate near 10% at half a byte of overhead per term.
-const filterBitsPerTerm = 8
-
-// mayContain is the filter probe: false means id is definitely absent.
-func (ix *postingIndex) mayContain(id dict.TermID) bool {
-	h := uint32(id) * 2654435761 >> (32 - ix.fbits)
-	return ix.filter[h>>6]&(1<<(h&63)) != 0
-}
-
-// buildFilter (re)derives the membership filter from the encoded arena —
-// the snapshot-restore path, which persists only the skip arrays and the
-// arena. Sizing and hashing mirror encodePostings exactly, so a restored
-// index is bit-for-bit the one the builder produced.
-func (ix *postingIndex) buildFilter() {
-	if ix.nTerms == 0 {
-		ix.filter, ix.fbits = nil, 0
-		return
-	}
-	ix.fbits = 6
-	for 1<<ix.fbits < ix.nTerms*filterBitsPerTerm {
-		ix.fbits++
-	}
-	ix.filter = make([]uint64, 1<<ix.fbits/64)
-	ix.forEachTermID(func(id dict.TermID) {
-		h := uint32(id) * 2654435761 >> (32 - ix.fbits)
-		ix.filter[h>>6] |= 1 << (h & 63)
-	})
-}
 
 // postingsRef is one term's posting list as found in the arena: a count
 // plus either the inline single posting or the undecoded body bytes.
@@ -108,20 +70,16 @@ func (r postingsRef) cursor() vpost.Cursor {
 
 // lookup finds id's posting list: binary search for the block that could
 // hold it, then an early-exit scan of the block's id-delta section — no
-// payload byte is touched unless the term is present. NoTerm misses before
-// the filter is consulted: it is in no index, but its filter slot can
-// collide with a ubiquitous term's, which would send every unknown-term
-// probe down the whole last block. Any other absent id misses too; the
+// payload byte is touched unless the term is present. An absent id
+// (NoTerm included: it sorts past every stored term) misses; the
 // conjunctive match rule turns a miss into an empty result after this
-// single probe. The varint decodes are inlined: this is the innermost loop
-// of every flood, called once per (reached peer, query term) until the
-// first miss.
+// single probe. Floods put the network's holder index in front of this
+// call (see holders.go), so it runs once per (candidate peer, query term)
+// rather than once per reached peer; the varint decodes stay inlined for
+// the networks that have no holder index and probe everyone.
 func (ix *postingIndex) lookup(id dict.TermID) (postingsRef, bool) {
-	if id == dict.NoTerm || ix.filter == nil || !ix.mayContain(id) {
-		return postingsRef{}, false
-	}
 	first := ix.blockFirst
-	if id < first[0] {
+	if len(first) == 0 || id < first[0] {
 		return postingsRef{}, false
 	}
 	// Branchless-ish manual binary search for the last block with
@@ -235,37 +193,56 @@ func (ix *postingIndex) forEach(fn func(id dict.TermID, ref postingsRef)) {
 	}
 }
 
-// forEachTermID calls fn for every term in ascending TermID order without
-// touching posting payloads: each block's offset bounds its id-delta
-// section, so the payload bytes that dominate the arena are never decoded
-// or skipped varint by varint. This is what keeps the snapshot-restore
-// filter rebuild cheap — at paper scale the arenas hold 118M posting
-// varints but only ~7M id deltas.
-func (ix *postingIndex) forEachTermID(fn func(id dict.TermID)) {
-	for b := range ix.blockFirst {
-		n := ix.nTerms - b*postingBlockLen
-		if n > postingBlockLen {
-			n = postingBlockLen
-		}
+// forEachTermID calls fn with the term IDs in [lo, hi), ascending, one
+// posting block's worth per call (the slice is reused), without touching
+// posting payloads: the skip array seeks to the block that could hold lo,
+// and each block's id-delta section is bounded by its header, so the
+// payload bytes that dominate the arena are never decoded or skipped varint
+// by varint. This is what keeps the holder-index build cheap.
+func (ix *postingIndex) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.TermID)) {
+	first := ix.blockFirst
+	// Blocks before the last one starting at or below lo end below lo.
+	b := sort.Search(len(first), func(i int) bool { return first[i] > lo }) - 1
+	if b < 0 {
+		b = 0
+	}
+	var block [postingBlockLen]dict.TermID
+	for ; b < len(first) && first[b] < hi; b++ {
 		buf := ix.arena[ix.blockOff[b]:]
-		idLen := int(buf[0])
-		ids := buf[blockHeaderLen : blockHeaderLen+idLen]
-		cur := ix.blockFirst[b]
-		fn(cur)
-		for k := 1; k < n; k++ {
-			d, dn := vpost.Uvarint(ids)
-			ids = ids[dn:]
+		deltas := buf[blockHeaderLen : blockHeaderLen+int(buf[0])]
+		cur := first[b]
+		block[0] = cur
+		n := 1
+		for i := 0; i < len(deltas); n++ {
+			// Gaps are one or two bytes in practice, as in lookup.
+			c := deltas[i]
+			i++
+			d := uint32(c & 0x7f)
+			for s := 7; c >= 0x80; s += 7 {
+				c = deltas[i]
+				i++
+				d |= uint32(c&0x7f) << s
+			}
 			cur += dict.TermID(d)
-			fn(cur)
+			block[n] = cur
+		}
+		ids := block[:n]
+		for len(ids) > 0 && ids[0] < lo {
+			ids = ids[1:]
+		}
+		for len(ids) > 0 && ids[len(ids)-1] >= hi {
+			ids = ids[:len(ids)-1]
+		}
+		if len(ids) > 0 {
+			fn(ids)
 		}
 	}
 }
 
-// heapBytes is the index's retained heap (skip arrays + membership filter
-// + arena; the term strings live in the shared dictionary).
+// heapBytes is the index's retained heap (skip arrays + arena; the term
+// strings live in the shared dictionary).
 func (ix *postingIndex) heapBytes() uint64 {
-	return uint64(len(ix.blockFirst))*4 + uint64(len(ix.blockOff))*4 +
-		uint64(len(ix.filter))*8 + uint64(len(ix.arena))
+	return uint64(len(ix.blockFirst))*4 + uint64(len(ix.blockOff))*4 + uint64(len(ix.arena))
 }
 
 // termFile is one (term, file) incidence during index construction.
@@ -341,19 +318,6 @@ func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
 	arena, first, off := bs.arena[:0], bs.first[:0], bs.off[:0]
 	var ix postingIndex
 	ix.nPostings = len(pairs)
-	distinct := 0
-	for k := 0; k < len(pairs); k++ {
-		if k == 0 || pairs[k].id != pairs[k-1].id {
-			distinct++
-		}
-	}
-	if distinct > 0 {
-		ix.fbits = 6
-		for 1<<ix.fbits < distinct*filterBitsPerTerm {
-			ix.fbits++
-		}
-		ix.filter = make([]uint64, 1<<ix.fbits/64)
-	}
 
 	var idBuf [postingBlockLen * 5]byte // ≤ 15 deltas × max 5-byte uvarint
 	idLen := 0
@@ -382,8 +346,6 @@ func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
 		} else {
 			idLen = len(vpost.AppendUvarint(idBuf[:idLen], uint64(id-prevID)))
 		}
-		h := uint32(id) * 2654435761 >> (32 - ix.fbits)
-		ix.filter[h>>6] |= 1 << (h & 63)
 		if j-k == 1 {
 			pay = vpost.AppendUvarint(pay, uint64(uint32(pairs[k].file)))
 		} else {
@@ -471,13 +433,14 @@ func (p *Peer) buildIndexWith(bs *buildScratch) {
 }
 
 // BuildIndexes eagerly builds every peer's index over up to `workers`
-// goroutines (≤ 0 resolves to GOMAXPROCS), then folds the per-term global
-// document frequencies floods use to probe rarest-first. Indexes are
-// otherwise built lazily on first Match; building them up front makes
-// construction cost measurable and keeps the first flood off the slow
+// goroutines (≤ 0 resolves to GOMAXPROCS), then the network-wide holder
+// index floods consult before probing any peer (holders.go). Indexes are
+// otherwise built lazily on first Match — and floods over a network whose
+// holder index was never built probe every peer they reach — so building up
+// front makes construction cost measurable and keeps floods off the slow
 // path. The result is identical for every worker count: each peer's index
-// depends only on its own library and the shared dictionary, and the DF
-// merge is an order-free integer sum.
+// depends only on its own library and the shared dictionary, and each
+// term's holder list only on which peers hold it.
 func (nw *Network) BuildIndexes(workers int) error {
 	err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
 		func(bs *buildScratch, i int) error {
@@ -488,7 +451,9 @@ func (nw *Network) BuildIndexes(workers int) error {
 	if err != nil {
 		return err
 	}
-	nw.buildTermDF(workers)
+	if err := nw.buildHolders(workers); err != nil {
+		return err
+	}
 	if nw.dict != nil {
 		// Every peer's index is built; queries from here on resolve a
 		// handful of tokens per flood, so trade the construction-phase
@@ -496,62 +461,6 @@ func (nw *Network) BuildIndexes(workers int) error {
 		nw.dict.Compact()
 	}
 	return nil
-}
-
-// buildTermDF folds every peer's index into termDF: for each shared-dict
-// term, the total number of postings network-wide. Floods sort a query's
-// resolved IDs by this frequency so the first per-peer probe is the term
-// likeliest to miss (most peers hold no posting for a globally rare term,
-// and one miss ends the conjunctive match). Sharded over workers with
-// per-worker counters merged by sum, so the result is worker-invariant.
-func (nw *Network) buildTermDF(workers int) {
-	if nw.dict == nil || nw.termDF != nil {
-		return
-	}
-	n := nw.dict.Len()
-	shards, _ := parallel.Map(workers, parallel.Workers(workers), func(w int) ([]int32, error) {
-		ws := parallel.Workers(workers)
-		counts := make([]int32, n)
-		for i := w; i < len(nw.Peers); i += ws {
-			p := nw.Peers[i]
-			if p.dict != nw.dict {
-				continue
-			}
-			p.idx.forEach(func(id dict.TermID, ref postingsRef) {
-				counts[id] += int32(ref.count)
-			})
-		}
-		return counts, nil
-	})
-	df := make([]int32, n)
-	for _, counts := range shards {
-		for i, c := range counts {
-			df[i] += c
-		}
-	}
-	nw.termDF = df
-}
-
-// sortByGlobalDF orders ids rarest-first by network-wide document
-// frequency (ties by id; NoTerm sorts first — it misses everywhere).
-// Purely an ordering change: conjunctive intersection is commutative and
-// match output stays ascending by file index.
-func (nw *Network) sortByGlobalDF(ids []dict.TermID) {
-	df := nw.termDF
-	if df == nil || len(ids) < 2 {
-		return
-	}
-	key := func(id dict.TermID) int64 {
-		if int(id) >= len(df) {
-			return -1 // NoTerm (or a foreign id): misses on the first probe
-		}
-		return int64(df[id])<<32 | int64(id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && key(ids[j]) < key(ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // TermDict returns the network-wide interned dictionary (nil for networks
@@ -575,12 +484,14 @@ func (p *Peer) Match(criteria string) []File {
 	if !ok {
 		return nil
 	}
-	return p.matchIDs(ids, &s)
+	return p.files(p.matchIDs(ids, &s))
 }
 
 // MatchTokens is Match with tokenization hoisted out: toks must come from
 // TokenizeQuery. scratch is returned untouched; the interned path needs no
-// string scratch (floods use the richer matchForFlood instead).
+// string scratch. This is the per-peer probe on its own — term resolution,
+// index lookups, hit assembly — which floods make only for the peers the
+// holder index names (through matchForFlood, on hoisted IDs and scratch).
 func (p *Peer) MatchTokens(toks, scratch []string) ([]File, []string) {
 	p.indexOnce.Do(p.buildIndex)
 	if len(toks) == 0 {
@@ -591,14 +502,28 @@ func (p *Peer) MatchTokens(toks, scratch []string) ([]File, []string) {
 		return nil, scratch
 	}
 	var s matchScratch
-	return p.matchIDs(ids, &s), scratch
+	return p.files(p.matchIDs(ids, &s)), scratch
+}
+
+// files copies the library entries at the given indexes (nil for none).
+func (p *Peer) files(idx []int32) []File {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]File, len(idx))
+	for i, fi := range idx {
+		out[i] = p.Library[fi]
+	}
+	return out
 }
 
 // matchForFlood matches one flood's query against this peer. d and qids are
 // the flood's hoisted dictionary and resolved term IDs (d == nw.dict); toks
 // are the deduped string tokens for peers that cannot use qids: those whose
-// mutated library forced a local dictionary.
-func (p *Peer) matchForFlood(d *dict.Dict, qids []dict.TermID, toks []string, s *matchScratch) []File {
+// mutated library forced a local dictionary. The result is the matching
+// files' library indexes, ascending, in s's reusable buffer: valid until
+// the next match through s.
+func (p *Peer) matchForFlood(d *dict.Dict, qids []dict.TermID, toks []string, s *matchScratch) []int32 {
 	p.indexOnce.Do(p.buildIndex)
 	ids := qids
 	if p.dict != d {
@@ -624,8 +549,9 @@ type matchScratch struct {
 // matchIDs intersects the posting lists of ids, rarest term first so the
 // candidate set never grows. Any id missing from the index (including
 // NoTerm) matches nothing — the conjunctive rule. Only the rarest list is
-// decoded (into the reusable scratch); the rest stream through cursors.
-func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []File {
+// decoded (into the reusable scratch, which the returned library indexes
+// alias); the rest stream through cursors.
+func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []int32 {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -665,14 +591,7 @@ func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []File {
 		}
 		cur = intersectRef(cur, w)
 	}
-	if len(cur) == 0 {
-		return nil
-	}
-	out := make([]File, len(cur))
-	for i, idx := range cur {
-		out[i] = p.Library[idx]
-	}
-	return out
+	return cur
 }
 
 // intersectRef intersects the ascending candidate list cur with w's
@@ -767,7 +686,7 @@ type IndexStats struct {
 	DictTerms  int    // distinct terms in the shared dictionary (0 if none)
 	IndexTerms int    // total distinct (peer, term) pairs
 	Postings   int    // total posting entries across all peers
-	HeapBytes  uint64 // estimated retained bytes: peer indexes + shared dictionary
+	HeapBytes  uint64 // estimated retained bytes: peer indexes + holder index + shared dictionary
 	ArenaBytes uint64 // compressed posting-arena bytes (skip arrays + varint arenas)
 }
 
@@ -781,7 +700,7 @@ func (nw *Network) IndexStats() (IndexStats, error) {
 	if nw.dict != nil {
 		st.DictTerms = nw.dict.Len()
 		st.HeapBytes += nw.dict.HeapBytes()
-		st.HeapBytes += uint64(len(nw.termDF)) * 4
+		st.HeapBytes += nw.holders.heapBytes()
 	}
 	for _, p := range nw.Peers {
 		st.IndexTerms += p.idx.nTerms

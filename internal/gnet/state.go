@@ -11,8 +11,7 @@ import (
 
 // IndexState is the persistable form of one peer's compressed posting
 // index: the raw skip arrays and varint arena, exactly as held in memory.
-// The membership filter and the network-wide term frequencies are derived
-// data and are rebuilt on restore.
+// The network-wide holder index is derived data and is rebuilt on restore.
 type IndexState struct {
 	NTerms     int
 	NPostings  int
@@ -97,10 +96,10 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 
 // NewFromState reconstructs a network from a persisted state: peers get
 // their identities, links, libraries and ready-built posting indexes back;
-// membership filters, QRP hash products and the global term-frequency
-// table are rebuilt (over up to `workers` goroutines) since they are pure
-// functions of the persisted data. The state's slices are adopted, not
-// copied — do not reuse st after a successful call.
+// QRP hash products and the holder index are rebuilt (over up to `workers`
+// goroutines) since they are pure functions of the persisted data. The
+// state's slices are adopted, not copied — do not reuse st after a
+// successful call.
 //
 // A restored network floods, crawls and serves byte-identically to the
 // freshly built network it was exported from.
@@ -124,8 +123,8 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 		backing:    st.Backing,
 		borrowed:   st.Borrowed,
 	}
-	// Per-peer restoration is pure (validation, wiring, filter rebuild from
-	// the peer's own arena), so it fans out without affecting the result.
+	// Per-peer restoration is pure (validation and wiring), so it fans out
+	// without affecting the result.
 	if err := parallel.ForEach(workers, n, func(i int) error {
 		ps := &st.Peers[i]
 		nBlocks := (ps.Index.NTerms + postingBlockLen - 1) / postingBlockLen
@@ -149,7 +148,6 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 				arena:      ps.Index.Arena,
 			},
 		}
-		p.idx.buildFilter()
 		// The restored index is live: Match and floods must use it as-is,
 		// never rebuild. Burn the once so the lazy path stays cold.
 		p.indexOnce.Do(func() {})
@@ -158,6 +156,8 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 	}); err != nil {
 		return nil, err
 	}
-	nw.buildTermDF(workers)
+	if err := nw.buildHolders(workers); err != nil {
+		return nil, fmt.Errorf("gnet: NewFromState: %w", err)
+	}
 	return nw, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"querycentric/internal/catalog"
+	"querycentric/internal/dict"
 	"querycentric/internal/gnet"
 	"querycentric/internal/rng"
 )
@@ -185,6 +186,83 @@ func TestMappedFloodsIdentical(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("using a mapped network modified the snapshot file")
 	}
+}
+
+// TestRestoredFloodsMatchUnindexedTwin holds restored networks — copied
+// and mapped, whose holder index NewFromState rebuilt so their floods probe
+// only the peers it names — to a twin that never had its indexes built
+// eagerly, has no holder index, and so probes every peer a flood reaches.
+// Every dictionary term is flooded on its own (a missing holder would lose
+// that peer's hit) and file names are flooded whole, before and after
+// AddFile grows libraries with a name of known terms and one the shared
+// dictionary never saw: on the mapped twin that is a copy-on-write over a
+// PROT_READ mapping, so a write through a borrowed view would fault.
+func TestRestoredFloodsMatchUnindexedTwin(t *testing.T) {
+	_, path := saveTo(t, buildNet(t, 120))
+	ref := buildNet(t, 120) // Save above built the other copy's indexes, not this one's
+	copied, err := Load(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadMapped(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	nets := []*gnet.Network{ref, copied, mapped}
+	ctxs := make([]*gnet.FloodCtx, len(nets))
+	for i, nw := range nets {
+		ctxs[i] = nw.NewFloodCtx()
+	}
+	trial := 0
+	flood := func(origin int, criteria string) {
+		t.Helper()
+		trial++
+		var want *gnet.FloodResult
+		for i, ctx := range ctxs {
+			got, err := ctx.Flood(origin, criteria, 5, rng.New(uint64(trial)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("network %d, flood %d from %d (%q) diverged from the unindexed twin:\n%+v\nvs\n%+v",
+					i, trial, origin, criteria, got, want)
+			}
+		}
+	}
+	sweep := func() {
+		d := ref.TermDict()
+		for id := 0; id < d.Len(); id++ {
+			flood(id%len(ref.Peers), d.Term(dict.TermID(id)))
+		}
+		for i, p := range ref.Peers {
+			if len(p.Library) > 0 {
+				flood((i*7+1)%len(ref.Peers), p.Library[len(p.Library)/2].Name)
+			}
+		}
+	}
+	sweep()
+	known, novel := ref.Peers[3].Library[0].Name, "zzqx unseen replica token"
+	for _, nw := range nets {
+		for _, id := range []int{5, 60, 119} {
+			if err := nw.AddFile(id, known, 4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []int{6, 60} { // peer 60 gets both
+			if err := nw.AddFile(id, novel, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for origin := 0; origin < len(ref.Peers); origin += 11 {
+		flood(origin, known)
+		flood(origin, novel)
+		flood(origin, "unseen zzqx")
+	}
+	sweep()
 }
 
 // TestLoadMappedFailurePaths: every damage mode must surface its typed

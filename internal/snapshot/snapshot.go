@@ -8,9 +8,9 @@
 // single-core construction that every experiment process pays again
 // before its first flood. A snapshot pays that cost once; later runs
 // deserialize the finished substrate and only rebuild what is cheap and
-// derived (QRP hash products, membership filters, the global
-// term-frequency table). A restored network floods, crawls and serves
-// byte-identically to the one it was exported from.
+// derived (QRP hash products, the network-wide holder index). A restored
+// network floods, crawls and serves byte-identically to the one it was
+// exported from.
 //
 // # File format
 //
@@ -103,8 +103,8 @@ func Save(path string, nw *gnet.Network, workers int) (int64, error) {
 // Load reads a snapshot and reconstructs the network, copying everything
 // onto the heap: the file is read whole and verified section by section. No
 // network is returned over bytes that fail verification. Derived structures
-// (membership filters, QRP products, global term frequencies) are rebuilt
-// over up to `workers` goroutines.
+// (QRP products, the holder index) are rebuilt over up to `workers`
+// goroutines.
 func Load(path string, workers int) (*gnet.Network, error) {
 	f, err := os.Open(path)
 	if err != nil {

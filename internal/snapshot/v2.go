@@ -490,9 +490,9 @@ func writeSnapshotV2(f *os.File, st *gnet.NetworkState) (int64, error) {
 // ---------------------------------------------------------------------------
 // Version-2 parsing. One parser serves both load paths: the copying loader
 // hands it a heap buffer holding the file, the mapped loader hands it the
-// mmap'd bytes. Each section's digest is verified right before that
-// section is decoded, so a mapped load touches pages section by section
-// and corruption is reported against the section that carries it.
+// mmap'd bytes. Each section's digest is verified before that section is
+// decoded — and every section's before a NetworkState is returned — so
+// corruption is reported against the first section that carries it.
 
 // parseV2 decodes data (a complete version-2 file) into a NetworkState
 // whose slices view data in place wherever alignment allows.
@@ -556,17 +556,40 @@ func parseV2(data []byte) (*gnet.NetworkState, error) {
 		prev = dir[i].off + dir[i].size
 	}
 
+	// The five payloads are hashed concurrently — SHA-256 over the libraries
+	// and indexes sections is half a cold start — while the decode below
+	// stays in section order and waits for each section's digest before it
+	// reads a byte of it. No hasher may outlive this call: a mapped caller
+	// unmaps data as soon as an error comes back.
+	payload := func(i int) []byte {
+		e := &dir[i]
+		return data[e.off : e.off+e.size : e.off+e.size]
+	}
+	var sums [numSections][sha256.Size]byte
+	var hashed [numSections]chan struct{}
+	for i := range dir {
+		hashed[i] = make(chan struct{})
+		go func(i int) {
+			defer close(hashed[i])
+			sums[i] = sha256.Sum256(payload(i))
+		}(i)
+	}
+	defer func() {
+		for _, done := range hashed {
+			<-done
+		}
+	}()
+
 	st := &gnet.NetworkState{}
 	nPeers := 0
 	for i := range dir {
 		e := &dir[i]
-		payload := data[e.off : e.off+e.size : e.off+e.size]
-		sum := sha256.Sum256(payload)
-		if !bytes.Equal(sum[:], e.sum[:]) {
+		<-hashed[i]
+		if sums[i] != e.sum {
 			return nil, fmt.Errorf("%w: section %d carries %x, content hashes to %x (%w)",
-				ErrFingerprint, e.kind, e.sum[:8], sum[:8], ErrCorrupt)
+				ErrFingerprint, e.kind, e.sum[:8], sums[i][:8], ErrCorrupt)
 		}
-		r := &r2{b: payload, section: int(e.kind)}
+		r := &r2{b: payload(i), section: int(e.kind)}
 		switch e.kind {
 		case secMeta:
 			nPeers = decodeMetaV2(r, st)
