@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race determinism fuzz-smoke bench digest-check recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
+.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-pairs digest-check recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
 
 build:
 	$(GO) build ./...
@@ -35,22 +35,55 @@ determinism:
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
-# the varint posting codec, the snapshot loader and the frontier kernel
-# (against its map-and-slice reference): five seconds of mutation each
-# must surface no panics, over-reads or contract violations (ordering,
-# alternation, determinism, round-trip identity, typed errors on damaged
-# bytes, ring/hop/message-count agreement).
+# the varint posting codec, the snapshot loader, the frontier kernel and
+# the wire-level flood under any subset of its gates (both against their
+# map-and-slice references): five seconds of mutation each must surface no
+# panics, over-reads or contract violations (ordering, alternation,
+# determinism, round-trip identity, typed errors on damaged bytes,
+# ring/hop/message-count agreement, field-for-field flood results).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
 	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
 	$(GO) test -fuzz=FuzzVarintPostings -fuzztime=5s -run '^$$' ./internal/vpost
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=5s -run '^$$' ./internal/snapshot
 	$(GO) test -fuzz=FuzzFrontierVsReference -fuzztime=5s -run '^$$' ./internal/overlay
+	$(GO) test -fuzz=FuzzFloodVsNaive -fuzztime=5s -run '^$$' ./internal/gnet
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
 bench:
 	$(GO) run ./benchmarks -workload all -seed 1
+
+# The measurement behind a performance claim (choosing-metrics §8): N
+# alternating pairs of the benchmark at BASE and at the working tree on one
+# workload, which side runs first alternating, then the noise-aware
+# -compare over the two sets of reports (a = BASE, b = working tree).
+#
+#	make bench-pairs BASE=HEAD~1 WL=flood_miss N=10 [SEED=1]
+#
+# BASE is built from a git worktree under .bench_build/ (removed on exit);
+# reports stay in .bench_build/pairs/ for the record. Not part of `make ci`:
+# wall-clock on a shared host is advisory (ROADMAP item 1).
+BASE ?= HEAD
+WL ?= flood_miss
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	@set -e; d=.bench_build/pairs; rm -rf $$d; mkdir -p $$d; \
+	git worktree add --detach --force $$d/src $(BASE) >/dev/null; \
+	trap "git worktree remove --force $$d/src" EXIT; \
+	(cd $$d/src && $(GO) build -o ../base.bin ./benchmarks); \
+	$(GO) build -o $$d/head.bin ./benchmarks; \
+	a=""; b=""; \
+	for i in $$(seq 1 $(N)); do \
+		order="base head"; if [ $$((i % 2)) -eq 0 ]; then order="head base"; fi; \
+		for side in $$order; do \
+			$$d/$$side.bin -workload $(WL) -seed $(SEED) -json $$d/$$side.$$i.json \
+				| awk -v tag="pair $$i $$side" '/metric=queries_per_s/ { print tag, $$1, $$2, $$3 }'; \
+		done; \
+		a="$$a,$$d/base.$$i.json"; b="$$b,$$d/head.$$i.json"; \
+	done; \
+	$$d/head.bin -compare "$${a#,}" "$${b#,}"
 
 # Refactor gate: the six workloads' sim_digest values at -smoke sizes
 # (~4 s) must equal the committed SIM_DIGESTS.txt. A digest is a pure

@@ -30,6 +30,12 @@ func fileOf(t *testing.T, nw *Network, i int) string {
 // populatedNet builds a two-tier network over a calibrated catalog.
 func populatedNet(t *testing.T, peers int) *Network {
 	t.Helper()
+	return populatedNetWith(t, DefaultConfig(5), peers)
+}
+
+// populatedNetWith is populatedNet on the given topology.
+func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
+	t.Helper()
 	cat, err := catalog.Build(catalog.Config{
 		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
@@ -37,7 +43,7 @@ func populatedNet(t *testing.T, peers int) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewFromCatalog(DefaultConfig(5), cat)
+	nw, err := NewFromCatalog(cfg, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
-	"querycentric/internal/capacity"
 	"querycentric/internal/dict"
-	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
 	"querycentric/internal/obs"
 	"querycentric/internal/qrp"
@@ -42,7 +41,7 @@ type FloodResult struct {
 }
 
 // FloodCtx is a reusable, single-goroutine flood engine over one network:
-// epoch-stamped visit and loss-counter arrays, reusable frontier buffers,
+// epoch-stamped visit and gate-counter arrays, reusable frontier buffers,
 // and per-flood fault/QRP state. A context eliminates the per-flood `seen`
 // map and per-peer descriptor re-encoding of the naive implementation; the
 // parallel trial engine gives each worker its own context via NewFloodCtx.
@@ -53,13 +52,11 @@ type FloodResult struct {
 type FloodCtx struct {
 	nw *Network
 
-	seen      []int32 // epoch stamp of the flood that processed the peer
-	lossEpoch []int32 // epoch stamp validating lossN
-	lossN     []int32 // per-flood deliveries attempted to the peer
-	capEpoch  []int32 // epoch stamp validating capN
-	capN      []int32 // per-flood queue-admission attempts at the peer
-	cand      []int32 // epoch stamp of the flood whose rarest term the peer holds (selectHolders)
-	epoch     int32
+	seen   []int32    // epoch stamp of the flood that processed the peer
+	loss   []attempts // per-flood deliveries attempted to the peer
+	admits []attempts // per-flood queue-admission attempts at the peer
+	cand   []int32    // epoch stamp of the flood that may find an answer at the peer (selectHolders)
+	epoch  int32
 
 	frontier []int32
 	next     []int32
@@ -86,35 +83,23 @@ type FloodCtx struct {
 }
 
 // NewFloodCtx returns a flood context for this network, typically one per
-// worker goroutine.
+// worker goroutine. Only the visit stamps are allocated here; the state of
+// a gate (loss and admission counters, candidate and path stamps) is
+// allocated by the first flood that finds the gate live.
 func (nw *Network) NewFloodCtx() *FloodCtx {
-	n := len(nw.Peers)
-	return &FloodCtx{
-		nw:        nw,
-		seen:      make([]int32, n),
-		lossEpoch: make([]int32, n),
-		lossN:     make([]int32, n),
-		capEpoch:  make([]int32, n),
-		capN:      make([]int32, n),
-	}
+	return &FloodCtx{nw: nw, seen: make([]int32, len(nw.Peers))}
 }
 
-// bump advances the flood epoch, clearing the stamp arrays on the (rare)
-// wrap so stale stamps can never alias a live epoch.
+// bump advances the flood epoch, clearing every stamp array that exists on
+// the (rare) wrap so stale stamps can never alias a live epoch.
 func (c *FloodCtx) bump() int32 {
 	c.epoch++
 	if c.epoch == math.MaxInt32 {
-		for i := range c.seen {
-			c.seen[i] = 0
-			c.lossEpoch[i] = 0
-			c.capEpoch[i] = 0
-		}
-		for i := range c.pathEpoch {
-			c.pathEpoch[i] = 0
-		}
-		for i := range c.cand {
-			c.cand[i] = 0
-		}
+		clear(c.seen)
+		clear(c.loss)
+		clear(c.admits)
+		clear(c.pathEpoch)
+		clear(c.cand)
 		c.epoch = 1
 	}
 	return c.epoch
@@ -160,40 +145,26 @@ func (c *FloodCtx) AnswerPath(peer int) []int {
 		cur = c.pathParent[cur]
 		rev = append(rev, int(cur))
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
 }
 
-// lost decides whether this delivery attempt to peer `to` is dropped,
-// counting attempts per (flood, destination) so the decision is a pure
-// function of the flood's salt — independent of any other flood, on any
-// worker.
-func (c *FloodCtx) lost(plane *faults.Plane, salt uint64, to int32) bool {
-	var n int32
-	if c.lossEpoch[to] == c.epoch {
-		n = c.lossN[to]
-	} else {
-		c.lossEpoch[to] = c.epoch
-	}
-	c.lossN[to] = n + 1
-	return plane.MessageLossAt(salt, int(to), uint64(n))
-}
+// attempts counts the copies of one flood that have reached one gate at one
+// peer; epoch validates n, like a seen stamp.
+type attempts struct{ epoch, n int32 }
 
-// admit decides whether a delivered copy enters peer `to`'s bounded ingress
-// queue, counting admission attempts per (flood, destination) exactly like
-// lost() counts deliveries, so shedding is a pure function of the flood's
-// salt and the phase-frozen queue depth — independent of worker count.
-func (c *FloodCtx) admit(p *capacity.Plane, salt uint64, to int32, ttl, floodTTL int) bool {
-	var n int32
-	if c.capEpoch[to] == c.epoch {
-		n = c.capN[to]
-	} else {
-		c.capEpoch[to] = c.epoch
+// attempt returns how many copies of this flood reached the gate at peer
+// `to` before this one, and counts this one. Loss rolls and queue admissions
+// are keyed by that number, so each decision is a pure function of the
+// flood's salt (and the phase-frozen queue depth) — independent of any other
+// flood, on any worker.
+func (c *FloodCtx) attempt(gate []attempts, to int32) uint64 {
+	a := &gate[to]
+	if a.epoch != c.epoch {
+		*a = attempts{epoch: c.epoch}
 	}
-	c.capN[to] = n + 1
-	return p.Admit(salt, int(to), uint64(n), ttl, floodTTL)
+	a.n++
+	return uint64(a.n - 1)
 }
 
 // Flood floods a keyword query from origin with the given TTL, following
@@ -221,38 +192,46 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	}
 	res := &FloodResult{GUID: guid, Criteria: criteria, TTL: ttl}
 	epoch := c.bump()
-	c.seen[origin] = epoch
-	if c.capturePaths {
-		c.pathOrigin = int32(origin)
-	}
+	seen := c.seen
+	seen[origin] = epoch
 
 	// Per-flood hoists: the query's deduped token list resolved to shared
 	// TermIDs (identical for every reached peer), the peers worth a match
 	// probe, the QRP hash of the criteria (identical for every candidate
-	// edge), the liveness mask, and whether loss rolls are live. A query
-	// term unknown to the shared dictionary resolves to NoTerm, which no
-	// posting index contains, so such floods still spread and count messages
-	// but hit nowhere (the paper's query/annotation mismatch case) — except
-	// at a peer whose library was mutated after construction: it matches
-	// through its own local dictionary, which may know terms the shared one
-	// never saw, and is probed whatever the holder index says.
+	// edge), the liveness mask, and which gates are live. A query term
+	// unknown to the shared dictionary resolves to NoTerm, which no posting
+	// index contains, so such floods still spread and count messages but hit
+	// nowhere (the paper's query/annotation mismatch case) — except at an
+	// unlisted peer, which matches through its own local dictionary and is
+	// stamped whatever the holder index says. probeAll asks every reached
+	// peer; otherwise cand, when set, stamps the only peers worth asking.
 	toks := TokenizeQuery(criteria)
-	d := nw.dict
-	matchable := len(toks) > 0
-	gated := false
-	if matchable && d != nil {
-		c.qids, _ = d.Resolve(toks, c.qids[:0])
-		gated = c.selectHolders(c.qids)
+	probeAll := len(toks) > 0
+	var cand []int32
+	if probeAll && nw.dict != nil {
+		c.qids, _ = nw.dict.Resolve(toks, c.qids[:0])
+		if c.selectHolders(c.qids) {
+			probeAll, cand = false, c.cand
+		}
 	}
 	hoist := c.hoistQRPToks(criteria, toks)
 	plane := nw.faults
 	alive := plane.LivenessSnapshot()
 	lossy := plane.Config().MessageLoss > 0
-	dead := func(to int32) bool {
-		return alive != nil && int(to) < len(alive) && !alive[to]
-	}
 	cp := nw.capacity
 	capOn := cp.Enabled()
+	breakers := capOn && cp.Config().Breakers // the mask is never raised without them
+	relay, capture := nw.relay, c.capturePaths
+	// The two decisions the loops below branch on: can a delivered copy still
+	// be refused, and must a relay consult more than the visit stamps?
+	peerGates := alive != nil || lossy || capOn
+	edgeGates := hoist.active || breakers
+	if lossy && c.loss == nil {
+		c.loss = make([]attempts, len(seen))
+	}
+	if capOn && c.admits == nil {
+		c.admits = make([]attempts, len(seen))
+	}
 
 	// Observability: local tallies accumulated in registers and published
 	// once at flood end, so the disabled plane costs one nil check and the
@@ -261,10 +240,9 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	ob := nw.obs
 	tracing := ob != nil && ob.traces.Enabled()
 	var perRing []int
-	var deadDrops, lossDrops, qrpSkipped int
 	// breakerSkips is published to the capacity plane at flood end; shed
 	// copies are tallied by the plane itself inside Admit.
-	var breakerSkips int
+	var reached, deadDrops, lossDrops, qrpSkipped, breakerSkips int
 
 	raw, err := gmsg.Encode(q)
 	if err != nil {
@@ -275,25 +253,24 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	// With path capture on, `from` rides alongside frontier: from[i] is the
 	// peer that transmitted frontier[i]'s copy.
 	var from, nextFrom []int32
-	if c.capturePaths {
+	if capture {
+		c.pathOrigin = int32(origin)
 		from, nextFrom = c.fromBuf[:0], c.nextFrom[:0]
 		defer func() { c.fromBuf, c.nextFrom = from[:0], nextFrom[:0] }()
 	}
 	for _, nb := range nw.Peers[origin].Neighbors {
 		// An open circuit breaker suppresses the send at the origin: the
 		// copy is never transmitted and never counted.
-		if capOn && cp.Blocked(nb) {
+		if breakers && cp.Blocked(nb) {
 			breakerSkips++
 			continue
 		}
 		frontier = append(frontier, int32(nb))
-		res.Messages++
-		if c.capturePaths {
+		if capture {
 			from = append(from, int32(origin))
 		}
 	}
 
-	twoTier := nw.Config.UltrapeerFrac > 0
 	for len(frontier) > 0 {
 		// One decode per ring keeps the codec on the measurement path;
 		// every envelope in the ring carries these exact bytes.
@@ -301,56 +278,63 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 		if err != nil {
 			return nil, fmt.Errorf("gnet: hop decode: %w", err)
 		}
-		hops := int(m.Header.Hops) + 1
-		forwards := m.Header.TTL > 1
-		ringStart := res.PeersReached
+		// Every frontier entry is one transmitted copy, whatever becomes of it.
+		res.Messages += len(frontier)
+		hops, copyTTL := int(m.Header.Hops)+1, int(m.Header.TTL)
+		ringStart := reached
 		var fraw []byte // next ring's bytes, encoded once on first use
+		if copyTTL <= 1 && !peerGates && !capture {
+			// The final ring of a flood no peer gate can refuse: nobody
+			// relays, so each copy is a duplicate or one more peer reached,
+			// and counting the latter needs no branch. Hits keep ring order.
+			for _, to := range frontier {
+				if (probeAll || (cand != nil && cand[to] == epoch)) && seen[to] != epoch {
+					c.answer(res, int(to), hops, toks)
+				}
+				if seen[to] != epoch {
+					reached++
+				}
+				seen[to] = epoch
+			}
+			frontier = frontier[:0] // all processed: nothing left for the general pass
+		}
 		for fi, to := range frontier {
-			if c.seen[to] == epoch {
+			if seen[to] == epoch {
 				continue // duplicate suppression by GUID
 			}
-			// Per-hop faults: a dead peer never receives, and a lost copy
-			// is transmitted (already counted) but not delivered. Neither
-			// marks the peer seen, so a copy arriving over another overlay
-			// edge may still get through.
-			if dead(to) {
-				deadDrops++
-				continue
-			}
-			if lossy && c.lost(plane, salt, to) {
-				lossDrops++
-				continue
-			}
-			// Bounded-capacity ingress: a transmitted (counted) copy that the
-			// destination's queue sheds is dropped unprocessed. The peer is
-			// not marked seen — a later-ring copy may find room.
-			if capOn && !c.admit(cp, salt, to, int(m.Header.TTL), ttl) {
-				continue
-			}
-			c.seen[to] = epoch
-			if c.capturePaths {
-				c.pathParent[to] = from[fi]
-				c.pathEpoch[to] = epoch
-			}
-			res.PeersReached++
-			peer := nw.Peers[to]
-			// The peer has processed the query; whether its index is probed
-			// changes no count above. A gated flood asks only the holders of
-			// its rarest term and the peers the holder index does not cover.
-			if matchable && (!gated || c.cand[to] == epoch || peer.unlisted) {
-				if idx := peer.matchForFlood(d, c.qids, toks, &c.ms); len(idx) > 0 {
-					hit := Hit{PeerID: int(to), Hops: hops, Files: make([]gmsg.Result, len(idx))}
-					for i, fi := range idx {
-						f := &peer.Library[fi]
-						hit.Files[i] = gmsg.Result{FileIndex: f.Index, FileSize: f.Size, FileName: f.Name}
-					}
-					res.Hits = append(res.Hits, hit)
-					res.TotalResults += len(idx)
+			if peerGates {
+				// Per-hop faults: a dead peer never receives, and a lost copy
+				// is transmitted (already counted) but not delivered. Neither
+				// marks the peer seen, so a copy arriving over another overlay
+				// edge may still get through.
+				if alive != nil && int(to) < len(alive) && !alive[to] {
+					deadDrops++
+					continue
 				}
+				if lossy && plane.MessageLossAt(salt, int(to), c.attempt(c.loss, to)) {
+					lossDrops++
+					continue
+				}
+				// Bounded-capacity ingress: a transmitted (counted) copy that
+				// the destination's queue sheds is dropped unprocessed. The peer
+				// is not marked seen — a later-ring copy may find room.
+				if capOn && !cp.Admit(salt, int(to), c.attempt(c.admits, to), copyTTL, ttl) {
+					continue
+				}
+			}
+			seen[to] = epoch
+			if capture {
+				c.pathParent[to], c.pathEpoch[to] = from[fi], epoch
+			}
+			reached++
+			// The peer has processed the query; whether its index is probed
+			// changes no count above.
+			if probeAll || (cand != nil && cand[to] == epoch) {
+				c.answer(res, int(to), hops, toks)
 			}
 			// Forward if TTL remains; leaves don't forward in two-tier
 			// Gnutella (only ultrapeers relay).
-			if !forwards || (twoTier && !peer.Ultrapeer) {
+			if copyTTL <= 1 || (relay != nil && !relay[to]) {
 				continue
 			}
 			if fraw == nil {
@@ -361,45 +345,62 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 					return nil, err
 				}
 			}
-			for _, nb := range peer.Neighbors {
-				if c.seen[nb] == epoch {
-					continue
+			nbs := nw.Peers[to].Neighbors
+			if !edgeGates {
+				// The bare scan: every neighbour not yet processed gets a copy.
+				// Each slot is written unconditionally and kept by advancing
+				// the cursor, so the unpredictable test — was it reached
+				// earlier in this very ring? — costs no branch.
+				next = slices.Grow(next, len(nbs))
+				buf, n := next[:cap(next)], len(next)
+				for _, nb := range nbs {
+					buf[n] = int32(nb)
+					if seen[nb] != epoch {
+						n++
+					}
 				}
-				// Last-hop QRP filtering: do not waste a message on a
-				// recipient that would neither relay the query further
-				// (a two-tier leaf, or any peer at the final TTL ring)
-				// nor match it per its route table. Relaying recipients
-				// are never table-filtered — on a flat network every
-				// peer holds a table, and filtering mid-route would kill
-				// propagation rather than trim its last hop. For
-				// two-tier networks the conditions coincide (only
-				// non-relaying leaves carry tables), so deployed-shape
-				// results are unchanged.
-				lastHop := m.Header.TTL <= 2 || (twoTier && !nw.Peers[nb].Ultrapeer)
-				if lastHop && !nw.qrpAllowsHoisted(nb, hoist) {
-					qrpSkipped++
-					continue
+				next = buf[:n]
+			} else {
+				// Last-hop QRP filtering: do not waste a message on a recipient
+				// that would neither relay the query further (a two-tier leaf,
+				// or any peer at the final TTL ring) nor match it per its route
+				// table. Relaying recipients are never table-filtered — on a
+				// flat network every peer holds a table, and filtering
+				// mid-route would kill propagation rather than trim its last
+				// hop. For two-tier networks the conditions coincide (only
+				// non-relaying leaves carry tables), so deployed-shape results
+				// are unchanged.
+				for _, nb := range nbs {
+					if seen[nb] == epoch {
+						continue
+					}
+					if hoist.active && (copyTTL <= 2 || (relay != nil && !relay[nb])) {
+						if t := nw.qrpTables[nb]; t != nil && !t.ContainsAll(hoist.hashes) {
+							qrpSkipped++
+							continue
+						}
+					}
+					if breakers && cp.Blocked(nb) {
+						breakerSkips++
+						continue
+					}
+					next = append(next, int32(nb))
 				}
-				if capOn && cp.Blocked(nb) {
-					breakerSkips++
-					continue
-				}
-				next = append(next, int32(nb))
-				res.Messages++
-				if c.capturePaths {
-					nextFrom = append(nextFrom, to)
-				}
+			}
+			for capture && len(nextFrom) < len(next) {
+				nextFrom = append(nextFrom, to) // every copy `to` just sent
 			}
 		}
 		if tracing {
-			perRing = append(perRing, res.PeersReached-ringStart)
+			perRing = append(perRing, reached-ringStart)
 		}
 		frontier, next = next, frontier[:0]
-		if c.capturePaths {
+		if capture {
 			from, nextFrom = nextFrom, from[:0]
 		}
 		raw = fraw
 	}
+	res.PeersReached = reached
 	if breakerSkips > 0 {
 		cp.AddSuppressed(int64(breakerSkips))
 	}
@@ -428,6 +429,24 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	return res, nil
 }
 
+// answer probes peer `to`'s index for the flood's query and, on a match,
+// appends its QueryHit: one allocation per answering peer, straight from the
+// library entries the matched indexes name.
+func (c *FloodCtx) answer(res *FloodResult, to, hops int, toks []string) {
+	peer := c.nw.Peers[to]
+	idx := peer.matchForFlood(c.nw.dict, c.qids, toks, &c.ms)
+	if len(idx) == 0 {
+		return
+	}
+	hit := Hit{PeerID: to, Hops: hops, Files: make([]gmsg.Result, len(idx))}
+	for i, fi := range idx {
+		f := &peer.Library[fi]
+		hit.Files[i] = gmsg.Result{FileIndex: f.Index, FileSize: f.Size, FileName: f.Name}
+	}
+	res.Hits = append(res.Hits, hit)
+	res.TotalResults += len(idx)
+}
+
 // Flood is the context-free convenience form: it builds a fresh FloodCtx
 // per call, so it is safe for concurrent use but pays the context
 // allocation. Hot paths (benchmarks, the parallel trial engine) should
@@ -442,14 +461,6 @@ func (nw *Network) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 type qrpHoist struct {
 	active bool
 	hashes []uint32
-}
-
-// hoistQRP computes the flood-wide QRP state for a query.
-func (nw *Network) hoistQRP(criteria string) qrpHoist {
-	if nw.qrpTables == nil || criteria == BrowseCriteria {
-		return qrpHoist{}
-	}
-	return qrpHoist{active: true, hashes: qrp.QueryHashes(criteria, nw.qrpBits)}
 }
 
 // hoistQRPToks computes the flood-wide QRP state from the already-deduped
@@ -480,16 +491,4 @@ func (c *FloodCtx) hoistQRPToks(criteria string, toks []string) qrpHoist {
 	}
 	c.qhash = hs
 	return qrpHoist{active: true, hashes: hs}
-}
-
-// qrpAllowsHoisted is qrpAllows with the query hash pre-computed.
-func (nw *Network) qrpAllowsHoisted(id int, h qrpHoist) bool {
-	if !h.active {
-		return true
-	}
-	t := nw.qrpTables[id]
-	if t == nil {
-		return true
-	}
-	return t.ContainsAll(h.hashes)
 }

@@ -124,7 +124,10 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 				if seen[nb] {
 					continue
 				}
-				if !nw.qrpAllows(nb, criteria) || cp.Blocked(nb) {
+				// Route tables trim only the last hop: a recipient that would
+				// relay the query on is never filtered.
+				lastHop := m.Header.TTL <= 2 || (nw.Config.UltrapeerFrac > 0 && !nw.Peers[nb].Ultrapeer)
+				if (lastHop && !nw.qrpAllows(nb, criteria)) || cp.Blocked(nb) {
 					continue
 				}
 				next = append(next, envelope{to: nb, raw: fraw})
@@ -134,6 +137,17 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 		frontier = next
 	}
 	return res, nil
+}
+
+// qrpAllows is the reference's per-edge routing test: may a query be
+// forwarded to peer id under the current route tables? Always true when QRP
+// is off, for a browse, or when id pushed no table; otherwise the criteria
+// are tokenized and hashed afresh against the table, on every edge.
+func (nw *Network) qrpAllows(id int, criteria string) bool {
+	if nw.qrpTables == nil || criteria == BrowseCriteria || nw.qrpTables[id] == nil {
+		return true
+	}
+	return nw.qrpTables[id].MatchesQuery(criteria)
 }
 
 // TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx — the

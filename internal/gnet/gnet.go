@@ -61,7 +61,8 @@ type Peer struct {
 
 	// unlisted marks a peer the network's holder index does not cover — its
 	// library changed (AddFile) after the index was built, or it matches
-	// through a local dictionary — so gated floods always probe it.
+	// through a local dictionary — so gated floods always probe it. Floods
+	// read Network.unlisted, the list of the peers flagged here.
 	unlisted bool
 
 	// indexOnce guards lazy index construction (parallel floods may race
@@ -107,6 +108,19 @@ type Network struct {
 	// in place of a probe at every reached peer (see holders.go).
 	dict    *dict.Dict
 	holders holderIndex
+
+	// unlisted lists the peers flagged Peer.unlisted, in flagging order:
+	// buildHolders fills it and AddFile appends to it. It is short — the
+	// local-dictionary peers plus every replica the adaptive overlay placed —
+	// so a gated flood stamps it beside its rarest term's holders once
+	// instead of loading a flag from every peer it reaches.
+	unlisted []int32
+
+	// relay[p] reports whether peer p forwards queries: the ultrapeers of a
+	// two-tier network. nil on a flat network, where every peer relays.
+	// Roles never change after construction, so floods read this dense array
+	// rather than one bool behind each nw.Peers[p] pointer.
+	relay []bool
 
 	// qrpTables[p] is leaf p's query-route table, held by its ultrapeers;
 	// nil while QRP is disabled. qrpBits is the table width, recorded so
@@ -210,14 +224,6 @@ func (nw *Network) EnableQRP(bits uint) error {
 // DisableQRP removes route tables (floods forward to every leaf again).
 func (nw *Network) DisableQRP() { nw.qrpTables = nil }
 
-// qrpAllows reports whether a query may be forwarded to peer id under the
-// current routing tables (always true when QRP is off or id is not a leaf).
-// Floods hoist the hash half of this test out of the per-edge loop; see
-// hoistQRP in flood.go.
-func (nw *Network) qrpAllows(id int, criteria string) bool {
-	return nw.qrpAllowsHoisted(id, nw.hoistQRP(criteria))
-}
-
 // New builds a network of n peers with empty libraries.
 func New(cfg Config, n int) (*Network, error) {
 	if n <= 1 {
@@ -253,7 +259,20 @@ func New(cfg Config, n int) (*Network, error) {
 	} else {
 		nw.buildFlat()
 	}
+	nw.markRelays()
 	return nw, nil
+}
+
+// markRelays fills the relay flags from the peers' roles, once those are
+// final; a flat network keeps none.
+func (nw *Network) markRelays() {
+	if nw.Config.UltrapeerFrac <= 0 {
+		return
+	}
+	nw.relay = make([]bool, len(nw.Peers))
+	for i, p := range nw.Peers {
+		nw.relay[i] = p.Ultrapeer
+	}
 }
 
 // NewFromCatalog builds a network whose peers share the libraries of a
@@ -472,10 +491,13 @@ func (nw *Network) DisconnectPeers(a, b int) bool {
 // library is reallocated rather than appended in place, so mapped-snapshot
 // networks never write through their borrowed views. Like ConnectPeers,
 // library mutation must not race floods: callers alternate adaptation and
-// measurement phases. QRP route tables built before the mutation go stale
-// until EnableQRP runs again. The holder index is not updated either: the
-// peer is flagged unlisted instead, so every flood that reaches it probes
-// its rebuilt index directly, whatever the holder lists say.
+// measurement phases. A QRP route table the peer already pushed gains the
+// new name's slots (slots are only ever added, as a leaf re-sending a grown
+// table would; no other routing decision changes), so last-hop filtering
+// still offers the peer every query the replica can answer. The holder index
+// is not updated: the peer is flagged and listed unlisted instead, so every
+// flood that reaches it probes its rebuilt index directly, whatever the
+// holder lists say.
 func (nw *Network) AddFile(id int, name string, size uint32) error {
 	if id < 0 || id >= len(nw.Peers) {
 		return fmt.Errorf("gnet: add file: peer %d out of range", id)
@@ -490,7 +512,13 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	p.Library = lib
 	p.idx = postingIndex{}
 	p.indexOnce = sync.Once{}
-	p.unlisted = true
+	if !p.unlisted {
+		p.unlisted = true
+		nw.unlisted = append(nw.unlisted, int32(id))
+	}
+	if nw.qrpTables != nil && nw.qrpTables[id] != nil {
+		nw.qrpTables[id].AddName(name)
+	}
 	return nil
 }
 

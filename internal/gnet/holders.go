@@ -98,8 +98,11 @@ func (nw *Network) buildHolders(workers int) error {
 	}
 	arena = make([]byte, total)
 	pass()
-	for _, p := range nw.Peers {
-		p.unlisted = p.dict != nw.dict
+	nw.unlisted = nw.unlisted[:0]
+	for i, p := range nw.Peers {
+		if p.unlisted = p.dict != nw.dict; p.unlisted {
+			nw.unlisted = append(nw.unlisted, int32(i))
+		}
 	}
 	nw.holders = holderIndex{off: off, arena: arena}
 	return nil
@@ -153,11 +156,12 @@ const holderDenseShare = 8
 // selectHolders decides, once per flood, which peers are worth a match
 // probe. It orders qids by holder-list length — the probe order of every
 // per-peer match, rarest first, unknown terms before all — and stamps the
-// rarest term's holders into c.cand with the flood's epoch. It reports
-// false when there is no holder index or the rarest list is dense: the
-// flood then probes every peer it reaches. When it reports true only
-// stamped and unlisted peers can match; a query carrying NoTerm stamps
-// nobody, since no listed peer holds a term the shared dictionary lacks.
+// rarest term's holders, and the unlisted peers the index cannot speak for,
+// into c.cand with the flood's epoch. It reports false when there is no
+// holder index or the rarest list is dense: the flood then probes every
+// peer it reaches. When it reports true only stamped peers can match; a
+// query carrying NoTerm stamps no holder, since no listed peer holds a term
+// the shared dictionary lacks.
 func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
 	h := &c.nw.holders
 	if h.off == nil {
@@ -174,19 +178,22 @@ func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
 			qids[j], qids[j-1] = qids[j-1], qids[j]
 		}
 	}
+	var list []byte
+	if qids[0] != dict.NoTerm {
+		list = h.list(qids[0])
+		if len(list)*holderDenseShare > len(c.seen) {
+			return false
+		}
+	}
 	if c.cand == nil {
 		c.cand = make([]int32, len(c.seen))
 	}
-	if qids[0] == dict.NoTerm {
-		return true
-	}
-	list := h.list(qids[0])
-	if len(list)*holderDenseShare > len(c.seen) {
-		return false
+	cand, epoch := c.cand, c.epoch
+	for _, id := range c.nw.unlisted {
+		cand[id] = epoch
 	}
 	// The vpost body decode, inlined like lookup's: this runs once per flood
 	// over a list of up to len(peers)/holderDenseShare bytes.
-	cand, epoch := c.cand, c.epoch
 	peer := int32(-1)
 	for i := 0; i < len(list); {
 		b := list[i]

@@ -125,3 +125,49 @@ func TestQRPInvalidBits(t *testing.T) {
 		t.Error("bits=0 accepted")
 	}
 }
+
+// TestAddFileExtendsRouteTable pins the QRP × AddFile interaction: a replica
+// placed on a leaf after EnableQRP must still be offered the queries it can
+// answer. Last-hop filtering consults the table the leaf pushed, so AddFile
+// has to mark the new name's slots there; a stale table turns the replica
+// into a false negative. The naive reference reads the same table and cannot
+// see this, so the hit is asserted directly.
+func TestAddFileExtendsRouteTable(t *testing.T) {
+	nw := qrpNet(t)
+	if err := nw.EnableQRP(16); err != nil {
+		t.Fatal(err)
+	}
+	// A leaf, one of its ultrapeers, and another leaf of that ultrapeer.
+	leaf, other := -1, -1
+	for _, p := range nw.Peers {
+		if p.Ultrapeer || len(p.Neighbors) == 0 {
+			continue
+		}
+		for _, nb := range nw.Peers[p.Neighbors[0]].Neighbors {
+			if nb != p.ID && !nw.Peers[nb].Ultrapeer {
+				leaf, other = p.ID, nb
+				break
+			}
+		}
+		if leaf >= 0 {
+			break
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("no ultrapeer with two leaves")
+	}
+	const name = "Zzqx Unheard Replica.mp3"
+	if res, err := nw.Flood(other, "zzqx unheard", 2, rng.New(1)); err != nil || len(res.Hits) != 0 {
+		t.Fatalf("before AddFile: %d hits (err %v), want none", len(res.Hits), err)
+	}
+	if err := nw.AddFile(leaf, name, 4096); err != nil {
+		t.Fatal(err)
+	}
+	res, err := nw.Flood(other, "zzqx unheard", 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != 1 || res.Hits[0].PeerID != leaf || res.Hits[0].Files[0].FileName != name {
+		t.Fatalf("flood for the replica's novel terms under QRP: hits %+v, want one from leaf %d", res.Hits, leaf)
+	}
+}

@@ -156,6 +156,7 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 	}); err != nil {
 		return nil, err
 	}
+	nw.markRelays()
 	if err := nw.buildHolders(workers); err != nil {
 		return nil, fmt.Errorf("gnet: NewFromState: %w", err)
 	}
