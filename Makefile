@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-pairs digest-check recovery-smoke saturation-smoke querycentric-smoke scalefull-smoke scale1m-smoke api-freeze ci check clean
+.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-pairs digest-check scalefull-smoke scale1m-smoke api-freeze loc ci check clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,7 @@ race:
 # The capacity tests extend it to the overload plane: a flash-crowd
 # scenario with shedding and breakers enabled is byte-identical at 1 vs 8
 # workers, and a disabled capacity plane is byte-identical to no plane.
+# For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestQueryCentricMetricsInert|TestMetricsSnapshotWorkerInvariance|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
@@ -98,94 +99,55 @@ digest-check:
 			print w, d }' | diff - SIM_DIGESTS.txt \
 		&& echo "digest-check: ok (6 sim_digests match SIM_DIGESTS.txt)"
 
-# Recovery smoke: a tiny-scale correlated-crash run through the CLI must end
-# with the repaired overlay no worse than the unrepaired one.
-recovery-smoke:
-	@$(GO) run ./cmd/qc-sim -mode recovery -scale tiny | awk ' \
-		$$1 == "#" && $$2 == "final_success" { rep = $$3; norep = $$4 } \
-		END { \
-			if (rep == "" || norep == "") { print "recovery-smoke: final_success row missing"; exit 1 }; \
-			if (rep + 0 < norep + 0) { printf "recovery-smoke: FAIL repaired %s < no-repair %s\n", rep, norep; exit 1 }; \
-			printf "recovery-smoke: ok (repaired %s >= no-repair %s)\n", rep, norep }'
-
-# Saturation smoke: the tiny-scale flash-crowd sweep through the CLI must
-# show TTL-aware shedding retaining at least 2x drop-tail's success at the
-# highest swept load (loads ascend, so each arm's last table row is its
-# peak). The companion inertness half of the contract — disabled-capacity
-# runs byte-identical to a build without the plane — is the race-checked
-# test alongside it (also part of `make determinism`).
-saturation-smoke:
-	@$(GO) run ./cmd/qc-sim -mode saturation -scale tiny | awk ' \
-		$$1 == "ttl" { t = $$3 } \
-		$$1 == "drop-tail" { d = $$3 } \
-		END { \
-			if (t == "" || d == "") { print "saturation-smoke: ttl or drop-tail rows missing"; exit 1 }; \
-			if (t + 0 < 2 * d) { printf "saturation-smoke: FAIL ttl peak success %s < 2x drop-tail %s\n", t, d; exit 1 }; \
-			printf "saturation-smoke: ok (ttl peak success %s >= 2x drop-tail %s)\n", t, d }'
-	$(GO) test -run 'TestCapacityDisabledIsInert' ./internal/events/
-
-# Query-centric smoke: the tiny-scale five-arm head-to-head through the
-# CLI must show the adaptive overlay recovering at least 2x static
-# flooding's TTL-3 success at no extra message cost — the paper's
-# constructive claim as a CI gate. The companion determinism half of the
-# contract — the full adaptation loop byte-identical at 1 vs 8 workers
-# and metrics-attach changing nothing — runs as the race-checked tests
-# alongside it (the worker-invariance leg is also part of
-# `make determinism`).
-querycentric-smoke:
-	@$(GO) run ./cmd/qc-sim -mode query-centric -scale tiny | awk ' \
-		$$1 == "static-flood" { ss = $$2; sm = $$3 } \
-		$$1 == "adaptive" { as = $$2; am = $$3 } \
-		END { \
-			if (ss == "" || as == "") { print "querycentric-smoke: static-flood or adaptive rows missing"; exit 1 }; \
-			if (as + 0 < 2 * ss) { printf "querycentric-smoke: FAIL adaptive success %s < 2x static %s\n", as, ss; exit 1 }; \
-			if (am + 0 > sm + 0) { printf "querycentric-smoke: FAIL adaptive msgs/query %s > static %s\n", am, sm; exit 1 }; \
-			printf "querycentric-smoke: ok (success %s >= 2x static %s at %s <= %s msgs/query)\n", as, ss, am, sm }'
-	$(GO) test -race -run 'TestQueryCentricMetricsInert|TestWorkerInvariance' ./internal/experiments/ ./internal/adaptive/
-
-# Paper-scale construction smoke: build the ScaleFull catalog + network +
-# interned indexes (no trials) under a wall-clock budget so
-# regressions that push 37k-peer / 8.1M-object construction out of a CI-able
-# budget are caught without running full experiments. The budget leaves
-# ~2x headroom over the measured single-CPU build (see BENCH_index_full.json).
-# The snapshot leg saves the built network, loads it back — copying and
-# memory-mapped — and fails unless the restored checksums match, the
-# copying load takes at most a tenth of the build, and the mapped load
-# beats the copying one. The -sharded leg reruns the whole construction
-# through the shard-and-spill pipeline and fails unless its file is
-# byte-identical to the in-heap save (the paper-scale identity gate).
+# Paper-scale construction gate (~5 min, ~6 GB RSS, 3 GB under TMPDIR):
+# TestScaleGate's `full` row builds the ScaleFull catalog + network +
+# interned indexes (no trials) and fails unless construction stays inside its
+# wall-clock budget, the saved network restores — copying and memory-mapped —
+# to the fresh build's index checksum, the copying load takes at most a tenth
+# of the build, the mapped load beats the copying one, floods over the
+# mapping return results, and a shard-and-spill rebuild of the same
+# configuration is byte-identical to the in-heap save. Budgets, shard sizes
+# and the RSS ceiling are constants beside the assertions
+# (internal/experiments/scalegate_test.go); the `tiny` row runs the same code
+# in every `go test`. Run on an otherwise idle box: the load-time gates fail
+# under contention.
 scalefull-smoke:
-	$(GO) run ./cmd/qc-bench -index-scale full \
-		-budget 10m -sharded -shard-size 8192 \
-		-snapshot-file out/net_full.qcsnap -o out/BENCH_index_full.json
+	$(GO) test -run 'TestScaleGate$$' -count=1 -v -timeout 30m ./internal/experiments/ -scale-gate full
 
-# Million-peer substrate smoke: shard-and-spill a 1,000,000-peer network
-# straight into a snapshot (the substrate never fits on the heap — peak
-# memory is one 65,536-peer shard plus the shared dictionary), restore it
-# zero-copy through the memory mapping, probe it with real floods, and
-# fail if build+load exceed the wall-clock budget or process peak RSS
-# (VmHWM) exceeds the ceiling. Budget and ceiling leave ~2x headroom over
-# the measured single-CPU run (see BENCH_index_1m.json).
+# Million-peer substrate gate (~3 min, ~3 GB RSS, 2 GB under TMPDIR): the
+# `1m` row shard-and-spills a 1,000,000-peer network straight into a snapshot
+# (the substrate never fits on the heap — peak memory is one 65,536-peer
+# shard plus the shared dictionary), restores it zero-copy through the
+# memory mapping, probes it with real floods, and fails if build + load
+# exceed the budget, process peak RSS (VmHWM) exceeds the ceiling, or the
+# floods come back empty.
 scale1m-smoke:
-	$(GO) run ./cmd/qc-bench -sharded-only -index-scale 1m -shard-size 65536 \
-		-budget 6m -rss-ceiling-mb 6144 \
-		-snapshot-file out/net_1m.qcsnap -o out/BENCH_index_1m.json
+	$(GO) test -run 'TestScaleGate$$' -count=1 -v -timeout 30m ./internal/experiments/ -scale-gate 1m
 
 # Regenerate-and-diff check on the frozen public API surface (API.txt).
 # Regenerate after an intentional API change with:
 #   go test -run TestAPIFrozen -update-api .
+# For by-hand use: `make ci` runs both tests once, under `race`.
 api-freeze:
 	$(GO) test -run 'TestAPIFrozen|TestNoInternalImportsOutsideFacade' .
 
-# The CI gate: static checks, formatting, a clean build, the full suite
-# under the race detector, the workers=8 determinism regression, the
-# decoder, churn-timeline, posting-codec, snapshot-loader
-# and frontier-kernel fuzz smokes, the fault-burst recovery smoke, the
-# flash-crowd saturation smoke, the query-centric adaptive-overlay smoke,
-# the API freeze, the sim-digest refactor gate, the paper-scale
-# construction smoke (with the sharded byte-identity gate) and the
-# million-peer sharded-construction smoke.
-ci: vet fmt-check build race determinism fuzz-smoke recovery-smoke saturation-smoke querycentric-smoke api-freeze digest-check scalefull-smoke scale1m-smoke
+# Lines of Go outside benchmarks/, non-test and test: the figure the ROADMAP
+# anchors and the simplicity PRs quote.
+loc:
+	@find . -name '*.go' -not -path './benchmarks/*' -not -path './.bench_build/*' | awk ' \
+		{ k = ($$0 ~ /_test\.go$$/) ? "test" : "non-test"; \
+		  while ((getline line < $$0) > 0) n[k]++; close($$0) } \
+		END { printf "non-test %d  test %d  total %d\n", n["non-test"], n["test"], n["non-test"] + n["test"] }'
+
+# The CI gate, each check once: static checks, formatting, a clean build, the
+# full suite under the race detector (which includes everything
+# `determinism` and `api-freeze` select, the recovery / saturation /
+# query-centric claims and TestScaleGate's tiny row), the decoder,
+# churn-timeline, posting-codec, snapshot-loader, frontier-kernel and
+# flood-vs-naive (FuzzFloodVsNaive) fuzz smokes, the sim-digest refactor
+# gate, the paper-scale construction gate (with the sharded byte-identity
+# check) and the million-peer sharded-construction gate.
+ci: vet fmt-check build race fuzz-smoke digest-check scalefull-smoke scale1m-smoke
 
 check: ci
 

@@ -1,10 +1,9 @@
-// Package bloom provides Bloom filters and counting Bloom filters.
+// Package bloom provides Bloom filters.
 //
 // They are the substrate of the synopsis-based search extension (the
 // authors' follow-on work, reference [9] of the paper): each peer summarizes
 // its content terms in a compact synopsis that neighbours consult before
-// forwarding a query. The counting variant supports deletion, which the
-// adaptive synopsis uses when transiently popular terms age out.
+// forwarding a query.
 package bloom
 
 import (
@@ -17,7 +16,6 @@ type Filter struct {
 	bits []uint64
 	m    uint64 // number of bits
 	k    int    // number of hash functions
-	n    int    // number of inserted elements
 }
 
 // New creates a filter sized for expected n elements at the target false
@@ -26,14 +24,6 @@ func New(n int, fp float64) (*Filter, error) {
 	m, k, err := optimal(n, fp)
 	if err != nil {
 		return nil, err
-	}
-	return &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k}, nil
-}
-
-// NewWithParams creates a filter with m bits and k hash functions.
-func NewWithParams(m uint64, k int) (*Filter, error) {
-	if m == 0 || k <= 0 {
-		return nil, fmt.Errorf("bloom: invalid parameters m=%d k=%d", m, k)
 	}
 	return &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k}, nil
 }
@@ -90,7 +80,6 @@ func (f *Filter) Add(s string) {
 		idx := (h1 + uint64(i)*h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
-	f.n++
 }
 
 // Contains reports whether s may have been inserted. False positives are
@@ -104,134 +93,4 @@ func (f *Filter) Contains(s string) bool {
 		}
 	}
 	return true
-}
-
-// N returns the number of Add calls.
-func (f *Filter) N() int { return f.n }
-
-// M returns the number of bits.
-func (f *Filter) M() uint64 { return f.m }
-
-// K returns the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
-// FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 {
-	set := 0
-	for _, w := range f.bits {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.m)
-}
-
-// EstimatedFPRate returns the expected false positive probability at the
-// current fill ratio.
-func (f *Filter) EstimatedFPRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// Union merges other into f. Both filters must have identical parameters.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: parameter mismatch (m=%d,k=%d) vs (m=%d,k=%d)", f.m, f.k, other.m, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
-}
-
-// Reset clears the filter.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.n = 0
-}
-
-// SizeBytes returns the memory footprint of the bit array.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// Counting is a counting Bloom filter supporting deletion. Counters are
-// 8-bit and saturate at 255 (saturated counters are never decremented, so
-// deletion never produces false negatives).
-type Counting struct {
-	counters []uint8
-	m        uint64
-	k        int
-	n        int
-}
-
-// NewCounting creates a counting filter for expected n elements at false
-// positive rate fp.
-func NewCounting(n int, fp float64) (*Counting, error) {
-	m, k, err := optimal(n, fp)
-	if err != nil {
-		return nil, err
-	}
-	return &Counting{counters: make([]uint8, m), m: m, k: k}, nil
-}
-
-// Add inserts s.
-func (c *Counting) Add(s string) {
-	h1, h2 := hash2(s)
-	for i := 0; i < c.k; i++ {
-		idx := (h1 + uint64(i)*h2) % c.m
-		if c.counters[idx] < math.MaxUint8 {
-			c.counters[idx]++
-		}
-	}
-	c.n++
-}
-
-// Remove deletes one prior insertion of s. Removing an element that was
-// never added may corrupt the filter, as with any counting Bloom filter.
-func (c *Counting) Remove(s string) {
-	h1, h2 := hash2(s)
-	for i := 0; i < c.k; i++ {
-		idx := (h1 + uint64(i)*h2) % c.m
-		if c.counters[idx] > 0 && c.counters[idx] < math.MaxUint8 {
-			c.counters[idx]--
-		}
-	}
-	if c.n > 0 {
-		c.n--
-	}
-}
-
-// Contains reports whether s may be present.
-func (c *Counting) Contains(s string) bool {
-	h1, h2 := hash2(s)
-	for i := 0; i < c.k; i++ {
-		idx := (h1 + uint64(i)*h2) % c.m
-		if c.counters[idx] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// N returns the net number of elements (adds minus removes).
-func (c *Counting) N() int { return c.n }
-
-// ToFilter snapshots the counting filter into a plain Bloom filter with the
-// same parameters (counter > 0 becomes a set bit), e.g. for cheap gossip.
-func (c *Counting) ToFilter() *Filter {
-	f := &Filter{bits: make([]uint64, (c.m+63)/64), m: c.m, k: c.k, n: c.n}
-	for idx, v := range c.counters {
-		if v > 0 {
-			f.bits[idx/64] |= 1 << (uint64(idx) % 64)
-		}
-	}
-	return f
 }

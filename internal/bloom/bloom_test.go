@@ -14,15 +14,6 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(tc.n, tc.fp); err == nil {
 			t.Errorf("New(%d, %v): expected error", tc.n, tc.fp)
 		}
-		if _, err := NewCounting(tc.n, tc.fp); err == nil {
-			t.Errorf("NewCounting(%d, %v): expected error", tc.n, tc.fp)
-		}
-	}
-	if _, err := NewWithParams(0, 3); err == nil {
-		t.Error("NewWithParams(0,3): expected error")
-	}
-	if _, err := NewWithParams(64, 0); err == nil {
-		t.Error("NewWithParams(64,0): expected error")
 	}
 }
 
@@ -38,9 +29,6 @@ func TestNoFalseNegatives(t *testing.T) {
 		if !f.Contains(fmt.Sprintf("term-%d", i)) {
 			t.Fatalf("false negative for term-%d", i)
 		}
-	}
-	if f.N() != 1000 {
-		t.Errorf("N = %d", f.N())
 	}
 }
 
@@ -60,9 +48,6 @@ func TestFalsePositiveRate(t *testing.T) {
 	if rate > 0.03 { // target 0.01, allow 3x slack
 		t.Errorf("false positive rate %v too high", rate)
 	}
-	if est := f.EstimatedFPRate(); est > 0.03 {
-		t.Errorf("estimated FP rate %v too high", est)
-	}
 }
 
 func TestQuickNoFalseNegatives(t *testing.T) {
@@ -73,107 +58,6 @@ func TestQuickNoFalseNegatives(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a, _ := NewWithParams(1024, 4)
-	b, _ := NewWithParams(1024, 4)
-	a.Add("alpha")
-	b.Add("beta")
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Contains("alpha") || !a.Contains("beta") {
-		t.Error("union lost an element")
-	}
-	c, _ := NewWithParams(2048, 4)
-	if err := a.Union(c); err == nil {
-		t.Error("expected parameter mismatch error")
-	}
-}
-
-func TestReset(t *testing.T) {
-	f, _ := New(100, 0.01)
-	f.Add("x")
-	f.Reset()
-	if f.Contains("x") {
-		t.Error("Reset did not clear bits")
-	}
-	if f.N() != 0 || f.FillRatio() != 0 {
-		t.Error("Reset did not clear counters")
-	}
-}
-
-func TestFillRatioGrows(t *testing.T) {
-	f, _ := New(1000, 0.01)
-	before := f.FillRatio()
-	for i := 0; i < 500; i++ {
-		f.Add(fmt.Sprintf("t%d", i))
-	}
-	if f.FillRatio() <= before {
-		t.Error("fill ratio did not grow")
-	}
-	if f.SizeBytes() <= 0 || f.M() == 0 || f.K() < 1 {
-		t.Error("bad parameter accessors")
-	}
-}
-
-func TestCountingAddRemove(t *testing.T) {
-	c, err := NewCounting(1000, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add("madonna")
-	c.Add("madonna")
-	if !c.Contains("madonna") {
-		t.Fatal("missing after add")
-	}
-	c.Remove("madonna")
-	if !c.Contains("madonna") {
-		t.Fatal("second copy lost after single remove")
-	}
-	c.Remove("madonna")
-	if c.Contains("madonna") {
-		t.Fatal("still present after removing all copies")
-	}
-	if c.N() != 0 {
-		t.Errorf("N = %d, want 0", c.N())
-	}
-}
-
-func TestCountingNoFalseNegativesUnderChurn(t *testing.T) {
-	c, _ := NewCounting(2000, 0.01)
-	// Insert a stable set plus churners; remove churners; stable set must
-	// remain present.
-	for i := 0; i < 500; i++ {
-		c.Add(fmt.Sprintf("stable-%d", i))
-	}
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 100; i++ {
-			c.Add(fmt.Sprintf("churn-%d-%d", round, i))
-		}
-		for i := 0; i < 100; i++ {
-			c.Remove(fmt.Sprintf("churn-%d-%d", round, i))
-		}
-	}
-	for i := 0; i < 500; i++ {
-		if !c.Contains(fmt.Sprintf("stable-%d", i)) {
-			t.Fatalf("churn caused false negative for stable-%d", i)
-		}
-	}
-}
-
-func TestCountingToFilter(t *testing.T) {
-	c, _ := NewCounting(100, 0.01)
-	c.Add("a")
-	c.Add("b")
-	f := c.ToFilter()
-	if !f.Contains("a") || !f.Contains("b") {
-		t.Error("snapshot lost elements")
-	}
-	if f.N() != 2 {
-		t.Errorf("snapshot N = %d", f.N())
 	}
 }
 

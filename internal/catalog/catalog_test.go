@@ -73,7 +73,7 @@ func TestReplicaDistributionShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := c.ReplicaCounts()
-	single := stats.FractionEqual(counts, 1)
+	single := stats.FractionAtMost(counts, 1)
 	if single < 0.60 || single > 0.85 {
 		t.Errorf("singleton fraction = %v, want in [0.60, 0.85]", single)
 	}

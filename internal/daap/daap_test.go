@@ -63,12 +63,12 @@ func TestPopulationFunnel(t *testing.T) {
 func TestPopulationDeterministic(t *testing.T) {
 	a, _ := BuildPopulation(smallConfig(5))
 	b, _ := BuildPopulation(smallConfig(5))
-	if a.TotalSongs() != b.TotalSongs() {
-		t.Fatalf("song totals differ: %d vs %d", a.TotalSongs(), b.TotalSongs())
-	}
 	for i := range a.Shares {
 		if a.Shares[i].Status != b.Shares[i].Status {
 			t.Fatalf("share %d status differs", i)
+		}
+		if len(a.Shares[i].Songs) != len(b.Shares[i].Songs) {
+			t.Fatalf("share %d: %d vs %d songs", i, len(a.Shares[i].Songs), len(b.Shares[i].Songs))
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestAnnotationCalibration(t *testing.T) {
 	for _, m := range holders {
 		counts = append(counts, len(m))
 	}
-	single := stats.FractionEqual(counts, 1)
+	single := stats.FractionAtMost(counts, 1)
 	if single < 0.50 || single > 0.78 {
 		t.Errorf("song singleton fraction = %v, want ~0.64", single)
 	}
@@ -180,8 +180,12 @@ func TestCrawlFunnelAndTrace(t *testing.T) {
 	if cs.Failed != 0 {
 		t.Errorf("unexpected failures: %s", cs)
 	}
-	if len(tr.Records) != p.TotalSongs() {
-		t.Errorf("trace has %d records, population has %d songs", len(tr.Records), p.TotalSongs())
+	songs := 0
+	for _, s := range p.Readable {
+		songs += len(s.Songs)
+	}
+	if len(tr.Records) != songs {
+		t.Errorf("trace has %d records, readable shares hold %d songs", len(tr.Records), songs)
 	}
 	if tr.Peers != cs.Collected {
 		t.Errorf("trace.Peers = %d, want %d", tr.Peers, cs.Collected)

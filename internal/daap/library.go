@@ -330,12 +330,3 @@ func upper(s string) string {
 	}
 	return string(b)
 }
-
-// TotalSongs counts song instances across readable shares.
-func (p *Population) TotalSongs() int {
-	n := 0
-	for _, s := range p.Readable {
-		n += len(s.Songs)
-	}
-	return n
-}

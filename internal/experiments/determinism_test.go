@@ -87,20 +87,12 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 // dictionary fingerprint, and the checksum over every peer's flat posting
 // index.
 func networkConstructionFingerprint(e *Env) (any, error) {
-	cat, err := catalog.BuildWorkers(catalog.Config{
-		Seed:                e.Seed,
-		Peers:               e.P.GnutellaPeers,
-		UniqueObjects:       e.P.UniqueObjects,
-		ReplicaAlpha:        2.45,
-		VariantProb:         0.08,
-		NonSpecificPeerFrac: 0.05,
-	}, e.Workers)
+	bcfg := e.P.Population(e.Seed)
+	cat, err := catalog.BuildWorkers(bcfg.Catalog, e.Workers)
 	if err != nil {
 		return nil, err
 	}
-	gcfg := gnet.DefaultConfig(e.Seed)
-	gcfg.FirewalledFrac = e.P.FirewalledFrac
-	nw, err := gnet.NewFromCatalogWorkers(gcfg, cat, e.Workers)
+	nw, err := gnet.NewFromCatalogWorkers(bcfg.Network, cat, e.Workers)
 	if err != nil {
 		return nil, err
 	}

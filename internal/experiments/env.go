@@ -37,7 +37,7 @@ const (
 	// Scale1M is a million-peer overlay sharing the paper's 8.1M-object
 	// population — the substrate-stress scale. Building it in memory is out
 	// of reach on small boxes; it exists for the sharded snapshot builder
-	// and mmap loading (qc-bench -sharded-only, make scale1m-smoke).
+	// and mmap loading (TestScaleGate's 1m row, make scale1m-smoke).
 	Scale1M
 )
 
@@ -206,21 +206,18 @@ func NewEnv(scale Scale, seed uint64) *Env {
 func (e *Env) workers() int { return parallel.Workers(e.Workers) }
 
 // Population is the one recipe for "the calibrated Gnutella population":
-// the catalog shape measured by the paper's crawl plus the overlay that
-// carries it. Every build path — in-heap, sharded, snapshot round trips,
-// the per-arm rebuilds of the runners, qc-bench's construction gates and
-// the facade's GnutellaCrawl — derives from it, so they all draw the
-// identical population. Callers add Workers / ShardSize as needed.
+// the catalog shape measured by the paper's crawl (catalog.DefaultConfig)
+// at this scale's size, plus the overlay that carries it. Every build path
+// — in-heap, sharded, snapshot round trips, the per-arm rebuilds of the
+// runners, TestScaleGate's construction gates and the facade's
+// GnutellaCrawl — derives from it, so they all draw the identical
+// population. Callers add Workers / ShardSize as needed.
 func (p Params) Population(seed uint64) snapshot.BuildConfig {
+	ccfg := catalog.DefaultConfig(seed)
+	ccfg.Peers, ccfg.UniqueObjects = p.GnutellaPeers, p.UniqueObjects
 	gcfg := gnet.DefaultConfig(seed)
 	gcfg.FirewalledFrac = p.FirewalledFrac
-	return snapshot.BuildConfig{
-		Catalog: catalog.Config{
-			Seed: seed, Peers: p.GnutellaPeers, UniqueObjects: p.UniqueObjects,
-			ReplicaAlpha: 2.45, VariantProb: 0.08, NonSpecificPeerFrac: 0.05,
-		},
-		Network: gcfg,
-	}
+	return snapshot.BuildConfig{Catalog: ccfg, Network: gcfg}
 }
 
 // buildCatalog materializes the calibrated content population.

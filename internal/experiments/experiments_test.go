@@ -62,9 +62,6 @@ func TestFig123Shapes(t *testing.T) {
 	if f1.Report.Fit.S < 0.3 {
 		t.Errorf("fig1 zipf exponent %v suspiciously flat", f1.Report.Fit.S)
 	}
-	if FormatDist(f1) == "" {
-		t.Error("FormatDist empty")
-	}
 }
 
 func TestFig4Shapes(t *testing.T) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"querycentric/internal/analysis"
 	"querycentric/internal/crawler"
 	"querycentric/internal/daap"
@@ -132,11 +130,4 @@ func RareObjectFraction(e *Env) (*RareObjectResult, error) {
 		FracAtLeast20: rep.FracAtLeast(20),
 		MeanReplicas:  mean,
 	}, nil
-}
-
-// FormatDist renders a DistResult for reports.
-func FormatDist(r *DistResult) string {
-	return fmt.Sprintf("%s: unique=%d placements=%d singleton=%.1f%% ≤37peers=%.1f%% zipf_s=%.2f (crawl %s)",
-		r.Label, r.Report.Unique, r.Report.TotalPlacements,
-		100*r.SingletonFrac, 100*r.FracAtMost37, r.Report.Fit.S, r.CrawlStats)
 }

@@ -87,6 +87,21 @@ func TestRecoveryQualitative(t *testing.T) {
 			t.Fatalf("window series %q missing from log (have %v)", want, names)
 		}
 	}
+
+	// The default configuration — what `qc-sim -mode recovery` runs — must
+	// likewise end with the repaired overlay no worse than the unrepaired.
+	t.Run("default config", func(t *testing.T) {
+		res, err := Recovery(NewEnv(ScaleTiny, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Repair) == 0 || len(res.NoRepair) == 0 {
+			t.Fatalf("got %d/%d windows, want both arms", len(res.Repair), len(res.NoRepair))
+		}
+		if res.RepairFinal < res.NoRepairFinal {
+			t.Fatalf("repair arm ended at %.3f, below no-repair %.3f", res.RepairFinal, res.NoRepairFinal)
+		}
+	})
 }
 
 // TestRecoveryWindowWorkerInvariance is the event-engine half of the

@@ -8,7 +8,7 @@ import (
 	"querycentric/internal/vocab"
 )
 
-func testGen(t *testing.T, cfg Config) *Generator {
+func testGen(t testing.TB, cfg Config) *Generator {
 	t.Helper()
 	v, err := vocab.New(vocab.Config{Seed: 1, Artists: 200, Titles: 500, Albums: 100, Genres: 30, Extra: 20})
 	if err != nil {
@@ -193,8 +193,7 @@ func TestFlipOneCase(t *testing.T) {
 }
 
 func BenchmarkCanonical(b *testing.B) {
-	v, _ := vocab.New(vocab.DefaultConfig(1))
-	g, _ := New(v, DefaultConfig(), 1)
+	g := testGen(b, DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Canonical(i)
@@ -202,8 +201,7 @@ func BenchmarkCanonical(b *testing.B) {
 }
 
 func BenchmarkVariant(b *testing.B) {
-	v, _ := vocab.New(vocab.DefaultConfig(1))
-	g, _ := New(v, DefaultConfig(), 1)
+	g := testGen(b, DefaultConfig())
 	r := rng.New(1)
 	name := g.Canonical(7)
 	b.ResetTimer()

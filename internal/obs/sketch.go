@@ -92,15 +92,6 @@ func (s *StreamSketch) Decay() {
 	}
 }
 
-// Len returns the number of keys currently tracked.
-func (s *StreamSketch) Len() int { return len(s.entries) }
-
-// Get returns the entry for key, or nil if untracked. The returned entry
-// is live — callers must not mutate it.
-func (s *StreamSketch) Get(key int32) *SketchEntry {
-	return s.entries[key]
-}
-
 // Top returns up to k entries sorted by count descending, key ascending —
 // the sketch's estimate of the hottest objects. The entries are copies,
 // safe to hold across further observations.

@@ -12,8 +12,8 @@ func TestSketchTracksExactWhenUnderCapacity(t *testing.T) {
 			s.Observe(int32(i), i%2 == 0, i)
 		}
 	}
-	if s.Len() != 5 {
-		t.Fatalf("tracked %d keys, want 5", s.Len())
+	if len(s.entries) != 5 {
+		t.Fatalf("tracked %d keys, want 5", len(s.entries))
 	}
 	top := s.Top(3)
 	want := []int32{4, 3, 2}
@@ -26,11 +26,11 @@ func TestSketchTracksExactWhenUnderCapacity(t *testing.T) {
 		}
 	}
 	// Outcome evidence: key 4 was observed 5 times, never a miss, 4 results each.
-	e := s.Get(4)
+	e := s.entries[4]
 	if e == nil || e.Hits != 5 || e.Results != 20 {
 		t.Errorf("key 4 entry %+v, want hits 5 results 20", e)
 	}
-	if s.Get(99) != nil {
+	if s.entries[99] != nil {
 		t.Error("untracked key returned an entry")
 	}
 }
@@ -44,14 +44,14 @@ func TestSketchEvictsMinimumDeterministically(t *testing.T) {
 	// Full. Keys 10 and 30 both have count 1; the smallest key (10) must
 	// be the victim, and the newcomer inherits count+1 = 2.
 	s.Observe(40, false, 0)
-	if s.Get(10) != nil {
+	if s.entries[10] != nil {
 		t.Error("min-count smallest-key entry survived eviction")
 	}
-	if e := s.Get(40); e == nil || e.Count != 2 {
-		t.Errorf("newcomer entry %+v, want count 2 (inherited 1, +1)", s.Get(40))
+	if e := s.entries[40]; e == nil || e.Count != 2 {
+		t.Errorf("newcomer entry %+v, want count 2 (inherited 1, +1)", s.entries[40])
 	}
-	if s.Len() != 3 {
-		t.Fatalf("sketch grew past capacity: %d", s.Len())
+	if len(s.entries) != 3 {
+		t.Fatalf("sketch grew past capacity: %d", len(s.entries))
 	}
 }
 
@@ -78,14 +78,14 @@ func TestSketchDecayDropsCold(t *testing.T) {
 	s.Observe(1, true, 2)
 	s.Observe(2, false, 0)
 	s.Decay()
-	if s.Get(2) != nil {
+	if s.entries[2] != nil {
 		t.Error("count-1 entry survived halving")
 	}
-	if e := s.Get(1); e == nil || e.Count != 1 || e.Hits != 1 || e.Results != 2 {
-		t.Errorf("entry after decay %+v, want count 1 hits 1 results 2", s.Get(1))
+	if e := s.entries[1]; e == nil || e.Count != 1 || e.Hits != 1 || e.Results != 2 {
+		t.Errorf("entry after decay %+v, want count 1 hits 1 results 2", s.entries[1])
 	}
 	s.Decay()
-	if s.Len() != 0 {
+	if len(s.entries) != 0 {
 		t.Error("fully decayed sketch not empty")
 	}
 }

@@ -68,12 +68,6 @@ func NewTable(bits uint) (*Table, error) {
 	return &Table{bits: bits, slots: make([]uint64, (1<<bits+63)/64)}, nil
 }
 
-// Bits returns the table's size exponent.
-func (t *Table) Bits() uint { return t.bits }
-
-// N returns the number of keywords added.
-func (t *Table) N() int { return t.n }
-
 // AddKeyword marks one keyword.
 func (t *Table) AddKeyword(word string) {
 	t.AddSlot(Hash(word, t.bits))
@@ -92,12 +86,6 @@ func (t *Table) AddName(name string) {
 	for _, tok := range terms.Tokenize(name) {
 		t.AddKeyword(tok)
 	}
-}
-
-// contains reports whether a keyword's slot is set.
-func (t *Table) contains(word string) bool {
-	h := Hash(word, t.bits)
-	return t.slots[h/64]&(1<<(h%64)) != 0
 }
 
 // MatchesQuery reports whether every keyword of the query hits the table —
@@ -150,18 +138,6 @@ func (t *Table) Merge(other *Table) error {
 	}
 	t.n += other.n
 	return nil
-}
-
-// FillRatio returns the fraction of set slots (routing quality degrades as
-// the table saturates).
-func (t *Table) FillRatio() float64 {
-	set := 0
-	for _, w := range t.slots {
-		for x := w; x != 0; x &= x - 1 {
-			set++
-		}
-	}
-	return float64(set) / float64(uint(1)<<t.bits)
 }
 
 // Reset clears the table (the RESET route-table-update).

@@ -2,6 +2,7 @@ package qrp
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -64,7 +65,7 @@ func TestQueryHashesEquivalentToMatchesQuery(t *testing.T) {
 		"zzz unknown", "", "---", "NEVILLE",
 	}
 	for _, q := range queries {
-		hoisted := tab.ContainsAll(QueryHashes(q, tab.Bits()))
+		hoisted := tab.ContainsAll(QueryHashes(q, tab.bits))
 		if direct := tab.MatchesQuery(q); hoisted != direct {
 			t.Errorf("query %q: hoisted=%v direct=%v", q, hoisted, direct)
 		}
@@ -101,9 +102,6 @@ func TestFalsePositivesBounded(t *testing.T) {
 	if rate := float64(fp) / probes; rate > 0.1 {
 		t.Errorf("false positive rate %v too high", rate)
 	}
-	if tab.FillRatio() <= 0 || tab.FillRatio() > 0.05 {
-		t.Errorf("fill ratio = %v", tab.FillRatio())
-	}
 }
 
 func TestMerge(t *testing.T) {
@@ -127,7 +125,7 @@ func TestReset(t *testing.T) {
 	tab, _ := NewTable(10)
 	tab.AddKeyword("gone")
 	tab.Reset()
-	if tab.MatchesQuery("gone") || tab.N() != 0 || tab.FillRatio() != 0 {
+	if fresh, _ := NewTable(10); !reflect.DeepEqual(tab, fresh) {
 		t.Error("reset incomplete")
 	}
 }
@@ -142,8 +140,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Bits() != 12 || back.N() != 300 {
-		t.Errorf("decoded bits=%d n=%d", back.Bits(), back.N())
+	if back.bits != 12 || back.n != 300 {
+		t.Errorf("decoded bits=%d n=%d", back.bits, back.n)
 	}
 	for i := 0; i < 300; i++ {
 		if !back.MatchesQuery(fmt.Sprintf("kw%d", i)) {
@@ -178,7 +176,7 @@ func TestQuickAddThenMatch(t *testing.T) {
 	f := func(word string) bool {
 		// Only keywords that survive tokenization can be queried back.
 		tab.AddKeyword(word)
-		return tab.contains(word)
+		return tab.ContainsAll([]uint32{Hash(word, 16)})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -227,15 +225,7 @@ func TestAddSlotMatchesAddKeyword(t *testing.T) {
 		byKeyword.AddKeyword(w)
 		bySlot.AddSlot(Hash(w, 16))
 	}
-	for _, w := range words {
-		if !bySlot.contains(w) {
-			t.Fatalf("AddSlot table missing %q", w)
-		}
-	}
-	if byKeyword.N() != bySlot.N() {
-		t.Fatalf("N mismatch: %d vs %d", byKeyword.N(), bySlot.N())
-	}
-	if byKeyword.FillRatio() != bySlot.FillRatio() {
-		t.Fatal("fill ratios diverge between AddKeyword and AddSlot")
+	if !reflect.DeepEqual(byKeyword, bySlot) {
+		t.Fatal("AddKeyword and AddSlot built different tables")
 	}
 }

@@ -173,11 +173,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (w *Writer) u8(v byte) {
-	w.buf[0] = v
-	w.Write(w.buf[:1])
-}
-
 func (w *Writer) u32(v uint32) {
 	binary.LittleEndian.PutUint32(w.buf[:4], v)
 	w.Write(w.buf[:4])

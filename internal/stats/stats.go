@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by every
 // analysis in the reproduction: set similarity (Jaccard), rank–frequency and
-// CCDF series, histograms, online moments, percentiles and least-squares
-// regression in log–log space.
+// CCDF series, online moments, percentiles and least-squares regression in
+// log–log space.
 package stats
 
 import (
@@ -139,20 +139,6 @@ func FractionAtLeast(counts []int, limit int) float64 {
 	return float64(n) / float64(len(counts))
 }
 
-// FractionEqual returns the fraction of observations equal to v.
-func FractionEqual(counts []int, v int) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range counts {
-		if c == v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(counts))
-}
-
 // Online accumulates mean and variance incrementally (Welford's method).
 // The zero value is ready to use.
 type Online struct {
@@ -181,9 +167,6 @@ func (o *Online) Add(x float64) {
 	o.m2 += d * (x - o.mean)
 }
 
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
 // Mean returns the running mean (0 for no observations).
 func (o *Online) Mean() float64 { return o.mean }
 
@@ -197,12 +180,6 @@ func (o *Online) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation (0 for none).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 for none).
-func (o *Online) Max() float64 { return o.max }
 
 // Summary is a snapshot of an Online accumulator.
 type Summary struct {
@@ -260,20 +237,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the sample variance of xs (0 for fewer than 2 values).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // LinReg holds an ordinary least-squares fit y = Slope*x + Intercept.
 type LinReg struct {
 	Slope     float64
@@ -321,53 +284,6 @@ func LogLogRegression(x, y []float64) (LinReg, error) {
 		}
 	}
 	return LinearRegression(lx, ly)
-}
-
-// Histogram counts observations into fixed-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Under    int
-	Over     int
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), binWidth: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Bins) { // guard against floating point edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including outliers.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
 }
 
 // SpearmanRank returns Spearman's rank correlation coefficient between two

@@ -127,10 +127,7 @@ func TestFractions(t *testing.T) {
 	if got := FractionAtLeast(counts, 3); got != 0.4 {
 		t.Errorf("FractionAtLeast = %v, want 0.4", got)
 	}
-	if got := FractionEqual(counts, 1); got != 0.4 {
-		t.Errorf("FractionEqual = %v, want 0.4", got)
-	}
-	if FractionAtMost(nil, 5) != 0 || FractionAtLeast(nil, 5) != 0 || FractionEqual(nil, 5) != 0 {
+	if FractionAtMost(nil, 5) != 0 || FractionAtLeast(nil, 5) != 0 {
 		t.Error("fractions of empty input should be 0")
 	}
 }
@@ -140,9 +137,6 @@ func TestOnline(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		o.Add(x)
 	}
-	if o.N() != 8 {
-		t.Errorf("N = %d", o.N())
-	}
 	if math.Abs(o.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", o.Mean())
 	}
@@ -150,11 +144,8 @@ func TestOnline(t *testing.T) {
 	if math.Abs(o.Variance()-32.0/7) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", o.Variance(), 32.0/7)
 	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", o.Min(), o.Max())
-	}
 	s := o.Summary()
-	if s.N != 8 || s.Mean != o.Mean() {
+	if s.N != 8 || s.Mean != o.Mean() || s.Min != 2 || s.Max != 9 {
 		t.Errorf("Summary mismatch: %+v", s)
 	}
 	if s.String() == "" {
@@ -164,7 +155,7 @@ func TestOnline(t *testing.T) {
 
 func TestOnlineZeroValue(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.N() != 0 {
+	if o.Mean() != 0 || o.Variance() != 0 || o.Summary().N != 0 {
 		t.Error("zero-value Online not ready to use")
 	}
 }
@@ -192,11 +183,8 @@ func TestMeanVariance(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Variance([]float64{1, 2, 3}); got != 1 {
-		t.Errorf("Variance = %v", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("Variance of single value should be 0")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("Mean of no values should be NaN")
 	}
 }
 
@@ -253,40 +241,6 @@ func TestLogLogRegressionSkipsNonPositive(t *testing.T) {
 	if math.Abs(fit.Slope-1) > 1e-9 {
 		t.Errorf("slope = %v, want 1", fit.Slope)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under/Over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d, want 1", h.Bins[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with bad bounds did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }
 
 func BenchmarkJaccard(b *testing.B) {

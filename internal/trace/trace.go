@@ -19,7 +19,6 @@ package trace
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -105,23 +104,17 @@ func ReadObjectTrace(r io.Reader) (*ObjectTrace, error) {
 		return nil, err
 	}
 	t := &ObjectTrace{Source: fields[1]}
-	if t.Peers, err = strconv.Atoi(fields[2]); err != nil {
-		return nil, fmt.Errorf("trace: bad peer count: %w", err)
+	if t.Peers, err = headerCount("peer", fields[2]); err != nil {
+		return nil, err
 	}
-	n, err := strconv.Atoi(fields[3])
+	n, err := headerCount("record", fields[3])
 	if err != nil {
-		return nil, fmt.Errorf("trace: bad record count: %w", err)
+		return nil, err
 	}
-	if n >= 0 {
-		t.Records = make([]ObjectRecord, 0, n)
-	}
-	peers := map[int]struct{}{}
-	for i := 0; n < 0 || i < n; i++ {
+	t.Records = make([]ObjectRecord, 0, n)
+	for i := 0; i < n; i++ {
 		f, err := sc.record(2)
 		if err != nil {
-			if n < 0 && errors.Is(err, io.ErrUnexpectedEOF) {
-				break // streamed trace: records run until EOF
-			}
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
 		peer, err := strconv.Atoi(f[0])
@@ -129,10 +122,6 @@ func ReadObjectTrace(r io.Reader) (*ObjectTrace, error) {
 			return nil, fmt.Errorf("trace: record %d peer: %w", i, err)
 		}
 		t.Records = append(t.Records, ObjectRecord{Peer: peer, Name: f[1]})
-		peers[peer] = struct{}{}
-	}
-	if t.Peers < 0 {
-		t.Peers = len(peers) // streamed header: recompute
 	}
 	return t, nil
 }
@@ -163,12 +152,12 @@ func ReadSongTrace(r io.Reader) (*SongTrace, error) {
 		return nil, err
 	}
 	t := &SongTrace{Source: fields[1]}
-	if t.Peers, err = strconv.Atoi(fields[2]); err != nil {
-		return nil, fmt.Errorf("trace: bad peer count: %w", err)
+	if t.Peers, err = headerCount("peer", fields[2]); err != nil {
+		return nil, err
 	}
-	n, err := strconv.Atoi(fields[3])
+	n, err := headerCount("record", fields[3])
 	if err != nil {
-		return nil, fmt.Errorf("trace: bad record count: %w", err)
+		return nil, err
 	}
 	t.Records = make([]SongRecord, 0, n)
 	for i := 0; i < n; i++ {
@@ -214,9 +203,9 @@ func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
 	if t.Duration, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
 		return nil, fmt.Errorf("trace: bad duration: %w", err)
 	}
-	n, err := strconv.Atoi(fields[3])
+	n, err := headerCount("record", fields[3])
 	if err != nil {
-		return nil, fmt.Errorf("trace: bad record count: %w", err)
+		return nil, err
 	}
 	t.Records = make([]QueryRecord, 0, n)
 	for i := 0; i < n; i++ {
@@ -262,6 +251,18 @@ func (s *scanner) header(magic string, nf int) ([]string, error) {
 		return nil, fmt.Errorf("trace: not a %s trace (header %q)", magic, line)
 	}
 	return fields, nil
+}
+
+// headerCount parses a header count. Counts are written from len(), so a
+// negative one — the "-1 = until EOF" header of the retired streaming
+// writer included — is a syntax error (strconv.ErrSyntax), never a
+// capacity handed to make.
+func headerCount(kind, s string) (int, error) {
+	n, err := strconv.ParseUint(s, 10, 31)
+	if err != nil {
+		return 0, fmt.Errorf("trace: bad %s count: %w", kind, err)
+	}
+	return int(n), nil
 }
 
 func (s *scanner) record(nf int) ([]string, error) {

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,109 +202,17 @@ func BenchmarkObjectTraceRead(b *testing.B) {
 	}
 }
 
-func TestStreamedObjectWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	ow, err := NewObjectWriter(&buf, "streamed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []ObjectRecord{
-		{Peer: 0, Name: "A - B.mp3"},
-		{Peer: 2, Name: "C - D.mp3"},
-		{Peer: 0, Name: "E.mp3"},
-	}
-	for _, r := range recs {
-		if err := ow.Write(r); err != nil {
-			t.Fatal(err)
+// TestReadRejectsNegativeCounts: record counts come from len(), so a
+// negative one is damage — including the "-1 = until EOF" header of the
+// retired streaming writer, which no producer emits any more.
+func TestReadRejectsNegativeCounts(t *testing.T) {
+	_, streamed := ReadObjectTrace(strings.NewReader(objectMagic + "\tsrc\t-1\t-1\n0\tx.mp3\n"))
+	_, objects := ReadObjectTrace(strings.NewReader(objectMagic + "\tsrc\t1\t-1\n"))
+	_, songs := ReadSongTrace(strings.NewReader(songMagic + "\tsrc\t1\t-1\n"))
+	_, queries := ReadQueryTrace(strings.NewReader(queryMagic + "\tsrc\t60\t-1\n"))
+	for name, err := range map[string]error{"streamed header": streamed, "objects": objects, "songs": songs, "queries": queries} {
+		if !errors.Is(err, strconv.ErrSyntax) {
+			t.Errorf("%s: negative count gave %v, want strconv.ErrSyntax", name, err)
 		}
-	}
-	if ow.N() != 3 {
-		t.Errorf("N = %d", ow.N())
-	}
-	if err := ow.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ow.Write(ObjectRecord{}); err == nil {
-		t.Error("write after Close accepted")
-	}
-	// Full reader accepts the streamed header.
-	got, err := ReadObjectTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Records, recs) {
-		t.Errorf("records: %+v", got.Records)
-	}
-	if got.Peers != 2 {
-		t.Errorf("recomputed peers = %d, want 2", got.Peers)
-	}
-	if got.Source != "streamed" {
-		t.Errorf("source = %q", got.Source)
-	}
-}
-
-func TestObjectScannerOverBothFormats(t *testing.T) {
-	// Fixed-count trace.
-	fixed := &ObjectTrace{Source: "fixed", Peers: 1,
-		Records: []ObjectRecord{{Peer: 0, Name: "x.mp3"}, {Peer: 0, Name: "y.mp3"}}}
-	var fb bytes.Buffer
-	fixed.Write(&fb)
-	// Streamed trace.
-	var sb bytes.Buffer
-	ow, _ := NewObjectWriter(&sb, "stream")
-	ow.Write(ObjectRecord{Peer: 1, Name: "z.mp3"})
-	ow.Close()
-
-	for name, raw := range map[string][]byte{"fixed": fb.Bytes(), "stream": sb.Bytes()} {
-		sc, err := NewObjectScanner(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		n := 0
-		for sc.Scan() {
-			if sc.Record().Name == "" {
-				t.Fatalf("%s: empty record", name)
-			}
-			n++
-		}
-		if sc.Err() != nil {
-			t.Fatalf("%s: %v", name, sc.Err())
-		}
-		if name == "fixed" && n != 2 || name == "stream" && n != 1 {
-			t.Errorf("%s: scanned %d records", name, n)
-		}
-		if sc.Source() != name {
-			t.Errorf("%s: source %q", name, sc.Source())
-		}
-	}
-}
-
-func TestObjectScannerMalformed(t *testing.T) {
-	bad := "querycentric-objects/1\tsrc\t-1\t-1\nnotanumber\tname\n"
-	sc, err := NewObjectScanner(strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Scan() {
-		t.Error("malformed record scanned")
-	}
-	if sc.Err() == nil {
-		t.Error("no error reported")
-	}
-	bad2 := "querycentric-objects/1\tsrc\t-1\t-1\nnotabfield\n"
-	sc2, _ := NewObjectScanner(strings.NewReader(bad2))
-	if sc2.Scan() || sc2.Err() == nil {
-		t.Error("tab-less record accepted")
-	}
-}
-
-func TestStreamedWriterRejectsTabs(t *testing.T) {
-	var buf bytes.Buffer
-	ow, _ := NewObjectWriter(&buf, "s")
-	if err := ow.Write(ObjectRecord{Name: "bad\tname"}); err == nil {
-		t.Error("tab accepted")
-	}
-	if _, err := NewObjectWriter(&buf, "bad\nsource"); err == nil {
-		t.Error("newline source accepted")
 	}
 }

@@ -82,11 +82,6 @@ type Config struct {
 	Extra   int // extra free words (query slang, tags: "remix", "live", ...)
 }
 
-// DefaultConfig returns a vocabulary sized for the scaled-down experiments.
-func DefaultConfig(seed uint64) Config {
-	return Config{Seed: seed, Artists: 4000, Titles: 20000, Albums: 6000, Genres: 300, Extra: 500}
-}
-
 // Vocabulary is an immutable corpus of name components.
 type Vocabulary struct {
 	Artists []string // "The Braimos", "Shanu Kleed", ...

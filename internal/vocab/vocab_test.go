@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// testConfig is a mid-sized vocabulary, roughly what a default-scale catalog
+// draws.
+func testConfig(seed uint64) Config {
+	return Config{Seed: seed, Artists: 4000, Titles: 20000, Albums: 6000, Genres: 300, Extra: 500}
+}
+
 func TestWordsDistinct(t *testing.T) {
 	ws := Words(1, "test", 5000)
 	if len(ws) != 5000 {
@@ -69,7 +75,7 @@ func TestNewSizes(t *testing.T) {
 }
 
 func TestNewAllDistinct(t *testing.T) {
-	v, err := New(DefaultConfig(11))
+	v, err := New(testConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestGenresFewerThanStock(t *testing.T) {
 }
 
 func TestDeterministicCorpus(t *testing.T) {
-	cfg := DefaultConfig(99)
+	cfg := testConfig(99)
 	a, _ := New(cfg)
 	b, _ := New(cfg)
 	for i := range a.Artists {
@@ -150,7 +156,7 @@ func TestArtistShapes(t *testing.T) {
 }
 
 func BenchmarkNew(b *testing.B) {
-	cfg := DefaultConfig(1)
+	cfg := testConfig(1)
 	for i := 0; i < b.N; i++ {
 		if _, err := New(cfg); err != nil {
 			b.Fatal(err)

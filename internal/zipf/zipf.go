@@ -1,5 +1,5 @@
 // Package zipf implements bounded Zipf and Zipf–Mandelbrot distributions and
-// estimators for their exponents.
+// an estimator for their exponent.
 //
 // The paper's central empirical observation is that object names, object
 // annotation terms and query terms all follow Zipf-like long-tail
@@ -58,12 +58,6 @@ func NewMandelbrot(n int, s, q float64) (*Dist, error) {
 	cum[n-1] = 1 // exact, despite rounding
 	return &Dist{n: n, s: s, q: q, cum: cum}, nil
 }
-
-// N returns the number of ranks.
-func (d *Dist) N() int { return d.n }
-
-// S returns the exponent.
-func (d *Dist) S() float64 { return d.s }
 
 // Prob returns P(rank = k) for k in 1..N.
 func (d *Dist) Prob(k int) float64 {
@@ -168,7 +162,7 @@ func (d *Dist) Counts(total, min int) []int {
 // Fit holds an estimated Zipf exponent.
 type Fit struct {
 	S  float64 // estimated exponent
-	R2 float64 // goodness of the log–log linear fit (LSQ method only)
+	R2 float64 // goodness of the log–log linear fit
 }
 
 // FitRankFrequency estimates the Zipf exponent from a rank–frequency series
@@ -207,50 +201,4 @@ func FitRankFrequency(counts []int) (Fit, error) {
 		r2 = (sxy - sx*sy/n) * (sxy - sx*sy/n) / (den * vy)
 	}
 	return Fit{S: -slope, R2: r2}, nil
-}
-
-// FitMLE estimates the exponent of a bounded Zipf distribution over ranks
-// 1..n by maximum likelihood given observed per-rank counts (counts[k-1] is
-// the number of occurrences of rank k). It solves d/ds log L = 0 by
-// bisection on s in (0.1, 5].
-func FitMLE(counts []int) (Fit, error) {
-	n := len(counts)
-	total := 0
-	var sumLogK float64 // sum over observations of log(rank)
-	for k := 1; k <= n; k++ {
-		c := counts[k-1]
-		if c < 0 {
-			return Fit{}, fmt.Errorf("zipf: negative count at rank %d", k)
-		}
-		total += c
-		sumLogK += float64(c) * math.Log(float64(k))
-	}
-	if total == 0 || n < 2 {
-		return Fit{}, fmt.Errorf("zipf: insufficient data for MLE")
-	}
-	// d/ds log L = -sumLogK + total * (sum k^-s log k / sum k^-s) = 0.
-	score := func(s float64) float64 {
-		var num, den float64
-		for k := 1; k <= n; k++ {
-			w := math.Pow(float64(k), -s)
-			num += w * math.Log(float64(k))
-			den += w
-		}
-		return -sumLogK + float64(total)*num/den
-	}
-	lo, hi := 0.1, 5.0
-	flo, fhi := score(lo), score(hi)
-	if flo < 0 || fhi > 0 {
-		// Root not bracketed: the data is extreme; fall back to LSQ.
-		return FitRankFrequency(counts)
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if score(mid) > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return Fit{S: (lo + hi) / 2}, nil
 }

@@ -29,7 +29,7 @@ func TestProbSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for k := 1; k <= d.N(); k++ {
+	for k := 1; k <= 1000; k++ {
 		sum += d.Prob(k)
 	}
 	if math.Abs(sum-1) > 1e-9 {
@@ -196,33 +196,6 @@ func TestFitRankFrequencyErrors(t *testing.T) {
 	}
 	if _, err := FitRankFrequency([]int{0, 0}); err == nil {
 		t.Error("expected error for all-zero counts")
-	}
-}
-
-func TestFitMLERecovers(t *testing.T) {
-	for _, s := range []float64{0.9, 1.2} {
-		d, _ := New(500, s)
-		r := rng.New(7)
-		counts := make([]int, 500)
-		for i := 0; i < 200000; i++ {
-			counts[d.Sample(r)-1]++
-		}
-		fit, err := FitMLE(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fit.S-s) > 0.05 {
-			t.Errorf("s=%v: MLE fitted %v", s, fit.S)
-		}
-	}
-}
-
-func TestFitMLEErrors(t *testing.T) {
-	if _, err := FitMLE([]int{0, 0, 0}); err == nil {
-		t.Error("expected error for empty data")
-	}
-	if _, err := FitMLE([]int{3, -1}); err == nil {
-		t.Error("expected error for negative count")
 	}
 }
 

@@ -70,8 +70,30 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("track output unexpected: %.80s", out)
 	}
 
-	// One simulation mode (tiny scale keeps this quick).
-	if out := run("qc-sim", "-mode", "dht", "-scale", "tiny"); !strings.Contains(out, "pastry_mean_hops") {
+	// Simulation modes (tiny scale keeps this quick). The last three print
+	// the rows the claims tests in internal/experiments assert on — repaired
+	// vs unrepaired final success, TTL-aware vs drop-tail success by load,
+	// adaptive vs static success and cost — so the CLI must still render
+	// each with its two values.
+	sim := func(mode string) string { return run("qc-sim", "-mode", mode, "-scale", "tiny") }
+	if out := sim("dht"); !strings.Contains(out, "pastry_mean_hops") {
 		t.Errorf("sim output unexpected: %.80s", out)
+	}
+	for mode, keys := range map[string][]string{
+		"recovery":      {"# final_success"},
+		"saturation":    {"ttl", "drop-tail"},
+		"query-centric": {"static-flood", "adaptive"},
+	} {
+		out := sim(mode)
+		for _, key := range keys {
+			found := false
+			for _, line := range strings.Split(out, "\n") {
+				f := strings.Split(line, "\t")
+				found = found || len(f) >= 3 && f[0] == key && f[1] != "" && f[2] != ""
+			}
+			if !found {
+				t.Errorf("qc-sim -mode %s: no %q row with two values in:\n%s", mode, key, out)
+			}
+		}
 	}
 }
