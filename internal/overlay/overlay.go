@@ -96,6 +96,19 @@ func (g *Graph) Degrees() []int {
 	return out
 }
 
+// compact packs every adjacency list into one backing array, in vertex
+// order, which drops the slack growth left in each list. Each list is
+// capped at its length, so a later AddEdge reallocates only the list it
+// grows and never writes over a neighbour's. Generators end with it.
+func (g *Graph) compact() {
+	flat := make([]int32, 0, 2*g.Edges())
+	for v, a := range g.adj {
+		lo := len(flat)
+		flat = append(flat, a...)
+		g.adj[v] = flat[lo:len(flat):len(flat)]
+	}
+}
+
 // NewErdosRenyi builds a connected Erdős–Rényi-style graph with the given
 // average degree: a Hamiltonian ring for connectivity plus random chords.
 func NewErdosRenyi(n int, avgDegree float64, seed uint64) (*Graph, error) {
@@ -128,6 +141,7 @@ func NewErdosRenyi(n int, avgDegree float64, seed uint64) (*Graph, error) {
 		}
 		added++
 	}
+	g.compact()
 	return g, nil
 }
 
@@ -172,6 +186,7 @@ func NewRandomRegular(n, d int, seed uint64) (*Graph, error) {
 		// Reshuffle the remaining stubs and retry.
 		r.ShuffleInts(stubs)
 	}
+	g.compact()
 	return g, nil
 }
 
@@ -219,6 +234,7 @@ func NewBarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
 			targets = append(targets, t, int32(v))
 		}
 	}
+	g.compact()
 	return g, nil
 }
 
@@ -297,6 +313,7 @@ func NewGnutella(n int, cfg GnutellaConfig, seed uint64) (*Graph, error) {
 			}
 		}
 	}
+	g.compact()
 	return g, nil
 }
 

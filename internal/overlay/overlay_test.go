@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -128,6 +129,63 @@ func TestGnutellaTwoTier(t *testing.T) {
 	}
 	if _, err := NewGnutella(100, GnutellaConfig{UltraFrac: 0}, 1); err == nil {
 		t.Error("zero UltraFrac accepted")
+	}
+}
+
+// TestCompactedAdjacency checks the packed lists the generators leave: the
+// same edges and degrees as before packing, and an AddEdge afterwards that
+// grows only its two lists, leaving every neighbouring list intact.
+func TestCompactedAdjacency(t *testing.T) {
+	g, _ := NewGraph(40)
+	for i := 0; i < 40; i++ {
+		g.AddEdge(i, (i+1)%40)
+		g.AddEdge(i, (i*7+3)%40) // rejected duplicates and self loops are fine
+	}
+	has := func(g *Graph) (m []bool) {
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				m = append(m, g.HasEdge(u, v))
+			}
+		}
+		return m
+	}
+	wantHas, wantDeg := has(g), g.Degrees()
+	g.compact()
+	if !slices.Equal(has(g), wantHas) || !slices.Equal(g.Degrees(), wantDeg) {
+		t.Fatal("compact changed the edge set or the degree sequence")
+	}
+
+	for _, g := range []*Graph{g, testGraph(t, 300, true, 2), testGraph(t, 300, false, 3)} {
+		before := make([][]int32, g.N())
+		for v := range before {
+			if a := g.Neighbors(v); cap(a) != len(a) {
+				t.Fatalf("list %d has cap %d > len %d after compaction", v, cap(a), len(a))
+			}
+			before[v] = slices.Clone(g.Neighbors(v))
+		}
+		added, grew := map[[2]int]bool{}, make([]int, g.N())
+		for u := 0; u < g.N(); u += 3 {
+			v := (u*13 + 5) % g.N()
+			if u != v && !g.HasEdge(u, v) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+				added[[2]int{u, v}], added[[2]int{v, u}] = true, true
+				grew[u]++
+				grew[v]++
+			}
+		}
+		for v := range before {
+			a := g.Neighbors(v)
+			if len(a) != len(before[v])+grew[v] || !slices.Equal(a[:len(before[v])], before[v]) {
+				t.Fatalf("list %d = %v, want prefix %v: AddEdge wrote over it", v, a, before[v])
+			}
+			for _, w := range a[len(before[v]):] {
+				if !added[[2]int{v, int(w)}] || !g.HasEdge(int(w), v) {
+					t.Fatalf("list %d gained %d, not an added edge", v, w)
+				}
+			}
+		}
 	}
 }
 

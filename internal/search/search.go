@@ -11,8 +11,12 @@ package search
 
 import (
 	"fmt"
+	"math/bits"
+	"strconv"
+	"sync"
 
 	"querycentric/internal/overlay"
+	"querycentric/internal/parallel"
 	"querycentric/internal/rng"
 	"querycentric/internal/strategy"
 	"querycentric/internal/zipf"
@@ -182,11 +186,8 @@ func (s *Searcher) begin(obj int) {
 // Flood performs a TTL-bounded flood from origin for object obj. The origin
 // holding the object counts as an immediate hit at hop 0.
 func (s *Searcher) Flood(origin, obj, ttl int) (Result, error) {
-	if err := s.e.check(origin, obj); err != nil {
+	if err := s.e.checkFlood(origin, obj, ttl); err != nil {
 		return Result{}, err
-	}
-	if ttl < 1 {
-		return Result{}, fmt.Errorf("search: TTL must be at least 1, got %d", ttl)
 	}
 	s.begin(obj)
 	if s.holders.Has(int32(origin)) {
@@ -289,6 +290,18 @@ func (e *Engine) check(origin, obj int) error {
 	return nil
 }
 
+// checkFlood is Flood's argument check, which SuccessRateN repeats per
+// trial so that both fail with the same error.
+func (e *Engine) checkFlood(origin, obj, ttl int) error {
+	if err := e.check(origin, obj); err != nil {
+		return err
+	}
+	if ttl < 1 {
+		return fmt.Errorf("search: TTL must be at least 1, got %d", ttl)
+	}
+	return nil
+}
+
 // SuccessRate measures the fraction of trials in which a flood at the given
 // TTL finds the target, with targets chosen by pick (e.g. uniform over
 // objects, or popularity-weighted) and origins uniform at random. It is
@@ -298,20 +311,61 @@ func (e *Engine) SuccessRate(ttl, trials int, pick func(r *rng.Source) int, seed
 	return e.SuccessRateN(ttl, trials, pick, seed, 1)
 }
 
-// SuccessRateN is SuccessRate fanned out over a bounded worker pool. Each
-// trial derives its own RNG stream from the seed by trial index and each
-// worker floods through its own Searcher, so the result is byte-identical
-// for every workers value (see strategy.RunTrials). pick must be safe for
+// waves recycles SuccessRateN's kernels across calls and engines: the
+// curves of a sweep are engines over one graph, and a kernel over it is
+// 32 bytes a vertex.
+var waves sync.Pool
+
+// SuccessRateN is SuccessRate fanned out over a bounded worker pool. Trial
+// i draws its origin and then its target from the derived stream "trial/i";
+// trials run WaveWidth at a time, one bit-parallel overlay.Wave pass per
+// batch on a Wave borrowed from a pool, so a sweep of calls over one graph
+// reuses warmed kernels. A trial succeeds exactly when Flood would
+// report Found, and hits sum as integers, so the result is byte-identical
+// for every workers value. An invalid target or TTL fails with the error
+// Flood gives for the lowest failing trial. pick must be safe for
 // concurrent calls (pure functions of r are).
 func (e *Engine) SuccessRateN(ttl, trials int, pick func(r *rng.Source) int, seed uint64, workers int) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("search: trials must be positive")
 	}
-	t, err := strategy.RunTrials(workers, 0, trials, rng.NewNamed(seed, "search/success"), "trial/", e.NewSearcher,
-		func(s *Searcher, _ int, r *rng.Source) (strategy.Outcome, error) {
-			origin := r.Intn(e.g.N())
-			res, err := s.Flood(origin, pick(r), ttl)
-			return Outcome(res), err
+	base := rng.NewNamed(seed, "search/success")
+	batches := (trials + overlay.WaveWidth - 1) / overlay.WaveWidth
+	hits, err := parallel.Map(workers, batches,
+		func(b int) (int, error) {
+			w, ok := waves.Get().(*overlay.Wave)
+			if !ok || w.Graph() != e.g {
+				w = overlay.NewWave(e.g)
+			}
+			defer waves.Put(w)
+			lo := b * overlay.WaveWidth
+			hi := min(lo+overlay.WaveWidth, trials)
+			var origins [overlay.WaveWidth]int32
+			var objs [overlay.WaveWidth]int
+			for i := lo; i < hi; i++ {
+				r := base.Derive("trial/" + strconv.Itoa(i))
+				origin := r.Intn(e.g.N())
+				obj := pick(r)
+				if err := e.checkFlood(origin, obj, ttl); err != nil {
+					return 0, err
+				}
+				origins[i-lo], objs[i-lo] = int32(origin), obj
+			}
+			// Targets are marked only once the whole batch is valid, so a
+			// failing batch returns its Wave to the pool empty.
+			for j, obj := range objs[:hi-lo] {
+				for _, h := range e.place.Holders[obj] {
+					w.Target(h, j)
+				}
+			}
+			return bits.OnesCount64(w.Run(origins[:hi-lo], ttl)), nil
 		})
-	return t.Success(), err
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, h := range hits {
+		total += h
+	}
+	return float64(total) / float64(trials), nil
 }

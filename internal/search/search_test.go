@@ -1,11 +1,13 @@
 package search
 
 import (
+	"fmt"
 	"testing"
 
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/stats"
+	"querycentric/internal/strategy"
 )
 
 func ringGraph(t *testing.T, n int) *overlay.Graph {
@@ -274,6 +276,125 @@ func TestZipfSuccessBelowUniform(t *testing.T) {
 	}
 	if rZ >= rU {
 		t.Errorf("Zipf success %v not below uniform-39 %v", rZ, rU)
+	}
+}
+
+// refSuccessRateN is SuccessRateN's reference: the per-trial fold, one
+// scalar Searcher.Flood per trial over strategy.RunTrials.
+func refSuccessRateN(e *Engine, ttl, trials int, pick func(r *rng.Source) int, seed uint64, workers int) (float64, error) {
+	if trials < 1 {
+		return 0, fmt.Errorf("search: trials must be positive")
+	}
+	t, err := strategy.RunTrials(workers, 0, trials, rng.NewNamed(seed, "search/success"), "trial/", e.NewSearcher,
+		func(s *Searcher, _ int, r *rng.Source) (strategy.Outcome, error) {
+			origin := r.Intn(e.g.N())
+			res, err := s.Flood(origin, pick(r), ttl)
+			return Outcome(res), err
+		})
+	return t.Success(), err
+}
+
+// TestSuccessRateNMatchesReference holds the bit-parallel SuccessRateN to
+// the per-trial fold: the same rate, bit for bit, on flat and two-tier
+// graphs, sparse, Zipf and dense placements (dense ones put the object on
+// many origins), TTLs up to past the diameter, trial counts around the
+// batch width, and one and eight workers.
+func TestSuccessRateNMatchesReference(t *testing.T) {
+	flat, err := overlay.NewErdosRenyi(50, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoTier, err := overlay.NewGnutella(700, overlay.DefaultGnutellaConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*overlay.Graph{flat, ringGraph(t, 30), twoTier} {
+		n := g.N()
+		const objects = 20
+		uni, err := UniformPlacement(n, objects, max(1, n/100), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := UniformPlacement(n, objects, n/3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zpf, err := ZipfPlacement(n, objects, 2.45, n/10, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := func(r *rng.Source) int { return r.Intn(objects) }
+		for pi, p := range []*Placement{uni, dense, zpf} {
+			e, err := NewEngine(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ttl := range []int{1, 2, 3, 4, 5, 6, 40} {
+				for _, trials := range []int{1, 63, 64, 65, 200} {
+					seed := uint64(100*ttl + trials)
+					want, err := refSuccessRateN(e, ttl, trials, pick, seed, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 8} {
+						got, err := e.SuccessRateN(ttl, trials, pick, seed, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("n=%d placement %d ttl %d trials %d workers %d: rate %v, per-trial reference %v",
+								n, pi, ttl, trials, workers, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSuccessRateNErrorParity checks that SuccessRateN fails as the
+// per-trial fold does: the same message for bad trial counts and TTLs, and
+// the lowest failing trial's error when pick goes out of range.
+func TestSuccessRateNErrorParity(t *testing.T) {
+	g := ringGraph(t, 40)
+	const objects = 5
+	p, err := UniformPlacement(40, objects, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := func(r *rng.Source) int { return r.Intn(objects) }
+	// About one trial in forty asks for an object past the end; the value
+	// names the trial.
+	sometimes := func(r *rng.Source) int {
+		v := r.Intn(400)
+		if v >= 390 {
+			return v
+		}
+		return v % objects
+	}
+	cases := []struct {
+		name        string
+		ttl, trials int
+		pick        func(r *rng.Source) int
+	}{
+		{"zero trials", 3, 0, valid},
+		{"zero TTL", 0, 100, valid},
+		{"negative TTL", -2, 100, valid},
+		{"bad pick", 3, 500, sometimes},
+		{"bad pick and TTL", 0, 500, sometimes},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 8} {
+			_, want := refSuccessRateN(e, c.ttl, c.trials, c.pick, 9, workers)
+			_, got := e.SuccessRateN(c.ttl, c.trials, c.pick, 9, workers)
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Errorf("%s, %d workers: error %v, per-trial reference %v", c.name, workers, got, want)
+			}
+		}
 	}
 }
 
