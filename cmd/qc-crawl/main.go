@@ -27,7 +27,6 @@ import (
 	qc "querycentric"
 	"querycentric/internal/cliflags"
 	"querycentric/internal/parallel"
-	"querycentric/internal/profiling"
 )
 
 func main() {
@@ -63,9 +62,6 @@ func main() {
 	if err := cliflags.CheckWorkers(*workers); err != nil {
 		fail(err)
 	}
-	if err := snapFlags.Check(); err != nil {
-		fail(err)
-	}
 	if err := cliflags.CheckPositive("-peers", *peers); err != nil {
 		fail(err)
 	}
@@ -93,7 +89,7 @@ func main() {
 		}
 	}
 
-	finishProfiles, err := profiling.Start(profiles.CPU, profiles.Mem)
+	finishProfiles, err := profiles.Start()
 	if err != nil {
 		fail(err)
 	}
@@ -140,13 +136,11 @@ func main() {
 			PeerDepart:     *faultDepart,
 			MessageLoss:    *faultLoss,
 		},
-		MaxAttempts:       *attempts,
-		Obs:               reg,
-		FloodTraces:       traces,
-		SnapshotSave:      snapFlags.Save,
-		SnapshotLoad:      snapFlags.Load,
-		SnapshotMmap:      snapFlags.Mmap,
-		SnapshotShardSize: snapFlags.ShardSize,
+		MaxAttempts:  *attempts,
+		Obs:          reg,
+		FloodTraces:  traces,
+		SnapshotSave: snapFlags.Save,
+		SnapshotLoad: snapFlags.Load,
 	})
 	if err != nil {
 		fail(err)

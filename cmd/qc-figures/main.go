@@ -17,7 +17,6 @@ import (
 	qc "querycentric"
 	"querycentric/internal/cliflags"
 	"querycentric/internal/parallel"
-	"querycentric/internal/profiling"
 )
 
 func main() {
@@ -38,13 +37,10 @@ func main() {
 	if err := cliflags.CheckWorkers(*workers); err != nil {
 		fail(err)
 	}
-	if err := snapFlags.Check(); err != nil {
-		fail(err)
-	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fail(err)
 	}
-	finishProfiles, err := profiling.Start(profiles.CPU, profiles.Mem)
+	finishProfiles, err := profiles.Start()
 	if err != nil {
 		fail(err)
 	}
@@ -56,7 +52,6 @@ func main() {
 	env := qc.NewEnv(scale, *seed)
 	env.Workers = *workers
 	env.SnapshotSave, env.SnapshotLoad = snapFlags.Save, snapFlags.Load
-	env.SnapshotMmap, env.SnapshotShardSize = snapFlags.Mmap, snapFlags.ShardSize
 	env.Obs, env.FloodTraces = obsFlags.Setup()
 	if env.Obs != nil {
 		parallel.Instrument(env.Obs)

@@ -14,7 +14,7 @@
 //	qc-sim -mode recovery -scale tiny -burst-frac 0.3
 //	qc-sim -mode fig8 -metrics            # also write out/RUN_qc-sim_fig8_*.json
 //	qc-sim -mode synopsis -snapshot-save out/net.qcsnap        # persist the substrate
-//	qc-sim -mode synopsis -snapshot-load out/net.qcsnap -mmap  # zero-copy restore
+//	qc-sim -mode synopsis -snapshot-load out/net.qcsnap        # memory-mapped restore
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	qc "querycentric"
 	"querycentric/internal/cliflags"
 	"querycentric/internal/parallel"
-	"querycentric/internal/profiling"
 )
 
 func main() {
@@ -77,16 +76,13 @@ func main() {
 	if err := adaptFlags.Check(); err != nil {
 		fail(err)
 	}
-	if err := snapFlags.Check(); err != nil {
-		fail(err)
-	}
 	// Snapshots persist the calibrated Gnutella population built by
 	// Env.ObjectTrace; the overlay-simulation modes construct their own
 	// (differently seeded) networks and would silently ignore the flags.
 	if (snapFlags.Save != "" || snapFlags.Load != "") && *mode != "synopsis" {
 		fail(fmt.Errorf("-snapshot-save/-snapshot-load only apply to modes built on the crawled Gnutella population (synopsis); -mode %s builds its own network", *mode))
 	}
-	finishProfiles, err := profiling.Start(profiles.CPU, profiles.Mem)
+	finishProfiles, err := profiles.Start()
 	if err != nil {
 		fail(err)
 	}
@@ -98,7 +94,6 @@ func main() {
 	env := qc.NewEnv(scale, *seed)
 	env.Workers = *workers
 	env.SnapshotSave, env.SnapshotLoad = snapFlags.Save, snapFlags.Load
-	env.SnapshotMmap, env.SnapshotShardSize = snapFlags.Mmap, snapFlags.ShardSize
 	env.Obs, env.FloodTraces = obsFlags.Setup()
 	if env.Obs != nil {
 		parallel.Instrument(env.Obs)

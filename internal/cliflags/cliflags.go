@@ -1,7 +1,9 @@
 // Package cliflags unifies the flag surface of the qc-* commands: one
 // registration helper per shared flag (identical name, default and help
-// text everywhere), uniform out-of-range rejection, and the observability
-// flags (-metrics, -trace-floods, -metrics-dir) every command exposes.
+// text everywhere), uniform out-of-range rejection, the snapshot flags
+// (-snapshot-save, -snapshot-load), the profiling flags (-cpuprofile,
+// -memprofile) and the observability flags (-metrics, -trace-floods,
+// -metrics-dir) every command exposes.
 //
 // Commands register the subset of shared flags they need against their own
 // flag.FlagSet (normally flag.CommandLine), parse, validate with the Check
@@ -15,6 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"querycentric/internal/adaptive"
@@ -43,42 +47,14 @@ type SnapshotFlags struct {
 	// instead of rebuilding it (empty: build fresh).
 	Save string
 	Load string
-	// Mmap restores via a zero-copy read-only memory mapping instead of
-	// copying the snapshot onto the heap. Only meaningful with Load.
-	Mmap bool
-	// ShardSize, when positive with Save (and no Load), builds the
-	// population shard-by-shard directly into the snapshot file instead of
-	// materializing it in memory first; peak memory is one shard plus the
-	// shared dictionary and the result is byte-identical.
-	ShardSize int
 }
 
-// AddSnapshot registers the shared -snapshot-save/-snapshot-load flags
-// plus their -mmap/-shard-size modifiers.
+// AddSnapshot registers the shared -snapshot-save/-snapshot-load flags.
 func AddSnapshot(fs *flag.FlagSet) *SnapshotFlags {
 	s := &SnapshotFlags{}
-	fs.StringVar(&s.Save, "snapshot-save", "", "persist the built Gnutella population to this snapshot file")
-	fs.StringVar(&s.Load, "snapshot-load", "", "restore the Gnutella population from this snapshot file instead of rebuilding it (byte-identical results, ~10x faster)")
-	fs.BoolVar(&s.Mmap, "mmap", false, "with -snapshot-load: map the snapshot read-only and serve file names and posting arenas zero-copy from the mapping")
-	fs.IntVar(&s.ShardSize, "shard-size", 0, "with -snapshot-save: build the population in shards of this many peers, spilling each to the snapshot as it completes (0 = in-memory build; output is byte-identical)")
+	fs.StringVar(&s.Save, "snapshot-save", "", "persist the built Gnutella population to this snapshot file, building it shard by shard straight into the file")
+	fs.StringVar(&s.Load, "snapshot-load", "", "restore the Gnutella population from this snapshot file, memory-mapped, instead of rebuilding it (byte-identical results)")
 	return s
-}
-
-// Check validates the flag combination after parsing.
-func (s *SnapshotFlags) Check() error {
-	if s.ShardSize < 0 {
-		return fmt.Errorf("-shard-size must be >= 0, got %d", s.ShardSize)
-	}
-	if s.Mmap && s.Load == "" {
-		return fmt.Errorf("-mmap needs -snapshot-load")
-	}
-	if s.ShardSize > 0 && s.Save == "" {
-		return fmt.Errorf("-shard-size needs -snapshot-save")
-	}
-	if s.ShardSize > 0 && s.Load != "" {
-		return fmt.Errorf("-shard-size builds a new snapshot and cannot be combined with -snapshot-load")
-	}
-	return nil
 }
 
 // AdaptiveFlags holds the query-centric adaptation knobs (qc-sim
@@ -133,6 +109,45 @@ func AddProfiles(fs *flag.FlagSet) *Profiles {
 	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file")
 	return p
+}
+
+// Start begins CPU profiling into p.CPU (no-op when empty) and returns a
+// finish function that stops the CPU profile and, when p.Mem is non-empty,
+// writes a heap profile, so flood and trial-engine optimisations can be
+// driven by measured profiles. Call finish exactly once, after the measured
+// work.
+func (p *Profiles) Start() (finish func() error, err error) {
+	var cpuFile *os.File
+	if p.CPU != "" {
+		cpuFile, err = os.Create(p.CPU)
+		if err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("profiling: %w", err)
+			}
+		}
+		if p.Mem != "" {
+			f, err := os.Create(p.Mem)
+			if err != nil {
+				return fmt.Errorf("profiling: %w", err)
+			}
+			defer f.Close()
+			runtime.GC() // materialize the final live set
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				return fmt.Errorf("profiling: %w", err)
+			}
+		}
+		return nil
+	}, nil
 }
 
 // ObsFlags holds the observability flag values of one command.

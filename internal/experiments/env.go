@@ -170,23 +170,15 @@ type Env struct {
 	Windows *obs.WindowLog
 
 	// SnapshotLoad, when non-empty, restores the Gnutella population from
-	// this snapshot file instead of building catalog + network + indexes
-	// (ObjectTrace still runs the crawler against the restored network; a
-	// restored network behaves byte-identically to a fresh build, so every
-	// downstream figure is unchanged). SnapshotSave, when non-empty,
-	// persists the population to this path once it exists — after a fresh
-	// build or even after a load, re-saving what was restored.
+	// this snapshot file, memory-mapped, instead of building catalog +
+	// network + indexes (ObjectTrace still runs the crawler against the
+	// restored network; a restored network behaves byte-identically to a
+	// fresh build, so every downstream figure is unchanged). SnapshotSave,
+	// when non-empty, persists the population to this path: a fresh one is
+	// built shard by shard straight into the file and mapped back, a loaded
+	// one is re-saved.
 	SnapshotLoad string
 	SnapshotSave string
-
-	// SnapshotMmap restores SnapshotLoad through a read-only memory mapping
-	// (zero-copy file names and posting arenas).
-	SnapshotMmap bool
-	// SnapshotShardSize, when positive with SnapshotSave (and no
-	// SnapshotLoad), builds the population shard-by-shard straight into the
-	// snapshot file — peak memory one shard plus the dictionary — and then
-	// loads the network back from that byte-identical file.
-	SnapshotShardSize int
 
 	mu        sync.Mutex
 	objTrace  *trace.ObjectTrace
@@ -211,7 +203,8 @@ func (e *Env) workers() int { return parallel.Workers(e.Workers) }
 // — in-heap, sharded, snapshot round trips, the per-arm rebuilds of the
 // runners, TestScaleGate's construction gates and the facade's
 // GnutellaCrawl — derives from it, so they all draw the identical
-// population. Callers add Workers / ShardSize as needed.
+// population. Callers add Workers (and sharded builds ShardSize) as
+// needed.
 func (p Params) Population(seed uint64) snapshot.BuildConfig {
 	ccfg := catalog.DefaultConfig(seed)
 	ccfg.Peers, ccfg.UniqueObjects = p.GnutellaPeers, p.UniqueObjects
@@ -318,8 +311,8 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 		return e.objTrace, e.objStats, nil
 	}
 	bcfg := e.P.Population(e.Seed)
-	bcfg.Workers, bcfg.ShardSize = e.Workers, e.SnapshotShardSize
-	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.SnapshotMmap, bcfg, e.Obs)
+	bcfg.Workers = e.Workers
+	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, bcfg, e.Obs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -329,6 +322,9 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 	stop := e.Obs.StartPhase("env/crawl")
 	tr, st, err := crawler.Crawl(nw, ccfg)
 	stop()
+	// The trace's names were decoded from wire bytes, so nothing it holds
+	// views a snapshot mapping; release the mapping now, not at exit.
+	nw.Close()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: crawling: %w", err)
 	}

@@ -64,9 +64,12 @@ func TestSnapshotRoundTripMatchesFreshBuild(t *testing.T) {
 		return b
 	}
 
+	want := fingerprint(NewEnv(ScaleTiny, 42))
 	fresh := NewEnv(ScaleTiny, 42)
 	fresh.SnapshotSave = snap
-	want := fingerprint(fresh)
+	if got := fingerprint(fresh); string(got) != string(want) {
+		t.Fatalf("environment built into a snapshot diverged from the in-heap build:\n%s\nvs\n%s", got, want)
+	}
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}

@@ -170,9 +170,11 @@ func (c *FloodCtx) attempt(gate []attempts, to int32) uint64 {
 // Flood floods a keyword query from origin with the given TTL, following
 // the Gnutella forwarding rules: decrement TTL / increment hops per hop,
 // drop descriptors whose GUID was already seen, answer from each reached
-// peer's library. The descriptor is encoded and re-decoded once per TTL
-// ring — every copy at a given depth is byte-identical, so the wire format
-// stays on the measurement path without being re-serialized per edge.
+// peer's library. Every copy in ring k (the origin's neighbours are ring 1)
+// carries hops k and TTL ttl−k+1, so the header is arithmetic and no
+// descriptor is serialized; the wire codec is exercised where bytes cross a
+// connection (servents, the crawler) and by the per-envelope reference the
+// tests hold this flood to.
 func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*FloodResult, error) {
 	nw := c.nw
 	if origin < 0 || origin >= len(nw.Peers) {
@@ -181,15 +183,15 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	if ttl < 1 || ttl > 255 {
 		return nil, fmt.Errorf("gnet: TTL %d out of range", ttl)
 	}
+	// A query payload is the minimum speed, the criteria and a NUL.
+	if len(criteria)+3 > gmsg.MaxPayload {
+		return nil, fmt.Errorf("gnet: %d-byte criteria exceed the descriptor payload limit", len(criteria))
+	}
 	ga, gb := r.Uint64(), r.Uint64()
 	guid := gmsg.GUIDFromUint64s(ga, gb)
 	// The salt ties this flood's fault schedule to its own randomness, so
 	// schedules are per-trial deterministic regardless of worker count.
 	salt := ga ^ bits.RotateLeft64(gb, 32)
-	q := &gmsg.Message{
-		Header: gmsg.Header{GUID: guid, Type: gmsg.TypeQuery, TTL: byte(ttl)},
-		Query:  &gmsg.Query{Criteria: criteria},
-	}
 	res := &FloodResult{GUID: guid, Criteria: criteria, TTL: ttl}
 	epoch := c.bump()
 	seen := c.seen
@@ -201,10 +203,11 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	// edge), the liveness mask, and which gates are live. A query term
 	// unknown to the shared dictionary resolves to NoTerm, which no posting
 	// index contains, so such floods still spread and count messages but hit
-	// nowhere (the paper's query/annotation mismatch case) — except at an
-	// unlisted peer, which matches through its own local dictionary and is
-	// stamped whatever the holder index says. probeAll asks every reached
-	// peer; otherwise cand, when set, stamps the only peers worth asking.
+	// nowhere (the paper's query/annotation mismatch case) — except at a
+	// peer on a local dictionary, which re-resolves the tokens itself; a
+	// network holding such a peer has no holder index. probeAll asks every
+	// reached peer; otherwise cand, when set, stamps the only peers worth
+	// asking.
 	toks := TokenizeQuery(criteria)
 	probeAll := len(toks) > 0
 	var cand []int32
@@ -244,10 +247,6 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	// copies are tallied by the plane itself inside Admit.
 	var reached, deadDrops, lossDrops, qrpSkipped, breakerSkips int
 
-	raw, err := gmsg.Encode(q)
-	if err != nil {
-		return nil, err
-	}
 	frontier, next := c.frontier[:0], c.next[:0]
 	defer func() { c.frontier, c.next = frontier[:0], next[:0] }()
 	// With path capture on, `from` rides alongside frontier: from[i] is the
@@ -271,18 +270,11 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 		}
 	}
 
-	for len(frontier) > 0 {
-		// One decode per ring keeps the codec on the measurement path;
-		// every envelope in the ring carries these exact bytes.
-		m, _, err := gmsg.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("gnet: hop decode: %w", err)
-		}
+	for ring := 1; len(frontier) > 0; ring++ {
 		// Every frontier entry is one transmitted copy, whatever becomes of it.
 		res.Messages += len(frontier)
-		hops, copyTTL := int(m.Header.Hops)+1, int(m.Header.TTL)
+		hops, copyTTL := ring, ttl-ring+1
 		ringStart := reached
-		var fraw []byte // next ring's bytes, encoded once on first use
 		if copyTTL <= 1 && !peerGates && !capture {
 			// The final ring of a flood no peer gate can refuse: nobody
 			// relays, so each copy is a duplicate or one more peer reached,
@@ -337,14 +329,6 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 			if copyTTL <= 1 || (relay != nil && !relay[to]) {
 				continue
 			}
-			if fraw == nil {
-				fwd := *m
-				fwd.Header.TTL--
-				fwd.Header.Hops++
-				if fraw, err = gmsg.Encode(&fwd); err != nil {
-					return nil, err
-				}
-			}
 			nbs := nw.Peers[to].Neighbors
 			if !edgeGates {
 				// The bare scan: every neighbour not yet processed gets a copy.
@@ -398,7 +382,6 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 		if capture {
 			from, nextFrom = nextFrom, from[:0]
 		}
-		raw = fraw
 	}
 	res.PeersReached = reached
 	if breakerSkips > 0 {

@@ -156,7 +156,7 @@ func (nw *Network) qrpAllows(id int, criteria string) bool {
 // lazily indexed (no holder index: every reached peer is probed) and built
 // (gated floods), under every gate a flood can carry, for every shape of
 // query the gate treats differently, and again after AddFile has grown
-// libraries behind the holder index's back.
+// libraries and dropped the holder index.
 func TestFloodMatchesNaiveReference(t *testing.T) {
 	for _, mode := range []string{"plain", "qrp", "lossy", "qrp+lossy", "capacity", "paths"} {
 		t.Run(mode, func(t *testing.T) {
@@ -238,10 +238,10 @@ func TestFloodMatchesNaiveReference(t *testing.T) {
 					}
 				}
 				sweep()
-				// Grow libraries behind the holder index: a name of known terms
-				// (rebuilt against the shared dictionary, still unlisted) and
-				// one with a term the shared dictionary never saw (local
-				// dictionary). Both must be found, and nothing else may move.
+				// Grow libraries after the build: a name of known terms
+				// (rebuilt against the shared dictionary) and one with a term
+				// the shared dictionary never saw (local dictionary). Both must
+				// be found, and nothing else may move.
 				known, novel := fileOf(t, nw, 5), "zzqx unseen replica token"
 				n := len(nw.Peers)
 				for _, id := range []int{3, n / 2, n - 1} {

@@ -1,7 +1,7 @@
 // Package gnet implements an in-process Gnutella 0.6 network: peers with
 // shared libraries, a two-tier (ultrapeer/leaf) or flat topology, keyword
-// query flooding over real encoded descriptors, the GNUTELLA/0.6 handshake,
-// and a wire servent that answers crawler connections.
+// query flooding under the descriptor TTL/hops rules, the GNUTELLA/0.6
+// handshake, and a wire servent that answers crawler connections.
 //
 // It is the substitute substrate for the live network the paper crawled:
 // the crawler in internal/crawler performs a genuine topology crawl (via
@@ -59,12 +59,6 @@ type Peer struct {
 	dict *dict.Dict
 	idx  postingIndex
 
-	// unlisted marks a peer the network's holder index does not cover — its
-	// library changed (AddFile) after the index was built, or it matches
-	// through a local dictionary — so gated floods always probe it. Floods
-	// read Network.unlisted, the list of the peers flagged here.
-	unlisted bool
-
 	// indexOnce guards lazy index construction (parallel floods may race
 	// to the first Match).
 	indexOnce sync.Once
@@ -104,17 +98,11 @@ type Network struct {
 	// dict is the network-wide interned term dictionary, built once from
 	// the catalog all peers share (nil for networks assembled without
 	// one). holders lists, per dictionary term, the peers whose index holds
-	// it: built by BuildIndexes and NewFromState, consulted once per flood
-	// in place of a probe at every reached peer (see holders.go).
+	// it: built by BuildIndexes and NewFromState while every peer matches
+	// through dict, dropped by AddFile, consulted once per flood in place of
+	// a probe at every reached peer (see holders.go).
 	dict    *dict.Dict
 	holders holderIndex
-
-	// unlisted lists the peers flagged Peer.unlisted, in flagging order:
-	// buildHolders fills it and AddFile appends to it. It is short — the
-	// local-dictionary peers plus every replica the adaptive overlay placed —
-	// so a gated flood stamps it beside its rarest term's holders once
-	// instead of loading a flag from every peer it reaches.
-	unlisted []int32
 
 	// relay[p] reports whether peer p forwards queries: the ultrapeers of a
 	// two-tier network. nil on a flat network, where every peer relays.
@@ -495,9 +483,8 @@ func (nw *Network) DisconnectPeers(a, b int) bool {
 // new name's slots (slots are only ever added, as a leaf re-sending a grown
 // table would; no other routing decision changes), so last-hop filtering
 // still offers the peer every query the replica can answer. The holder index
-// is not updated: the peer is flagged and listed unlisted instead, so every
-// flood that reaches it probes its rebuilt index directly, whatever the
-// holder lists say.
+// is dropped, so floods probe every peer they reach until BuildIndexes
+// rebuilds it.
 func (nw *Network) AddFile(id int, name string, size uint32) error {
 	if id < 0 || id >= len(nw.Peers) {
 		return fmt.Errorf("gnet: add file: peer %d out of range", id)
@@ -512,10 +499,7 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	p.Library = lib
 	p.idx = postingIndex{}
 	p.indexOnce = sync.Once{}
-	if !p.unlisted {
-		p.unlisted = true
-		nw.unlisted = append(nw.unlisted, int32(id))
-	}
+	nw.holders = holderIndex{}
 	if nw.qrpTables != nil && nw.qrpTables[id] != nil {
 		nw.qrpTables[id].AddName(name)
 	}

@@ -1,9 +1,11 @@
 package gnet
 
 import (
+	"strings"
 	"testing"
 
 	"querycentric/internal/catalog"
+	"querycentric/internal/gmsg"
 	"querycentric/internal/rng"
 )
 
@@ -241,6 +243,15 @@ func TestFloodValidation(t *testing.T) {
 	}
 	if _, err := nw.Flood(0, "x", 0, rng.New(1)); err == nil {
 		t.Error("zero TTL accepted")
+	}
+	// A criteria no query descriptor can carry: the wire-faithful reference
+	// fails to decode it, and the flood must refuse it too.
+	huge := strings.Repeat("x", gmsg.MaxPayload)
+	if _, err := floodNaive(nw, 0, huge, 2, rng.New(1)); err == nil {
+		t.Fatal("the reference flooded an oversized descriptor")
+	}
+	if _, err := nw.Flood(0, huge, 2, rng.New(1)); err == nil {
+		t.Error("criteria past the descriptor payload limit accepted")
 	}
 }
 

@@ -40,12 +40,19 @@ func (h *holderIndex) list(t dict.TermID) []byte { return h.arena[h.off[t]:h.off
 // once: a sizing pass and a fill pass over every peer's term IDs
 // (forEachTermID; posting payloads are never touched), each sharded by
 // contiguous term-ID range so workers write disjoint state and arena ranges
-// — the bytes are the same at any worker count. Peers on a local dictionary
-// have no shared-dictionary terms to list, so they are flagged unlisted
-// instead, as AddFile flags any peer it changes afterwards.
+// — the bytes are the same at any worker count. A peer that AddFile pushed
+// onto a local dictionary has no shared-dictionary terms to list, and a list
+// that omits a peer would hide its answers, so while any peer matches
+// through its own dictionary no index is built and floods probe every peer
+// they reach.
 func (nw *Network) buildHolders(workers int) error {
 	if nw.dict == nil || nw.holders.off != nil {
 		return nil
+	}
+	for _, p := range nw.Peers {
+		if p.dict != nw.dict {
+			return nil
+		}
 	}
 	n := nw.dict.Len()
 	// Per-term pass state, side by side so a visit touches one cache line:
@@ -66,9 +73,6 @@ func (nw *Network) buildHolders(workers int) error {
 				state[t].last = -1
 			}
 			for i, p := range nw.Peers {
-				if p.dict != nw.dict {
-					continue
-				}
 				p.idx.forEachTermID(lo, hi, func(ids []dict.TermID) {
 					for _, t := range ids {
 						st := &state[t]
@@ -98,12 +102,6 @@ func (nw *Network) buildHolders(workers int) error {
 	}
 	arena = make([]byte, total)
 	pass()
-	nw.unlisted = nw.unlisted[:0]
-	for i, p := range nw.Peers {
-		if p.unlisted = p.dict != nw.dict; p.unlisted {
-			nw.unlisted = append(nw.unlisted, int32(i))
-		}
-	}
 	nw.holders = holderIndex{off: off, arena: arena}
 	return nil
 }
@@ -127,14 +125,12 @@ func (nw *Network) holderShardBounds(shards int) []dict.TermID {
 	var hist [buckets]int
 	total := 0
 	for i := 0; i < len(nw.Peers); i += 64 {
-		if p := nw.Peers[i]; p.dict == nw.dict {
-			p.idx.forEachTermID(0, dict.TermID(n), func(ids []dict.TermID) {
-				for _, t := range ids {
-					hist[uint64(t)*buckets/uint64(n)]++
-				}
-				total += len(ids)
-			})
-		}
+		nw.Peers[i].idx.forEachTermID(0, dict.TermID(n), func(ids []dict.TermID) {
+			for _, t := range ids {
+				hist[uint64(t)*buckets/uint64(n)]++
+			}
+			total += len(ids)
+		})
 	}
 	seen, s := 0, 1
 	for b := 0; b < buckets && s < shards; b++ {
@@ -156,10 +152,9 @@ const holderDenseShare = 8
 // selectHolders decides, once per flood, which peers are worth a match
 // probe. It orders qids by holder-list length — the probe order of every
 // per-peer match, rarest first, unknown terms before all — and stamps the
-// rarest term's holders, and the unlisted peers the index cannot speak for,
-// into c.cand with the flood's epoch. It reports false when there is no
-// holder index or the rarest list is dense: the flood then probes every
-// peer it reaches. When it reports true only stamped peers can match; a
+// rarest term's holders into c.cand with the flood's epoch. It reports
+// false when there is no holder index or the rarest list is dense: the
+// flood then probes every peer it reaches. When it reports true only stamped peers can match; a
 // query carrying NoTerm stamps no holder, since no listed peer holds a term
 // the shared dictionary lacks.
 func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
@@ -189,9 +184,6 @@ func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
 		c.cand = make([]int32, len(c.seen))
 	}
 	cand, epoch := c.cand, c.epoch
-	for _, id := range c.nw.unlisted {
-		cand[id] = epoch
-	}
 	// The vpost body decode, inlined like lookup's: this runs once per flood
 	// over a list of up to len(peers)/holderDenseShare bytes.
 	peer := int32(-1)

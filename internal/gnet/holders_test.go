@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"querycentric/internal/capacity"
@@ -56,9 +55,10 @@ func stampedCandidates(c *FloodCtx) []int32 {
 // definition — holders(t) is exactly the set of shared-dictionary peers
 // whose posting index holds t, ascending — on a built network, on one
 // restored from exported state (the Save → Load path below the file
-// format) and on one where a peer was pushed onto a local dictionary before
-// the build: that peer must be flagged unlisted and appear in no list. The
-// index's bytes must not depend on the worker count or on build vs. restore.
+// format). A network where a peer was pushed onto a local dictionary before
+// the build must get no index at all, at any worker count: a list that
+// omitted the peer would hide its answers. The index's bytes must not depend
+// on the worker count or on build vs. restore.
 func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	build := func(workers int, mutate bool) *Network {
 		nw := populatedNet(t, 90)
@@ -77,7 +77,7 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 			t.Fatalf("%s: holder index bytes differ", what)
 		}
 	}
-	clean, mutated := build(1, false), build(1, true)
+	clean := build(1, false)
 	st, err := populatedNet(t, 90).ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -88,21 +88,23 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	}
 	sameBytes("restored vs built", restored, clean)
 	for _, w := range []int{2, 8} {
-		sameBytes("workers vs 1, clean", build(w, false), clean)
-		sameBytes("workers vs 1, mutated", build(w, true), mutated)
+		sameBytes("workers vs 1", build(w, false), clean)
 	}
-	if !mutated.Peers[7].unlisted {
-		t.Fatal("the peer with a novel file name was not flagged unlisted")
+	for _, w := range []int{1, 2, 8} {
+		if mutated := build(w, true); mutated.Peers[7].dict == mutated.dict || mutated.holders.off != nil {
+			t.Fatalf("workers=%d: a peer on a local dictionary (%v) left a holder index built (%v)",
+				w, mutated.Peers[7].dict != mutated.dict, mutated.holders.off != nil)
+		}
 	}
 
-	for name, nw := range map[string]*Network{"built": clean, "restored": restored, "mutated": mutated} {
+	for name, nw := range map[string]*Network{"built": clean, "restored": restored} {
 		if len(nw.holders.off) != nw.dict.Len()+1 {
 			t.Fatalf("%s: %d offsets for %d terms", name, len(nw.holders.off), nw.dict.Len())
 		}
 		for id := dict.TermID(0); int(id) < nw.dict.Len(); id++ {
 			var want []int32
 			for i, p := range nw.Peers {
-				if _, ok := p.idx.lookup(id); ok && p.dict == nw.dict {
+				if _, ok := p.idx.lookup(id); ok {
 					want = append(want, int32(i))
 				}
 			}
@@ -110,12 +112,6 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 				t.Fatalf("%s: holders(%q) = %v, peers holding it %v", name, nw.dict.Term(id), got, want)
 			}
 		}
-		for _, p := range nw.Peers {
-			if p.unlisted != (p.dict != nw.dict) {
-				t.Fatalf("%s: peer %d unlisted=%v, on a local dictionary=%v", name, p.ID, p.unlisted, p.dict != nw.dict)
-			}
-		}
-		checkUnlisted(t, nw)
 	}
 }
 
@@ -190,74 +186,75 @@ func TestHolderStampsSurviveEpochWrap(t *testing.T) {
 	}
 }
 
-// TestUnlistedListInvariants pins the network's unlisted list — what a gated
-// flood stamps in place of loading a flag from every peer it reaches — to
-// the flags it mirrors: a peer pushed onto a local dictionary before the
-// build and one AddFile changed afterwards are both listed, once each
-// however often AddFile runs; both are probed by a gated flood although the
-// holder index names neither; a second BuildIndexes changes nothing; and a
-// restored network starts with the list a fresh build gives.
-func TestUnlistedListInvariants(t *testing.T) {
+// TestMutationDropsHolderIndex pins the holder index's one staleness rule:
+// AddFile drops the index, so the floods that follow probe every peer they
+// reach and equal the reference; BuildIndexes then rebuilds lists equal to a
+// fresh build's over the same libraries while every peer stays on the shared
+// dictionary, and builds none once a replica's novel terms push a peer onto a
+// local dictionary.
+func TestMutationDropsHolderIndex(t *testing.T) {
 	const novel = "Zzzz Novel Tokens Everywhere.mp3"
 	nw := populatedNet(t, 90)
-	p := nw.Peers[7]
-	p.Library = append(p.Library, File{Index: uint32(len(p.Library)), Size: 9, Name: novel})
 	if err := nw.BuildIndexes(2); err != nil {
 		t.Fatal(err)
 	}
-	wantList := func(when string, want ...int32) {
+	known := fileOf(t, nw, 5)
+	trial := uint64(0)
+	matchesReference := func(when string, wantIndex bool, criteria ...string) {
 		t.Helper()
-		checkUnlisted(t, nw)
-		if !slices.Equal(nw.unlisted, want) {
-			t.Fatalf("%s: unlisted list %v, want %v", when, nw.unlisted, want)
+		if (nw.holders.off != nil) != wantIndex {
+			t.Fatalf("%s: holder index built=%v, want %v", when, nw.holders.off != nil, wantIndex)
+		}
+		ctx := nw.NewFloodCtx()
+		for origin := 0; origin < len(nw.Peers); origin += 11 {
+			for _, q := range criteria {
+				trial++
+				got, err := ctx.Flood(origin, q, 5, rng.New(trial))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := floodNaive(nw, origin, q, 5, rng.New(trial))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: flood %q from %d diverged from reference:\n%+v\nvs\n%+v", when, q, origin, got, want)
+				}
+			}
 		}
 	}
-	wantList("after the build", 7)
-	for _, name := range []string{novel, fileOf(t, nw, 5)} {
-		if err := nw.AddFile(40, name, 9); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantList("after two AddFiles on one peer", 7, 40)
 
-	// No shared-dictionary peer holds these terms, so the flood is gated
-	// and stamps no holder: only the listed peers are asked.
-	ctx := nw.NewFloodCtx()
-	got, err := ctx.Flood(0, "zzzz novel", 7, rng.New(3))
-	if err != nil {
+	if err := nw.AddFile(40, known, 9); err != nil {
 		t.Fatal(err)
 	}
-	want, err := floodNaive(nw, 0, "zzzz novel", 7, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gated flood diverged from reference:\n%+v\nvs\n%+v", got, want)
-	}
-	answered := []int{}
-	for _, h := range got.Hits {
-		answered = append(answered, h.PeerID)
-	}
-	slices.Sort(answered)
-	if !slices.Equal(answered, []int{7, 40}) {
-		t.Fatalf("peers answering for the novel terms %v, want [7 40]", answered)
-	}
-	if stamped := stampedCandidates(ctx); !slices.Equal(stamped, []int32{7, 40}) {
-		t.Fatalf("a flood no holder can answer stamped %v, want the unlisted peers [7 40]", stamped)
-	}
+	matchesReference("after AddFile", false, known)
 
 	if err := nw.BuildIndexes(2); err != nil {
 		t.Fatal(err)
 	}
-	wantList("after a second BuildIndexes", 7, 40)
-
 	fresh := populatedNet(t, 90)
-	st, err := fresh.ExportState() // builds fresh's indexes and holder index
+	p := fresh.Peers[40]
+	p.Library = append(p.Library, File{Index: uint32(len(p.Library)), Size: 9, Name: known})
+	if err := fresh.BuildIndexes(1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nw.holders.off, fresh.holders.off) || !bytes.Equal(nw.holders.arena, fresh.holders.arena) {
+		t.Fatal("the rebuilt holder index differs from a fresh build over the same libraries")
+	}
+	matchesReference("rebuilt", true, known)
+
+	if err := nw.AddFile(7, novel, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.BuildIndexes(2); err != nil {
+		t.Fatal(err)
+	}
+	matchesReference("a peer on a local dictionary", false, known, "zzzz novel")
+	got, err := nw.Flood(0, "zzzz novel", 7, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw, err = NewFromState(st, 2); err != nil {
-		t.Fatal(err)
+	if len(got.Hits) != 1 || got.Hits[0].PeerID != 7 {
+		t.Fatalf("hits for the novel terms %+v, want peer 7 alone", got.Hits)
 	}
-	wantList("restored", fresh.unlisted...)
 }

@@ -45,6 +45,26 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("crawl trace missing: %v", err)
 	}
 
+	// Snapshots: a crawl of a population built into a snapshot, and one of
+	// the population restored from it, must write the plain crawl's trace.
+	snap := filepath.Join(dir, "net.qcsnap")
+	want, err := os.ReadFile(crawl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range [][]string{{"-snapshot-save", snap}, {"-snapshot-load", snap}} {
+		out := filepath.Join(dir, "snap.trace")
+		run("qc-crawl", append([]string{"-peers", "120", "-objects", "2500", "-firewalled", "0", "-o", out}, flags...)...)
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("qc-crawl %v: trace differs from the plain crawl's (%v)", flags, err)
+		}
+	}
+	for _, gone := range [][]string{{"-snapshot-load", snap, "-mmap"}, {"-snapshot-save", snap, "-shard-size", "64"}} {
+		if out, err := exec.Command(bins["qc-crawl"], gone...).CombinedOutput(); err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Fatalf("qc-crawl %v: want an unknown-flag failure, got %v\n%s", gone, err, out)
+		}
+	}
+
 	itunes := filepath.Join(dir, "itunes.trace")
 	run("qc-itunes", "-shares", "40", "-songs", "1500", "-o", itunes)
 

@@ -174,20 +174,14 @@ type GnutellaCrawlConfig struct {
 	// deterministic sample of per-flood hop traces.
 	FloodTraces *FloodTraces
 	// SnapshotLoad, when non-empty, restores the network from this
-	// snapshot file instead of building catalog + network (Peers,
-	// UniqueObjects and FirewalledFrac are then ignored — the snapshot
-	// carries the population). SnapshotSave, when non-empty, persists the
-	// built (or restored) network to this path before the crawl runs.
+	// snapshot file through a read-only memory mapping instead of building
+	// catalog + network (Peers, UniqueObjects and FirewalledFrac are then
+	// ignored — the snapshot carries the population). SnapshotSave, when
+	// non-empty, persists the network to this path before the crawl runs:
+	// a fresh population is built shard by shard straight into the file and
+	// mapped back, a restored one is re-saved.
 	SnapshotLoad string
 	SnapshotSave string
-	// SnapshotMmap restores SnapshotLoad through a read-only memory
-	// mapping (zero-copy).
-	SnapshotMmap bool
-	// SnapshotShardSize, when positive with SnapshotSave and no
-	// SnapshotLoad, builds the population shard-by-shard directly into the
-	// snapshot file (peak memory one shard plus the dictionary), then
-	// restores the network from that byte-identical file.
-	SnapshotShardSize int
 }
 
 // GnutellaCrawl builds a calibrated content population, stands up the
@@ -197,11 +191,11 @@ func GnutellaCrawl(cfg GnutellaCrawlConfig) (*ObjectTrace, *CrawlStats, error) {
 	bcfg := experiments.Params{
 		GnutellaPeers: cfg.Peers, UniqueObjects: cfg.UniqueObjects, FirewalledFrac: cfg.FirewalledFrac,
 	}.Population(cfg.Seed)
-	bcfg.ShardSize = cfg.SnapshotShardSize
-	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, cfg.SnapshotMmap, bcfg, nil)
+	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, bcfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer nw.Close() // the trace holds decoded copies, never views of a mapping
 	if cfg.Obs != nil {
 		nw.Instrument(cfg.Obs, cfg.FloodTraces)
 	}
