@@ -9,14 +9,27 @@
 //	qc-analyze -mode stability -in queries.trace [-interval 3600]
 //	qc-analyze -mode mismatch  -in queries.trace -crawl crawl.trace
 //	qc-analyze -mode transients -in queries.trace [-interval 3600]
+//	qc-analyze -mode track     -in queries.trace [-crawl crawl.trace] [-decay 1]
 //
-// Output is tab-separated series on stdout with a human summary on stderr.
+// Track mode runs the online query-centric Tracker over the query stream,
+// one line per evaluation interval: query volume, popular set size,
+// stability against the previous interval, the Jaccard similarity to the
+// crawl's popular file terms when -crawl is given, and any transiently
+// popular terms. It is the paper's analysis as a streaming tool — what a
+// peer would run over its live query feed:
+//
+//	qc-queries -n 100000 | qc-analyze -mode track
+//
+// An empty -in reads the trace from stdin. Output is tab-separated series
+// on stdout with a human summary on stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	qc "querycentric"
 	"querycentric/internal/cliflags"
@@ -24,24 +37,22 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "replicas", "replicas|terms|annotations|stability|mismatch|transients")
-		in       = flag.String("in", "", "input trace file")
-		crawlIn  = flag.String("crawl", "", "object trace (mismatch mode)")
+		mode     = flag.String("mode", "replicas", "replicas|terms|annotations|stability|mismatch|transients|track")
+		in       = flag.String("in", "", "input trace file (default stdin)")
+		crawlIn  = flag.String("crawl", "", "object trace (mismatch mode; track mode adds a mismatch column)")
 		sanitize = flag.Bool("sanitize", false, "sanitize names (replicas mode, Figure 2)")
 		interval = flag.Int64("interval", 3600, "evaluation interval in seconds")
+		decay    = flag.Float64("decay", 1.0, "history decay per interval in (0,1] (track mode)")
 		obsFlags = cliflags.AddObs(flag.CommandLine, "qc-analyze")
 	)
 	flag.Parse()
-	if *in == "" {
-		fail(fmt.Errorf("missing -in"))
-	}
 	if err := cliflags.CheckPositiveSeconds("-interval", *interval); err != nil {
 		fail(err)
 	}
 	reg, _ := obsFlags.Setup()
 	switch *mode {
 	case "replicas", "terms":
-		tr := readObjects(*in)
+		tr := read(*in, qc.ReadObjectTrace)
 		reg.Gauge("analyze_object_records").Set(int64(len(tr.Records)))
 		var rep *qc.DistReport
 		if *mode == "terms" {
@@ -56,7 +67,7 @@ func main() {
 			fmt.Printf("%d\t%d\n", p.Rank, p.Count)
 		}
 	case "annotations":
-		tr := readSongs(*in)
+		tr := read(*in, qc.ReadSongTrace)
 		reg.Gauge("analyze_song_records").Set(int64(len(tr.Records)))
 		for _, a := range []qc.Annotation{qc.AnnotationSong, qc.AnnotationGenre, qc.AnnotationAlbum, qc.AnnotationArtist} {
 			rep, err := qc.Annotations(tr, a)
@@ -67,7 +78,7 @@ func main() {
 				a, rep.Unique, rep.SingletonFrac, rep.MissingFrac, rep.Fit.S)
 		}
 	case "stability":
-		qt := readQueries(*in)
+		qt := read(*in, qc.ReadQueryTrace)
 		reg.Gauge("analyze_query_records").Set(int64(len(qt.Records)))
 		cfg := qc.DefaultIntervalConfig()
 		cfg.Interval = *interval
@@ -83,8 +94,8 @@ func main() {
 		if *crawlIn == "" {
 			fail(fmt.Errorf("mismatch mode needs -crawl"))
 		}
-		qt := readQueries(*in)
-		tr := readObjects(*crawlIn)
+		qt := read(*in, qc.ReadQueryTrace)
+		tr := read(*crawlIn, qc.ReadObjectTrace)
 		reg.Gauge("analyze_query_records").Set(int64(len(qt.Records)))
 		reg.Gauge("analyze_object_records").Set(int64(len(tr.Records)))
 		cfg := qc.DefaultIntervalConfig()
@@ -100,7 +111,7 @@ func main() {
 			fmt.Printf("%d\t%.4f\t%.4f\n", p.Start, p.Value, all[i].Value)
 		}
 	case "transients":
-		qt := readQueries(*in)
+		qt := read(*in, qc.ReadQueryTrace)
 		reg.Gauge("analyze_query_records").Set(int64(len(qt.Records)))
 		pts, err := qc.Transients(qt, *interval, qc.DefaultTransientConfig())
 		if err != nil {
@@ -112,6 +123,13 @@ func main() {
 		for _, p := range pts {
 			fmt.Printf("%d\t%d\n", p.Start, p.Count)
 		}
+	case "track":
+		qt := read(*in, qc.ReadQueryTrace)
+		var fstar map[string]struct{}
+		if *crawlIn != "" {
+			fstar = qc.TopTerms(qc.RankedFileTerms(read(*crawlIn, qc.ReadObjectTrace)), 500)
+		}
+		track(qt, fstar, *interval, *decay, reg)
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
@@ -122,39 +140,54 @@ func main() {
 	}
 }
 
-func readObjects(path string) *qc.ObjectTrace {
-	f, err := os.Open(path)
+// track feeds the query trace through a Tracker and prints one line per
+// closed interval. fstar, when non-nil, adds the mismatch column.
+func track(qt *qc.QueryTrace, fstar map[string]struct{}, interval int64, decay float64, reg *qc.Registry) {
+	cfg := qc.DefaultTrackerConfig()
+	cfg.Interval = interval
+	cfg.HistoryDecay = decay
+	tracker, err := qc.NewTracker(cfg, func(rep *qc.IntervalReport) {
+		reg.Counter("track_intervals_total").Inc()
+		reg.Counter("track_queries_total").Add(int64(rep.Queries))
+		reg.Counter("track_transients_total").Add(int64(len(rep.Transients)))
+		line := fmt.Sprintf("%d\t%d\t%d\t%.3f", rep.Start, rep.Queries, len(rep.Popular), rep.Stability)
+		if fstar != nil {
+			mismatch := 0.0 // two empty sets share no term
+			if len(rep.Popular)+len(fstar) > 0 {
+				mismatch = qc.Jaccard(rep.Popular, fstar)
+			}
+			line += fmt.Sprintf("\t%.3f", mismatch)
+		}
+		fmt.Println(line + "\t" + strings.Join(rep.Transients, ","))
+	})
 	if err != nil {
 		fail(err)
 	}
-	defer f.Close()
-	tr, err := qc.ReadObjectTrace(f)
-	if err != nil {
-		fail(err)
+	header := "# start\tqueries\tpopular\tstability"
+	if fstar != nil {
+		header += "\tmismatch"
 	}
-	return tr
+	fmt.Println(header + "\ttransients")
+	for _, rec := range qt.Records {
+		if err := tracker.Observe(rec.Time, rec.Query); err != nil {
+			fail(err)
+		}
+	}
+	tracker.Flush()
 }
 
-func readSongs(path string) *qc.SongTrace {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
+// read parses a trace from path, or from stdin when path is empty.
+func read[T any](path string, parse func(io.Reader) (T, error)) T {
+	r := io.Reader(os.Stdin)
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		r = f
 	}
-	defer f.Close()
-	tr, err := qc.ReadSongTrace(f)
-	if err != nil {
-		fail(err)
-	}
-	return tr
-}
-
-func readQueries(path string) *qc.QueryTrace {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	tr, err := qc.ReadQueryTrace(f)
+	tr, err := parse(r)
 	if err != nil {
 		fail(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 	if err := cliflags.CheckFrac("-dead", *deadFrac); err != nil {
 		fail(err)
 	}
-	if *politeFrac >= 0 {
+	if *politeFrac != -1 {
 		if err := cliflags.CheckFrac("-polite", *politeFrac); err != nil {
 			fail(err)
 		}
@@ -178,7 +178,7 @@ func main() {
 		if *burstTime > 0 {
 			cfg.BurstTime = *burstTime
 		}
-		if *burstFrac >= 0 {
+		if *burstFrac != -1 {
 			if err := cliflags.CheckFrac("-burst-frac", *burstFrac); err != nil {
 				fail(err)
 			}

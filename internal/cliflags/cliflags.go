@@ -261,9 +261,10 @@ func CheckWorkers(workers int) error {
 	return nil
 }
 
-// CheckFrac rejects values outside [0, 1] for probability/fraction flags.
+// CheckFrac rejects values outside [0, 1], and NaN, for probability/fraction
+// flags.
 func CheckFrac(name string, v float64) error {
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		return fmt.Errorf("%s must be in [0,1], got %g", name, v)
 	}
 	return nil

@@ -3,6 +3,7 @@ package cliflags
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +91,9 @@ func TestChecks(t *testing.T) {
 	}
 	if CheckFrac("-dead", -0.1) == nil || CheckFrac("-dead", 1.1) == nil {
 		t.Error("out-of-range fraction accepted")
+	}
+	if CheckFrac("-dead", math.NaN()) == nil {
+		t.Error("NaN fraction accepted")
 	}
 	if CheckPositive("-peers", 1) != nil || CheckPositive("-peers", 0) == nil {
 		t.Error("CheckPositive wrong")

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"querycentric/internal/stats"
 	"querycentric/internal/terms"
@@ -64,8 +65,8 @@ type IntervalReport struct {
 	Volume     int
 	Popular    map[string]struct{}
 	Persistent map[string]struct{}
-	Transients []string
-	Stability  float64 // Jaccard(Q*_t, Q̃_t); NaN-free: 1 for the first interval
+	Transients []string // sorted
+	Stability  float64  // Jaccard(Q*_t, Q̃_t); NaN-free: 1 for the first interval
 }
 
 // Tracker is the online engine. Feed it with Observe in non-decreasing
@@ -94,13 +95,14 @@ func NewTracker(cfg TrackerConfig, onClose func(*IntervalReport)) (*Tracker, err
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("core: Interval must be positive, got %d", cfg.Interval)
 	}
-	if cfg.PopularFrac < 0 || cfg.PopularFrac > 1 {
+	// Every range check is written so that NaN fails it.
+	if !(cfg.PopularFrac >= 0 && cfg.PopularFrac <= 1) {
 		return nil, fmt.Errorf("core: PopularFrac out of range: %g", cfg.PopularFrac)
 	}
-	if cfg.TransientRatio <= 1 {
+	if !(cfg.TransientRatio > 1) {
 		return nil, fmt.Errorf("core: TransientRatio must exceed 1, got %g", cfg.TransientRatio)
 	}
-	if cfg.HistoryDecay <= 0 || cfg.HistoryDecay > 1 {
+	if !(cfg.HistoryDecay > 0 && cfg.HistoryDecay <= 1) {
 		return nil, fmt.Errorf("core: HistoryDecay must be in (0,1], got %g", cfg.HistoryDecay)
 	}
 	if cfg.TrainIntervals < 1 {
@@ -180,6 +182,7 @@ func (t *Tracker) closeInterval() {
 				rep.Transients = append(rep.Transients, tok)
 			}
 		}
+		slices.Sort(rep.Transients)
 	}
 	// Fold this interval into the decayed history.
 	if t.cfg.HistoryDecay < 1 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"querycentric/internal/querygen"
@@ -14,6 +16,9 @@ func TestNewTrackerValidation(t *testing.T) {
 		{Interval: 10, TransientRatio: 0.5, HistoryDecay: 1},
 		{Interval: 10, TransientRatio: 5, HistoryDecay: 0},
 		{Interval: 10, TransientRatio: 5, HistoryDecay: 1.5},
+		{Interval: 10, TransientRatio: 5, HistoryDecay: math.NaN()},
+		{Interval: 10, PopularFrac: math.NaN(), TransientRatio: 5, HistoryDecay: 1},
+		{Interval: 10, TransientRatio: math.NaN(), HistoryDecay: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTracker(cfg, nil); err == nil {
@@ -123,21 +128,13 @@ func TestTrackerTransients(t *testing.T) {
 	}
 	for i := int64(40); i < 50; i++ {
 		tr.Observe(200+i, "flashterm")
+		tr.Observe(200+i, "aardvark")
 	}
 	tr.Flush()
 	reports := tr.Reports()
-	last := reports[len(reports)-1]
-	foundFlash := false
-	for _, tok := range last.Transients {
-		if tok == "flashterm" {
-			foundFlash = true
-		}
-		if tok == "steady" || tok == "traffic" {
-			t.Errorf("steady term %q flagged transient", tok)
-		}
-	}
-	if !foundFlash {
-		t.Errorf("flashterm not flagged; transients = %v", last.Transients)
+	// Exactly the two flash terms, in sorted order (not map order).
+	if got, want := reports[len(reports)-1].Transients, []string{"aardvark", "flashterm"}; !slices.Equal(got, want) {
+		t.Errorf("transients = %v, want %v", got, want)
 	}
 }
 

@@ -69,12 +69,6 @@ var registry = map[string]Kind{
 	"asur": KindUint, // user rating
 }
 
-// KindOf returns the registered kind of a content code.
-func KindOf(code string) (Kind, bool) {
-	k, ok := registry[code]
-	return k, ok
-}
-
 // Node is one decoded DMAP element.
 type Node struct {
 	Code     string

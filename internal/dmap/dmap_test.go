@@ -170,15 +170,6 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
-func TestKindOf(t *testing.T) {
-	if k, ok := KindOf("asar"); !ok || k != KindString {
-		t.Error("asar should be a known string code")
-	}
-	if _, ok := KindOf("zzzz"); ok {
-		t.Error("zzzz should be unknown")
-	}
-}
-
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(s string) bool {
 		b, err := Encode(String("minm", s))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"querycentric/internal/core"
 	"querycentric/internal/dict"
@@ -160,7 +161,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 					}
 					t.Add(strategy.Outcome{Found: r.Found})
 				}
-				if err := tracker.Observe(int64(round), join(q)); err != nil {
+				if err := tracker.Observe(int64(round), strings.Join(q, " ")); err != nil {
 					return 0, err
 				}
 			}
@@ -228,15 +229,4 @@ func GiaComparison(e *Env) (*GiaResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-func join(ts []string) string {
-	out := ""
-	for i, t := range ts {
-		if i > 0 {
-			out += " "
-		}
-		out += t
-	}
-	return out
 }

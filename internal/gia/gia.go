@@ -56,10 +56,9 @@ type System struct {
 	Graph      *overlay.Graph
 	Capacities []float64
 
-	place *search.Placement
-	// oneHop[v] = set of objects replicated on v or any neighbour of v,
-	// realized as a sorted slice for binary search.
-	holderOf  [][]int32 // object -> holders (from placement)
+	place     *search.Placement
+	holderOf  [][]int32         // object -> holders (from placement)
+	holders   overlay.VertexSet // the searched object's holders
 	visited   overlay.VertexSet
 	walkSteps int
 }
@@ -149,18 +148,19 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 		tr.ShuffleInts(stubs)
 	}
 	s.Graph = g
+	s.holders = overlay.NewVertexSet(n)
 	s.visited = overlay.NewVertexSet(n)
 	return s, nil
 }
 
-// hasOneHop reports whether node v or any of its neighbours holds obj —
-// the one-hop replication check.
-func (s *System) hasOneHop(v int32, holders map[int32]struct{}) bool {
-	if _, ok := holders[v]; ok {
+// hasOneHop reports whether node v or any of its neighbours holds the
+// searched object — the one-hop replication check.
+func (s *System) hasOneHop(v int32) bool {
+	if s.holders.Has(v) {
 		return true
 	}
 	for _, nb := range s.Graph.Neighbors(int(v)) {
-		if _, ok := holders[nb]; ok {
+		if s.holders.Has(nb) {
 			return true
 		}
 	}
@@ -181,15 +181,15 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 	if maxSteps < 1 {
 		return search.Result{}, fmt.Errorf("gia: maxSteps must be positive")
 	}
-	holders := make(map[int32]struct{}, len(s.holderOf[obj]))
+	s.holders.Reset()
 	for _, h := range s.holderOf[obj] {
-		holders[h] = struct{}{}
+		s.holders.Add(h)
 	}
 	res := search.Result{}
 	s.visited.Reset()
 	cur := int32(origin)
 	s.visited.Add(cur)
-	if s.hasOneHop(cur, holders) {
+	if s.hasOneHop(cur) {
 		res.Found = true
 		res.Results = 1
 		return res, nil
@@ -218,7 +218,7 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 		if s.visited.Add(cur) {
 			res.Peers++
 		}
-		if s.hasOneHop(cur, holders) {
+		if s.hasOneHop(cur) {
 			res.Found = true
 			res.Hops = step
 			res.Results = 1

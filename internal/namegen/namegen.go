@@ -203,11 +203,6 @@ func (g *Generator) Variant(name string, r *rng.Source) string {
 	return base + ext
 }
 
-// NonSpecific returns one of the generic recurring names.
-func (g *Generator) NonSpecific(r *rng.Source) string {
-	return NonSpecificNames[r.Intn(len(NonSpecificNames))]
-}
-
 // splitExt splits a name into base and extension ("" if none).
 func splitExt(name string) (base, ext string) {
 	if i := strings.LastIndexByte(name, '.'); i > 0 && len(name)-i <= 5 {

@@ -143,24 +143,6 @@ func TestMisspellShortString(t *testing.T) {
 	}
 }
 
-func TestNonSpecific(t *testing.T) {
-	g := testGen(t, DefaultConfig())
-	r := rng.New(6)
-	for i := 0; i < 50; i++ {
-		name := g.NonSpecific(r)
-		found := false
-		for _, n := range NonSpecificNames {
-			if n == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("NonSpecific returned unknown name %q", name)
-		}
-	}
-}
-
 func TestSplitExt(t *testing.T) {
 	tests := []struct{ in, base, ext string }{
 		{"a - b.mp3", "a - b", ".mp3"},

@@ -127,27 +127,6 @@ func (t *Table) ContainsAll(hs []uint32) bool {
 	return true
 }
 
-// Merge ORs other into t (ultrapeers aggregate their leaves' tables to
-// advertise upward). Sizes must match.
-func (t *Table) Merge(other *Table) error {
-	if t.bits != other.bits {
-		return fmt.Errorf("qrp: merging %d-bit table into %d-bit table", other.bits, t.bits)
-	}
-	for i := range t.slots {
-		t.slots[i] |= other.slots[i]
-	}
-	t.n += other.n
-	return nil
-}
-
-// Reset clears the table (the RESET route-table-update).
-func (t *Table) Reset() {
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
-	t.n = 0
-}
-
 // --- Route-table-update wire form ---------------------------------------
 //
 // Deployed QRP ships a RESET message (table size + infinity) followed by

@@ -104,32 +104,6 @@ func TestFalsePositivesBounded(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, _ := NewTable(12)
-	b, _ := NewTable(12)
-	a.AddKeyword("alpha")
-	b.AddKeyword("beta")
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.MatchesQuery("alpha") || !a.MatchesQuery("beta") {
-		t.Error("merge lost keywords")
-	}
-	c, _ := NewTable(13)
-	if err := a.Merge(c); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}
-
-func TestReset(t *testing.T) {
-	tab, _ := NewTable(10)
-	tab.AddKeyword("gone")
-	tab.Reset()
-	if fresh, _ := NewTable(10); !reflect.DeepEqual(tab, fresh) {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tab, _ := NewTable(12)
 	for i := 0; i < 300; i++ {

@@ -243,8 +243,7 @@ func TestFileTermOverlapControlsJaccard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head := stats.ToSet(fileTerms[:cfg.CoreSize])
-		return stats.Jaccard(stats.ToSet(w.Core), head)
+		return stats.Jaccard(toSet(w.Core), toSet(fileTerms[:cfg.CoreSize]))
 	}
 	lo, hi := overlap(low), overlap(high)
 	if lo >= hi {
@@ -256,6 +255,14 @@ func TestFileTermOverlapControlsJaccard(t *testing.T) {
 	if hi < 0.5 {
 		t.Errorf("high overlap configuration produced Jaccard %v", hi)
 	}
+}
+
+func toSet(xs []string) map[string]struct{} {
+	s := make(map[string]struct{}, len(xs))
+	for _, x := range xs {
+		s[x] = struct{}{}
+	}
+	return s
 }
 
 func TestQueriesTokenizeCleanly(t *testing.T) {

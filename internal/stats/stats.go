@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit used by every
-// analysis in the reproduction: set similarity (Jaccard), rank–frequency and
-// CCDF series, online moments, percentiles and least-squares regression in
-// log–log space.
+// analysis in the reproduction: set similarity (Jaccard), rank–frequency
+// series, online moments, least-squares regression and rank correlation.
 package stats
 
 import (
@@ -30,36 +29,6 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardSlices returns the Jaccard index of two string slices, treating
-// each as a set (duplicates ignored).
-func JaccardSlices(a, b []string) float64 {
-	return Jaccard(ToSet(a), ToSet(b))
-}
-
-// ToSet converts a slice to a set.
-func ToSet(xs []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(xs))
-	for _, x := range xs {
-		s[x] = struct{}{}
-	}
-	return s
-}
-
-// Intersection returns |A∩B|.
-func Intersection(a, b map[string]struct{}) int {
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	n := 0
-	for k := range small {
-		if _, ok := large[k]; ok {
-			n++
-		}
-	}
-	return n
-}
-
 // RankFreqPoint is one point of a rank–frequency series: the Rank-th most
 // frequent item occurs Count times.
 type RankFreqPoint struct {
@@ -76,37 +45,6 @@ func RankFrequency(counts []int) []RankFreqPoint {
 	out := make([]RankFreqPoint, len(cp))
 	for i, c := range cp {
 		out[i] = RankFreqPoint{Rank: i + 1, Count: c}
-	}
-	return out
-}
-
-// CCDFPoint is one point of a complementary CDF over integer values:
-// Frac is the fraction of observations with value >= Value.
-type CCDFPoint struct {
-	Value int
-	Frac  float64
-}
-
-// CCDF computes the complementary CDF of a set of non-negative integer
-// observations. The result is sorted by increasing Value.
-func CCDF(counts []int) []CCDFPoint {
-	if len(counts) == 0 {
-		return nil
-	}
-	freq := map[int]int{}
-	for _, c := range counts {
-		freq[c]++
-	}
-	values := make([]int, 0, len(freq))
-	for v := range freq {
-		values = append(values, v)
-	}
-	sort.Ints(values)
-	out := make([]CCDFPoint, 0, len(values))
-	remaining := len(counts)
-	for _, v := range values {
-		out = append(out, CCDFPoint{Value: v, Frac: float64(remaining) / float64(len(counts))})
-		remaining -= freq[v]
 	}
 	return out
 }
@@ -200,31 +138,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f", s.N, s.Mean, s.StdDev, s.Min, s.Max)
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	pos := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -269,21 +182,6 @@ func LinearRegression(x, y []float64) (LinReg, error) {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
 	return LinReg{Slope: slope, Intercept: my - slope*mx, R2: r2}, nil
-}
-
-// LogLogRegression fits log(y) = a*log(x) + b over the points with
-// x > 0 and y > 0. For a Zipf-like rank–frequency series the slope a is
-// the negated Zipf exponent.
-func LogLogRegression(x, y []float64) (LinReg, error) {
-	lx := make([]float64, 0, len(x))
-	ly := make([]float64, 0, len(y))
-	for i := range x {
-		if i < len(y) && x[i] > 0 && y[i] > 0 {
-			lx = append(lx, math.Log(x[i]))
-			ly = append(ly, math.Log(y[i]))
-		}
-	}
-	return LinearRegression(lx, ly)
 }
 
 // SpearmanRank returns Spearman's rank correlation coefficient between two

@@ -6,7 +6,13 @@ import (
 	"testing/quick"
 )
 
-func setOf(xs ...string) map[string]struct{} { return ToSet(xs) }
+func setOf(xs ...string) map[string]struct{} {
+	s := make(map[string]struct{}, len(xs))
+	for _, x := range xs {
+		s[x] = struct{}{}
+	}
+	return s
+}
 
 func TestJaccard(t *testing.T) {
 	tests := []struct {
@@ -30,7 +36,7 @@ func TestJaccard(t *testing.T) {
 
 func TestJaccardProperties(t *testing.T) {
 	f := func(a, b []string) bool {
-		sa, sb := ToSet(a), ToSet(b)
+		sa, sb := setOf(a...), setOf(b...)
 		j := Jaccard(sa, sb)
 		if j < 0 || j > 1 {
 			return false
@@ -44,18 +50,6 @@ func TestJaccardProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestJaccardSlicesDuplicates(t *testing.T) {
-	if got := JaccardSlices([]string{"a", "a", "b"}, []string{"b", "b"}); got != 0.5 {
-		t.Errorf("JaccardSlices with duplicates = %v, want 0.5", got)
-	}
-}
-
-func TestIntersection(t *testing.T) {
-	if got := Intersection(setOf("a", "b", "c"), setOf("b", "c", "d")); got != 2 {
-		t.Errorf("Intersection = %d, want 2", got)
 	}
 }
 
@@ -77,45 +71,6 @@ func TestRankFrequencyDoesNotMutate(t *testing.T) {
 	RankFrequency(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Error("RankFrequency mutated its input")
-	}
-}
-
-func TestCCDF(t *testing.T) {
-	pts := CCDF([]int{1, 1, 2, 5})
-	// values 1,2,5; fractions >=1: 1.0, >=2: 0.5, >=5: 0.25
-	want := []CCDFPoint{{1, 1.0}, {2, 0.5}, {5, 0.25}}
-	if len(pts) != len(want) {
-		t.Fatalf("CCDF len = %d, want %d", len(pts), len(want))
-	}
-	for i := range want {
-		if pts[i].Value != want[i].Value || math.Abs(pts[i].Frac-want[i].Frac) > 1e-12 {
-			t.Errorf("CCDF[%d] = %+v, want %+v", i, pts[i], want[i])
-		}
-	}
-	if CCDF(nil) != nil {
-		t.Error("CCDF(nil) should be nil")
-	}
-}
-
-func TestCCDFMonotone(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		counts := make([]int, len(raw))
-		for i, v := range raw {
-			counts[i] = int(v)
-		}
-		pts := CCDF(counts)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Value <= pts[i-1].Value || pts[i].Frac > pts[i-1].Frac {
-				return false
-			}
-		}
-		return len(pts) > 0 && pts[0].Frac == 1.0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -160,25 +115,6 @@ func TestOnlineZeroValue(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	if got := Percentile(xs, 50); got != 35 {
-		t.Errorf("P50 = %v, want 35", got)
-	}
-	if got := Percentile(xs, 0); got != 15 {
-		t.Errorf("P0 = %v, want 15", got)
-	}
-	if got := Percentile(xs, 100); got != 50 {
-		t.Errorf("P100 = %v, want 50", got)
-	}
-	if got := Percentile(xs, 25); got != 20 {
-		t.Errorf("P25 = %v, want 20", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("Percentile of empty should be NaN")
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
@@ -212,34 +148,6 @@ func TestLinearRegressionErrors(t *testing.T) {
 	}
 	if _, err := LinearRegression([]float64{2, 2}, []float64{1, 3}); err == nil {
 		t.Error("expected error for degenerate x")
-	}
-}
-
-func TestLogLogRegression(t *testing.T) {
-	// Perfect Zipf with exponent 1.5: y = 1000 * x^-1.5.
-	var x, y []float64
-	for r := 1; r <= 100; r++ {
-		x = append(x, float64(r))
-		y = append(y, 1000*math.Pow(float64(r), -1.5))
-	}
-	fit, err := LogLogRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope+1.5) > 1e-9 {
-		t.Errorf("slope = %v, want -1.5", fit.Slope)
-	}
-}
-
-func TestLogLogRegressionSkipsNonPositive(t *testing.T) {
-	x := []float64{0, 1, 2, 4}
-	y := []float64{5, 1, 2, 4} // after dropping x=0: y = x exactly
-	fit, err := LogLogRegression(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-1) > 1e-9 {
-		t.Errorf("slope = %v, want 1", fit.Slope)
 	}
 }
 

@@ -55,9 +55,8 @@ type Network struct {
 	syn     []*bloom.Filter       // advertised synopses
 	popular map[string]struct{}
 
-	mark  []int32
-	epoch int32
-	r     *rng.Source
+	seen overlay.VertexSet
+	r    *rng.Source
 }
 
 // New builds the network. content[v] is node v's full term multiset
@@ -82,7 +81,7 @@ func New(g *overlay.Graph, content [][]string, cfg Config) (*Network, error) {
 		ordered: make([][]string, len(content)),
 		syn:     make([]*bloom.Filter, len(content)),
 		popular: map[string]struct{}{},
-		mark:    make([]int32, g.N()),
+		seen:    overlay.NewVertexSet(g.N()),
 		r:       rng.NewNamed(cfg.Seed, "synopsis/fallback"),
 	}
 	for v, ts := range content {
@@ -97,9 +96,6 @@ func New(g *overlay.Graph, content [][]string, cfg Config) (*Network, error) {
 		}
 		sort.Strings(ord)
 		n.ordered[v] = ord
-	}
-	for i := range n.mark {
-		n.mark[i] = -1
 	}
 	if err := n.rebuild(); err != nil {
 		return nil, err
@@ -212,18 +208,17 @@ func (n *Network) Search(origin int, qterms []string, ttl int) (search.Result, e
 		res.Results = 1
 		return res, nil
 	}
-	n.epoch++
-	n.mark[origin] = n.epoch
+	n.seen.Reset()
+	n.seen.Add(int32(origin))
 	frontier := n.forwardSet(int32(origin), qterms)
 	res.Messages += len(frontier)
 	var next []int32
 	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
 		next = next[:0]
 		for _, v := range frontier {
-			if n.mark[v] == n.epoch {
+			if !n.seen.Add(v) {
 				continue
 			}
-			n.mark[v] = n.epoch
 			res.Peers++
 			if n.has(v, qterms) {
 				res.Results++
@@ -237,7 +232,7 @@ func (n *Network) Search(origin int, qterms []string, ttl int) (search.Result, e
 			}
 			fwd := n.forwardSet(v, qterms)
 			for _, w := range fwd {
-				if n.mark[w] != n.epoch {
+				if !n.seen.Has(w) {
 					next = append(next, w)
 					res.Messages++
 				}

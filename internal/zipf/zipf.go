@@ -97,68 +97,6 @@ func (d *Dist) Quantile(u float64) int {
 	return i + 1
 }
 
-// SampleMany draws k ranks.
-func (d *Dist) SampleMany(r *rng.Source, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = d.Sample(r)
-	}
-	return out
-}
-
-// ExpectedCounts returns the expected number of occurrences of each rank in
-// total draws: counts[k-1] = total * P(rank = k).
-func (d *Dist) ExpectedCounts(total int) []float64 {
-	out := make([]float64, d.n)
-	for k := 1; k <= d.n; k++ {
-		out[k-1] = float64(total) * d.Prob(k)
-	}
-	return out
-}
-
-// Counts deterministically apportions total occurrences to ranks 1..n in
-// Zipf proportion with every rank receiving at least min. It is used to
-// build replica-count profiles (e.g. "12.1M objects over 8.1M unique names")
-// without per-object sampling noise. Apportioning uses largest-remainder
-// rounding so the counts sum exactly to max(total, n*min).
-func (d *Dist) Counts(total, min int) []int {
-	if min < 0 {
-		min = 0
-	}
-	out := make([]int, d.n)
-	base := d.n * min
-	rem := total - base
-	if rem < 0 {
-		rem = 0
-	}
-	type frac struct {
-		idx int
-		f   float64
-	}
-	fracs := make([]frac, d.n)
-	assigned := 0
-	for k := 1; k <= d.n; k++ {
-		exact := float64(rem) * d.Prob(k)
-		whole := int(exact)
-		out[k-1] = min + whole
-		assigned += whole
-		fracs[k-1] = frac{idx: k - 1, f: exact - float64(whole)}
-	}
-	// Distribute the remainder to the largest fractional parts; ties break
-	// toward lower ranks for determinism.
-	left := rem - assigned
-	sort.Slice(fracs, func(i, j int) bool {
-		if fracs[i].f != fracs[j].f {
-			return fracs[i].f > fracs[j].f
-		}
-		return fracs[i].idx < fracs[j].idx
-	})
-	for i := 0; i < left && i < len(fracs); i++ {
-		out[fracs[i].idx]++
-	}
-	return out
-}
-
 // Fit holds an estimated Zipf exponent.
 type Fit struct {
 	S  float64 // estimated exponent

@@ -77,14 +77,6 @@ func TestSampleMatchesProb(t *testing.T) {
 	}
 }
 
-func TestSampleMany(t *testing.T) {
-	d, _ := New(5, 1.0)
-	out := d.SampleMany(rng.New(3), 17)
-	if len(out) != 17 {
-		t.Fatalf("SampleMany returned %d values", len(out))
-	}
-}
-
 func TestMandelbrotFlattensHead(t *testing.T) {
 	plain, _ := New(100, 1.0)
 	shifted, _ := NewMandelbrot(100, 1.0, 10)
@@ -95,88 +87,13 @@ func TestMandelbrotFlattensHead(t *testing.T) {
 	}
 }
 
-func TestExpectedCounts(t *testing.T) {
-	d, _ := New(4, 1.0)
-	ec := d.ExpectedCounts(1000)
-	sum := 0.0
-	for _, c := range ec {
-		sum += c
-	}
-	if math.Abs(sum-1000) > 1e-6 {
-		t.Errorf("expected counts sum to %v", sum)
-	}
-	if ec[0] <= ec[3] {
-		t.Error("expected counts should decrease with rank")
-	}
-}
-
-func TestCountsExactTotal(t *testing.T) {
-	d, _ := New(1000, 1.1)
-	counts := d.Counts(12100, 1)
-	sum := 0
-	for _, c := range counts {
-		sum += c
-		if c < 1 {
-			t.Fatal("count below minimum")
-		}
-	}
-	if sum != 12100 {
-		t.Errorf("counts sum to %d, want 12100", sum)
-	}
-	// Head must dominate tail.
-	if counts[0] <= counts[999] {
-		t.Error("counts not decreasing")
-	}
-}
-
-func TestCountsTotalBelowMinimum(t *testing.T) {
-	d, _ := New(10, 1.0)
-	counts := d.Counts(5, 1) // total below n*min: everyone still gets min
-	for _, c := range counts {
-		if c != 1 {
-			t.Errorf("count = %d, want 1", c)
-		}
-	}
-}
-
-func TestCountsDeterministic(t *testing.T) {
-	d, _ := New(500, 0.9)
-	a := d.Counts(7777, 1)
-	b := d.Counts(7777, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Counts not deterministic")
-		}
-	}
-}
-
-func TestCountsProperty(t *testing.T) {
-	d, _ := New(50, 1.0)
-	f := func(totRaw uint16) bool {
-		total := int(totRaw)
-		counts := d.Counts(total, 1)
-		sum := 0
-		for _, c := range counts {
-			if c < 1 {
-				return false
-			}
-			sum += c
-		}
-		want := total
-		if want < 50 {
-			want = 50
-		}
-		return sum == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFitRankFrequencyRecovers(t *testing.T) {
 	for _, s := range []float64{0.8, 1.0, 1.4} {
 		d, _ := New(2000, s)
-		counts := d.Counts(2000000, 0)
+		counts := make([]int, 2000)
+		for k := range counts {
+			counts[k] = int(2000000 * d.Prob(k+1))
+		}
 		fit, err := FitRankFrequency(counts)
 		if err != nil {
 			t.Fatal(err)
@@ -205,14 +122,6 @@ func BenchmarkSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Sample(r)
-	}
-}
-
-func BenchmarkCounts(b *testing.B) {
-	d, _ := New(100000, 1.0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Counts(1000000, 1)
 	}
 }
 

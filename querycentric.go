@@ -8,8 +8,8 @@
 // synopses) and one experiment runner per table and figure.
 //
 // This package is the public facade: it re-exports the curated surface of
-// the internal packages through type aliases and constructors, so examples
-// and downstream users never import querycentric/internal/... directly.
+// the internal packages through type aliases and constructors, so
+// downstream users never import querycentric/internal/... directly.
 //
 // # Quick start
 //
@@ -18,7 +18,8 @@
 //	fig6, err := querycentric.Fig6(env)   // popular-term stability
 //	fig8, err := querycentric.Fig8(env)   // flood success simulation
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// The Example functions show the facade end to end; the cmd/ tools run
+// every experiment, and DESIGN.md maps the system.
 package querycentric
 
 import (

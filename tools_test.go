@@ -2,6 +2,8 @@ package querycentric_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,15 +12,15 @@ import (
 )
 
 // TestCLIPipeline builds the shipped binaries and runs the full trace
-// pipeline through them: crawl → queries → analyze → track → sim. This is
-// the only test that shells out; skip it with -short.
+// pipeline through them: crawl → queries → analyze (track included) → sim.
+// This is the only test that shells out; skip it with -short.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline in -short mode")
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, tool := range []string{"qc-crawl", "qc-itunes", "qc-queries", "qc-analyze", "qc-track", "qc-sim"} {
+	for _, tool := range []string{"qc-crawl", "qc-itunes", "qc-queries", "qc-analyze", "qc-sim"} {
 		bin := filepath.Join(dir, tool)
 		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+tool)
 		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
@@ -27,9 +29,17 @@ func TestCLIPipeline(t *testing.T) {
 		}
 		bins[tool] = bin
 	}
-	run := func(tool string, args ...string) string {
+	runIn := func(stdin, tool string, args ...string) string {
 		t.Helper()
 		cmd := exec.Command(bins[tool], args...)
+		if stdin != "" {
+			f, err := os.Open(stdin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			cmd.Stdin = f
+		}
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout = &stdout
 		cmd.Stderr = &stderr
@@ -38,6 +48,7 @@ func TestCLIPipeline(t *testing.T) {
 		}
 		return stdout.String()
 	}
+	run := func(tool string, args ...string) string { return runIn("", tool, args...) }
 
 	crawl := filepath.Join(dir, "crawl.trace")
 	run("qc-crawl", "-peers", "120", "-objects", "2500", "-firewalled", "0", "-o", crawl)
@@ -85,9 +96,16 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("transients output unexpected: %.80s", out)
 	}
 
-	// Online tracker.
-	if out := run("qc-track", "-in", queries, "-mismatch", crawl); !strings.Contains(out, "stability\tmismatch") {
-		t.Errorf("track output unexpected: %.80s", out)
+	// Online tracker, over a file and over stdin. The digest pins what the
+	// retired qc-track command printed for these traces, transients sorted.
+	const trackSHA256 = "dfbfd56d6626b004eb6bd86c57a5964c6577ea51647dfc27f74361683bcdbc76"
+	for _, out := range []string{
+		run("qc-analyze", "-mode", "track", "-in", queries, "-crawl", crawl),
+		runIn(queries, "qc-analyze", "-mode", "track", "-crawl", crawl),
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != trackSHA256 {
+			t.Errorf("track output digest %s, want %s:\n%.200s", got, trackSHA256, out)
+		}
 	}
 
 	// Simulation modes (tiny scale keeps this quick). The last three print
