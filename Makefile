@@ -19,20 +19,19 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# Byte-identical results at 1 vs 8 workers across the experiment runners,
-# including the ChurnRepair repair timeline (the golden determinism check
-# on overlay maintenance) and the event-engine recovery curve with its
-# windowed metric series, plus the observability-plane contract: attaching
-# metrics never changes results, and enabled-metrics snapshots/manifest
-# fingerprints are identical at any worker count. The snapshot tests extend
-# the gate to persistence: a restored network must reproduce the fresh
-# build's figures byte for byte, and a damaged snapshot must fail loudly.
-# The capacity tests extend it to the overload plane: a flash-crowd
-# scenario with shedding and breakers enabled is byte-identical at 1 vs 8
-# workers, and a disabled capacity plane is byte-identical to no plane.
+# The registry gates: every experiments.Runners entry is byte-identical at
+# 1 vs 8 workers and on a repeated run, unchanged by an attached metrics
+# plane, identical in metrics snapshot and manifest fingerprint (metrics,
+# flood traces, windows) at 1 vs 8 workers, and equal in output to its
+# RUNNER_DIGESTS.txt line. Beside them: the event-engine recovery curve
+# with its windowed series, the query-centric metrics check, the snapshot
+# round trip (a restored network reproduces the fresh build's figures, a
+# damaged snapshot fails loudly) and the overload plane (a flash-crowd
+# scenario with shedding and breakers is byte-identical at 1 vs 8 workers,
+# and a disabled capacity plane is byte-identical to no plane).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestQueryCentricMetricsInert|TestMetricsSnapshotWorkerInvariance|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
+	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestQueryCentricMetricsInert|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
@@ -144,8 +143,9 @@ loc:
 
 # The CI gate, each check once: static checks, formatting, a clean build, the
 # full suite under the race detector (which includes everything
-# `determinism` and `api-freeze` select, the recovery / saturation /
-# query-centric claims and TestScaleGate's tiny row), the decoder,
+# `determinism` and `api-freeze` select — the registry gates and
+# TestRunnerDigests among them — the recovery / saturation / query-centric
+# claims and TestScaleGate's tiny row), the decoder,
 # churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier) and flood-vs-naive
 # (FuzzFloodVsNaive) fuzz smokes, the sim-digest refactor

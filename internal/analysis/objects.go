@@ -11,6 +11,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"querycentric/internal/stats"
@@ -25,7 +26,7 @@ type DistReport struct {
 	Unique          int     // distinct keys (names / terms / annotations)
 	TotalPlacements int     // observations contributing
 	SingletonFrac   float64 // fraction of keys on exactly one peer
-	Counts          []int   // per-key distinct-peer counts (unordered)
+	Counts          []int   // per-key distinct-peer counts, descending
 	Fit             zipf.Fit
 	FitErr          error // non-nil if too little data to fit
 }
@@ -78,17 +79,13 @@ func distinctPeers(tr *trace.ObjectTrace, keysOf func(string) []string) *DistRep
 	copy(recs, tr.Records)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Peer < recs[j].Peer })
 
-	type entry struct {
-		lastPeer int
-		count    int
-	}
-	seen := map[string]*entry{}
+	seen := map[string]*peerCount{}
 	placements := 0
 	for _, rec := range recs {
 		for _, key := range keysOf(rec.Name) {
 			e, ok := seen[key]
 			if !ok {
-				seen[key] = &entry{lastPeer: rec.Peer, count: 1}
+				seen[key] = &peerCount{lastPeer: rec.Peer, count: 1}
 				placements++
 				continue
 			}
@@ -99,20 +96,34 @@ func distinctPeers(tr *trace.ObjectTrace, keysOf func(string) []string) *DistRep
 			}
 		}
 	}
-	rep := &DistReport{Unique: len(seen), TotalPlacements: placements}
-	rep.Counts = make([]int, 0, len(seen))
+	rep := &DistReport{TotalPlacements: placements}
+	rep.setCounts(seen)
+	return rep
+}
+
+// peerCount tracks one key's distinct holders over records sorted by peer.
+type peerCount struct {
+	lastPeer int
+	count    int
+}
+
+// setCounts fills the distribution from its per-key holder counts, most
+// held first, so the report does not depend on map order.
+func (r *DistReport) setCounts(seen map[string]*peerCount) {
+	r.Unique = len(seen)
+	r.Counts = make([]int, 0, len(seen))
 	singles := 0
 	for _, e := range seen {
-		rep.Counts = append(rep.Counts, e.count)
+		r.Counts = append(r.Counts, e.count)
 		if e.count == 1 {
 			singles++
 		}
 	}
-	if rep.Unique > 0 {
-		rep.SingletonFrac = float64(singles) / float64(rep.Unique)
+	slices.SortFunc(r.Counts, func(a, b int) int { return b - a })
+	if r.Unique > 0 {
+		r.SingletonFrac = float64(singles) / float64(r.Unique)
 	}
-	rep.Fit, rep.FitErr = zipf.FitRankFrequency(rep.Counts)
-	return rep
+	r.Fit, r.FitErr = zipf.FitRankFrequency(r.Counts)
 }
 
 // TermCount is one entry of a ranked term popularity list.
@@ -221,11 +232,7 @@ func Annotations(tr *trace.SongTrace, a Annotation) (*AnnotationReport, error) {
 	copy(recs, tr.Records)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Peer < recs[j].Peer })
 
-	type entry struct {
-		lastPeer int
-		count    int
-	}
-	seen := map[string]*entry{}
+	seen := map[string]*peerCount{}
 	missing, placements := 0, 0
 	for i := range recs {
 		v := value(&recs[i])
@@ -235,7 +242,7 @@ func Annotations(tr *trace.SongTrace, a Annotation) (*AnnotationReport, error) {
 		}
 		e, ok := seen[v]
 		if !ok {
-			seen[v] = &entry{lastPeer: recs[i].Peer, count: 1}
+			seen[v] = &peerCount{lastPeer: recs[i].Peer, count: 1}
 			placements++
 			continue
 		}
@@ -246,22 +253,10 @@ func Annotations(tr *trace.SongTrace, a Annotation) (*AnnotationReport, error) {
 		}
 	}
 	rep := &AnnotationReport{Annotation: a}
-	rep.Unique = len(seen)
 	rep.TotalPlacements = placements
 	if len(tr.Records) > 0 {
 		rep.MissingFrac = float64(missing) / float64(len(tr.Records))
 	}
-	rep.Counts = make([]int, 0, len(seen))
-	singles := 0
-	for _, e := range seen {
-		rep.Counts = append(rep.Counts, e.count)
-		if e.count == 1 {
-			singles++
-		}
-	}
-	if rep.Unique > 0 {
-		rep.SingletonFrac = float64(singles) / float64(rep.Unique)
-	}
-	rep.Fit, rep.FitErr = zipf.FitRankFrequency(rep.Counts)
+	rep.setCounts(seen)
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"querycentric/internal/stats"
 	"querycentric/internal/terms"
@@ -209,6 +210,7 @@ func Transients(tr *trace.QueryTrace, interval int64, cfg TransientConfig) ([]Tr
 				tp.Terms = append(tp.Terms, tok)
 			}
 		}
+		slices.Sort(tp.Terms)
 		tp.Count = len(tp.Terms)
 		out = append(out, tp)
 	}

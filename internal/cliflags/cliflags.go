@@ -280,7 +280,7 @@ func CheckPositive(name string, v int) error {
 
 // CheckNonNegative rejects negative values for count flags where zero
 // means "use the default".
-func CheckNonNegative(name string, v int) error {
+func CheckNonNegative[T int | int64](name string, v T) error {
 	if v < 0 {
 		return fmt.Errorf("%s must be >= 0, got %d", name, v)
 	}

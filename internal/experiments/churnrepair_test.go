@@ -8,11 +8,7 @@ import "testing"
 // The measured tiny-scale numbers are ~1.0 static, ~0.5 without repair,
 // ~1.0 with repair; the thresholds leave wide margins.
 func TestChurnRepairQualitative(t *testing.T) {
-	e := NewEnv(ScaleTiny, 42)
-	res, err := ChurnRepair(e)
-	if err != nil {
-		t.Fatalf("ChurnRepair: %v", err)
-	}
+	res := memoRun(t, entry(t, "churn-repair"), 8, false).res.(*ChurnRepairResult)
 	if res.Events == 0 {
 		t.Fatal("timeline produced no churn events")
 	}

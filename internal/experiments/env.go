@@ -310,9 +310,10 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 	if e.objTrace != nil {
 		return e.objTrace, e.objStats, nil
 	}
-	bcfg := e.P.Population(e.Seed)
-	bcfg.Workers = e.Workers
-	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, bcfg, e.Obs)
+	// Like newNetwork, the build resolves its own worker count: the
+	// dictionary shards by it, so e.Workers would leak into
+	// parallel_map_units_total.
+	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.P.Population(e.Seed), e.Obs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}

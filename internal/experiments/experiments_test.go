@@ -474,18 +474,20 @@ func TestFaultSweepShape(t *testing.T) {
 	}
 }
 
+// TestFaultSweepDeterministic covers the dead-peer mask, which the
+// registry's faults entry runs without, at 1 and 8 workers.
 func TestFaultSweepDeterministic(t *testing.T) {
-	cfg := FaultSweepConfig{Rates: []float64{0.3}, DeadFrac: 0.2}
-	a, err := FaultSweepWith(tinyEnv(t), cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) FaultPoint {
+		e := tinyEnv(t)
+		e.Workers = workers
+		res, err := FaultSweepWith(e, FaultSweepConfig{Rates: []float64{0.3}, DeadFrac: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Points[0]
 	}
-	b, err := FaultSweepWith(tinyEnv(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Points[0] != b.Points[0] {
-		t.Errorf("sweep not deterministic: %+v vs %+v", a.Points[0], b.Points[0])
+	if a, b := run(1), run(8); a != b {
+		t.Errorf("sweep not deterministic: %+v vs %+v", a, b)
 	}
 }
 

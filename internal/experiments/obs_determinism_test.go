@@ -1,93 +1,58 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
-
-	"querycentric/internal/obs"
-	"querycentric/internal/parallel"
 )
 
-// runInstrumented runs one Fig8 + FaultSweep pass at the given worker
-// count, optionally with the observability plane attached, and returns the
-// marshalled experiment results plus the registry and trace recorder.
-//
-// Not parallel-safe: parallel.Instrument installs process-global
-// instrumentation, so the callers below must not use t.Parallel().
-func runInstrumented(t *testing.T, workers int, withObs bool) ([]byte, *obs.Registry, *obs.FloodTraces) {
-	t.Helper()
-	e := NewEnv(ScaleTiny, 42)
-	e.Workers = workers
-	if withObs {
-		e.Obs = obs.NewRegistry()
-		e.FloodTraces = obs.NewFloodTraces(0)
-		parallel.Instrument(e.Obs)
-		defer parallel.Instrument(nil)
-	}
-	f8, err := Fig8(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := FaultSweepWith(e, FaultSweepConfig{
-		Rates:    []float64{0, 0.3},
-		DeadFrac: 0.15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal([]any{f8, fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw, e.Obs, e.FloodTraces
-}
-
 // TestMetricsDoNotChangeResults pins the plane's zero-interference
-// contract: attaching a live registry and flood-trace recorder must leave
-// every experiment result byte-identical to a bare run.
+// contract on every registry entry: attaching a live registry, flood-trace
+// recorder and window log must leave the result byte-identical to a bare
+// run, and the plane must record something.
+//
+// Not parallel: plane runs install process-global instrumentation.
 func TestMetricsDoNotChangeResults(t *testing.T) {
-	bare, _, _ := runInstrumented(t, 2, false)
-	instrumented, reg, _ := runInstrumented(t, 2, true)
-	if string(bare) != string(instrumented) {
-		t.Fatalf("attaching the observability plane changed experiment results:\n%s\nvs\n%s",
-			bare, instrumented)
-	}
-	if len(reg.Snapshot().Metrics) == 0 {
-		t.Fatal("instrumented run recorded no metrics")
+	for _, r := range Runners {
+		t.Run(r.Name, func(t *testing.T) {
+			bare, inst := memoRun(t, r, 8, false), memoRun(t, r, 8, true)
+			if !bytes.Equal(bare.result, inst.result) {
+				t.Fatalf("attaching the observability plane changed the result:\n%s\nvs\n%s",
+					bare.result, inst.result)
+			}
+			if len(inst.manifest.Metrics.Metrics) == 0 {
+				t.Fatal("instrumented run recorded no metrics")
+			}
+		})
 	}
 }
 
 // TestMetricsSnapshotWorkerInvariance pins the other half of the contract:
-// with the plane enabled, the metrics snapshot, the sampled flood traces
-// and the manifest fingerprint are identical at 1 and 8 workers.
+// with the plane enabled, every entry's metrics snapshot, sampled flood
+// traces and windows — the manifest fingerprint — are identical at 1 and 8
+// workers.
 func TestMetricsSnapshotWorkerInvariance(t *testing.T) {
-	manifest := func(workers int) (*obs.Manifest, []byte) {
-		_, reg, traces := runInstrumented(t, workers, true)
-		m := &obs.Manifest{
-			Command: "determinism-test", Mode: "fig8+faults", Scale: "tiny",
-			Seed: 42, Workers: workers,
-			Metrics:     reg.Snapshot(),
-			FloodTraces: traces.Snapshot(),
-		}
-		m.Finalize()
-		snap, err := json.Marshal(m.Metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, snap
-	}
-	m1, snap1 := manifest(1)
-	m8, snap8 := manifest(8)
-	if string(snap1) != string(snap8) {
-		t.Fatalf("metrics snapshot diverged between workers=1 and workers=8:\n%s\nvs\n%s",
-			snap1, snap8)
-	}
-	if len(m1.FloodTraces) != len(m8.FloodTraces) {
-		t.Fatalf("flood-trace sample size diverged: %d vs %d",
-			len(m1.FloodTraces), len(m8.FloodTraces))
-	}
-	if m1.Fingerprint != m8.Fingerprint {
-		t.Fatalf("manifest fingerprint diverged between workers=1 and workers=8: %s vs %s",
-			m1.Fingerprint, m8.Fingerprint)
+	for _, r := range Runners {
+		t.Run(r.Name, func(t *testing.T) {
+			if why, ok := workerExempt[r.Name]; ok {
+				t.Skip(why)
+			}
+			m1, m8 := memoRun(t, r, 1, true).manifest, memoRun(t, r, 8, true).manifest
+			snap1, err := json.Marshal(m1.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap8, err := json.Marshal(m8.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap1, snap8) {
+				t.Fatalf("metrics snapshot diverged between workers=1 and workers=8:\n%s\nvs\n%s", snap1, snap8)
+			}
+			if m1.Fingerprint != m8.Fingerprint {
+				t.Fatalf("manifest fingerprint (metrics, %d vs %d flood traces, %d vs %d window series) diverged between workers=1 and workers=8: %s vs %s",
+					len(m1.FloodTraces), len(m8.FloodTraces), len(m1.Windows), len(m8.Windows), m1.Fingerprint, m8.Fingerprint)
+			}
+		})
 	}
 }

@@ -91,10 +91,7 @@ func TestRecoveryQualitative(t *testing.T) {
 	// The default configuration — what `qc-sim -mode recovery` runs — must
 	// likewise end with the repaired overlay no worse than the unrepaired.
 	t.Run("default config", func(t *testing.T) {
-		res, err := Recovery(NewEnv(ScaleTiny, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := memoRun(t, entry(t, "recovery"), 8, false).res.(*RecoveryResult)
 		if len(res.Repair) == 0 || len(res.NoRepair) == 0 {
 			t.Fatalf("got %d/%d windows, want both arms", len(res.Repair), len(res.NoRepair))
 		}

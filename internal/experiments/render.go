@@ -36,18 +36,6 @@ func WriteTable(w io.Writer, r Result) error {
 	return nil
 }
 
-// Every experiment result implements Result.
-var _ = []Result{
-	(*DistResult)(nil), (*Fig4Result)(nil), (*Fig5Result)(nil),
-	(*Fig6Result)(nil), (*Fig7Result)(nil), (*Fig8Result)(nil),
-	(*TTLCoverageResult)(nil), (*HybridVsDHTResult)(nil), (*GiaResult)(nil),
-	(*QRPResult)(nil), (*ChurnResult)(nil), (*ChurnRepairResult)(nil),
-	(*WalkVsFloodResult)(nil), (*ReplicationResult)(nil),
-	(*ShortcutsResult)(nil), (*DHTRoutingResult)(nil),
-	(*FaultSweepResult)(nil), (*SynopsisResult)(nil), (*RareObjectResult)(nil),
-	(*RecoveryResult)(nil), (*SaturationResult)(nil), (*QueryCentricResult)(nil),
-}
-
 // kv builds a two-column metric/value table from alternating pairs.
 func kv(pairs ...string) [][]string {
 	rows := [][]string{{"metric", "value"}}
@@ -106,6 +94,19 @@ func (r *Fig5Result) Table() [][]string {
 			rows = append(rows, []string{fmt.Sprintf("%d", iv),
 				fmt.Sprintf("%d", p.Start), fmt.Sprintf("%d", p.Count)})
 		}
+	}
+	return rows
+}
+
+// Name identifies the interval-robustness sweep.
+func (r *intervalSweepResult) Name() string { return "interval-sweep" }
+
+// Table renders both sweeps' means per evaluation interval.
+func (r *intervalSweepResult) Table() [][]string {
+	rows := [][]string{{"interval_s", "stability_mean", "mismatch_mean"}}
+	for i, s := range r.Stability {
+		rows = append(rows, []string{fmt.Sprintf("%d", s.Interval),
+			fmt.Sprintf("%.4f", s.MeanValue), fmt.Sprintf("%.4f", r.Mismatch[i].MeanValue)})
 	}
 	return rows
 }

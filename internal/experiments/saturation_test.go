@@ -36,11 +36,7 @@ func TestSaturationConfigValidate(t *testing.T) {
 // and TTL-aware shedding retains at least twice drop-tail's success at
 // the highest swept load.
 func TestSaturationQualitative(t *testing.T) {
-	e := NewEnv(ScaleTiny, 42)
-	res, err := Saturation(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := memoRun(t, entry(t, "saturation"), 8, false).res.(*SaturationResult)
 	byArm := map[string]SaturationArm{}
 	for _, a := range res.Arms {
 		byArm[a.Arm] = a

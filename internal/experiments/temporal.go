@@ -214,3 +214,19 @@ func Fig7Sweep(e *Env) ([]SweepPoint, error) {
 	}
 	return out, nil
 }
+
+// intervalSweepResult pairs the Figure 6 and Figure 7 sweeps, one row per
+// evaluation interval.
+type intervalSweepResult struct {
+	Stability, Mismatch []SweepPoint
+}
+
+// intervalSweep runs both interval sweeps.
+func intervalSweep(e *Env) (*intervalSweepResult, error) {
+	s6, err := Fig6Sweep(e)
+	if err != nil {
+		return nil, err
+	}
+	s7, err := Fig7Sweep(e)
+	return &intervalSweepResult{Stability: s6, Mismatch: s7}, err
+}

@@ -66,6 +66,13 @@ type Result = experiments.Result
 // WriteResultTable renders a Result as a commented-header TSV table.
 func WriteResultTable(w io.Writer, r Result) error { return experiments.WriteTable(w, r) }
 
+// Runner is one entry of the experiment registry Runners, which qc-sim
+// and qc-figures run from.
+type Runner = experiments.Runner
+
+// Runners is the experiment registry.
+var Runners = experiments.Runners
+
 // Scale selects experiment sizing (tiny/small/default/full/1m).
 type Scale = experiments.Scale
 

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	qc "querycentric"
 )
 
 // TestCLIPipeline builds the shipped binaries and runs the full trace
@@ -108,13 +110,34 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
-	// Simulation modes (tiny scale keeps this quick). The last three print
-	// the rows the claims tests in internal/experiments assert on — repaired
-	// vs unrepaired final success, TTL-aware vs drop-tail success by load,
+	// Every qc-sim mode of the registry, at tiny scale: its stdout and
+	// stderr are what RUNNER_DIGESTS.txt pins. The last three print the rows
+	// the claims tests in internal/experiments assert on — repaired vs
+	// unrepaired final success, TTL-aware vs drop-tail success by load,
 	// adaptive vs static success and cost — so the CLI must still render
 	// each with its two values.
-	sim := func(mode string) string { return run("qc-sim", "-mode", mode, "-scale", "tiny") }
-	if out := sim("dht"); !strings.Contains(out, "pastry_mean_hops") {
+	raw, err := os.ReadFile("RUNNER_DIGESTS.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := map[string]string{}
+	for _, r := range qc.Runners {
+		if !r.Sim {
+			continue
+		}
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bins["qc-sim"], "-mode", r.Name, "-scale", "tiny")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("qc-sim -mode %s: %v\nstderr: %s", r.Name, err, stderr.String())
+		}
+		sims[r.Name] = stdout.String()
+		line := fmt.Sprintf("%s %x", r.Name, sha256.Sum256(append(stdout.Bytes(), stderr.Bytes()...)))
+		if !strings.Contains(string(raw), line+"\n") {
+			t.Errorf("qc-sim -mode %s: output digest %q is not in RUNNER_DIGESTS.txt", r.Name, line)
+		}
+	}
+	if out := sims["dht"]; !strings.Contains(out, "pastry_mean_hops") {
 		t.Errorf("sim output unexpected: %.80s", out)
 	}
 	for mode, keys := range map[string][]string{
@@ -122,7 +145,7 @@ func TestCLIPipeline(t *testing.T) {
 		"saturation":    {"ttl", "drop-tail"},
 		"query-centric": {"static-flood", "adaptive"},
 	} {
-		out := sim(mode)
+		out := sims[mode]
 		for _, key := range keys {
 			found := false
 			for _, line := range strings.Split(out, "\n") {
@@ -132,6 +155,26 @@ func TestCLIPipeline(t *testing.T) {
 			if !found {
 				t.Errorf("qc-sim -mode %s: no %q row with two values in:\n%s", mode, key, out)
 			}
+		}
+	}
+
+	// A mode-only flag is rejected when out of range, and when given to a
+	// mode that does not bind it.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mode", "recovery", "-burst-time", "-10"}, "-burst-time must be >= 0"},
+		{[]string{"-mode", "recovery", "-ping-interval", "-5"}, "-ping-interval must be >= 0"},
+		{[]string{"-mode", "churn-repair", "-ping-timeout", "-3"}, "-ping-timeout must be >= 0"},
+		{[]string{"-mode", "fig8", "-dead", "0.5"}, "-dead does not apply to -mode fig8"},
+		{[]string{"-mode", "recovery", "-polite", "0.5"}, "-polite does not apply to -mode recovery"},
+		{[]string{"-mode", "fig8", "-snapshot-save", snap}, "-snapshot-save does not apply to -mode fig8"},
+		{[]string{"-mode", "no-such-mode"}, `unknown mode "no-such-mode"`},
+	} {
+		out, err := exec.Command(bins["qc-sim"], append(tc.args, "-scale", "tiny")...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("qc-sim %v: want a failure naming %q, got %v\n%s", tc.args, tc.want, err, out)
 		}
 	}
 }
