@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"querycentric/internal/dict"
 	"querycentric/internal/parallel"
@@ -18,6 +19,11 @@ import (
 // and network-wide because a simulator can). Which peers a flood reaches,
 // and what it transmits, are untouched: the index only decides whose
 // posting index is worth a probe once the peer has processed the query.
+//
+// The index is built once, by BuildIndexes (buildHolders) or by the
+// sharded snapshot builder (HolderEncoder) — one inversion, so the bytes
+// agree — and persisted with the snapshot: a restore adopts the stored
+// lists after checking them (adoptHolders) instead of inverting again.
 
 // holderIndex maps every shared-dictionary term to the ascending IDs of the
 // peers whose posting index holds it, as one CSR: term t's list is
@@ -37,14 +43,10 @@ func (h *holderIndex) heapBytes() uint64 {
 func (h *holderIndex) list(t dict.TermID) []byte { return h.arena[h.off[t]:h.off[t+1]] }
 
 // buildHolders derives the holder index from the built per-peer indexes,
-// once: a sizing pass and a fill pass over every peer's term IDs
-// (forEachTermID; posting payloads are never touched), each sharded by
-// contiguous term-ID range so workers write disjoint state and arena ranges
-// — the bytes are the same at any worker count. A peer that AddFile pushed
-// onto a local dictionary has no shared-dictionary terms to list, and a list
-// that omits a peer would hide its answers, so while any peer matches
-// through its own dictionary no index is built and floods probe every peer
-// they reach.
+// once. A peer that AddFile pushed onto a local dictionary has no
+// shared-dictionary terms to list, and a list that omits a peer would hide
+// its answers, so while any peer matches through its own dictionary no
+// index is built and floods probe every peer they reach.
 func (nw *Network) buildHolders(workers int) error {
 	if nw.dict == nil || nw.holders.off != nil {
 		return nil
@@ -55,65 +57,165 @@ func (nw *Network) buildHolders(workers int) error {
 		}
 	}
 	n := nw.dict.Len()
-	// Per-term pass state, side by side so a visit touches one cache line:
-	// the last peer seen holding the term, and the term's encoded length
-	// (sizing pass) or write cursor (fill pass).
-	type termState struct {
-		last int32
-		at   uint32
+	e, err := newHolderEncoder(n, len(nw.Peers), func(i int) postingIndex { return nw.Peers[i].idx }, workers)
+	if err != nil {
+		return err
 	}
-	state := make([]termState, n)
-	var arena []byte // nil while sizing
-	bounds := nw.holderShardBounds(max(min(parallel.Workers(workers), n), 1))
-	pass := func() {
-		// The unit function cannot fail, so neither can ForEach.
-		_ = parallel.ForEach(workers, len(bounds)-1, func(s int) error {
-			lo, hi := bounds[s], bounds[s+1]
-			for t := lo; t < hi; t++ {
-				state[t].last = -1
-			}
-			for i, p := range nw.Peers {
-				p.idx.forEachTermID(lo, hi, func(ids []dict.TermID) {
-					for _, t := range ids {
-						st := &state[t]
-						gap := uint32(int32(i) - st.last - 1)
-						st.last = int32(i)
-						if arena == nil {
-							st.at += uint32(bits.Len32(gap|1)+6) / 7 // the gap's uvarint length
-						} else {
-							st.at += uint32(len(vpost.AppendUvarint(arena[st.at:st.at], uint64(gap))))
-						}
-					}
-				})
-			}
-			return nil
-		})
-	}
-	pass()
-	off := make([]uint32, n+1)
-	var total uint64
-	for t := range state {
-		total += uint64(state[t].at)
-		if total > math.MaxUint32 {
-			return fmt.Errorf("gnet: holder index needs more than %d arena bytes", uint32(math.MaxUint32))
-		}
-		state[t].at = off[t]
-		off[t+1] = uint32(total)
-	}
-	arena = make([]byte, total)
-	pass()
-	nw.holders = holderIndex{off: off, arena: arena}
+	off := make([]uint32, 0, n+1)
+	e.Offsets(func(o []uint32) { off = append(off, o...) })
+	nw.holders = holderIndex{off: off, arena: e.fill(0, dict.TermID(n))}
 	return nil
 }
 
-// holderShardBounds cuts the term-ID space into contiguous ranges holding
+// HolderEncoder inverts per-peer posting indexes into the holder index, in
+// the two passes every build takes: a sizing pass over every peer's term
+// IDs (forEachTermID; posting payloads are never touched), then a fill
+// pass that writes each term's delta-uvarint list. Each pass is sharded by
+// contiguous term-ID range so workers write disjoint state and arena
+// ranges — the bytes are the same at any worker count and any piece size.
+// Beside the arena piece being filled it holds 8 bytes of pass state per
+// term, which is what lets the sharded snapshot builder stream a holder
+// index it never holds whole.
+type HolderEncoder struct {
+	index   func(i int) postingIndex // peer i's index; called concurrently
+	peers   int
+	workers int
+	// Per-term pass state, side by side so a visit touches one cache line:
+	// the last peer seen holding the term, and the term's encoded length
+	// (sizing pass) or write cursor (fill pass).
+	state []holderTermState
+	total uint64 // arena bytes
+}
+
+type holderTermState struct {
+	last int32
+	at   uint32
+}
+
+// NewHolderEncoder runs the sizing pass over the posting indexes of peers
+// [0, peers) — index(i) returns peer i's persisted index and is called
+// concurrently, several times per peer — for a dictionary of terms terms.
+func NewHolderEncoder(terms, peers int, index func(i int) IndexState, workers int) (*HolderEncoder, error) {
+	return newHolderEncoder(terms, peers, func(i int) postingIndex { return index(i).postings() }, workers)
+}
+
+func newHolderEncoder(terms, peers int, index func(i int) postingIndex, workers int) (*HolderEncoder, error) {
+	e := &HolderEncoder{index: index, peers: peers, workers: workers, state: make([]holderTermState, terms)}
+	e.pass(e.sizingBounds(max(min(parallel.Workers(workers), terms), 1)), nil, 0)
+	for t := range e.state {
+		size := e.state[t].at
+		e.state[t].at = uint32(e.total)
+		e.total += uint64(size)
+		if e.total > math.MaxUint32 {
+			return nil, fmt.Errorf("gnet: holder index needs more than %d arena bytes", uint32(math.MaxUint32))
+		}
+	}
+	return e, nil
+}
+
+// ArenaLen is the byte length of the whole holder arena.
+func (e *HolderEncoder) ArenaLen() uint64 { return e.total }
+
+// Offsets hands the index's off array (terms+1 entries) to emit in order,
+// in pieces. Call it before Arena, which advances the cursors it reads.
+func (e *HolderEncoder) Offsets(emit func(off []uint32)) {
+	var piece [1024]uint32
+	k := 0
+	for t := range e.state {
+		piece[k] = e.state[t].at
+		if k++; k == len(piece) {
+			emit(piece[:])
+			k = 0
+		}
+	}
+	piece[k] = uint32(e.total)
+	emit(piece[:k+1])
+}
+
+// Arena fills the arena and hands it to emit in order, in term-range
+// pieces of at most maxPiece bytes (a longer single list is a piece of its
+// own). Each piece is a fresh slice.
+func (e *HolderEncoder) Arena(maxPiece int, emit func(piece []byte)) {
+	n := len(e.state)
+	end := func(j int) uint64 {
+		if j == n {
+			return e.total
+		}
+		return uint64(e.state[j].at)
+	}
+	for lo := 0; lo < n; {
+		base := end(lo)
+		// The longest run of terms from lo whose lists fit, at least one.
+		j := lo + 1 + sort.Search(n-lo, func(k int) bool { return end(lo+1+k)-base > uint64(maxPiece) })
+		hi := max(j-1, lo+1)
+		emit(e.fill(dict.TermID(lo), dict.TermID(hi)))
+		lo = hi
+	}
+}
+
+// fill runs the fill pass over terms [lo, hi) and returns their arena
+// piece. Work is split by arena bytes, which the cursors now know exactly.
+func (e *HolderEncoder) fill(lo, hi dict.TermID) []byte {
+	if lo >= hi {
+		return []byte{}
+	}
+	base := e.state[lo].at
+	end := uint32(e.total)
+	if int(hi) < len(e.state) {
+		end = e.state[hi].at
+	}
+	arena := make([]byte, end-base)
+	shards := max(min(parallel.Workers(e.workers), int(hi-lo)), 1)
+	bounds := make([]dict.TermID, shards+1)
+	bounds[0], bounds[shards] = lo, hi
+	for s := 1; s < shards; s++ {
+		cut := base + uint32(uint64(end-base)*uint64(s)/uint64(shards))
+		bounds[s] = lo + dict.TermID(sort.Search(int(hi-lo), func(k int) bool { return e.state[int(lo)+k].at >= cut }))
+	}
+	e.pass(bounds, arena, base)
+	return arena
+}
+
+// pass runs one sizing (arena nil) or fill pass over the term ranges
+// bounds cuts, one range per unit of work.
+func (e *HolderEncoder) pass(bounds []dict.TermID, arena []byte, base uint32) {
+	// The unit function cannot fail, so neither can ForEach.
+	_ = parallel.ForEach(e.workers, len(bounds)-1, func(s int) error {
+		lo, hi := bounds[s], bounds[s+1]
+		if lo >= hi {
+			return nil
+		}
+		state := e.state
+		for t := lo; t < hi; t++ {
+			state[t].last = -1
+		}
+		for i := 0; i < e.peers; i++ {
+			ix := e.index(i)
+			ix.forEachTermID(lo, hi, func(ids []dict.TermID) {
+				for _, t := range ids {
+					st := &state[t]
+					gap := uint32(int32(i) - st.last - 1)
+					st.last = int32(i)
+					if arena == nil {
+						st.at += uint32(bits.Len32(gap|1)+6) / 7 // the gap's uvarint length
+					} else {
+						st.at += uint32(len(vpost.AppendUvarint(arena[st.at-base:st.at-base], uint64(gap))))
+					}
+				}
+			})
+		}
+		return nil
+	})
+}
+
+// sizingBounds cuts the term-ID space into contiguous ranges holding
 // about equally many (peer, term) pairs, judged from every 64th peer. IDs
 // are assigned in lexicographic term order, so equal-width ranges would be
 // nothing like equal work: the digits-first half of the benchmark
 // network's dictionary carries a fifth of its pairs. The bounds decide only
 // who builds what, never the bytes built.
-func (nw *Network) holderShardBounds(shards int) []dict.TermID {
-	n := nw.dict.Len()
+func (e *HolderEncoder) sizingBounds(shards int) []dict.TermID {
+	n := len(e.state)
 	bounds := make([]dict.TermID, shards+1)
 	for s := 1; s <= shards; s++ {
 		bounds[s] = dict.TermID(n) // a range the sample cannot place stays empty
@@ -124,8 +226,9 @@ func (nw *Network) holderShardBounds(shards int) []dict.TermID {
 	const buckets = 1 << 10
 	var hist [buckets]int
 	total := 0
-	for i := 0; i < len(nw.Peers); i += 64 {
-		nw.Peers[i].idx.forEachTermID(0, dict.TermID(n), func(ids []dict.TermID) {
+	for i := 0; i < e.peers; i += 64 {
+		ix := e.index(i)
+		ix.forEachTermID(0, dict.TermID(n), func(ids []dict.TermID) {
 			for _, t := range ids {
 				hist[uint64(t)*buckets/uint64(n)]++
 			}
@@ -141,6 +244,94 @@ func (nw *Network) holderShardBounds(shards int) []dict.TermID {
 		}
 	}
 	return bounds
+}
+
+// adoptHolders installs a persisted holder index — views of a snapshot's
+// holder section — after checking every property a flood's decode relies
+// on, split by term range across workers: one offset per term plus one,
+// monotone from 0 to the arena's length; every list a run of complete
+// uvarints (at most five bytes each) decoding to peer IDs below the peer
+// count (strictly ascending by construction: each is the last plus
+// gap+1); and as many list entries in all as the peers' indexes hold
+// terms. What the checks cannot see — a list naming the wrong
+// peers — the section digest guards, as it guards the posting arenas the
+// lists are derived from.
+func (nw *Network) adoptHolders(off []uint32, arena []byte, workers int) error {
+	n := nw.dict.Len()
+	if len(off) != n+1 {
+		return fmt.Errorf("holder index has %d offsets for %d terms", len(off), n)
+	}
+	if off[0] != 0 || uint64(off[n]) != uint64(len(arena)) {
+		return fmt.Errorf("holder offsets run from %d to %d over a %d-byte arena", off[0], off[n], len(arena))
+	}
+	var want uint64
+	for _, p := range nw.Peers {
+		want += uint64(p.idx.nTerms)
+	}
+	// Ranges of about equal arena bytes; on a non-monotone off the search
+	// still returns some cut, and clamping keeps the ranges ordered.
+	shards := max(min(parallel.Workers(workers), n), 1)
+	bounds := make([]int, shards+1)
+	bounds[shards] = n
+	for s := 1; s < shards; s++ {
+		cut := uint32(uint64(len(arena)) * uint64(s) / uint64(shards))
+		bounds[s] = max(bounds[s-1], sort.Search(n, func(t int) bool { return off[t] >= cut }))
+	}
+	entries := make([]uint64, shards)
+	peers := uint64(len(nw.Peers))
+	if err := parallel.ForEach(workers, shards, func(s int) error {
+		var count uint64
+		for t := bounds[s]; t < bounds[s+1]; t++ {
+			a, b := off[t], off[t+1]
+			if a > b || uint64(b) > uint64(len(arena)) {
+				return fmt.Errorf("holder offsets of term %d run from %d to %d", t, a, b)
+			}
+			list := arena[a:b]
+			if len(list) > 0 && list[len(list)-1] >= 0x80 {
+				return fmt.Errorf("holder list of term %d ends inside a varint", t)
+			}
+			// IDs ascend by gap+1 from -1, so the list is in range when
+			// its last ID is; single-byte gaps are the common case.
+			var end uint64 // last ID + 1
+			for i := 0; i < len(list); i++ {
+				count++
+				c := list[i]
+				if c < 0x80 {
+					end += uint64(c) + 1
+					continue
+				}
+				gap := uint64(c & 0x7f)
+				for k := 1; c >= 0x80; k++ { // the list's last byte ends every varint
+					if k == 5 {
+						return fmt.Errorf("holder list of term %d holds a varint over five bytes", t)
+					}
+					i++
+					c = list[i]
+					gap |= uint64(c&0x7f) << (7 * k)
+				}
+				if gap >= peers {
+					return fmt.Errorf("holder list of term %d skips %d of %d peers", t, gap, peers)
+				}
+				end += gap + 1
+			}
+			if end > peers {
+				return fmt.Errorf("holder list of term %d names peer %d of %d", t, end-1, peers)
+			}
+		}
+		entries[s] = count
+		return nil
+	}); err != nil {
+		return err
+	}
+	var got uint64
+	for _, c := range entries {
+		got += c
+	}
+	if got != want {
+		return fmt.Errorf("holder index lists %d entries, the peer indexes hold %d terms", got, want)
+	}
+	nw.holders = holderIndex{off: off, arena: arena}
+	return nil
 }
 
 // holderDenseShare bounds the lists a flood will decode: a rarest term held

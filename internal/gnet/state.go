@@ -11,13 +11,23 @@ import (
 
 // IndexState is the persistable form of one peer's compressed posting
 // index: the raw skip arrays and varint arena, exactly as held in memory.
-// The network-wide holder index is derived data and is rebuilt on restore.
 type IndexState struct {
 	NTerms     int
 	NPostings  int
 	BlockFirst []dict.TermID
 	BlockOff   []uint32
 	Arena      []byte
+}
+
+// postings views the state as the index it persists.
+func (s IndexState) postings() postingIndex {
+	return postingIndex{
+		nTerms:     s.NTerms,
+		nPostings:  s.NPostings,
+		blockFirst: s.BlockFirst,
+		blockOff:   s.BlockOff,
+		arena:      s.Arena,
+	}
 }
 
 // PeerState is the persistable state of one peer. Addr and ID are derived
@@ -32,19 +42,22 @@ type PeerState struct {
 
 // NetworkState is the deterministic substrate a snapshot persists: the
 // topology configuration, every peer's identity/links/library/index, the
-// firewalled mask and the shared interned dictionary (as its raw term
-// arena; QRP hash products are recomputed on restore). Fault planes, QRP
-// tables and observability attachments are runtime state and are not part
-// of a snapshot.
+// firewalled mask, the shared interned dictionary (as its raw term arena;
+// QRP hash products are recomputed on restore) and the holder index (as
+// its raw CSR, so a restore adopts it instead of inverting every posting
+// index again). Fault planes, QRP tables and observability attachments are
+// runtime state and are not part of a snapshot.
 type NetworkState struct {
-	Config     Config
-	Firewalled []bool
-	Peers      []PeerState
-	DictBytes  []byte   // concatenated term bytes, ID order
-	DictOff    []uint32 // TermID → DictBytes offset; len = terms+1
+	Config      Config
+	Firewalled  []bool
+	Peers       []PeerState
+	DictBytes   []byte   // concatenated term bytes, ID order
+	DictOff     []uint32 // TermID → DictBytes offset; len = terms+1
+	HolderOff   []uint32 // TermID → HolderArena offset; len = terms+1
+	HolderArena []byte   // per term, its holders' peer IDs as delta uvarints
 
 	// Borrowed marks a state whose byte slices (file names, posting
-	// arenas, skip arrays, dictionary arena) are zero-copy views of an
+	// arenas, skip arrays, dictionary arena, holder index) are zero-copy views of an
 	// external mapping rather than heap memory; Backing, when non-nil, is
 	// that mapping and is adopted by NewFromState so Network.Close can
 	// release it. The loader guarantees the views are never written: all
@@ -73,6 +86,10 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 		Peers:      make([]PeerState, len(nw.Peers)),
 	}
 	st.DictBytes, st.DictOff = nw.dict.Raw()
+	if nw.holders.off == nil {
+		return nil, fmt.Errorf("gnet: ExportState: network has no holder index")
+	}
+	st.HolderOff, st.HolderArena = nw.holders.off, nw.holders.arena
 	for i, p := range nw.Peers {
 		if p.dict != nw.dict {
 			return nil, fmt.Errorf("gnet: ExportState: peer %d does not use the shared dictionary", i)
@@ -95,11 +112,11 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 }
 
 // NewFromState reconstructs a network from a persisted state: peers get
-// their identities, links, libraries and ready-built posting indexes back;
-// QRP hash products and the holder index are rebuilt (over up to `workers`
-// goroutines) since they are pure functions of the persisted data. The
-// state's slices are adopted, not copied — do not reuse st after a
-// successful call.
+// their identities, links, libraries and ready-built posting indexes back,
+// and the network its holder index, adopted after a structural check
+// (adoptHolders); the dictionary's QRP hash products are recomputed, both
+// over up to `workers` goroutines. The state's slices are adopted, not
+// copied — do not reuse st after a successful call.
 //
 // A restored network floods, crawls and serves byte-identically to the
 // freshly built network it was exported from.
@@ -140,13 +157,7 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 			Neighbors: ps.Neighbors,
 			Library:   ps.Library,
 			dict:      d,
-			idx: postingIndex{
-				nTerms:     ps.Index.NTerms,
-				nPostings:  ps.Index.NPostings,
-				blockFirst: ps.Index.BlockFirst,
-				blockOff:   ps.Index.BlockOff,
-				arena:      ps.Index.Arena,
-			},
+			idx:       ps.Index.postings(),
 		}
 		// The restored index is live: Match and floods must use it as-is,
 		// never rebuild. Burn the once so the lazy path stays cold.
@@ -157,7 +168,7 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 		return nil, err
 	}
 	nw.markRelays()
-	if err := nw.buildHolders(workers); err != nil {
+	if err := nw.adoptHolders(st.HolderOff, st.HolderArena, workers); err != nil {
 		return nil, fmt.Errorf("gnet: NewFromState: %w", err)
 	}
 	return nw, nil

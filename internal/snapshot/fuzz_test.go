@@ -1,13 +1,16 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"querycentric/internal/catalog"
+	"querycentric/internal/dict"
 	"querycentric/internal/gnet"
+	"querycentric/internal/rng"
 )
 
 // FuzzSnapshotLoad asserts the loaders' contract over arbitrary bytes:
@@ -16,10 +19,13 @@ import (
 // failure, and never a "valid" network from damaged bytes (the per-section
 // digests make any mutation loud). Both the copying Load and the zero-copy
 // LoadMapped run over every input; mapped networks additionally survive a
-// flood-path probe before their mapping is released. Seeded with a real
-// snapshot of a small catalog-backed network plus the classic traps: empty
-// file, bare magic, bumped version, the retired version-1 header, truncated
-// and bit-flipped variants.
+// flood-path probe before their mapping is released: the index checksum
+// reads every posting, and floods of a few dictionary terms decode the
+// persisted holder lists. Seeded with a real snapshot of a small
+// catalog-backed network plus the classic traps: empty file, bare magic,
+// bumped version, the retired version-1 header and a full file stamped
+// version 2, truncated and bit-flipped variants, one of them flipped inside
+// the holder section.
 func FuzzSnapshotLoad(f *testing.F) {
 	cat, err := catalog.Build(catalog.Config{
 		Seed: 11, Peers: 12, UniqueObjects: 48, ReplicaAlpha: 2.45,
@@ -54,6 +60,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 	stampedV1 := append([]byte(nil), seed...)
 	stampedV1[len(magic)] = 1 // full-length body under the retired version number
 	f.Add(stampedV1)
+	stampedV2 := append([]byte(nil), seed...)
+	stampedV2[len(magic)] = 2
+	f.Add(stampedV2)
+	holderFlip := append([]byte(nil), seed...)
+	holderFlip[(int(binary.LittleEndian.Uint64(seed[dirOff+(secHolders-1)*dirEntryLen+8:]))+len(seed))/2] ^= 0x01
+	f.Add(holderFlip)
 
 	typed := func(err error) bool {
 		for _, sentinel := range []error{ErrFormat, ErrVersion, ErrTruncated, ErrCorrupt, ErrFingerprint} {
@@ -94,6 +106,12 @@ func FuzzSnapshotLoad(f *testing.F) {
 		// zero-copy parse would fault here, inside the test.
 		if _, err := m.IndexChecksum(); err != nil {
 			t.Fatalf("mapped network is not usable: %v", err)
+		}
+		ctx, d := m.NewFloodCtx(), m.TermDict()
+		for id := 0; id < d.Len(); id += max(d.Len()/4, 1) {
+			if _, err := ctx.Flood(id%len(m.Peers), d.Term(dict.TermID(id)), 3, rng.New(uint64(id))); err != nil {
+				t.Fatalf("flood over the mapped network: %v", err)
+			}
 		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

@@ -1,6 +1,6 @@
 // Shard-and-spill snapshot construction: build a paper-scale (or larger)
-// network substrate directly into a version-2 snapshot file while holding
-// only one bounded shard of peers in memory.
+// network substrate directly into a snapshot file while holding only one
+// bounded shard of peers in memory.
 //
 // The in-heap pipeline (catalog → network → indexes → Save) materializes
 // every library string and posting arena before the first byte is written:
@@ -25,8 +25,13 @@
 //     and the peers' library rows stream into the libraries section while
 //     their index rows spill to one side file — the indexes section's
 //     header needs totals the pass is still accumulating.
-//  5. The side file is replayed through the writer as the indexes section,
-//     the directory is patched, and the file renames into place.
+//  5. The side file is replayed through the writer as the indexes section.
+//  6. The holder index is inverted from the same rows, read through a
+//     mapping of the side file (page cache, not heap), and streams out as
+//     the holders section in term-range pieces sized by the shard — the
+//     builder holds 8 bytes of pass state per term and one row offset per
+//     peer, never the whole holder arena. The directory is patched, and
+//     the file renames into place.
 //
 // Every row goes through the same append encoders Save uses and every
 // random draw comes off the same named stream in the same order, so the
@@ -84,8 +89,8 @@ type BuildStats struct {
 	FileBytes  int64 // final snapshot size
 }
 
-// BuildSharded builds the network of cfg directly into a version-2
-// snapshot at path without ever holding the whole substrate in memory.
+// BuildSharded builds the network of cfg directly into a snapshot at path
+// without ever holding the whole substrate in memory.
 // The file is written to path+".tmp" and renamed into place on success.
 // The output is byte-identical to Save over the equivalent in-heap build
 // (catalog.Build → gnet.NewFromCatalog → Save).
@@ -178,7 +183,7 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 	}
 	writeMetaSection(w, netCfg, n)
 	db, do := d.Raw()
-	writeDictSection(w, db, do)
+	writeCSRSection(w, secDict, wholeCSR(do, db))
 	writeTopologySection(w, topoSource{
 		NPeers:     n,
 		Firewalled: nw.Firewalled,
@@ -268,6 +273,9 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		return nil, err
 	}
 	w.EndSection()
+	if err := writeHoldersFromRows(w, side, n, d.Len(), cfg.Workers, shardSize*holderPieceBytesPerPeer); err != nil {
+		return nil, err
+	}
 	size, err := w.Finish()
 	if err != nil {
 		return nil, err
@@ -290,6 +298,56 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		DictTerms:  d.Len(),
 		FileBytes:  size,
 	}, nil
+}
+
+// holderPieceBytesPerPeer sizes the holders section's streamed pieces in
+// proportion to the shard, so inverting the holder index holds a small
+// share of what the shard pass held (library rows run to kilobytes per
+// peer). The benchmark network's lists run about 900 bytes per peer, so a
+// piece there covers about a quarter shard's worth.
+const holderPieceBytesPerPeer = 256
+
+// writeHoldersFromRows writes the holders section of the n peers whose
+// index rows side holds, in pieces of at most maxPiece arena bytes.
+func writeHoldersFromRows(w *Writer, side *spillFile, n, terms, workers, maxPiece int) error {
+	if err := side.bw.Flush(); err != nil {
+		return err
+	}
+	rows, backing, err := mapFile(side.f.Name())
+	if err != nil {
+		return err
+	}
+	defer backing.Close()
+	// One sequential walk finds each row (rows are variable-length) and
+	// proves the whole file decodes, so the random-access reads below
+	// cannot fail.
+	rowOff := make([]int, n)
+	r := &cursor{b: rows, section: secIndexes}
+	for i := range rowOff {
+		rowOff[i] = r.pos
+		var ix gnet.IndexState
+		if decodeIndexRow(r, i, &ix); r.err != nil {
+			return fmt.Errorf("snapshot: BuildSharded: index spill: %w", r.err)
+		}
+	}
+	if r.pos != len(rows) {
+		return fmt.Errorf("snapshot: BuildSharded: index spill holds %d bytes past %d rows", len(rows)-r.pos, n)
+	}
+	enc, err := gnet.NewHolderEncoder(terms, n, func(i int) gnet.IndexState {
+		var ix gnet.IndexState
+		decodeIndexRow(&cursor{b: rows[rowOff[i]:], section: secIndexes}, i, &ix)
+		return ix
+	}, workers)
+	if err != nil {
+		return fmt.Errorf("snapshot: BuildSharded: %w", err)
+	}
+	writeCSRSection(w, secHolders, csrSource{
+		Count:    terms,
+		ArenaLen: enc.ArenaLen(),
+		Offsets:  enc.Offsets,
+		Arena:    func(emit func([]byte)) { enc.Arena(maxPiece, emit) },
+	})
+	return w.err
 }
 
 // spillFile is an unlinked-on-cleanup buffered temp file: written once

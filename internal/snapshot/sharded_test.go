@@ -2,10 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"querycentric/internal/catalog"
@@ -68,6 +73,89 @@ func TestShardedByteIdentical(t *testing.T) {
 		// shard size.
 		if wantShards := (peers + stats.ShardSize - 1) / stats.ShardSize; stats.Shards != wantShards {
 			t.Fatalf("shard=%d: %d shards for effective size %d", shard, stats.Shards, stats.ShardSize)
+		}
+	}
+}
+
+// TestPersistedHoldersEqualRebuild: the holder index a load adopts from
+// the file must be byte-equal to the inversion (the encoder BuildIndexes
+// builds with) run over the peer indexes the same load restored — through
+// the copying and the mapped loader, and from files written by Save and by
+// BuildSharded at a third of the peers and all of them per shard (so the
+// holders section streams in several pieces and in one) at 1, 2 and 8
+// workers, each file byte-identical to Save's.
+func TestPersistedHoldersEqualRebuild(t *testing.T) {
+	const peers = 150
+	_, saved := saveTo(t, buildNet(t, peers))
+	want, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, nw *gnet.Network) {
+		t.Helper()
+		st, err := nw.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := gnet.NewHolderEncoder(nw.TermDict().Len(), len(st.Peers),
+			func(i int) gnet.IndexState { return st.Peers[i].Index }, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var off []uint32
+		var arena []byte
+		enc.Offsets(func(o []uint32) { off = append(off, o...) })
+		enc.Arena(math.MaxInt, func(p []byte) { arena = append(arena, p...) })
+		if !reflect.DeepEqual(st.HolderOff, off) || !bytes.Equal(st.HolderArena, arena) {
+			t.Fatalf("adopted holder index (%d offsets, %d bytes) differs from the rebuild (%d, %d)",
+				len(st.HolderOff), len(st.HolderArena), len(off), len(arena))
+		}
+	}
+	t.Run("Save/Load", func(t *testing.T) {
+		nw, err := Load(saved, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, nw)
+		st, err := nw.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.HolderArena); n <= peers/3*holderPieceBytesPerPeer || n > peers*holderPieceBytesPerPeer {
+			t.Fatalf("a %d-byte holder arena would not stream in several pieces and in one", n)
+		}
+	})
+	t.Run("Save/LoadMapped", func(t *testing.T) {
+		nw, err := LoadMapped(saved, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		check(t, nw)
+	})
+	for _, shard := range []int{peers / 3, peers} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("BuildSharded/shard=%d/workers=%d", shard, workers), func(t *testing.T) {
+				cfg := testBuildConfig(peers)
+				cfg.ShardSize, cfg.Workers = shard, workers
+				path := filepath.Join(t.TempDir(), "sharded.qcsnap")
+				if _, err := BuildSharded(path, cfg); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("sharded snapshot differs from Save's")
+				}
+				nw, err := LoadMapped(path, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				check(t, nw)
+			})
 		}
 	}
 }
@@ -189,8 +277,8 @@ func TestMappedFloodsIdentical(t *testing.T) {
 }
 
 // TestRestoredFloodsMatchUnindexedTwin holds restored networks — copied
-// and mapped, whose holder index NewFromState rebuilt so their floods probe
-// only the peers it names — to a twin that never had its indexes built
+// and mapped, whose holder index NewFromState adopted from the file so
+// their floods probe only the peers it names — to a twin that never had its indexes built
 // eagerly, has no holder index, and so probes every peer a flood reaches.
 // Every dictionary term is flooded on its own (a missing holder would lose
 // that peer's hit) and file names are flooded whole, before and after
@@ -266,8 +354,9 @@ func TestRestoredFloodsMatchUnindexedTwin(t *testing.T) {
 }
 
 // TestLoadMappedFailurePaths: every damage mode must surface its typed
-// sentinel from the mapped path without crashing — and a version-1 header
-// must be refused with ErrVersion by both loaders.
+// sentinel from the mapped path without crashing — a version-1 header and
+// a version-2 file must be refused with ErrVersion by both loaders, and
+// every structural violation of the holder index with ErrCorrupt.
 func TestLoadMappedFailurePaths(t *testing.T) {
 	nw := buildNet(t, 80)
 	_, path := saveTo(t, nw)
@@ -328,4 +417,104 @@ func TestLoadMappedFailurePaths(t *testing.T) {
 			t.Fatalf("Load: got %v, want ErrVersion", err)
 		}
 	})
+	t.Run("v2 file", func(t *testing.T) {
+		b := append([]byte(nil), pristine...)
+		binary.LittleEndian.PutUint16(b[len(magic):], 2)
+		p := write(t, b)
+		expect(t, p, ErrVersion)
+		if _, err := Load(p, 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("Load: got %v, want ErrVersion", err)
+		}
+	})
+
+	// Structural damage to the holder index, each file re-sealed with
+	// correct digests so the adoption check — not a hash — must catch it.
+	terms := nw.TermDict().Len()
+	holders := func(t *testing.T, want string, damage func(off []uint32, arena []byte) ([]uint32, []byte)) {
+		t.Helper()
+		b := append([]byte(nil), pristine...)
+		at := int(binary.LittleEndian.Uint64(b[dirOff+(secHolders-1)*dirEntryLen+8:]))
+		sec := b[at:]
+		off := make([]uint32, terms+1)
+		for i := range off {
+			off[i] = binary.LittleEndian.Uint32(sec[16+4*i:])
+		}
+		off, arena := damage(off, append([]byte(nil), sec[16+4*len(off):]...))
+		sec = binary.LittleEndian.AppendUint64(nil, uint64(len(off)-1))
+		sec = binary.LittleEndian.AppendUint64(sec, uint64(len(arena)))
+		sec = appendU32s(sec, off)
+		p := write(t, reseal(append(b[:at], append(sec, arena...)...)))
+		_, err := LoadMapped(p, 2)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFingerprint) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("LoadMapped: got %v, want a structural ErrCorrupt (%q)", err, want)
+		}
+		t.Logf("rejected with: %v", err)
+		if _, err := Load(p, 1); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFingerprint) {
+			t.Fatalf("Load: got %v, want a structural ErrCorrupt", err)
+		}
+	}
+	// list finds the first term whose holder list is n bytes long.
+	list := func(t *testing.T, off []uint32, n uint32) int {
+		t.Helper()
+		for id := 0; id < terms; id++ {
+			if off[id+1]-off[id] == n {
+				return id
+			}
+		}
+		t.Fatalf("no holder list of %d bytes", n)
+		return 0
+	}
+	t.Run("holder offsets not monotone", func(t *testing.T) {
+		holders(t, fmt.Sprintf("offsets of term %d run", terms-2), func(off []uint32, arena []byte) ([]uint32, []byte) {
+			// Every list before the drop stays as it was.
+			off[terms-1] = off[terms-2] - 1
+			return off, arena
+		})
+	})
+	t.Run("holder offsets one short", func(t *testing.T) {
+		holders(t, "offsets for", func(off []uint32, arena []byte) ([]uint32, []byte) {
+			return append(off[:1:1], off[2:]...), arena
+		})
+	})
+	t.Run("holder names peer past the last", func(t *testing.T) {
+		holders(t, "names peer 127", func(off []uint32, arena []byte) ([]uint32, []byte) {
+			arena[off[list(t, off, 1)]] = 0x7f // peer 127 of 80
+			return off, arena
+		})
+	})
+	t.Run("holder list ends mid-varint", func(t *testing.T) {
+		holders(t, "ends inside a varint", func(off []uint32, arena []byte) ([]uint32, []byte) {
+			arena[off[list(t, off, 1)]] = 0x80
+			return off, arena
+		})
+	})
+	t.Run("holder entries miss a term", func(t *testing.T) {
+		// Two one-byte entries [a, b] become one overlong varint worth a:
+		// a valid list, one entry short of the peers' term total.
+		holders(t, "entries, the peer indexes hold", func(off []uint32, arena []byte) ([]uint32, []byte) {
+			at := off[list(t, off, 2)]
+			arena[at] |= 0x80
+			arena[at+1] = 0
+			return off, arena
+		})
+	})
+}
+
+// reseal recomputes every section's digest and the directory hash of a
+// snapshot whose payload was rewritten in place, the holders section
+// (the last) resized to end the file — so damage reaches the structural
+// checks behind the hashes.
+func reseal(b []byte) []byte {
+	for i := 0; i < numSections; i++ {
+		e := b[dirOff+i*dirEntryLen:]
+		at := binary.LittleEndian.Uint64(e[8:])
+		if i == numSections-1 {
+			binary.LittleEndian.PutUint64(e[16:], uint64(len(b))-at)
+		}
+		sum := sha256.Sum256(b[at : at+binary.LittleEndian.Uint64(e[16:])])
+		copy(e[24:], sum[:])
+	}
+	sum := sha256.Sum256(b[:dirHashOff])
+	copy(b[dirHashOff:], sum[:])
+	return b
 }

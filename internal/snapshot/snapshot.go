@@ -1,28 +1,32 @@
 // Package snapshot persists a fully built gnet.Network — topology,
-// libraries, the interned term dictionary and every peer's compressed
-// posting index — to a versioned, fingerprinted flat file, and restores it
-// in a fraction of the time a fresh catalog + network + index build takes.
+// libraries, the interned term dictionary, every peer's compressed posting
+// index and the network-wide holder index — to a versioned, fingerprinted
+// flat file, and restores it in a fraction of the time a fresh catalog +
+// network + index build takes.
 //
 // The motivation is paper-scale iteration: the ScaleFull population
 // (37,572 peers, 8.1M objects, 118M postings) costs minutes of
 // single-core construction that every experiment process pays again
 // before its first flood. A snapshot pays that cost once; later runs
-// deserialize the finished substrate and only rebuild what is cheap and
-// derived (QRP hash products, the network-wide holder index). A restored
-// network floods, crawls and serves byte-identically to the one it was
-// exported from.
+// deserialize the finished substrate — derived data included: the posting
+// arenas and the holder index are persisted, verified and adopted, not
+// rebuilt — and recompute only the dictionary's QRP hash products. A
+// restored network floods, crawls and serves byte-identically to the one
+// it was exported from.
 //
 // # File format
 //
-// There is one format, version 2 — an aligned, per-section-hashed layout
-// designed for zero-copy mmap loading (see v2.go for the layout and the
-// streaming Writer the sharded builder uses). No network is returned over
-// damaged bytes: each section is verified against its directory digest
-// before it is decoded. Every failure mode has a typed sentinel error:
+// There is one format, version 3 — an aligned, per-section-hashed layout
+// designed for zero-copy mmap loading (see format.go for the layout and
+// the streaming Writer the sharded builder uses). No network is returned
+// over damaged bytes: each section is verified against its directory
+// digest before it is decoded, and the holder index is checked structurally
+// before it is adopted. Every failure mode has a typed sentinel error:
 // ErrFormat for foreign files, ErrVersion for snapshots of any other format
-// revision (including the version-1 files early builds wrote), ErrTruncated
-// for short files, ErrCorrupt for structural damage and ErrFingerprint for
-// content damage (hash mismatches match both ErrFingerprint and ErrCorrupt).
+// revision (including the version-1 and version-2 files earlier builds
+// wrote), ErrTruncated for short files, ErrCorrupt for structural damage
+// and ErrFingerprint for content damage (hash mismatches match both
+// ErrFingerprint and ErrCorrupt).
 package snapshot
 
 import (
@@ -35,7 +39,7 @@ import (
 )
 
 // Version is the one snapshot format revision this build writes and reads.
-const Version = 2
+const Version = 3
 
 // magic identifies a snapshot file.
 const magic = "QCSNAP"
@@ -61,7 +65,8 @@ const (
 	secTopology
 	secLibraries
 	secIndexes
-	numSections = 5
+	secHolders
+	numSections = 6
 )
 
 // Save exports nw (building its indexes first if needed) and writes the
@@ -85,7 +90,7 @@ func Save(path string, nw *gnet.Network, workers int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := writeSnapshotV2(f, st)
+	n, err := writeSnapshot(f, st)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -102,9 +107,9 @@ func Save(path string, nw *gnet.Network, workers int) (int64, error) {
 
 // Load reads a snapshot and reconstructs the network, copying everything
 // onto the heap: the file is read whole and verified section by section. No
-// network is returned over bytes that fail verification. Derived structures
-// (QRP products, the holder index) are rebuilt over up to `workers`
-// goroutines.
+// network is returned over bytes that fail verification. The holder index
+// is checked and adopted, and the dictionary's QRP products recomputed,
+// over up to `workers` goroutines.
 func Load(path string, workers int) (*gnet.Network, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -115,7 +120,7 @@ func Load(path string, workers int) (*gnet.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := parseV2(data)
+	st, err := parseSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -127,17 +132,17 @@ func Load(path string, workers int) (*gnet.Network, error) {
 }
 
 // LoadMapped reconstructs a network over a read-only memory mapping of a
-// version-2 snapshot: file names, posting arenas, skip arrays and the
-// dictionary arena stay views into the mapping (zero-copy; the kernel
-// pages them in on demand), while mutable and derived structures are built
-// fresh on the heap. The returned network owns the mapping — call its
+// snapshot: file names, posting arenas, skip arrays, the dictionary arena
+// and the holder index stay views into the mapping (zero-copy; the kernel
+// pages them in on demand), while mutable structures (neighbor lists, the
+// library and index headers, QRP products) are built fresh on the heap. The returned network owns the mapping — call its
 // Close when done with it; until then the views must outlive any use.
 func LoadMapped(path string, workers int) (*gnet.Network, error) {
 	data, backing, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := parseV2(data)
+	st, err := parseSnapshot(data)
 	if err != nil {
 		backing.Close()
 		return nil, err
