@@ -126,12 +126,13 @@ scalefull-smoke:
 scale1m-smoke:
 	$(GO) test -run 'TestScaleGate$$' -count=1 -v -timeout 30m ./internal/experiments/ -scale-gate 1m
 
-# Regenerate-and-diff check on the frozen public API surface (API.txt).
-# Regenerate after an intentional API change with:
+# Regenerate-and-diff check on the frozen public API surface (API.txt),
+# plus the rule that every facade name has a caller (a command, the
+# benchmark or an Example). Regenerate after an intentional API change with:
 #   go test -run TestAPIFrozen -update-api .
-# For by-hand use: `make ci` runs both tests once, under `race`.
+# For by-hand use: `make ci` runs all three tests once, under `race`.
 api-freeze:
-	$(GO) test -run 'TestAPIFrozen|TestNoInternalImportsOutsideFacade' .
+	$(GO) test -run 'TestAPIFrozen|TestFacadeNamesHaveCallers|TestNoInternalImportsOutsideFacade' .
 
 # Lines of Go outside benchmarks/, non-test and test: the figure the ROADMAP
 # anchors and the simplicity PRs quote.

@@ -99,18 +99,8 @@ func main() {
 		}
 	}()
 
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
 	if *sweep {
-		runSweep(w, *scaleName, *seed, *sweepRates, *sweepDead, *attempts, *workers, obsFlags)
+		runSweep(*out, *scaleName, *seed, *sweepRates, *sweepDead, *attempts, *workers, obsFlags)
 		return
 	}
 
@@ -146,7 +136,7 @@ func main() {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "qc-crawl: %s; %d records\n", stats, len(tr.Records))
-	if err := tr.Write(w); err != nil {
+	if err := cliflags.WriteOutput(*out, tr.Write); err != nil {
 		fail(err)
 	}
 	writeManifest(obsFlags, "", "", *seed, *workers)
@@ -154,8 +144,8 @@ func main() {
 
 // runSweep runs the fault-rate degradation experiment and writes the .dat
 // table (rate, coverage, partial, failed, record fraction, retries, flood
-// success).
-func runSweep(w io.Writer, scaleName string, seed uint64, ratesCSV string, dead float64, attempts, workers int, obsFlags *cliflags.ObsFlags) {
+// success) to out.
+func runSweep(out, scaleName string, seed uint64, ratesCSV string, dead float64, attempts, workers int, obsFlags *cliflags.ObsFlags) {
 	scale, err := qc.ParseScale(scaleName)
 	if err != nil {
 		fail(err)
@@ -187,9 +177,14 @@ func runSweep(w io.Writer, scaleName string, seed uint64, ratesCSV string, dead 
 	if err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(w, "# fault sweep: %d peers, dead_frac %.2f, %d attempts/peer\n",
-		res.Peers, res.DeadFrac, res.MaxAttempts)
-	if err := qc.WriteResultTable(w, res); err != nil {
+	err = cliflags.WriteOutput(out, func(w io.Writer) error {
+		if _, err := fmt.Fprintf(w, "# fault sweep: %d peers, dead_frac %.2f, %d attempts/peer\n",
+			res.Peers, res.DeadFrac, res.MaxAttempts); err != nil {
+			return err
+		}
+		return qc.WriteResultTable(w, res)
+	})
+	if err != nil {
 		fail(err)
 	}
 	writeManifest(obsFlags, "fault-sweep", scale.String(), seed, workers)

@@ -59,12 +59,8 @@ func main() {
 	if env.Obs != nil {
 		parallel.Instrument(env.Obs)
 	}
-	sum, err := os.Create(filepath.Join(*outDir, "summary.txt"))
-	if err != nil {
-		fail(err)
-	}
-	defer sum.Close()
-	notes := io.MultiWriter(os.Stdout, sum)
+	var sum bytes.Buffer
+	notes := io.MultiWriter(os.Stdout, &sum)
 	fmt.Fprintf(notes, "qc-figures scale=%s seed=%d\n", scale, *seed)
 	for _, r := range qc.Runners {
 		if !r.Figure {
@@ -86,6 +82,13 @@ func main() {
 		if err := r.WriteSummary(notes, res); err != nil {
 			fail(err)
 		}
+	}
+	err = cliflags.WriteOutput(filepath.Join(*outDir, "summary.txt"), func(w io.Writer) error {
+		_, err := sum.WriteTo(w)
+		return err
+	})
+	if err != nil {
+		fail(err)
 	}
 	if path, err := obsFlags.WriteManifest("", scale.String(), *seed, *workers); err != nil {
 		fail(err)

@@ -52,16 +52,7 @@ func main() {
 	reg.Counter("itunes_busy_total").Add(int64(stats.Busy))
 	reg.Counter("itunes_firewalled_total").Add(int64(stats.Firewalled))
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := tr.Write(w); err != nil {
+	if err := cliflags.WriteOutput(*out, tr.Write); err != nil {
 		fail(err)
 	}
 	if path, err := obsFlags.WriteManifest("", "", *seed, 1); err != nil {

@@ -58,16 +58,7 @@ func main() {
 	reg.Counter("queries_generated_total").Add(int64(len(qt.Records)))
 	reg.Gauge("queries_duration_seconds").Set(qt.Duration)
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := qt.Write(w); err != nil {
+	if err := cliflags.WriteOutput(*out, qt.Write); err != nil {
 		fail(err)
 	}
 	if path, err := obsFlags.WriteManifest("", "", *seed, 1); err != nil {

@@ -7,14 +7,17 @@
 //
 // Commands register the subset of shared flags they need against their own
 // flag.FlagSet (normally flag.CommandLine), parse, validate with the Check
-// helpers, and — when the observability plane is enabled — finish by
-// writing a run manifest with ObsFlags.WriteManifest.
+// helpers, write their output with WriteOutput, and — when the
+// observability plane is enabled — finish by writing a run manifest with
+// ObsFlags.WriteManifest.
 package cliflags
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -251,6 +254,31 @@ func (o *ObsFlags) WriteManifest(mode, scale string, seed uint64, workers int) (
 		return "", err
 	}
 	return path, nil
+}
+
+// WriteOutput writes a command's output through write: to stdout when path
+// is empty, otherwise to a temporary file beside path that replaces it only
+// once write and Close have both succeeded. A failed run therefore leaves
+// an existing file at path as it was.
+func WriteOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
+	if err != nil {
+		return err
+	}
+	err = errors.Join(f.Chmod(0o644), write(f))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // CheckWorkers rejects negative -workers values.

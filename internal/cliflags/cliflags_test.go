@@ -2,7 +2,9 @@ package cliflags
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -187,5 +189,35 @@ func TestCapacityKnobChecks(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "all|unbounded|drop-tail|red|ttl") {
 			t.Errorf("-shed-policy %q: error %q does not list choices", tc.value, err)
 		}
+	}
+}
+
+func TestWriteOutputReplacesOnlyOnSuccess(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.trace")
+	if err := os.WriteFile(path, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteOutput(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteOutput returned %v, want the write error", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "previous\n" {
+		t.Fatalf("a failed write changed the file to %q", got)
+	}
+	if err := WriteOutput(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "next\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "next\n" {
+		t.Fatalf("file holds %q after a successful write", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".*")); len(left) != 0 {
+		t.Fatalf("temporary files left behind: %v", left)
 	}
 }

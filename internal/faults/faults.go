@@ -123,8 +123,6 @@ func (p *Plane) fired(site string) {
 		p.om.truncate.Inc()
 	case siteDepart:
 		p.om.depart.Inc()
-	case siteLoss:
-		p.om.loss.Inc()
 	}
 }
 
@@ -269,25 +267,15 @@ func (p *Plane) PeerDepart(id int) bool {
 	return fire
 }
 
-// MessageLoss reports whether one flooded descriptor addressed to peer id
-// is lost in transit. Each transmission rolls independently, so a copy
-// arriving over another overlay edge may still get through.
-//
-// The decision consumes the plane-global (site, to) counter, so it is
-// deterministic only when every loss roll in the process happens in one
-// fixed order. Concurrent floods must use MessageLossAt instead.
-func (p *Plane) MessageLoss(to int) bool {
-	_, fire := p.roll(siteLoss, uint64(to), p.Config().MessageLoss)
-	return fire
-}
-
 // MessageLossAt decides whether the nth descriptor transmitted to peer
-// `to` within the flood identified by salt is lost. Unlike MessageLoss,
-// the decision is a pure function of (seed, salt, to, n): it reads no
-// plane state beyond the configuration, so floods running on different
-// workers — or the same floods re-run in a different order — observe
-// identical loss schedules. Callers derive salt from per-trial randomness
-// (the flood GUID) and count n per destination within the flood.
+// `to` within the flood identified by salt is lost. Each transmission
+// rolls independently, so a copy arriving over another overlay edge may
+// still get through. The decision is a pure function of (seed, salt, to,
+// n): it reads no plane state beyond the configuration, so floods running
+// on different workers — or the same floods re-run in a different order —
+// observe identical loss schedules. Callers derive salt from per-trial
+// randomness (the flood GUID) and count n per destination within the
+// flood.
 func (p *Plane) MessageLossAt(salt uint64, to int, n uint64) bool {
 	if p == nil {
 		return false

@@ -11,7 +11,7 @@ func TestZeroConfigIsInert(t *testing.T) {
 	}
 	for _, p := range []*Plane{nil, New(Config{Seed: 99})} {
 		for i := 0; i < 200; i++ {
-			if p.DialTimeout(i) || p.HandshakeStall(i) || p.PeerDepart(i) || p.MessageLoss(i) {
+			if p.DialTimeout(i) || p.HandshakeStall(i) || p.PeerDepart(i) || p.MessageLossAt(uint64(i), i, 0) {
 				t.Fatal("inert plane injected a fault")
 			}
 			if _, fire := p.ConnReset(i); fire {
@@ -34,7 +34,7 @@ func schedule(p *Plane) []bool {
 		for call := 0; call < 4; call++ {
 			out = append(out, p.DialTimeout(peer))
 			out = append(out, p.HandshakeStall(peer))
-			out = append(out, p.MessageLoss(peer))
+			out = append(out, p.MessageLossAt(uint64(call), peer, 0))
 			out = append(out, p.PeerDepart(peer))
 			b, f := p.ConnReset(peer)
 			out = append(out, f, b > 0 == f)
@@ -121,7 +121,7 @@ func TestMessageLossAtIsScheduleInvariant(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		p.MessageLoss(i % 7) // churn the global counters
+		p.DialTimeout(i % 7) // churn the global counters
 	}
 	for n := uint64(3); n > 0; n-- { // reversed order
 		for to := 19; to >= 0; to-- {
@@ -218,7 +218,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				p.DialTimeout(i % 7)
-				p.MessageLoss(i % 13)
+				p.MessageLossAt(uint64(g), i%13, uint64(i))
 				p.PeerDepart(g)
 				p.Alive(i % 64)
 			}

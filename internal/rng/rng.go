@@ -45,14 +45,6 @@ func (s *Source) Split(name string) *Source {
 	return &Source{state: mix64(s.Uint64() ^ fnv64a(name))}
 }
 
-// Fork returns a copy of the Source at its current position. The copy and
-// the original produce identical subsequent values until one of them is
-// advanced past the other.
-func (s *Source) Fork() *Source {
-	cp := *s
-	return &cp
-}
-
 // Derive returns the child Source that Split(name) would return, without
 // advancing the parent. Because the parent's state is untouched, deriving
 // "trial/0" … "trial/n" from one Source is order-independent: any subset,
@@ -168,22 +160,6 @@ func (s *Source) Poisson(mean float64) int {
 	}
 }
 
-// Geometric returns a geometric variate (number of failures before the
-// first success) with success probability p in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with p <= 0")
-	}
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return int(math.Log(u) / math.Log(1-p))
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -199,14 +175,6 @@ func (s *Source) ShuffleInts(xs []int) {
 	for i := len(xs) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestFacadeGnutellaCrawl(t *testing.T) {
 	}
 	// Round-trip through the trace format.
 	var buf bytes.Buffer
-	if err := qc.WriteTrace(&buf, tr); err != nil {
+	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := qc.ReadObjectTrace(&buf)

@@ -1,30 +1,11 @@
 package querycentric
 
 import (
-	"querycentric/internal/chord"
-	"querycentric/internal/churn"
-	"querycentric/internal/gia"
 	"querycentric/internal/hybrid"
 	"querycentric/internal/overlay"
-	"querycentric/internal/pastry"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
 	"querycentric/internal/synopsis"
-)
-
-// Session-churn timelines: the deterministic arrival/departure schedules
-// the churn and repair experiments replay (see internal/churn).
-type (
-	ChurnTimeline       = churn.Timeline
-	ChurnEvent          = churn.Event
-	ChurnTimelineConfig = churn.TimelineConfig
-	ChurnSample         = churn.Sample
-)
-
-// Churn timeline constructors.
-var (
-	GenerateChurnTimeline      = churn.GenerateTimeline
-	DefaultChurnTimelineConfig = churn.DefaultTimelineConfig
 )
 
 // Overlay graph substrate.
@@ -33,21 +14,16 @@ type (
 	GnutellaConfig = overlay.GnutellaConfig
 )
 
-// Overlay constructors and coverage tools.
+// Overlay constructors.
 var (
 	NewGnutellaOverlay     = overlay.NewGnutella
 	NewErdosRenyiOverlay   = overlay.NewErdosRenyi
-	NewBarabasiAlbert      = overlay.NewBarabasiAlbert
-	NewRandomRegular       = overlay.NewRandomRegular
 	DefaultGnutellaOverlay = overlay.DefaultGnutellaConfig
-	CoverageStats          = overlay.CoverageStats
-	MeanQueryHops          = overlay.MeanQueryHops
 )
 
 // Replica placement and unstructured search.
 type (
 	Placement    = search.Placement
-	SearchResult = search.Result
 	SearchEngine = search.Engine
 )
 
@@ -59,53 +35,16 @@ var (
 	NewSearchEngine  = search.NewEngine
 )
 
-// Structured overlay (Chord).
-type (
-	ChordRing  = chord.Ring
-	ChordNode  = chord.Node
-	ChordStore = chord.Store
-)
-
-// Chord constructors and key hashing.
-var (
-	NewChord      = chord.New
-	NewChordStore = chord.NewStore
-	HashKey       = chord.HashKey
-)
-
-// Structured overlay (Pastry prefix routing), the second DHT baseline.
-type (
-	PastryMesh = pastry.Mesh
-	PastryNode = pastry.Node
-)
-
-// NewPastry builds a Pastry mesh of n nodes.
-var NewPastry = pastry.New
-
 // Hybrid search (Loo et al.-style flood-then-DHT).
 type (
-	HybridSystem     = hybrid.System
-	HybridConfig     = hybrid.Config
-	HybridResult     = hybrid.Result
-	HybridComparison = hybrid.Comparison
+	HybridSystem = hybrid.System
+	HybridConfig = hybrid.Config
 )
 
 // Hybrid constructors.
 var (
 	NewHybrid           = hybrid.New
 	DefaultHybridConfig = hybrid.DefaultConfig
-)
-
-// Gia baseline (capacity-aware unstructured search).
-type (
-	GiaSystem = gia.System
-	GiaConfig = gia.Config
-)
-
-// Gia constructors.
-var (
-	NewGia           = gia.New
-	DefaultGiaConfig = gia.DefaultConfig
 )
 
 // Adaptive synopsis search (the paper's proposed direction).

@@ -72,6 +72,18 @@ func TestCLIPipeline(t *testing.T) {
 			t.Fatalf("qc-crawl %v: trace differs from the plain crawl's (%v)", flags, err)
 		}
 	}
+	// A failed crawl leaves an existing -o file as it was.
+	for _, bad := range [][]string{
+		{"-snapshot-load", filepath.Join(dir, "missing.qcsnap")},
+		{"-fault-sweep", "-scale", "no-such-scale"},
+	} {
+		if out, err := exec.Command(bins["qc-crawl"], append(bad, "-o", crawl)...).CombinedOutput(); err == nil {
+			t.Fatalf("qc-crawl %v: want a failure, got success\n%s", bad, out)
+		}
+		if got, err := os.ReadFile(crawl); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a failed qc-crawl %v changed its -o file (%v)", bad, err)
+		}
+	}
 	for _, gone := range [][]string{{"-snapshot-load", snap, "-mmap"}, {"-snapshot-save", snap, "-shard-size", "64"}} {
 		if out, err := exec.Command(bins["qc-crawl"], gone...).CombinedOutput(); err == nil || !strings.Contains(string(out), "flag provided but not defined") {
 			t.Fatalf("qc-crawl %v: want an unknown-flag failure, got %v\n%s", gone, err, out)

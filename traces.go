@@ -1,143 +1,26 @@
 package querycentric
 
 import (
-	"io"
-
 	"querycentric/internal/analysis"
-	"querycentric/internal/catalog"
 	"querycentric/internal/crawler"
 	"querycentric/internal/daap"
-	"querycentric/internal/dict"
 	"querycentric/internal/experiments"
 	"querycentric/internal/faults"
-	"querycentric/internal/gnet"
 	"querycentric/internal/querygen"
 	"querycentric/internal/snapshot"
 	"querycentric/internal/trace"
 )
 
-// Wire-level Gnutella substrate: the in-process network the crawler and
-// flood experiments run against (see internal/gnet).
-type (
-	Network       = gnet.Network
-	NetworkConfig = gnet.Config
-	Addr          = gnet.Addr
-	FloodCtx      = gnet.FloodCtx
-	FloodResult   = gnet.FloodResult
-	FloodHit      = gnet.Hit
-)
-
-// Wire-substrate constructors.
-var (
-	DefaultNetworkConfig  = gnet.DefaultConfig
-	NewNetworkFromCatalog = gnet.NewFromCatalog
-)
-
-// Network snapshot persistence (see internal/snapshot): a fully built
-// network — topology, libraries, interned dictionary, compressed posting
-// indexes — round-trips through a versioned, SHA-256-fingerprinted flat
-// file. Loading is an order of magnitude faster than rebuilding, and a
-// restored network behaves byte-identically to the one saved.
-//
-// LoadNetworkSnapshotMapped memory-maps a snapshot read-only and serves
-// file names and posting arenas zero-copy from the mapping (the network
-// reports Borrowed and Close releases the mapping).
-var (
-	SaveNetworkSnapshot       = snapshot.Save
-	LoadNetworkSnapshot       = snapshot.Load
-	LoadNetworkSnapshotMapped = snapshot.LoadMapped
-)
-
-// Shard-and-spill snapshot construction (see internal/snapshot): build a
-// population of any size directly into a snapshot file while holding only
-// one bounded shard of peers (plus the shared dictionary) in memory. The
-// output is byte-identical to SaveNetworkSnapshot over the equivalent
-// in-heap build.
-type (
-	SnapshotBuildConfig = snapshot.BuildConfig
-	SnapshotBuildStats  = snapshot.BuildStats
-)
-
-// BuildShardedSnapshot runs a shard-and-spill build.
-var BuildShardedSnapshot = snapshot.BuildSharded
-
-// DefaultSnapshotShardSize is the peers-per-shard bound a zero
-// SnapshotBuildConfig.ShardSize resolves to.
-const DefaultSnapshotShardSize = snapshot.DefaultShardSize
-
-// SnapshotVersion is the snapshot format revision this build reads and
-// writes.
-const SnapshotVersion = snapshot.Version
-
-// Snapshot failure sentinels (match with errors.Is): every way a snapshot
-// file can be unusable is a distinct, loud error.
-var (
-	ErrSnapshotFormat      = snapshot.ErrFormat
-	ErrSnapshotVersion     = snapshot.ErrVersion
-	ErrSnapshotTruncated   = snapshot.ErrTruncated
-	ErrSnapshotCorrupt     = snapshot.ErrCorrupt
-	ErrSnapshotFingerprint = snapshot.ErrFingerprint
-)
-
-// Content catalog: the calibrated synthetic population a network is built
-// from (see internal/catalog).
-type (
-	Catalog       = catalog.Catalog
-	CatalogConfig = catalog.Config
-)
-
-// BuildCatalog builds a calibrated content catalog.
-var BuildCatalog = catalog.Build
-
-// Overlay maintenance: ping/pong failure detection and host-cache repair
-// (see internal/gnet's Maintainer).
-type (
-	Maintainer   = gnet.Maintainer
-	RepairConfig = gnet.RepairConfig
-	RepairStats  = gnet.RepairStats
-	HostCache    = gnet.HostCache
-)
-
-// Maintenance constructors and knobs.
-var (
-	NewMaintainer       = gnet.NewMaintainer
-	DefaultRepairConfig = gnet.DefaultRepairConfig
-	NewHostCache        = gnet.NewHostCache
-)
-
-// DefaultHostCacheSize bounds a peer's candidate-address pool.
-const DefaultHostCacheSize = gnet.DefaultHostCacheSize
-
-// Term dictionary: the global interning table behind the compact
-// integer-ID posting indexes (see internal/dict).
-type (
-	Dictionary = dict.Dict
-	TermID     = dict.TermID
-)
-
-// NoTerm is the sentinel TermID for tokens absent from the dictionary.
-const NoTerm = dict.NoTerm
-
 // FaultConfig holds the injectable substrate fault probabilities; the zero
 // value disables every fault (see internal/faults).
 type FaultConfig = faults.Config
 
-// FaultPlane is a deterministic fault-injection engine attachable to the
-// wire substrate.
-type FaultPlane = faults.Plane
-
-// NewFaultPlane builds a fault plane for a configuration.
-var NewFaultPlane = faults.New
-
-// Trace record and container types (tab-separated text on disk; see
-// internal/trace for the format).
+// Trace container types (tab-separated text on disk; see internal/trace
+// for the format). Each writes itself with its Write method.
 type (
-	ObjectRecord = trace.ObjectRecord
-	ObjectTrace  = trace.ObjectTrace
-	SongRecord   = trace.SongRecord
-	SongTrace    = trace.SongTrace
-	QueryRecord  = trace.QueryRecord
-	QueryTrace   = trace.QueryTrace
+	ObjectTrace = trace.ObjectTrace
+	SongTrace   = trace.SongTrace
+	QueryTrace  = trace.QueryTrace
 )
 
 // Trace IO.
@@ -276,9 +159,4 @@ func RankedFileTermStrings(tr *ObjectTrace) []string {
 		out[i] = tc.Term
 	}
 	return out
-}
-
-// WriteTrace writes any of the three trace kinds to w.
-func WriteTrace(w io.Writer, t interface{ Write(io.Writer) error }) error {
-	return t.Write(w)
 }
