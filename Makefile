@@ -128,11 +128,14 @@ scale1m-smoke:
 
 # Regenerate-and-diff check on the frozen public API surface (API.txt),
 # plus the rule that every facade name has a caller (a command, the
-# benchmark or an Example). Regenerate after an intentional API change with:
+# benchmark or an Example) and the rule that every function under internal/
+# is linked into some binary (the commands or the benchmark) or named with
+# a reason in the test's keep-list. Regenerate after an intentional API
+# change with:
 #   go test -run TestAPIFrozen -update-api .
-# For by-hand use: `make ci` runs all three tests once, under `race`.
+# For by-hand use: `make ci` runs all four tests once, under `race`.
 api-freeze:
-	$(GO) test -run 'TestAPIFrozen|TestFacadeNamesHaveCallers|TestNoInternalImportsOutsideFacade' .
+	$(GO) test -run 'TestAPIFrozen|TestFacadeNamesHaveCallers|TestNoInternalImportsOutsideFacade|TestInternalCodeIsReached' .
 
 # Lines of Go outside benchmarks/, non-test and test: the figure the ROADMAP
 # anchors and the simplicity PRs quote.

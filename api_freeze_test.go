@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -266,4 +267,146 @@ func facadeCallers(t *testing.T) map[string]bool {
 		t.Fatal("found no callers of the facade")
 	}
 	return names
+}
+
+// TestInternalCodeIsReached keeps internal/ down to the code the binaries
+// run. It builds the commands and the benchmark without inlining, so every
+// function a binary calls keeps its own symbol, and fails on any function
+// or method declared under internal/ that no binary holds, unless
+// reachKeep names it with a reason.
+func TestInternalCodeIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reachability builds every binary; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	cmd := exec.Command("go", "build", "-gcflags=all=-l", "-o", dir+string(filepath.Separator), "./cmd/...", "./benchmarks")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bins) < 2 {
+		t.Fatalf("built %d binaries, want the commands and the benchmark", len(bins))
+	}
+	// Text symbols with their type arguments cut, so pkg.F[go.shape.int]
+	// and pkg.(*T[go.shape.int]).M read as pkg.F and pkg.(*T).M.
+	held := map[string]bool{}
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			f := strings.Fields(line)
+			if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
+				held[stripTypeArgs(f[2])] = true
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "querycentric/" + filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name == "init" {
+				continue
+			}
+			// name is how reachKeep spells the function (pkg.F or
+			// pkg.T.M); sym is its symbol (pkg.F, pkg.T.M or pkg.(*T).M).
+			name := filepath.Base(pkg) + "." + fn.Name.Name
+			sym := pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				recv, ptr := fn.Recv.List[0].Type, false
+				if s, ok := recv.(*ast.StarExpr); ok {
+					recv, ptr = s.X, true
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				typ := recv.(*ast.Ident).Name
+				name = filepath.Base(pkg) + "." + typ + "." + fn.Name.Name
+				sym = pkg + "." + typ + "." + fn.Name.Name
+				if ptr {
+					sym = pkg + ".(*" + typ + ")." + fn.Name.Name
+				}
+			}
+			declared[name] = true
+			switch _, keep := reachKeep[name]; {
+			case !held[sym] && !keep:
+				t.Errorf("%s (%s): no binary reaches it; delete it, or add it to reachKeep with a reason", name, fset.Position(fn.Pos()))
+			case held[sym] && keep:
+				t.Errorf("%s: a binary reaches it; drop its reachKeep entry", name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range reachKeep {
+		if !declared[name] {
+			t.Errorf("reachKeep names %s, which internal/ no longer declares", name)
+		}
+	}
+}
+
+// stripTypeArgs cuts every bracketed (possibly nested) type-argument list
+// out of a symbol name.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']' && depth > 0:
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// reachKeep names the internal functions no binary reaches that stay on
+// purpose, keyed pkg.F or pkg.T.M, each with the reason it stays. An
+// entry is one of three kinds: a slow, obviously-right reference a test
+// compares a fast path against; code a ROADMAP item needs; or a test
+// oracle for state no reached function exposes.
+var reachKeep = map[string]string{
+	"qrp.Table.MatchesQuery":    "slow reference for the hoisted QRP gate (qrp_test, gnet flood_naive_test)",
+	"qrp.QueryHashes":           "slow reference for the dictionary's precomputed query slots (qrp_test)",
+	"terms.Matches":             "slow reference for the posting-index probe (gnet index_test)",
+	"terms.TokenSet":            "slow reference for the posting-index probe (gnet index_test)",
+	"vpost.Encode":              "slow reference codec the cursor is checked against (vpost_test)",
+	"vpost.AppendBody":          "slow reference codec the cursor is checked against (vpost_test)",
+	"vpost.Decode":              "slow reference codec the cursor is checked against (vpost_test)",
+	"vpost.Cursor.Err":          "test oracle: a cursor over damaged bytes fails typed (vpost_test, gnet holders_test)",
+	"chord.Ring.AddNode":        "ROADMAP item 7: the DHT baselines under churn",
+	"chord.Ring.RemoveNode":     "ROADMAP item 7: the DHT baselines under churn",
+	"chord.Ring.hasID":          "ROADMAP item 7: AddNode's collision check",
+	"adaptive.System.RewireLog": "ROADMAP item 10(c): the convergence oracle the decision log extends",
+	"overlay.Graph.Ultra":       "test oracle: a vertex's ultrapeer role",
+	"overlay.Graph.TwoTier":     "test oracle: whether a graph carries roles",
+	"gnet.Network.Borrowed":     "test oracle: a snapshot-mapped network's zero-copy views",
+	"capacity.Plane.Depth":      "test oracle: a peer's committed queue depth",
+	"churn.Timeline.OnlineAt":   "test oracle: replayed liveness at an instant",
+	"events.Engine.Pending":     "test oracle: events still queued",
 }

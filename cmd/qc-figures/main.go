@@ -71,11 +71,10 @@ func main() {
 			fail(err)
 		}
 		if r.Dat != "" {
-			var dat bytes.Buffer
-			if err := qc.WriteResultTable(&dat, res); err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(filepath.Join(*outDir, r.Dat+".dat"), dat.Bytes(), 0o644); err != nil {
+			err := cliflags.WriteOutput(filepath.Join(*outDir, r.Dat+".dat"), func(w io.Writer) error {
+				return qc.WriteResultTable(w, res)
+			})
+			if err != nil {
 				fail(err)
 			}
 		}

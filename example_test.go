@@ -71,8 +71,8 @@ func ExampleZipfPlacement() {
 		panic(err)
 	}
 	single := 0
-	for _, c := range p.ReplicaCounts() {
-		if c == 1 {
+	for _, h := range p.Holders {
+		if len(h) == 1 {
 			single++
 		}
 	}

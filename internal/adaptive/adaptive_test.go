@@ -47,6 +47,15 @@ func headPick(m int) func(r *rng.Source) int {
 	}
 }
 
+// degrees returns each peer's neighbor count, in peer order.
+func degrees(nw *gnet.Network) []int {
+	out := make([]int, len(nw.Peers))
+	for i, p := range nw.Peers {
+		out[i] = len(p.Neighbors)
+	}
+	return out
+}
+
 // TestInertSystemMatchesRawFloods pins the inertness contract: a System
 // with AdaptInterval zero issues exactly the floods a bare network would
 // under the workload derivation — same successes, messages and hops —
@@ -54,7 +63,7 @@ func headPick(m int) func(r *rng.Source) int {
 func TestInertSystemMatchesRawFloods(t *testing.T) {
 	const peers, m, queries, seed = 150, 40, 60, 11
 	nw, objs := testPopulation(t, peers, m, seed)
-	degreesBefore := nw.Degrees()
+	degreesBefore := degrees(nw)
 	libBefore := make([]int, peers)
 	for i, p := range nw.Peers {
 		libBefore[i] = len(p.Library)
@@ -108,7 +117,7 @@ func TestInertSystemMatchesRawFloods(t *testing.T) {
 		t.Fatalf("degenerate baseline success %v; population mis-sized", want.Success)
 	}
 
-	if !reflect.DeepEqual(nw.Degrees(), degreesBefore) {
+	if !reflect.DeepEqual(degrees(nw), degreesBefore) {
 		t.Error("inert system mutated topology")
 	}
 	for i, p := range nw.Peers {
@@ -126,7 +135,7 @@ func TestInertSystemMatchesRawFloods(t *testing.T) {
 // identical stats and an identical rewire log at workers 1 and 8.
 func TestWorkerInvariance(t *testing.T) {
 	const peers, m, queries, seed = 150, 40, 400, 13
-	run := func(workers int) (*strategy.Stats, []strategy.RewireDecision) {
+	run := func(workers int) (*strategy.Stats, []RewireDecision) {
 		nw, objs := testPopulation(t, peers, m, seed)
 		cfg := DefaultConfig(seed)
 		cfg.TTL = 2
@@ -164,7 +173,7 @@ func TestAdaptationConvergesOracle(t *testing.T) {
 	cfg.AdaptInterval = 50
 	cfg.Workers = 2
 
-	runAdaptive := func() (*strategy.Stats, []strategy.RewireDecision, *gnet.Network) {
+	runAdaptive := func() (*strategy.Stats, []RewireDecision, *gnet.Network) {
 		nw, objs := testPopulation(t, peers, m, seed)
 		sys, err := New(nw, objs, cfg)
 		if err != nil {
@@ -221,7 +230,7 @@ func TestAdaptationConvergesOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, deg := range nw.Degrees() {
+	for _, deg := range degrees(nw) {
 		if deg > cfg.MaxDegree || deg < cfg.MinDegree {
 			t.Errorf("degree %d escaped caps [%d, %d]", deg, cfg.MinDegree, cfg.MaxDegree)
 		}
@@ -261,10 +270,4 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := sys.RunWorkload(0, func(*rng.Source) int { return 0 }, 1); err == nil {
 		t.Error("zero queries accepted")
 	}
-	if sys.Name() != "adaptive" {
-		t.Errorf("default name %q", sys.Name())
-	}
 }
-
-// The unified interface is actually implemented.
-var _ strategy.Rewirer = (*System)(nil)

@@ -15,7 +15,6 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"querycentric/internal/namegen"
 	"querycentric/internal/parallel"
@@ -313,38 +312,5 @@ func samplePeers(r *rng.Source, cum []float64, k int) []int {
 			out = append(out, p)
 		}
 	}
-	return out
-}
-
-// ReplicaCounts returns the per-object replica counts (for distribution
-// analyses that want ground truth rather than crawled names).
-func (c *Catalog) ReplicaCounts() []int {
-	out := make([]int, len(c.Objects))
-	for i, o := range c.Objects {
-		out[i] = o.Replicas
-	}
-	return out
-}
-
-// MeanReplication returns mean replicas per unique object (ground truth).
-func (c *Catalog) MeanReplication() float64 {
-	if len(c.Objects) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, o := range c.Objects {
-		sum += o.Replicas
-	}
-	return float64(sum) / float64(len(c.Objects))
-}
-
-// LibrarySizes returns the number of names each peer shares, sorted
-// ascending (for heterogeneity analyses).
-func (c *Catalog) LibrarySizes() []int {
-	out := make([]int, len(c.Libraries))
-	for i, l := range c.Libraries {
-		out[i] = len(l)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"testing"
 
 	"querycentric/internal/stats"
@@ -72,7 +73,12 @@ func TestReplicaDistributionShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := c.ReplicaCounts()
+	counts := make([]int, len(c.Objects))
+	sum := 0
+	for i, o := range c.Objects {
+		counts[i] = o.Replicas
+		sum += o.Replicas
+	}
 	single := stats.FractionAtMost(counts, 1)
 	if single < 0.60 || single > 0.85 {
 		t.Errorf("singleton fraction = %v, want in [0.60, 0.85]", single)
@@ -81,7 +87,7 @@ func TestReplicaDistributionShape(t *testing.T) {
 	if le37 < 0.97 {
 		t.Errorf("fraction with <=37 replicas = %v, want >= 0.97", le37)
 	}
-	mean := c.MeanReplication()
+	mean := float64(sum) / float64(len(counts))
 	if mean < 1.2 || mean > 2.5 {
 		t.Errorf("mean replication = %v, want in [1.2, 2.5]", mean)
 	}
@@ -205,7 +211,11 @@ func TestLibrarySizesHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := c.LibrarySizes()
+	var sizes []int
+	for _, l := range c.Libraries {
+		sizes = append(sizes, len(l))
+	}
+	slices.Sort(sizes)
 	if len(sizes) != 300 {
 		t.Fatalf("got %d library sizes", len(sizes))
 	}

@@ -75,14 +75,8 @@ func New(n int, seed uint64) (*Ring, error) {
 	return ring, nil
 }
 
-// Size returns the number of nodes.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // NodeByIndex returns the node with the given application index, or nil.
 func (r *Ring) NodeByIndex(idx int) *Node { return r.byIdx[idx] }
-
-// Nodes returns the ring's nodes in ID order (callers must not mutate).
-func (r *Ring) Nodes() []*Node { return r.nodes }
 
 // successorPos returns the position (in r.nodes) of the first node with
 // ID >= id, wrapping.

@@ -18,10 +18,10 @@ func TestRingSortedAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size() != 500 {
-		t.Fatalf("size = %d", r.Size())
+	if len(r.nodes) != 500 {
+		t.Fatalf("size = %d", len(r.nodes))
 	}
-	nodes := r.Nodes()
+	nodes := r.nodes
 	for i := 1; i < len(nodes); i++ {
 		if nodes[i].ID <= nodes[i-1].ID {
 			t.Fatal("nodes not sorted by ID")
@@ -39,7 +39,7 @@ func TestSuccessorOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := r.Nodes()
+	nodes := r.nodes
 	// A key equal to a node's ID is owned by that node.
 	if got := r.Successor(nodes[7].ID); got != nodes[7] {
 		t.Error("key equal to node ID not owned by that node")
@@ -103,7 +103,7 @@ func TestLookupLogarithmicHops(t *testing.T) {
 
 func TestLookupFromOwner(t *testing.T) {
 	r, _ := New(50, 7)
-	n := r.Nodes()[3]
+	n := r.nodes[3]
 	owner, hops, err := r.Lookup(n.ID, n)
 	if err != nil {
 		t.Fatal(err)

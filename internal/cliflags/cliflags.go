@@ -13,7 +13,6 @@
 package cliflags
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -242,15 +241,14 @@ func (o *ObsFlags) WriteManifest(mode, scale string, seed uint64, workers int) (
 	}
 	m.Finalize()
 	path := filepath.Join(o.Dir, obs.RunFileName(o.Command, mode, scale, seed))
-	if err := m.WriteFile(path); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", err
 	}
-	var buf bytes.Buffer
-	if err := m.Metrics.WritePrometheus(&buf); err != nil {
+	if err := WriteOutput(path, m.Encode); err != nil {
 		return "", err
 	}
 	prom := strings.TrimSuffix(path, ".json") + ".prom"
-	if err := os.WriteFile(prom, buf.Bytes(), 0o644); err != nil {
+	if err := WriteOutput(prom, m.Metrics.WritePrometheus); err != nil {
 		return "", err
 	}
 	return path, nil

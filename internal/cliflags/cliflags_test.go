@@ -43,7 +43,7 @@ func TestTraceFloodsImpliesMetrics(t *testing.T) {
 }
 
 func TestWriteManifest(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "not-yet-created")
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	o := AddObs(fs, "qc-test")
 	if err := fs.Parse([]string{"-metrics", "-metrics-dir", dir}); err != nil {

@@ -71,7 +71,7 @@ type IntervalReport struct {
 
 // Tracker is the online engine. Feed it with Observe in non-decreasing
 // time order; completed intervals are reported through the callback given
-// to NewTracker (or collected via Reports).
+// to NewTracker.
 type Tracker struct {
 	cfg     TrackerConfig
 	onClose func(*IntervalReport)
@@ -86,11 +86,9 @@ type Tracker struct {
 	history     map[string]float64 // decayed per-interval term rates
 	histVolume  float64
 	intervals   int
-	reports     []*IntervalReport
 }
 
-// NewTracker builds a Tracker. onClose may be nil; every closed interval is
-// also retained and available via Reports.
+// NewTracker builds a Tracker. onClose may be nil.
 func NewTracker(cfg TrackerConfig, onClose func(*IntervalReport)) (*Tracker, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("core: Interval must be positive, got %d", cfg.Interval)
@@ -201,7 +199,6 @@ func (t *Tracker) closeInterval() {
 	t.intervals++
 
 	t.prevPopular = rep.Popular
-	t.reports = append(t.reports, rep)
 	if t.onClose != nil {
 		t.onClose(rep)
 	}
@@ -216,12 +213,7 @@ func (t *Tracker) closeInterval() {
 
 // Popular returns the most recently closed interval's popular set (nil
 // before any interval closes).
-func (t *Tracker) Popular() map[string]struct{} {
-	if len(t.reports) == 0 {
-		return nil
-	}
-	return t.reports[len(t.reports)-1].Popular
-}
+func (t *Tracker) Popular() map[string]struct{} { return t.prevPopular }
 
 // PopularTerms returns Popular as a slice (order unspecified).
 func (t *Tracker) PopularTerms() []string {
@@ -231,26 +223,4 @@ func (t *Tracker) PopularTerms() []string {
 		out = append(out, tok)
 	}
 	return out
-}
-
-// Reports returns every closed interval in order.
-func (t *Tracker) Reports() []*IntervalReport { return t.reports }
-
-// StabilitySeries extracts the Figure 6 series from the closed intervals.
-func (t *Tracker) StabilitySeries() []float64 {
-	out := make([]float64, 0, len(t.reports))
-	for _, r := range t.reports {
-		out = append(out, r.Stability)
-	}
-	return out
-}
-
-// MismatchAgainst computes the Figure 7 value for the latest interval:
-// Jaccard similarity between its popular query terms and fileTerms.
-func (t *Tracker) MismatchAgainst(fileTerms map[string]struct{}) float64 {
-	pop := t.Popular()
-	if pop == nil {
-		return 0
-	}
-	return stats.Jaccard(pop, fileTerms)
 }

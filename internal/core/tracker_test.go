@@ -9,6 +9,17 @@ import (
 	"querycentric/internal/stats"
 )
 
+// recordingTracker returns a tracker that appends every closed interval to
+// *reports.
+func recordingTracker(t *testing.T, cfg TrackerConfig, reports *[]*IntervalReport) *Tracker {
+	t.Helper()
+	tr, err := NewTracker(cfg, func(r *IntervalReport) { *reports = append(*reports, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestNewTrackerValidation(t *testing.T) {
 	bad := []TrackerConfig{
 		{Interval: 0, TransientRatio: 5, HistoryDecay: 1},
@@ -30,20 +41,21 @@ func TestNewTrackerValidation(t *testing.T) {
 func TestTrackerIntervalsClose(t *testing.T) {
 	cfg := DefaultTrackerConfig()
 	cfg.Interval = 100
-	var closed []int
-	tr, err := NewTracker(cfg, func(r *IntervalReport) { closed = append(closed, r.Index) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	var reports []*IntervalReport
+	tr := recordingTracker(t, cfg, &reports)
 	tr.Observe(0, "madonna music")
 	tr.Observe(50, "madonna")
 	tr.Observe(150, "zeppelin") // closes interval 0
 	tr.Observe(350, "zeppelin") // closes 1 and 2
 	tr.Flush()                  // closes 3
-	if len(closed) != 4 {
-		t.Fatalf("closed %d intervals: %v", len(closed), closed)
+	if len(reports) != 4 {
+		t.Fatalf("closed %d intervals", len(reports))
 	}
-	reports := tr.Reports()
+	for i, r := range reports {
+		if r.Index != i {
+			t.Fatalf("report %d has index %d", i, r.Index)
+		}
+	}
 	if reports[0].Queries != 2 || reports[0].Volume != 3 {
 		t.Errorf("interval 0: %+v", reports[0])
 	}
@@ -67,7 +79,8 @@ func TestTrackerPopularAndPersistence(t *testing.T) {
 	cfg := DefaultTrackerConfig()
 	cfg.Interval = 100
 	cfg.MinPopularCount = 3
-	tr, _ := NewTracker(cfg, nil)
+	var reports []*IntervalReport
+	tr := recordingTracker(t, cfg, &reports)
 	// Interval 0: madonna x5, noise x1.
 	for i := int64(0); i < 5; i++ {
 		tr.Observe(i, "madonna")
@@ -81,7 +94,6 @@ func TestTrackerPopularAndPersistence(t *testing.T) {
 		tr.Observe(i, "zeppelin")
 	}
 	tr.Flush()
-	reports := tr.Reports()
 	if len(reports) != 2 {
 		t.Fatalf("%d reports", len(reports))
 	}
@@ -115,7 +127,8 @@ func TestTrackerTransients(t *testing.T) {
 	cfg.TrainIntervals = 2
 	cfg.TransientMinCount = 5
 	cfg.TransientRatio = 4
-	tr, _ := NewTracker(cfg, nil)
+	var reports []*IntervalReport
+	tr := recordingTracker(t, cfg, &reports)
 	// Two training intervals of steady traffic.
 	for iv := int64(0); iv < 2; iv++ {
 		for i := int64(0); i < 20; i++ {
@@ -131,7 +144,6 @@ func TestTrackerTransients(t *testing.T) {
 		tr.Observe(200+i, "aardvark")
 	}
 	tr.Flush()
-	reports := tr.Reports()
 	// Exactly the two flash terms, in sorted order (not map order).
 	if got, want := reports[len(reports)-1].Transients, []string{"aardvark", "flashterm"}; !slices.Equal(got, want) {
 		t.Errorf("transients = %v, want %v", got, want)
@@ -142,12 +154,13 @@ func TestTrackerNoTransientsDuringTraining(t *testing.T) {
 	cfg := DefaultTrackerConfig()
 	cfg.Interval = 100
 	cfg.TrainIntervals = 5
-	tr, _ := NewTracker(cfg, nil)
+	var reports []*IntervalReport
+	tr := recordingTracker(t, cfg, &reports)
 	for i := int64(0); i < 50; i++ {
 		tr.Observe(i, "boom boom boom")
 	}
 	tr.Flush()
-	if got := tr.Reports()[0].Transients; got != nil {
+	if got := reports[0].Transients; got != nil {
 		t.Errorf("transients during training: %v", got)
 	}
 }
@@ -159,10 +172,8 @@ func TestTrackerHistoryDecay(t *testing.T) {
 	cfg.HistoryDecay = 0.5
 	cfg.TransientMinCount = 5
 	cfg.TransientRatio = 3
-	tr, err := NewTracker(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var reports []*IntervalReport
+	tr := recordingTracker(t, cfg, &reports)
 	// A term popular early, silent for many intervals, then returning:
 	// with decay, its historical rate fades, so the return is transient.
 	for i := int64(0); i < 20; i++ {
@@ -177,7 +188,7 @@ func TestTrackerHistoryDecay(t *testing.T) {
 		tr.Observe(1000+i, "comeback")
 	}
 	tr.Flush()
-	last := tr.Reports()[len(tr.Reports())-1]
+	last := reports[len(reports)-1]
 	found := false
 	for _, tok := range last.Transients {
 		if tok == "comeback" {
@@ -200,13 +211,10 @@ func TestTrackerMismatch(t *testing.T) {
 	tr.Flush()
 	file := map[string]struct{}{"beta": {}, "gamma": {}, "delta": {}}
 	// popular {alpha,beta} vs file {beta,gamma,delta}: J = 1/4.
-	if got := tr.MismatchAgainst(file); got != 0.25 {
+	if got := stats.Jaccard(tr.Popular(), file); got != 0.25 {
 		t.Errorf("mismatch = %v, want 0.25", got)
 	}
 	empty, _ := NewTracker(cfg, nil)
-	if empty.MismatchAgainst(file) != 0 {
-		t.Error("mismatch before any interval should be 0")
-	}
 	if empty.Popular() != nil {
 		t.Error("Popular before any interval should be nil")
 	}
@@ -225,18 +233,17 @@ func TestTrackerAgainstOfflineAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTrackerConfig()
-	tr, _ := NewTracker(cfg, nil)
+	var reports []*IntervalReport
+	tr := recordingTracker(t, DefaultTrackerConfig(), &reports)
 	for _, rec := range w.Trace.Records {
 		if err := tr.Observe(rec.Time, rec.Query); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tr.Flush()
-	series := tr.StabilitySeries()
 	var o stats.Online
-	for _, v := range series[2:] {
-		o.Add(v)
+	for _, r := range reports[2:] {
+		o.Add(r.Stability)
 	}
 	if o.Mean() < 0.70 {
 		t.Errorf("online stability mean = %v, want > 0.70", o.Mean())

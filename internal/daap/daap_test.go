@@ -312,17 +312,6 @@ func TestSessionRequired(t *testing.T) {
 	}
 }
 
-func TestShareStatusString(t *testing.T) {
-	for s, want := range map[ShareStatus]string{
-		StatusOK: "ok", StatusPassword: "password", StatusBusy: "busy",
-		StatusFirewalled: "firewalled", ShareStatus(9): "ShareStatus(9)",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", int(s), s.String())
-		}
-	}
-}
-
 func BenchmarkCrawlPopulation(b *testing.B) {
 	p, err := BuildPopulation(smallConfig(1))
 	if err != nil {

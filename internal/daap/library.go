@@ -114,22 +114,6 @@ const (
 	StatusFirewalled
 )
 
-// String names the status.
-func (s ShareStatus) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusPassword:
-		return "password"
-	case StatusBusy:
-		return "busy"
-	case StatusFirewalled:
-		return "firewalled"
-	default:
-		return fmt.Sprintf("ShareStatus(%d)", int(s))
-	}
-}
-
 // Share is one iTunes share.
 type Share struct {
 	ID           int

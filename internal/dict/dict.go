@@ -263,11 +263,6 @@ func (d *Dict) Resolve(toks []string, dst []TermID) (ids []TermID, ok bool) {
 	return dst, ok
 }
 
-// Product returns the precomputed QRP hash product of id (see
-// qrp.HashProduct); the slot for a table of 2^bits slots is
-// qrp.SlotOf(Product(id), bits).
-func (d *Dict) Product(id TermID) uint32 { return d.prods[id] }
-
 // Slot returns id's QRP table slot at the given table width.
 func (d *Dict) Slot(id TermID, bits uint) uint32 {
 	return qrp.SlotOf(d.prods[id], bits)

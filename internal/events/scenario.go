@@ -181,58 +181,6 @@ func (c ScenarioConfig) Validate() error {
 	return nil
 }
 
-// defaultScenario is the shared base for the canonical constructors: two
-// simulated hours in ten-minute windows, 80 TTL-3 known-item queries per
-// window spread over four batches, one-minute maintenance rounds.
-func defaultScenario(kind Kind, seed uint64) ScenarioConfig {
-	rp := gnet.DefaultRepairConfig(seed)
-	rp.PingInterval = 60
-	return ScenarioConfig{
-		Kind:             kind,
-		Seed:             seed,
-		Duration:         2 * 3600,
-		Window:           600,
-		QueriesPerWindow: 80,
-		BatchesPerWindow: 4,
-		TTL:              3,
-		Repair:           rp,
-	}
-}
-
-// SteadyStateScenario is the oracle case: no churn, no faults — windowed
-// success must agree with the static trial engine within tolerance.
-func SteadyStateScenario(seed uint64) ScenarioConfig {
-	return defaultScenario(SteadyState, seed)
-}
-
-// FaultRecoveryScenario crashes frac of the population at burstTime and
-// measures the recovery curve.
-func FaultRecoveryScenario(seed uint64, burstTime int64, frac float64) ScenarioConfig {
-	cfg := defaultScenario(FaultRecovery, seed)
-	cfg.Bursts = []faults.Burst{{Time: burstTime, Frac: frac}}
-	return cfg
-}
-
-// FlashCrowdScenario concentrates a mid-run load spike on one transiently
-// popular object: 3x volume, 60% of queries on the flash term, for the
-// middle two windows.
-func FlashCrowdScenario(seed uint64) ScenarioConfig {
-	cfg := defaultScenario(FlashCrowd, seed)
-	cfg.Flash = &FlashConfig{Start: 3600, End: 3600 + 1200, Frac: 0.6, Boost: 3}
-	return cfg
-}
-
-// DiurnalScenario modulates query volume sinusoidally over the horizon
-// (one full day compressed into the run), with background churn.
-func DiurnalScenario(seed uint64) ScenarioConfig {
-	cfg := defaultScenario(DiurnalLoad, seed)
-	cfg.DiurnalAmp = 0.6
-	tl := churn.DefaultTimelineConfig(seed)
-	tl.Duration = cfg.Duration
-	cfg.Churn = &tl
-	return cfg
-}
-
 // Window is one closed metrics window.
 type Window struct {
 	Start int64 `json:"start"`
@@ -390,9 +338,6 @@ func (s *Scenario) Instrument(reg *obs.Registry, wl *obs.WindowLog) {
 // CapacityStats exposes the overload plane's committed tallies (zero when
 // no plane is attached).
 func (s *Scenario) CapacityStats() capacity.Stats { return s.capPlane.Stats() }
-
-// Engine exposes the underlying queue (for diagnostics and tests).
-func (s *Scenario) Engine() *Engine { return s.eng }
 
 // pickFlashObject deterministically selects the transiently popular object
 // a flash crowd chases: a library entry of a deterministically drawn peer.
@@ -702,7 +647,7 @@ func (s *Scenario) closeWindow(start, end int64) {
 	}
 	online := s.m.Online()
 	w.OnlineFrac, w.MeanDegree = gnet.LiveDegree(s.nw, online)
-	w.Partitions = onlinePartitions(s.nw, online)
+	w.Partitions = s.nw.Partitions(online)
 	if s.capPlane != nil {
 		s.capPlane.Advance(end)
 		st := s.capPlane.Stats()
@@ -729,34 +674,6 @@ func (s *Scenario) closeWindow(start, end int64) {
 	}
 
 	s.win, s.winRepaired, s.winLatency = strategy.Tally{}, 0, 0
-}
-
-// onlinePartitions counts connected components of the subgraph induced by
-// online peers (edges to offline peers don't carry queries).
-func onlinePartitions(nw *gnet.Network, online []bool) int {
-	n := len(nw.Peers)
-	seen := make([]bool, n)
-	parts := 0
-	var stack []int
-	for v := 0; v < n; v++ {
-		if !online[v] || seen[v] {
-			continue
-		}
-		parts++
-		seen[v] = true
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range nw.Peers[u].Neighbors {
-				if online[w] && !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return parts
 }
 
 // Run executes the scenario to the horizon and returns the windowed

@@ -36,13 +36,22 @@ func testNetwork(t *testing.T, seed uint64) *gnet.Network {
 	return nw
 }
 
-// shortScenario shrinks the canonical config to CI scale: one simulated
-// hour, six ten-minute windows, 40 queries per window.
+// shortScenario is a CI-scale schedule: one simulated hour in six
+// ten-minute windows, 40 TTL-3 known-item queries per window over four
+// batches, one-minute maintenance rounds.
 func shortScenario(kind Kind, seed uint64) ScenarioConfig {
-	cfg := defaultScenario(kind, seed)
-	cfg.Duration = 3600
-	cfg.QueriesPerWindow = 40
-	return cfg
+	rp := gnet.DefaultRepairConfig(seed)
+	rp.PingInterval = 60
+	return ScenarioConfig{
+		Kind:             kind,
+		Seed:             seed,
+		Duration:         3600,
+		Window:           600,
+		QueriesPerWindow: 40,
+		BatchesPerWindow: 4,
+		TTL:              3,
+		Repair:           rp,
+	}
 }
 
 func runScenario(t *testing.T, nw *gnet.Network, cfg ScenarioConfig) *ScenarioResult {
@@ -59,17 +68,8 @@ func runScenario(t *testing.T, nw *gnet.Network, cfg ScenarioConfig) *ScenarioRe
 }
 
 func TestScenarioConfigValidate(t *testing.T) {
-	if err := SteadyStateScenario(1).Validate(); err != nil {
-		t.Fatalf("canonical steady-state config invalid: %v", err)
-	}
-	if err := FaultRecoveryScenario(1, 3600, 0.3).Validate(); err != nil {
-		t.Fatalf("canonical fault-recovery config invalid: %v", err)
-	}
-	if err := FlashCrowdScenario(1).Validate(); err != nil {
-		t.Fatalf("canonical flash-crowd config invalid: %v", err)
-	}
-	if err := DiurnalScenario(1).Validate(); err != nil {
-		t.Fatalf("canonical diurnal config invalid: %v", err)
+	if err := shortScenario(SteadyState, 1).Validate(); err != nil {
+		t.Fatalf("test schedule invalid: %v", err)
 	}
 	bad := []func(*ScenarioConfig){
 		func(c *ScenarioConfig) { c.Duration = 0 },
@@ -89,7 +89,7 @@ func TestScenarioConfigValidate(t *testing.T) {
 		},
 	}
 	for i, mutate := range bad {
-		c := SteadyStateScenario(1)
+		c := shortScenario(SteadyState, 1)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d: invalid config passed Validate", i)

@@ -99,11 +99,6 @@ type ChurnRepairResult struct {
 	RepairStats gnet.RepairStats
 }
 
-// ChurnRepair runs the experiment with default configuration.
-func ChurnRepair(e *Env) (*ChurnRepairResult, error) {
-	return ChurnRepairWith(e, DefaultChurnRepairConfig(e.Seed))
-}
-
 // ChurnRepairWith runs the churn-repair comparison. Maintenance is
 // sequential (it mutates topology); only the measurement floods fan out,
 // each trial on its own derived stream, so results are byte-identical at

@@ -56,11 +56,6 @@ type FaultSweepConfig struct {
 	MaxAttempts int
 }
 
-// FaultSweep runs the sweep with default configuration.
-func FaultSweep(e *Env) (*FaultSweepResult, error) {
-	return FaultSweepWith(e, FaultSweepConfig{})
-}
-
 // FaultSweepWith crawls and floods one calibrated population under
 // increasing substrate fault rates. The rate-zero point is provably
 // identical to the fault-free substrate (the plane is inert), so the

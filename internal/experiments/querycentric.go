@@ -183,19 +183,15 @@ func DefaultQueryCentricConfig() QueryCentricConfig {
 	}
 }
 
-// QueryCentric is the repository's constructive deliverable: under the
+// QueryCentricWith is the repository's constructive deliverable: under the
 // paper's query/file mismatch, a static TTL-3 flood mostly misses (the
 // hot objects are near-singletons beyond its reach) and QRP only trims
 // messages; the adaptive overlay — query-stream-driven rewiring plus
 // hot-object replication — recovers the lost success at equal or lower
 // message cost, while Chord finds everything but answers none of the
 // paper's keyword-search objections. All five arms replay the identical
-// workload under the unified strategy derivation.
-func QueryCentric(e *Env) (*QueryCentricResult, error) {
-	return QueryCentricWith(e, DefaultQueryCentricConfig())
-}
-
-// QueryCentricWith runs the head-to-head with explicit adaptation knobs.
+// workload under the unified strategy derivation; cfg sets the adaptation
+// knobs.
 func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, error) {
 	pop, err := qcBuildPopulation(e)
 	if err != nil {
@@ -226,7 +222,7 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 		return nil, err
 	}
 	static, err := adaptive.New(nwStatic, pop.objs,
-		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers, Label: "static-flood"})
+		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +242,7 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 		return nil, err
 	}
 	qrpSys, err := adaptive.New(nwQRP, pop.objs,
-		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers, Label: "qrp"})
+		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers})
 	if err != nil {
 		return nil, err
 	}

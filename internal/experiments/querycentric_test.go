@@ -13,7 +13,7 @@ import (
 // and Chord resolves everything.
 func TestQueryCentric(t *testing.T) {
 	e := NewEnv(ScaleTiny, 42)
-	res, err := QueryCentric(e)
+	res, err := QueryCentricWith(e, DefaultQueryCentricConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestQueryCentricMetricsInert(t *testing.T) {
 		if withObs {
 			e.Obs = obs.NewRegistry()
 		}
-		res, err := QueryCentric(e)
+		res, err := QueryCentricWith(e, DefaultQueryCentricConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,11 +110,6 @@ type RecoveryResult struct {
 	RepairStats gnet.RepairStats `json:"repair_stats"`
 }
 
-// Recovery runs the experiment with default configuration.
-func Recovery(e *Env) (*RecoveryResult, error) {
-	return RecoveryWith(e, DefaultRecoveryConfig(e.Seed))
-}
-
 // RecoveryWith runs the recovery comparison on the discrete-event engine.
 // Each arm replays the identical event schedule (same burst victims, same
 // query streams) against a fresh overlay; only the Repair flag differs, so

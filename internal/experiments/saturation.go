@@ -212,11 +212,6 @@ func (r *SaturationResult) Peak(arm string) *SaturationPoint {
 	return nil
 }
 
-// Saturation runs the sweep with default configuration.
-func Saturation(e *Env) (*SaturationResult, error) {
-	return SaturationWith(e, DefaultSaturationConfig(e.Seed))
-}
-
 // SaturationWith sweeps the flash-crowd scenario over offered load for
 // every capacity arm. All points share one catalog; each gets a fresh
 // overlay so topology mutations (maintenance under overload degrades

@@ -41,14 +41,11 @@ type Config struct {
 	AvgDegree int
 	// MaxDegreeFactor caps a node's degree at MaxDegreeFactor*AvgDegree.
 	MaxDegreeFactor int
-	// WalkSteps is the per-query step budget RunWorkload gives each
-	// capacity-biased walk (0 ⇒ 128, the published evaluation's budget).
-	WalkSteps int
 }
 
 // DefaultConfig matches the published evaluation's shape.
 func DefaultConfig(seed uint64) Config {
-	return Config{Seed: seed, AvgDegree: 8, MaxDegreeFactor: 16, WalkSteps: 128}
+	return Config{Seed: seed, AvgDegree: 8, MaxDegreeFactor: 16}
 }
 
 // System is a built Gia network bound to a replica placement.
@@ -56,11 +53,9 @@ type System struct {
 	Graph      *overlay.Graph
 	Capacities []float64
 
-	place     *search.Placement
-	holderOf  [][]int32         // object -> holders (from placement)
-	holders   overlay.VertexSet // the searched object's holders
-	visited   overlay.VertexSet
-	walkSteps int
+	holderOf [][]int32         // object -> holders (from placement)
+	holders  overlay.VertexSet // the searched object's holders
+	visited  overlay.VertexSet
 }
 
 // New builds the capacity-adapted topology and the one-hop replication
@@ -79,7 +74,7 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 		cfg.MaxDegreeFactor = 16
 	}
 
-	s := &System{place: p, holderOf: p.Holders, walkSteps: cfg.WalkSteps}
+	s := &System{holderOf: p.Holders}
 	r := rng.NewNamed(cfg.Seed, "gia/capacities")
 	s.Capacities = make([]float64, n)
 	cum := make([]float64, len(capacityLevels))
@@ -228,43 +223,9 @@ func (s *System) Search(origin, obj, maxSteps int, r *rng.Source) (search.Result
 	return res, nil
 }
 
-// Name implements strategy.AdaptivePolicy.
-func (s *System) Name() string { return "gia" }
-
-// RunWorkload implements strategy.AdaptivePolicy: queries follow the
-// unified workload derivation (see strategy.WorkloadStream) with the
-// config's WalkSteps budget per query, so Gia and any other strategy at
-// the same seed observe the identical (origin, object) sequence.
-func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uint64) (*strategy.Stats, error) {
-	if queries < 1 {
-		return nil, fmt.Errorf("gia: queries must be positive")
-	}
-	steps := s.walkSteps
-	if steps <= 0 {
-		steps = 128
-	}
-	base := strategy.WorkloadStream(seed)
-	var t strategy.Tally
-	for i := 0; i < queries; i++ {
-		r := strategy.QueryStream(base, i)
-		res, err := s.Search(r.Intn(s.Graph.N()), pick(r), steps, r)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(search.Outcome(res))
-	}
-	return t.Stats(), nil
-}
-
-// The unified interface is implemented.
-var _ strategy.AdaptivePolicy = (*System)(nil)
-
 // SuccessRate measures Gia's success over random (origin, object) trials
-// with a per-query step budget.
-//
-// Deprecated: RunWorkload is the unified strategy entry point. SuccessRate
-// is retained (with its original sequential stream) so the Gia comparison
-// experiment's published numbers stay bit-stable.
+// with a per-query step budget. Trials run in sequence on one stream, so
+// the Gia comparison's numbers are a pure function of the seed.
 func (s *System) SuccessRate(maxSteps, trials int, pick func(r *rng.Source) int, seed uint64) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("gia: trials must be positive")

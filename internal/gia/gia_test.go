@@ -3,6 +3,7 @@ package gia
 import (
 	"testing"
 
+	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
 )
@@ -50,7 +51,7 @@ func TestCapacityDistribution(t *testing.T) {
 func TestTopologyCapacityCorrelation(t *testing.T) {
 	p, _ := search.UniformPlacement(3000, 10, 1, 3)
 	s := buildGia(t, 3000, p)
-	if !s.Graph.IsConnected() {
+	if len(overlay.NewCoverage(s.Graph).Reached(0, 3000)) != 2999 {
 		t.Fatal("gia topology disconnected")
 	}
 	// Mean degree of 100x+ nodes should exceed mean degree of 1x nodes.

@@ -57,11 +57,11 @@ func TestZeroFaultPlaneLeavesFloodIdentical(t *testing.T) {
 
 	for origin := 0; origin < 10; origin++ {
 		criteria := fileOf(t, nwA, origin*13+7)
-		ra, err := nwA.Flood(origin, criteria, 4, rng.New(uint64(origin)))
+		ra, err := nwA.NewFloodCtx().Flood(origin, criteria, 4, rng.New(uint64(origin)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := nwB.Flood(origin, criteria, 4, rng.New(uint64(origin)))
+		rb, err := nwB.NewFloodCtx().Flood(origin, criteria, 4, rng.New(uint64(origin)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,14 +74,14 @@ func TestZeroFaultPlaneLeavesFloodIdentical(t *testing.T) {
 func TestFloodMessageLossDegradesReach(t *testing.T) {
 	base := populatedNet(t, 200)
 	criteria := fileOf(t, base, 42)
-	clean, err := base.Flood(0, criteria, 5, rng.New(1))
+	clean, err := base.NewFloodCtx().Flood(0, criteria, 5, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	lossy := populatedNet(t, 200)
 	lossy.SetFaults(faults.New(faults.Config{Seed: 9, MessageLoss: 0.4}))
-	faulted, err := lossy.Flood(0, criteria, 5, rng.New(1))
+	faulted, err := lossy.NewFloodCtx().Flood(0, criteria, 5, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFloodDeadPeersNeverAnswer(t *testing.T) {
 	plane.SetLiveness(mask)
 	nw.SetFaults(plane)
 
-	res, err := nw.Flood(0, BrowseCriteria, 5, rng.New(3))
+	res, err := nw.NewFloodCtx().Flood(0, BrowseCriteria, 5, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

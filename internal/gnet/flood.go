@@ -430,14 +430,6 @@ func (c *FloodCtx) answer(res *FloodResult, to, hops int, toks []string) {
 	res.TotalResults += len(idx)
 }
 
-// Flood is the context-free convenience form: it builds a fresh FloodCtx
-// per call, so it is safe for concurrent use but pays the context
-// allocation. Hot paths (benchmarks, the parallel trial engine) should
-// hold a FloodCtx per worker instead.
-func (nw *Network) Flood(origin int, criteria string, ttl int, r *rng.Source) (*FloodResult, error) {
-	return nw.NewFloodCtx().Flood(origin, criteria, ttl, r)
-}
-
 // qrpHoist is the per-flood QRP forwarding decision: inactive when QRP is
 // off or the query is a browse (always forward); otherwise the criteria's
 // pre-hashed slots (nil for a keywordless query, which no table matches).

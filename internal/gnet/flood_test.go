@@ -50,7 +50,7 @@ func TestFloodMessagesCountsTransmittedDescriptors(t *testing.T) {
 		{ttl: 4, messages: 6, reached: 4, hits: 1},
 	}
 	for _, tc := range cases {
-		res, err := pinNet().Flood(0, "target", tc.ttl, rng.New(1))
+		res, err := pinNet().NewFloodCtx().Flood(0, "target", tc.ttl, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestFloodCtxReuseMatchesFreshFloods(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rb, err := b.Flood(origin, criteria, 4, rng.New(uint64(trial)))
+				rb, err := b.NewFloodCtx().Flood(origin, criteria, 4, rng.New(uint64(trial)))
 				if err != nil {
 					t.Fatal(err)
 				}

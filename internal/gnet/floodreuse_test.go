@@ -43,7 +43,7 @@ func TestFloodCtxLongReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Flood(origin, criteria, 4, rng.New(uint64(i)))
+		rb, err := b.NewFloodCtx().Flood(origin, criteria, 4, rng.New(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ package gnet
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"querycentric/internal/capacity"
@@ -527,35 +526,31 @@ func (nw *Network) connected(a, b int) bool {
 	return false
 }
 
-// Degrees returns the sorted degree sequence (for topology diagnostics).
-func (nw *Network) Degrees() []int {
-	out := make([]int, len(nw.Peers))
-	for i, p := range nw.Peers {
-		out[i] = len(p.Neighbors)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// IsConnected reports whether the overlay is a single component.
-func (nw *Network) IsConnected() bool {
-	if len(nw.Peers) == 0 {
-		return true
-	}
-	seen := make([]bool, len(nw.Peers))
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range nw.Peers[v].Neighbors {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
+// Partitions counts the connected components of the overlay induced by
+// the online peers (edges to offline peers don't carry queries). A nil
+// online means every peer is online.
+func (nw *Network) Partitions(online []bool) int {
+	n := len(nw.Peers)
+	seen := make([]bool, n)
+	parts := 0
+	var stack []int
+	for v := 0; v < n; v++ {
+		if seen[v] || online != nil && !online[v] {
+			continue
+		}
+		parts++
+		seen[v] = true
+		stack = append(stack[:0], v)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range nw.Peers[u].Neighbors {
+				if !seen[w] && (online == nil || online[w]) {
+					seen[w] = true
+					stack = append(stack, w)
+				}
 			}
 		}
 	}
-	return count == len(nw.Peers)
+	return parts
 }

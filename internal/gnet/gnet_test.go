@@ -41,19 +41,43 @@ func TestNewValidation(t *testing.T) {
 
 func TestFlatConnected(t *testing.T) {
 	nw := flatNet(t, 500)
-	if !nw.IsConnected() {
-		t.Fatal("flat network not connected")
+	if parts := nw.Partitions(nil); parts != 1 {
+		t.Fatalf("flat network in %d partitions", parts)
 	}
-	degs := nw.Degrees()
-	if degs[0] < 2 {
-		t.Errorf("min degree %d < 2", degs[0])
+	for i, p := range nw.Peers {
+		if len(p.Neighbors) < 2 {
+			t.Errorf("peer %d has degree %d < 2", i, len(p.Neighbors))
+		}
+	}
+}
+
+// TestPartitionsOnlineMask checks that offline peers neither count nor
+// carry connectivity: with every peer offline there is no component, and
+// a peer whose neighbors are all offline is a component of its own.
+func TestPartitionsOnlineMask(t *testing.T) {
+	nw := flatNet(t, 200)
+	online := make([]bool, len(nw.Peers))
+	if got := nw.Partitions(online); got != 0 {
+		t.Fatalf("all offline: %d partitions, want 0", got)
+	}
+	for i := range online {
+		online[i] = true
+	}
+	if got := nw.Partitions(online); got != 1 {
+		t.Fatalf("all online: %d partitions, want 1", got)
+	}
+	for _, nb := range nw.Peers[0].Neighbors {
+		online[nb] = false
+	}
+	if got := nw.Partitions(online); got < 2 {
+		t.Fatalf("peer 0 cut off by offline neighbors: %d partitions, want >= 2", got)
 	}
 }
 
 func TestTwoTierConnected(t *testing.T) {
 	nw := twoTierNet(t, 500)
-	if !nw.IsConnected() {
-		t.Fatal("two-tier network not connected")
+	if parts := nw.Partitions(nil); parts != 1 {
+		t.Fatalf("two-tier network in %d partitions", parts)
 	}
 	ultras := 0
 	for _, p := range nw.Peers {
@@ -183,7 +207,7 @@ func TestFloodFindsPlantedFile(t *testing.T) {
 	origin := 0
 	holder := nw.Peers[origin].Neighbors[0]
 	nw.Peers[holder].Library = []File{{Index: 0, Size: 1, Name: "Unique Zanzibar Xylophone.mp3"}}
-	res, err := nw.Flood(origin, "zanzibar xylophone", 2, rng.New(1))
+	res, err := nw.NewFloodCtx().Flood(origin, "zanzibar xylophone", 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +224,7 @@ func TestFloodTTLBoundsReach(t *testing.T) {
 	r := rng.New(5)
 	prev := 0
 	for ttl := 1; ttl <= 4; ttl++ {
-		res, err := nw.Flood(0, "nonexistentterm xyz", ttl, r)
+		res, err := nw.NewFloodCtx().Flood(0, "nonexistentterm xyz", ttl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +235,7 @@ func TestFloodTTLBoundsReach(t *testing.T) {
 		prev = res.PeersReached
 	}
 	// TTL 1 must reach exactly the neighbours.
-	res, _ := nw.Flood(0, "foo bar", 1, r)
+	res, _ := nw.NewFloodCtx().Flood(0, "foo bar", 1, r)
 	if res.PeersReached != len(nw.Peers[0].Neighbors) {
 		t.Errorf("TTL1 reached %d, want %d", res.PeersReached, len(nw.Peers[0].Neighbors))
 	}
@@ -221,7 +245,7 @@ func TestFloodReachAgreesWithFlood(t *testing.T) {
 	nw := twoTierNet(t, 800)
 	r := rng.New(7)
 	for _, ttl := range []int{1, 2, 3} {
-		res, err := nw.Flood(10, "zzz qqq", ttl, r)
+		res, err := nw.NewFloodCtx().Flood(10, "zzz qqq", ttl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,10 +262,10 @@ func TestFloodReachAgreesWithFlood(t *testing.T) {
 
 func TestFloodValidation(t *testing.T) {
 	nw := flatNet(t, 10)
-	if _, err := nw.Flood(-1, "x", 2, rng.New(1)); err == nil {
+	if _, err := nw.NewFloodCtx().Flood(-1, "x", 2, rng.New(1)); err == nil {
 		t.Error("negative origin accepted")
 	}
-	if _, err := nw.Flood(0, "x", 0, rng.New(1)); err == nil {
+	if _, err := nw.NewFloodCtx().Flood(0, "x", 0, rng.New(1)); err == nil {
 		t.Error("zero TTL accepted")
 	}
 	// A criteria no query descriptor can carry: the wire-faithful reference
@@ -250,7 +274,7 @@ func TestFloodValidation(t *testing.T) {
 	if _, err := floodNaive(nw, 0, huge, 2, rng.New(1)); err == nil {
 		t.Fatal("the reference flooded an oversized descriptor")
 	}
-	if _, err := nw.Flood(0, huge, 2, rng.New(1)); err == nil {
+	if _, err := nw.NewFloodCtx().Flood(0, huge, 2, rng.New(1)); err == nil {
 		t.Error("criteria past the descriptor payload limit accepted")
 	}
 }
@@ -272,7 +296,7 @@ func TestLeafDoesNotRelay(t *testing.T) {
 	if leaf < 0 {
 		t.Skip("no leaves")
 	}
-	res, err := nw.Flood(leaf, "anything here", 1, rng.New(9))
+	res, err := nw.NewFloodCtx().Flood(leaf, "anything here", 1, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +326,10 @@ func BenchmarkFloodTTL3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(1)
+	fc, r := nw.NewFloodCtx(), rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nw.Flood(i%5000, "some query terms", 3, r); err != nil {
+		if _, err := fc.Flood(i%5000, "some query terms", 3, r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,7 +148,7 @@ func TestHolderStampsSurviveEpochWrap(t *testing.T) {
 				}
 				nw.SetCapacity(plane)
 				for i := 0; i < 4; i++ {
-					if _, err := nw.Flood(i*11, first, 4, rng.New(uint64(i))); err != nil {
+					if _, err := nw.NewFloodCtx().Flood(i*11, first, 4, rng.New(uint64(i))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -250,7 +250,7 @@ func TestMutationDropsHolderIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchesReference("a peer on a local dictionary", false, known, "zzzz novel")
-	got, err := nw.Flood(0, "zzzz novel", 7, rng.New(3))
+	got, err := nw.NewFloodCtx().Flood(0, "zzzz novel", 7, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

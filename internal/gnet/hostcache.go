@@ -41,12 +41,6 @@ const DefaultHostCacheSize = 32
 // Len returns the number of cached addresses.
 func (hc *HostCache) Len() int { return len(hc.addrs) }
 
-// Contains reports whether a is cached.
-func (hc *HostCache) Contains(a Addr) bool {
-	_, ok := hc.index[a]
-	return ok
-}
-
 // Instrument attaches add/eviction counters (either may be nil).
 func (hc *HostCache) Instrument(adds, evicts *obs.Counter) {
 	hc.adds, hc.evicts = adds, evicts
@@ -108,11 +102,4 @@ func (hc *HostCache) Pick(r *rng.Source, keep func(Addr) bool) (Addr, bool) {
 		return Addr{}, false
 	}
 	return candidates[r.Intn(len(candidates))], true
-}
-
-// Addrs returns the cached addresses in insertion order (a copy).
-func (hc *HostCache) Addrs() []Addr {
-	out := make([]Addr, len(hc.addrs))
-	copy(out, hc.addrs)
-	return out
 }

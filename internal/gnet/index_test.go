@@ -71,7 +71,7 @@ func TestMatchUnknownTerm(t *testing.T) {
 				t.Fatalf("Match(%q) on peer %d = %v, want nil", criteria, p.ID, files)
 			}
 		}
-		res, err := nw.Flood(0, criteria, 4, rng.New(7))
+		res, err := nw.NewFloodCtx().Flood(0, criteria, 4, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestMatchEmptyCriteria(t *testing.T) {
 		if files := nw.Peers[1].Match(criteria); files != nil {
 			t.Fatalf("Match(%q) = %v, want nil", criteria, files)
 		}
-		res, err := nw.Flood(0, criteria, 3, rng.New(1))
+		res, err := nw.NewFloodCtx().Flood(0, criteria, 3, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestLocalDictFallback(t *testing.T) {
 	}
 	// The flood path must also find it (peer re-resolves query tokens
 	// against its local dictionary).
-	res, err := nw.Flood(0, "novel tokens everywhere", 4, rng.New(3))
+	res, err := nw.NewFloodCtx().Flood(0, "novel tokens everywhere", 4, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,9 +235,6 @@ func (m *Maintainer) Online() []bool { return m.online }
 // Stats returns a copy of the maintenance counters.
 func (m *Maintainer) Stats() RepairStats { return m.stats }
 
-// HostCacheOf exposes peer id's candidate pool (for tests and diagnostics).
-func (m *Maintainer) HostCacheOf(id int) *HostCache { return m.caches[id] }
-
 // stream derives the decision stream for peer id's next maintenance event.
 func (m *Maintainer) stream(id int) *rng.Source {
 	s := m.seq[id]
@@ -468,11 +465,6 @@ func (m *Maintainer) learnAddr(u int, a Addr) {
 // driving simulation can observe degree deficits without duplicating the
 // topology-class rules.
 func (m *Maintainer) TargetDegree(id int) int { return m.targetDegree(id) }
-
-// RepairDegree exposes peer id's repair-relevant degree (see repairDegree):
-// the connection count measured against TargetDegree. Ghost edges count —
-// the peer still believes in them.
-func (m *Maintainer) RepairDegree(id int) int { return m.repairDegree(id) }
 
 // targetDegree is the connection count peer u repairs toward: the same
 // targets the builder wired (ultrapeer mesh degree, leaf attachment count,

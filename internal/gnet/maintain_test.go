@@ -338,7 +338,7 @@ func TestHostCacheScreensSelfAndDead(t *testing.T) {
 	u := firstUltra(nw)
 	// Poison u's cache with its own address; seeding and Pong learning
 	// never insert it, but a hostile or buggy hint source could.
-	m.HostCacheOf(u).Add(nw.Peers[u].Addr)
+	m.caches[u].Add(nw.Peers[u].Addr)
 	// Crash an ultrapeer neighbor of u silently: u drops below target once
 	// detection fires and repairs from a cache that still holds dead (and
 	// now self) addresses.

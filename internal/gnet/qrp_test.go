@@ -43,7 +43,7 @@ func TestQRPNoFalseNegatives(t *testing.T) {
 			continue
 		}
 		origin := (p + 37) % 400
-		res, err := nw.Flood(origin, name, 4, r)
+		res, err := nw.NewFloodCtx().Flood(origin, name, 4, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestQRPNoFalseNegatives(t *testing.T) {
 	}
 	r2 := rng.New(18)
 	for _, pr := range probes {
-		res, err := nw.Flood(pr.origin, pr.query, 4, r2)
+		res, err := nw.NewFloodCtx().Flood(pr.origin, pr.query, 4, r2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestQRPSavesMessages(t *testing.T) {
 		total := 0
 		r := rng.New(19)
 		for i, q := range queries {
-			res, err := nw.Flood(i*13%400, q, 5, r)
+			res, err := nw.NewFloodCtx().Flood(i*13%400, q, 5, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,13 +157,13 @@ func TestAddFileExtendsRouteTable(t *testing.T) {
 		t.Fatal("no ultrapeer with two leaves")
 	}
 	const name = "Zzqx Unheard Replica.mp3"
-	if res, err := nw.Flood(other, "zzqx unheard", 2, rng.New(1)); err != nil || len(res.Hits) != 0 {
+	if res, err := nw.NewFloodCtx().Flood(other, "zzqx unheard", 2, rng.New(1)); err != nil || len(res.Hits) != 0 {
 		t.Fatalf("before AddFile: %d hits (err %v), want none", len(res.Hits), err)
 	}
 	if err := nw.AddFile(leaf, name, 4096); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Flood(other, "zzqx unheard", 2, rng.New(1))
+	res, err := nw.NewFloodCtx().Flood(other, "zzqx unheard", 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,6 @@ func (nw *Network) Faults() *faults.Plane { return nw.faults }
 // leaves every code path byte-identical to the unbounded substrate.
 func (nw *Network) SetCapacity(p *capacity.Plane) { nw.capacity = p }
 
-// Capacity returns the attached overload plane (nil when none).
-func (nw *Network) Capacity() *capacity.Plane { return nw.capacity }
-
 // Dial opens a wire connection to the peer at addr, serving the peer's side
 // on a background goroutine. The caller must Close the returned connection.
 // Firewalled peers refuse the connection, as the crawler would observe.

@@ -5,8 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 )
 
 // ManifestSchemaVersion is bumped whenever the manifest layout changes
@@ -101,17 +100,11 @@ func (m *Manifest) Finalize() error {
 	return nil
 }
 
-// WriteFile writes the manifest as indented JSON (with trailing newline),
-// creating the parent directory if needed.
-func (m *Manifest) WriteFile(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+// Encode writes the manifest to w as indented JSON with a trailing newline.
+func (m *Manifest) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(m)
 }
 
 // RunFileName is the canonical manifest file name for one invocation:

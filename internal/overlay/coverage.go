@@ -7,13 +7,6 @@ import (
 	"querycentric/internal/rng"
 )
 
-// BFS computes the set of vertices a TTL-bounded flood from origin
-// processes, excluding the origin itself, in ring order (see Frontier for
-// the flood semantics). Sweeps should reuse one Coverage instead.
-func (g *Graph) BFS(origin, ttl int) []int32 {
-	return NewCoverage(g).Reached(origin, ttl)
-}
-
 // Coverage is a reusable TTL-bounded flood engine over one graph.
 type Coverage struct {
 	f   *Frontier
@@ -34,16 +27,10 @@ func (c *Coverage) Reached(origin, ttl int) []int32 {
 	return c.buf
 }
 
-// CoverageStats reports the mean fraction of the network processed by
+// CoverageStatsN reports the mean fraction of the network processed by
 // floods at each TTL in 1..maxTTL, averaged over sample random origins —
-// the quantity behind the paper's "TTL 1..5 reach 0.05%...82.95%" table.
-// It is CoverageStatsN on one worker.
-func CoverageStats(g *Graph, maxTTL, samples int, seed uint64) ([]float64, error) {
-	return CoverageStatsN(g, maxTTL, samples, seed, 1)
-}
-
-// CoverageStatsN is CoverageStats fanned out over a bounded worker pool.
-// Sample i draws its origin from the derived stream "sample/i" and each
+// the quantity behind the paper's "TTL 1..5 reach 0.05%...82.95%" table —
+// fanned out over a bounded worker pool. Sample i draws its origin from the derived stream "sample/i" and each
 // worker floods through its own Frontier; per-sample fractions are
 // summed in sample order, so the result is byte-identical for every
 // workers value.
@@ -85,15 +72,10 @@ func CoverageStatsN(g *Graph, maxTTL, samples int, seed uint64, workers int) ([]
 	return sums, nil
 }
 
-// MeanQueryHops estimates the mean number of hops a query takes to reach a
-// processed peer under a TTL-bounded flood (the paper cites 2.47 hops mean
-// for queries observed in 2006). It is MeanQueryHopsN on one worker.
-func MeanQueryHops(g *Graph, ttl, samples int, seed uint64) (float64, error) {
-	return MeanQueryHopsN(g, ttl, samples, seed, 1)
-}
-
-// MeanQueryHopsN is MeanQueryHops fanned out over a bounded worker pool.
-// Sample i draws its origin from the derived stream "sample/i"; the
+// MeanQueryHopsN estimates the mean number of hops a query takes to reach
+// a processed peer under a TTL-bounded flood (the paper cites 2.47 hops
+// mean for queries observed in 2006), fanned out over a bounded worker
+// pool. Sample i draws its origin from the derived stream "sample/i"; the
 // per-sample (hops, peers) tallies are summed in sample order, so the
 // result is byte-identical for every workers value.
 func MeanQueryHopsN(g *Graph, ttl, samples int, seed uint64, workers int) (float64, error) {

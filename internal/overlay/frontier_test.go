@@ -75,8 +75,8 @@ func checkAgainstReference(t *testing.T, f *Frontier, g *Graph, origin, ttl int,
 		t.Fatalf("origin %d ttl %d: Sent()=%d, reference %d", origin, ttl, f.Sent(), wantSent)
 	}
 	if alive == nil {
-		if got := len(g.BFS(origin, ttl)); got != processed {
-			t.Fatalf("origin %d ttl %d: BFS reached %d, rings hold %d", origin, ttl, got, processed)
+		if got := len(NewCoverage(g).Reached(origin, ttl)); got != processed {
+			t.Fatalf("origin %d ttl %d: Coverage reached %d, rings hold %d", origin, ttl, got, processed)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 // Package overlay provides the overlay-graph substrate for the search
-// simulations: Gnutella-like two-tier topologies, Erdős–Rényi and
-// Barabási–Albert random graphs, random-regular graphs, and TTL-bounded
-// coverage computations (the basis of the paper's Section V simulation of a
+// simulations: Gnutella-like two-tier topologies, Erdős–Rényi random
+// graphs, and TTL-bounded coverage computations (the basis of the paper's Section V simulation of a
 // 40,000-node network and the TTL/coverage table).
 package overlay
 
 import (
 	"fmt"
-	"sort"
 
 	"querycentric/internal/rng"
 )
@@ -86,16 +84,6 @@ func (g *Graph) Edges() int {
 	return total / 2
 }
 
-// Degrees returns the sorted degree sequence.
-func (g *Graph) Degrees() []int {
-	out := make([]int, g.n)
-	for i := range out {
-		out[i] = len(g.adj[i])
-	}
-	sort.Ints(out)
-	return out
-}
-
 // compact packs every adjacency list into one backing array, in vertex
 // order, which drops the slack growth left in each list. Each list is
 // capped at its length, so a later AddEdge reallocates only the list it
@@ -140,99 +128,6 @@ func NewErdosRenyi(n int, avgDegree float64, seed uint64) (*Graph, error) {
 			return nil, err
 		}
 		added++
-	}
-	g.compact()
-	return g, nil
-}
-
-// NewRandomRegular builds an approximately d-regular connected graph via
-// the pairing model with rejection, falling back to near-regular if a
-// perfect matching stalls.
-func NewRandomRegular(n, d int, seed uint64) (*Graph, error) {
-	if d < 2 || d >= n {
-		return nil, fmt.Errorf("overlay: degree %d invalid for %d vertices", d, n)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("overlay: n*d must be even (n=%d, d=%d)", n, d)
-	}
-	g, err := NewGraph(n)
-	if err != nil {
-		return nil, err
-	}
-	r := rng.NewNamed(seed, "overlay/regular")
-	// Ring first (consumes 2 of each vertex's degree budget, keeps the
-	// graph connected), then pair remaining stubs randomly.
-	for i := 0; i < n; i++ {
-		if err := g.AddEdge(i, (i+1)%n); err != nil {
-			return nil, err
-		}
-	}
-	stubs := make([]int, 0, n*(d-2))
-	for i := 0; i < n; i++ {
-		for k := 0; k < d-2; k++ {
-			stubs = append(stubs, i)
-		}
-	}
-	r.ShuffleInts(stubs)
-	for attempts := 0; len(stubs) >= 2 && attempts < 20*n*d; attempts++ {
-		u := stubs[len(stubs)-1]
-		v := stubs[len(stubs)-2]
-		if u != v && !g.HasEdge(u, v) {
-			g.adj[u] = append(g.adj[u], int32(v))
-			g.adj[v] = append(g.adj[v], int32(u))
-			stubs = stubs[:len(stubs)-2]
-			continue
-		}
-		// Reshuffle the remaining stubs and retry.
-		r.ShuffleInts(stubs)
-	}
-	g.compact()
-	return g, nil
-}
-
-// NewBarabasiAlbert builds a preferential-attachment graph: each new vertex
-// attaches m edges to existing vertices with probability proportional to
-// degree, producing the power-law degree distribution observed in real
-// unstructured overlays.
-func NewBarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
-	if m < 1 || m >= n {
-		return nil, fmt.Errorf("overlay: attachment count %d invalid for %d vertices", m, n)
-	}
-	g, err := NewGraph(n)
-	if err != nil {
-		return nil, err
-	}
-	r := rng.NewNamed(seed, "overlay/ba")
-	// Seed clique of m+1 vertices.
-	for i := 0; i <= m; i++ {
-		for j := i + 1; j <= m; j++ {
-			if err := g.AddEdge(i, j); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Repeated-vertex list: sampling uniformly from it is sampling
-	// proportionally to degree.
-	var targets []int32
-	for i := 0; i <= m; i++ {
-		for range g.adj[i] {
-			targets = append(targets, int32(i))
-		}
-	}
-	for v := m + 1; v < n; v++ {
-		chosen := map[int32]bool{}
-		for len(chosen) < m {
-			t := targets[r.Intn(len(targets))]
-			if int(t) != v {
-				chosen[t] = true
-			}
-		}
-		for t := range chosen {
-			if err := g.AddEdge(v, int(t)); err != nil {
-				return nil, err
-			}
-			targets = append(targets, t, int32(v))
-		}
 	}
 	g.compact()
 	return g, nil
@@ -315,27 +210,4 @@ func NewGnutella(n int, cfg GnutellaConfig, seed uint64) (*Graph, error) {
 	}
 	g.compact()
 	return g, nil
-}
-
-// IsConnected reports whether the graph is one component.
-func (g *Graph) IsConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int32{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == g.n
 }

@@ -39,12 +39,16 @@ func TestAddEdge(t *testing.T) {
 	}
 }
 
+// connected reports whether a flood from vertex 0 reaches every other
+// vertex.
+func connected(g *Graph) bool { return len(NewCoverage(g).Reached(0, g.N())) == g.N()-1 }
+
 func TestErdosRenyi(t *testing.T) {
 	g, err := NewErdosRenyi(500, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsConnected() {
+	if !connected(g) {
 		t.Error("ER graph disconnected")
 	}
 	mean := 2 * float64(g.Edges()) / 500
@@ -62,50 +66,12 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
-func TestRandomRegular(t *testing.T) {
-	g, err := NewRandomRegular(400, 6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Error("regular graph disconnected")
-	}
-	degs := g.Degrees()
-	if degs[0] < 4 || degs[len(degs)-1] > 8 {
-		t.Errorf("degree range [%d,%d], want ≈6", degs[0], degs[len(degs)-1])
-	}
-	if _, err := NewRandomRegular(5, 5, 1); err == nil {
-		t.Error("d >= n accepted")
-	}
-	if _, err := NewRandomRegular(5, 3, 1); err == nil {
-		t.Error("odd n*d accepted")
-	}
-}
-
-func TestBarabasiAlbert(t *testing.T) {
-	g, err := NewBarabasiAlbert(1000, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsConnected() {
-		t.Error("BA graph disconnected")
-	}
-	degs := g.Degrees()
-	// Power-law: the max degree should far exceed the median.
-	if degs[len(degs)-1] < 4*degs[500] {
-		t.Errorf("max degree %d not heavy-tailed vs median %d", degs[len(degs)-1], degs[500])
-	}
-	if _, err := NewBarabasiAlbert(10, 0, 1); err == nil {
-		t.Error("m=0 accepted")
-	}
-}
-
 func TestGnutellaTwoTier(t *testing.T) {
 	g, err := NewGnutella(2000, DefaultGnutellaConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsConnected() {
+	if !connected(g) {
 		t.Error("gnutella graph disconnected")
 	}
 	if !g.TwoTier() {
@@ -149,9 +115,15 @@ func TestCompactedAdjacency(t *testing.T) {
 		}
 		return m
 	}
-	wantHas, wantDeg := has(g), g.Degrees()
+	degrees := func(g *Graph) (d []int) {
+		for v := 0; v < g.N(); v++ {
+			d = append(d, g.Degree(v))
+		}
+		return d
+	}
+	wantHas, wantDeg := has(g), degrees(g)
 	g.compact()
-	if !slices.Equal(has(g), wantHas) || !slices.Equal(g.Degrees(), wantDeg) {
+	if !slices.Equal(has(g), wantHas) || !slices.Equal(degrees(g), wantDeg) {
 		t.Fatal("compact changed the edge set or the degree sequence")
 	}
 
@@ -195,22 +167,23 @@ func TestBFSBasics(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddEdge(i, i+1)
 	}
-	if got := len(g.BFS(0, 1)); got != 1 {
+	cov := NewCoverage(g)
+	if got := len(cov.Reached(0, 1)); got != 1 {
 		t.Errorf("TTL1 reached %d, want 1", got)
 	}
-	if got := len(g.BFS(0, 2)); got != 2 {
+	if got := len(cov.Reached(0, 2)); got != 2 {
 		t.Errorf("TTL2 reached %d, want 2", got)
 	}
-	if got := len(g.BFS(0, 10)); got != 4 {
+	if got := len(cov.Reached(0, 10)); got != 4 {
 		t.Errorf("TTL10 reached %d, want 4", got)
 	}
-	if got := len(g.BFS(2, 1)); got != 2 {
+	if got := len(cov.Reached(2, 1)); got != 2 {
 		t.Errorf("mid TTL1 reached %d, want 2", got)
 	}
-	if got := len(g.BFS(-1, 3)); got != 0 {
+	if got := len(cov.Reached(-1, 3)); got != 0 {
 		t.Error("invalid origin should reach nothing")
 	}
-	if got := len(g.BFS(0, 0)); got != 0 {
+	if got := len(cov.Reached(0, 0)); got != 0 {
 		t.Error("TTL 0 should reach nothing")
 	}
 }
@@ -225,7 +198,7 @@ func TestBFSLeavesDoNotRelay(t *testing.T) {
 	g.AddEdge(0, 4)
 	g.AddEdge(1, 5)
 	// From 0 with high TTL: reaches 1,2,3,4 but NOT 5 (leaf 1 won't relay).
-	if got := len(g.BFS(0, 10)); got != 4 {
+	if got := len(NewCoverage(g).Reached(0, 10)); got != 4 {
 		t.Errorf("reached %d, want 4 (leaf must not relay)", got)
 	}
 }
@@ -239,10 +212,10 @@ func TestCoverageReusable(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		origin := trial * 7 % 300
 		for ttl := 1; ttl <= 3; ttl++ {
-			want := len(g.BFS(origin, ttl))
+			want := len(NewCoverage(g).Reached(origin, ttl))
 			got := len(cov.Reached(origin, ttl))
 			if got != want {
-				t.Fatalf("trial %d ttl %d: Coverage=%d BFS=%d", trial, ttl, got, want)
+				t.Fatalf("trial %d ttl %d: reused Coverage=%d fresh=%d", trial, ttl, got, want)
 			}
 		}
 	}
@@ -253,7 +226,7 @@ func TestCoverageStatsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs, err := CoverageStats(g, 5, 30, 7)
+	fracs, err := CoverageStatsN(g, 5, 30, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +245,10 @@ func TestCoverageStatsMonotone(t *testing.T) {
 	if fracs[4] < 0.3 {
 		t.Errorf("TTL-5 coverage %v suspiciously low", fracs[4])
 	}
-	if _, err := CoverageStats(g, 0, 1, 1); err == nil {
+	if _, err := CoverageStatsN(g, 0, 1, 1, 1); err == nil {
 		t.Error("maxTTL 0 accepted")
 	}
-	if _, err := CoverageStats(g, 1, 0, 1); err == nil {
+	if _, err := CoverageStatsN(g, 1, 0, 1, 1); err == nil {
 		t.Error("samples 0 accepted")
 	}
 }
@@ -285,14 +258,14 @@ func TestMeanQueryHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops, err := MeanQueryHops(g, 4, 20, 9)
+	hops, err := MeanQueryHopsN(g, 4, 20, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops < 1 || hops > 4 {
 		t.Errorf("mean hops = %v, want within [1,4]", hops)
 	}
-	if _, err := MeanQueryHops(g, 0, 1, 1); err == nil {
+	if _, err := MeanQueryHopsN(g, 0, 1, 1, 1); err == nil {
 		t.Error("ttl 0 accepted")
 	}
 }

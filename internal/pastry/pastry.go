@@ -94,9 +94,6 @@ func New(n int, seed uint64) (*Mesh, error) {
 	return m, nil
 }
 
-// Size returns the number of nodes.
-func (m *Mesh) Size() int { return len(m.nodes) }
-
 // NodeByIndex returns the node with the given application index, or nil.
 func (m *Mesh) NodeByIndex(idx int) *Node { return m.byIdx[idx] }
 

@@ -43,15 +43,6 @@ func (p *Placement) MeanReplicas() float64 {
 	return float64(total) / float64(len(p.Holders))
 }
 
-// ReplicaCounts returns the per-object replica counts.
-func (p *Placement) ReplicaCounts() []int {
-	out := make([]int, len(p.Holders))
-	for i, h := range p.Holders {
-		out[i] = len(h)
-	}
-	return out
-}
-
 // UniformPlacement places each of objects on exactly replicas distinct
 // random nodes — the model prior P2P evaluations assumed (the paper varies
 // replicas over 1, 4, 9, 19, 39 on 40,000 nodes).
@@ -160,18 +151,10 @@ func (e *Engine) NewSearcher() *Searcher {
 // GraphN returns the number of nodes in the engine's graph.
 func (e *Engine) GraphN() int { return e.g.N() }
 
-// Flood, ExpandingRing and RandomWalk on the Engine use its default
-// searcher (single-goroutine convenience).
+// Flood on the Engine uses its default searcher (single-goroutine
+// convenience).
 func (e *Engine) Flood(origin, obj, ttl int) (Result, error) {
 	return e.def.Flood(origin, obj, ttl)
-}
-
-func (e *Engine) ExpandingRing(origin, obj, maxTTL int) (Result, error) {
-	return e.def.ExpandingRing(origin, obj, maxTTL)
-}
-
-func (e *Engine) RandomWalk(origin, obj, walkers, maxSteps int, r *rng.Source) (Result, error) {
-	return e.def.RandomWalk(origin, obj, walkers, maxSteps, r)
 }
 
 // begin stamps obj's holders, replacing the per-search holder map of the

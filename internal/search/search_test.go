@@ -64,7 +64,10 @@ func TestZipfPlacementShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := p.ReplicaCounts()
+	var counts []int
+	for _, h := range p.Holders {
+		counts = append(counts, len(h))
+	}
 	single := stats.FractionAtMost(counts, 1)
 	if single < 0.5 || single > 0.9 {
 		t.Errorf("singleton fraction = %v", single)
@@ -154,7 +157,7 @@ func TestNewEngineValidation(t *testing.T) {
 func TestExpandingRingStopsEarly(t *testing.T) {
 	g := ringGraph(t, 30)
 	e, _ := NewEngine(g, placementAt(30, 2)) // 2 hops away
-	res, err := e.ExpandingRing(0, 0, 6)
+	res, err := e.NewSearcher().ExpandingRing(0, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestExpandingRingStopsEarly(t *testing.T) {
 func TestExpandingRingFailure(t *testing.T) {
 	g := ringGraph(t, 30)
 	e, _ := NewEngine(g, placementAt(30, 15))
-	res, err := e.ExpandingRing(0, 0, 3)
+	res, err := e.NewSearcher().ExpandingRing(0, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +188,10 @@ func TestExpandingRingFailure(t *testing.T) {
 func TestRandomWalkFindsOnRing(t *testing.T) {
 	g := ringGraph(t, 10)
 	e, _ := NewEngine(g, placementAt(10, 5))
-	r := rng.New(3)
+	s, r := e.NewSearcher(), rng.New(3)
 	found := 0
 	for i := 0; i < 50; i++ {
-		res, err := e.RandomWalk(0, 0, 4, 50, r)
+		res, err := s.RandomWalk(0, 0, 4, 50, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +208,7 @@ func TestRandomWalkRespectsBudget(t *testing.T) {
 	g := ringGraph(t, 1000)
 	e, _ := NewEngine(g, placementAt(1000, 500))
 	r := rng.New(4)
-	res, err := e.RandomWalk(0, 0, 2, 10, r)
+	res, err := e.NewSearcher().RandomWalk(0, 0, 2, 10, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,16 +138,9 @@ func (s *System) install(v int, sc int32) {
 	s.lists[v] = l
 }
 
-// ShortcutLen returns peer v's current shortcut count (for tests).
-func (s *System) ShortcutLen(v int) int { return len(s.lists[v]) }
-
-// Name implements strategy.AdaptivePolicy.
-func (s *System) Name() string { return "shortcuts" }
-
-// RunWorkload implements strategy.AdaptivePolicy: queries follow the
-// unified workload derivation (see strategy.WorkloadStream), so a shortcut
-// run and any other strategy at the same seed observe the identical
-// (origin, object) sequence. Shortcut lists warm up and adapt during the
+// RunWorkload issues queries that follow the unified workload derivation
+// (see strategy.WorkloadStream), so a shortcut run and any other strategy
+// at the same seed observe the identical (origin, object) sequence. Shortcut lists warm up and adapt during the
 // run and persist across calls.
 func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uint64) (*strategy.Stats, error) {
 	if queries < 1 {
@@ -173,6 +166,3 @@ func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uin
 	}
 	return st, nil
 }
-
-// The unified interface is implemented.
-var _ strategy.AdaptivePolicy = (*System)(nil)

@@ -72,8 +72,8 @@ func TestShortcutInstalledAfterFloodSuccess(t *testing.T) {
 	if res.ViaShortcut {
 		t.Fatal("first query cannot be a shortcut hit")
 	}
-	if s.ShortcutLen(origin) != 1 {
-		t.Fatalf("shortcut not installed: len=%d", s.ShortcutLen(origin))
+	if len(s.lists[origin]) != 1 {
+		t.Fatalf("shortcut not installed: len=%d", len(s.lists[origin]))
 	}
 	// Second identical query must hit the shortcut at unit cost.
 	res2, err := s.Search(origin, 0)
@@ -98,13 +98,13 @@ func TestListCapAndDedup(t *testing.T) {
 	for sc := int32(1); sc <= 10; sc++ {
 		s.install(0, sc)
 	}
-	if got := s.ShortcutLen(0); got != 3 {
+	if got := len(s.lists[0]); got != 3 {
 		t.Fatalf("list length %d, want 3", got)
 	}
 	// Re-installing an existing shortcut must not duplicate.
-	before := s.ShortcutLen(0)
+	before := len(s.lists[0])
 	s.install(0, s.lists[0][1])
-	if s.ShortcutLen(0) != before {
+	if len(s.lists[0]) != before {
 		t.Error("duplicate shortcut installed")
 	}
 }

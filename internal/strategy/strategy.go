@@ -1,18 +1,17 @@
-// Package strategy defines the unified overlay-strategy surface every
-// query-centric search system in this repository implements: interest
-// shortcuts (internal/shortcuts), Gia (internal/gia) and the adaptive
-// overlay (internal/adaptive). Before this interface each package exposed
-// its own ad-hoc workload entry point with its own stats shape and its own
-// RNG discipline; callers comparing strategies had to stitch three APIs
-// together and could not even feed them the same query stream. The
-// interface fixes all three at once:
+// Package strategy is what the query-centric search systems in this
+// repository share: interest shortcuts (internal/shortcuts), Gia
+// (internal/gia), the adaptive overlay (internal/adaptive) and the
+// experiment runners that compare them. It is a contract, not an
+// interface:
 //
-//   - one entry point, RunWorkload(queries, pick, seed);
-//   - one Stats shape, so experiment tables render uniformly;
 //   - one derivation contract (see WorkloadStream), so two strategies run
 //     with the same (n, queries, pick, seed) observe the *identical*
 //     sequence of (origin, object) pairs — arm-to-arm comparisons measure
-//     the strategy, never the workload draw.
+//     the strategy, never the workload draw;
+//   - one fold, Tally, and one Stats shape, so experiment tables render
+//     uniformly;
+//   - one trial loop, RunTrials, whose tally is byte-identical at every
+//     worker count.
 package strategy
 
 import (
@@ -123,39 +122,8 @@ func RunTrials[S any](workers, lo, hi int, base *rng.Source, stream string, newS
 	return t, err
 }
 
-// AdaptivePolicy is the unified strategy interface. RunWorkload issues
-// `queries` queries whose origins and targets derive per the WorkloadStream
-// contract, adapting whatever state the strategy keeps (shortcut lists,
-// candidate lists, topology, replicas) as the stream unfolds.
-type AdaptivePolicy interface {
-	// Name is the strategy's stable identifier (table row label).
-	Name() string
-	// RunWorkload issues queries with targets drawn by pick and returns
-	// aggregate statistics. Implementations must follow the WorkloadStream
-	// derivation so results are byte-identical at any worker count and the
-	// query sequence is identical across strategies for a given seed.
-	RunWorkload(queries int, pick func(r *rng.Source) int, seed uint64) (*Stats, error)
-}
-
-// RewireDecision records one topology swap an adaptive strategy performed:
-// at round Round, Peer dropped its edge to Dropped and connected to Added
-// (-1 when the corresponding half did not happen).
-type RewireDecision struct {
-	Round   int
-	Peer    int
-	Dropped int
-	Added   int
-}
-
-// Rewirer is implemented by strategies that mutate the overlay topology;
-// the decision log pins convergence behavior in oracle tests.
-type Rewirer interface {
-	AdaptivePolicy
-	RewireLog() []RewireDecision
-}
-
 // WorkloadStream returns the base stream of the unified workload
-// derivation. The contract every RunWorkload implementation follows:
+// derivation. The contract every workload loop follows:
 //
 //	base := strategy.WorkloadStream(seed)
 //	r := base.Derive(fmt.Sprintf("query/%d", i))  // query i's private stream

@@ -164,9 +164,6 @@ func (n *Network) advertised(v int) []string {
 	return out
 }
 
-// Advertised exposes node v's current advertisement (for tests/ablation).
-func (n *Network) Advertised(v int) []string { return n.advertised(v) }
-
 // claims reports whether node v's synopsis claims all query terms.
 func (n *Network) claims(v int32, qterms []string) bool {
 	f := n.syn[v]

@@ -147,7 +147,7 @@ func TestAdvertisedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := n.Advertised(0)
+	adv := n.advertised(0)
 	if len(adv) != 10 {
 		t.Fatalf("advertised %d terms, want 10", len(adv))
 	}
@@ -170,11 +170,11 @@ func TestAdaptivePrioritizesPopular(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := map[string]bool{}
-	for _, s := range n.Advertised(0) {
+	for _, s := range n.advertised(0) {
 		adv[s] = true
 	}
 	if !adv["term099"] || !adv["term050"] {
-		t.Errorf("popular terms not prioritized: %v", n.Advertised(0))
+		t.Errorf("popular terms not prioritized: %v", n.advertised(0))
 	}
 	if len(adv) != 5 {
 		t.Errorf("budget violated: %d", len(adv))
@@ -191,11 +191,11 @@ func TestStaticIgnoresPopular(t *testing.T) {
 	cfg.SynopsisTerms = 5
 	cfg.Adaptive = false
 	n, _ := New(g, [][]string{big, {}}, cfg)
-	before := fmt.Sprint(n.Advertised(0))
+	before := fmt.Sprint(n.advertised(0))
 	if err := n.SetPopular([]string{"term099"}); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(n.Advertised(0)) != before {
+	if fmt.Sprint(n.advertised(0)) != before {
 		t.Error("static policy re-advertised after SetPopular")
 	}
 }
