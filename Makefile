@@ -37,12 +37,13 @@ determinism:
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec, the snapshot loader, the frontier kernel and
 # the wire-level flood under any subset of its gates (both against their
-# map-and-slice references), and the 64-wide reach-only kernel against
-# per-origin frontier rings: five seconds of mutation each must surface no
-# panics, over-reads or contract violations (ordering, alternation,
-# determinism, round-trip identity, typed errors on damaged bytes,
-# ring/hop/message-count agreement, field-for-field flood results,
-# found-mask agreement).
+# map-and-slice references), the 64-wide reach-only kernel against
+# per-origin frontier rings, and posting indexes encoded from interned term
+# IDs against the tokenize-and-look-up reference: five seconds of mutation
+# each must surface no panics, over-reads or contract violations
+# (ordering, alternation, determinism, round-trip identity, typed errors on
+# damaged bytes, ring/hop/message-count agreement, field-for-field flood
+# results, found-mask agreement, byte-equal indexes and holder lists).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
 	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrontierVsReference -fuzztime=5s -run '^$$' ./internal/overlay
 	$(GO) test -fuzz=FuzzWaveVsFrontier -fuzztime=5s -run '^$$' ./internal/overlay
 	$(GO) test -fuzz=FuzzFloodVsNaive -fuzztime=5s -run '^$$' ./internal/gnet
+	$(GO) test -fuzz=FuzzIndexFromIDsVsTokenized -fuzztime=5s -run '^$$' ./internal/gnet
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
@@ -151,8 +153,9 @@ loc:
 # TestRunnerDigests among them — the recovery / saturation / query-centric
 # claims and TestScaleGate's tiny row), the decoder,
 # churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
-# wave-vs-frontier (FuzzWaveVsFrontier) and flood-vs-naive
-# (FuzzFloodVsNaive) fuzz smokes, the sim-digest refactor
+# wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
+# (FuzzFloodVsNaive) and index-from-IDs (FuzzIndexFromIDsVsTokenized) fuzz
+# smokes, the sim-digest refactor
 # gate, the paper-scale construction gate (with the sharded byte-identity
 # check) and the million-peer sharded-construction gate.
 ci: vet fmt-check build race fuzz-smoke digest-check scalefull-smoke scale1m-smoke

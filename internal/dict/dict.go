@@ -12,20 +12,32 @@
 // arrays, and lets the QRP hash of every term be computed once per network
 // instead of once per (peer, flood).
 //
+// Construction tokenizes every file name once: an Interner resolves each
+// name to the provisional IDs of its distinct tokens while it collects the
+// vocabulary, and Merge turns the interners' sorted vocabularies into the
+// dictionary plus the tables that translate provisional IDs to final ones.
+// Build returns those resolved names beside the dictionary, so posting
+// indexes are encoded from IDs without tokenizing or looking anything up
+// again.
+//
 // Storage is a single byte arena plus offsets: term id's bytes are
 // termBytes[termOff[id]:termOff[id+1]], and Term returns a zero-copy view
-// into the arena. A map accelerates token→ID lookups while indexes are
-// being built; Compact drops it once construction ends, leaving binary
-// search over the (lexicographically ordered) arena — a few string
-// compares per query token, paid once per flood.
+// into the arena. A map accelerates token→ID lookups; construction
+// resolves names through the interners' own maps, so this one serves only
+// Lookup, Intern and Resolve callers (query resolution, libraries grown
+// after construction, trace interning). Compact drops it once the network
+// is built, leaving binary search over the (lexicographically ordered)
+// arena — a few string compares per query token, paid once per flood.
 //
 // Determinism: IDs are assigned in lexicographic term order, so the
-// dictionary built from a given name multiset is identical regardless of
-// how the build was sharded across workers.
+// dictionary built from a given name multiset — and every name's final IDs
+// — is identical regardless of how the build was sharded across workers.
 package dict
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -47,74 +59,117 @@ const NoTerm TermID = ^TermID(0)
 type Dict struct {
 	termBytes []byte            // all term bytes, concatenated in ID order
 	termOff   []uint32          // TermID → termBytes offset; Len()+1 entries
-	ids       map[string]TermID // construction-phase lookup; nil after Compact
+	ids       map[string]TermID // lookup map for Lookup/Intern; nil after Compact
 	prods     []uint32          // TermID → QRP hash product (pre-shift)
 }
 
-// Build interns every token of every name in libraries. Tokenization fans
-// out over up to `workers` goroutines (≤ 0 resolves to GOMAXPROCS); the
-// result is byte-identical for every worker count because IDs are assigned
-// in sorted term order after the shards merge.
-func Build(libraries [][]string, workers int) *Dict {
-	workers = parallel.Workers(workers)
-	shards := workers
-	if shards > len(libraries) {
-		shards = len(libraries)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	sets := make([]map[string]struct{}, shards)
-	// Contiguous library ranges per shard; each worker tokenizes its own
-	// range into a private set, so no locking and no ordering sensitivity.
-	_ = parallel.ForEach(workers, shards, func(s int) error {
-		lo := s * len(libraries) / shards
-		hi := (s + 1) * len(libraries) / shards
-		set := make(map[string]struct{})
-		for _, lib := range libraries[lo:hi] {
-			for _, name := range lib {
-				for _, tok := range terms.Tokenize(name) {
-					if _, dup := set[tok]; !dup {
-						// Clone: Tokenize returns substrings of a lowered
-						// copy of the whole name; storing them directly
-						// would retain one such copy per distinct name.
-						set[strings.Clone(tok)] = struct{}{}
-					}
-				}
-			}
-		}
-		sets[s] = set
-		return nil
-	})
-	union := sets[0]
-	if union == nil {
-		union = map[string]struct{}{}
-	}
-	for _, set := range sets[1:] {
-		for tok := range set {
-			union[tok] = struct{}{}
-		}
-	}
-	return FromTokenSet(union, workers)
+// Interner is one shard of a dictionary build. It resolves file names to
+// provisional term IDs — dense, in order of first appearance, private to
+// the interner — while it collects the vocabulary they index; Merge then
+// turns any number of interners into the shared Dict plus, per interner, the
+// table that translates its provisional IDs to final ones. AppendIDs is the
+// one place construction tokenizes a name. Not safe for concurrent use.
+type Interner struct {
+	ids   map[string]TermID // token → provisional ID
+	vocab []string          // provisional ID → token
+	order []TermID          // provisional IDs in term order, once sorted
+	buf   []byte            // terms.AppendTokens scratch
 }
 
-// FromTokenSet builds the dictionary over an already-accumulated token
-// set — the streaming construction path, where tokens are collected while
-// libraries are spilled to disk rather than held in memory. The result is
-// byte-identical to Build over any libraries whose tokens union to this
-// set, because IDs are assigned in sorted term order either way.
-func FromTokenSet(tokens map[string]struct{}, workers int) *Dict {
-	workers = parallel.Workers(workers)
-	sorted := make([]string, 0, len(tokens))
-	var total int
-	for tok := range tokens {
+// NewInterner returns an empty interner.
+func NewInterner() *Interner { return &Interner{ids: map[string]TermID{}} }
+
+// AppendIDs tokenizes name and appends the provisional IDs of its distinct
+// tokens to dst, in first-appearance order. A name without tokens appends
+// nothing.
+func (in *Interner) AppendIDs(dst []TermID, name string) []TermID {
+	in.buf = terms.AppendTokens(in.buf[:0], name)
+	start := len(dst)
+	for b := in.buf; len(b) > 0; {
+		k := bytes.IndexByte(b, 0)
+		id, ok := in.ids[string(b[:k])]
+		if !ok {
+			id = TermID(len(in.vocab))
+			tok := string(b[:k])
+			in.vocab = append(in.vocab, tok)
+			in.ids[tok] = id
+		}
+		b = b[k+1:]
+		// Names hold a handful of tokens, so a scan beats a set.
+		if !slices.Contains(dst[start:], id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// Vocab returns the tokens interned so far, indexed by provisional ID.
+func (in *Interner) Vocab() []string { return in.vocab }
+
+// sortVocab orders the provisional IDs by term, once.
+func (in *Interner) sortVocab() {
+	if len(in.order) == len(in.vocab) {
+		return
+	}
+	in.order = make([]TermID, len(in.vocab))
+	for i := range in.order {
+		in.order[i] = TermID(i)
+	}
+	slices.SortFunc(in.order, func(a, b TermID) int { return strings.Compare(in.vocab[a], in.vocab[b]) })
+}
+
+// Merge finishes a build over interners: it k-way merges their sorted
+// vocabularies into the dictionary of their union, IDs in lexicographic
+// term order, and returns per interner the remap table from its
+// provisional IDs to final ones. The dictionary depends only on the union,
+// not on how names were split among interners.
+func Merge(ins []*Interner, workers int) (*Dict, [][]TermID) {
+	remaps := make([][]TermID, len(ins))
+	pos := make([]int, len(ins))
+	n := 0
+	for s, in := range ins {
+		in.sortVocab()
+		remaps[s] = make([]TermID, len(in.vocab))
+		n = max(n, len(in.vocab))
+	}
+	head := func(s int) (string, bool) {
+		in := ins[s]
+		if pos[s] == len(in.order) {
+			return "", false
+		}
+		return in.vocab[in.order[pos[s]]], true
+	}
+	sorted := make([]string, 0, n) // the union in term order, views of the vocabularies
+	for {
+		best, tok := -1, ""
+		for s := range ins {
+			if t, ok := head(s); ok && (best < 0 || t < tok) {
+				best, tok = s, t
+			}
+		}
+		if best < 0 {
+			break
+		}
+		id := TermID(len(sorted))
 		sorted = append(sorted, tok)
+		for s := best; s < len(ins); s++ {
+			if t, ok := head(s); ok && t == tok {
+				remaps[s][ins[s].order[pos[s]]] = id
+				pos[s]++
+			}
+		}
+	}
+	return fromSorted(sorted, workers), remaps
+}
+
+// fromSorted lays strictly ascending terms out as a dictionary: arena,
+// offsets, lookup map and QRP products. Only those are retained; sorted
+// and the strings it views are the caller's transients.
+func fromSorted(sorted []string, workers int) *Dict {
+	total := 0
+	for _, tok := range sorted {
 		total += len(tok)
 	}
-	sort.Strings(sorted)
-	// Spill the sorted terms into the arena; the token set and the sorted
-	// string headers are all transient — after the build returns (and a
-	// GC), the dictionary retains only arena + offsets + map.
 	d := &Dict{
 		termBytes: make([]byte, 0, total),
 		termOff:   make([]uint32, 1, len(sorted)+1),
@@ -123,12 +178,83 @@ func FromTokenSet(tokens map[string]struct{}, workers int) *Dict {
 	for i, tok := range sorted {
 		d.termBytes = append(d.termBytes, tok...)
 		d.termOff = append(d.termOff, uint32(len(d.termBytes)))
-		// Key the map by the arena view, not the transient clone.
+		// Key the map by the arena view, not the interner's token.
 		d.ids[d.Term(TermID(i))] = TermID(i)
 	}
 	d.prods = make([]uint32, len(sorted))
 	d.hashProducts(workers)
 	return d
+}
+
+// Resolved is what Build resolved every file name to: per library, each
+// file's distinct term IDs. It is a construction transient — the network
+// builder encodes posting indexes from it and drops it.
+type Resolved struct {
+	bounds []int    // shard s interned libraries [bounds[s], bounds[s+1])
+	first  []uint32 // library l's first file, as an index into its shard's off
+	shards []resolvedShard
+}
+
+type resolvedShard struct {
+	ids   []TermID // every file's distinct provisional IDs, concatenated
+	off   []uint32 // file f's IDs are ids[off[f]:off[f+1]]
+	remap []TermID // provisional ID → final ID
+}
+
+// Library returns library l's resolved files: file i (in library order)
+// holds the final term IDs remap[id] for id in ids[off[i]:off[i+1]], each
+// once; len(off) is one more than the library's file count.
+func (r *Resolved) Library(l int) (ids []TermID, off []uint32, remap []TermID) {
+	s := sort.SearchInts(r.bounds, l+1) - 1
+	sh := &r.shards[s]
+	end := len(sh.off) - 1
+	if l+1 < r.bounds[s+1] {
+		end = int(r.first[l+1])
+	}
+	return sh.ids, sh.off[r.first[l] : end+1], sh.remap
+}
+
+// Build interns every token of every name in libraries and resolves each
+// name to its term IDs, tokenizing each name once. Contiguous library
+// ranges are interned on up to `workers` goroutines (≤ 0 resolves to
+// GOMAXPROCS), one interner each, and merged; the dictionary and the
+// resolved IDs are identical for every worker count because final IDs
+// follow sorted term order.
+func Build(libraries [][]string, workers int) (*Dict, *Resolved) {
+	workers = parallel.Workers(workers)
+	shards := max(min(workers, len(libraries)), 1)
+	r := &Resolved{
+		bounds: make([]int, shards+1),
+		first:  make([]uint32, len(libraries)),
+		shards: make([]resolvedShard, shards),
+	}
+	for s := range r.bounds {
+		r.bounds[s] = s * len(libraries) / shards
+	}
+	ins := make([]*Interner, shards)
+	// Each worker interns its own range into private state, so no locking
+	// and no ordering sensitivity.
+	_ = parallel.ForEach(workers, shards, func(s int) error {
+		in := NewInterner()
+		var ids []TermID
+		off := []uint32{0}
+		for l := r.bounds[s]; l < r.bounds[s+1]; l++ {
+			r.first[l] = uint32(len(off) - 1)
+			for _, name := range libraries[l] {
+				ids = in.AppendIDs(ids, name)
+				off = append(off, uint32(len(ids)))
+			}
+		}
+		in.sortVocab()
+		ins[s] = in
+		r.shards[s] = resolvedShard{ids: ids, off: off}
+		return nil
+	})
+	d, remaps := Merge(ins, workers)
+	for s, remap := range remaps {
+		r.shards[s].remap = remap
+	}
+	return d, r
 }
 
 // hashProducts fills prods with the QRP hash of every term. Products are
@@ -151,7 +277,8 @@ func (d *Dict) hashProducts(workers int) {
 
 // FromNames builds a dictionary over a flat name list (one "library").
 func FromNames(names []string, workers int) *Dict {
-	return Build([][]string{names}, workers)
+	d, _ := Build([][]string{names}, workers)
+	return d
 }
 
 // Raw returns the dictionary's storage — the concatenated term arena and
@@ -165,8 +292,8 @@ func (d *Dict) Raw() (termBytes []byte, termOff []uint32) {
 // validated (monotone, bounded, terms in strict lexicographic order — the
 // invariant binary-search Lookup depends on) and the QRP hash products are
 // recomputed in parallel chunks over up to `workers` goroutines. The
-// result is Compact (no construction-phase lookup map) and adopts the
-// given slices without copying.
+// result is Compact (no lookup map) and adopts the given slices without
+// copying.
 func FromRaw(termBytes []byte, termOff []uint32, workers int) (*Dict, error) {
 	if len(termOff) == 0 {
 		return nil, fmt.Errorf("dict: FromRaw: missing offset table")
@@ -203,9 +330,9 @@ func (d *Dict) Term(id TermID) string {
 	return unsafe.String(&d.termBytes[lo], int(hi-lo))
 }
 
-// Compact drops the construction-phase lookup map: Lookup, Intern and
-// Resolve fall back to binary search over the arena (terms are stored in
-// lexicographic order). Call once per-peer index construction is done —
+// Compact drops the lookup map: Lookup, Intern and Resolve fall back to
+// binary search over the arena (terms are stored in lexicographic order).
+// Call once per-peer index construction is done —
 // query resolution touches a handful of tokens per flood, where a few
 // string compares are noise, while the map is tens of bytes per term at
 // paper scale. Must not race with concurrent lookups.

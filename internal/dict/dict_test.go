@@ -1,6 +1,10 @@
 package dict
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"querycentric/internal/qrp"
@@ -19,9 +23,9 @@ func testLibraries() [][]string {
 
 func TestBuildWorkerInvariance(t *testing.T) {
 	libs := testLibraries()
-	base := Build(libs, 1)
+	base, _ := Build(libs, 1)
 	for _, w := range []int{2, 4, 8} {
-		d := Build(libs, w)
+		d, _ := Build(libs, w)
 		if d.Len() != base.Len() {
 			t.Fatalf("workers=%d: %d terms, want %d", w, d.Len(), base.Len())
 		}
@@ -38,7 +42,7 @@ func TestBuildWorkerInvariance(t *testing.T) {
 }
 
 func TestIDsAreSortedAndDense(t *testing.T) {
-	d := Build(testLibraries(), 1)
+	d, _ := Build(testLibraries(), 1)
 	if d.Len() == 0 {
 		t.Fatal("empty dictionary from non-empty libraries")
 	}
@@ -57,7 +61,7 @@ func TestIDsAreSortedAndDense(t *testing.T) {
 
 func TestCoversEveryLibraryToken(t *testing.T) {
 	libs := testLibraries()
-	d := Build(libs, 1)
+	d, _ := Build(libs, 1)
 	for _, lib := range libs {
 		for _, name := range lib {
 			for _, tok := range terms.Tokenize(name) {
@@ -70,7 +74,7 @@ func TestCoversEveryLibraryToken(t *testing.T) {
 }
 
 func TestResolve(t *testing.T) {
-	d := Build(testLibraries(), 1)
+	d, _ := Build(testLibraries(), 1)
 	ids, ok := d.Resolve(nil, nil)
 	if !ok || len(ids) != 0 {
 		t.Fatalf("Resolve(nil) = (%v, %v), want empty ok", ids, ok)
@@ -89,7 +93,7 @@ func TestResolve(t *testing.T) {
 }
 
 func TestIntern(t *testing.T) {
-	d := Build(testLibraries(), 1)
+	d, _ := Build(testLibraries(), 1)
 	canon, ok := d.Intern("artist")
 	if !ok || canon != "artist" {
 		t.Fatalf("Intern(known) = (%q, %v)", canon, ok)
@@ -101,7 +105,7 @@ func TestIntern(t *testing.T) {
 }
 
 func TestProductMatchesQRPHash(t *testing.T) {
-	d := Build(testLibraries(), 4)
+	d, _ := Build(testLibraries(), 4)
 	for _, bits := range []uint{8, 16} {
 		for id := 0; id < d.Len(); id++ {
 			term := d.Term(TermID(id))
@@ -121,8 +125,113 @@ func TestFromNamesCollapsesDuplicates(t *testing.T) {
 }
 
 func TestHeapBytesPositive(t *testing.T) {
-	d := Build(testLibraries(), 1)
+	d, _ := Build(testLibraries(), 1)
 	if d.HeapBytes() == 0 {
 		t.Fatal("HeapBytes reported 0 for a populated dictionary")
+	}
+}
+
+// finalIDs lists, per library and file, the file's final term IDs in the
+// order the interner resolved them.
+func finalIDs(r *Resolved, libs [][]string) [][][]TermID {
+	out := make([][][]TermID, len(libs))
+	for l, lib := range libs {
+		ids, off, remap := r.Library(l)
+		if len(off) != len(lib)+1 {
+			return nil
+		}
+		for f := range lib {
+			var file []TermID
+			for _, id := range ids[off[f]:off[f+1]] {
+				file = append(file, remap[id])
+			}
+			out[l] = append(out[l], file)
+		}
+	}
+	return out
+}
+
+// TestBuildDeterministicAndMatchesReference: Build gives the same arena,
+// checksum and per-file ID lists at 1, 2, 3 and 8 workers (as many
+// interner shards over these eight libraries), and equals the reference — a sorted set of every
+// library token, each file's IDs being its distinct tokens' positions in
+// that order, first appearance first.
+func TestBuildDeterministicAndMatchesReference(t *testing.T) {
+	libs := append(testLibraries(),
+		[]string{"", "- . -", "Dup dup DUP dup.mp3", "Ünïcödé Straße ÜNÏCÖDÉ.ogg"},
+		nil,
+		[]string{"x y z", "Another Band - Track.wma"})
+	set := map[string]struct{}{}
+	for _, lib := range libs {
+		for _, name := range lib {
+			for _, tok := range terms.Tokenize(name) {
+				set[tok] = struct{}{}
+			}
+		}
+	}
+	var sorted []string
+	for tok := range set {
+		sorted = append(sorted, tok)
+	}
+	sort.Strings(sorted)
+	var wantBytes []byte
+	wantOff := []uint32{0}
+	for _, tok := range sorted {
+		wantBytes = append(wantBytes, tok...)
+		wantOff = append(wantOff, uint32(len(wantBytes)))
+	}
+	wantIDs := make([][][]TermID, len(libs))
+	for l, lib := range libs {
+		for _, name := range lib {
+			var file []TermID
+			for _, tok := range terms.Tokenize(name) {
+				id := TermID(sort.SearchStrings(sorted, tok))
+				if !slices.Contains(file, id) {
+					file = append(file, id)
+				}
+			}
+			wantIDs[l] = append(wantIDs[l], file)
+		}
+	}
+	var wantSum uint64
+	for i, w := range []int{1, 2, 3, 8} {
+		d, r := Build(libs, w)
+		b, off := d.Raw()
+		if !bytes.Equal(b, wantBytes) || !slices.Equal(off, wantOff) {
+			t.Fatalf("workers=%d: arena differs from the sorted-set reference", w)
+		}
+		if i == 0 {
+			wantSum = d.Checksum()
+		} else if d.Checksum() != wantSum {
+			t.Fatalf("workers=%d: checksum %x, want %x", w, d.Checksum(), wantSum)
+		}
+		if got := finalIDs(r, libs); !reflect.DeepEqual(got, wantIDs) {
+			t.Fatalf("workers=%d: per-file IDs %v, want %v", w, got, wantIDs)
+		}
+	}
+}
+
+// TestMergeRemapsEveryInterner: interners that saw overlapping, disjoint
+// and empty vocabularies merge into one sorted dictionary, and each remap
+// sends a provisional ID to the final ID of the same term.
+func TestMergeRemapsEveryInterner(t *testing.T) {
+	names := [][]string{{"beta alpha", "gamma"}, {}, {"alpha delta", "zeta beta"}, {"omega"}}
+	ins := make([]*Interner, len(names))
+	for s, ns := range names {
+		ins[s] = NewInterner()
+		for _, n := range ns {
+			ins[s].AppendIDs(nil, n)
+		}
+	}
+	d, remaps := Merge(ins, 2)
+	if d.Len() != 6 {
+		t.Fatalf("merged %d terms, want 6", d.Len())
+	}
+	for s, in := range ins {
+		for pid, tok := range in.Vocab() {
+			if got := d.Term(remaps[s][pid]); got != tok {
+				t.Fatalf("interner %d: provisional %d (%q) remaps to %q", s, pid, tok, got)
+			}
+		}
 	}
 }

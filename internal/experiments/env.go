@@ -222,10 +222,10 @@ func (e *Env) buildCatalog() (*catalog.Catalog, error) {
 	return cat, nil
 }
 
-// newNetwork builds a fresh instrumented overlay over cat, indexes
-// included: every runner floods it, and a flood over a network whose
-// indexes were left lazy has no holder index to consult and probes every
-// peer it reaches. Runners that mutate topology or attach planes call it
+// newNetwork builds a fresh instrumented overlay over cat with its holder
+// index: the network is born with its posting indexes, and every runner
+// floods it — without a holder index, a flood probes every peer it
+// reaches. Runners that mutate topology or attach planes call it
 // once per arm or sweep point, so nothing leaks between them. The build
 // resolves its own worker count: the dictionary and the holder index shard
 // by it, so threading e.Workers through would make

@@ -33,8 +33,8 @@ func populatedNet(t *testing.T, peers int) *Network {
 	return populatedNetWith(t, DefaultConfig(5), peers)
 }
 
-// populatedNetWith is populatedNet on the given topology.
-func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
+// populatedCatalog is the calibrated catalog populatedNet builds over.
+func populatedCatalog(t *testing.T, peers int) *catalog.Catalog {
 	t.Helper()
 	cat, err := catalog.Build(catalog.Config{
 		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
@@ -43,7 +43,13 @@ func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewFromCatalog(cfg, cat)
+	return cat
+}
+
+// populatedNetWith is populatedNet on the given topology.
+func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
+	t.Helper()
+	nw, err := NewFromCatalog(cfg, populatedCatalog(t, peers))
 	if err != nil {
 		t.Fatal(err)
 	}

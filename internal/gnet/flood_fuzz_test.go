@@ -21,7 +21,7 @@ const (
 	gateCapacity             // TTL-aware shedding with breakers, warmed into backlog
 	gatePaths                // answer-path capture
 	gateObs                  // registry and hop-trace recorder attached
-	gateBuilt                // BuildIndexes (holder-gated floods) vs lazy indexes
+	gateBuilt                // BuildIndexes (holder-gated floods) vs no holder index
 	gateMutated              // AddFile after the build, which drops the holder index
 	gateAll      = gateMutated<<1 - 1
 )

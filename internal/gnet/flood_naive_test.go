@@ -153,7 +153,7 @@ func (nw *Network) qrpAllows(id int, criteria string) bool {
 // TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx — the
 // holder-index gate in front of the per-peer probe included — against the
 // map-based, probe-every-peer reference: over networks of several sizes,
-// lazily indexed (no holder index: every reached peer is probed) and built
+// without a holder index (every reached peer is probed) and with one built
 // (gated floods), under every gate a flood can carry, for every shape of
 // query the gate treats differently, and again after AddFile has grown
 // libraries and dropped the holder index.

@@ -108,8 +108,8 @@ func TestFloodCtxReuseMatchesFreshFloods(t *testing.T) {
 
 // TestConcurrentFloodCtxsAgree floods the same network from many
 // goroutines, each with its own context, and checks every result against a
-// sequential baseline — exercising the lazily built term indexes and the
-// shared fault plane under the race detector.
+// sequential baseline — exercising the shared term and holder indexes and
+// the shared fault plane under the race detector.
 func TestConcurrentFloodCtxsAgree(t *testing.T) {
 	nw := populatedNet(t, 200)
 	nw.SetFaults(faults.New(faults.Config{Seed: 7, MessageLoss: 0.1}))

@@ -20,6 +20,7 @@ import (
 	"querycentric/internal/dict"
 	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
+	"querycentric/internal/parallel"
 	"querycentric/internal/qrp"
 	"querycentric/internal/rng"
 )
@@ -102,6 +103,12 @@ type Network struct {
 	// a probe at every reached peer (see holders.go).
 	dict    *dict.Dict
 	holders holderIndex
+
+	// indexed reports that no peer's posting index is lazy: set by
+	// construction from a catalog or a snapshot and by BuildIndexes,
+	// cleared by AddFile. BuildIndexes runs its per-peer pass only while it
+	// is false.
+	indexed bool
 
 	// relay[p] reports whether peer p forwards queries: the ultrapeers of a
 	// two-tier network. nil on a flat network, where every peer relays.
@@ -271,10 +278,13 @@ func NewFromCatalog(cfg Config, cat *catalog.Catalog) (*Network, error) {
 }
 
 // NewFromCatalogWorkers is NewFromCatalog with an explicit worker bound for
-// the parallel construction phases (the interned term dictionary; peer
-// indexes stay lazy — see BuildIndexes). The built network is byte-identical
-// for every worker count: dictionary IDs are assigned in sorted term order
-// and the file-size draws stay on one sequential named stream.
+// the parallel construction phases. The network is born indexed: the
+// dictionary pass resolves every file name to its term IDs (dict.Build,
+// one tokenization per placement), and each peer's posting index is
+// encoded from those IDs before they are dropped; BuildIndexes then only
+// adds the holder index. The built network is byte-identical for every
+// worker count: dictionary IDs are assigned in sorted term order and the
+// file-size draws stay on one sequential named stream.
 func NewFromCatalogWorkers(cfg Config, cat *catalog.Catalog, workers int) (*Network, error) {
 	nw, err := New(cfg, len(cat.Libraries))
 	if err != nil {
@@ -292,10 +302,20 @@ func NewFromCatalogWorkers(cfg Config, cat *catalog.Catalog, workers int) (*Netw
 		}
 		nw.Peers[p].Library = files
 	}
-	nw.dict = dict.Build(cat.Libraries, workers)
-	for _, p := range nw.Peers {
-		p.dict = nw.dict
+	d, res := dict.Build(cat.Libraries, workers)
+	nw.dict = d
+	err = parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
+		func(bs *buildScratch, i int) error {
+			p := nw.Peers[i]
+			p.dict = d
+			ids, off, remap := res.Library(i)
+			p.indexOnce.Do(func() { p.idx = encodeFiles(ids, off, remap, bs) })
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
+	nw.indexed = true
 	return nw, nil
 }
 
@@ -498,6 +518,7 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	p.Library = lib
 	p.idx = postingIndex{}
 	p.indexOnce = sync.Once{}
+	nw.indexed = false
 	nw.holders = holderIndex{}
 	if nw.qrpTables != nil && nw.qrpTables[id] != nil {
 		nw.qrpTables[id].AddName(name)

@@ -63,8 +63,9 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	build := func(workers int, mutate bool) *Network {
 		nw := populatedNet(t, 90)
 		if mutate {
-			p := nw.Peers[7]
-			p.Library = append(p.Library, File{Index: uint32(len(p.Library)), Size: 9, Name: "Zzzz Novel Tokens Everywhere.mp3"})
+			if err := nw.AddFile(7, "Zzzz Novel Tokens Everywhere.mp3", 9); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := nw.BuildIndexes(workers); err != nil {
 			t.Fatal(err)
@@ -189,7 +190,7 @@ func TestHolderStampsSurviveEpochWrap(t *testing.T) {
 // TestMutationDropsHolderIndex pins the holder index's one staleness rule:
 // AddFile drops the index, so the floods that follow probe every peer they
 // reach and equal the reference; BuildIndexes then rebuilds lists equal to a
-// fresh build's over the same libraries while every peer stays on the shared
+// fresh catalog build's over the same libraries while every peer stays on the shared
 // dictionary, and builds none once a replica's novel terms push a peer onto a
 // local dictionary.
 func TestMutationDropsHolderIndex(t *testing.T) {
@@ -232,9 +233,12 @@ func TestMutationDropsHolderIndex(t *testing.T) {
 	if err := nw.BuildIndexes(2); err != nil {
 		t.Fatal(err)
 	}
-	fresh := populatedNet(t, 90)
-	p := fresh.Peers[40]
-	p.Library = append(p.Library, File{Index: uint32(len(p.Library)), Size: 9, Name: known})
+	cat := populatedCatalog(t, 90)
+	cat.Libraries[40] = append(cat.Libraries[40], known)
+	fresh, err := NewFromCatalog(DefaultConfig(5), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fresh.BuildIndexes(1); err != nil {
 		t.Fatal(err)
 	}

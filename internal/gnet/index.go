@@ -2,8 +2,8 @@ package gnet
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"querycentric/internal/dict"
@@ -245,79 +245,48 @@ func (ix *postingIndex) heapBytes() uint64 {
 	return uint64(len(ix.blockFirst))*4 + uint64(len(ix.blockOff))*4 + uint64(len(ix.arena))
 }
 
-// termFile is one (term, file) incidence during index construction.
-type termFile struct {
-	id   dict.TermID
-	file int32
-}
-
-// buildScratch is per-worker construction state: the uncompressed (term,
-// file) pairs and the encode buffer exist only for the peer being built,
-// then the exact-size compressed arrays are cut from them — constructing a
-// network never holds more than workers × one-peer of uncompressed
-// intermediate at a time.
+// buildScratch is per-worker construction state: the (term, file) keys
+// and the encode buffers exist only for the peer being built, then the
+// exact-size compressed arrays are cut from them — constructing a network
+// never holds more than workers × one-peer of uncompressed intermediate at
+// a time. fileIDs and fileOff hold a lazily built peer's resolved library.
 type buildScratch struct {
-	pairs   []termFile
+	keys    []uint64
 	fileIDs []dict.TermID
+	fileOff []uint32
 	arena   []byte
 	pay     []byte
 	first   []dict.TermID
 	off     []uint32
 }
 
-// buildPostings builds a compressed posting index for lib against
-// dictionary d, using (and growing) bs's reusable buffers. It reports
-// ok=false on the first token d does not know — the caller then falls back
-// to a peer-local dictionary (a library mutated after network construction
-// can contain terms the shared dictionary never saw).
-func buildPostings(d *dict.Dict, lib []File, bs *buildScratch) (postingIndex, bool) {
-	pairs := bs.pairs[:0]
-	fileIDs := bs.fileIDs
-	for i, f := range lib {
-		fileIDs = fileIDs[:0]
-		for _, tok := range terms.Tokenize(f.Name) {
-			id, known := d.Lookup(tok)
-			if !known {
-				bs.pairs, bs.fileIDs = pairs, fileIDs
-				return postingIndex{}, false
-			}
-			dup := false
-			for _, prev := range fileIDs {
-				if prev == id {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			fileIDs = append(fileIDs, id)
-			pairs = append(pairs, termFile{id: id, file: int32(i)})
+// encodeFiles builds a posting index from a library resolved to term IDs
+// (dict.Resolved.Library, or a dict.Interner's output): file i holds the
+// terms remap[id] for id in ids[off[i]:off[i+1]], each once. Each incidence
+// becomes one packed uint64(term)<<32 | file key, so one integer sort
+// orders the postings by term and every posting list ascending.
+func encodeFiles(ids []dict.TermID, off []uint32, remap []dict.TermID, bs *buildScratch) postingIndex {
+	keys := bs.keys[:0]
+	for f := 0; f+1 < len(off); f++ {
+		for _, id := range ids[off[f]:off[f+1]] {
+			keys = append(keys, uint64(remap[id])<<32|uint64(f))
 		}
 	}
-	bs.pairs, bs.fileIDs = pairs, fileIDs
-	// Files were visited in ascending order, so sorting by (id, file) keeps
-	// every posting list ascending.
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].id != pairs[b].id {
-			return pairs[a].id < pairs[b].id
-		}
-		return pairs[a].file < pairs[b].file
-	})
-	ix := encodePostings(pairs, bs)
-	return ix, true
+	slices.Sort(keys)
+	bs.keys = keys
+	return encodePostings(keys, bs)
 }
 
-// encodePostings compresses sorted (id, file) pairs into a postingIndex,
+// encodePostings compresses sorted (term, file) keys into a postingIndex,
 // encoding through bs's buffers and returning exact-size copies so no
 // append slack is retained for the life of the network. Blocks are
 // assembled one at a time — the id-delta section in a fixed local buffer,
 // the payload section in the reusable pay scratch — then flushed with
 // their header once full.
-func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
+func encodePostings(keys []uint64, bs *buildScratch) postingIndex {
 	arena, first, off := bs.arena[:0], bs.first[:0], bs.off[:0]
 	var ix postingIndex
-	ix.nPostings = len(pairs)
+	ix.nPostings = len(keys)
 
 	var idBuf [postingBlockLen * 5]byte // ≤ 15 deltas × max 5-byte uvarint
 	idLen := 0
@@ -330,10 +299,10 @@ func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
 		arena = append(arena, pay...)
 		idLen, pay, mask = 0, pay[:0], 0
 	}
-	for k := 0; k < len(pairs); {
-		id := pairs[k].id
+	for k := 0; k < len(keys); {
+		id := dict.TermID(keys[k] >> 32)
 		j := k + 1
-		for j < len(pairs) && pairs[j].id == id {
+		for j < len(keys) && dict.TermID(keys[j]>>32) == id {
 			j++
 		}
 		e := ix.nTerms % postingBlockLen
@@ -347,14 +316,15 @@ func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
 			idLen = len(vpost.AppendUvarint(idBuf[:idLen], uint64(id-prevID)))
 		}
 		if j-k == 1 {
-			pay = vpost.AppendUvarint(pay, uint64(uint32(pairs[k].file)))
+			pay = vpost.AppendUvarint(pay, uint64(uint32(keys[k])))
 		} else {
 			mask |= 1 << uint(e)
 			pay = vpost.AppendUvarint(pay, uint64(j-k))
 			prev := int32(-1)
 			for i := k; i < j; i++ {
-				pay = vpost.AppendUvarint(pay, uint64(uint32(pairs[i].file-prev-1)))
-				prev = pairs[i].file
+				file := int32(uint32(keys[i]))
+				pay = vpost.AppendUvarint(pay, uint64(uint32(file-prev-1)))
+				prev = file
 			}
 		}
 		prevID = id
@@ -373,39 +343,26 @@ func encodePostings(pairs []termFile, bs *buildScratch) postingIndex {
 	return ix
 }
 
-// IndexBuilder builds standalone per-peer posting indexes against a
-// shared dictionary — the sharded snapshot construction path, which
-// indexes peers without ever assembling a Network. The zero value is
-// ready; reuse one builder per worker so the construction scratch
-// amortizes across thousands of peers.
+// IndexBuilder builds standalone per-peer posting indexes from libraries
+// already resolved to term IDs — the sharded snapshot construction path,
+// which interns every name once as it streams and indexes peers without
+// ever assembling a Network. The zero value is ready; reuse one builder
+// per worker so the construction scratch amortizes across thousands of
+// peers.
 type IndexBuilder struct {
 	bs buildScratch
 }
 
-// Build indexes lib against d and returns the encoded index in its
-// persistence form (identical bytes to what BuildIndexes produces for the
-// same library and dictionary). Unlike the in-network path there is no
-// local-dictionary fallback: the sharded builder derives its dictionary
-// from the same stream that produced lib, so an unknown token means the
-// inputs diverged and is reported as an error.
-func (b *IndexBuilder) Build(d *dict.Dict, lib []File) (IndexState, error) {
-	idx, ok := buildPostings(d, lib, &b.bs)
-	if !ok {
-		return IndexState{}, fmt.Errorf("gnet: IndexBuilder: library holds a token the shared dictionary does not")
-	}
+// Build encodes the posting index of a library resolved as encodeFiles
+// describes — file i holds the terms remap[id] for id in ids[off[i]:off[i+1]]
+// — and returns it in its persistence form: identical bytes to what a
+// catalog-built network holds for the same library and dictionary.
+func (b *IndexBuilder) Build(ids []dict.TermID, off []uint32, remap []dict.TermID) IndexState {
+	idx := encodeFiles(ids, off, remap, &b.bs)
 	return IndexState{
 		NTerms: idx.nTerms, NPostings: idx.nPostings,
 		BlockFirst: idx.blockFirst, BlockOff: idx.blockOff, Arena: idx.arena,
-	}, nil
-}
-
-// libraryNames projects a library onto its file names.
-func libraryNames(lib []File) []string {
-	names := make([]string, len(lib))
-	for i, f := range lib {
-		names[i] = f.Name
 	}
-	return names
 }
 
 // buildIndex builds the peer's term → file index. Always reached through
@@ -417,47 +374,64 @@ func (p *Peer) buildIndex() {
 
 // buildIndexWith is buildIndex with the construction scratch hoisted out,
 // so BuildIndexes reuses one scratch per worker across thousands of peers.
+// It serves the peers whose index is lazy: those of a network assembled by
+// hand, and those whose library AddFile grew. The library is interned once;
+// its vocabulary then resolves against the dictionary the peer matches
+// through, or — with no such dictionary, or on a term it never saw — the
+// interner's own vocabulary becomes a peer-local dictionary.
 func (p *Peer) buildIndexWith(bs *buildScratch) {
-	if p.dict == nil {
-		// Peer assembled without a catalog (tests, hand-built networks):
-		// intern against a dictionary of its own library.
-		p.dict = dict.FromNames(libraryNames(p.Library), 1)
+	in := dict.NewInterner()
+	ids, off := bs.fileIDs[:0], append(bs.fileOff[:0], 0)
+	for _, f := range p.Library {
+		ids = in.AppendIDs(ids, f.Name)
+		off = append(off, uint32(len(ids)))
 	}
-	idx, ok := buildPostings(p.dict, p.Library, bs)
-	if !ok {
-		// The library gained names after construction; re-intern locally.
-		p.dict = dict.FromNames(libraryNames(p.Library), 1)
-		idx, _ = buildPostings(p.dict, p.Library, bs)
+	bs.fileIDs, bs.fileOff = ids, off
+	var remap []dict.TermID
+	known := false
+	if p.dict != nil {
+		remap, known = p.dict.Resolve(in.Vocab(), nil)
 	}
-	p.idx = idx
+	if !known {
+		var remaps [][]dict.TermID
+		p.dict, remaps = dict.Merge([]*dict.Interner{in}, 1)
+		remap = remaps[0]
+	}
+	p.idx = encodeFiles(ids, off, remap, bs)
 }
 
-// BuildIndexes eagerly builds every peer's index over up to `workers`
+// BuildIndexes builds every posting index still lazy over up to `workers`
 // goroutines (≤ 0 resolves to GOMAXPROCS), then the network-wide holder
-// index floods consult before probing any peer (holders.go). Indexes are
-// otherwise built lazily on first Match — and floods over a network whose
-// holder index was never built probe every peer they reach — so building up
-// front makes construction cost measurable and keeps floods off the slow
-// path. The result is identical for every worker count: each peer's index
-// depends only on its own library and the shared dictionary, and each
-// term's holder list only on which peers hold it.
+// index floods consult before probing any peer (holders.go). A network
+// built from a catalog or restored from a snapshot is born indexed, so
+// only the holder index is left — and after AddFile, the grown peers'
+// indexes. On a hand-assembled network indexes are otherwise built lazily
+// on first Match, and floods over a network whose holder index was never
+// built probe every peer they reach, so building up front makes
+// construction cost measurable and keeps floods off the slow path. The
+// result is identical for every worker count: each peer's index depends
+// only on its own library and its dictionary, and each term's holder list
+// only on which peers hold it.
 func (nw *Network) BuildIndexes(workers int) error {
-	err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
-		func(bs *buildScratch, i int) error {
-			p := nw.Peers[i]
-			p.indexOnce.Do(func() { p.buildIndexWith(bs) })
-			return nil
-		})
-	if err != nil {
-		return err
+	if !nw.indexed {
+		err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
+			func(bs *buildScratch, i int) error {
+				p := nw.Peers[i]
+				p.indexOnce.Do(func() { p.buildIndexWith(bs) })
+				return nil
+			})
+		if err != nil {
+			return err
+		}
+		nw.indexed = true
 	}
 	if err := nw.buildHolders(workers); err != nil {
 		return err
 	}
 	if nw.dict != nil {
 		// Every peer's index is built; queries from here on resolve a
-		// handful of tokens per flood, so trade the construction-phase
-		// lookup map for binary search over the term arena.
+		// handful of tokens per flood, so trade the lookup map for binary
+		// search over the term arena.
 		nw.dict.Compact()
 	}
 	return nil

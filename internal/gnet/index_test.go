@@ -31,9 +31,9 @@ func linearMatch(lib []File, criteria string) []File {
 func TestMatchEquivalentToLinearScan(t *testing.T) {
 	nw := populatedNet(t, 120)
 	fallback := nw.Peers[5]
-	fallback.Library = append(fallback.Library, File{
-		Index: uint32(len(fallback.Library)), Size: 99, Name: "Zzzz Novel Tokens Everywhere.mp3",
-	})
+	if err := nw.AddFile(5, "Zzzz Novel Tokens Everywhere.mp3", 99); err != nil {
+		t.Fatal(err)
+	}
 	queries := []string{"track", "", "novel tokens", "novel track"}
 	for _, p := range nw.Peers {
 		if len(p.Library) > 0 {
@@ -108,9 +108,9 @@ func TestMatchEmptyCriteria(t *testing.T) {
 func TestLocalDictFallback(t *testing.T) {
 	nw := populatedNet(t, 40)
 	p := nw.Peers[5]
-	p.Library = append(p.Library, File{
-		Index: uint32(len(p.Library)), Size: 99, Name: "Zzzz Novel Tokens Everywhere.mp3",
-	})
+	if err := nw.AddFile(5, "Zzzz Novel Tokens Everywhere.mp3", 99); err != nil {
+		t.Fatal(err)
+	}
 	files := p.Match("novel tokens")
 	if len(files) != 1 || files[0].Name != "Zzzz Novel Tokens Everywhere.mp3" {
 		t.Fatalf("Match on mutated library = %v, want the planted file", files)

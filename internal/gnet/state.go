@@ -167,6 +167,7 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 	}); err != nil {
 		return nil, err
 	}
+	nw.indexed = true
 	nw.markRelays()
 	if err := nw.adoptHolders(st.HolderOff, st.HolderArena, workers); err != nil {
 		return nil, fmt.Errorf("gnet: NewFromState: %w", err)

@@ -11,20 +11,24 @@
 //  1. Topology skeleton. gnet.New draws identities, the firewalled mask
 //     and the overlay from the same named streams as the in-heap path.
 //  2. Placement pass. catalog.Stream generates the content population
-//     without retaining it; each (peer, name) placement is appended to its
-//     shard's spill bucket (varint peer, varint length, name bytes) while
-//     the global token set and per-peer file counts accumulate.
-//  3. The dictionary is built from the token set — byte-identical to the
-//     in-heap dict because IDs are assigned in sorted term order — and the
-//     meta, dict and topology sections stream out. The skeleton is then
-//     released.
+//     without retaining it; one dict.Interner tokenizes each placed name —
+//     the only time the build tokenizes it — and the placement is appended
+//     to its shard's spill bucket (varint peer, varint length, name bytes,
+//     varint count and the varint provisional term IDs of the name's
+//     distinct tokens) while per-peer file and term-ID counts accumulate.
+//  3. dict.Merge turns the interner into the dictionary — byte-identical
+//     to the in-heap dict because IDs are assigned in sorted term order —
+//     and the provisional→final remap table, and the meta, dict and
+//     topology sections stream out. The skeleton is then released.
 //  4. Shard pass, ascending. Each bucket is read back, its libraries are
 //     rebuilt (names are zero-copy views of the bucket buffer, sizes come
 //     off the one sequential gnet/file-sizes stream, which ascending order
-//     keeps in global peer order), posting indexes are built in parallel,
-//     and the peers' library rows stream into the libraries section while
-//     their index rows spill to one side file — the indexes section's
-//     header needs totals the pass is still accumulating.
+//     keeps in global peer order) beside each peer's term IDs, posting
+//     indexes are encoded from those IDs through the remap in parallel
+//     (gnet.IndexBuilder), and the peers' library rows stream into the
+//     libraries section while their index rows spill to one side file —
+//     the indexes section's header needs totals the pass is still
+//     accumulating.
 //  5. The side file is replayed through the writer as the indexes section.
 //  6. The holder index is inverted from the same rows, read through a
 //     mapping of the side file (page cache, not heap), and streams out as
@@ -43,16 +47,15 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"querycentric/internal/catalog"
 	"querycentric/internal/dict"
 	"querycentric/internal/gmsg"
 	"querycentric/internal/gnet"
 	"querycentric/internal/parallel"
-	"querycentric/internal/terms"
 	"querycentric/internal/vpost"
 )
 
@@ -129,8 +132,9 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		}
 	}()
 
-	// Placement pass: spill every placement to its shard's bucket while the
-	// token set and per-peer file counts accumulate.
+	// Placement pass: intern every placed name once and spill it, with its
+	// provisional term IDs, to its shard's bucket while the vocabulary and
+	// per-peer counts accumulate.
 	buckets := make([]*spillFile, nShards)
 	for s := range buckets {
 		b, err := newSpillFile(tmpDir, "qcsnap-bucket-*")
@@ -140,22 +144,23 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		buckets[s] = b
 		cleanup = append(cleanup, b.discard)
 	}
-	tokens := make(map[string]struct{})
-	counts := make([]int32, n)
+	in := dict.NewInterner()
+	counts := make([]int32, n)  // files per peer
+	idCount := make([]int32, n) // resolved term IDs per peer, summed over its files
 	var rec []byte
+	var ids []dict.TermID
 	placed, err := catalog.Stream(cfg.Catalog, cfg.Workers, catalog.Sink{
 		Place: func(peer int, name string) error {
-			for _, tok := range terms.Tokenize(name) {
-				if _, dup := tokens[tok]; !dup {
-					// Clone: Tokenize returns substrings of a transient
-					// lowered copy of the name (same rule as dict.Build).
-					tokens[strings.Clone(tok)] = struct{}{}
-				}
-			}
+			ids = in.AppendIDs(ids[:0], name)
 			counts[peer]++
+			idCount[peer] += int32(len(ids))
 			rec = vpost.AppendUvarint(rec[:0], uint64(peer))
 			rec = vpost.AppendUvarint(rec, uint64(len(name)))
 			rec = append(rec, name...)
+			rec = vpost.AppendUvarint(rec, uint64(len(ids)))
+			for _, id := range ids {
+				rec = vpost.AppendUvarint(rec, uint64(id))
+			}
 			_, err := buckets[peer/shardSize].bw.Write(rec)
 			return err
 		},
@@ -164,8 +169,9 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		return nil, fmt.Errorf("snapshot: BuildSharded: %w", err)
 	}
 
-	d := dict.FromTokenSet(tokens, cfg.Workers)
-	tokens = nil
+	d, remaps := dict.Merge([]*dict.Interner{in}, cfg.Workers)
+	remap := remaps[0]
+	in = nil
 
 	out, err := os.Create(path + ".tmp")
 	if err != nil {
@@ -213,11 +219,23 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		}
 		// Rebuild the shard's libraries from its bucket: records arrive in
 		// placement order, which per peer is exactly library order. Names
-		// are views of the bucket buffer — alive for this shard only.
+		// are views of the bucket buffer — alive for this shard only. Each
+		// peer's term IDs land in its own range of one shard-wide array,
+		// so its files' IDs are contiguous and off indexes them directly.
 		libs := make([][]gnet.File, hi-lo)
+		offs := make([][]uint32, hi-lo)
+		end := make([]int64, hi-lo) // peer i's range of shardIDs ends here
+		var total int64
 		for i := range libs {
 			libs[i] = make([]gnet.File, 0, counts[lo+i])
+			offs[i] = append(make([]uint32, 0, counts[lo+i]+1), uint32(total))
+			total += int64(idCount[lo+i])
+			end[i] = total
 		}
+		if total > math.MaxUint32 {
+			return nil, fmt.Errorf("snapshot: BuildSharded: shard %d resolves %d term IDs, past uint32 offsets", s, total)
+		}
+		shardIDs := make([]dict.TermID, total)
 		for len(data) > 0 {
 			peer, k := vpost.Uvarint(data)
 			if k <= 0 || peer < uint64(lo) || peer >= uint64(hi) {
@@ -232,6 +250,21 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 			data = data[k+int(nameLen):]
 			p := int(peer) - lo
 			libs[p] = append(libs[p], gnet.File{Index: uint32(len(libs[p])), Name: name})
+			nIDs, k := vpost.Uvarint(data)
+			at := int64(offs[p][len(offs[p])-1])
+			if k <= 0 || nIDs > uint64(end[p]-at) {
+				return nil, fmt.Errorf("snapshot: BuildSharded: bucket %d record for peer %d holds too many term IDs", s, peer)
+			}
+			data = data[k:]
+			for j := range int(nIDs) {
+				id, k := vpost.Uvarint(data)
+				if k <= 0 || id >= uint64(len(remap)) {
+					return nil, fmt.Errorf("snapshot: BuildSharded: bucket %d holds a bad term ID", s)
+				}
+				data = data[k:]
+				shardIDs[at+int64(j)] = dict.TermID(id)
+			}
+			offs[p] = append(offs[p], uint32(at)+uint32(nIDs))
 		}
 		// File sizes come off the one sequential global stream: ascending
 		// shard order makes these draws identical to the in-heap build's.
@@ -244,11 +277,7 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		if err := parallel.ForEachWith(cfg.Workers, hi-lo,
 			func() *gnet.IndexBuilder { return new(gnet.IndexBuilder) },
 			func(b *gnet.IndexBuilder, i int) error {
-				st, err := b.Build(d, libs[i])
-				if err != nil {
-					return err
-				}
-				states[i] = st
+				states[i] = b.Build(shardIDs, offs[i], remap)
 				return nil
 			}); err != nil {
 			return nil, fmt.Errorf("snapshot: BuildSharded: %w", err)

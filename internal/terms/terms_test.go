@@ -2,9 +2,11 @@ package terms
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unicode/utf8"
 )
 
 func TestTokenize(t *testing.T) {
@@ -44,7 +46,7 @@ func TestTokenizeLowercases(t *testing.T) {
 func TestTokenizeProperty(t *testing.T) {
 	f := func(s string) bool {
 		for _, tok := range Tokenize(s) {
-			if tokenLen(tok) < MinTokenLength {
+			if utf8.RuneCountInString(tok) < MinTokenLength {
 				return false
 			}
 			for _, r := range tok {
@@ -57,6 +59,77 @@ func TestTokenizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// tokenizeReference is the tokenizer AppendTokens replaced: lower the whole
+// string, then cut it into letter/digit runs of at least MinTokenLength
+// runes.
+func tokenizeReference(s string) []string {
+	var out []string
+	start := -1
+	lower := strings.ToLower(s)
+	keep := func(tok string) {
+		if utf8.RuneCountInString(tok) >= MinTokenLength {
+			out = append(out, tok)
+		}
+	}
+	for i, r := range lower {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			keep(lower[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		keep(lower[start:])
+	}
+	return out
+}
+
+// TestTokenizeMatchesReference holds the single-pass tokenizer to the
+// lower-then-split reference: on runes whose lowered form changes byte
+// length or leaves ASCII (U+023A, U+212A KELVIN SIGN, U+0130), on invalid
+// UTF-8, on separators of every width, and on random strings.
+func TestTokenizeMatchesReference(t *testing.T) {
+	cases := []string{
+		"", "a", "ab", "AB", "Ⱥb", "\u212aelvin", "\u0130stanbul", "x\xffy", "xx\xffyy",
+		"ab\xc3", "\xc3\xa9t\xc3\xa9", "日本語 テスト", "ǅungla ǈj", "x\u00a0y zz\u2003ww",
+		"Aaron Neville - I Don't Know Much.MP3", "a1-b2_c3 \ufffd dd",
+	}
+	check := func(s string) bool {
+		got, want := Tokenize(s), tokenizeReference(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize(%q) = %q, reference %q", s, got, want)
+			return false
+		}
+		buf := AppendTokens([]byte("keep"), s)
+		if n := strings.Count(string(buf[4:]), "\x00"); string(buf[:4]) != "keep" || n != len(want) {
+			t.Errorf("AppendTokens(%q) = %q: prefix or token count wrong", s, buf)
+			return false
+		}
+		return true
+	}
+	for _, s := range cases {
+		check(s)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAppendTokensAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendTokens(buf[:0], "Aaron Neville ft. Linda Ronstadt - Ünder Straße.MP3")
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendTokens allocated %.1f times per call into a reused buffer", allocs)
 	}
 }
 
