@@ -38,12 +38,15 @@ determinism:
 # the varint posting codec, the snapshot loader, the frontier kernel and
 # the wire-level flood under any subset of its gates (both against their
 # map-and-slice references), the 64-wide reach-only kernel against
-# per-origin frontier rings, and posting indexes encoded from interned term
-# IDs against the tokenize-and-look-up reference: five seconds of mutation
-# each must surface no panics, over-reads or contract violations
+# per-origin frontier rings, posting indexes encoded from interned term
+# IDs against the tokenize-and-look-up reference, and the online interval
+# engine against the map-based Figures 5–7 analyses: five seconds of
+# mutation each must surface no panics, over-reads or contract violations
 # (ordering, alternation, determinism, round-trip identity, typed errors on
 # damaged bytes, ring/hop/message-count agreement, field-for-field flood
-# results, found-mask agreement, byte-equal indexes and holder lists).
+# results, found-mask agreement, byte-equal indexes and holder lists,
+# field-for-field intervals, series and transients, and a refused
+# backwards time).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
 	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
@@ -53,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWaveVsFrontier -fuzztime=5s -run '^$$' ./internal/overlay
 	$(GO) test -fuzz=FuzzFloodVsNaive -fuzztime=5s -run '^$$' ./internal/gnet
 	$(GO) test -fuzz=FuzzIndexFromIDsVsTokenized -fuzztime=5s -run '^$$' ./internal/gnet
+	$(GO) test -fuzz=FuzzIntervalEngineVsReference -fuzztime=5s -run '^$$' ./internal/analysis
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
@@ -154,8 +158,9 @@ loc:
 # claims and TestScaleGate's tiny row), the decoder,
 # churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
-# (FuzzFloodVsNaive) and index-from-IDs (FuzzIndexFromIDsVsTokenized) fuzz
-# smokes, the sim-digest refactor
+# (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized) and
+# interval-engine (FuzzIntervalEngineVsReference) fuzz smokes, the
+# sim-digest refactor
 # gate, the paper-scale construction gate (with the sharded byte-identity
 # check) and the million-peer sharded-construction gate.
 ci: vet fmt-check build race fuzz-smoke digest-check scalefull-smoke scale1m-smoke

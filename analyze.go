@@ -2,8 +2,6 @@ package querycentric
 
 import (
 	"querycentric/internal/analysis"
-	"querycentric/internal/core"
-	"querycentric/internal/stats"
 	"querycentric/internal/terms"
 )
 
@@ -15,6 +13,7 @@ type (
 	TermCount        = analysis.TermCount
 	Interval         = analysis.Interval
 	IntervalConfig   = analysis.IntervalConfig
+	IntervalEngine   = analysis.IntervalEngine
 	SeriesPoint      = analysis.SeriesPoint
 	TransientConfig  = analysis.TransientConfig
 	TransientPoint   = analysis.TransientPoint
@@ -41,11 +40,15 @@ func Annotations(tr *SongTrace, a Annotation) (*AnnotationReport, error) {
 	return analysis.Annotations(tr, a)
 }
 
-// Temporal analyses (Figures 5–7).
+// Temporal analyses (Figures 5–7), all computed by one online interval
+// engine: feed it a query stream, get per-interval popular sets, stability
+// and transients.
 var (
 	DefaultIntervalConfig  = analysis.DefaultIntervalConfig
+	NewIntervalEngine      = analysis.NewIntervalEngine
 	Intervals              = analysis.Intervals
 	StabilitySeries        = analysis.StabilitySeries
+	Mismatch               = analysis.Mismatch
 	MismatchSeries         = analysis.MismatchSeries
 	AllTermsMismatchSeries = analysis.AllTermsMismatchSeries
 	DefaultTransientConfig = analysis.DefaultTransientConfig
@@ -60,24 +63,3 @@ func Tokenize(s string) []string { return terms.Tokenize(s) }
 // Sanitize normalizes a file name as the Figure 2 analysis does
 // (lowercase, letters and digits only).
 func Sanitize(s string) string { return terms.Sanitize(s) }
-
-// Jaccard returns the Jaccard similarity of two string sets.
-func Jaccard(a, b map[string]struct{}) float64 { return stats.Jaccard(a, b) }
-
-// Online popularity tracking — the reusable query-centric engine
-// (internal/core): feed a query stream, get per-interval popular sets,
-// persistence, transients and stability.
-type (
-	Tracker        = core.Tracker
-	TrackerConfig  = core.TrackerConfig
-	IntervalReport = core.IntervalReport
-)
-
-// DefaultTrackerConfig matches the paper's 60-minute interval analysis.
-func DefaultTrackerConfig() TrackerConfig { return core.DefaultTrackerConfig() }
-
-// NewTracker builds an online popularity tracker; onClose (optional) is
-// invoked as each evaluation interval completes.
-func NewTracker(cfg TrackerConfig, onClose func(*IntervalReport)) (*Tracker, error) {
-	return core.NewTracker(cfg, onClose)
-}

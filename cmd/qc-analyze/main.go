@@ -9,14 +9,16 @@
 //	qc-analyze -mode stability -in queries.trace [-interval 3600]
 //	qc-analyze -mode mismatch  -in queries.trace -crawl crawl.trace
 //	qc-analyze -mode transients -in queries.trace [-interval 3600]
-//	qc-analyze -mode track     -in queries.trace [-crawl crawl.trace] [-decay 1]
+//	qc-analyze -mode track     -in queries.trace [-crawl crawl.trace]
 //
-// Track mode runs the online query-centric Tracker over the query stream,
-// one line per evaluation interval: query volume, popular set size,
-// stability against the previous interval, the Jaccard similarity to the
-// crawl's popular file terms when -crawl is given, and any transiently
-// popular terms. It is the paper's analysis as a streaming tool — what a
-// peer would run over its live query feed:
+// Track mode runs the online interval engine over the query stream, one
+// line per evaluation interval up to the last query's: query volume,
+// popular set size, stability against the previous interval, the mismatch
+// against the crawl's popular file terms when -crawl is given, and the
+// transiently popular terms. Transients are judged as -mode transients
+// judges them, against the first 10% of the queries, so a trace too short
+// to train on fails. It is the paper's analysis as a streaming tool — what
+// a peer would run over its live query feed:
 //
 //	qc-queries -n 100000 | qc-analyze -mode track
 //
@@ -42,7 +44,6 @@ func main() {
 		crawlIn  = flag.String("crawl", "", "object trace (mismatch mode; track mode adds a mismatch column)")
 		sanitize = flag.Bool("sanitize", false, "sanitize names (replicas mode, Figure 2)")
 		interval = flag.Int64("interval", 3600, "evaluation interval in seconds")
-		decay    = flag.Float64("decay", 1.0, "history decay per interval in (0,1] (track mode)")
 		obsFlags = cliflags.AddObs(flag.CommandLine, "qc-analyze")
 	)
 	flag.Parse()
@@ -129,7 +130,7 @@ func main() {
 		if *crawlIn != "" {
 			fstar = qc.TopTerms(qc.RankedFileTerms(read(*crawlIn, qc.ReadObjectTrace)), 500)
 		}
-		track(qt, fstar, *interval, *decay, reg)
+		track(qt, fstar, *interval, reg)
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
@@ -140,40 +141,46 @@ func main() {
 	}
 }
 
-// track feeds the query trace through a Tracker and prints one line per
-// closed interval. fstar, when non-nil, adds the mismatch column.
-func track(qt *qc.QueryTrace, fstar map[string]struct{}, interval int64, decay float64, reg *qc.Registry) {
-	cfg := qc.DefaultTrackerConfig()
-	cfg.Interval = interval
-	cfg.HistoryDecay = decay
-	tracker, err := qc.NewTracker(cfg, func(rep *qc.IntervalReport) {
-		reg.Counter("track_intervals_total").Inc()
-		reg.Counter("track_queries_total").Add(int64(rep.Queries))
-		reg.Counter("track_transients_total").Add(int64(len(rep.Transients)))
-		line := fmt.Sprintf("%d\t%d\t%d\t%.3f", rep.Start, rep.Queries, len(rep.Popular), rep.Stability)
-		if fstar != nil {
-			mismatch := 0.0 // two empty sets share no term
-			if len(rep.Popular)+len(fstar) > 0 {
-				mismatch = qc.Jaccard(rep.Popular, fstar)
-			}
-			line += fmt.Sprintf("\t%.3f", mismatch)
-		}
-		fmt.Println(line + "\t" + strings.Join(rep.Transients, ","))
-	})
-	if err != nil {
-		fail(err)
-	}
+// track feeds the query trace through an interval engine and prints one
+// line per closed interval. fstar, when non-nil, adds the mismatch column.
+// Output is held until the run succeeds, so a failure prints no rows.
+func track(qt *qc.QueryTrace, fstar map[string]struct{}, interval int64, reg *qc.Registry) {
+	var out strings.Builder
 	header := "# start\tqueries\tpopular\tstability"
 	if fstar != nil {
 		header += "\tmismatch"
 	}
-	fmt.Println(header + "\ttransients")
+	out.WriteString(header + "\ttransients\n")
+	cfg := qc.DefaultIntervalConfig()
+	cfg.Interval = interval
+	eng, err := qc.NewIntervalEngine(cfg, func(iv *qc.Interval) {
+		var transients []string
+		if iv.Transient != nil {
+			transients = iv.Transient.Terms
+		}
+		reg.Counter("track_intervals_total").Inc()
+		reg.Counter("track_queries_total").Add(int64(iv.Queries))
+		reg.Counter("track_transients_total").Add(int64(len(transients)))
+		fmt.Fprintf(&out, "%d\t%d\t%d\t%.3f", iv.Start, iv.Queries, len(iv.Popular), iv.Stability)
+		if fstar != nil {
+			fmt.Fprintf(&out, "\t%.3f", qc.Mismatch(iv.Popular, fstar))
+		}
+		out.WriteString("\t" + strings.Join(transients, ",") + "\n")
+	})
+	if err != nil {
+		fail(err)
+	}
+	if err := eng.Train(len(qt.Records), qc.DefaultTransientConfig()); err != nil {
+		fail(err)
+	}
 	for _, rec := range qt.Records {
-		if err := tracker.Observe(rec.Time, rec.Query); err != nil {
+		if err := eng.Observe(rec.Time, rec.Query); err != nil {
 			fail(err)
 		}
 	}
-	tracker.Flush()
+	// Train accepted the trace, so it holds at least two records.
+	eng.CloseThrough(qt.Records[len(qt.Records)-1].Time + 1)
+	fmt.Print(out.String())
 }
 
 // read parses a trace from path, or from stdin when path is empty.

@@ -2,6 +2,8 @@ package querycentric_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	qc "querycentric"
 )
@@ -24,22 +26,21 @@ func ExampleGnutellaCrawl() {
 	// singleton majority: true
 }
 
-// ExampleNewTracker demonstrates the online query-centric engine: feed a
-// query stream, read back the interval's popular terms.
-func ExampleNewTracker() {
-	cfg := qc.DefaultTrackerConfig()
+// ExampleNewIntervalEngine demonstrates the online query-centric engine:
+// feed a query stream, read back the interval's popular terms.
+func ExampleNewIntervalEngine() {
+	cfg := qc.DefaultIntervalConfig()
 	cfg.Interval = 60
-	cfg.MinPopularCount = 3
-	tracker, err := qc.NewTracker(cfg, nil)
+	var pop map[string]struct{}
+	eng, err := qc.NewIntervalEngine(cfg, func(iv *qc.Interval) { pop = iv.Popular })
 	if err != nil {
 		panic(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		tracker.Observe(i, "madonna music")
+		eng.Observe(i, "madonna music")
 	}
-	tracker.Observe(30, "rare zebra")
-	tracker.Flush()
-	pop := tracker.Popular()
+	eng.Observe(30, "rare zebra")
+	eng.CloseThrough(60)
 	_, madonna := pop["madonna"]
 	_, zebra := pop["zebra"]
 	fmt.Println("madonna popular:", madonna)
@@ -166,7 +167,7 @@ func ExampleReplicationStrategies() {
 
 // ExampleNewSynopsisNetwork shows the paper's proposed direction: peers
 // advertise a bounded synopsis of their terms, and an adaptive network
-// spends that budget on the terms a Tracker sees users query.
+// spends that budget on the terms an interval engine sees users query.
 func ExampleNewSynopsisNetwork() {
 	const nodes = 200
 	g, err := qc.NewErdosRenyiOverlay(nodes, 6, 31)
@@ -188,9 +189,10 @@ func ExampleNewSynopsisNetwork() {
 		if err != nil {
 			panic(err)
 		}
-		tcfg := qc.DefaultTrackerConfig()
-		tcfg.Interval = 1
-		tracker, err := qc.NewTracker(tcfg, nil)
+		icfg := qc.DefaultIntervalConfig()
+		icfg.Interval = 1
+		var popular map[string]struct{}
+		eng, err := qc.NewIntervalEngine(icfg, func(iv *qc.Interval) { popular = iv.Popular })
 		if err != nil {
 			panic(err)
 		}
@@ -208,10 +210,10 @@ func ExampleNewSynopsisNetwork() {
 						hits++
 					}
 				}
-				tracker.Observe(round, term)
+				eng.Observe(round, term)
 			}
-			tracker.Flush()
-			if err := net.SetPopular(tracker.PopularTerms()); err != nil {
+			eng.CloseThrough(round + 1)
+			if err := net.SetPopular(slices.Collect(maps.Keys(popular))); err != nil {
 				panic(err)
 			}
 		}

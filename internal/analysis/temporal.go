@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 
 	"querycentric/internal/stats"
@@ -36,47 +38,216 @@ type Interval struct {
 	Volume  int   // term occurrences observed
 	Counts  map[string]int
 	Popular map[string]struct{}
+	// Stability is the Figure 6 statistic: Jaccard(Q*_t, Q̃_t) between the
+	// popular set and the persistently popular set Q̃_t = Q*_t ∩ Q*_{t−1}.
+	// The first interval has no predecessor and reads 1.
+	Stability float64
+	// Transient is the Figure 5 verdict on the interval. It is nil unless
+	// the engine was trained and the interval ends after the training
+	// prefix.
+	Transient *TransientPoint
 }
 
-// Intervals buckets a query trace into evaluation intervals and marks each
-// interval's popular terms.
-func Intervals(tr *trace.QueryTrace, cfg IntervalConfig) ([]*Interval, error) {
+// IntervalEngine is the one popularity engine behind Figures 5–7: it
+// buckets a query stream into evaluation intervals and, as each closes,
+// marks its popular terms, its stability against the previous interval
+// and — once trained — its transiently popular terms. Feed it with
+// Observe in non-decreasing time; each interval is handed to onClose as
+// it closes. Memory is the stream's vocabulary plus the open interval.
+type IntervalEngine struct {
+	cfg     IntervalConfig
+	onClose func(*Interval)
+
+	open  *Interval           // the interval queries are counted into
+	floor int64               // the least time Observe accepts
+	prev  map[string]struct{} // the last closed interval's popular set
+	vocab map[string]string   // one string per term seen, shared by every Counts
+	buf   []byte              // token buffer reused across queries
+
+	// Transient detection, set up by Train.
+	tcfg       TransientConfig
+	trainLeft  int            // training queries still to observe
+	hist       map[string]int // per-term counts over the training prefix
+	histVolume int
+	trainEnd   int64          // one second past the last training query
+	base       map[string]int // the open interval's counts when training ended
+	baseVolume int
+}
+
+// NewIntervalEngine builds an engine. onClose may be nil.
+func NewIntervalEngine(cfg IntervalConfig, onClose func(*Interval)) (*IntervalEngine, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("analysis: Interval must be positive, got %d", cfg.Interval)
 	}
-	if cfg.PopularFrac < 0 || cfg.PopularFrac > 1 {
+	// Every range check is written so that NaN fails it.
+	if !(cfg.PopularFrac >= 0 && cfg.PopularFrac <= 1) {
 		return nil, fmt.Errorf("analysis: PopularFrac out of range: %g", cfg.PopularFrac)
 	}
-	if tr.Duration <= 0 {
-		return nil, fmt.Errorf("analysis: trace has no duration")
+	return &IntervalEngine{
+		cfg:     cfg,
+		onClose: onClose,
+		open:    &Interval{Counts: map[string]int{}},
+		vocab:   map[string]string{},
+	}, nil
+}
+
+// Train makes the engine judge transients the paper's way: the first
+// cfg.TrainFrac of a stream of total queries sets each term's historical
+// rate, and every interval that ends after that prefix gets a Transient
+// verdict. Call it before the first Observe.
+func (e *IntervalEngine) Train(total int, cfg TransientConfig) error {
+	if !(cfg.TrainFrac > 0 && cfg.TrainFrac < 1) {
+		return fmt.Errorf("analysis: TrainFrac must be in (0,1), got %g", cfg.TrainFrac)
 	}
-	n := int((tr.Duration + cfg.Interval - 1) / cfg.Interval)
-	out := make([]*Interval, n)
-	for i := range out {
-		out[i] = &Interval{Index: i, Start: int64(i) * cfg.Interval, Counts: map[string]int{}}
+	if !(cfg.Ratio > 1) {
+		return fmt.Errorf("analysis: Ratio must exceed 1, got %g", cfg.Ratio)
+	}
+	n := int(float64(total) * cfg.TrainFrac)
+	if n < 1 || n >= total {
+		return fmt.Errorf("analysis: training prefix of %d queries is unusable", n)
+	}
+	if e.hist != nil || e.open.Index > 0 || e.open.Queries > 0 {
+		return fmt.Errorf("analysis: Train must precede the first Observe")
+	}
+	e.tcfg, e.trainLeft, e.hist = cfg, n, map[string]int{}
+	return nil
+}
+
+// Observe records one query at time now (seconds). Time must not go
+// backwards; crossing an interval boundary closes the open interval.
+func (e *IntervalEngine) Observe(now int64, query string) error {
+	if now < e.floor {
+		return fmt.Errorf("analysis: query time %d precedes %d", now, e.floor)
+	}
+	e.floor = now
+	for now >= e.open.Start+e.cfg.Interval {
+		e.close()
+	}
+	iv := e.open
+	iv.Queries++
+	e.buf = terms.AppendTokens(e.buf[:0], query)
+	for rest := e.buf; len(rest) > 0; {
+		k := bytes.IndexByte(rest, 0)
+		tok, ok := e.vocab[string(rest[:k])]
+		if !ok {
+			tok = string(rest[:k])
+			e.vocab[tok] = tok
+		}
+		rest = rest[k+1:]
+		iv.Counts[tok]++
+		iv.Volume++
+		if e.trainLeft > 0 {
+			e.hist[tok]++
+			e.histVolume++
+		}
+	}
+	if e.trainLeft > 0 {
+		if e.trainLeft--; e.trainLeft == 0 {
+			if e.histVolume == 0 {
+				return fmt.Errorf("analysis: training prefix contains no terms")
+			}
+			e.trainEnd = now + 1
+			e.base, e.baseVolume = maps.Clone(iv.Counts), iv.Volume
+		}
+	}
+	return nil
+}
+
+// CloseThrough closes every interval that starts before end, empty ones
+// included.
+func (e *IntervalEngine) CloseThrough(end int64) {
+	for e.open.Start < end {
+		e.close()
+	}
+}
+
+// close finalizes the open interval, hands it to onClose and opens the
+// next.
+func (e *IntervalEngine) close() {
+	iv := e.open
+	thresh := max(int(e.cfg.PopularFrac*float64(iv.Volume)), e.cfg.MinPopularCount)
+	iv.Popular = map[string]struct{}{}
+	for tok, c := range iv.Counts {
+		if c >= thresh {
+			iv.Popular[tok] = struct{}{}
+		}
+	}
+	iv.Stability = 1
+	if e.prev != nil {
+		persist := map[string]struct{}{}
+		for tok := range iv.Popular {
+			if _, ok := e.prev[tok]; ok {
+				persist[tok] = struct{}{}
+			}
+		}
+		iv.Stability = stats.Jaccard(iv.Popular, persist)
+	}
+	if e.hist != nil && e.trainLeft == 0 && iv.Start+e.cfg.Interval > e.trainEnd {
+		iv.Transient = e.transients(iv)
+	}
+	e.prev, e.base, e.baseVolume = iv.Popular, nil, 0
+	e.open = &Interval{Index: iv.Index + 1, Start: iv.Start + e.cfg.Interval, Counts: map[string]int{}}
+	e.floor = max(e.floor, e.open.Start)
+	if e.onClose != nil {
+		e.onClose(iv)
+	}
+}
+
+// transients applies the transient test to the queries of iv that follow
+// the training prefix.
+func (e *IntervalEngine) transients(iv *Interval) *TransientPoint {
+	tp := &TransientPoint{Start: iv.Start}
+	volume := iv.Volume - e.baseVolume
+	for tok, c := range iv.Counts {
+		if c -= e.base[tok]; c == 0 || c < e.tcfg.MinCount {
+			continue
+		}
+		// Historical expectation for this interval: the term's share of
+		// training volume times this interval's volume.
+		expected := float64(e.hist[tok]) / float64(e.histVolume) * float64(volume)
+		if float64(c) >= e.tcfg.Ratio*expected+float64(e.tcfg.MinCount)-1 {
+			tp.Terms = append(tp.Terms, tok)
+		}
+	}
+	slices.Sort(tp.Terms)
+	tp.Count = len(tp.Terms)
+	return tp
+}
+
+// replay feeds a trace through an engine — trained on the trace's leading
+// queries when train is non-nil — and closes it through tr.Duration.
+func replay(tr *trace.QueryTrace, cfg IntervalConfig, train *TransientConfig, onClose func(*Interval)) error {
+	e, err := NewIntervalEngine(cfg, onClose)
+	if err != nil {
+		return err
+	}
+	if tr.Duration <= 0 {
+		return fmt.Errorf("analysis: trace has no duration")
+	}
+	if train != nil {
+		if err := e.Train(len(tr.Records), *train); err != nil {
+			return err
+		}
 	}
 	for _, rec := range tr.Records {
 		if rec.Time < 0 || rec.Time >= tr.Duration {
-			return nil, fmt.Errorf("analysis: query time %d outside trace duration %d", rec.Time, tr.Duration)
+			return fmt.Errorf("analysis: query time %d outside trace duration %d", rec.Time, tr.Duration)
 		}
-		iv := out[rec.Time/cfg.Interval]
-		iv.Queries++
-		for _, tok := range terms.Tokenize(rec.Query) {
-			iv.Counts[tok]++
-			iv.Volume++
+		if err := e.Observe(rec.Time, rec.Query); err != nil {
+			return err
 		}
 	}
-	for _, iv := range out {
-		thresh := int(cfg.PopularFrac * float64(iv.Volume))
-		if thresh < cfg.MinPopularCount {
-			thresh = cfg.MinPopularCount
-		}
-		iv.Popular = make(map[string]struct{})
-		for tok, c := range iv.Counts {
-			if c >= thresh {
-				iv.Popular[tok] = struct{}{}
-			}
-		}
+	e.CloseThrough(tr.Duration)
+	return nil
+}
+
+// Intervals buckets a query trace into evaluation intervals covering
+// [0, Duration) and marks each interval's popular terms and stability.
+// The records must be in non-decreasing time.
+func Intervals(tr *trace.QueryTrace, cfg IntervalConfig) ([]*Interval, error) {
+	var out []*Interval
+	if err := replay(tr, cfg, nil, func(iv *Interval) { out = append(out, iv) }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -87,32 +258,34 @@ type SeriesPoint struct {
 	Value float64
 }
 
-// StabilitySeries computes the Figure 6 series: for each interval t>0 the
-// Jaccard similarity between the interval's popular set Q*_t and the
-// persistently popular set Q̃_t = Q*_t ∩ Q*_{t−1}. High values mean the
-// popular vocabulary is stable from interval to interval.
+// StabilitySeries is the Figure 6 series: each interval's Stability from
+// the second interval on. High values mean the popular vocabulary is
+// stable from interval to interval.
 func StabilitySeries(ivs []*Interval) []SeriesPoint {
 	out := make([]SeriesPoint, 0, len(ivs))
 	for i := 1; i < len(ivs); i++ {
-		cur, prev := ivs[i].Popular, ivs[i-1].Popular
-		persist := make(map[string]struct{})
-		for t := range cur {
-			if _, ok := prev[t]; ok {
-				persist[t] = struct{}{}
-			}
-		}
-		out = append(out, SeriesPoint{Start: ivs[i].Start, Value: stats.Jaccard(cur, persist)})
+		out = append(out, SeriesPoint{Start: ivs[i].Start, Value: ivs[i].Stability})
 	}
 	return out
 }
 
+// Mismatch is the Figure 7 statistic: the Jaccard similarity between a
+// set of query terms and the file term set, 0 when both are empty (two
+// empty sets share no term).
+func Mismatch(queryTerms, fileTerms map[string]struct{}) float64 {
+	if len(queryTerms)+len(fileTerms) == 0 {
+		return 0
+	}
+	return stats.Jaccard(queryTerms, fileTerms)
+}
+
 // MismatchSeries computes the Figure 7 series: for each interval, the
-// Jaccard similarity between the interval's popular query terms and the
-// popular file term set F*.
+// Mismatch between the interval's popular query terms and the popular file
+// term set F*.
 func MismatchSeries(ivs []*Interval, fileTerms map[string]struct{}) []SeriesPoint {
 	out := make([]SeriesPoint, 0, len(ivs))
 	for _, iv := range ivs {
-		out = append(out, SeriesPoint{Start: iv.Start, Value: stats.Jaccard(iv.Popular, fileTerms)})
+		out = append(out, SeriesPoint{Start: iv.Start, Value: Mismatch(iv.Popular, fileTerms)})
 	}
 	return out
 }
@@ -126,7 +299,7 @@ func AllTermsMismatchSeries(ivs []*Interval, fileTerms map[string]struct{}) []Se
 		for t := range iv.Counts {
 			all[t] = struct{}{}
 		}
-		out = append(out, SeriesPoint{Start: iv.Start, Value: stats.Jaccard(all, fileTerms)})
+		out = append(out, SeriesPoint{Start: iv.Start, Value: Mismatch(all, fileTerms)})
 	}
 	return out
 }
@@ -158,61 +331,19 @@ type TransientPoint struct {
 }
 
 // Transients computes the Figure 5 series for one evaluation interval
-// length: the number of transiently popular terms per interval, judged
-// against per-term historical rates learned on the training prefix.
+// length: the number of transiently popular terms per interval after the
+// training prefix, judged against per-term historical rates learned on it.
 func Transients(tr *trace.QueryTrace, interval int64, cfg TransientConfig) ([]TransientPoint, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("analysis: interval must be positive")
-	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		return nil, fmt.Errorf("analysis: TrainFrac must be in (0,1), got %g", cfg.TrainFrac)
-	}
-	if cfg.Ratio <= 1 {
-		return nil, fmt.Errorf("analysis: Ratio must exceed 1, got %g", cfg.Ratio)
-	}
-	nTrain := int(float64(len(tr.Records)) * cfg.TrainFrac)
-	if nTrain == 0 || nTrain >= len(tr.Records) {
-		return nil, fmt.Errorf("analysis: training prefix of %d queries is unusable", nTrain)
-	}
-	trainEnd := tr.Records[nTrain-1].Time + 1 // training window in seconds
-	hist := map[string]int{}
-	histVolume := 0
-	for _, rec := range tr.Records[:nTrain] {
-		for _, tok := range terms.Tokenize(rec.Query) {
-			hist[tok]++
-			histVolume++
+	icfg := DefaultIntervalConfig()
+	icfg.Interval = interval
+	var out []TransientPoint
+	err := replay(tr, icfg, &cfg, func(iv *Interval) {
+		if iv.Transient != nil {
+			out = append(out, *iv.Transient)
 		}
-	}
-	if histVolume == 0 {
-		return nil, fmt.Errorf("analysis: training prefix contains no terms")
-	}
-
-	// Bucket the evaluation portion.
-	evalTrace := &trace.QueryTrace{Duration: tr.Duration, Records: tr.Records[nTrain:]}
-	ivs, err := Intervals(evalTrace, IntervalConfig{Interval: interval, PopularFrac: 1, MinPopularCount: 1 << 30})
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]TransientPoint, 0, len(ivs))
-	for _, iv := range ivs {
-		if iv.Start+interval <= trainEnd {
-			continue // fully inside the training window
-		}
-		tp := TransientPoint{Start: iv.Start}
-		for tok, c := range iv.Counts {
-			if c < cfg.MinCount {
-				continue
-			}
-			// Historical expectation for this interval: the term's share
-			// of training volume times this interval's volume.
-			expected := float64(hist[tok]) / float64(histVolume) * float64(iv.Volume)
-			if float64(c) >= cfg.Ratio*expected+float64(cfg.MinCount)-1 {
-				tp.Terms = append(tp.Terms, tok)
-			}
-		}
-		slices.Sort(tp.Terms)
-		tp.Count = len(tp.Terms)
-		out = append(out, tp)
 	}
 	return out, nil
 }

@@ -389,23 +389,19 @@ func TestShortcutsExperimentShape(t *testing.T) {
 
 func TestFig6And7Sweeps(t *testing.T) {
 	e := tinyEnv(t)
-	s6, err := Fig6Sweep(e)
+	r, err := intervalSweep(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s6) != len(Fig5Intervals) {
-		t.Fatalf("fig6 sweep has %d points", len(s6))
+	if len(r.Stability) != len(Fig5Intervals) || len(r.Mismatch) != len(Fig5Intervals) {
+		t.Fatalf("sweep has %d stability and %d mismatch points", len(r.Stability), len(r.Mismatch))
 	}
-	for _, p := range s6 {
+	for _, p := range r.Stability {
 		if p.MeanValue < 0.6 {
 			t.Errorf("stability at %ds = %v, not consistent across intervals", p.Interval, p.MeanValue)
 		}
 	}
-	s7, err := Fig7Sweep(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range s7 {
+	for _, p := range r.Mismatch {
 		if p.MeanValue > 0.25 {
 			t.Errorf("mismatch at %ds = %v, paper: <0.20 at every interval", p.Interval, p.MeanValue)
 		}

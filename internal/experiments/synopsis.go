@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
-	"querycentric/internal/core"
+	"querycentric/internal/analysis"
 	"querycentric/internal/dict"
 	"querycentric/internal/gia"
 	"querycentric/internal/overlay"
@@ -35,7 +36,8 @@ const synopsisTTL = 4
 // SynopsisAblation runs the adaptive-synopsis experiment: peers' content
 // comes from the crawled object trace; queries use a sliding window of
 // popular file terms (so popularity drifts round to round); the adaptive
-// network re-advertises according to the online Tracker's popular set.
+// network re-advertises the popular set of the round the interval engine
+// last closed.
 func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 	tr, _, err := e.ObjectTrace()
 	if err != nil {
@@ -140,10 +142,10 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		tcfg := core.DefaultTrackerConfig()
-		tcfg.Interval = 1 // one "interval" per round
-		tcfg.MinPopularCount = 3
-		tracker, err := core.NewTracker(tcfg, nil)
+		icfg := analysis.DefaultIntervalConfig()
+		icfg.Interval = 1 // one "interval" per round
+		var popular map[string]struct{}
+		eng, err := analysis.NewIntervalEngine(icfg, func(iv *analysis.Interval) { popular = iv.Popular })
 		if err != nil {
 			return 0, err
 		}
@@ -151,7 +153,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 		var t strategy.Tally
 		for round := 0; round < rounds; round++ {
 			// Queries of this round: measure (except round 0, warmup) and
-			// feed the tracker.
+			// feed the engine.
 			for i := 0; i < queriesPerRound; i++ {
 				q := roundTerms(round, qr)
 				if round > 0 {
@@ -161,12 +163,12 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 					}
 					t.Add(strategy.Outcome{Found: r.Found})
 				}
-				if err := tracker.Observe(int64(round), strings.Join(q, " ")); err != nil {
+				if err := eng.Observe(int64(round), strings.Join(q, " ")); err != nil {
 					return 0, err
 				}
 			}
-			tracker.Flush()
-			if err := net.SetPopular(tracker.PopularTerms()); err != nil {
+			eng.CloseThrough(int64(round) + 1)
+			if err := net.SetPopular(slices.Collect(maps.Keys(popular))); err != nil {
 				return 0, err
 			}
 		}

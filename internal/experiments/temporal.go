@@ -61,16 +61,17 @@ func Fig6(e *Env) (*Fig6Result, error) {
 		return nil, err
 	}
 	series := analysis.StabilitySeries(ivs)
-	out := &Fig6Result{Series: series}
+	return &Fig6Result{Series: series, MeanAfterWarmup: meanAfterWarmup(series)}, nil
+}
+
+// meanAfterWarmup averages a per-interval series past its first two
+// points, the warmup the paper skips.
+func meanAfterWarmup(series []analysis.SeriesPoint) float64 {
 	var o stats.Online
-	for i, p := range series {
-		if i < 2 {
-			continue
-		}
+	for _, p := range series[min(2, len(series)):] {
 		o.Add(p.Value)
 	}
-	out.MeanAfterWarmup = o.Mean()
-	return out, nil
+	return o.Mean()
 }
 
 // Fig7Result is the query/file mismatch series.
@@ -116,16 +117,8 @@ func Fig7(e *Env) (*Fig7Result, error) {
 		AllTermsSeries: analysis.AllTermsMismatchSeries(ivs, fstar),
 		FileTermCount:  len(fstar),
 	}
-	var po, ao stats.Online
-	for i := range out.PopularSeries {
-		if i < 2 {
-			continue
-		}
-		po.Add(out.PopularSeries[i].Value)
-		ao.Add(out.AllTermsSeries[i].Value)
-	}
-	out.MeanPopular = po.Mean()
-	out.MeanAllTerms = ao.Mean()
+	out.MeanPopular = meanAfterWarmup(out.PopularSeries)
+	out.MeanAllTerms = meanAfterWarmup(out.AllTermsSeries)
 
 	// Rank correlation between file popularity and query popularity over
 	// the popular file vocabulary.
@@ -152,39 +145,18 @@ type SweepPoint struct {
 	MeanValue float64
 }
 
-// Fig6Sweep repeats the Figure 6 stability analysis across evaluation
-// intervals (the paper: "we witnessed consistent results across the
-// different evaluation intervals").
-func Fig6Sweep(e *Env) ([]SweepPoint, error) {
-	w, err := e.Workload()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, 0, len(Fig5Intervals))
-	for _, iv := range Fig5Intervals {
-		cfg := analysis.DefaultIntervalConfig()
-		cfg.Interval = iv
-		ivs, err := analysis.Intervals(w.Trace, cfg)
-		if err != nil {
-			return nil, err
-		}
-		series := analysis.StabilitySeries(ivs)
-		var o stats.Online
-		for i, p := range series {
-			if i < 2 {
-				continue
-			}
-			o.Add(p.Value)
-		}
-		out = append(out, SweepPoint{Interval: iv, MeanValue: o.Mean()})
-	}
-	return out, nil
+// intervalSweepResult pairs the Figure 6 and Figure 7 sweeps, one row per
+// evaluation interval.
+type intervalSweepResult struct {
+	Stability, Mismatch []SweepPoint
 }
 
-// Fig7Sweep repeats the Figure 7 mismatch analysis across evaluation
-// intervals ("the similarity ... remained low (< 20%) for all evaluation
-// interval values").
-func Fig7Sweep(e *Env) ([]SweepPoint, error) {
+// intervalSweep repeats the Figure 6 stability and Figure 7 mismatch
+// analyses across the Figure 5 evaluation intervals (the paper: "we
+// witnessed consistent results across the different evaluation
+// intervals", and the similarity "remained low (< 20%) for all evaluation
+// interval values"), bucketing the trace once per interval length.
+func intervalSweep(e *Env) (*intervalSweepResult, error) {
 	w, err := e.Workload()
 	if err != nil {
 		return nil, err
@@ -194,7 +166,7 @@ func Fig7Sweep(e *Env) ([]SweepPoint, error) {
 		return nil, err
 	}
 	fstar := analysis.TopTerms(ranked, fStarSize)
-	out := make([]SweepPoint, 0, len(Fig5Intervals))
+	out := &intervalSweepResult{}
 	for _, iv := range Fig5Intervals {
 		cfg := analysis.DefaultIntervalConfig()
 		cfg.Interval = iv
@@ -202,31 +174,8 @@ func Fig7Sweep(e *Env) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		series := analysis.MismatchSeries(ivs, fstar)
-		var o stats.Online
-		for i, p := range series {
-			if i < 2 {
-				continue
-			}
-			o.Add(p.Value)
-		}
-		out = append(out, SweepPoint{Interval: iv, MeanValue: o.Mean()})
+		out.Stability = append(out.Stability, SweepPoint{Interval: iv, MeanValue: meanAfterWarmup(analysis.StabilitySeries(ivs))})
+		out.Mismatch = append(out.Mismatch, SweepPoint{Interval: iv, MeanValue: meanAfterWarmup(analysis.MismatchSeries(ivs, fstar))})
 	}
 	return out, nil
-}
-
-// intervalSweepResult pairs the Figure 6 and Figure 7 sweeps, one row per
-// evaluation interval.
-type intervalSweepResult struct {
-	Stability, Mismatch []SweepPoint
-}
-
-// intervalSweep runs both interval sweeps.
-func intervalSweep(e *Env) (*intervalSweepResult, error) {
-	s6, err := Fig6Sweep(e)
-	if err != nil {
-		return nil, err
-	}
-	s7, err := Fig7Sweep(e)
-	return &intervalSweepResult{Stability: s6, Mismatch: s7}, err
 }

@@ -192,7 +192,10 @@ func (t *QueryTrace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadQueryTrace parses a trace written by Write.
+// ReadQueryTrace parses a trace written by Write. Records must be in
+// non-decreasing time within [0, Duration), the order the interval
+// analyses consume them in; a record that breaks it is an error naming
+// the record.
 func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
 	sc := newScanner(r)
 	fields, err := sc.header(queryMagic, 4)
@@ -216,6 +219,12 @@ func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
 		ts, err := strconv.ParseInt(f[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d time: %w", i, err)
+		}
+		if ts < 0 || ts >= t.Duration {
+			return nil, fmt.Errorf("trace: record %d time %d outside [0, %d)", i, ts, t.Duration)
+		}
+		if i > 0 && ts < t.Records[i-1].Time {
+			return nil, fmt.Errorf("trace: record %d time %d precedes record %d's %d", i, ts, i-1, t.Records[i-1].Time)
 		}
 		t.Records = append(t.Records, QueryRecord{Time: ts, Query: f[1]})
 	}

@@ -104,6 +104,28 @@ func TestQueryTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadQueryTraceRejectsDamagedTimes: a record out of time order or
+// outside [0, Duration) fails the read, and the error names the record.
+func TestReadQueryTraceRejectsDamagedTimes(t *testing.T) {
+	for name, c := range map[string]struct {
+		body, record string
+	}{
+		"backwards":        {"0\ta\n5\tb\n4\tc\n", "record 2 "},
+		"negative":         {"-1\ta\n0\tb\n1\tc\n", "record 0 "},
+		"at duration":      {"0\ta\n1\tb\n60\tc\n", "record 2 "},
+		"beyond duration":  {"0\ta\n99\tb\n99\tc\n", "record 1 "},
+		"equal times pass": {"0\ta\n7\tb\n7\tc\n", ""},
+	} {
+		_, err := ReadQueryTrace(strings.NewReader(queryMagic + "\tsrc\t60\t3\n" + c.body))
+		switch {
+		case c.record == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case c.record != "" && (err == nil || !strings.Contains(err.Error(), c.record)):
+			t.Errorf("%s: got %v, want an error naming %q", name, err, c.record)
+		}
+	}
+}
+
 func TestReadWrongMagic(t *testing.T) {
 	var buf bytes.Buffer
 	(&ObjectTrace{Source: "x"}).Write(&buf)

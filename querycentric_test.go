@@ -80,21 +80,21 @@ func TestFacadeQueryPipeline(t *testing.T) {
 }
 
 func TestFacadeTracker(t *testing.T) {
-	cfg := qc.DefaultTrackerConfig()
+	cfg := qc.DefaultIntervalConfig()
 	cfg.Interval = 60
 	var closes int
-	tr, err := qc.NewTracker(cfg, func(*qc.IntervalReport) { closes++ })
+	eng, err := qc.NewIntervalEngine(cfg, func(*qc.Interval) { closes++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 300; i += 10 {
-		if err := tr.Observe(i, "stable query terms"); err != nil {
+		if err := eng.Observe(i, "stable query terms"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr.Flush()
-	if closes == 0 {
-		t.Error("no intervals closed")
+	eng.CloseThrough(300)
+	if closes != 5 {
+		t.Errorf("%d intervals closed, want 5", closes)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestFacadeTokenization(t *testing.T) {
 	if qc.Sanitize("A-B c") != "abc" {
 		t.Error("sanitize broken")
 	}
-	if qc.Jaccard(map[string]struct{}{"a": {}}, map[string]struct{}{"a": {}}) != 1 {
-		t.Error("jaccard broken")
+	if qc.Mismatch(map[string]struct{}{"a": {}}, map[string]struct{}{"a": {}}) != 1 {
+		t.Error("mismatch broken")
 	}
 }
 

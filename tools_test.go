@@ -110,16 +110,18 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("transients output unexpected: %.80s", out)
 	}
 
-	// Online tracker, over a file and over stdin. The digest pins what the
-	// retired qc-track command printed for these traces, transients sorted.
-	const trackSHA256 = "dfbfd56d6626b004eb6bd86c57a5964c6577ea51647dfc27f74361683bcdbc76"
-	for _, out := range []string{
-		run("qc-analyze", "-mode", "track", "-in", queries, "-crawl", crawl),
-		runIn(queries, "qc-analyze", "-mode", "track", "-crawl", crawl),
-	} {
+	// Online interval engine, over a file and over stdin. The digest pins
+	// the output for these traces.
+	const trackSHA256 = "f21dbec6060ccd789506ef53f1e8dd0e976da519d5b53846c00d89ea3b3ff89b"
+	track := run("qc-analyze", "-mode", "track", "-in", queries, "-crawl", crawl)
+	for _, out := range []string{track, runIn(queries, "qc-analyze", "-mode", "track", "-crawl", crawl)} {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != trackSHA256 {
 			t.Errorf("track output digest %s, want %s:\n%.200s", got, trackSHA256, out)
 		}
+	}
+	checkTrackTransients(t, queries, track)
+	if out, err := exec.Command(bins["qc-analyze"], "-mode", "track", "-in", queries, "-decay", "1").CombinedOutput(); err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+		t.Fatalf("qc-analyze -decay: want an unknown-flag failure, got %v\n%s", err, out)
 	}
 
 	// Every qc-sim mode of the registry, at tiny scale: its stdout and
@@ -188,5 +190,48 @@ func TestCLIPipeline(t *testing.T) {
 		if err == nil || !strings.Contains(string(out), tc.want) {
 			t.Errorf("qc-sim %v: want a failure naming %q, got %v\n%s", tc.args, tc.want, err, out)
 		}
+	}
+}
+
+// checkTrackTransients asserts that track mode's transients column is
+// Transients' verdict at the same interval start: the terms Transients
+// reports there, and nothing where it reports no point (the training
+// window).
+func checkTrackTransients(t *testing.T, queries, track string) {
+	t.Helper()
+	f, err := os.Open(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	qt, err := qc.ReadQueryTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := qc.Transients(qt, 3600, qc.DefaultTransientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, p := range pts {
+		want[fmt.Sprint(p.Start)] = strings.Join(p.Terms, ",")
+	}
+	judged, flagged := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(track), "\n")[1:] {
+		cols := strings.Split(line, "\t")
+		start, got := cols[0], cols[len(cols)-1]
+		w, ok := want[start]
+		if ok {
+			judged++
+		}
+		if got != "" {
+			flagged++
+		}
+		if got != w {
+			t.Errorf("track interval %s: transients %q, Transients %q", start, got, w)
+		}
+	}
+	if judged == 0 || flagged == 0 {
+		t.Errorf("track judged %d intervals and flagged transients in %d; the check is vacuous", judged, flagged)
 	}
 }
