@@ -167,8 +167,10 @@ type accum struct {
 	rewires, replicas         int
 }
 
-// New builds an adaptive system over the network. The objects slice is the
-// workload universe: RunWorkload's pick function returns indices into it.
+// New builds an adaptive system over the network, indexing it first
+// (gnet.Network.BuildIndexes) so a hand-assembled network floods with its
+// holder index. The objects slice is the workload universe: RunWorkload's
+// pick function returns indices into it.
 func New(nw *gnet.Network, objects []Object, cfg Config) (*System, error) {
 	if nw == nil || len(nw.Peers) == 0 {
 		return nil, fmt.Errorf("adaptive: empty network")
@@ -197,6 +199,12 @@ func New(nw *gnet.Network, objects []Object, cfg Config) (*System, error) {
 				return nil, fmt.Errorf("adaptive: MaxDegree %d below MinDegree %d", cfg.MaxDegree, cfg.MinDegree)
 			}
 		}
+	}
+	// The build resolves its own worker count: the dictionary and the
+	// holder index shard by it, so cfg.Workers would make
+	// parallel_map_units_total depend on the worker bound.
+	if err := nw.BuildIndexes(0); err != nil {
+		return nil, fmt.Errorf("adaptive: %w", err)
 	}
 	hot := cfg.HotListSize
 	if hot < 1 {

@@ -90,8 +90,8 @@ func TestAnswerPathUnreachedPeer(t *testing.T) {
 
 // TestAddFileRebuildsIndex pins the replication mutation contract: an
 // installed copy is found by the peer's own Match and by floods, through
-// the index rebuild (including the local-dictionary fallback when the
-// shared dictionary predates the name).
+// the peer's re-encoded index (or, when the dictionary predates the name,
+// the re-interned network's).
 func TestAddFileRebuildsIndex(t *testing.T) {
 	nw := populatedNet(t, 120)
 	name := fileOf(t, nw, 11)
@@ -117,15 +117,14 @@ func TestAddFileRebuildsIndex(t *testing.T) {
 	if got := p.Match(name); len(got) == 0 {
 		t.Fatal("peer does not match the installed file after index rebuild")
 	}
-	// A name the shared dictionary has never seen exercises the
-	// local-dictionary fallback.
+	// A name the dictionary has never seen re-interns the network.
 	if err := nw.AddFile(target, "zzqx unseen replica token", 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Match("zzqx unseen"); len(got) == 0 {
-		t.Fatal("peer does not match a post-construction name via local dictionary")
+		t.Fatal("peer does not match a post-construction name after re-interning")
 	}
-	// Floods see the new copy via the mutated peer's local dictionary.
+	// Floods see the new copy through the new dictionary.
 	neighbor := p.Neighbors[0]
 	res, err := nw.NewFloodCtx().Flood(neighbor, "zzqx unseen replica token", 1, rng.New(3))
 	if err != nil {

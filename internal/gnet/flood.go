@@ -61,11 +61,9 @@ type FloodCtx struct {
 	frontier []int32
 	next     []int32
 
-	// qids holds the flood's query resolved to shared-dictionary TermIDs
+	// qids holds the flood's query resolved to the network's TermIDs
 	// (hoisted once per flood); qhash the hoisted QRP slots. ms is the
-	// per-peer match scratch — deliberately distinct from qids, since a
-	// peer on a local-dictionary fallback re-resolves into ms.ids and must
-	// not clobber the hoisted IDs other peers still read.
+	// per-peer match scratch.
 	qids  []dict.TermID
 	qhash []uint32
 	ms    matchScratch
@@ -174,9 +172,13 @@ func (c *FloodCtx) attempt(gate []attempts, to int32) uint64 {
 // carries hops k and TTL ttl−k+1, so the header is arithmetic and no
 // descriptor is serialized; the wire codec is exercised where bytes cross a
 // connection (servents, the crawler) and by the per-envelope reference the
-// tests hold this flood to.
+// tests hold this flood to. A network never indexed fails with
+// ErrNotIndexed.
 func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*FloodResult, error) {
 	nw := c.nw
+	if nw.dict == nil {
+		return nil, ErrNotIndexed
+	}
 	if origin < 0 || origin >= len(nw.Peers) {
 		return nil, fmt.Errorf("gnet: origin %d out of range", origin)
 	}
@@ -197,21 +199,19 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	seen := c.seen
 	seen[origin] = epoch
 
-	// Per-flood hoists: the query's deduped token list resolved to shared
-	// TermIDs (identical for every reached peer), the peers worth a match
-	// probe, the QRP hash of the criteria (identical for every candidate
-	// edge), the liveness mask, and which gates are live. A query term
-	// unknown to the shared dictionary resolves to NoTerm, which no posting
+	// Per-flood hoists: the query's deduped token list resolved to the
+	// network's TermIDs (identical for every reached peer), the peers worth
+	// a match probe, the QRP hash of the criteria (identical for every
+	// candidate edge), the liveness mask, and which gates are live. A query
+	// term unknown to the dictionary resolves to NoTerm, which no posting
 	// index contains, so such floods still spread and count messages but hit
-	// nowhere (the paper's query/annotation mismatch case) — except at a
-	// peer on a local dictionary, which re-resolves the tokens itself; a
-	// network holding such a peer has no holder index. probeAll asks every
-	// reached peer; otherwise cand, when set, stamps the only peers worth
-	// asking.
+	// nowhere (the paper's query/annotation mismatch case). probeAll asks
+	// every reached peer; otherwise cand, when set, stamps the only peers
+	// worth asking.
 	toks := TokenizeQuery(criteria)
 	probeAll := len(toks) > 0
 	var cand []int32
-	if probeAll && nw.dict != nil {
+	if probeAll {
 		c.qids, _ = nw.dict.Resolve(toks, c.qids[:0])
 		if c.selectHolders(c.qids) {
 			probeAll, cand = false, c.cand
@@ -281,7 +281,7 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 			// and counting the latter needs no branch. Hits keep ring order.
 			for _, to := range frontier {
 				if (probeAll || (cand != nil && cand[to] == epoch)) && seen[to] != epoch {
-					c.answer(res, int(to), hops, toks)
+					c.answer(res, int(to), hops)
 				}
 				if seen[to] != epoch {
 					reached++
@@ -322,7 +322,7 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 			// The peer has processed the query; whether its index is probed
 			// changes no count above.
 			if probeAll || (cand != nil && cand[to] == epoch) {
-				c.answer(res, int(to), hops, toks)
+				c.answer(res, int(to), hops)
 			}
 			// Forward if TTL remains; leaves don't forward in two-tier
 			// Gnutella (only ultrapeers relay).
@@ -415,9 +415,9 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 // answer probes peer `to`'s index for the flood's query and, on a match,
 // appends its QueryHit: one allocation per answering peer, straight from the
 // library entries the matched indexes name.
-func (c *FloodCtx) answer(res *FloodResult, to, hops int, toks []string) {
+func (c *FloodCtx) answer(res *FloodResult, to, hops int) {
 	peer := c.nw.Peers[to]
-	idx := peer.matchForFlood(c.nw.dict, c.qids, toks, &c.ms)
+	idx := peer.matchIDs(c.qids, &c.ms)
 	if len(idx) == 0 {
 		return
 	}
@@ -456,11 +456,9 @@ func (c *FloodCtx) hoistQRPToks(criteria string, toks []string) qrpHoist {
 	}
 	hs := c.qhash[:0]
 	for _, tok := range toks {
-		if nw.dict != nil {
-			if id, ok := nw.dict.Lookup(tok); ok {
-				hs = append(hs, nw.dict.Slot(id, nw.qrpBits))
-				continue
-			}
+		if id, ok := nw.dict.Lookup(tok); ok {
+			hs = append(hs, nw.dict.Slot(id, nw.qrpBits))
+			continue
 		}
 		hs = append(hs, qrp.Hash(tok, nw.qrpBits))
 	}

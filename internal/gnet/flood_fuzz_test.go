@@ -1,6 +1,7 @@
 package gnet
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,10 +30,13 @@ const (
 // FuzzFloodVsNaive holds FloodCtx.Flood to the map-and-slice reference
 // under an arbitrary subset of its gates: the fuzz input picks the subset,
 // the topology (two-tier or flat), the network size, the origin, a TTL of
-// 1–5 and the shape of the query. Every flood must equal floodNaive's
-// result field for field; with capture on every hit needs a real overlay
-// path of the length its Hops claim; with a recorder attached the recorded
-// rings must add up to the flood's reach.
+// 1–5 and the shape of the query — whose bit 3 rebuilds the holder index
+// after the AddFile gate and whose bit 4 assembles the network by hand
+// (New plus the catalog's libraries) instead of building it from the
+// catalog. Every flood must equal floodNaive's result field for field; with
+// capture on every hit needs a real overlay path of the length its Hops
+// claim; with a recorder attached the recorded rings must add up to the
+// flood's reach.
 func FuzzFloodVsNaive(f *testing.F) {
 	f.Add(uint8(0), false, uint8(60), uint16(3), uint8(3), uint8(0))
 	f.Add(uint8(gateAll), false, uint8(60), uint16(11), uint8(3), uint8(2))
@@ -40,15 +44,31 @@ func FuzzFloodVsNaive(f *testing.F) {
 	for i := uint8(0); i < 8; i++ { // each gate alone
 		f.Add(uint8(1)<<i, false, uint8(40), uint16(i), 2+i%3, i)
 	}
-	f.Add(uint8(gateBuilt|gateMutated), false, uint8(60), uint16(3), uint8(3), uint8(8)) // AddFile, then BuildIndexes
+	f.Add(uint8(gateBuilt|gateMutated), false, uint8(60), uint16(3), uint8(3), uint8(8))  // AddFile, then BuildIndexes
+	f.Add(uint8(0), true, uint8(50), uint16(9), uint8(3), uint8(16))                      // by hand, indexed as adaptive.New does
+	f.Add(uint8(gateQRP|gateMutated), false, uint8(70), uint16(4), uint8(4), uint8(16+6)) // by hand, indexed by EnableQRP
 	f.Fuzz(func(t *testing.T, gates uint8, flat bool, size uint8, origin uint16, ttl, shape uint8) {
 		peers := 30 + int(size)%90
 		cfg := DefaultConfig(5)
 		if flat {
 			cfg = Config{Seed: 5, FlatDegree: 4}
 		}
-		nw := populatedNetWith(t, cfg, peers)
 		on := func(g uint8) bool { return gates&g != 0 }
+		var nw *Network
+		if shape&16 == 0 {
+			nw = populatedNetWith(t, cfg, peers)
+		} else {
+			nw = handAssembled(t, cfg, peers)
+			if !on(gateBuilt) && !on(gateQRP) {
+				if _, err := nw.NewFloodCtx().Flood(0, fileOf(t, nw, 0), 2, rng.New(1)); !errors.Is(err, ErrNotIndexed) {
+					t.Fatalf("flood over a network never indexed: err %v, want ErrNotIndexed", err)
+				}
+				// What adaptive.New runs on the network it is given.
+				if err := nw.BuildIndexes(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		if on(gateBuilt) {
 			if err := nw.BuildIndexes(2); err != nil {
 				t.Fatal(err)
@@ -62,15 +82,13 @@ func FuzzFloodVsNaive(f *testing.F) {
 		novel := "zzqx unseen replica token"
 		if on(gateMutated) {
 			// After EnableQRP: the route tables must follow the new names.
-			// With shape's fourth bit every replica is of known terms and
-			// BuildIndexes runs again, so the rebuilt holder index gates the
-			// floods checked below.
-			rebuild := shape&8 != 0
+			// The novel replica re-interns the network, the known one
+			// re-encodes its peer. With shape's fourth bit BuildIndexes runs
+			// again, so the rebuilt holder index gates the floods checked
+			// below.
 			for _, id := range []int{1, peers / 2, peers - 1} {
-				if !rebuild {
-					if err := nw.AddFile(id, novel, 1); err != nil {
-						t.Fatal(err)
-					}
+				if err := nw.AddFile(id, novel, 1); err != nil {
+					t.Fatal(err)
 				}
 				if err := nw.AddFile((id+7)%peers, fileOf(t, nw, 5), 4096); err != nil {
 					t.Fatal(err)
@@ -79,12 +97,12 @@ func FuzzFloodVsNaive(f *testing.F) {
 			if nw.holders.off != nil {
 				t.Fatal("AddFile left the holder index built")
 			}
-			if rebuild {
+			if shape&8 != 0 {
 				if err := nw.BuildIndexes(2); err != nil {
 					t.Fatal(err)
 				}
 				if nw.holders.off == nil {
-					t.Fatal("BuildIndexes over shared-dictionary peers built no holder index")
+					t.Fatal("BuildIndexes built no holder index")
 				}
 			}
 		}
@@ -183,6 +201,25 @@ func FuzzFloodVsNaive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// handAssembled is populatedNetWith's network assembled by hand: New plus
+// the catalog's libraries, never indexed.
+func handAssembled(t *testing.T, cfg Config, peers int) *Network {
+	t.Helper()
+	nw, err := New(cfg, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := NewFileSizeRNG(cfg.Seed)
+	for id, lib := range populatedCatalog(t, peers).Libraries {
+		files := make([]File, len(lib))
+		for i, name := range lib {
+			files[i] = File{Index: uint32(i), Size: DrawFileSize(sizes), Name: name}
+		}
+		nw.Peers[id].Library = files
+	}
+	return nw
 }
 
 // checkAnswerPath requires the captured path of hit h to be a real overlay

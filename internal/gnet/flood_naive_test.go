@@ -239,8 +239,8 @@ func TestFloodMatchesNaiveReference(t *testing.T) {
 				}
 				sweep()
 				// Grow libraries after the build: a name of known terms
-				// (rebuilt against the shared dictionary) and one with a term
-				// the shared dictionary never saw (local dictionary). Both must
+				// (re-encoded against the dictionary) and one with a term the
+				// dictionary never saw (the network is re-interned). Both must
 				// be found, and nothing else may move.
 				known, novel := fileOf(t, nw, 5), "zzqx unseen replica token"
 				n := len(nw.Peers)

@@ -17,14 +17,14 @@ import (
 //	0 — {1,2},  1 — {0,2,3},  2 — {0,1,3},  3 — {1,2,4},  4 — {3}
 //
 // Peer 3 shares the only file matching "target".
-func pinNet() *Network {
+func pinNet(t *testing.T) *Network {
 	neighbors := [][]int{{1, 2}, {0, 2, 3}, {0, 1, 3}, {1, 2, 4}, {3}}
 	nw := &Network{Config: Config{}, Peers: make([]*Peer, 5), firewalled: make([]bool, 5)}
 	for i, nbs := range neighbors {
 		nw.Peers[i] = &Peer{ID: i, Addr: addrFor(i), Neighbors: nbs}
 	}
 	nw.Peers[3].Library = []File{{Index: 0, Size: 1, Name: "target.mp3"}}
-	return nw
+	return indexed(t, nw)
 }
 
 // TestFloodMessagesCountsTransmittedDescriptors pins the Messages
@@ -50,7 +50,7 @@ func TestFloodMessagesCountsTransmittedDescriptors(t *testing.T) {
 		{ttl: 4, messages: 6, reached: 4, hits: 1},
 	}
 	for _, tc := range cases {
-		res, err := pinNet().NewFloodCtx().Flood(0, "target", tc.ttl, rng.New(1))
+		res, err := pinNet(t).NewFloodCtx().Flood(0, "target", tc.ttl, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestConcurrentFloodCtxsAgree(t *testing.T) {
 // TestFloodEpochWrapSurvives forces the epoch counter through its wrap and
 // checks floods before and after agree.
 func TestFloodEpochWrapSurvives(t *testing.T) {
-	nw := pinNet()
+	nw := pinNet(t)
 	ctx := nw.NewFloodCtx()
 	before, err := ctx.Flood(0, "target", 3, rng.New(9))
 	if err != nil {

@@ -106,7 +106,7 @@ func mirrorGraph(t *testing.T, g *overlay.Graph, place *search.Placement) *Netwo
 		}
 	}
 	nw.markRelays()
-	return nw
+	return indexed(t, nw)
 }
 
 // objectName is the file name, and the query, of one object: a single

@@ -13,14 +13,12 @@ package gnet
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"querycentric/internal/capacity"
 	"querycentric/internal/catalog"
 	"querycentric/internal/dict"
 	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
-	"querycentric/internal/parallel"
 	"querycentric/internal/qrp"
 	"querycentric/internal/rng"
 )
@@ -52,16 +50,11 @@ type Peer struct {
 	Neighbors []int // peer IDs of direct connections
 	Library   []File
 
-	// dict resolves tokens to TermIDs for the compact interned index: the
-	// network-wide dictionary when the network was built from a catalog,
-	// else a peer-local dictionary built lazily from the peer's own
-	// library. idx is the posting index over dict's IDs (see index.go).
+	// dict is the network's dictionary, which Match resolves query tokens
+	// through (nil until the network is indexed), and idx the posting index
+	// over its term IDs (see index.go).
 	dict *dict.Dict
 	idx  postingIndex
-
-	// indexOnce guards lazy index construction (parallel floods may race
-	// to the first Match).
-	indexOnce sync.Once
 }
 
 // Config shapes the overlay topology.
@@ -95,20 +88,16 @@ type Network struct {
 	Peers      []*Peer
 	firewalled []bool
 
-	// dict is the network-wide interned term dictionary, built once from
-	// the catalog all peers share (nil for networks assembled without
-	// one). holders lists, per dictionary term, the peers whose index holds
-	// it: built by BuildIndexes and NewFromState while every peer matches
-	// through dict, dropped by AddFile, consulted once per flood in place of
-	// a probe at every reached peer (see holders.go).
+	// dict is the network's one interned term dictionary, over every
+	// peer's library; every peer's posting index is encoded against it. It
+	// is nil until the network is indexed: a catalog or snapshot build is
+	// born indexed, a hand-assembled network is indexed by BuildIndexes
+	// (see intern). holders lists, per dictionary term, the peers whose
+	// index holds it: built by BuildIndexes and NewFromState, dropped by
+	// AddFile, consulted once per flood in place of a probe at every
+	// reached peer (see holders.go).
 	dict    *dict.Dict
 	holders holderIndex
-
-	// indexed reports that no peer's posting index is lazy: set by
-	// construction from a catalog or a snapshot and by BuildIndexes,
-	// cleared by AddFile. BuildIndexes runs its per-peer pass only while it
-	// is false.
-	indexed bool
 
 	// relay[p] reports whether peer p forwards queries: the ultrapeers of a
 	// two-tier network. nil on a flat network, where every peer relays.
@@ -167,20 +156,17 @@ func (nw *Network) Close() error {
 // filtering: an ultrapeer forwards a query to a leaf only if every query
 // keyword hits the leaf's table. Only meaningful on two-tier topologies.
 //
-// With an interned dictionary the tables are built from each leaf's posting
-// index: one precomputed hash per distinct library term, instead of
-// re-tokenizing and re-hashing every file name. The set of marked slots is
-// identical either way (duplicate keyword occurrences map to the same
-// slot), so routing decisions do not depend on the path taken.
+// It indexes the network first (BuildIndexes) and builds each table from
+// the leaf's posting index: one precomputed hash per distinct library term,
+// instead of re-tokenizing and re-hashing every file name. The marked slots
+// are those qrp.Table.AddName would mark (duplicate keyword occurrences map
+// to the same slot).
 func (nw *Network) EnableQRP(bits uint) error {
 	if _, err := qrp.NewTable(bits); err != nil {
 		return err
 	}
-	interned := nw.dict != nil
-	if interned {
-		if err := nw.BuildIndexes(0); err != nil {
-			return err
-		}
+	if err := nw.BuildIndexes(0); err != nil {
+		return err
 	}
 	tables := make([]*qrp.Table, len(nw.Peers))
 	for _, p := range nw.Peers {
@@ -191,18 +177,9 @@ func (nw *Network) EnableQRP(bits uint) error {
 		if err != nil {
 			return err
 		}
-		if interned {
-			// p.dict is the shared dictionary unless this peer's library
-			// was mutated after construction and it fell back to a local
-			// one; either way the index's term IDs resolve against p.dict.
-			p.idx.forEach(func(id dict.TermID, _ postingsRef) {
-				t.AddSlot(p.dict.Slot(id, bits))
-			})
-		} else {
-			for _, f := range p.Library {
-				t.AddName(f.Name)
-			}
-		}
+		p.idx.forEach(func(id dict.TermID, _ postingsRef) {
+			t.AddSlot(nw.dict.Slot(id, bits))
+		})
 		// The table travels encoded, as a leaf would ship it.
 		back, err := qrp.Decode(t.Encode())
 		if err != nil {
@@ -278,13 +255,11 @@ func NewFromCatalog(cfg Config, cat *catalog.Catalog) (*Network, error) {
 }
 
 // NewFromCatalogWorkers is NewFromCatalog with an explicit worker bound for
-// the parallel construction phases. The network is born indexed: the
-// dictionary pass resolves every file name to its term IDs (dict.Build,
-// one tokenization per placement), and each peer's posting index is
-// encoded from those IDs before they are dropped; BuildIndexes then only
-// adds the holder index. The built network is byte-identical for every
-// worker count: dictionary IDs are assigned in sorted term order and the
-// file-size draws stay on one sequential named stream.
+// the parallel construction phases. The network is born indexed (intern);
+// BuildIndexes then only adds the holder index. The built network is
+// byte-identical for every worker count: dictionary IDs are assigned in
+// sorted term order and the file-size draws stay on one sequential named
+// stream.
 func NewFromCatalogWorkers(cfg Config, cat *catalog.Catalog, workers int) (*Network, error) {
 	nw, err := New(cfg, len(cat.Libraries))
 	if err != nil {
@@ -302,20 +277,9 @@ func NewFromCatalogWorkers(cfg Config, cat *catalog.Catalog, workers int) (*Netw
 		}
 		nw.Peers[p].Library = files
 	}
-	d, res := dict.Build(cat.Libraries, workers)
-	nw.dict = d
-	err = parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
-		func(bs *buildScratch, i int) error {
-			p := nw.Peers[i]
-			p.dict = d
-			ids, off, remap := res.Library(i)
-			p.indexOnce.Do(func() { p.idx = encodeFiles(ids, off, remap, bs) })
-			return nil
-		})
-	if err != nil {
+	if err := nw.intern(cat.Libraries, workers); err != nil {
 		return nil, err
 	}
-	nw.indexed = true
 	return nw, nil
 }
 
@@ -493,17 +457,24 @@ func (nw *Network) DisconnectPeers(a, b int) bool {
 }
 
 // AddFile installs a copy of (name, size) in peer id's library — the
-// replication half of overlay adaptation — and invalidates the peer's
-// posting index so its next match rebuilds over the grown library. The
-// library is reallocated rather than appended in place, so mapped-snapshot
-// networks never write through their borrowed views. Like ConnectPeers,
-// library mutation must not race floods: callers alternate adaptation and
-// measurement phases. A QRP route table the peer already pushed gains the
-// new name's slots (slots are only ever added, as a leaf re-sending a grown
-// table would; no other routing decision changes), so last-hop filtering
-// still offers the peer every query the replica can answer. The holder index
-// is dropped, so floods probe every peer they reach until BuildIndexes
-// rebuilds it.
+// replication half of overlay adaptation. The library is reallocated rather
+// than appended in place, so mapped-snapshot networks never write through
+// their borrowed views. Like ConnectPeers, library mutation must not race
+// floods: callers alternate adaptation and measurement phases. A QRP route
+// table the peer already pushed gains the new name's slots (slots are only
+// ever added, as a leaf re-sending a grown table would; no other routing
+// decision changes), so last-hop filtering still offers the peer every
+// query the replica can answer.
+//
+// On an indexed network the grown library is indexed at once. When the
+// dictionary knows every term of the name — always, for the adaptive
+// overlay, which replicates only names some library already holds — the
+// peer's index is re-encoded against it, at the cost of one library. A
+// novel term re-interns the whole network, at the cost of a catalog build:
+// term IDs follow sorted term order, so one new term renumbers every index.
+// Either way the holder index is dropped, so floods probe every peer they
+// reach until BuildIndexes rebuilds it. On a network never indexed the file
+// is only appended; BuildIndexes indexes it with the rest.
 func (nw *Network) AddFile(id int, name string, size uint32) error {
 	if id < 0 || id >= len(nw.Peers) {
 		return fmt.Errorf("gnet: add file: peer %d out of range", id)
@@ -516,14 +487,25 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	copy(lib, p.Library)
 	lib[len(p.Library)] = File{Index: uint32(len(p.Library)), Size: size, Name: name}
 	p.Library = lib
-	p.idx = postingIndex{}
-	p.indexOnce = sync.Once{}
-	nw.indexed = false
-	nw.holders = holderIndex{}
 	if nw.qrpTables != nil && nw.qrpTables[id] != nil {
 		nw.qrpTables[id].AddName(name)
 	}
-	return nil
+	if nw.dict == nil {
+		return nil
+	}
+	nw.holders = holderIndex{}
+	var bs buildScratch
+	in := dict.NewInterner()
+	ids, off := []dict.TermID(nil), []uint32{0}
+	for _, f := range p.Library {
+		ids = in.AppendIDs(ids, f.Name)
+		off = append(off, uint32(len(ids)))
+	}
+	if remap, known := nw.dict.Resolve(in.Vocab(), nil); known {
+		p.idx = encodeFiles(ids, off, remap, &bs)
+		return nil
+	}
+	return nw.intern(nw.libraryNames(), 0)
 }
 
 // removeNeighbor deletes id from p's neighbor list in place, keeping order.

@@ -1,6 +1,7 @@
 package gnet
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -22,6 +23,16 @@ func twoTierNet(t *testing.T, n int) *Network {
 	t.Helper()
 	nw, err := New(DefaultConfig(2), n)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// indexed runs BuildIndexes on a hand-assembled network once its libraries
+// are in place, as adaptive.New does, and returns it.
+func indexed(t *testing.T, nw *Network) *Network {
+	t.Helper()
+	if err := nw.BuildIndexes(0); err != nil {
 		t.Fatal(err)
 	}
 	return nw
@@ -162,11 +173,17 @@ func TestTryUltrapeersRoundTrip(t *testing.T) {
 }
 
 func TestMatch(t *testing.T) {
-	p := &Peer{Library: []File{
+	nw := flatNet(t, 2)
+	p := nw.Peers[0]
+	p.Library = []File{
 		{Index: 0, Name: "Aaron Neville - I Don't Know Much.mp3"},
 		{Index: 1, Name: "Linda Ronstadt - Blue Bayou.mp3"},
 		{Index: 2, Name: "01 Track.wma"},
-	}}
+	}
+	if got := p.Match("aaron neville"); got != nil {
+		t.Errorf("Match before BuildIndexes = %v, want nil", got)
+	}
+	indexed(t, nw)
 	if got := p.Match("aaron neville"); len(got) != 1 || got[0].Index != 0 {
 		t.Errorf("Match(aaron neville) = %v", got)
 	}
@@ -207,6 +224,7 @@ func TestFloodFindsPlantedFile(t *testing.T) {
 	origin := 0
 	holder := nw.Peers[origin].Neighbors[0]
 	nw.Peers[holder].Library = []File{{Index: 0, Size: 1, Name: "Unique Zanzibar Xylophone.mp3"}}
+	indexed(t, nw)
 	res, err := nw.NewFloodCtx().Flood(origin, "zanzibar xylophone", 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +238,7 @@ func TestFloodFindsPlantedFile(t *testing.T) {
 }
 
 func TestFloodTTLBoundsReach(t *testing.T) {
-	nw := flatNet(t, 2000)
+	nw := indexed(t, flatNet(t, 2000))
 	r := rng.New(5)
 	prev := 0
 	for ttl := 1; ttl <= 4; ttl++ {
@@ -242,7 +260,7 @@ func TestFloodTTLBoundsReach(t *testing.T) {
 }
 
 func TestFloodReachAgreesWithFlood(t *testing.T) {
-	nw := twoTierNet(t, 800)
+	nw := indexed(t, twoTierNet(t, 800))
 	r := rng.New(7)
 	for _, ttl := range []int{1, 2, 3} {
 		res, err := nw.NewFloodCtx().Flood(10, "zzz qqq", ttl, r)
@@ -260,8 +278,39 @@ func TestFloodReachAgreesWithFlood(t *testing.T) {
 	}
 }
 
+// TestFloodRequiresIndex: a network assembled by hand has no dictionary
+// until BuildIndexes runs. Before that a flood fails with ErrNotIndexed,
+// Match and MatchTokens answer nothing, and AddFile only appends; after it
+// the planted and the added file are both found.
+func TestFloodRequiresIndex(t *testing.T) {
+	nw := flatNet(t, 30)
+	holder := nw.Peers[0].Neighbors[0]
+	nw.Peers[holder].Library = []File{{Index: 0, Size: 1, Name: "Unique Zanzibar Xylophone.mp3"}}
+	if err := nw.AddFile(holder, "Zanzibar Marimba.mp3", 2); err != nil {
+		t.Fatal(err)
+	}
+	if nw.TermDict() != nil {
+		t.Fatal("AddFile indexed a network never indexed")
+	}
+	if _, err := nw.NewFloodCtx().Flood(0, "zanzibar", 2, rng.New(1)); !errors.Is(err, ErrNotIndexed) {
+		t.Fatalf("flood before BuildIndexes: err %v, want ErrNotIndexed", err)
+	}
+	p := nw.Peers[holder]
+	if got, _ := p.MatchTokens(TokenizeQuery("zanzibar"), nil); p.Match("zanzibar") != nil || got != nil {
+		t.Fatal("Match answered before BuildIndexes")
+	}
+	indexed(t, nw)
+	res, err := nw.NewFloodCtx().Flood(0, "zanzibar", 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalResults != 2 || len(res.Hits) != 1 || res.Hits[0].PeerID != holder {
+		t.Fatalf("flood after BuildIndexes: %+v, want both files at peer %d", res, holder)
+	}
+}
+
 func TestFloodValidation(t *testing.T) {
-	nw := flatNet(t, 10)
+	nw := indexed(t, flatNet(t, 10))
 	if _, err := nw.NewFloodCtx().Flood(-1, "x", 2, rng.New(1)); err == nil {
 		t.Error("negative origin accepted")
 	}
@@ -280,7 +329,7 @@ func TestFloodValidation(t *testing.T) {
 }
 
 func TestLeafDoesNotRelay(t *testing.T) {
-	nw := twoTierNet(t, 400)
+	nw := indexed(t, twoTierNet(t, 400))
 	// From any origin, TTL-5 flood must still cover at most ultrapeers +
 	// their leaves; by TTL 5 in a 400-node net, flooding through ultras
 	// covers nearly everything, but no query may have been *forwarded by*

@@ -43,18 +43,10 @@ func (h *holderIndex) heapBytes() uint64 {
 func (h *holderIndex) list(t dict.TermID) []byte { return h.arena[h.off[t]:h.off[t+1]] }
 
 // buildHolders derives the holder index from the built per-peer indexes,
-// once. A peer that AddFile pushed onto a local dictionary has no
-// shared-dictionary terms to list, and a list that omits a peer would hide
-// its answers, so while any peer matches through its own dictionary no
-// index is built and floods probe every peer they reach.
+// once; the network must be indexed.
 func (nw *Network) buildHolders(workers int) error {
-	if nw.dict == nil || nw.holders.off != nil {
+	if nw.holders.off != nil {
 		return nil
-	}
-	for _, p := range nw.Peers {
-		if p.dict != nw.dict {
-			return nil
-		}
 	}
 	n := nw.dict.Len()
 	e, err := newHolderEncoder(n, len(nw.Peers), func(i int) postingIndex { return nw.Peers[i].idx }, workers)

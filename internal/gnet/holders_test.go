@@ -2,6 +2,7 @@ package gnet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -52,13 +53,12 @@ func stampedCandidates(c *FloodCtx) []int32 {
 }
 
 // TestHolderIndexInvertsPeerIndexes pins the holder index to its
-// definition — holders(t) is exactly the set of shared-dictionary peers
-// whose posting index holds t, ascending — on a built network, on one
-// restored from exported state (the Save → Load path below the file
-// format). A network where a peer was pushed onto a local dictionary before
-// the build must get no index at all, at any worker count: a list that
-// omitted the peer would hide its answers. The index's bytes must not depend
-// on the worker count or on build vs. restore.
+// definition — holders(t) is exactly the set of peers whose posting index
+// holds t, ascending — on a built network, on one restored from exported
+// state (the Save → Load path below the file format). A network re-interned
+// by a replica of novel terms before the build must get the index of a
+// fresh build over the grown libraries, at any worker count. The index's
+// bytes must not depend on the worker count or on build vs. restore.
 func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	build := func(workers int, mutate bool) *Network {
 		nw := populatedNet(t, 90)
@@ -91,11 +91,17 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		sameBytes("workers vs 1", build(w, false), clean)
 	}
+	cat := populatedCatalog(t, 90)
+	cat.Libraries[7] = append(cat.Libraries[7], "Zzzz Novel Tokens Everywhere.mp3")
+	grown, err := NewFromCatalog(DefaultConfig(5), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.BuildIndexes(1); err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{1, 2, 8} {
-		if mutated := build(w, true); mutated.Peers[7].dict == mutated.dict || mutated.holders.off != nil {
-			t.Fatalf("workers=%d: a peer on a local dictionary (%v) left a holder index built (%v)",
-				w, mutated.Peers[7].dict != mutated.dict, mutated.holders.off != nil)
-		}
+		sameBytes(fmt.Sprintf("workers=%d: re-interned vs fresh", w), build(w, true), grown)
 	}
 
 	for name, nw := range map[string]*Network{"built": clean, "restored": restored} {
@@ -190,9 +196,9 @@ func TestHolderStampsSurviveEpochWrap(t *testing.T) {
 // TestMutationDropsHolderIndex pins the holder index's one staleness rule:
 // AddFile drops the index, so the floods that follow probe every peer they
 // reach and equal the reference; BuildIndexes then rebuilds lists equal to a
-// fresh catalog build's over the same libraries while every peer stays on the shared
-// dictionary, and builds none once a replica's novel terms push a peer onto a
-// local dictionary.
+// fresh catalog build's over the same libraries — after a replica of known
+// terms, and after one whose novel terms re-interned the network, which the
+// floods then find.
 func TestMutationDropsHolderIndex(t *testing.T) {
 	const novel = "Zzzz Novel Tokens Everywhere.mp3"
 	nw := populatedNet(t, 90)
@@ -230,35 +236,112 @@ func TestMutationDropsHolderIndex(t *testing.T) {
 	}
 	matchesReference("after AddFile", false, known)
 
-	if err := nw.BuildIndexes(2); err != nil {
-		t.Fatal(err)
-	}
 	cat := populatedCatalog(t, 90)
+	rebuiltEqualsFresh := func(when string) {
+		t.Helper()
+		if err := nw.BuildIndexes(2); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewFromCatalog(DefaultConfig(5), cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.BuildIndexes(1); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(nw.holders.off, fresh.holders.off) || !bytes.Equal(nw.holders.arena, fresh.holders.arena) {
+			t.Fatalf("%s: the rebuilt holder index differs from a fresh build over the same libraries", when)
+		}
+	}
 	cat.Libraries[40] = append(cat.Libraries[40], known)
-	fresh, err := NewFromCatalog(DefaultConfig(5), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.BuildIndexes(1); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nw.holders.off, fresh.holders.off) || !bytes.Equal(nw.holders.arena, fresh.holders.arena) {
-		t.Fatal("the rebuilt holder index differs from a fresh build over the same libraries")
-	}
+	rebuiltEqualsFresh("known replica")
 	matchesReference("rebuilt", true, known)
 
 	if err := nw.AddFile(7, novel, 9); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.BuildIndexes(2); err != nil {
-		t.Fatal(err)
-	}
-	matchesReference("a peer on a local dictionary", false, known, "zzzz novel")
+	matchesReference("after a novel AddFile", false, known, "zzzz novel")
+	cat.Libraries[7] = append(cat.Libraries[7], novel)
+	rebuiltEqualsFresh("novel replica")
+	matchesReference("rebuilt after re-interning", true, known, "zzzz novel")
 	got, err := nw.NewFloodCtx().Flood(0, "zzzz novel", 7, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Hits) != 1 || got.Hits[0].PeerID != 7 {
 		t.Fatalf("hits for the novel terms %+v, want peer 7 alone", got.Hits)
+	}
+}
+
+// TestKnownAddFileNeverLosesHit: a replica of known terms re-encodes one
+// peer against the network's dictionary, which it keeps, and never costs a
+// hit: every flood reaches the same peers over the same messages and
+// answers with a superset of what it answered before — while the holder
+// index is dropped, and again once BuildIndexes has rebuilt it.
+func TestKnownAddFileNeverLosesHit(t *testing.T) {
+	nw := populatedNet(t, 90)
+	if err := nw.BuildIndexes(2); err != nil {
+		t.Fatal(err)
+	}
+	d := nw.dict
+	var queries []string
+	for i := 0; i < 6; i++ {
+		queries = append(queries, fileOf(t, nw, i*13+1))
+	}
+	queries = append(queries, commonTerm(nw))
+	flood := func() []*FloodResult {
+		var out []*FloodResult
+		ctx := nw.NewFloodCtx()
+		for origin := 0; origin < len(nw.Peers); origin += 9 {
+			for k, q := range queries {
+				res, err := ctx.Flood(origin, q, 4, rng.New(uint64(origin*len(queries)+k)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	before := flood()
+	for i, q := range queries[:4] {
+		if err := nw.AddFile((i*23+5)%len(nw.Peers), q, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nw.dict != d {
+		t.Fatal("a replica of known terms re-interned the network")
+	}
+	for _, rebuild := range []bool{false, true} {
+		if rebuild {
+			if err := nw.BuildIndexes(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gained := 0
+		for k, res := range flood() {
+			was := before[k]
+			if res.PeersReached != was.PeersReached || res.Messages != was.Messages {
+				t.Fatalf("rebuild=%v: flood %d reached %d peers over %d messages, before the replicas %d over %d",
+					rebuild, k, res.PeersReached, res.Messages, was.PeersReached, was.Messages)
+			}
+			files := map[[2]int]bool{}
+			for _, h := range res.Hits {
+				for _, f := range h.Files {
+					files[[2]int{h.PeerID, int(f.FileIndex)}] = true
+				}
+			}
+			for _, h := range was.Hits {
+				for _, f := range h.Files {
+					if !files[[2]int{h.PeerID, int(f.FileIndex)}] {
+						t.Fatalf("rebuild=%v: flood %d lost peer %d's file %d", rebuild, k, h.PeerID, f.FileIndex)
+					}
+				}
+			}
+			gained += res.TotalResults - was.TotalResults
+		}
+		if gained == 0 {
+			t.Fatalf("rebuild=%v: no flood found a replica: the fixture must reach them", rebuild)
+		}
 	}
 }

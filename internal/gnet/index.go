@@ -2,6 +2,7 @@ package gnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"slices"
 	"sort"
@@ -249,15 +250,13 @@ func (ix *postingIndex) heapBytes() uint64 {
 // and the encode buffers exist only for the peer being built, then the
 // exact-size compressed arrays are cut from them — constructing a network
 // never holds more than workers × one-peer of uncompressed intermediate at
-// a time. fileIDs and fileOff hold a lazily built peer's resolved library.
+// a time.
 type buildScratch struct {
-	keys    []uint64
-	fileIDs []dict.TermID
-	fileOff []uint32
-	arena   []byte
-	pay     []byte
-	first   []dict.TermID
-	off     []uint32
+	keys  []uint64
+	arena []byte
+	pay   []byte
+	first []dict.TermID
+	off   []uint32
 }
 
 // encodeFiles builds a posting index from a library resolved to term IDs
@@ -365,88 +364,82 @@ func (b *IndexBuilder) Build(ids []dict.TermID, off []uint32, remap []dict.TermI
 	}
 }
 
-// buildIndex builds the peer's term → file index. Always reached through
-// indexOnce.
-func (p *Peer) buildIndex() {
-	var bs buildScratch
-	p.buildIndexWith(&bs)
+// ErrNotIndexed is returned by a flood over a network that has no
+// dictionary yet: one assembled by hand (New plus libraries) on which
+// BuildIndexes — or EnableQRP, which calls it — never ran.
+var ErrNotIndexed = errors.New("gnet: network not indexed (call BuildIndexes first)")
+
+// intern gives the network its one dictionary and every peer its posting
+// index: dict.Build resolves every file name to its term IDs (one
+// tokenization per placement), and each peer's index is encoded from those
+// IDs over up to `workers` goroutines before they are dropped. names[p]
+// holds peer p's file names in library order. Any previous dictionary and
+// every index built over it are replaced, and the holder index is dropped.
+func (nw *Network) intern(names [][]string, workers int) error {
+	d, res := dict.Build(names, workers)
+	err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
+		func(bs *buildScratch, i int) error {
+			p := nw.Peers[i]
+			ids, off, remap := res.Library(i)
+			p.dict, p.idx = d, encodeFiles(ids, off, remap, bs)
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	nw.dict, nw.holders = d, holderIndex{}
+	return nil
 }
 
-// buildIndexWith is buildIndex with the construction scratch hoisted out,
-// so BuildIndexes reuses one scratch per worker across thousands of peers.
-// It serves the peers whose index is lazy: those of a network assembled by
-// hand, and those whose library AddFile grew. The library is interned once;
-// its vocabulary then resolves against the dictionary the peer matches
-// through, or — with no such dictionary, or on a term it never saw — the
-// interner's own vocabulary becomes a peer-local dictionary.
-func (p *Peer) buildIndexWith(bs *buildScratch) {
-	in := dict.NewInterner()
-	ids, off := bs.fileIDs[:0], append(bs.fileOff[:0], 0)
-	for _, f := range p.Library {
-		ids = in.AppendIDs(ids, f.Name)
-		off = append(off, uint32(len(ids)))
+// libraryNames lists every peer's file names in library order, as intern
+// takes them.
+func (nw *Network) libraryNames() [][]string {
+	names := make([][]string, len(nw.Peers))
+	for i, p := range nw.Peers {
+		names[i] = make([]string, len(p.Library))
+		for j, f := range p.Library {
+			names[i][j] = f.Name
+		}
 	}
-	bs.fileIDs, bs.fileOff = ids, off
-	var remap []dict.TermID
-	known := false
-	if p.dict != nil {
-		remap, known = p.dict.Resolve(in.Vocab(), nil)
-	}
-	if !known {
-		var remaps [][]dict.TermID
-		p.dict, remaps = dict.Merge([]*dict.Interner{in}, 1)
-		remap = remaps[0]
-	}
-	p.idx = encodeFiles(ids, off, remap, bs)
+	return names
 }
 
-// BuildIndexes builds every posting index still lazy over up to `workers`
-// goroutines (≤ 0 resolves to GOMAXPROCS), then the network-wide holder
-// index floods consult before probing any peer (holders.go). A network
-// built from a catalog or restored from a snapshot is born indexed, so
-// only the holder index is left — and after AddFile, the grown peers'
-// indexes. On a hand-assembled network indexes are otherwise built lazily
-// on first Match, and floods over a network whose holder index was never
-// built probe every peer they reach, so building up front makes
-// construction cost measurable and keeps floods off the slow path. The
-// result is identical for every worker count: each peer's index depends
-// only on its own library and its dictionary, and each term's holder list
-// only on which peers hold it.
+// BuildIndexes indexes the network over up to `workers` goroutines (≤ 0
+// resolves to GOMAXPROCS). A hand-assembled network is interned first; a
+// network built from a catalog or restored from a snapshot is born with its
+// posting indexes. Then, unless it is in place, the network-wide holder
+// index floods consult before probing any peer is built (holders.go):
+// floods over a network without one probe every peer they reach, so
+// building it up front makes construction cost measurable and keeps floods
+// off the slow path. The result is identical for every worker count: each
+// peer's index depends only on its own library and the dictionary, and
+// each term's holder list only on which peers hold it.
 func (nw *Network) BuildIndexes(workers int) error {
-	if !nw.indexed {
-		err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
-			func(bs *buildScratch, i int) error {
-				p := nw.Peers[i]
-				p.indexOnce.Do(func() { p.buildIndexWith(bs) })
-				return nil
-			})
-		if err != nil {
+	if nw.dict == nil {
+		if err := nw.intern(nw.libraryNames(), workers); err != nil {
 			return err
 		}
-		nw.indexed = true
 	}
 	if err := nw.buildHolders(workers); err != nil {
 		return err
 	}
-	if nw.dict != nil {
-		// Every peer's index is built; queries from here on resolve a
-		// handful of tokens per flood, so trade the lookup map for binary
-		// search over the term arena.
-		nw.dict.Compact()
-	}
+	// Every peer's index is built; queries from here on resolve a handful
+	// of tokens per flood, so trade the lookup map for binary search over
+	// the term arena.
+	nw.dict.Compact()
 	return nil
 }
 
-// TermDict returns the network-wide interned dictionary (nil for networks
-// assembled by hand rather than built from a catalog).
+// TermDict returns the network's interned dictionary (nil until a
+// hand-assembled network is indexed).
 func (nw *Network) TermDict() *dict.Dict { return nw.dict }
 
 // Match returns the library files matching the query criteria under the
 // Gnutella keyword rule (every query token must appear in the file name).
+// It returns nil before the peer's network is indexed (BuildIndexes).
 func (p *Peer) Match(criteria string) []File {
-	p.indexOnce.Do(p.buildIndex)
 	toks := TokenizeQuery(criteria)
-	if len(toks) == 0 {
+	if len(toks) == 0 || p.dict == nil {
 		return nil
 	}
 	// Stack-sized scratch: real queries are a handful of terms, so the
@@ -465,10 +458,10 @@ func (p *Peer) Match(criteria string) []File {
 // TokenizeQuery. scratch is returned untouched; the interned path needs no
 // string scratch. This is the per-peer probe on its own — term resolution,
 // index lookups, hit assembly — which floods make only for the peers the
-// holder index names (through matchForFlood, on hoisted IDs and scratch).
+// holder index names (through matchIDs, on hoisted IDs and scratch). Like
+// Match, it returns nil before the network is indexed.
 func (p *Peer) MatchTokens(toks, scratch []string) ([]File, []string) {
-	p.indexOnce.Do(p.buildIndex)
-	if len(toks) == 0 {
+	if len(toks) == 0 || p.dict == nil {
 		return nil, scratch
 	}
 	ids, ok := p.dict.Resolve(toks, nil)
@@ -491,37 +484,18 @@ func (p *Peer) files(idx []int32) []File {
 	return out
 }
 
-// matchForFlood matches one flood's query against this peer. d and qids are
-// the flood's hoisted dictionary and resolved term IDs (d == nw.dict); toks
-// are the deduped string tokens for peers that cannot use qids: those whose
-// mutated library forced a local dictionary. The result is the matching
-// files' library indexes, ascending, in s's reusable buffer: valid until
-// the next match through s.
-func (p *Peer) matchForFlood(d *dict.Dict, qids []dict.TermID, toks []string, s *matchScratch) []int32 {
-	p.indexOnce.Do(p.buildIndex)
-	ids := qids
-	if p.dict != d {
-		var ok bool
-		s.ids, ok = p.dict.Resolve(toks, s.ids[:0])
-		if !ok {
-			return nil
-		}
-		ids = s.ids
-	}
-	return p.matchIDs(ids, s)
-}
-
 // matchScratch is per-flood match state, reused across every reached peer:
-// resolved fallback IDs, the per-term refs being sorted and the decode
-// buffer the rarest posting list lands in.
+// the per-term refs being sorted and the decode buffer the rarest posting
+// list lands in.
 type matchScratch struct {
-	ids  []dict.TermID
 	sel  []postingsRef
 	post []int32
 }
 
 // matchIDs intersects the posting lists of ids, rarest term first so the
-// candidate set never grows. Any id missing from the index (including
+// candidate set never grows. The result is the matching files' library
+// indexes, ascending, in s's reusable buffer: valid until the next match
+// through s. Any id missing from the index (including
 // NoTerm) matches nothing — the conjunctive rule. Only the rarest list is
 // decoded (into the reusable scratch, which the returned library indexes
 // alias); the rest stream through cursors.
@@ -657,24 +631,23 @@ func dedupeMap(toks []string) []string {
 // IndexStats summarizes the network's term-index footprint.
 type IndexStats struct {
 	Peers      int    // peers in the network
-	DictTerms  int    // distinct terms in the shared dictionary (0 if none)
+	DictTerms  int    // distinct terms in the network's dictionary
 	IndexTerms int    // total distinct (peer, term) pairs
 	Postings   int    // total posting entries across all peers
 	HeapBytes  uint64 // estimated retained bytes: peer indexes + holder index + shared dictionary
 	ArenaBytes uint64 // compressed posting-arena bytes (skip arrays + varint arenas)
 }
 
-// IndexStats builds all indexes (sequentially if not already built) and
-// returns their footprint.
+// IndexStats indexes the network (BuildIndexes over GOMAXPROCS workers)
+// and returns the indexes' footprint.
 func (nw *Network) IndexStats() (IndexStats, error) {
 	if err := nw.BuildIndexes(0); err != nil {
 		return IndexStats{}, err
 	}
-	st := IndexStats{Peers: len(nw.Peers)}
-	if nw.dict != nil {
-		st.DictTerms = nw.dict.Len()
-		st.HeapBytes += nw.dict.HeapBytes()
-		st.HeapBytes += nw.holders.heapBytes()
+	st := IndexStats{
+		Peers:     len(nw.Peers),
+		DictTerms: nw.dict.Len(),
+		HeapBytes: nw.dict.HeapBytes() + nw.holders.heapBytes(),
 	}
 	for _, p := range nw.Peers {
 		st.IndexTerms += p.idx.nTerms
@@ -700,10 +673,8 @@ func (nw *Network) IndexChecksum() (uint64, error) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	if nw.dict != nil {
-		put(nw.dict.Checksum())
-		put(uint64(nw.dict.Len()))
-	}
+	put(nw.dict.Checksum())
+	put(uint64(nw.dict.Len()))
 	for _, p := range nw.Peers {
 		put(uint64(p.idx.nTerms))
 		p.idx.forEach(func(id dict.TermID, ref postingsRef) {

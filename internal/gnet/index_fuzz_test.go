@@ -81,11 +81,12 @@ func indexOf(ix postingIndex) IndexState {
 // buildPostingsNaive over random libraries — Unicode names, repeated tokens
 // within a name, token-less names, empty libraries — interned by 1–8
 // shards: a catalog network's born indexes, the single-interner
-// IndexBuilder path the sharded snapshot builder takes, and a peer
-// re-resolved after AddFile (onto the shared dictionary or, with a novel
-// token, a local one). Every index must be byte-equal to the reference's,
-// both dictionaries equal, and every holder list equal to the peers whose
-// reference index holds the term.
+// IndexBuilder path the sharded snapshot builder takes, and AddFile's two
+// paths (one peer re-encoded against the dictionary for a name of known
+// terms, the whole network re-interned for a novel one). Every index must
+// be byte-equal to the reference's, every dictionary equal to a fresh
+// build's over the same libraries, and every holder list equal to the peers
+// whose reference index holds the term.
 func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(1), false)
 	f.Add(uint64(2), uint8(7), uint8(3), true)
@@ -105,30 +106,43 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nw.BuildIndexes(workers); err != nil {
-			t.Fatal(err)
-		}
-		ref := make([]postingIndex, peers)
-		for i, p := range nw.Peers {
-			var ok bool
-			if ref[i], ok = buildPostingsNaive(nw.dict, p.Library); !ok {
-				t.Fatalf("peer %d: the shared dictionary misses a library token", i)
+		// matchesReference holds the network's dictionary, every index and
+		// every holder list to references rebuilt from libs.
+		matchesReference := func(stage string) []postingIndex {
+			t.Helper()
+			if err := nw.BuildIndexes(workers); err != nil {
+				t.Fatal(err)
 			}
-			if got, want := indexOf(p.idx), indexOf(ref[i]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("peer %d (%d shards): born index %+v, reference %+v", i, workers, got, want)
+			if d, _ := dict.Build(libs, 1); d.Checksum() != nw.dict.Checksum() || d.Len() != nw.dict.Len() {
+				t.Fatalf("%s: the network's dictionary differs from a fresh build's", stage)
 			}
-		}
-		for id := dict.TermID(0); int(id) < nw.dict.Len(); id++ {
-			var want []int32
-			for i := range ref {
-				if _, ok := ref[i].lookup(id); ok {
-					want = append(want, int32(i))
+			ref := make([]postingIndex, peers)
+			for i, p := range nw.Peers {
+				if p.dict != nw.dict {
+					t.Fatalf("%s: peer %d matches through another dictionary", stage, i)
+				}
+				var ok bool
+				if ref[i], ok = buildPostingsNaive(nw.dict, p.Library); !ok {
+					t.Fatalf("%s: peer %d: the dictionary misses a library token", stage, i)
+				}
+				if got, want := indexOf(p.idx), indexOf(ref[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: peer %d (%d shards): index %+v, reference %+v", stage, i, workers, got, want)
 				}
 			}
-			if got := holdersOf(t, nw, id); !slices.Equal(got, want) {
-				t.Fatalf("term %q: holders %v, reference %v", nw.dict.Term(id), got, want)
+			for id := dict.TermID(0); int(id) < nw.dict.Len(); id++ {
+				var want []int32
+				for i := range ref {
+					if _, ok := ref[i].lookup(id); ok {
+						want = append(want, int32(i))
+					}
+				}
+				if got := holdersOf(t, nw, id); !slices.Equal(got, want) {
+					t.Fatalf("%s: term %q: holders %v, reference %v", stage, nw.dict.Term(id), got, want)
+				}
 			}
+			return ref
 		}
+		ref := matchesReference("born")
 
 		// The sharded snapshot builder's path: one interner over every
 		// placement, one Merge, IndexBuilder per library.
@@ -153,7 +167,9 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 			}
 		}
 
-		// A library grown after construction is re-resolved lazily.
+		// A library grown after construction is indexed at once: re-encoded
+		// against the dictionary when it knows every term of the name,
+		// re-interned with the whole network when it does not.
 		name := fuzzName(r)
 		if novel {
 			name += " Zzqx"
@@ -161,23 +177,15 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 		if name == "" {
 			name = "-"
 		}
+		_, known := nw.dict.Resolve(terms.Tokenize(name), nil)
+		before := nw.dict
 		if err := nw.AddFile(0, name, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := nw.BuildIndexes(workers); err != nil {
-			t.Fatal(err)
+		if reinterned := nw.dict != before; reinterned == known || novel && known {
+			t.Fatalf("AddFile(%q): re-interned = %v, every token known = %v", name, reinterned, known)
 		}
-		_, known := nw.dict.Resolve(terms.Tokenize(name), nil)
-		p := nw.Peers[0]
-		if onShared := p.dict == nw.dict; onShared != known || novel && known {
-			t.Fatalf("AddFile(%q): peer on the shared dictionary = %v, every token known = %v", name, onShared, known)
-		}
-		want, ok := buildPostingsNaive(p.dict, p.Library)
-		if !ok {
-			t.Fatalf("AddFile(%q): the peer's dictionary misses a library token", name)
-		}
-		if got := indexOf(p.idx); !reflect.DeepEqual(got, indexOf(want)) {
-			t.Fatalf("AddFile(%q): rebuilt index %+v, reference %+v", name, got, indexOf(want))
-		}
+		libs[0] = append(libs[0], name)
+		matchesReference("AddFile(" + name + ")")
 	})
 }

@@ -26,11 +26,11 @@ func linearMatch(lib []File, criteria string) []File {
 // TestMatchEquivalentToLinearScan checks Peer.Match against the linear-scan
 // oracle for every (peer, query) pair of the fixture, with queries drawn
 // from every library — single names, repeated tokens, a common token, the
-// empty query — and one peer forced onto the local-dictionary fallback by a
-// file whose tokens the shared dictionary never saw.
+// empty query — after one peer gained a file whose tokens the dictionary
+// never saw, which re-interns the network onto one new dictionary.
 func TestMatchEquivalentToLinearScan(t *testing.T) {
 	nw := populatedNet(t, 120)
-	fallback := nw.Peers[5]
+	before := nw.dict
 	if err := nw.AddFile(5, "Zzzz Novel Tokens Everywhere.mp3", 99); err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,13 @@ func TestMatchEquivalentToLinearScan(t *testing.T) {
 			}
 		}
 	}
-	if fallback.dict == nw.dict {
-		t.Fatal("peer 5 did not fall back to a local dictionary")
+	if nw.dict == before {
+		t.Fatal("a novel term left the network on its old dictionary")
+	}
+	for _, p := range nw.Peers {
+		if p.dict != nw.dict {
+			t.Fatalf("peer %d matches through a dictionary other than the network's", p.ID)
+		}
 	}
 }
 
@@ -102,36 +107,43 @@ func TestMatchEmptyCriteria(t *testing.T) {
 	}
 }
 
-// TestLocalDictFallback plants a file whose tokens the shared dictionary
-// has never seen after network construction; the peer must fall back to a
-// peer-local dictionary and still answer.
-func TestLocalDictFallback(t *testing.T) {
+// TestAddFileNovelTermReinterns plants a file whose tokens the dictionary
+// has never seen: AddFile re-interns the whole network, so its dictionary
+// and every posting index equal a fresh catalog build's over the grown
+// libraries, and both Match and a flood find the file.
+func TestAddFileNovelTermReinterns(t *testing.T) {
+	const novel = "Zzzz Novel Tokens Everywhere.mp3"
 	nw := populatedNet(t, 40)
-	p := nw.Peers[5]
-	if err := nw.AddFile(5, "Zzzz Novel Tokens Everywhere.mp3", 99); err != nil {
+	if err := nw.AddFile(5, novel, 99); err != nil {
 		t.Fatal(err)
 	}
-	files := p.Match("novel tokens")
-	if len(files) != 1 || files[0].Name != "Zzzz Novel Tokens Everywhere.mp3" {
-		t.Fatalf("Match on mutated library = %v, want the planted file", files)
+	files := nw.Peers[5].Match("novel tokens")
+	if len(files) != 1 || files[0].Name != novel {
+		t.Fatalf("Match on the grown library = %v, want the planted file", files)
 	}
-	if p.dict == nw.dict {
-		t.Fatal("peer did not fall back to a local dictionary")
-	}
-	// The flood path must also find it (peer re-resolves query tokens
-	// against its local dictionary).
-	res, err := nw.NewFloodCtx().Flood(0, "novel tokens everywhere", 4, rng.New(3))
+	cat := populatedCatalog(t, 40)
+	cat.Libraries[5] = append(cat.Libraries[5], novel)
+	fresh, err := NewFromCatalog(DefaultConfig(5), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, h := range res.Hits {
-		if h.PeerID == 5 {
-			found = true
-		}
+	got, err := nw.IndexChecksum()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found && res.PeersReached >= len(nw.Peers)-1 {
-		t.Fatalf("flood reached %d peers but missed the planted file", res.PeersReached)
+	want, err := fresh.IndexChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("re-interned index checksum %x, fresh build over the grown libraries %x", got, want)
+	}
+	res, err := nw.NewFloodCtx().Flood(0, "novel tokens everywhere", 7, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != 1 || res.Hits[0].PeerID != 5 {
+		t.Fatalf("hits for the novel terms %+v, want peer 5 alone", res.Hits)
 	}
 }
 

@@ -248,6 +248,7 @@ func TestKeywordQueryOverWire(t *testing.T) {
 		{Index: 0, Name: "Aaron Neville - I Don't Know Much.mp3"},
 		{Index: 1, Name: "Other Song.mp3"},
 	}
+	indexed(t, nw)
 	conn := dialPeer(t, nw, 5)
 	if _, err := Connect(conn, nil); err != nil {
 		t.Fatal(err)

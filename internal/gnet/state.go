@@ -66,17 +66,11 @@ type NetworkState struct {
 	Backing  io.Closer
 }
 
-// ExportState builds every index (if not already built) and returns the
-// network's persistable state. The returned state shares slices with the
-// live network — treat it as an immutable view and do not mutate the
-// network while it is in use. Only catalog-built networks can be exported:
-// hand-assembled networks and peers that fell back to a local dictionary
-// (library mutated after construction) have no shared-dictionary
-// representation to persist.
+// ExportState indexes the network (BuildIndexes, if anything is left to
+// build) and returns its persistable state. The returned state shares
+// slices with the live network — treat it as an immutable view and do not
+// mutate the network while it is in use.
 func (nw *Network) ExportState() (*NetworkState, error) {
-	if nw.dict == nil {
-		return nil, fmt.Errorf("gnet: ExportState: network has no shared dictionary (hand-assembled)")
-	}
 	if err := nw.BuildIndexes(0); err != nil {
 		return nil, err
 	}
@@ -86,14 +80,8 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 		Peers:      make([]PeerState, len(nw.Peers)),
 	}
 	st.DictBytes, st.DictOff = nw.dict.Raw()
-	if nw.holders.off == nil {
-		return nil, fmt.Errorf("gnet: ExportState: network has no holder index")
-	}
 	st.HolderOff, st.HolderArena = nw.holders.off, nw.holders.arena
 	for i, p := range nw.Peers {
-		if p.dict != nw.dict {
-			return nil, fmt.Errorf("gnet: ExportState: peer %d does not use the shared dictionary", i)
-		}
 		st.Peers[i] = PeerState{
 			Ultrapeer: p.Ultrapeer,
 			ServentID: p.ServentID,
@@ -159,15 +147,11 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 			dict:      d,
 			idx:       ps.Index.postings(),
 		}
-		// The restored index is live: Match and floods must use it as-is,
-		// never rebuild. Burn the once so the lazy path stays cold.
-		p.indexOnce.Do(func() {})
 		nw.Peers[i] = p
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	nw.indexed = true
 	nw.markRelays()
 	if err := nw.adoptHolders(st.HolderOff, st.HolderArena, workers); err != nil {
 		return nil, fmt.Errorf("gnet: NewFromState: %w", err)

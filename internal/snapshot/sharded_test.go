@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"querycentric/internal/catalog"
 	"querycentric/internal/dict"
@@ -282,7 +283,7 @@ func TestMappedFloodsIdentical(t *testing.T) {
 // eagerly, has no holder index, and so probes every peer a flood reaches.
 // Every dictionary term is flooded on its own (a missing holder would lose
 // that peer's hit) and file names are flooded whole, before and after
-// AddFile grows libraries with a name of known terms and one the shared
+// AddFile grows libraries with a name of known terms and one the
 // dictionary never saw: on the mapped twin that is a copy-on-write over a
 // PROT_READ mapping, so a write through a borrowed view would fault.
 func TestRestoredFloodsMatchUnindexedTwin(t *testing.T) {
@@ -351,6 +352,106 @@ func TestRestoredFloodsMatchUnindexedTwin(t *testing.T) {
 		flood(origin, "unseen zzqx")
 	}
 	sweep()
+}
+
+// TestMappedNovelAddFileReinternsOnHeap: a replica of terms the dictionary
+// never saw re-interns a mapped network, and the new dictionary, posting
+// arenas and holder index all land on the heap while the untouched
+// libraries keep viewing the mapping, so the network still reports
+// Borrowed. The mapping is PROT_READ — a write through a view would fault —
+// and the file stays byte-identical. Floods equal those of a heap twin
+// given the same replica.
+func TestMappedNovelAddFileReinternsOnHeap(t *testing.T) {
+	ref := buildNet(t, 120)
+	_, path := saveTo(t, ref)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// LoadMapped, keeping hold of the mapped bytes.
+	data, backing, err := mapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := parseSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Borrowed, st.Backing = true, backing
+	m, err := gnet.NewFromState(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	inMapping := func(b []byte) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return len(b) > 0 && p >= lo && p < lo+uintptr(len(data))
+	}
+	if old, _ := m.TermDict().Raw(); !inMapping(old) {
+		t.Fatal("the loaded dictionary does not view the mapping")
+	}
+
+	const novel = "zzqx unseen replica token"
+	for _, nw := range []*gnet.Network{ref, m} {
+		if err := nw.AddFile(60, novel, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.BuildIndexes(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !m.Borrowed() {
+		t.Fatal("a re-interned mapped network no longer reports Borrowed")
+	}
+	if m.TermDict().Checksum() != ref.TermDict().Checksum() {
+		t.Fatal("the re-interned dictionary differs from the heap twin's")
+	}
+	mst, err := m.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inMapping(mst.DictBytes) || inMapping(mst.HolderArena) {
+		t.Fatal("the re-interned dictionary or holder index views the mapping")
+	}
+	viewed := 0
+	for i, ps := range mst.Peers {
+		if inMapping(ps.Index.Arena) {
+			t.Fatalf("peer %d: re-interned posting arena views the mapping", i)
+		}
+		if i != 60 && len(ps.Library) > 0 && inMapping(unsafe.Slice(unsafe.StringData(ps.Library[0].Name), 1)) {
+			viewed++
+		}
+	}
+	if viewed == 0 {
+		t.Fatal("no untouched library views the mapping any more")
+	}
+
+	known := ref.Peers[3].Library[0].Name
+	trial := uint64(0)
+	for origin := 0; origin < len(ref.Peers); origin += 11 {
+		for _, criteria := range []string{novel, known, "unseen zzqx"} {
+			trial++
+			want, err := ref.NewFloodCtx().Flood(origin, criteria, 5, rng.New(trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.NewFloodCtx().Flood(origin, criteria, 5, rng.New(trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("flood %q from %d diverged from the heap twin:\n%+v\nvs\n%+v", criteria, origin, got, want)
+			}
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("re-interning a mapped network modified the snapshot file")
+	}
 }
 
 // TestLoadMappedFailurePaths: every damage mode must surface its typed

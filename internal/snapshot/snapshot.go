@@ -69,17 +69,15 @@ const (
 	numSections = 6
 )
 
-// Save exports nw (building its indexes first if needed) and writes the
-// snapshot to path, atomically: the bytes land in path+".tmp" and are
-// renamed into place only after a successful sync-free close. Returns the
-// file size in bytes.
+// Save exports nw (indexing it first over up to `workers` goroutines, if
+// anything is left to build) and writes the snapshot to path, atomically:
+// the bytes land in path+".tmp" and are renamed into place only after a
+// successful sync-free close. Returns the file size in bytes.
 func Save(path string, nw *gnet.Network, workers int) (int64, error) {
-	if nw.TermDict() != nil {
-		// Build any still-lazy indexes over the caller's worker budget
-		// first; ExportState's own build call then finds everything done.
-		if err := nw.BuildIndexes(workers); err != nil {
-			return 0, fmt.Errorf("snapshot: %w", err)
-		}
+	// Index over the caller's worker budget; ExportState's own build call
+	// then finds everything done.
+	if err := nw.BuildIndexes(workers); err != nil {
+		return 0, fmt.Errorf("snapshot: %w", err)
 	}
 	st, err := nw.ExportState()
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 	"querycentric/internal/rng"
 )
 
-// buildNet constructs a small catalog-backed network, the snapshot
-// package's only supported substrate.
+// buildNet constructs a small catalog-backed network.
 func buildNet(t *testing.T, peers int) *gnet.Network {
 	t.Helper()
 	cat, err := catalog.Build(catalog.Config{
@@ -218,26 +217,68 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 	})
 }
 
-// TestSaveRejectsNetworkWithoutDictionary: a network assembled by hand
-// (gnet.New plus libraries) has no shared dictionary to persist; Save must
-// refuse rather than write a partial snapshot, and leave no file behind.
-func TestSaveRejectsNetworkWithoutDictionary(t *testing.T) {
-	nw, err := gnet.New(gnet.DefaultConfig(3), 20)
+// TestSaveRoundTripsHandAssembledNetwork: every network has one dictionary,
+// so a network assembled by hand (gnet.New plus libraries, indexed by Save)
+// and a catalog network AddFile re-interned onto a new dictionary (a
+// replica of terms it never saw) both save, and both loaders reproduce each
+// one's index checksum and a flood's hits.
+func TestSaveRoundTripsHandAssembledNetwork(t *testing.T) {
+	hand, err := gnet.New(gnet.DefaultConfig(3), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Peers[4].Library = []gnet.File{{Index: 0, Size: 7, Name: "Hand Built Song.mp3"}}
-	if got := nw.Peers[4].Match("hand song"); len(got) != 1 {
-		t.Fatalf("hand-assembled peer does not match its own file: %v", got)
+	hand.Peers[4].Library = []gnet.File{{Index: 0, Size: 7, Name: "Hand Built Song.mp3"}}
+	hand.Peers[9].Library = []gnet.File{{Index: 0, Size: 8, Name: "Another Hand Song.mp3"}}
+	grown := buildNet(t, 60)
+	if err := grown.AddFile(7, "Zzqx Unseen Replica.mp3", 9); err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "x.qcsnap")
-	if _, err := Save(path, nw, 0); err == nil {
-		t.Fatal("Save accepted a network with no shared dictionary")
-	}
-	for _, p := range []string{path, path + ".tmp"} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("refused Save left %s behind (stat err %v)", p, err)
-		}
+	for _, c := range []struct {
+		name, criteria string
+		nw             *gnet.Network
+	}{{"hand-assembled", "hand song", hand}, {"novel AddFile", "zzqx unseen", grown}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.qcsnap")
+			if _, err := Save(path, c.nw, 0); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			want, err := c.nw.IndexChecksum()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, err := c.nw.NewFloodCtx().Flood(0, c.criteria, 7, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wantRes.Hits) == 0 {
+				t.Fatalf("flood for %q found nothing: the fixture must hit", c.criteria)
+			}
+			copied, err := Load(path, 0)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			mapped, err := LoadMapped(path, 0)
+			if err != nil {
+				t.Fatalf("LoadMapped: %v", err)
+			}
+			defer mapped.Close()
+			for loader, back := range map[string]*gnet.Network{"Load": copied, "LoadMapped": mapped} {
+				got, err := back.IndexChecksum()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s: index checksum %#x, saved network %#x", loader, got, want)
+				}
+				res, err := back.NewFloodCtx().Flood(0, c.criteria, 7, rng.New(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, wantRes) {
+					t.Fatalf("%s: flood diverged from the saved network:\n%+v\nvs\n%+v", loader, res, wantRes)
+				}
+			}
+		})
 	}
 }
 
