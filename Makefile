@@ -134,14 +134,16 @@ scale1m-smoke:
 
 # Regenerate-and-diff check on the frozen public API surface (API.txt),
 # plus the rule that every facade name has a caller (a command, the
-# benchmark or an Example) and the rule that every function under internal/
+# benchmark or an Example), the rule that every function under internal/
 # is linked into some binary (the commands or the benchmark) or named with
-# a reason in the test's keep-list. Regenerate after an intentional API
-# change with:
+# a reason in the test's keep-list (TestInternalCodeIsReached), and the
+# rule that every field of an internal *Config type has a second value in
+# use or a reason in its keep-list (TestConfigKnobsHaveTwoValues).
+# Regenerate after an intentional API change with:
 #   go test -run TestAPIFrozen -update-api .
-# For by-hand use: `make ci` runs all four tests once, under `race`.
+# For by-hand use: `make ci` runs all five tests once, under `race`.
 api-freeze:
-	$(GO) test -run 'TestAPIFrozen|TestFacadeNamesHaveCallers|TestNoInternalImportsOutsideFacade|TestInternalCodeIsReached' .
+	$(GO) test -run 'TestAPIFrozen|TestFacadeNamesHaveCallers|TestNoInternalImportsOutsideFacade|TestInternalCodeIsReached|TestConfigKnobsHaveTwoValues' .
 
 # Lines of Go outside benchmarks/, non-test and test: the figure the ROADMAP
 # anchors and the simplicity PRs quote.
@@ -153,8 +155,9 @@ loc:
 
 # The CI gate, each check once: static checks, formatting, a clean build, the
 # full suite under the race detector (which includes everything
-# `determinism` and `api-freeze` select — the registry gates and
-# TestRunnerDigests among them — the recovery / saturation / query-centric
+# `determinism` and `api-freeze` select — the registry gates,
+# TestRunnerDigests, TestInternalCodeIsReached and
+# TestConfigKnobsHaveTwoValues among them — the recovery / saturation / query-centric
 # claims and TestScaleGate's tiny row), the decoder,
 # churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

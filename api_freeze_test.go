@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -33,29 +34,8 @@ var updateAPI = flag.Bool("update-api", false, "rewrite API.txt with the current
 // method sets of the named types the root package exposes).
 func apiSurface(t *testing.T) string {
 	t.Helper()
-	out, err := exec.Command("go", "list", "-deps", "-export", "-f", "{{.ImportPath}}={{.Export}}", ".").Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			t.Fatalf("go list -export: %v\n%s", err, ee.Stderr)
-		}
-		t.Fatalf("go list -export: %v", err)
-	}
-	exports := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		path, file, ok := strings.Cut(line, "=")
-		if ok && file != "" {
-			exports[path] = file
-		}
-	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, err := imp.Import("querycentric")
+	pkg, err := exportImporter(fset, goList(t, ".")).Import("querycentric")
 	if err != nil {
 		t.Fatalf("importing querycentric: %v", err)
 	}
@@ -91,6 +71,50 @@ func apiSurface(t *testing.T) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"
+}
+
+// listedPkg is one package as go list -deps -export reports it.
+type listedPkg struct {
+	Path, Export, Dir string
+	Standard          bool
+	GoFiles           []string
+}
+
+// goList lists pattern's packages and all their dependencies, in
+// dependency order, with the export data the build left for each.
+func goList(t *testing.T, pattern string) []listedPkg {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-export", "-f",
+		"{{.ImportPath}}\t{{.Export}}\t{{.Dir}}\t{{.Standard}}\t{{join .GoFiles \" \"}}", pattern).Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			t.Fatalf("go list -export: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("go list -export: %v", err)
+	}
+	var pkgs []listedPkg
+	for _, line := range strings.Split(strings.TrimSuffix(string(out), "\n"), "\n") {
+		f := strings.Split(line, "\t")
+		pkgs = append(pkgs, listedPkg{Path: f[0], Export: f[1], Dir: f[2], Standard: f[3] == "true", GoFiles: strings.Fields(f[4])})
+	}
+	return pkgs
+}
+
+// exportImporter imports pkgs from their compiled export data.
+func exportImporter(fset *token.FileSet, pkgs []listedPkg) types.Importer {
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.Path] = p.Export
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 }
 
 func TestAPIFrozen(t *testing.T) {
@@ -409,4 +433,335 @@ var reachKeep = map[string]string{
 	"capacity.Plane.Depth":      "test oracle: a peer's committed queue depth",
 	"churn.Timeline.OnlineAt":   "test oracle: replayed liveness at an instant",
 	"events.Engine.Pending":     "test oracle: events still queued",
+}
+
+// TestConfigKnobsHaveTwoValues keeps internal/'s configuration structs down
+// to the knobs some caller turns. It type-checks the module's non-test code
+// and fails on any exported field of a struct type named *Config under
+// internal/ (less the types API.txt aliases) whose only value in use is the
+// one its Default* constructor writes, unless knobKeep names it with a
+// reason: such a field belongs in a named constant. A field passes if its
+// Default* constructor fills it from a parameter, or if code outside the
+// constructor writes it with another value: a keyed literal element, a
+// literal that omits a field the constructor sets, an assignment, a write
+// to one of its sub-fields, or taking its address.
+func TestConfigKnobsHaveTwoValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the knob gate type-checks the module; skipped in -short mode")
+	}
+	fset := token.NewFileSet()
+	listed := goList(t, "./...")
+	std := exportImporter(fset, listed)
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	type source struct {
+		files []*ast.File
+		info  *types.Info
+	}
+	var srcs []source
+	for _, p := range listed { // dependencies first
+		if p.Standard {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.Path, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.Path, err)
+		}
+		checked[p.Path] = pkg
+		srcs = append(srcs, source{files, info})
+	}
+
+	api, err := os.ReadFile("API.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliased := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^type \w+ = (querycentric/internal/\S+)$`).FindAllStringSubmatch(string(api), -1) {
+		aliased[m[1]] = true
+	}
+	// The knobs in scope, keyed pkg.Type.Field as knobKeep spells them,
+	// and the Default* constructors of their types.
+	knobs := map[*types.Var]string{}
+	owner := map[*types.Var]*types.Named{}
+	ctors := map[*types.Func]*types.Named{}
+	configs := 0
+	for path, pkg := range checked {
+		if !strings.HasPrefix(path, "querycentric/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				st, isStruct := obj.Type().Underlying().(*types.Struct)
+				if !ok || !isStruct || !strings.HasSuffix(name, "Config") || aliased[path+"."+name] {
+					continue
+				}
+				configs++
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						knobs[f] = filepath.Base(path) + "." + name + "." + f.Name()
+						owner[f] = named
+					}
+				}
+			case *types.Func:
+				res := obj.Type().(*types.Signature).Results()
+				if !strings.HasPrefix(name, "Default") || res.Len() == 0 {
+					continue
+				}
+				if named, ok := res.At(0).Type().(*types.Named); ok {
+					ctors[obj] = named
+				}
+			}
+		}
+	}
+
+	// Every write to a field, with the top-level function it sits in.
+	type knobWrite struct {
+		fn *types.Func
+		v  knobValue
+	}
+	writes := map[*types.Var][]knobWrite{}
+	for _, src := range srcs {
+		info := src.info
+		for _, file := range src.files {
+			for _, decl := range file.Decls {
+				var fn *types.Func
+				params := map[types.Object]bool{}
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, _ = info.Defs[fd.Name].(*types.Func)
+					sig := fn.Type().(*types.Signature)
+					for i := 0; i < sig.Params().Len(); i++ {
+						params[sig.Params().At(i)] = true
+					}
+				}
+				value := func(e ast.Expr) knobValue {
+					tv := info.Types[e]
+					if tv.Value != nil {
+						return knobValue{c: tv.Value}
+					}
+					if lit, ok := e.(*ast.CompositeLit); tv.IsNil() || ok && len(lit.Elts) == 0 {
+						return knobValue{zero: true}
+					}
+					var v knobValue
+					ast.Inspect(e, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && params[info.Uses[id]] {
+							v.param = true
+						}
+						return true
+					})
+					return v
+				}
+				record := func(f *types.Var, v knobValue) {
+					if _, ok := knobs[f]; ok {
+						writes[f] = append(writes[f], knobWrite{fn, v})
+					}
+				}
+				// turn records a write through e: e's own field gets v, and
+				// every field e reaches it through is modified.
+				turn := func(e ast.Expr, v knobValue) {
+					for {
+						switch x := ast.Unparen(e).(type) {
+						case *ast.IndexExpr:
+							e, v = x.X, knobValue{}
+						case *ast.StarExpr:
+							e, v = x.X, knobValue{}
+						case *ast.SelectorExpr:
+							if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+								record(sel.Obj().(*types.Var), v)
+							}
+							e, v = x.X, knobValue{}
+						default:
+							return
+						}
+					}
+				}
+				compared := map[ast.Expr]bool{} // a literal compared against writes nothing
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.BinaryExpr:
+						if n.Op == token.EQL || n.Op == token.NEQ {
+							compared[ast.Unparen(n.X)], compared[ast.Unparen(n.Y)] = true, true
+						}
+					case *ast.CompositeLit:
+						if compared[n] {
+							return true
+						}
+						typ := info.Types[n].Type
+						if p, ok := typ.Underlying().(*types.Pointer); ok {
+							typ = p.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						seen := map[*types.Var]bool{}
+						for i, elt := range n.Elts {
+							f := st.Field(i)
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								f, elt = info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+							}
+							seen[f] = true
+							record(f, value(elt))
+						}
+						for i := 0; i < st.NumFields(); i++ {
+							if !seen[st.Field(i)] {
+								record(st.Field(i), knobValue{zero: true})
+							}
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							v := knobValue{}
+							if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+								v = value(n.Rhs[i])
+							}
+							turn(lhs, v)
+						}
+					case *ast.IncDecStmt:
+						turn(n.X, knobValue{})
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							for _, e := range []ast.Expr{n.Key, n.Value} {
+								if e != nil {
+									turn(e, knobValue{})
+								}
+							}
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							turn(n.X, knobValue{})
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	fields := make([]*types.Var, 0, len(knobs))
+	names := map[string]bool{}
+	for f, name := range knobs {
+		fields = append(fields, f)
+		names[name] = true
+	}
+	sort.Slice(fields, func(i, j int) bool { return knobs[fields[i]] < knobs[fields[j]] })
+	for _, f := range fields {
+		name := knobs[f]
+		var defs, others []knobValue
+		param := false
+		for _, w := range writes[f] {
+			if ctors[w.fn] == owner[f] {
+				defs = append(defs, w.v)
+				param = param || w.v.param
+			} else {
+				others = append(others, w.v)
+			}
+		}
+		if len(defs) == 0 {
+			defs = []knobValue{{zero: true}}
+		}
+		turned := false
+		for _, o := range others {
+			same := false
+			for _, d := range defs {
+				same = same || d.equal(o)
+			}
+			turned = turned || !same
+		}
+		switch _, keep := knobKeep[name]; {
+		case !param && !turned && !keep:
+			t.Errorf("%s (%s): nothing writes a value but its Default* one; make it a constant, or add it to knobKeep with a reason", name, fset.Position(f.Pos()))
+		case (param || turned) && keep:
+			t.Errorf("%s: a caller turns it; drop its knobKeep entry", name)
+		}
+	}
+	for name := range knobKeep {
+		if !names[name] {
+			t.Errorf("knobKeep names %s, which is no knob in scope", name)
+		}
+	}
+	t.Logf("%d knobs in scope on %d Config types", len(knobs), configs)
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// knobValue is one value written to a field, as far as the gate tells
+// values apart: a constant, the zero value (an omitted field, nil or an
+// empty literal), or an expression it cannot pin, which counts as a value
+// of its own.
+type knobValue struct {
+	c     constant.Value
+	zero  bool
+	param bool // the expression names a parameter of its function
+}
+
+func (a knobValue) equal(b knobValue) bool {
+	switch {
+	case a.zero && b.zero:
+		return true
+	case a.zero:
+		return b.c != nil && constZero(b.c)
+	case b.zero:
+		return a.c != nil && constZero(a.c)
+	case a.c == nil || b.c == nil:
+		return false
+	case a.c.Kind() == b.c.Kind() || constNumeric(a.c) && constNumeric(b.c):
+		return constant.Compare(a.c, token.EQL, b.c)
+	}
+	return false
+}
+
+func constNumeric(c constant.Value) bool {
+	k := c.Kind()
+	return k == constant.Int || k == constant.Float || k == constant.Complex
+}
+
+func constZero(c constant.Value) bool {
+	switch c.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(c)
+	case constant.String:
+		return constant.StringVal(c) == ""
+	}
+	return constNumeric(c) && constant.Sign(c) == 0
+}
+
+// knobKeep names the *Config fields whose only value in use is their
+// Default* one that stay knobs on purpose, keyed pkg.Type.Field, each with
+// the reason it stays. An entry is one of two kinds: a field the frozen
+// benchmark (benchmarks/) writes, which changes only with a benchmark
+// change; or a field a test shrinks a run with, where the constant would
+// cost the package's tests more than 2 s.
+var knobKeep = map[string]string{
+	"adaptive.Config.TTL":              "the benchmark writes it (benchmarks/wl_fivearm.go, the inert arms' literal)",
+	"catalog.Config.ReplicaAlpha":      "the benchmark writes it (benchmarks/workloads.go catalogConfig)",
+	"querygen.Config.CoreFileOverlap":  "the benchmark writes it (benchmarks/wl_flood.go missCriteria)",
+	"querygen.Config.TailFileOverlap":  "the benchmark writes it (benchmarks/wl_flood.go missCriteria)",
+	"querygen.Config.MaxTermsPerQuery": "the benchmark writes it (benchmarks/wl_flood.go missCriteria)",
+	"shortcuts.Config.ListSize":        "the benchmark writes it (benchmarks/wl_fivearm.go, the shortcuts arm)",
+	"shortcuts.Config.TTL":             "the benchmark writes it (benchmarks/wl_fivearm.go, the shortcuts arm)",
+	"experiments.SaturationConfig.Loads": "TestSaturationArmFilter sweeps two small loads; the five default loads take it " +
+		"from 0.23 s to 3.4 s and the package from 18.3 s to 22.4 s",
 }

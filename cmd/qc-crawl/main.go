@@ -4,25 +4,21 @@
 //
 // Substrate faults (dial timeouts, handshake stalls, mid-stream resets,
 // truncated writes, peer departures, flood message loss) can be injected
-// to measure how a lossy network biases the trace; -fault-sweep runs the
-// full degradation experiment and emits a .dat table of crawl coverage
-// and flood success vs. fault rate.
+// to measure how a lossy network biases the trace. The full degradation
+// experiment — crawl coverage and flood success against fault rate — is
+// qc-sim -mode faults.
 //
 // Usage:
 //
 //	qc-crawl -peers 1000 -objects 81000 -seed 42 -o crawl.trace
 //	qc-crawl -peers 1000 -objects 81000 -fault-dial 0.2 -fault-reset 0.1 -attempts 4
-//	qc-crawl -fault-sweep -scale small -o faults.dat
 //	qc-crawl -peers 200 -objects 4000 -metrics   # also write out/RUN_qc-crawl_*.json
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	qc "querycentric"
 	"querycentric/internal/cliflags"
@@ -47,21 +43,12 @@ func main() {
 		faultSeed      = flag.Uint64("fault-seed", 0, "fault schedule seed (default: root seed)")
 		attempts       = flag.Int("attempts", 0, "per-peer crawl attempt budget (0 = crawler default)")
 
-		// Fault-sweep experiment mode.
-		sweep      = flag.Bool("fault-sweep", false, "run the fault-rate sweep experiment instead of a single crawl")
-		sweepRates = flag.String("fault-rates", "", "comma-separated fault rates to sweep (default 0,0.05,0.1,0.2,0.3,0.4,0.5)")
-		sweepDead  = flag.Float64("dead", 0, "fraction of peers offline (churn liveness mask) at non-zero sweep rates")
-		scaleName  = cliflags.AddScale(flag.CommandLine, "default")
-		workers    = cliflags.AddWorkers(flag.CommandLine)
-		profiles   = cliflags.AddProfiles(flag.CommandLine)
-		obsFlags   = cliflags.AddObs(flag.CommandLine, "qc-crawl")
-		snapFlags  = cliflags.AddSnapshot(flag.CommandLine)
+		profiles  = cliflags.AddProfiles(flag.CommandLine)
+		obsFlags  = cliflags.AddObs(flag.CommandLine, "qc-crawl")
+		snapFlags = cliflags.AddSnapshot(flag.CommandLine)
 	)
 	flag.Parse()
 
-	if err := cliflags.CheckWorkers(*workers); err != nil {
-		fail(err)
-	}
 	if err := cliflags.CheckPositive("-peers", *peers); err != nil {
 		fail(err)
 	}
@@ -82,7 +69,6 @@ func main() {
 		{"-fault-truncate", *faultTruncate},
 		{"-fault-depart", *faultDepart},
 		{"-fault-loss", *faultLoss},
-		{"-dead", *sweepDead},
 	} {
 		if err := cliflags.CheckFrac(fr.name, fr.v); err != nil {
 			fail(err)
@@ -98,11 +84,6 @@ func main() {
 			fail(err)
 		}
 	}()
-
-	if *sweep {
-		runSweep(*out, *scaleName, *seed, *sweepRates, *sweepDead, *attempts, *workers, obsFlags)
-		return
-	}
 
 	reg, traces := obsFlags.Setup()
 	if reg != nil {
@@ -139,59 +120,8 @@ func main() {
 	if err := cliflags.WriteOutput(*out, tr.Write); err != nil {
 		fail(err)
 	}
-	writeManifest(obsFlags, "", "", *seed, *workers)
-}
-
-// runSweep runs the fault-rate degradation experiment and writes the .dat
-// table (rate, coverage, partial, failed, record fraction, retries, flood
-// success) to out.
-func runSweep(out, scaleName string, seed uint64, ratesCSV string, dead float64, attempts, workers int, obsFlags *cliflags.ObsFlags) {
-	scale, err := qc.ParseScale(scaleName)
-	if err != nil {
-		fail(err)
-	}
-	var rates []float64
-	if ratesCSV != "" {
-		for _, part := range strings.Split(ratesCSV, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				fail(fmt.Errorf("bad fault rate %q: %w", part, err))
-			}
-			if err := cliflags.CheckFrac("-fault-rates", r); err != nil {
-				fail(err)
-			}
-			rates = append(rates, r)
-		}
-	}
-	env := qc.NewEnv(scale, seed)
-	env.Workers = workers
-	env.Obs, env.FloodTraces = obsFlags.Setup()
-	if env.Obs != nil {
-		parallel.Instrument(env.Obs)
-	}
-	res, err := qc.FaultSweepWith(env, qc.FaultSweepConfig{
-		Rates:       rates,
-		DeadFrac:    dead,
-		MaxAttempts: attempts,
-	})
-	if err != nil {
-		fail(err)
-	}
-	err = cliflags.WriteOutput(out, func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "# fault sweep: %d peers, dead_frac %.2f, %d attempts/peer\n",
-			res.Peers, res.DeadFrac, res.MaxAttempts); err != nil {
-			return err
-		}
-		return qc.WriteResultTable(w, res)
-	})
-	if err != nil {
-		fail(err)
-	}
-	writeManifest(obsFlags, "fault-sweep", scale.String(), seed, workers)
-}
-
-func writeManifest(obsFlags *cliflags.ObsFlags, mode, scale string, seed uint64, workers int) {
-	if path, err := obsFlags.WriteManifest(mode, scale, seed, workers); err != nil {
+	// The population builds at GOMAXPROCS workers (0).
+	if path, err := obsFlags.WriteManifest("", "", *seed, 0); err != nil {
 		fail(err)
 	} else if path != "" {
 		fmt.Fprintf(os.Stderr, "qc-crawl: wrote %s\n", path)

@@ -488,7 +488,6 @@ func genWorkload(t *testing.T, seed uint64, fileTerms []string) *querygen.Worklo
 	cfg := querygen.DefaultConfig(seed)
 	cfg.Queries = 40000
 	cfg.Duration = 48 * 3600
-	cfg.TailSize = 5000
 	cfg.FileTerms = fileTerms
 	w, err := querygen.Generate(cfg)
 	if err != nil {

@@ -29,7 +29,6 @@ type Config struct {
 	Peers         int     // number of peers sharing content
 	UniqueObjects int     // number of distinct underlying objects
 	ReplicaAlpha  float64 // exponent of P(replicas = k) ∝ k^-α; paper shape ⇒ ~2.45
-	MaxReplicas   int     // cap on per-object replicas; 0 ⇒ min(Peers, 5000)
 
 	// VariantProb is the chance a replica beyond the first is shared under
 	// a perturbed name rather than the canonical one.
@@ -38,10 +37,10 @@ type Config struct {
 	// each built-in non-specific name (the paper saw "01 Track.wma" on
 	// 2,681 of 37,572 peers ≈ 7%). Zero disables.
 	NonSpecificPeerFrac float64
-
-	Vocab   vocab.Config   // vocabulary; zero value ⇒ sized from UniqueObjects
-	NameGen namegen.Config // variant model; zero value ⇒ namegen defaults
 }
+
+// maxReplicas caps per-object replicas; the cap is min(Peers, maxReplicas).
+const maxReplicas = 5000
 
 // DefaultConfig returns the scaled-down calibration of the paper's
 // April 2007 crawl: 1,000 peers, 81,000 unique objects.
@@ -146,30 +145,13 @@ func Stream(cfg Config, workers int, sink Sink) (int, error) {
 	if cfg.NonSpecificPeerFrac < 0 || cfg.NonSpecificPeerFrac > 1 {
 		return 0, fmt.Errorf("catalog: NonSpecificPeerFrac out of range: %g", cfg.NonSpecificPeerFrac)
 	}
-	maxRep := cfg.MaxReplicas
-	if maxRep <= 0 {
-		maxRep = cfg.Peers
-		if maxRep > 5000 {
-			maxRep = 5000
-		}
-	}
-	if maxRep > cfg.Peers {
-		maxRep = cfg.Peers
-	}
+	maxRep := min(cfg.Peers, maxReplicas)
 
-	vcfg := cfg.Vocab
-	if vcfg.Artists == 0 {
-		vcfg = sizedVocab(cfg.Seed, cfg.UniqueObjects)
-	}
-	voc, err := vocab.New(vcfg)
+	voc, err := vocab.New(sizedVocab(cfg.Seed, cfg.UniqueObjects))
 	if err != nil {
 		return 0, err
 	}
-	ncfg := cfg.NameGen
-	if ncfg == (namegen.Config{}) {
-		ncfg = namegen.DefaultConfig()
-	}
-	gen, err := namegen.New(voc, ncfg, cfg.Seed)
+	gen, err := namegen.New(voc, cfg.Seed)
 	if err != nil {
 		return 0, err
 	}

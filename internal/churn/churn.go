@@ -19,54 +19,45 @@ import (
 	"querycentric/internal/rng"
 )
 
+// MeanOnline and MeanOffline are the exponential session means in seconds
+// (Gnutella measurements put median online sessions at tens of minutes):
+// ~50-minute online sessions with ~70% availability.
+const (
+	MeanOnline  float64 = 3000
+	MeanOffline float64 = 1200
+)
+
+// SampleEvery is the measurement period of a churn run in seconds.
+const SampleEvery int64 = 600
+
+// TTL bounds a churn run's measurement floods.
+const TTL = 4
+
 // Config shapes a churn simulation.
 type Config struct {
 	Seed uint64
-	// MeanOnline and MeanOffline are the exponential session means in
-	// seconds (Gnutella measurements put median online sessions at tens of
-	// minutes).
-	MeanOnline  float64
-	MeanOffline float64
 	// Duration is the simulated horizon in seconds.
 	Duration int64
-	// SampleEvery is the measurement period in seconds.
-	SampleEvery int64
-	// TTL bounds the measurement floods.
-	TTL int
 	// QueriesPerSample is how many (origin, object) probes each sample
 	// takes.
 	QueriesPerSample int
 }
 
-// DefaultConfig models ~50-minute online sessions with ~70% availability.
+// DefaultConfig runs six hours of the session model.
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:             seed,
-		MeanOnline:       3000,
-		MeanOffline:      1200,
 		Duration:         6 * 3600,
-		SampleEvery:      600,
-		TTL:              4,
 		QueriesPerSample: 100,
 	}
 }
 
-// Validate rejects configurations that would panic or loop forever: the
-// session means must be finite (MeanOnline positive, MeanOffline
-// non-negative) and the schedule must make progress (positive Duration and
-// SampleEvery, TTL ≥ 1, at least one query per sample).
+// Validate rejects configurations that would not make progress: a
+// positive Duration and at least one query per sample.
 func (c Config) Validate() error {
 	switch {
-	case math.IsNaN(c.MeanOnline) || math.IsInf(c.MeanOnline, 0) || c.MeanOnline <= 0:
-		return fmt.Errorf("churn: MeanOnline must be a positive finite duration, got %v", c.MeanOnline)
-	case math.IsNaN(c.MeanOffline) || math.IsInf(c.MeanOffline, 0) || c.MeanOffline < 0:
-		return fmt.Errorf("churn: MeanOffline must be a non-negative finite duration, got %v", c.MeanOffline)
 	case c.Duration <= 0:
 		return fmt.Errorf("churn: Duration must be positive, got %d", c.Duration)
-	case c.SampleEvery <= 0:
-		return fmt.Errorf("churn: SampleEvery must be positive, got %d", c.SampleEvery)
-	case c.TTL < 1:
-		return fmt.Errorf("churn: TTL must be at least 1, got %d", c.TTL)
 	case c.QueriesPerSample < 1:
 		return fmt.Errorf("churn: QueriesPerSample must be at least 1, got %d", c.QueriesPerSample)
 	}
@@ -110,7 +101,7 @@ type Result struct {
 	Samples []Sample
 	// MeanSuccess averages the per-sample success rates.
 	MeanSuccess float64
-	// MeanOnline averages the online fraction (sanity: should approach
-	// MeanOnline/(MeanOnline+MeanOffline)).
+	// MeanOnline averages the online fraction (sanity: should approach the
+	// constant MeanOnline/(MeanOnline+MeanOffline)).
 	MeanOnline float64
 }

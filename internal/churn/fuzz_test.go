@@ -13,15 +13,15 @@ import (
 // a full replay.
 func FuzzTimelineConfig(f *testing.F) {
 	d := DefaultTimelineConfig(42)
-	f.Add(d.Seed, d.MeanOnline, d.MeanOffline, d.Duration, d.PoliteFrac, 16)
-	f.Add(uint64(0), 1.0, 0.0, int64(1), 0.0, 0)       // minimal viable
-	f.Add(uint64(1), 0.5, 0.5, int64(3600), 1.0, 3)    // all-polite, sub-second means
-	f.Add(uint64(7), -1.0, 100.0, int64(100), 0.5, 4)  // invalid mean
-	f.Add(uint64(7), 100.0, 100.0, int64(0), 0.5, 4)   // invalid duration
-	f.Add(uint64(7), 100.0, 100.0, int64(100), 1.5, 4) // invalid frac
-	f.Add(uint64(7), math.NaN(), 100.0, int64(100), 0.5, 4)
-	f.Add(uint64(7), 100.0, 100.0, int64(100), 0.5, -2) // negative population
-	f.Fuzz(func(t *testing.T, seed uint64, meanOn, meanOff float64, duration int64, polite float64, n int) {
+	f.Add(d.Seed, d.Duration, d.PoliteFrac, 16)
+	f.Add(uint64(0), int64(1), 0.0, 0)          // minimal viable
+	f.Add(uint64(1), int64(3600), 1.0, 3)       // all-polite
+	f.Add(uint64(7), int64(-100), 0.5, 4)       // negative duration
+	f.Add(uint64(7), int64(0), 0.5, 4)          // invalid duration
+	f.Add(uint64(7), int64(100), 1.5, 4)        // invalid frac
+	f.Add(uint64(7), int64(100), math.NaN(), 4) // NaN frac
+	f.Add(uint64(7), int64(100), 0.5, -2)       // negative population
+	f.Fuzz(func(t *testing.T, seed uint64, duration int64, polite float64, n int) {
 		// Bound the work, not the validity: a peer emits at most one event
 		// per simulated second, so capping Duration and n keeps worst-case
 		// event counts small while still exercising every Validate branch.
@@ -31,13 +31,7 @@ func FuzzTimelineConfig(f *testing.F) {
 		if n > 128 {
 			n %= 129
 		}
-		cfg := TimelineConfig{
-			Seed:        seed,
-			MeanOnline:  meanOn,
-			MeanOffline: meanOff,
-			Duration:    duration,
-			PoliteFrac:  polite,
-		}
+		cfg := TimelineConfig{Seed: seed, Duration: duration, PoliteFrac: polite}
 		tl, err := GenerateTimeline(cfg, n)
 		if cfg.Validate() != nil || n < 0 {
 			if err == nil {

@@ -18,10 +18,6 @@ import (
 // TimelineConfig shapes a generated churn timeline.
 type TimelineConfig struct {
 	Seed uint64
-	// MeanOnline and MeanOffline are the exponential session means in
-	// seconds, as in Config.
-	MeanOnline  float64
-	MeanOffline float64
 	// Duration is the simulated horizon in seconds; events are generated
 	// in (0, Duration].
 	Duration int64
@@ -31,26 +27,19 @@ type TimelineConfig struct {
 	PoliteFrac float64
 }
 
-// DefaultTimelineConfig matches DefaultConfig's session dynamics
-// (~50-minute online sessions, ~70% availability) with two-thirds of
-// departures announced.
+// DefaultTimelineConfig runs the session model (MeanOnline, MeanOffline)
+// for six hours with two-thirds of departures announced.
 func DefaultTimelineConfig(seed uint64) TimelineConfig {
 	return TimelineConfig{
-		Seed:        seed,
-		MeanOnline:  3000,
-		MeanOffline: 1200,
-		Duration:    6 * 3600,
-		PoliteFrac:  0.67,
+		Seed:       seed,
+		Duration:   6 * 3600,
+		PoliteFrac: 0.67,
 	}
 }
 
 // Validate rejects timelines that would panic or never terminate.
 func (c TimelineConfig) Validate() error {
 	switch {
-	case math.IsNaN(c.MeanOnline) || math.IsInf(c.MeanOnline, 0) || c.MeanOnline <= 0:
-		return fmt.Errorf("churn: MeanOnline must be a positive finite duration, got %v", c.MeanOnline)
-	case math.IsNaN(c.MeanOffline) || math.IsInf(c.MeanOffline, 0) || c.MeanOffline < 0:
-		return fmt.Errorf("churn: MeanOffline must be a non-negative finite duration, got %v", c.MeanOffline)
 	case c.Duration <= 0:
 		return fmt.Errorf("churn: Duration must be positive, got %d", c.Duration)
 	case math.IsNaN(c.PoliteFrac) || c.PoliteFrac < 0 || c.PoliteFrac > 1:
@@ -103,7 +92,7 @@ func GenerateTimeline(cfg TimelineConfig, n int) (*Timeline, error) {
 		return nil, fmt.Errorf("churn: negative peer count %d", n)
 	}
 	base := rng.NewNamed(cfg.Seed, "churn/timeline")
-	stationary := cfg.MeanOnline / (cfg.MeanOnline + cfg.MeanOffline)
+	stationary := MeanOnline / (MeanOnline + MeanOffline)
 	tl := &Timeline{Initial: make([]bool, n)}
 	for v := 0; v < n; v++ {
 		r := base.Derive(fmt.Sprintf("peer/%d", v))
@@ -111,9 +100,9 @@ func GenerateTimeline(cfg TimelineConfig, n int) (*Timeline, error) {
 		tl.Initial[v] = up
 		t := int64(0)
 		for {
-			mean := cfg.MeanOffline
+			mean := MeanOffline
 			if up {
-				mean = cfg.MeanOnline
+				mean = MeanOnline
 			}
 			t += 1 + int64(r.ExpFloat64()*mean)
 			if t > cfg.Duration {

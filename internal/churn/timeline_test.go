@@ -10,9 +10,6 @@ func TestTimelineConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*TimelineConfig){
-		func(c *TimelineConfig) { c.MeanOnline = 0 },
-		func(c *TimelineConfig) { c.MeanOnline = -5 },
-		func(c *TimelineConfig) { c.MeanOffline = -1 },
 		func(c *TimelineConfig) { c.Duration = 0 },
 		func(c *TimelineConfig) { c.PoliteFrac = -0.1 },
 		func(c *TimelineConfig) { c.PoliteFrac = 1.5 },
@@ -24,8 +21,8 @@ func TestTimelineConfigValidate(t *testing.T) {
 			t.Errorf("mutation %d: invalid config passed Validate", i)
 		}
 	}
-	if _, err := GenerateTimeline(TimelineConfig{Seed: 1, MeanOnline: -1, MeanOffline: 1, Duration: 100}, 10); err == nil {
-		t.Fatal("GenerateTimeline accepted a negative session mean")
+	if _, err := GenerateTimeline(TimelineConfig{Seed: 1, Duration: 100, PoliteFrac: -1}, 10); err == nil {
+		t.Fatal("GenerateTimeline accepted a negative PoliteFrac")
 	}
 	if _, err := GenerateTimeline(DefaultTimelineConfig(1), -1); err == nil {
 		t.Fatal("GenerateTimeline accepted a negative peer count")

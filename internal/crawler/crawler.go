@@ -35,25 +35,16 @@ import (
 type Config struct {
 	// Seeds are bootstrap addresses. Empty defaults to the first peer.
 	Seeds []gnet.Addr
-	// MaxPeers caps how many peers are file-crawled (0 = no cap). The cap
-	// is honored before dialing: no connection is opened whose results
-	// would be discarded.
-	MaxPeers int
-	// PingTTL is the TTL of the discovery ping; 2 asks for pong-cached
-	// neighbours, 1 only for the peer itself.
-	PingTTL byte
 	// MaxAttempts is the per-peer connection attempt budget; transient
 	// failures are re-queued until it is exhausted. 0 means 1 (a single
 	// attempt, no retries). Firewall refusals are permanent and never
 	// retried.
 	MaxAttempts int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts to the same peer: attempt k waits
-	// min(BackoffBase·2^(k-1), BackoffMax), halved and jittered. A zero
-	// BackoffBase disables waiting (retries are still bounded and
-	// re-queued).
+	// BackoffBase shapes the exponential backoff between attempts to the
+	// same peer: attempt k waits min(BackoffBase·2^(k-1), backoffMax),
+	// halved and jittered. A zero BackoffBase disables waiting (retries are
+	// still bounded and re-queued).
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Seed drives backoff jitter (and nothing else): crawl results are
 	// identical for any Seed; only retry pacing varies.
 	Seed uint64
@@ -68,14 +59,19 @@ type Config struct {
 	sleep func(time.Duration)
 }
 
-// DefaultConfig returns the standard crawl configuration: pong-cached
-// discovery, three attempts per peer, millisecond-scale backoff.
+// pingTTL is the TTL of the discovery ping: 2 asks for pong-cached
+// neighbours as well as the peer itself.
+const pingTTL byte = 2
+
+// backoffMax caps the wait between attempts to the same peer.
+const backoffMax = 50 * time.Millisecond
+
+// DefaultConfig returns the standard crawl configuration: three attempts
+// per peer, millisecond-scale backoff.
 func DefaultConfig() Config {
 	return Config{
-		PingTTL:     2,
 		MaxAttempts: 3,
 		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
 	}
 }
 
@@ -123,9 +119,6 @@ func Crawl(nw *gnet.Network, cfg Config) (*trace.ObjectTrace, *Stats, error) {
 	if len(seeds) == 0 {
 		seeds = []gnet.Addr{nw.Peers[0].Addr}
 	}
-	if cfg.PingTTL == 0 {
-		cfg.PingTTL = 2
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1
 	}
@@ -161,9 +154,6 @@ func Crawl(nw *gnet.Network, cfg Config) (*trace.ObjectTrace, *Stats, error) {
 	}
 
 	for len(frontier) > 0 {
-		if cfg.MaxPeers > 0 && stats.Crawled >= cfg.MaxPeers {
-			break
-		}
 		addr := frontier[0]
 		frontier = frontier[1:]
 
@@ -180,7 +170,7 @@ func Crawl(nw *gnet.Network, cfg Config) (*trace.ObjectTrace, *Stats, error) {
 		}
 		st.attempts++
 
-		discovered, files, err := crawlOne(nw, addr, cfg.PingTTL)
+		discovered, files, err := crawlOne(nw, addr)
 		switch {
 		case errors.Is(err, gnet.ErrFirewalled):
 			stats.Firewalled++
@@ -234,12 +224,10 @@ func backoff(cfg Config, attempt int, jitter *rng.Source) time.Duration {
 		return 0
 	}
 	d := cfg.BackoffBase
-	for i := 1; i < attempt && (cfg.BackoffMax <= 0 || d < cfg.BackoffMax); i++ {
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if cfg.BackoffMax > 0 && d > cfg.BackoffMax {
-		d = cfg.BackoffMax
-	}
+	d = min(d, backoffMax)
 	// Half fixed, half jittered: wait in [d/2, d).
 	return d/2 + time.Duration(jitter.Float64()*float64(d/2))
 }
@@ -247,7 +235,7 @@ func backoff(cfg Config, attempt int, jitter *rng.Source) time.Duration {
 // crawlOne dials one peer, discovers its neighbours and browses its
 // library. Even on failure, any addresses and files already read are
 // returned, so the caller can keep partial progress.
-func crawlOne(nw *gnet.Network, addr gnet.Addr, pingTTL byte) (discovered []gnet.Addr, files []string, err error) {
+func crawlOne(nw *gnet.Network, addr gnet.Addr) (discovered []gnet.Addr, files []string, err error) {
 	conn, err := nw.Dial(addr)
 	if err != nil {
 		return nil, nil, err

@@ -97,22 +97,6 @@ func TestCrawlFirewalledFunnel(t *testing.T) {
 	}
 }
 
-func TestCrawlMaxPeers(t *testing.T) {
-	nw := buildPopulatedNet(t, 100, 0)
-	cfg := DefaultConfig()
-	cfg.MaxPeers = 10
-	tr, stats, err := Crawl(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Crawled != 10 {
-		t.Errorf("crawled %d, want 10", stats.Crawled)
-	}
-	if tr.Peers != 10 {
-		t.Errorf("trace.Peers = %d, want 10", tr.Peers)
-	}
-}
-
 func TestCrawlDeterministic(t *testing.T) {
 	nwA := buildPopulatedNet(t, 80, 0.1)
 	nwB := buildPopulatedNet(t, 80, 0.1)
@@ -141,29 +125,6 @@ func TestCrawlEmptyNetwork(t *testing.T) {
 	nw := &gnet.Network{}
 	if _, _, err := Crawl(nw, DefaultConfig()); err == nil {
 		t.Error("crawl of empty network succeeded")
-	}
-}
-
-func TestCrawlPingTTL1StillCoversViaXTry(t *testing.T) {
-	// With TTL-1 pings (no pong-cached neighbours) only the X-Try header
-	// drives discovery, so leaves behind ultrapeers are reachable only if
-	// some ultrapeer's pong or header mentions them; coverage must still
-	// include all ultrapeers.
-	nw := buildPopulatedNet(t, 120, 0)
-	cfg := DefaultConfig()
-	cfg.PingTTL = 1
-	_, stats, err := Crawl(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ultras := 0
-	for _, p := range nw.Peers {
-		if p.Ultrapeer {
-			ultras++
-		}
-	}
-	if stats.Crawled < ultras {
-		t.Errorf("crawled %d peers, fewer than %d ultrapeers", stats.Crawled, ultras)
 	}
 }
 

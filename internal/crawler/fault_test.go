@@ -95,7 +95,6 @@ func TestBackoffIsExponentialWithJitter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxAttempts = 4
 	cfg.BackoffBase = 8 * time.Millisecond
-	cfg.BackoffMax = 100 * time.Millisecond
 	var waits []time.Duration
 	cfg.sleep = func(d time.Duration) { waits = append(waits, d) }
 
@@ -111,8 +110,8 @@ func TestBackoffIsExponentialWithJitter(t *testing.T) {
 		if d < cfg.BackoffBase/2 {
 			t.Fatalf("wait %v below half the base backoff", d)
 		}
-		if d >= cfg.BackoffMax {
-			t.Fatalf("wait %v at or above the cap %v", d, cfg.BackoffMax)
+		if d >= backoffMax {
+			t.Fatalf("wait %v at or above the cap %v", d, backoffMax)
 		}
 		distinct[d] = true
 	}
@@ -200,27 +199,5 @@ func TestCrawlDeterministicUnderFaults(t *testing.T) {
 	}
 	if statsA.Retried == 0 && statsA.Failed == 0 && statsA.PartialBrowses == 0 {
 		t.Error("fault schedule injected nothing; test is vacuous")
-	}
-}
-
-func TestMaxPeersHonoredBeforeDialing(t *testing.T) {
-	nw := buildPopulatedNet(t, 100, 0)
-	// Count dials via a dial-fault plane with rate 0 but liveness mask:
-	// use a full-rate dial fault beyond the cap instead — if the crawler
-	// dialed past the cap, those dials would show up as failures.
-	cfg := DefaultConfig()
-	cfg.MaxPeers = 5
-	tr, stats, err := Crawl(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Crawled != 5 {
-		t.Errorf("crawled %d, want 5", stats.Crawled)
-	}
-	if stats.Failed != 0 || stats.Retried != 0 {
-		t.Errorf("cap-bounded crawl recorded failures: %s", stats)
-	}
-	if tr.Peers != 5 {
-		t.Errorf("trace.Peers = %d, want 5", tr.Peers)
 	}
 }

@@ -124,42 +124,40 @@ type Share struct {
 	Songs        []SongMeta
 }
 
-// Config sizes and shapes a share population.
+// Config sizes a share population.
 type Config struct {
 	Seed   uint64
 	Shares int // total shares discovered by the Zeroconf sweep
 
-	// The funnel, as fractions of Shares (remainder is readable). The
-	// paper's funnel: 45/620 password, 33/620 busy, 239/620 readable.
-	PasswordFrac   float64
-	BusyFrac       float64
-	FirewalledFrac float64
-
-	UniqueSongs  int     // distinct songs across readable shares
-	ReplicaAlpha float64 // P(clients holding song = k) ∝ k^-α; ≈2.05
-	MaxReplicas  int     // 0 ⇒ number of readable shares
-
-	NoGenreFrac      float64 // songs stored without a genre (paper: 8.7%)
-	NoAlbumFrac      float64 // songs stored without an album (paper: 8.1%)
-	GenreVariantProb float64 // user-edited genre strings ("rock", "ROCK!!!")
-
-	Vocab vocab.Config // zero ⇒ sized from UniqueSongs
+	UniqueSongs int // distinct songs across readable shares
 }
+
+// The funnel, as fractions of Shares (the remainder is readable). The
+// paper's funnel: 45/620 password, 33/620 busy, 239/620 readable.
+const (
+	passwordFrac   float64 = 45.0 / 620
+	busyFrac       float64 = 33.0 / 620
+	firewalledFrac float64 = 303.0 / 620
+)
+
+// replicaAlpha shapes the replica counts, P(clients holding song = k) ∝
+// k^-α, over k up to the number of readable shares.
+const replicaAlpha float64 = 2.05
+
+// Annotation noise.
+const (
+	noGenreFrac      float64 = 0.087 // songs stored without a genre (paper: 8.7%)
+	noAlbumFrac      float64 = 0.081 // songs stored without an album (paper: 8.1%)
+	genreVariantProb float64 = 0.10  // user-edited genre strings ("rock", "ROCK!!!")
+)
 
 // DefaultConfig is the scaled-down Notre Dame population: 125 shares with
 // the paper's funnel proportions, ~11,000 unique songs.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		Seed:             seed,
-		Shares:           125,
-		PasswordFrac:     45.0 / 620,
-		BusyFrac:         33.0 / 620,
-		FirewalledFrac:   303.0 / 620,
-		UniqueSongs:      11000,
-		ReplicaAlpha:     2.05,
-		NoGenreFrac:      0.087,
-		NoAlbumFrac:      0.081,
-		GenreVariantProb: 0.10,
+		Seed:        seed,
+		Shares:      125,
+		UniqueSongs: 11000,
 	}
 }
 
@@ -179,32 +177,17 @@ func BuildPopulation(cfg Config) (*Population, error) {
 	if cfg.UniqueSongs <= 0 {
 		return nil, fmt.Errorf("daap: UniqueSongs must be positive, got %d", cfg.UniqueSongs)
 	}
-	if cfg.ReplicaAlpha <= 1 {
-		return nil, fmt.Errorf("daap: ReplicaAlpha must exceed 1, got %g", cfg.ReplicaAlpha)
-	}
-	for _, f := range []float64{cfg.PasswordFrac, cfg.BusyFrac, cfg.FirewalledFrac,
-		cfg.NoGenreFrac, cfg.NoAlbumFrac, cfg.GenreVariantProb} {
-		if f < 0 || f > 1 {
-			return nil, fmt.Errorf("daap: fraction out of range in %+v", cfg)
-		}
-	}
-	if cfg.PasswordFrac+cfg.BusyFrac+cfg.FirewalledFrac >= 1 {
-		return nil, fmt.Errorf("daap: funnel fractions leave no readable shares")
-	}
 
-	vcfg := cfg.Vocab
-	if vcfg.Artists == 0 {
-		vcfg = vocab.Config{
-			Seed:    cfg.Seed,
-			Artists: max(400, cfg.UniqueSongs),
-			// Titles must comfortably exceed songs: the paper saw 171,068
-			// unique objects collapse only to 152,850 unique song names,
-			// i.e. ~10% title collision.
-			Titles: max(2000, 4*cfg.UniqueSongs),
-			Albums: max(300, (cfg.UniqueSongs*4)/5),
-			Genres: 500,
-			Extra:  200,
-		}
+	vcfg := vocab.Config{
+		Seed:    cfg.Seed,
+		Artists: max(400, cfg.UniqueSongs),
+		// Titles must comfortably exceed songs: the paper saw 171,068
+		// unique objects collapse only to 152,850 unique song names,
+		// i.e. ~10% title collision.
+		Titles: max(2000, 4*cfg.UniqueSongs),
+		Albums: max(300, (cfg.UniqueSongs*4)/5),
+		Genres: 500,
+		Extra:  200,
 	}
 	voc, err := vocab.New(vcfg)
 	if err != nil {
@@ -222,13 +205,13 @@ func BuildPopulation(cfg Config) (*Population, error) {
 		s := &Share{ID: i, Name: fmt.Sprintf("%s's Music", voc.Artists[nameRNG.Intn(len(voc.Artists))])}
 		u := statusRNG.Float64()
 		switch {
-		case u < cfg.PasswordFrac:
+		case u < passwordFrac:
 			s.Status = StatusPassword
 			s.Password = fmt.Sprintf("secret-%d", i)
-		case u < cfg.PasswordFrac+cfg.BusyFrac:
+		case u < passwordFrac+busyFrac:
 			s.Status = StatusBusy
 			s.PriorClients = BusyClientLimit + statusRNG.Intn(5)
-		case u < cfg.PasswordFrac+cfg.BusyFrac+cfg.FirewalledFrac:
+		case u < passwordFrac+busyFrac+firewalledFrac:
 			s.Status = StatusFirewalled
 		default:
 			s.Status = StatusOK
@@ -242,11 +225,7 @@ func BuildPopulation(cfg Config) (*Population, error) {
 	}
 
 	// Place songs across the readable shares with power-law replica counts.
-	maxRep := cfg.MaxReplicas
-	if maxRep <= 0 || maxRep > len(p.Readable) {
-		maxRep = len(p.Readable)
-	}
-	repDist, err := zipf.New(maxRep, cfg.ReplicaAlpha)
+	repDist, err := zipf.New(len(p.Readable), replicaAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +245,12 @@ func BuildPopulation(cfg Config) (*Population, error) {
 		k := ks[songID]
 		for _, si := range placeRNG.SampleInts(len(p.Readable), k) {
 			inst := meta
-			if editRNG.Bool(cfg.NoGenreFrac) {
+			if editRNG.Bool(noGenreFrac) {
 				inst.Genre = ""
-			} else if editRNG.Bool(cfg.GenreVariantProb) {
+			} else if editRNG.Bool(genreVariantProb) {
 				inst.Genre = genreVariant(inst.Genre, editRNG)
 			}
-			if editRNG.Bool(cfg.NoAlbumFrac) {
+			if editRNG.Bool(noAlbumFrac) {
 				inst.Album = ""
 			}
 			p.Readable[si].Songs = append(p.Readable[si].Songs, inst)

@@ -38,14 +38,14 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 
 	// Session state machines: initialize from the stationary distribution
 	// and schedule transitions.
-	stationary := cfg.MeanOnline / (cfg.MeanOnline + cfg.MeanOffline)
+	stationary := churn.MeanOnline / (churn.MeanOnline + churn.MeanOffline)
 	var schedule func(v int) error
 	schedule = func(v int) error {
 		var d int64
 		if online[v] {
-			d = 1 + int64(r.ExpFloat64()*cfg.MeanOnline)
+			d = 1 + int64(r.ExpFloat64()*churn.MeanOnline)
 		} else {
-			d = 1 + int64(r.ExpFloat64()*cfg.MeanOffline)
+			d = 1 + int64(r.ExpFloat64()*churn.MeanOffline)
 		}
 		return eng.Schedule(eng.Now()+d, PrioChurn, "churn/session", func(int64, *rng.Source) error {
 			online[v] = !online[v]
@@ -80,14 +80,14 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 					origin = qr.Intn(n)
 				}
 				obj := qr.Intn(p.Objects())
-				t.Add(strategy.Outcome{Found: onlineHit(fr, &holders, online, origin, cfg.TTL, p.Holders[obj])})
+				t.Add(strategy.Outcome{Found: onlineHit(fr, &holders, online, origin, churn.TTL, p.Holders[obj])})
 			}
 			s.SuccessRate = t.Success()
 		}
 		res.Samples = append(res.Samples, s)
 		return nil
 	}
-	for t := cfg.SampleEvery; t <= cfg.Duration; t += cfg.SampleEvery {
+	for t := churn.SampleEvery; t <= cfg.Duration; t += churn.SampleEvery {
 		if err := eng.Schedule(t, PrioChurn, "churn/sample", measure); err != nil {
 			return nil, err
 		}

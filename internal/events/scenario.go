@@ -18,10 +18,10 @@ import (
 // workloads: it wires one overlay network, its maintenance loop, a churn
 // timeline, a fault-burst schedule and a query load onto the engine, and
 // measures *windowed* metrics — success rate, message cost, partition
-// count, repair latency — instead of end-of-trial aggregates. Four
+// count, repair latency — instead of end-of-trial aggregates. Three
 // canonical scenarios cover the failure modes the static trial engine
 // cannot express: steady state (the oracle case), fault-burst + recovery,
-// flash crowds on a transiently popular term, and diurnal load.
+// and flash crowds on a transiently popular term.
 
 // Kind names a canonical scenario shape. It is descriptive metadata — the
 // config fields drive behavior — but the constructors below keep the two
@@ -33,7 +33,6 @@ const (
 	SteadyState Kind = iota
 	FaultRecovery
 	FlashCrowd
-	DiurnalLoad
 )
 
 // String names the kind.
@@ -45,8 +44,6 @@ func (k Kind) String() string {
 		return "fault-recovery"
 	case FlashCrowd:
 		return "flash-crowd"
-	case DiurnalLoad:
-		return "diurnal"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -87,7 +84,7 @@ type ScenarioConfig struct {
 	// Window is the metrics-window length in seconds.
 	Window int64
 	// QueriesPerWindow is the base query volume per window (flash crowds
-	// and diurnal modulation scale it).
+	// scale it).
 	QueriesPerWindow int
 	// BatchesPerWindow spreads each window's queries over this many query
 	// events, so topology changes interleave with load inside a window.
@@ -109,9 +106,6 @@ type ScenarioConfig struct {
 	Bursts []faults.Burst
 	// Flash, when non-nil, adds a flash crowd.
 	Flash *FlashConfig
-	// DiurnalAmp modulates query volume sinusoidally over the horizon
-	// (peak = base*(1+amp), trough = base*(1-amp)); 0 disables.
-	DiurnalAmp float64
 	// Capacity, when non-nil and enabled, attaches a bounded-ingress
 	// overload plane to the network: floods and keepalives charge per-peer
 	// queues, shedding policies drop overload, and query batches fold queue
@@ -148,8 +142,6 @@ func (c ScenarioConfig) Validate() error {
 		return fmt.Errorf("events: BatchesPerWindow must be at least 1, got %d", c.BatchesPerWindow)
 	case c.TTL < 1:
 		return fmt.Errorf("events: TTL must be at least 1, got %d", c.TTL)
-	case math.IsNaN(c.DiurnalAmp) || c.DiurnalAmp < 0 || c.DiurnalAmp >= 1:
-		return fmt.Errorf("events: DiurnalAmp must be in [0,1), got %v", c.DiurnalAmp)
 	}
 	if err := c.Repair.Validate(); err != nil {
 		return err
@@ -423,8 +415,7 @@ func (s *Scenario) schedule() error {
 	}
 
 	// Query batches: each window's volume spread over BatchesPerWindow
-	// events strictly inside the window, then modulated by the diurnal
-	// cycle and any flash crowd.
+	// events strictly inside the window, then scaled by any flash crowd.
 	nWindows := int(cfg.Duration / cfg.Window)
 	for w := 0; w < nWindows; w++ {
 		wStart := int64(w) * cfg.Window
@@ -461,8 +452,7 @@ func (s *Scenario) schedule() error {
 }
 
 // batchSize is the query count of batch b of window w: the base per-batch
-// share, scaled by the diurnal cycle at the batch instant and by a flash
-// crowd's volume boost.
+// share, scaled by a flash crowd's volume boost.
 func (s *Scenario) batchSize(at int64, w, b int) int {
 	cfg := s.cfg
 	base := cfg.QueriesPerWindow / cfg.BatchesPerWindow
@@ -470,11 +460,6 @@ func (s *Scenario) batchSize(at int64, w, b int) int {
 		base++
 	}
 	scale := 1.0
-	if cfg.DiurnalAmp > 0 {
-		// One full cycle over the horizon, peaking at the quarter point.
-		phase := 2 * math.Pi * float64(at) / float64(cfg.Duration)
-		scale *= 1 + cfg.DiurnalAmp*math.Sin(phase)
-	}
 	if cfg.Flash != nil && at >= cfg.Flash.Start && at < cfg.Flash.End {
 		scale *= cfg.Flash.Boost
 	}

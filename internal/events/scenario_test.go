@@ -78,13 +78,12 @@ func TestScenarioConfigValidate(t *testing.T) {
 		func(c *ScenarioConfig) { c.QueriesPerWindow = 0 },
 		func(c *ScenarioConfig) { c.BatchesPerWindow = 0 },
 		func(c *ScenarioConfig) { c.TTL = 0 },
-		func(c *ScenarioConfig) { c.DiurnalAmp = 1.5 },
 		func(c *ScenarioConfig) { c.Repair.PingInterval = 0 },
 		func(c *ScenarioConfig) { c.Bursts = []faults.Burst{{Time: 0, Frac: 0.5}} },
 		func(c *ScenarioConfig) { c.Flash = &FlashConfig{Start: 100, End: 50, Frac: 0.5, Boost: 2} },
 		func(c *ScenarioConfig) {
 			tl := churn.DefaultTimelineConfig(1)
-			tl.MeanOnline = 0
+			tl.PoliteFrac = 1.5
 			c.Churn = &tl
 		},
 	}
@@ -280,29 +279,6 @@ func TestFlashCrowdShapesLoad(t *testing.T) {
 	}
 	if snap["events_executed_total"] != int64(res.EventsProcessed) {
 		t.Fatalf("events_executed_total = %d, want %d", snap["events_executed_total"], res.EventsProcessed)
-	}
-}
-
-// TestDiurnalLoadVaries checks the sinusoidal volume modulation: peak
-// windows above base, trough windows below.
-func TestDiurnalLoadVaries(t *testing.T) {
-	const seed = 71
-	cfg := shortScenario(DiurnalLoad, seed)
-	cfg.DiurnalAmp = 0.6
-	cfg.Churn = nil // isolate the load shape
-	res := runScenario(t, testNetwork(t, seed), cfg)
-
-	minQ, maxQ := res.Windows[0].Queries, res.Windows[0].Queries
-	for _, w := range res.Windows {
-		if w.Queries < minQ {
-			minQ = w.Queries
-		}
-		if w.Queries > maxQ {
-			maxQ = w.Queries
-		}
-	}
-	if maxQ <= cfg.QueriesPerWindow || minQ >= cfg.QueriesPerWindow {
-		t.Fatalf("diurnal modulation flat: min %d, max %d around base %d", minQ, maxQ, cfg.QueriesPerWindow)
 	}
 }
 

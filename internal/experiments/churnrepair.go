@@ -25,27 +25,25 @@ type ChurnRepairConfig struct {
 	// Repair shapes the maintenance loop. Its Repair flag is overridden
 	// per scenario.
 	Repair gnet.RepairConfig
-	// SampleEvery is the measurement period in seconds.
-	SampleEvery int64
-	// TTL bounds the measurement floods.
-	TTL int
-	// QueriesPerSample is the flood count per measurement point (0 scales
-	// with the environment's SimTrials).
-	QueriesPerSample int
 }
 
+const (
+	// churnRepairSampleEvery is the measurement period in seconds.
+	churnRepairSampleEvery int64 = 600
+	// churnRepairTTL bounds the measurement floods.
+	churnRepairTTL = 3
+)
+
 // DefaultChurnRepairConfig measures two simulated hours of churn with
-// one-minute ping rounds and ten-minute samples.
+// one-minute ping rounds (and ten-minute samples).
 func DefaultChurnRepairConfig(seed uint64) ChurnRepairConfig {
 	tl := churn.DefaultTimelineConfig(seed)
 	tl.Duration = 2 * 3600
 	rp := gnet.DefaultRepairConfig(seed)
 	rp.PingInterval = 60
 	return ChurnRepairConfig{
-		Timeline:    tl,
-		Repair:      rp,
-		SampleEvery: 600,
-		TTL:         3,
+		Timeline: tl,
+		Repair:   rp,
 	}
 }
 
@@ -54,18 +52,7 @@ func (c ChurnRepairConfig) Validate() error {
 	if err := c.Timeline.Validate(); err != nil {
 		return err
 	}
-	if err := c.Repair.Validate(); err != nil {
-		return err
-	}
-	switch {
-	case c.SampleEvery <= 0:
-		return fmt.Errorf("experiments: churn-repair SampleEvery must be positive, got %d", c.SampleEvery)
-	case c.TTL < 1:
-		return fmt.Errorf("experiments: churn-repair TTL must be at least 1, got %d", c.TTL)
-	case c.QueriesPerSample < 0:
-		return fmt.Errorf("experiments: churn-repair QueriesPerSample must be non-negative, got %d", c.QueriesPerSample)
-	}
-	return nil
+	return c.Repair.Validate()
 }
 
 // ChurnRepairSample is one measurement point of one scenario.
@@ -107,10 +94,9 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	queries := cfg.QueriesPerSample
-	if queries == 0 {
-		queries = e.queriesPerSample(40, 200)
-	}
+	// The flood count per measurement point scales with the environment's
+	// SimTrials.
+	queries := e.queriesPerSample(40, 200)
 	cat, err := e.buildCatalog()
 	if err != nil {
 		return nil, err
@@ -122,7 +108,7 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 
 	res := &ChurnRepairResult{
 		Peers:  e.P.GnutellaPeers,
-		TTL:    cfg.TTL,
+		TTL:    churnRepairTTL,
 		Events: len(tl.Events),
 	}
 
@@ -131,10 +117,10 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 	// scenarios differ only through topology and liveness.
 	qbase := rng.NewNamed(e.Seed, "experiments/churn-repair-queries")
 	measure := func(nw *gnet.Network, si int) (float64, error) {
-		return e.knownItemSuccess(nw, queries, cfg.TTL, qbase, fmt.Sprintf("sample/%d/trial/", si))
+		return e.knownItemSuccess(nw, queries, churnRepairTTL, qbase, fmt.Sprintf("sample/%d/trial/", si))
 	}
 
-	samples := int(cfg.Timeline.Duration / cfg.SampleEvery)
+	samples := int(cfg.Timeline.Duration / churnRepairSampleEvery)
 
 	// Static anchor: the untouched overlay, everyone online, same query
 	// streams averaged over the same sample indices.
@@ -184,7 +170,7 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 			return nil, gnet.RepairStats{}, err
 		}
 		var out []ChurnRepairSample
-		err = events.Every(eng, cfg.SampleEvery, cfg.SampleEvery, events.PrioQuery, "sample", func(si int, now int64) error {
+		err = events.Every(eng, churnRepairSampleEvery, churnRepairSampleEvery, events.PrioQuery, "sample", func(si int, now int64) error {
 			s := ChurnRepairSample{Time: now}
 			s.OnlineFrac, s.MeanDegree = gnet.LiveDegree(nw, m.Online())
 			var err error

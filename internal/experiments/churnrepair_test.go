@@ -50,11 +50,8 @@ func TestChurnRepairConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*ChurnRepairConfig){
-		func(c *ChurnRepairConfig) { c.Timeline.MeanOnline = -1 },
+		func(c *ChurnRepairConfig) { c.Timeline.PoliteFrac = -1 },
 		func(c *ChurnRepairConfig) { c.Repair.PingInterval = 0 },
-		func(c *ChurnRepairConfig) { c.SampleEvery = 0 },
-		func(c *ChurnRepairConfig) { c.TTL = 0 },
-		func(c *ChurnRepairConfig) { c.QueriesPerSample = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultChurnRepairConfig(1)

@@ -24,41 +24,36 @@ type RecoveryConfig struct {
 	BurstTime int64
 	// BurstFrac is the fraction of the population crashing at BurstTime.
 	BurstFrac float64
-	// Duration and Window shape the event-engine horizon and the metrics
-	// windows.
-	Duration int64
-	Window   int64
-	// QueriesPerWindow is the measurement flood volume per window (0 scales
-	// with the environment's SimTrials).
-	QueriesPerWindow int
-	// BatchesPerWindow spreads each window's queries over this many query
-	// events.
-	BatchesPerWindow int
-	// TTL bounds the measurement floods.
-	TTL int
 	// Repair shapes the maintenance loop of the repair arm. Its Repair flag
 	// is overridden per arm.
 	Repair gnet.RepairConfig
-	// RecoverFrac defines "recovered": windowed success at or above this
-	// fraction of the pre-burst mean.
-	RecoverFrac float64
 }
 
-// DefaultRecoveryConfig crashes 30% of the population one third into a
-// two-hour run, with one-minute ping rounds, ten-minute windows and the
-// 0.95x-of-baseline recovery bar.
+const (
+	// recoveryDuration and recoveryWindow shape the event-engine horizon
+	// and the metrics windows.
+	recoveryDuration int64 = 2 * 3600
+	recoveryWindow   int64 = 600
+	// recoveryBatchesPerWindow spreads each window's queries over this
+	// many query events.
+	recoveryBatchesPerWindow = 4
+	// recoveryTTL bounds the measurement floods.
+	recoveryTTL = 3
+	// recoverFrac defines "recovered": windowed success at or above this
+	// fraction of the pre-burst mean.
+	recoverFrac float64 = 0.95
+)
+
+// DefaultRecoveryConfig crashes 30% of the population one third into the
+// two-hour run, with one-minute ping rounds (ten-minute windows and the
+// 0.95x-of-baseline recovery bar are the constants above).
 func DefaultRecoveryConfig(seed uint64) RecoveryConfig {
 	rp := gnet.DefaultRepairConfig(seed)
 	rp.PingInterval = 60
 	return RecoveryConfig{
-		BurstTime:        2400,
-		BurstFrac:        0.3,
-		Duration:         2 * 3600,
-		Window:           600,
-		BatchesPerWindow: 4,
-		TTL:              3,
-		Repair:           rp,
-		RecoverFrac:      0.95,
+		BurstTime: 2400,
+		BurstFrac: 0.3,
+		Repair:    rp,
 	}
 }
 
@@ -67,22 +62,10 @@ func (c RecoveryConfig) Validate() error {
 	if err := (faults.Burst{Time: c.BurstTime, Frac: c.BurstFrac}).Validate(); err != nil {
 		return err
 	}
-	switch {
-	case c.BurstTime >= c.Duration:
-		return fmt.Errorf("experiments: recovery burst at %d is outside the %d-second run", c.BurstTime, c.Duration)
-	case c.RecoverFrac <= 0 || c.RecoverFrac > 1:
-		return fmt.Errorf("experiments: recovery RecoverFrac must be in (0,1], got %v", c.RecoverFrac)
-	case c.QueriesPerWindow < 0:
-		return fmt.Errorf("experiments: recovery QueriesPerWindow must be non-negative, got %d", c.QueriesPerWindow)
+	if c.BurstTime >= recoveryDuration {
+		return fmt.Errorf("experiments: recovery burst at %d is outside the %d-second run", c.BurstTime, recoveryDuration)
 	}
-	// Duration/Window/BatchesPerWindow/TTL/Repair are checked by the
-	// scenario config this expands into.
-	scfg := events.ScenarioConfig{
-		Kind: events.FaultRecovery, Duration: c.Duration, Window: c.Window,
-		QueriesPerWindow: max(1, c.QueriesPerWindow), BatchesPerWindow: c.BatchesPerWindow,
-		TTL: c.TTL, Repair: c.Repair,
-	}
-	return scfg.Validate()
+	return c.Repair.Validate()
 }
 
 // RecoveryResult is the two-arm recovery comparison.
@@ -101,7 +84,7 @@ type RecoveryResult struct {
 	RepairFinal   float64 `json:"repair_final"`
 	NoRepairFinal float64 `json:"no_repair_final"`
 	// RecoveryTime is the seconds from the burst until the repair arm's
-	// windowed success first reaches RecoverFrac of the pre-burst mean
+	// windowed success first reaches recoverFrac of the pre-burst mean
 	// again (-1: never within the horizon). NoRepairRecoveryTime is the
 	// same bar for the unmaintained arm.
 	RecoveryTime         int64 `json:"recovery_time_s"`
@@ -118,10 +101,9 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	queries := cfg.QueriesPerWindow
-	if queries == 0 {
-		queries = e.queriesPerSample(40, 200)
-	}
+	// The measurement flood volume per window scales with the
+	// environment's SimTrials.
+	queries := e.queriesPerSample(40, 200)
 	cat, err := e.buildCatalog()
 	if err != nil {
 		return nil, err
@@ -133,11 +115,11 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 		return e.runScenario(cat, events.ScenarioConfig{
 			Kind:             events.FaultRecovery,
 			Seed:             e.Seed,
-			Duration:         cfg.Duration,
-			Window:           cfg.Window,
+			Duration:         recoveryDuration,
+			Window:           recoveryWindow,
 			QueriesPerWindow: queries,
-			BatchesPerWindow: cfg.BatchesPerWindow,
-			TTL:              cfg.TTL,
+			BatchesPerWindow: recoveryBatchesPerWindow,
+			TTL:              recoveryTTL,
 			Repair:           rcfg,
 			Bursts:           []faults.Burst{{Time: cfg.BurstTime, Frac: cfg.BurstFrac}},
 			SeriesPrefix:     prefix,
@@ -155,7 +137,7 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 
 	res := &RecoveryResult{
 		Peers:                e.P.GnutellaPeers,
-		TTL:                  cfg.TTL,
+		TTL:                  recoveryTTL,
 		BurstTime:            cfg.BurstTime,
 		BurstFrac:            cfg.BurstFrac,
 		Repair:               withRepair.Windows,
@@ -176,7 +158,7 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 		res.PreBurstSuccess = pre / float64(preN)
 	}
 	recoveryTime := func(ws []events.Window) int64 {
-		bar := cfg.RecoverFrac * res.PreBurstSuccess
+		bar := recoverFrac * res.PreBurstSuccess
 		for _, w := range ws {
 			if w.End > cfg.BurstTime && w.Success >= bar {
 				return w.End - cfg.BurstTime

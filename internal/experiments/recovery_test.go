@@ -7,28 +7,14 @@ import (
 	"querycentric/internal/obs"
 )
 
-// tinyRecoveryConfig shrinks the recovery run to CI scale: one simulated
-// hour, burst at 20 minutes, six ten-minute windows.
-func tinyRecoveryConfig(seed uint64) RecoveryConfig {
-	cfg := DefaultRecoveryConfig(seed)
-	cfg.Duration = 3600
-	cfg.BurstTime = 1200
-	cfg.QueriesPerWindow = 40
-	return cfg
-}
-
 func TestRecoveryConfigValidate(t *testing.T) {
 	if err := DefaultRecoveryConfig(1).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*RecoveryConfig){
 		func(c *RecoveryConfig) { c.BurstTime = 0 },
-		func(c *RecoveryConfig) { c.BurstTime = c.Duration },
+		func(c *RecoveryConfig) { c.BurstTime = recoveryDuration },
 		func(c *RecoveryConfig) { c.BurstFrac = 1.5 },
-		func(c *RecoveryConfig) { c.RecoverFrac = 0 },
-		func(c *RecoveryConfig) { c.Window = 0 },
-		func(c *RecoveryConfig) { c.QueriesPerWindow = -1 },
-		func(c *RecoveryConfig) { c.TTL = 0 },
 		func(c *RecoveryConfig) { c.Repair.PingTimeout = 0 },
 	}
 	for i, mutate := range bad {
@@ -48,24 +34,25 @@ func TestRecoveryConfigValidate(t *testing.T) {
 func TestRecoveryQualitative(t *testing.T) {
 	e := NewEnv(ScaleTiny, 42)
 	e.Windows = obs.NewWindowLog()
-	res, err := RecoveryWith(e, tinyRecoveryConfig(e.Seed))
+	cfg := DefaultRecoveryConfig(e.Seed)
+	res, err := RecoveryWith(e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Repair) != 6 || len(res.NoRepair) != 6 {
-		t.Fatalf("got %d/%d windows, want 6/6", len(res.Repair), len(res.NoRepair))
+	if n := int(recoveryDuration / recoveryWindow); len(res.Repair) != n || len(res.NoRepair) != n {
+		t.Fatalf("got %d/%d windows, want %d/%d", len(res.Repair), len(res.NoRepair), n, n)
 	}
 	if res.PreBurstSuccess < 0.5 {
 		t.Fatalf("pre-burst success %.3f implausibly low", res.PreBurstSuccess)
 	}
 	// The burst takes ~30% of the population down and they stay down.
-	for _, w := range res.Repair[2:] {
+	for _, w := range res.Repair[cfg.BurstTime/recoveryWindow:] {
 		if w.OnlineFrac > 0.75 || w.OnlineFrac < 0.6 {
 			t.Fatalf("post-burst online frac %.3f, want ~0.7", w.OnlineFrac)
 		}
 	}
 	if res.RecoveryTime < 0 {
-		t.Fatalf("repair arm never recovered to %.2f of baseline: %+v", 0.95, res.Repair)
+		t.Fatalf("repair arm never recovered to %.2f of baseline: %+v", recoverFrac, res.Repair)
 	}
 	if res.RepairFinal < res.NoRepairFinal {
 		t.Fatalf("repair arm ended at %.3f, below no-repair %.3f", res.RepairFinal, res.NoRepairFinal)
@@ -109,7 +96,7 @@ func TestRecoveryWindowWorkerInvariance(t *testing.T) {
 		e := NewEnv(ScaleTiny, 42)
 		e.Workers = workers
 		e.Windows = obs.NewWindowLog()
-		res, err := RecoveryWith(e, tinyRecoveryConfig(e.Seed))
+		res, err := RecoveryWith(e, DefaultRecoveryConfig(e.Seed))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

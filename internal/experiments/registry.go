@@ -5,6 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"querycentric/internal/adaptive"
 	"querycentric/internal/cliflags"
@@ -275,11 +277,27 @@ var Runners = []Runner{
 	{Name: "shortcuts", Sim: true, run: typed(ShortcutsExperiment), out: func(Result) output { return output{} }},
 	{Name: "faults", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
 		dead := fs.Float64("dead", 0, "fraction of peers offline in -mode faults (churn liveness mask)")
+		rates := fs.String("fault-rates", "", "comma-separated fault rates to sweep in -mode faults (default 0,0.05,0.1,0.2,0.3,0.4,0.5)")
+		attempts := fs.Int("attempts", 0, "per-peer crawl attempt budget in -mode faults (0 = default 3)")
 		return func(e *Env) (Result, error) {
-			if err := cliflags.CheckFrac("-dead", *dead); err != nil {
+			cfg := FaultSweepConfig{DeadFrac: *dead, MaxAttempts: *attempts}
+			errs := []error{cliflags.CheckFrac("-dead", *dead), cliflags.CheckNonNegative("-attempts", *attempts)}
+			if *rates != "" {
+				for _, part := range strings.Split(*rates, ",") {
+					r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+					if err != nil {
+						err = fmt.Errorf("bad fault rate %q: %w", part, err)
+					} else {
+						err = cliflags.CheckFrac("-fault-rates", r)
+					}
+					errs = append(errs, err)
+					cfg.Rates = append(cfg.Rates, r)
+				}
+			}
+			if err := errors.Join(errs...); err != nil {
 				return nil, err
 			}
-			return FaultSweepWith(e, FaultSweepConfig{DeadFrac: *dead})
+			return FaultSweepWith(e, cfg)
 		}
 	}, out: text(func(r *FaultSweepResult) output {
 		return output{header: line("# fault sweep: %d peers, dead_frac %.2f, %d attempts/peer", r.Peers, r.DeadFrac, r.MaxAttempts)}

@@ -41,60 +41,57 @@ func armName(arm int) string {
 // SaturationConfig tunes the sweep.
 type SaturationConfig struct {
 	// Loads is the offered-load sweep in base queries per window, strictly
-	// increasing. The flash crowd multiplies each by Flash.Boost inside the
-	// flash interval.
+	// increasing. The flash crowd multiplies each by saturationFlash.Boost
+	// inside the flash interval.
 	Loads []int
-	// Duration and Window shape the event-engine horizon and the metrics
-	// windows.
-	Duration int64
-	Window   int64
-	// BatchesPerWindow spreads each window's queries over this many query
-	// events.
-	BatchesPerWindow int
-	// TTL bounds the measurement floods.
-	TTL int
-	// Flash shapes the mid-run crowd all arms share.
-	Flash events.FlashConfig
 	// Capacity is the bounded arms' plane template; Policy and Breakers
 	// are overridden per arm (breakers ride on the TTL-aware arm only),
 	// and the unbounded arm keeps the same service model with shedding
 	// disabled.
 	Capacity capacity.Config
-	// QueryRetries is the extra flood attempts an untimely query makes —
-	// the feedback loop that makes the unbounded arm's cost super-linear.
-	QueryRetries int
-	// AnswerDeadlineS is the queueing-delay budget for a hit to count.
-	AnswerDeadlineS int64
-	// Repair shapes the maintenance loop (pings charge the same queues).
-	Repair gnet.RepairConfig
 	// Arms restricts the sweep to the named arms (policy tokens); empty
 	// runs all four.
 	Arms []string
 }
 
-// DefaultSaturationConfig sweeps a one-hour flash-crowd run over an 81x
-// offered-load range: 16-deep queues served at one message per 4
-// simulated seconds (a drain rate the lowest load fits under with room
-// for keepalives, and the flash at the highest load exceeds severalfold),
-// admission folded every 8 queries, two retries per unanswered query, and
-// a last-resort 15-of-16 breaker with a one-minute cooldown on the
-// TTL-aware arm.
+// saturationFlash shapes the mid-run crowd all arms share.
+var saturationFlash = events.FlashConfig{Start: 1200, End: 2400, Frac: 0.5, Boost: 3}
+
+const (
+	// saturationDuration and saturationWindow shape the one-hour
+	// event-engine horizon and the metrics windows.
+	saturationDuration int64 = 3600
+	saturationWindow   int64 = 600
+	// saturationBatchesPerWindow spreads each window's queries over this
+	// many query events.
+	saturationBatchesPerWindow = 4
+	// saturationTTL bounds the measurement floods.
+	saturationTTL = 3
+	// saturationQueryRetries is the extra flood attempt an untimely query
+	// makes — the feedback loop that makes the unbounded arm's cost
+	// super-linear.
+	saturationQueryRetries = 1
+	// saturationAnswerDeadlineS is the queueing-delay budget for a hit to
+	// count.
+	saturationAnswerDeadlineS int64 = 600
+	// saturationPingInterval is the maintenance loop's keepalive period
+	// (pings charge the same queues).
+	saturationPingInterval int64 = 300
+)
+
+// DefaultSaturationConfig sweeps an 81x offered-load range over 16-deep
+// queues served at one message per 4 simulated seconds (a drain rate the
+// lowest load fits under with room for keepalives, and the flash at the
+// highest load exceeds severalfold), folds admission every 8 queries, and
+// puts a last-resort 15-of-16 breaker with a one-minute cooldown on the
+// TTL-aware arm. Each run lasts an hour; an unanswered query is retried
+// once (two attempts in all).
 func DefaultSaturationConfig(seed uint64) SaturationConfig {
-	rp := gnet.DefaultRepairConfig(seed)
-	rp.PingInterval = 300
 	ccfg := capacity.DefaultConfig(seed)
 	ccfg.ServiceCostMs = 4000
 	return SaturationConfig{
-		Loads:            []int{40, 120, 360, 1080, 3240},
-		Duration:         3600,
-		Window:           600,
-		BatchesPerWindow: 4,
-		TTL:              3,
-		Flash:            events.FlashConfig{Start: 1200, End: 2400, Frac: 0.5, Boost: 3},
-		Capacity:         ccfg,
-		QueryRetries:     1,
-		AnswerDeadlineS:  600,
-		Repair:           rp,
+		Loads:    []int{40, 120, 360, 1080, 3240},
+		Capacity: ccfg,
 	}
 }
 
@@ -129,20 +126,22 @@ func (c SaturationConfig) scenarioConfig(seed uint64, arm, load int, prefix stri
 	ccfg := c.Capacity
 	ccfg.Policy = armPolicies[arm]
 	ccfg.Breakers = arm == armTTL
-	flash := c.Flash
+	rp := gnet.DefaultRepairConfig(seed)
+	rp.PingInterval = saturationPingInterval
+	flash := saturationFlash
 	return events.ScenarioConfig{
 		Kind:             events.FlashCrowd,
 		Seed:             seed,
-		Duration:         c.Duration,
-		Window:           c.Window,
+		Duration:         saturationDuration,
+		Window:           saturationWindow,
 		QueriesPerWindow: load,
-		BatchesPerWindow: c.BatchesPerWindow,
-		TTL:              c.TTL,
-		Repair:           c.Repair,
+		BatchesPerWindow: saturationBatchesPerWindow,
+		TTL:              saturationTTL,
+		Repair:           rp,
 		Flash:            &flash,
 		Capacity:         &ccfg,
-		QueryRetries:     c.QueryRetries,
-		AnswerDeadlineS:  c.AnswerDeadlineS,
+		QueryRetries:     saturationQueryRetries,
+		AnswerDeadlineS:  saturationAnswerDeadlineS,
 		SeriesPrefix:     prefix,
 	}
 }
@@ -227,7 +226,7 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 
 	res := &SaturationResult{
 		Peers:      e.P.GnutellaPeers,
-		TTL:        cfg.TTL,
+		TTL:        saturationTTL,
 		QueueDepth: cfg.Capacity.QueueDepth,
 	}
 	wanted := func(arm int) bool {
@@ -252,7 +251,7 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			a.Points = append(a.Points, saturationPoint(load, cfg.Flash, sr))
+			a.Points = append(a.Points, saturationPoint(load, sr))
 		}
 		res.Arms = append(res.Arms, a)
 	}
@@ -260,14 +259,14 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 }
 
 // saturationPoint folds one scenario run into its sweep point.
-func saturationPoint(load int, flash events.FlashConfig, sr *events.ScenarioResult) SaturationPoint {
+func saturationPoint(load int, sr *events.ScenarioResult) SaturationPoint {
 	p := SaturationPoint{Load: load}
 	var succ, flashSucc float64
 	var nWin, nFlash int
 	for _, w := range sr.Windows {
 		succ += w.Success
 		nWin++
-		if w.Start < flash.End && w.End > flash.Start {
+		if w.Start < saturationFlash.End && w.End > saturationFlash.Start {
 			flashSucc += w.Success
 			nFlash++
 		}

@@ -16,9 +16,7 @@ func TestSaturationConfigValidate(t *testing.T) {
 		func(c *SaturationConfig) { c.Capacity.ServiceCostMs = 0 },
 		func(c *SaturationConfig) { c.Capacity.QueueDepth = 0 },
 		func(c *SaturationConfig) { c.Arms = []string{"droptail"} },
-		func(c *SaturationConfig) { c.Window = 0 },
-		func(c *SaturationConfig) { c.TTL = 0 },
-		func(c *SaturationConfig) { c.QueryRetries = -1 },
+		func(c *SaturationConfig) { c.Capacity.CommitEvery = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultSaturationConfig(1)

@@ -34,18 +34,22 @@ var capacityLevels = []struct {
 	{10000, 0.001},
 }
 
-// Config tunes the Gia build.
+// Config seeds the Gia build.
 type Config struct {
 	Seed uint64
-	// AvgDegree is the mean node degree after adaptation.
-	AvgDegree int
-	// MaxDegreeFactor caps a node's degree at MaxDegreeFactor*AvgDegree.
-	MaxDegreeFactor int
 }
 
-// DefaultConfig matches the published evaluation's shape.
+// The degree shape matches the published evaluation's.
+const (
+	// avgDegree is the mean node degree after adaptation.
+	avgDegree = 8
+	// maxDegreeFactor caps a node's degree at maxDegreeFactor*avgDegree.
+	maxDegreeFactor = 16
+)
+
+// DefaultConfig seeds the build.
 func DefaultConfig(seed uint64) Config {
-	return Config{Seed: seed, AvgDegree: 8, MaxDegreeFactor: 16}
+	return Config{Seed: seed}
 }
 
 // System is a built Gia network bound to a replica placement.
@@ -66,12 +70,6 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 	}
 	if p.Nodes != n {
 		return nil, fmt.Errorf("gia: placement covers %d nodes, want %d", p.Nodes, n)
-	}
-	if cfg.AvgDegree < 2 {
-		return nil, fmt.Errorf("gia: AvgDegree must be at least 2, got %d", cfg.AvgDegree)
-	}
-	if cfg.MaxDegreeFactor < 2 {
-		cfg.MaxDegreeFactor = 16
 	}
 
 	s := &System{holderOf: p.Holders}
@@ -105,7 +103,7 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 		}
 	}
 	budget := make([]int, n)
-	maxDeg := cfg.AvgDegree * cfg.MaxDegreeFactor
+	maxDeg := avgDegree * maxDegreeFactor
 	var totalLog float64
 	logs := make([]float64, n)
 	for i, c := range s.Capacities {
@@ -117,7 +115,7 @@ func New(n int, p *search.Placement, cfg Config) (*System, error) {
 		logs[i] = l
 		totalLog += l
 	}
-	extraEdges := n * (cfg.AvgDegree - 2) / 2
+	extraEdges := n * (avgDegree - 2) / 2
 	for i := range budget {
 		budget[i] = int(float64(2*extraEdges) * logs[i] / totalLog)
 		if budget[i] > maxDeg {

@@ -25,11 +25,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(20, p, DefaultConfig(1)); err == nil {
 		t.Error("mismatched placement accepted")
 	}
-	bad := DefaultConfig(1)
-	bad.AvgDegree = 1
-	if _, err := New(10, p, bad); err == nil {
-		t.Error("AvgDegree 1 accepted")
-	}
 }
 
 func TestCapacityDistribution(t *testing.T) {

@@ -51,35 +51,33 @@ type RepairConfig struct {
 	// PingTimeout is how many consecutive unanswered rounds mark a
 	// neighbor dead.
 	PingTimeout int
-	// HostCacheSize bounds each peer's candidate pool.
-	HostCacheSize int
-	// ConnectAttempts bounds candidate dials per peer per repair pass
-	// (the bounded-retry half of the faults discipline).
-	ConnectAttempts int
-	// BackoffBase is the seconds before a failed candidate is retried,
-	// doubled per consecutive failure (the exponential-backoff half).
-	BackoffBase int64
-	// CandidateFailLimit evicts a candidate from the host cache after this
-	// many consecutive failed dials.
-	CandidateFailLimit int
-	// Bootstrap lists well-known fallback addresses (the GWebCache role).
-	// Empty picks a deterministic handful of ultrapeers at construction.
-	Bootstrap []Addr
 }
 
+// The repair dials: each peer's candidates come from a host cache of
+// DefaultHostCacheSize entries.
+const (
+	// connectAttempts bounds candidate dials per peer per repair pass
+	// (the bounded-retry half of the faults discipline).
+	connectAttempts = 3
+	// repairBackoffBase is the seconds before a failed candidate is
+	// retried, doubled per consecutive failure (the exponential-backoff
+	// half).
+	repairBackoffBase int64 = 60
+	// candidateFailLimit evicts a candidate from the host cache after this
+	// many consecutive failed dials.
+	candidateFailLimit = 4
+)
+
 // DefaultRepairConfig returns the standard maintenance parameters: 30 s
-// pings, two missed rounds to declare death, 32-entry host caches, three
-// dials per pass backing off from 60 s.
+// pings and two missed rounds to declare death (the dials are the
+// constants above: 32-entry host caches, three dials per pass backing off
+// from 60 s).
 func DefaultRepairConfig(seed uint64) RepairConfig {
 	return RepairConfig{
-		Seed:               seed,
-		Repair:             true,
-		PingInterval:       30,
-		PingTimeout:        2,
-		HostCacheSize:      DefaultHostCacheSize,
-		ConnectAttempts:    3,
-		BackoffBase:        60,
-		CandidateFailLimit: 4,
+		Seed:         seed,
+		Repair:       true,
+		PingInterval: 30,
+		PingTimeout:  2,
 	}
 }
 
@@ -90,14 +88,6 @@ func (c RepairConfig) Validate() error {
 		return fmt.Errorf("gnet: repair PingInterval must be positive, got %d", c.PingInterval)
 	case c.PingTimeout < 1:
 		return fmt.Errorf("gnet: repair PingTimeout must be at least 1, got %d", c.PingTimeout)
-	case c.HostCacheSize < 1:
-		return fmt.Errorf("gnet: repair HostCacheSize must be at least 1, got %d", c.HostCacheSize)
-	case c.ConnectAttempts < 1:
-		return fmt.Errorf("gnet: repair ConnectAttempts must be at least 1, got %d", c.ConnectAttempts)
-	case c.BackoffBase < 0:
-		return fmt.Errorf("gnet: repair BackoffBase must be non-negative, got %d", c.BackoffBase)
-	case c.CandidateFailLimit < 1:
-		return fmt.Errorf("gnet: repair CandidateFailLimit must be at least 1, got %d", c.CandidateFailLimit)
 	}
 	return nil
 }
@@ -127,6 +117,8 @@ type Maintainer struct {
 	nw    *Network
 	cfg   RepairConfig
 	plane *faults.Plane
+	// bootstrap lists well-known fallback addresses (the GWebCache role).
+	bootstrap []Addr
 
 	online  []bool
 	caches  []*HostCache
@@ -179,12 +171,10 @@ func NewMaintainer(nw *Network, cfg RepairConfig, initialOnline []bool) (*Mainta
 		} else {
 			m.online[i] = initialOnline[i]
 		}
-		m.caches[i] = NewHostCache(cfg.HostCacheSize)
+		m.caches[i] = NewHostCache(DefaultHostCacheSize)
 		m.caches[i].Instrument(hostAdds, hostEvicts)
 	}
-	if len(m.cfg.Bootstrap) == 0 {
-		m.cfg.Bootstrap = defaultBootstrap(nw)
-	}
+	m.bootstrap = defaultBootstrap(nw)
 	m.seedCaches()
 	m.plane = nw.Faults()
 	if m.plane == nil {
@@ -522,7 +512,7 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 		return
 	}
 	if m.caches[u].Len() == 0 {
-		for _, a := range m.cfg.Bootstrap {
+		for _, a := range m.bootstrap {
 			if a != nw.Peers[u].Addr {
 				m.caches[u].Add(a)
 			}
@@ -554,7 +544,7 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 		}
 		return true
 	}
-	for attempt := 0; attempt < m.cfg.ConnectAttempts && m.repairDegree(u) < target; attempt++ {
+	for attempt := 0; attempt < connectAttempts && m.repairDegree(u) < target; attempt++ {
 		addr, ok := m.caches[u].Pick(r, keep)
 		if !ok {
 			return
@@ -589,13 +579,13 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 			m.retryAt[u] = make(map[Addr]int64)
 		}
 		m.fails[u][addr]++
-		if m.fails[u][addr] >= m.cfg.CandidateFailLimit {
+		if m.fails[u][addr] >= candidateFailLimit {
 			m.caches[u].Remove(addr)
 			delete(m.fails[u], addr)
 			delete(m.retryAt[u], addr)
 			continue
 		}
-		backoff := m.cfg.BackoffBase << (m.fails[u][addr] - 1)
+		backoff := repairBackoffBase << (m.fails[u][addr] - 1)
 		m.retryAt[u][addr] = now + backoff
 	}
 }

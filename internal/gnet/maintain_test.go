@@ -41,10 +41,6 @@ func TestRepairConfigValidate(t *testing.T) {
 	bad := []func(*RepairConfig){
 		func(c *RepairConfig) { c.PingInterval = 0 },
 		func(c *RepairConfig) { c.PingTimeout = 0 },
-		func(c *RepairConfig) { c.HostCacheSize = 0 },
-		func(c *RepairConfig) { c.ConnectAttempts = 0 },
-		func(c *RepairConfig) { c.BackoffBase = -1 },
-		func(c *RepairConfig) { c.CandidateFailLimit = 0 },
 	}
 	for i, mutate := range bad {
 		c := DefaultRepairConfig(1)

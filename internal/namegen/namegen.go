@@ -44,54 +44,36 @@ var NonSpecificNames = []string{
 	"New Recording.mp3", "track01.cda.mp3",
 }
 
-// Config controls variant generation.
-type Config struct {
-	// CaseVariantProb is the chance a replica's name changes letter case.
-	CaseVariantProb float64
-	// PunctVariantProb is the chance punctuation is altered (dash spacing,
+// The variant model mirrors the paper's observations (≈20% misspellings,
+// case and punctuation noise common).
+const (
+	// caseVariantProb is the chance a replica's name changes letter case.
+	caseVariantProb float64 = 0.25
+	// punctVariantProb is the chance punctuation is altered (dash spacing,
 	// dropped apostrophes).
-	PunctVariantProb float64
-	// FeatVariantProb is the chance a featuring credit is added/reworded.
-	FeatVariantProb float64
-	// MisspellProb is the chance of a single-character misspelling; the
+	punctVariantProb float64 = 0.20
+	// featVariantProb is the chance a featuring credit is added/reworded.
+	featVariantProb float64 = 0.10
+	// misspellProb is the chance of a single-character misspelling; the
 	// paper cites Zaharia et al.: ~20% of descriptions are misspelt.
-	MisspellProb float64
-	// ExtCaseProb is the chance the extension changes case (.mp3 → .MP3).
-	ExtCaseProb float64
-}
-
-// DefaultConfig mirrors the paper's observations (≈20% misspellings, case
-// and punctuation noise common).
-func DefaultConfig() Config {
-	return Config{
-		CaseVariantProb:  0.25,
-		PunctVariantProb: 0.20,
-		FeatVariantProb:  0.10,
-		MisspellProb:     0.20,
-		ExtCaseProb:      0.15,
-	}
-}
+	misspellProb float64 = 0.20
+	// extCaseProb is the chance the extension changes case (.mp3 → .MP3).
+	extCaseProb float64 = 0.15
+)
 
 // Generator derives canonical names and their replica variants.
 type Generator struct {
 	vocab *vocab.Vocabulary
-	cfg   Config
 	seed  uint64
 	cum   []float64 // cumulative extension weights
 }
 
 // New creates a Generator over the vocabulary.
-func New(v *vocab.Vocabulary, cfg Config, seed uint64) (*Generator, error) {
+func New(v *vocab.Vocabulary, seed uint64) (*Generator, error) {
 	if v == nil || len(v.Artists) == 0 || len(v.Titles) == 0 {
 		return nil, fmt.Errorf("namegen: vocabulary must have artists and titles")
 	}
-	for _, p := range []float64{cfg.CaseVariantProb, cfg.PunctVariantProb,
-		cfg.FeatVariantProb, cfg.MisspellProb, cfg.ExtCaseProb} {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("namegen: probability out of range in %+v", cfg)
-		}
-	}
-	g := &Generator{vocab: v, cfg: cfg, seed: seed}
+	g := &Generator{vocab: v, seed: seed}
 	total := 0.0
 	g.cum = make([]float64, len(extensions))
 	for i, e := range extensions {
@@ -158,12 +140,12 @@ func junkToken(r *rng.Source) string {
 	}
 }
 
-// Variant derives a replica-name variant of name. With the zero Config it
-// returns name unchanged; with DefaultConfig it perturbs case, punctuation,
-// featuring credits and spelling the way real Gnutella replicas differ.
+// Variant derives a replica-name variant of name: it perturbs case,
+// punctuation, featuring credits and spelling the way real Gnutella
+// replicas differ.
 func (g *Generator) Variant(name string, r *rng.Source) string {
 	base, ext := splitExt(name)
-	if r.Bool(g.cfg.FeatVariantProb) {
+	if r.Bool(featVariantProb) {
 		other := g.vocab.Artists[r.Intn(len(g.vocab.Artists))]
 		conj := []string{" ft. ", " feat. ", " and ", " & "}[r.Intn(4)]
 		if i := strings.Index(base, " - "); i >= 0 {
@@ -172,7 +154,7 @@ func (g *Generator) Variant(name string, r *rng.Source) string {
 			base = base + conj + other
 		}
 	}
-	if r.Bool(g.cfg.CaseVariantProb) {
+	if r.Bool(caseVariantProb) {
 		switch r.Intn(3) {
 		case 0:
 			base = strings.ToLower(base)
@@ -182,7 +164,7 @@ func (g *Generator) Variant(name string, r *rng.Source) string {
 			base = flipOneCase(base, r)
 		}
 	}
-	if r.Bool(g.cfg.PunctVariantProb) {
+	if r.Bool(punctVariantProb) {
 		switch r.Intn(4) {
 		case 0:
 			base = strings.ReplaceAll(base, " - ", "- ")
@@ -194,10 +176,10 @@ func (g *Generator) Variant(name string, r *rng.Source) string {
 			base = strings.ReplaceAll(base, " ", "  ")
 		}
 	}
-	if r.Bool(g.cfg.MisspellProb) {
+	if r.Bool(misspellProb) {
 		base = misspell(base, r)
 	}
-	if r.Bool(g.cfg.ExtCaseProb) {
+	if r.Bool(extCaseProb) {
 		ext = strings.ToUpper(ext)
 	}
 	return base + ext

@@ -8,13 +8,13 @@ import (
 	"querycentric/internal/vocab"
 )
 
-func testGen(t testing.TB, cfg Config) *Generator {
+func testGen(t testing.TB) *Generator {
 	t.Helper()
 	v, err := vocab.New(vocab.Config{Seed: 1, Artists: 200, Titles: 500, Albums: 100, Genres: 30, Extra: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(v, cfg, 42)
+	g, err := New(v, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,19 +22,13 @@ func testGen(t testing.TB, cfg Config) *Generator {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, DefaultConfig(), 1); err == nil {
+	if _, err := New(nil, 1); err == nil {
 		t.Error("expected error for nil vocabulary")
-	}
-	v, _ := vocab.New(vocab.Config{Seed: 1, Artists: 5, Titles: 5, Albums: 5})
-	bad := DefaultConfig()
-	bad.MisspellProb = 1.5
-	if _, err := New(v, bad, 1); err == nil {
-		t.Error("expected error for probability > 1")
 	}
 }
 
 func TestCanonicalDeterministic(t *testing.T) {
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	for i := 0; i < 100; i++ {
 		if g.Canonical(i) != g.Canonical(i) {
 			t.Fatalf("Canonical(%d) not deterministic", i)
@@ -43,7 +37,7 @@ func TestCanonicalDeterministic(t *testing.T) {
 }
 
 func TestCanonicalMostlyDistinct(t *testing.T) {
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	seen := map[string]int{}
 	for i := 0; i < 5000; i++ {
 		seen[g.Canonical(i)]++
@@ -55,7 +49,7 @@ func TestCanonicalMostlyDistinct(t *testing.T) {
 }
 
 func TestCanonicalHasExtension(t *testing.T) {
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	for i := 0; i < 500; i++ {
 		name := g.Canonical(i)
 		if !strings.Contains(name, ".") {
@@ -64,19 +58,8 @@ func TestCanonicalHasExtension(t *testing.T) {
 	}
 }
 
-func TestVariantZeroConfigIsIdentity(t *testing.T) {
-	g := testGen(t, Config{})
-	r := rng.New(1)
-	name := "Aaron Neville - I Don't Know Much.mp3"
-	for i := 0; i < 50; i++ {
-		if got := g.Variant(name, r); got != name {
-			t.Fatalf("zero-config variant changed name: %q", got)
-		}
-	}
-}
-
 func TestVariantProducesDiversity(t *testing.T) {
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	r := rng.New(2)
 	name := "Aaron Neville - I Don't Know Much.mp3"
 	variants := map[string]struct{}{}
@@ -96,8 +79,9 @@ func TestVariantProducesDiversity(t *testing.T) {
 func TestVariantKeepsSanitizedIdentityMostly(t *testing.T) {
 	// Case and punctuation variants must collapse under sanitization
 	// (that's what Figure 2 measures). Misspellings and feat-credits do
-	// not, so only check the case/punct-only configuration.
-	g := testGen(t, Config{CaseVariantProb: 1, PunctVariantProb: 0.5, ExtCaseProb: 1})
+	// not, so at least the draws that take neither must sanitize back to
+	// the canonical name.
+	g := testGen(t)
 	r := rng.New(3)
 	name := "Aaron Neville - I Dont Know Much.mp3"
 	sanitize := func(s string) string {
@@ -111,11 +95,22 @@ func TestVariantKeepsSanitizedIdentityMostly(t *testing.T) {
 		return b.String()
 	}
 	want := sanitize(name)
-	for i := 0; i < 100; i++ {
+	const draws = 2000
+	same, changed := 0, 0
+	for i := 0; i < draws; i++ {
 		v := g.Variant(name, r)
-		if got := sanitize(v); got != want {
-			t.Fatalf("case/punct variant %q does not sanitize to canonical: %q vs %q", v, got, want)
+		if sanitize(v) == want {
+			same++
 		}
+		if v != name {
+			changed++
+		}
+	}
+	if floor := (1 - featVariantProb) * (1 - misspellProb) * draws; float64(same) < 0.95*floor {
+		t.Errorf("%d of %d variants sanitize to canonical, want about %.0f or more", same, draws, floor)
+	}
+	if changed < draws/2 {
+		t.Errorf("only %d of %d variants differ from the name", changed, draws)
 	}
 }
 
@@ -175,7 +170,7 @@ func TestFlipOneCase(t *testing.T) {
 }
 
 func BenchmarkCanonical(b *testing.B) {
-	g := testGen(b, DefaultConfig())
+	g := testGen(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Canonical(i)
@@ -183,7 +178,7 @@ func BenchmarkCanonical(b *testing.B) {
 }
 
 func BenchmarkVariant(b *testing.B) {
-	g := testGen(b, DefaultConfig())
+	g := testGen(b)
 	r := rng.New(1)
 	name := g.Canonical(7)
 	b.ResetTimer()
@@ -193,7 +188,7 @@ func BenchmarkVariant(b *testing.B) {
 }
 
 func TestCanonicalJunkTokens(t *testing.T) {
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	withJunk := 0
 	const n = 2000
 	junkLike := func(name string) bool {
@@ -215,7 +210,7 @@ func TestCanonicalJunkTokens(t *testing.T) {
 func TestJunkTokensMostlyUnique(t *testing.T) {
 	// Junk tokens exist to create singleton terms: across many objects,
 	// the junk vocabulary must be nearly collision-free.
-	g := testGen(t, DefaultConfig())
+	g := testGen(t)
 	seen := map[string]int{}
 	for i := 0; i < 5000; i++ {
 		name := g.Canonical(i)

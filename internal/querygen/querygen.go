@@ -11,8 +11,8 @@
 //     Figure 7 shows <20% similarity).
 //
 // The model is a three-way mixture. Each query term comes from the
-// persistent core (probability CoreMass), from the currently active
-// transient bursts (BurstMass, when any burst is active), or from the Zipf
+// persistent core (probability coreMass), from the currently active
+// transient bursts (burstMass, when any burst is active), or from the Zipf
 // tail. The core is deliberately flat-ish so every core term clears any
 // reasonable per-interval popularity threshold, which is exactly the
 // "bulk of popular terms are persistently popular" structure observed.
@@ -35,13 +35,6 @@ type Config struct {
 	Duration int64 // seconds covered by the trace (one week = 604800)
 	Queries  int   // total queries to emit
 
-	// Vocabulary structure.
-	CoreSize  int     // persistently popular terms
-	TailSize  int     // rare terms
-	CoreMass  float64 // probability a term is drawn from the core
-	CoreZipfS float64 // within-core Zipf exponent (small ⇒ flat core)
-	TailZipfS float64 // within-tail Zipf exponent
-
 	// FileTerms, if non-nil, is the file-annotation term vocabulary ranked
 	// by popularity (most popular first). CoreFileOverlap of the core and
 	// TailFileOverlap of the tail are drawn from it; everything else is
@@ -50,20 +43,30 @@ type Config struct {
 	CoreFileOverlap float64
 	TailFileOverlap float64
 
-	// Transient bursts (Figure 5).
-	BurstsPerDay  float64 // expected new bursts per day
-	BurstDuration int64   // seconds a burst stays active
-	BurstMass     float64 // probability a term comes from the active bursts
-
 	// Query shape.
 	MaxTermsPerQuery int // terms per query drawn uniformly in [1, max]
-
-	// DiurnalAmplitude in [0,1) modulates query arrival density over the
-	// day (rate ∝ 1 + A·sin(2πt/86400)); real traces show strong diurnal
-	// cycles, which is part of Figure 5's per-interval variance. Zero
-	// keeps arrivals uniform.
-	DiurnalAmplitude float64
 }
+
+// Vocabulary structure.
+const (
+	coreSize          = 120   // persistently popular terms
+	tailSize          = 20000 // rare terms
+	coreMass  float64 = 0.55  // probability a term is drawn from the core
+	coreZipfS float64 = 0.4   // within-core Zipf exponent (small ⇒ flat core)
+	tailZipfS float64 = 1.05  // within-tail Zipf exponent
+)
+
+// Transient bursts (Figure 5).
+const (
+	burstsPerDay  float64 = 10       // expected new bursts per day
+	burstDuration int64   = 4 * 3600 // seconds a burst stays active
+	burstMass     float64 = 0.04     // probability a term comes from the active bursts
+)
+
+// diurnalAmplitude modulates query arrival density over the day (rate ∝
+// 1 + A·sin(2πt/86400)); real traces show strong diurnal cycles, which is
+// part of Figure 5's per-interval variance.
+const diurnalAmplitude float64 = 0.3
 
 // DefaultConfig is the scaled one-week workload.
 func DefaultConfig(seed uint64) Config {
@@ -71,18 +74,9 @@ func DefaultConfig(seed uint64) Config {
 		Seed:             seed,
 		Duration:         7 * 24 * 3600,
 		Queries:          250000,
-		CoreSize:         120,
-		TailSize:         20000,
-		CoreMass:         0.55,
-		CoreZipfS:        0.4,
-		TailZipfS:        1.05,
 		CoreFileOverlap:  0.35,
 		TailFileOverlap:  0.25,
-		BurstsPerDay:     10,
-		BurstDuration:    4 * 3600,
-		BurstMass:        0.04,
 		MaxTermsPerQuery: 3,
-		DiurnalAmplitude: 0.3,
 	}
 }
 
@@ -113,25 +107,13 @@ func Generate(cfg Config) (*Workload, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("querygen: Duration must be positive, got %d", cfg.Duration)
 	}
-	if cfg.CoreSize <= 0 || cfg.TailSize <= 0 {
-		return nil, fmt.Errorf("querygen: CoreSize and TailSize must be positive")
-	}
-	for _, p := range []float64{cfg.CoreMass, cfg.BurstMass, cfg.CoreFileOverlap, cfg.TailFileOverlap} {
+	for _, p := range []float64{cfg.CoreFileOverlap, cfg.TailFileOverlap} {
 		if p < 0 || p > 1 {
 			return nil, fmt.Errorf("querygen: probability out of range in config")
 		}
 	}
-	if cfg.CoreMass+cfg.BurstMass > 1 {
-		return nil, fmt.Errorf("querygen: CoreMass+BurstMass exceeds 1")
-	}
 	if cfg.MaxTermsPerQuery <= 0 {
 		cfg.MaxTermsPerQuery = 3
-	}
-	if cfg.CoreZipfS <= 0 {
-		cfg.CoreZipfS = 0.4
-	}
-	if cfg.TailZipfS <= 0 {
-		cfg.TailZipfS = 1.0
 	}
 
 	w := &Workload{}
@@ -139,39 +121,33 @@ func Generate(cfg Config) (*Workload, error) {
 	if w.Core, w.Tail, err = buildVocab(cfg); err != nil {
 		return nil, err
 	}
-	coreDist, err := zipf.New(len(w.Core), cfg.CoreZipfS)
+	coreDist, err := zipf.New(len(w.Core), coreZipfS)
 	if err != nil {
 		return nil, err
 	}
-	tailDist, err := zipf.New(len(w.Tail), cfg.TailZipfS)
+	tailDist, err := zipf.New(len(w.Tail), tailZipfS)
 	if err != nil {
 		return nil, err
 	}
 
-	// Schedule bursts over the timeline: Poisson arrivals at BurstsPerDay,
-	// each boosting one tail term for BurstDuration.
+	// Schedule bursts over the timeline: Poisson arrivals at burstsPerDay,
+	// each boosting one tail term for burstDuration.
 	bRNG := rng.NewNamed(cfg.Seed, "querygen/bursts")
-	if cfg.BurstsPerDay > 0 && cfg.BurstDuration > 0 {
-		days := float64(cfg.Duration) / 86400
-		n := bRNG.Poisson(cfg.BurstsPerDay * days)
-		for i := 0; i < n; i++ {
-			start := int64(bRNG.Float64() * float64(cfg.Duration))
-			// Burst terms come uniformly from the tail: transiently hot
-			// terms are ones with little standing popularity, which is
-			// what makes their deviation from history detectable.
-			w.Bursts = append(w.Bursts, Burst{
-				Term:  w.Tail[bRNG.Intn(len(w.Tail))],
-				Start: start,
-				End:   start + cfg.BurstDuration,
-			})
-		}
-		sort.Slice(w.Bursts, func(i, j int) bool { return w.Bursts[i].Start < w.Bursts[j].Start })
+	days := float64(cfg.Duration) / 86400
+	n := bRNG.Poisson(burstsPerDay * days)
+	for i := 0; i < n; i++ {
+		start := int64(bRNG.Float64() * float64(cfg.Duration))
+		// Burst terms come uniformly from the tail: transiently hot
+		// terms are ones with little standing popularity, which is
+		// what makes their deviation from history detectable.
+		w.Bursts = append(w.Bursts, Burst{
+			Term:  w.Tail[bRNG.Intn(len(w.Tail))],
+			Start: start,
+			End:   start + burstDuration,
+		})
 	}
-
-	if cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
-		return nil, fmt.Errorf("querygen: DiurnalAmplitude must be in [0,1), got %g", cfg.DiurnalAmplitude)
-	}
-	clock := newDiurnalClock(cfg.Duration, cfg.DiurnalAmplitude)
+	sort.Slice(w.Bursts, func(i, j int) bool { return w.Bursts[i].Start < w.Bursts[j].Start })
+	clock := newDiurnalClock(cfg.Duration)
 
 	qRNG := rng.NewNamed(cfg.Seed, "querygen/queries")
 	tr := &trace.QueryTrace{Source: "querygen", Duration: cfg.Duration}
@@ -184,7 +160,7 @@ func Generate(cfg Config) (*Workload, error) {
 		nTerms := 1 + qRNG.Intn(cfg.MaxTermsPerQuery)
 		qterms := make([]string, 0, nTerms)
 		for j := 0; j < nTerms; j++ {
-			qterms = append(qterms, sampleTerm(cfg, w, coreDist, tailDist, activeTerms, qRNG))
+			qterms = append(qterms, sampleTerm(w, coreDist, tailDist, activeTerms, qRNG))
 		}
 		tr.Records = append(tr.Records, trace.QueryRecord{Time: t, Query: join(qterms)})
 	}
@@ -193,12 +169,12 @@ func Generate(cfg Config) (*Workload, error) {
 }
 
 // sampleTerm draws one query term from the three-way mixture.
-func sampleTerm(cfg Config, w *Workload, core, tail *zipf.Dist, bursts []string, r *rng.Source) string {
+func sampleTerm(w *Workload, core, tail *zipf.Dist, bursts []string, r *rng.Source) string {
 	u := r.Float64()
 	switch {
-	case u < cfg.CoreMass:
+	case u < coreMass:
 		return w.Core[core.Sample(r)-1]
-	case u < cfg.CoreMass+cfg.BurstMass && len(bursts) > 0:
+	case u < coreMass+burstMass && len(bursts) > 0:
 		return bursts[r.Intn(len(bursts))]
 	default:
 		return w.Tail[tail.Sample(r)-1]
@@ -208,9 +184,8 @@ func sampleTerm(cfg Config, w *Workload, core, tail *zipf.Dist, bursts []string,
 // buildVocab assembles the core and tail vocabularies, drawing the
 // configured overlap fractions from the (ranked) file terms.
 func buildVocab(cfg Config) (core, tail []string, err error) {
-	need := cfg.CoreSize + cfg.TailSize
-	own := vocab.Words(cfg.Seed, "querygen/query-only", need)
-	fileHead, fileRest := splitFileTerms(cfg.FileTerms, cfg.CoreSize)
+	own := vocab.Words(cfg.Seed, "querygen/query-only", coreSize+tailSize)
+	fileHead, fileRest := splitFileTerms(cfg.FileTerms, coreSize)
 
 	pick := rng.NewNamed(cfg.Seed, "querygen/vocab-mix")
 	seen := map[string]struct{}{}
@@ -253,12 +228,12 @@ func buildVocab(cfg Config) (core, tail []string, err error) {
 			}
 		}
 	}
-	takeFile(&core, fileHead, int(float64(cfg.CoreSize)*cfg.CoreFileOverlap))
-	for len(core) < cfg.CoreSize {
+	takeFile(&core, fileHead, int(float64(coreSize)*cfg.CoreFileOverlap))
+	for len(core) < coreSize {
 		add(&core, nextOwn())
 	}
-	takeFile(&tail, fileRest, int(float64(cfg.TailSize)*cfg.TailFileOverlap))
-	for len(tail) < cfg.TailSize {
+	takeFile(&tail, fileRest, int(float64(tailSize)*cfg.TailFileOverlap))
+	for len(tail) < tailSize {
 		add(&tail, nextOwn())
 	}
 	return core, tail, nil
@@ -315,17 +290,14 @@ type diurnalClock struct {
 	cum      []float64 // cum[i] = normalized arrivals in [0, i minutes]
 }
 
-func newDiurnalClock(duration int64, amplitude float64) *diurnalClock {
+func newDiurnalClock(duration int64) *diurnalClock {
 	c := &diurnalClock{duration: duration}
-	if amplitude == 0 {
-		return c
-	}
 	minutes := int(duration/60) + 1
 	c.cum = make([]float64, minutes+1)
 	total := 0.0
 	for i := 0; i < minutes; i++ {
 		t := float64(i) * 60
-		rate := 1 + amplitude*math.Sin(2*math.Pi*t/86400)
+		rate := 1 + diurnalAmplitude*math.Sin(2*math.Pi*t/86400)
 		total += rate
 		c.cum[i+1] = total
 	}
@@ -337,9 +309,6 @@ func newDiurnalClock(duration int64, amplitude float64) *diurnalClock {
 
 // at returns the arrival time for quantile u.
 func (c *diurnalClock) at(u float64) int64 {
-	if c.cum == nil {
-		return int64(u * float64(c.duration))
-	}
 	// Binary search the minute whose cumulative share covers u.
 	lo, hi := 0, len(c.cum)-1
 	for lo < hi {

@@ -12,19 +12,15 @@ func smallConfig(seed uint64) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Queries = 30000
 	cfg.Duration = 24 * 3600
-	cfg.TailSize = 4000
-	cfg.BurstsPerDay = 20
-	cfg.BurstDuration = 2 * 3600
 	return cfg
 }
 
 func TestGenerateValidation(t *testing.T) {
 	bad := []Config{
-		{Queries: 0, Duration: 1, CoreSize: 1, TailSize: 1},
-		{Queries: 1, Duration: 0, CoreSize: 1, TailSize: 1},
-		{Queries: 1, Duration: 1, CoreSize: 0, TailSize: 1},
-		{Queries: 1, Duration: 1, CoreSize: 1, TailSize: 1, CoreMass: 1.5},
-		{Queries: 1, Duration: 1, CoreSize: 1, TailSize: 1, CoreMass: 0.8, BurstMass: 0.3},
+		{Queries: 0, Duration: 1},
+		{Queries: 1, Duration: 0},
+		{Queries: 1, Duration: 1, CoreFileOverlap: 1.5},
+		{Queries: 1, Duration: 1, TailFileOverlap: -0.1},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
@@ -41,7 +37,7 @@ func TestGenerateShape(t *testing.T) {
 	if len(w.Trace.Records) != 30000 {
 		t.Fatalf("got %d queries", len(w.Trace.Records))
 	}
-	if len(w.Core) != 120 || len(w.Tail) != 4000 {
+	if len(w.Core) != coreSize || len(w.Tail) != tailSize {
 		t.Fatalf("vocab sizes: core=%d tail=%d", len(w.Core), len(w.Tail))
 	}
 	// Times are sorted and within [0, Duration).
@@ -184,9 +180,6 @@ func TestPopularSetStability(t *testing.T) {
 
 func TestBurstTermsSpike(t *testing.T) {
 	cfg := smallConfig(6)
-	cfg.BurstsPerDay = 8
-	cfg.BurstDuration = 3 * 3600
-	cfg.BurstMass = 0.08
 	w, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +236,7 @@ func TestFileTermOverlapControlsJaccard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.Jaccard(toSet(w.Core), toSet(fileTerms[:cfg.CoreSize]))
+		return stats.Jaccard(toSet(w.Core), toSet(fileTerms[:coreSize]))
 	}
 	lo, hi := overlap(low), overlap(high)
 	if lo >= hi {
@@ -289,47 +282,30 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 func TestDiurnalModulation(t *testing.T) {
-	base := smallConfig(9)
-	base.Duration = 2 * 86400
-	base.Queries = 60000
-	flat := base
-	flat.DiurnalAmplitude = 0
-	wavy := base
-	wavy.DiurnalAmplitude = 0.5
-
-	volumeSpread := func(cfg Config) float64 {
-		w, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Queries per 4-hour bucket.
-		buckets := map[int64]int{}
-		for _, r := range w.Trace.Records {
-			buckets[r.Time/(4*3600)]++
-		}
-		min, max := 1<<30, 0
-		for _, c := range buckets {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		return float64(max-min) / float64(max)
+	cfg := smallConfig(9)
+	cfg.Duration = 2 * 86400
+	cfg.Queries = 60000
+	w, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fs, ws := volumeSpread(flat), volumeSpread(wavy)
-	if fs > 0.05 {
-		t.Errorf("flat arrivals spread %v, want near 0", fs)
+	// Queries per 4-hour bucket: the diurnal cycle makes the busiest
+	// bucket well over the quietest.
+	buckets := map[int64]int{}
+	for _, r := range w.Trace.Records {
+		buckets[r.Time/(4*3600)]++
 	}
-	if ws < 0.2 {
-		t.Errorf("diurnal arrivals spread %v, want substantial", ws)
+	lo, hi := 1<<30, 0
+	for _, c := range buckets {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if spread := float64(hi-lo) / float64(hi); spread < 0.2 {
+		t.Errorf("diurnal arrivals spread %v, want substantial", spread)
 	}
 }
 
 func TestDiurnalTimesSortedAndInRange(t *testing.T) {
 	cfg := smallConfig(10)
-	cfg.DiurnalAmplitude = 0.6
 	w, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -343,17 +319,5 @@ func TestDiurnalTimesSortedAndInRange(t *testing.T) {
 			t.Fatalf("time %d out of range", r.Time)
 		}
 		prev = r.Time
-	}
-}
-
-func TestDiurnalValidation(t *testing.T) {
-	cfg := smallConfig(11)
-	cfg.DiurnalAmplitude = 1.0
-	if _, err := Generate(cfg); err == nil {
-		t.Error("amplitude 1.0 accepted")
-	}
-	cfg.DiurnalAmplitude = -0.1
-	if _, err := Generate(cfg); err == nil {
-		t.Error("negative amplitude accepted")
 	}
 }

@@ -77,9 +77,6 @@ type BuildConfig struct {
 	// resident at once. Zero means DefaultShardSize; values that would
 	// need more than maxShards buckets are rounded up.
 	ShardSize int
-	// TmpDir holds the spill files; empty means the output file's
-	// directory (same filesystem as the snapshot, like the .tmp rename).
-	TmpDir string
 }
 
 // BuildStats reports what a sharded build produced.
@@ -113,10 +110,9 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		shardSize = n
 	}
 	nShards := (n + shardSize - 1) / shardSize
-	tmpDir := cfg.TmpDir
-	if tmpDir == "" {
-		tmpDir = filepath.Dir(path)
-	}
+	// Spill files sit beside the output (same filesystem as the snapshot,
+	// like the .tmp rename).
+	tmpDir := filepath.Dir(path)
 
 	// Topology skeleton: identities, firewalled mask, overlay — no content.
 	nw, err := gnet.New(cfg.Network, n)

@@ -98,20 +98,6 @@ func ReplicationStrategies(e *Env) (*ReplicationResult, error) {
 	return experiments.ReplicationStrategies(e)
 }
 
-// FaultSweep types: substrate fault rates against crawl coverage and
-// flood success (the robustness experiment).
-type (
-	FaultSweepResult = experiments.FaultSweepResult
-	FaultSweepConfig = experiments.FaultSweepConfig
-)
-
-// FaultSweepWith crawls and floods one population under increasing
-// substrate fault rates, with explicit rates, churn-derived dead-peer
-// fraction and crawler attempt budget.
-func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
-	return experiments.FaultSweepWith(e, cfg)
-}
-
 // Query-centric head-to-head types: the five-arm comparison of static
 // flooding, QRP, interest shortcuts, the adaptive overlay and Chord under
 // the paper's query/file mismatch.

@@ -75,7 +75,6 @@ func TestCLIPipeline(t *testing.T) {
 	// A failed crawl leaves an existing -o file as it was.
 	for _, bad := range [][]string{
 		{"-snapshot-load", filepath.Join(dir, "missing.qcsnap")},
-		{"-fault-sweep", "-scale", "no-such-scale"},
 	} {
 		if out, err := exec.Command(bins["qc-crawl"], append(bad, "-o", crawl)...).CombinedOutput(); err == nil {
 			t.Fatalf("qc-crawl %v: want a failure, got success\n%s", bad, out)
@@ -84,7 +83,11 @@ func TestCLIPipeline(t *testing.T) {
 			t.Fatalf("a failed qc-crawl %v changed its -o file (%v)", bad, err)
 		}
 	}
-	for _, gone := range [][]string{{"-snapshot-load", snap, "-mmap"}, {"-snapshot-save", snap, "-shard-size", "64"}} {
+	for _, gone := range [][]string{
+		{"-snapshot-load", snap, "-mmap"},
+		{"-snapshot-save", snap, "-shard-size", "64"},
+		{"-fault-sweep", "-scale", "tiny"}, // the sweep is qc-sim -mode faults
+	} {
 		if out, err := exec.Command(bins["qc-crawl"], gone...).CombinedOutput(); err == nil || !strings.Contains(string(out), "flag provided but not defined") {
 			t.Fatalf("qc-crawl %v: want an unknown-flag failure, got %v\n%s", gone, err, out)
 		}
@@ -181,6 +184,9 @@ func TestCLIPipeline(t *testing.T) {
 		{[]string{"-mode", "recovery", "-burst-time", "-10"}, "-burst-time must be >= 0"},
 		{[]string{"-mode", "recovery", "-ping-interval", "-5"}, "-ping-interval must be >= 0"},
 		{[]string{"-mode", "churn-repair", "-ping-timeout", "-3"}, "-ping-timeout must be >= 0"},
+		{[]string{"-mode", "faults", "-fault-rates", "2"}, "-fault-rates must be"},
+		{[]string{"-mode", "faults", "-fault-rates", "0,x"}, `bad fault rate "x"`},
+		{[]string{"-mode", "faults", "-attempts", "-1"}, "-attempts must be >= 0"},
 		{[]string{"-mode", "fig8", "-dead", "0.5"}, "-dead does not apply to -mode fig8"},
 		{[]string{"-mode", "recovery", "-polite", "0.5"}, "-polite does not apply to -mode recovery"},
 		{[]string{"-mode", "fig8", "-snapshot-save", snap}, "-snapshot-save does not apply to -mode fig8"},
