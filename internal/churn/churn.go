@@ -3,8 +3,10 @@
 // sessions (exponential durations, as measured in Gnutella); at sampling
 // points a TTL-bounded flood over the *currently online* subgraph measures
 // search success. This package holds the model (Config, Sample, Result,
-// timelines, liveness masks); the graph-level run itself is
-// events.RunGraphChurn, on the one discrete-event engine.
+// liveness masks) and its one session generator, GenerateTimeline; every
+// run that needs sessions over time — the graph-level events.RunGraphChurn
+// and the maintained overlays of the event scenarios — replays a timeline
+// from it on the one discrete-event engine.
 //
 // The experiment built on this package shows that churn amplifies the
 // paper's finding: under uniform replication a query survives any single
@@ -66,8 +68,7 @@ func (c Config) Validate() error {
 
 // OnlineMask samples each of n peers' online state from the stationary
 // distribution of the (meanOnline, meanOffline) session process — the same
-// distribution events.RunGraphChurn uses to initialize its session state
-// machines. Fault
+// distribution GenerateTimeline draws a timeline's initial state from. Fault
 // planes (internal/faults) install the result as a liveness mask, so
 // crawls and floods observe the session dynamics this package models.
 func OnlineMask(seed uint64, n int, meanOnline, meanOffline float64) ([]bool, error) {

@@ -1,6 +1,7 @@
 // The graph-level run lives in internal/events (events imports churn, so
-// churn cannot call it); its behavioural tests stay beside the model they
-// exercise, as an external test package.
+// churn cannot call it) and replays this package's GenerateTimeline; its
+// behavioural tests stay beside the model they exercise, as an external
+// test package.
 package churn_test
 
 import (
@@ -68,6 +69,37 @@ func TestStationaryOnlineFraction(t *testing.T) {
 	}
 	if len(res.Samples) != int(cfg.Duration/churn.SampleEvery) {
 		t.Errorf("got %d samples", len(res.Samples))
+	}
+}
+
+// TestRunReplaysTimeline pins that the graph-level run draws no sessions
+// of its own: the population online at every sample is the one
+// GenerateTimeline's timeline has online at that instant.
+func TestRunReplaysTimeline(t *testing.T) {
+	g := testGraph(t, 300)
+	p, _ := search.UniformPlacement(300, 20, 4, 3)
+	cfg := churn.DefaultConfig(9)
+	cfg.Duration = 2 * 3600
+	res, err := events.RunGraphChurn(g, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := churn.DefaultTimelineConfig(cfg.Seed)
+	tcfg.Duration = cfg.Duration
+	tl, err := churn.GenerateTimeline(tcfg, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Samples {
+		up := 0
+		for _, ok := range tl.OnlineAt(s.Time) {
+			if ok {
+				up++
+			}
+		}
+		if want := float64(up) / float64(g.N()); s.OnlineFrac != want {
+			t.Errorf("t=%d: online %.4f, timeline has %.4f", s.Time, s.OnlineFrac, want)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 
 // SongMeta is one song's annotations as stored by a client.
 type SongMeta struct {
-	SongID int // global identity (what Gracenote keys on)
 	Track  string
 	Artist string
 	Album  string
@@ -74,7 +73,6 @@ func NewGracenote(v *vocab.Vocabulary, seed uint64, totalSongs int) (*Gracenote,
 func (g *Gracenote) Lookup(songID int) SongMeta {
 	r := rng.NewNamed(g.seed, fmt.Sprintf("gracenote/%d", songID))
 	meta := SongMeta{
-		SongID: songID,
 		Track:  g.vocab.Titles[r.Intn(len(g.vocab.Titles))],
 		Artist: g.vocab.Artists[g.rankDraw(g.artistDist, songID, r)-1],
 		Album:  g.vocab.Albums[g.rankDraw(g.albumDist, songID, r)-1],

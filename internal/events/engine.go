@@ -137,10 +137,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.depth = reg.Gauge("events_queue_depth")
 }
 
-// Now returns the engine's current simulated time (the timestamp of the
-// event being dispatched, 0 before Run).
-func (e *Engine) Now() int64 { return e.now }
-
 // Horizon returns the simulated end time.
 func (e *Engine) Horizon() int64 { return e.horizon }
 
@@ -197,12 +193,12 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// Every schedules a self-rescheduling periodic event: fn(round, now) runs
+// every schedules a self-rescheduling periodic event: fn(round, now) runs
 // at start, start+interval, ... at the given priority until the next tick
 // would pass the engine's horizon. Rounds are numbered from 0 and named
 // "<prefix>/<round>", so each gets its own derived stream (which fn does
 // not see: periodic work draws from its subsystem's own streams).
-func Every(e *Engine, start, interval int64, prio Priority, prefix string, fn func(round int, now int64) error) error {
+func every(e *Engine, start, interval int64, prio Priority, prefix string, fn func(round int, now int64) error) error {
 	if interval < 1 {
 		return fmt.Errorf("events: %s interval must be positive, got %d", prefix, interval)
 	}

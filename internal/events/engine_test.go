@@ -69,8 +69,8 @@ func TestEngineOrdering(t *testing.T) {
 			t.Fatalf("execution order %v, want %v", got, want)
 		}
 	}
-	if e.Now() != 1000 {
-		t.Fatalf("Now after Run = %d, want horizon 1000", e.Now())
+	if e.now != 1000 {
+		t.Fatalf("now after Run = %d, want horizon 1000", e.now)
 	}
 	if e.Processed() != 5 {
 		t.Fatalf("Processed = %d, want 5", e.Processed())

@@ -11,15 +11,14 @@ import (
 )
 
 // RunGraphChurn simulates churn over the graph with the given placement and
-// measures flood success over time. Origins are drawn among online peers; a
-// query succeeds when some online replica is reachable through online relays
-// within the TTL.
-//
-// Session transitions and sample points share one priority, so instants
-// tie-break purely by scheduling order, and every handler draws from one of
-// two sequential streams captured here ("churn/sessions", "churn/queries")
-// rather than from its per-event derived stream — the draw order is the
-// dispatch order. Event names are therefore labels only and repeat.
+// measures flood success over time. Session transitions come from
+// churn.GenerateTimeline (the package's one session generator: stationary
+// initial state, per-peer exponential sessions) replayed onto a liveness
+// mask; every SampleEvery seconds, after the instant's transitions, origins
+// are drawn among online peers, and a query succeeds when some online
+// replica is reachable through online relays within the TTL. Sample
+// handlers draw from one sequential stream ("churn/queries") in dispatch
+// order.
 func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*churn.Result, error) {
 	if p.Nodes != g.N() {
 		return nil, fmt.Errorf("churn: placement covers %d nodes, graph has %d", p.Nodes, g.N())
@@ -27,36 +26,24 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := g.N()
+	tcfg := churn.DefaultTimelineConfig(cfg.Seed)
+	tcfg.Duration = cfg.Duration
+	tl, err := churn.GenerateTimeline(tcfg, n)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := New(cfg.Seed, cfg.Duration)
 	if err != nil {
 		return nil, err
 	}
-
-	n := g.N()
-	online := make([]bool, n)
-	r := rng.NewNamed(cfg.Seed, "churn/sessions")
-
-	// Session state machines: initialize from the stationary distribution
-	// and schedule transitions.
-	stationary := churn.MeanOnline / (churn.MeanOnline + churn.MeanOffline)
-	var schedule func(v int) error
-	schedule = func(v int) error {
-		var d int64
-		if online[v] {
-			d = 1 + int64(r.ExpFloat64()*churn.MeanOnline)
-		} else {
-			d = 1 + int64(r.ExpFloat64()*churn.MeanOffline)
-		}
-		return eng.Schedule(eng.Now()+d, PrioChurn, "churn/session", func(int64, *rng.Source) error {
-			online[v] = !online[v]
-			return schedule(v)
-		})
-	}
-	for v := 0; v < n; v++ {
-		online[v] = r.Bool(stationary)
-		if err := schedule(v); err != nil {
-			return nil, err
-		}
+	online := tl.Initial // the timeline is private to this run
+	err = scheduleTimeline(eng, tl, func(ev churn.Event, _ int64) error {
+		online[ev.Peer] = ev.Up
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &churn.Result{}
@@ -88,7 +75,7 @@ func RunGraphChurn(g *overlay.Graph, p *search.Placement, cfg churn.Config) (*ch
 		return nil
 	}
 	for t := churn.SampleEvery; t <= cfg.Duration; t += churn.SampleEvery {
-		if err := eng.Schedule(t, PrioChurn, "churn/sample", measure); err != nil {
+		if err := eng.Schedule(t, PrioQuery, fmt.Sprintf("sample/%d", t), measure); err != nil {
 			return nil, err
 		}
 	}

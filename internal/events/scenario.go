@@ -343,22 +343,15 @@ func pickFlashObject(nw *gnet.Network, seed uint64) string {
 	return lib[r.Intn(len(lib))].Name
 }
 
-// ScheduleTimeline replays a churn timeline onto a maintained overlay: one
-// PrioChurn event "churn/<i>" per transition, in timeline order. after,
-// when non-nil, runs once each transition has applied.
-func ScheduleTimeline(e *Engine, tl *churn.Timeline, m *gnet.Maintainer, after func(now int64)) error {
+// scheduleTimeline replays a churn timeline: one PrioChurn event
+// "churn/<i>" per transition, in timeline order, each handing its
+// transition to apply. It is the only way a churn timeline enters
+// simulated time — the scenario's maintained overlay and RunGraphChurn's
+// liveness mask both replay through it.
+func scheduleTimeline(e *Engine, tl *churn.Timeline, apply func(ev churn.Event, now int64) error) error {
 	for i, ev := range tl.Events {
 		err := e.Schedule(ev.Time, PrioChurn, fmt.Sprintf("churn/%d", i), func(now int64, _ *rng.Source) error {
-			var err error
-			if ev.Up {
-				err = m.PeerUp(int(ev.Peer), now)
-			} else {
-				err = m.PeerDown(int(ev.Peer), ev.Polite)
-			}
-			if err == nil && after != nil {
-				after(now)
-			}
-			return err
+			return apply(ev, now)
 		})
 		if err != nil {
 			return err
@@ -372,7 +365,7 @@ func (s *Scenario) schedule() error {
 	cfg := s.cfg
 
 	if s.tl != nil {
-		if err := ScheduleTimeline(s.eng, s.tl, s.m, s.noteDeficits); err != nil {
+		if err := scheduleTimeline(s.eng, s.tl, s.applyChurn); err != nil {
 			return err
 		}
 	}
@@ -400,7 +393,7 @@ func (s *Scenario) schedule() error {
 	// no-repair arm skips them entirely (Tick would be a no-op).
 	if cfg.Repair.Repair {
 		interval := cfg.Repair.PingInterval
-		err := Every(s.eng, interval, interval, PrioMaint, "maint", func(_ int, now int64) error {
+		err := every(s.eng, interval, interval, PrioMaint, "maint", func(_ int, now int64) error {
 			// Service time elapses before the round's pings charge the
 			// queues; the round's admissions fold immediately after.
 			s.capPlane.Advance(now)
@@ -451,6 +444,21 @@ func (s *Scenario) schedule() error {
 	return nil
 }
 
+// applyChurn applies one timeline transition to the maintained overlay and
+// updates the degree-deficit clocks.
+func (s *Scenario) applyChurn(ev churn.Event, now int64) error {
+	var err error
+	if ev.Up {
+		err = s.m.PeerUp(int(ev.Peer), now)
+	} else {
+		err = s.m.PeerDown(int(ev.Peer), ev.Polite)
+	}
+	if err == nil {
+		s.noteDeficits(now)
+	}
+	return err
+}
+
 // batchSize is the query count of batch b of window w: the base per-batch
 // share, scaled by a flash crowd's volume boost.
 func (s *Scenario) batchSize(at int64, w, b int) int {
@@ -495,21 +503,17 @@ func (s *Scenario) queryBatch(now int64, name string, count int) error {
 	deadline := s.answerDeadline()
 	runTrial := func(ctx *gnet.FloodCtx, q int, r *rng.Source) (strategy.Outcome, error) {
 		var t strategy.Outcome
-		criteria := ""
+		var origin int
+		var criteria string
+		var ok bool
 		if flashFrac > 0 && r.Bool(flashFrac) {
-			criteria = s.flashCriteria
+			origin, criteria = s.nw.PickLive(online, r, -1), s.flashCriteria
+			ok = origin >= 0
+		} else {
+			origin, criteria, ok = gnet.PickKnownItem(s.nw, online, r)
 		}
-		origin := s.nw.PickLive(online, r, -1)
-		if origin < 0 {
+		if !ok {
 			return t, nil
-		}
-		if criteria == "" {
-			target := s.nw.PickLive(online, r, origin)
-			if target < 0 {
-				return t, nil
-			}
-			lib := s.nw.Peers[target].Library
-			criteria = lib[r.Intn(len(lib))].Name
 		}
 		for a := 0; a <= s.cfg.QueryRetries; a++ {
 			ar := r

@@ -9,11 +9,12 @@ import "testing"
 // ~1.0 with repair; the thresholds leave wide margins.
 func TestChurnRepairQualitative(t *testing.T) {
 	res := memoRun(t, entry(t, "churn-repair"), 8, false).res.(*ChurnRepairResult)
-	if res.Events == 0 {
+	if res.NoRepair.ChurnEvents == 0 {
 		t.Fatal("timeline produced no churn events")
 	}
-	if want := int(2 * 3600 / 600); len(res.NoRepair) != want || len(res.Repair) != want {
-		t.Fatalf("sample counts %d/%d, want %d", len(res.NoRepair), len(res.Repair), want)
+	noRepair, repair := res.NoRepair.Windows, res.Repair.Windows
+	if want := int(2 * 3600 / 600); len(noRepair) != want || len(repair) != want {
+		t.Fatalf("window counts %d/%d, want %d", len(noRepair), len(repair), want)
 	}
 	if res.StaticSuccess < 0.9 {
 		t.Fatalf("static baseline success %.3f; the anchor itself is broken", res.StaticSuccess)
@@ -25,7 +26,7 @@ func TestChurnRepairQualitative(t *testing.T) {
 	}
 	// And the damage compounds: the overlay is worse at the end than at
 	// the start.
-	first, last := res.NoRepair[0], res.NoRepair[len(res.NoRepair)-1]
+	first, last := noRepair[0], noRepair[len(noRepair)-1]
 	if last.Success >= first.Success {
 		t.Fatalf("no-repair success did not erode over time: %.3f -> %.3f",
 			first.Success, last.Success)
@@ -39,9 +40,32 @@ func TestChurnRepairQualitative(t *testing.T) {
 		t.Fatalf("repair recovered only %.2f of the gap (static %.3f, no-repair %.3f, repair %.3f)",
 			res.RecoveredFrac, res.StaticSuccess, res.NoRepairMean, res.RepairMean)
 	}
-	st := res.RepairStats
+	st := res.Repair.RepairStats
 	if st.FailuresDetected == 0 || st.RepairSuccesses == 0 || st.ByesReceived == 0 {
 		t.Fatalf("repair scenario exercised no maintenance machinery: %+v", st)
+	}
+}
+
+// TestChurnRepairArmsShareOneTimeline pins that the two churn arms replay
+// the same session history — same transitions, same population online at
+// every window close — and that the anchor replays none.
+func TestChurnRepairArmsShareOneTimeline(t *testing.T) {
+	res := memoRun(t, entry(t, "churn-repair"), 8, false).res.(*ChurnRepairResult)
+	if res.NoRepair.ChurnEvents != res.Repair.ChurnEvents {
+		t.Fatalf("churn arms replayed %d and %d events", res.NoRepair.ChurnEvents, res.Repair.ChurnEvents)
+	}
+	for i, w := range res.NoRepair.Windows {
+		if rw := res.Repair.Windows[i]; rw.OnlineFrac != w.OnlineFrac {
+			t.Errorf("window %d: online %.4f without repair, %.4f with", i, w.OnlineFrac, rw.OnlineFrac)
+		}
+	}
+	if res.Static.ChurnEvents != 0 {
+		t.Fatalf("static anchor replayed %d churn events", res.Static.ChurnEvents)
+	}
+	for i, w := range res.Static.Windows {
+		if w.OnlineFrac != 1 {
+			t.Errorf("static window %d: online %.4f, want 1", i, w.OnlineFrac)
+		}
 	}
 }
 

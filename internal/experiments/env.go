@@ -275,13 +275,11 @@ func (e *Env) knownItemSuccess(nw *gnet.Network, queries, ttl int, base *rng.Sou
 	alive := nw.Faults().LivenessSnapshot()
 	t, err := strategy.RunTrials(e.workers(), 0, queries, base, stream, nw.NewFloodCtx,
 		func(ctx *gnet.FloodCtx, _ int, r *rng.Source) (strategy.Outcome, error) {
-			origin := nw.PickLive(alive, r, -1)
-			target := nw.PickLive(alive, r, origin)
-			if origin < 0 || target < 0 {
+			origin, name, ok := gnet.PickKnownItem(nw, alive, r)
+			if !ok {
 				return strategy.Outcome{}, nil
 			}
-			lib := nw.Peers[target].Library
-			res, err := ctx.Flood(origin, lib[r.Intn(len(lib))].Name, ttl, r)
+			res, err := ctx.Flood(origin, name, ttl, r)
 			return strategy.Outcome{Found: err == nil && res.TotalResults > 0}, nil
 		})
 	return t.Success(), err

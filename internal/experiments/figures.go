@@ -78,7 +78,6 @@ func Fig3(e *Env) (*DistResult, error) {
 type Fig4Result struct {
 	Reports    map[analysis.Annotation]*analysis.AnnotationReport
 	CrawlStats *daap.CrawlStats
-	TotalSongs int
 }
 
 // Fig4 reproduces Figure 4(a–d): the iTunes song/genre/album/artist
@@ -93,7 +92,6 @@ func Fig4(e *Env) (*Fig4Result, error) {
 	out := &Fig4Result{
 		Reports:    map[analysis.Annotation]*analysis.AnnotationReport{},
 		CrawlStats: st,
-		TotalSongs: len(tr.Records),
 	}
 	for _, a := range []analysis.Annotation{
 		analysis.AnnotationSong, analysis.AnnotationGenre,

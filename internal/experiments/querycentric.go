@@ -43,9 +43,6 @@ type QueryCentricResult struct {
 	AdaptiveGain float64
 }
 
-// Name implements Result.
-func (r *QueryCentricResult) Name() string { return "query-centric" }
-
 // Table implements Result.
 func (r *QueryCentricResult) Table() [][]string {
 	rows := [][]string{{"arm", "success", "msgs_per_query", "mean_hops", "adapted_hits", "rewires", "replicas"}}

@@ -30,19 +30,40 @@ type RecoveryConfig struct {
 }
 
 const (
-	// recoveryDuration and recoveryWindow shape the event-engine horizon
-	// and the metrics windows.
+	// recoveryDuration is the event-engine horizon.
 	recoveryDuration int64 = 2 * 3600
-	recoveryWindow   int64 = 600
-	// recoveryBatchesPerWindow spreads each window's queries over this
-	// many query events.
-	recoveryBatchesPerWindow = 4
-	// recoveryTTL bounds the measurement floods.
-	recoveryTTL = 3
 	// recoverFrac defines "recovered": windowed success at or above this
 	// fraction of the pre-burst mean.
 	recoverFrac float64 = 0.95
 )
+
+// The maintenance experiments (recovery, churn-repair) share one scenario
+// shape: ten-minute metrics windows of known-item floods at TTL 3, each
+// window's queries spread over four query events.
+const (
+	repairWindow           int64 = 600
+	repairBatchesPerWindow       = 4
+	repairTTL                    = 3
+)
+
+// repairScenario is one arm of a maintenance experiment: the shared
+// window shape over duration seconds, with queries floods per window and
+// rp's maintenance loop switched on or off by repair. Callers add the
+// disturbance — a fault burst or a churn timeline.
+func repairScenario(seed uint64, kind events.Kind, duration int64, queries int, rp gnet.RepairConfig, repair bool, prefix string) events.ScenarioConfig {
+	rp.Repair = repair
+	return events.ScenarioConfig{
+		Kind:             kind,
+		Seed:             seed,
+		Duration:         duration,
+		Window:           repairWindow,
+		QueriesPerWindow: queries,
+		BatchesPerWindow: repairBatchesPerWindow,
+		TTL:              repairTTL,
+		Repair:           rp,
+		SeriesPrefix:     prefix,
+	}
+}
 
 // DefaultRecoveryConfig crashes 30% of the population one third into the
 // two-hour run, with one-minute ping rounds (ten-minute windows and the
@@ -110,20 +131,9 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 	}
 
 	run := func(repair bool, prefix string) (*events.ScenarioResult, error) {
-		rcfg := cfg.Repair
-		rcfg.Repair = repair
-		return e.runScenario(cat, events.ScenarioConfig{
-			Kind:             events.FaultRecovery,
-			Seed:             e.Seed,
-			Duration:         recoveryDuration,
-			Window:           recoveryWindow,
-			QueriesPerWindow: queries,
-			BatchesPerWindow: recoveryBatchesPerWindow,
-			TTL:              recoveryTTL,
-			Repair:           rcfg,
-			Bursts:           []faults.Burst{{Time: cfg.BurstTime, Frac: cfg.BurstFrac}},
-			SeriesPrefix:     prefix,
-		})
+		scfg := repairScenario(e.Seed, events.FaultRecovery, recoveryDuration, queries, cfg.Repair, repair, prefix)
+		scfg.Bursts = []faults.Burst{{Time: cfg.BurstTime, Frac: cfg.BurstFrac}}
+		return e.runScenario(cat, scfg)
 	}
 
 	withRepair, err := run(true, "recovery_repair_")
@@ -137,7 +147,7 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 
 	res := &RecoveryResult{
 		Peers:                e.P.GnutellaPeers,
-		TTL:                  recoveryTTL,
+		TTL:                  repairTTL,
 		BurstTime:            cfg.BurstTime,
 		BurstFrac:            cfg.BurstFrac,
 		Repair:               withRepair.Windows,
@@ -175,16 +185,17 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 
 // finalSuccess averages the last two windows of a series.
 func finalSuccess(ws []events.Window) float64 {
+	return meanWindowSuccess(ws[max(len(ws)-2, 0):])
+}
+
+// meanWindowSuccess averages a window series' success (0 when empty).
+func meanWindowSuccess(ws []events.Window) float64 {
 	if len(ws) == 0 {
 		return 0
 	}
-	tail := ws
-	if len(tail) > 2 {
-		tail = tail[len(tail)-2:]
-	}
 	sum := 0.0
-	for _, w := range tail {
+	for _, w := range ws {
 		sum += w.Success
 	}
-	return sum / float64(len(tail))
+	return sum / float64(len(ws))
 }

@@ -39,14 +39,14 @@ func TestRecoveryQualitative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := int(recoveryDuration / recoveryWindow); len(res.Repair) != n || len(res.NoRepair) != n {
+	if n := int(recoveryDuration / repairWindow); len(res.Repair) != n || len(res.NoRepair) != n {
 		t.Fatalf("got %d/%d windows, want %d/%d", len(res.Repair), len(res.NoRepair), n, n)
 	}
 	if res.PreBurstSuccess < 0.5 {
 		t.Fatalf("pre-burst success %.3f implausibly low", res.PreBurstSuccess)
 	}
 	// The burst takes ~30% of the population down and they stay down.
-	for _, w := range res.Repair[cfg.BurstTime/recoveryWindow:] {
+	for _, w := range res.Repair[cfg.BurstTime/repairWindow:] {
 		if w.OnlineFrac > 0.75 || w.OnlineFrac < 0.6 {
 			t.Fatalf("post-burst online frac %.3f, want ~0.7", w.OnlineFrac)
 		}

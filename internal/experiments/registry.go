@@ -207,9 +207,9 @@ var Runners = []Runner{
 			return ChurnRepairWith(e, cfg)
 		}
 	}, out: text(func(r *ChurnRepairResult) output {
-		st := r.RepairStats
+		st := r.Repair.RepairStats
 		return output{
-			header: []string{fmt.Sprintf("# churn repair: %d peers, %d churn events, TTL %d", r.Peers, r.Events, r.TTL),
+			header: []string{fmt.Sprintf("# churn repair: %d peers, %d churn events, TTL %d", r.Peers, r.NoRepair.ChurnEvents, r.TTL),
 				fmt.Sprintf("# static_success\t%.4f", r.StaticSuccess)},
 			footer: []string{fmt.Sprintf("norepair_mean\t%.4f", r.NoRepairMean), fmt.Sprintf("repair_mean\t%.4f", r.RepairMean),
 				fmt.Sprintf("recovered_frac\t%.3f", r.RecoveredFrac)},

@@ -9,13 +9,11 @@ import (
 )
 
 // Result is the common rendering interface every experiment result
-// implements: a stable name (the figure/table it reproduces) and the
-// tab-separated table qc-sim and qc-figures emit. Table()[0] is the header
+// implements: the tab-separated table qc-sim and qc-figures emit. Table()[0] is the header
 // row, written with a leading "# " by WriteTable; subsequent rows are the
 // data. Tables are fully deterministic: map-backed results iterate fixed
 // orderings, never Go map order.
 type Result interface {
-	Name() string
 	Table() [][]string
 }
 
@@ -45,9 +43,6 @@ func kv(pairs ...string) [][]string {
 	return rows
 }
 
-// Name returns the distribution's label (fig1/fig2/fig3).
-func (r *DistResult) Name() string { return r.Label }
-
 // Table renders the rank/count distribution.
 func (r *DistResult) Table() [][]string {
 	rows := [][]string{{"rank", "count"}}
@@ -62,9 +57,6 @@ var fig4Annotations = []analysis.Annotation{
 	analysis.AnnotationSong, analysis.AnnotationGenre,
 	analysis.AnnotationAlbum, analysis.AnnotationArtist,
 }
-
-// Name identifies the iTunes annotation distributions.
-func (r *Fig4Result) Name() string { return "fig4-annotations" }
 
 // Table renders all four annotation distributions in fixed order.
 func (r *Fig4Result) Table() [][]string {
@@ -82,9 +74,6 @@ func (r *Fig4Result) Table() [][]string {
 	return rows
 }
 
-// Name identifies the transient-popularity sweep.
-func (r *Fig5Result) Name() string { return "fig5-transients" }
-
 // Table renders the per-interval transient counts, iterating the fixed
 // Fig5Intervals order (not the backing map).
 func (r *Fig5Result) Table() [][]string {
@@ -98,9 +87,6 @@ func (r *Fig5Result) Table() [][]string {
 	return rows
 }
 
-// Name identifies the interval-robustness sweep.
-func (r *intervalSweepResult) Name() string { return "interval-sweep" }
-
 // Table renders both sweeps' means per evaluation interval.
 func (r *intervalSweepResult) Table() [][]string {
 	rows := [][]string{{"interval_s", "stability_mean", "mismatch_mean"}}
@@ -111,9 +97,6 @@ func (r *intervalSweepResult) Table() [][]string {
 	return rows
 }
 
-// Name identifies the popular-term stability series.
-func (r *Fig6Result) Name() string { return "fig6-stability" }
-
 // Table renders the stability series.
 func (r *Fig6Result) Table() [][]string {
 	rows := [][]string{{"start", "jaccard"}}
@@ -123,9 +106,6 @@ func (r *Fig6Result) Table() [][]string {
 	return rows
 }
 
-// Name identifies the query/file mismatch series.
-func (r *Fig7Result) Name() string { return "fig7-mismatch" }
-
 // Table renders the popular-terms-vs-F* series (the figure's line).
 func (r *Fig7Result) Table() [][]string {
 	rows := [][]string{{"start", "jaccard_popular"}}
@@ -134,9 +114,6 @@ func (r *Fig7Result) Table() [][]string {
 	}
 	return rows
 }
-
-// Name identifies the flood-success sweep.
-func (r *Fig8Result) Name() string { return "fig8-flood-success" }
 
 // Table renders success-vs-TTL, one column per placement curve.
 func (r *Fig8Result) Table() [][]string {
@@ -158,9 +135,6 @@ func (r *Fig8Result) Table() [][]string {
 	return rows
 }
 
-// Name identifies the §V TTL/coverage table.
-func (r *TTLCoverageResult) Name() string { return "ttl-coverage" }
-
 // Table renders the fraction of the overlay reached per TTL.
 func (r *TTLCoverageResult) Table() [][]string {
 	rows := [][]string{{"ttl", "fraction_reached"}}
@@ -169,9 +143,6 @@ func (r *TTLCoverageResult) Table() [][]string {
 	}
 	return rows
 }
-
-// Name identifies the hybrid-vs-DHT comparison.
-func (r *HybridVsDHTResult) Name() string { return "hybrid-vs-dht" }
 
 // Table renders the comparison headline metrics.
 func (r *HybridVsDHTResult) Table() [][]string {
@@ -186,9 +157,6 @@ func (r *HybridVsDHTResult) Table() [][]string {
 	)
 }
 
-// Name identifies the Gia rebuttal.
-func (r *GiaResult) Name() string { return "gia-comparison" }
-
 // Table renders the Gia comparison.
 func (r *GiaResult) Table() [][]string {
 	return kv(
@@ -197,9 +165,6 @@ func (r *GiaResult) Table() [][]string {
 		"zipf_success", fmt.Sprintf("%.3f", r.ZipfSuccess),
 	)
 }
-
-// Name identifies the QRP ablation.
-func (r *QRPResult) Name() string { return "qrp-effect" }
 
 // Table renders the QRP comparison.
 func (r *QRPResult) Table() [][]string {
@@ -214,9 +179,6 @@ func (r *QRPResult) Table() [][]string {
 	)
 }
 
-// Name identifies the churn comparison.
-func (r *ChurnResult) Name() string { return "churn-comparison" }
-
 // Table renders the churn time series (uniform vs Zipf placement).
 func (r *ChurnResult) Table() [][]string {
 	rows := [][]string{{"time", "online_frac", "uniform_success", "zipf_success"}}
@@ -230,24 +192,18 @@ func (r *ChurnResult) Table() [][]string {
 	return rows
 }
 
-// Name identifies the self-healing-overlay experiment.
-func (r *ChurnRepairResult) Name() string { return "churn-repair" }
-
 // Table renders the repair-vs-no-repair time series.
 func (r *ChurnRepairResult) Table() [][]string {
 	rows := [][]string{{"time", "online", "deg_norepair", "succ_norepair", "deg_repair", "succ_repair"}}
-	for i := range r.NoRepair {
-		nr, rp := r.NoRepair[i], r.Repair[i]
-		rows = append(rows, []string{fmt.Sprintf("%d", nr.Time),
+	for i, nr := range r.NoRepair.Windows {
+		rp := r.Repair.Windows[i]
+		rows = append(rows, []string{fmt.Sprintf("%d", nr.End),
 			fmt.Sprintf("%.3f", nr.OnlineFrac),
 			fmt.Sprintf("%.2f", nr.MeanDegree), fmt.Sprintf("%.4f", nr.Success),
 			fmt.Sprintf("%.2f", rp.MeanDegree), fmt.Sprintf("%.4f", rp.Success)})
 	}
 	return rows
 }
-
-// Name identifies the mechanism comparison.
-func (r *WalkVsFloodResult) Name() string { return "walk-vs-flood" }
 
 // Table renders per-mechanism success and cost.
 func (r *WalkVsFloodResult) Table() [][]string {
@@ -262,9 +218,6 @@ func (r *WalkVsFloodResult) Table() [][]string {
 	}
 }
 
-// Name identifies the replica-allocation ablation.
-func (r *ReplicationResult) Name() string { return "replication-strategies" }
-
 // Table renders per-strategy success.
 func (r *ReplicationResult) Table() [][]string {
 	rows := [][]string{{"strategy", "basis", "success"}}
@@ -273,9 +226,6 @@ func (r *ReplicationResult) Table() [][]string {
 	}
 	return rows
 }
-
-// Name identifies the interest-based-shortcuts extension.
-func (r *ShortcutsResult) Name() string { return "shortcuts" }
 
 // Table renders the shortcut hit rates and costs.
 func (r *ShortcutsResult) Table() [][]string {
@@ -289,9 +239,6 @@ func (r *ShortcutsResult) Table() [][]string {
 	)
 }
 
-// Name identifies the structured-baseline routing measurement.
-func (r *DHTRoutingResult) Name() string { return "dht-routing" }
-
 // Table renders Chord and Pastry lookup costs.
 func (r *DHTRoutingResult) Table() [][]string {
 	return kv(
@@ -301,9 +248,6 @@ func (r *DHTRoutingResult) Table() [][]string {
 		"pastry_mean_hops", fmt.Sprintf("%.2f", r.PastryMeanHops),
 	)
 }
-
-// Name identifies the fault-rate sweep.
-func (r *FaultSweepResult) Name() string { return "fault-sweep" }
 
 // Table renders crawl coverage and flood success per fault rate.
 func (r *FaultSweepResult) Table() [][]string {
@@ -317,9 +261,6 @@ func (r *FaultSweepResult) Table() [][]string {
 	return rows
 }
 
-// Name identifies the adaptive-synopsis ablation.
-func (r *SynopsisResult) Name() string { return "synopsis-ablation" }
-
 // Table renders the three-mechanism comparison.
 func (r *SynopsisResult) Table() [][]string {
 	return kv(
@@ -331,9 +272,6 @@ func (r *SynopsisResult) Table() [][]string {
 		"adaptive_synopsis_success", fmt.Sprintf("%.3f", r.AdaptiveSuccess),
 	)
 }
-
-// Name identifies the fault-burst recovery experiment.
-func (r *RecoveryResult) Name() string { return "recovery" }
 
 // Table renders the two recovery curves side by side, then the headline
 // recovery statistics.
@@ -363,9 +301,6 @@ func (r *RecoveryResult) Table() [][]string {
 	)
 	return rows
 }
-
-// Name identifies the §VI rare-object check.
-func (r *RareObjectResult) Name() string { return "rare-objects" }
 
 // Table renders the rare-object statistics.
 func (r *RareObjectResult) Table() [][]string {

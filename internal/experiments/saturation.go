@@ -181,9 +181,6 @@ type SaturationResult struct {
 	Arms       []SaturationArm `json:"arms"`
 }
 
-// Name identifies the saturation sweep.
-func (r *SaturationResult) Name() string { return "saturation" }
-
 // Table renders arm x load points in fixed order.
 func (r *SaturationResult) Table() [][]string {
 	rows := [][]string{{"arm", "load", "success", "flash_success", "msg_per_query", "shed_frac", "max_depth", "breaker_opens"}}

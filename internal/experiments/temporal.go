@@ -84,7 +84,6 @@ type Fig7Result struct {
 	AllTermsSeries []analysis.SeriesPoint
 	MeanPopular    float64
 	MeanAllTerms   float64
-	FileTermCount  int
 	// RankCorrelation is Spearman's ρ between file-term and query-term
 	// popularity over the popular file vocabulary — the companion paper's
 	// statistic ("little overall correlation between the relative
@@ -115,7 +114,6 @@ func Fig7(e *Env) (*Fig7Result, error) {
 	out := &Fig7Result{
 		PopularSeries:  analysis.MismatchSeries(ivs, fstar),
 		AllTermsSeries: analysis.AllTermsMismatchSeries(ivs, fstar),
-		FileTermCount:  len(fstar),
 	}
 	out.MeanPopular = meanAfterWarmup(out.PopularSeries)
 	out.MeanAllTerms = meanAfterWarmup(out.AllTermsSeries)

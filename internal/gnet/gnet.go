@@ -334,6 +334,26 @@ func (nw *Network) PickLive(alive []bool, r *rng.Source, exclude int) int {
 	return -1
 }
 
+// PickKnownItem draws one known-item query over a live population: a live
+// origin (PickLive), a live target distinct from it, and a uniform file of
+// the target's library, whose name is the query. ok is false when either
+// peer draw fails. Every known-item sampler makes exactly these draws, in
+// this order, so two runners fed the same stream ask the same queries. A
+// function rather than a method only because Network's method set is
+// frozen API.
+func PickKnownItem(nw *Network, alive []bool, r *rng.Source) (origin int, name string, ok bool) {
+	origin = nw.PickLive(alive, r, -1)
+	if origin < 0 {
+		return -1, "", false
+	}
+	target := nw.PickLive(alive, r, origin)
+	if target < 0 {
+		return -1, "", false
+	}
+	lib := nw.Peers[target].Library
+	return origin, lib[r.Intn(len(lib))].Name, true
+}
+
 // LiveDegree is the topology-health sample of the churn experiments: the
 // online fraction of the population and the mean connection count over
 // online peers (ghost edges count: the peer believes in them). A function

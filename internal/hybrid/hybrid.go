@@ -42,7 +42,6 @@ type System struct {
 	Ring   *chord.Ring
 	Store  *chord.Store
 
-	place       *search.Placement
 	keys        []uint64
 	PublishHops int // total routing hops spent publishing all replicas
 }
@@ -63,7 +62,6 @@ func New(g *overlay.Graph, p *search.Placement, seed uint64) (*System, error) {
 		Engine: eng,
 		Ring:   ring,
 		Store:  chord.NewStore(ring),
-		place:  p,
 		keys:   make([]uint64, p.Objects()),
 	}
 	for obj := 0; obj < p.Objects(); obj++ {
@@ -84,7 +82,6 @@ type Result struct {
 	Found         bool
 	UsedDHT       bool
 	FloodMessages int
-	FloodPeers    int
 	FloodResults  int
 	DHTHops       int
 }
@@ -108,7 +105,6 @@ func (s *System) Search(origin, obj int, cfg Config) (Result, error) {
 	res := Result{
 		Found:         fl.Found,
 		FloodMessages: fl.Messages,
-		FloodPeers:    fl.Peers,
 		FloodResults:  fl.Results,
 	}
 	if fl.Found && fl.Hops == 0 {
@@ -141,7 +137,6 @@ func (s *System) DHTOnly(origin, obj int) (Result, error) {
 
 // Comparison aggregates a head-to-head run of hybrid vs pure DHT.
 type Comparison struct {
-	Trials          int
 	HybridSuccess   float64
 	DHTSuccess      float64
 	HybridMeanCost  float64
@@ -177,7 +172,6 @@ func (s *System) Compare(cfg Config, trials int, pick func(r *rng.Source) int, s
 		}
 	}
 	return &Comparison{
-		Trials:          trials,
 		HybridSuccess:   hyb.Success(),
 		DHTSuccess:      dht.Success(),
 		HybridMeanCost:  hyb.MeanMessages(),
