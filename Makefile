@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-pairs digest-check scalefull-smoke scale1m-smoke api-freeze loc ci check clean
+.PHONY: build test vet fmt-check race determinism fuzz-smoke bench bench-pairs digest-check results-check scalefull-smoke scale1m-smoke api-freeze loc ci check clean
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,22 @@ digest-check:
 			print w, d }' | diff - SIM_DIGESTS.txt \
 		&& echo "digest-check: ok (6 sim_digests match SIM_DIGESTS.txt)"
 
+# The published results gate (~6 s): regenerates every figure at the
+# EXPERIMENTS.md settings into a temporary directory and fails unless each
+# .dat file and summary.txt, in either tree, is byte-equal to the committed
+# out/. The RUN_* manifests in out/ are not compared: they record wall-clock
+# time. Refresh out/ only with a change meant to move results, by
+# `go run ./cmd/qc-figures -scale default -seed 42 -out out`.
+results-check:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/qc-figures -scale default -seed 42 -out $$d >/dev/null; \
+	fail=0; \
+	for f in $$d/*.dat $$d/summary.txt out/*.dat; do \
+		b=$$(basename $$f); cmp $$d/$$b out/$$b || fail=1; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "results-check: out/ differs from the code's output"; exit 1; fi; \
+	echo "results-check: ok (out/*.dat and out/summary.txt match qc-figures)"
+
 # Paper-scale construction gate (~5 min, ~6 GB RSS, 3 GB under TMPDIR):
 # TestScaleGate's `full` row builds the ScaleFull catalog + network +
 # interned indexes (no trials) and fails unless construction stays inside its
@@ -164,9 +180,10 @@ loc:
 # (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized) and
 # interval-engine (FuzzIntervalEngineVsReference) fuzz smokes, the
 # sim-digest refactor
-# gate, the paper-scale construction gate (with the sharded byte-identity
-# check) and the million-peer sharded-construction gate.
-ci: vet fmt-check build race fuzz-smoke digest-check scalefull-smoke scale1m-smoke
+# gate, the published-results gate (out/ against qc-figures), the
+# paper-scale construction gate (with the sharded byte-identity check) and
+# the million-peer sharded-construction gate.
+ci: vet fmt-check build race fuzz-smoke digest-check results-check scalefull-smoke scale1m-smoke
 
 check: ci
 

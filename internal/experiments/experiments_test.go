@@ -268,21 +268,6 @@ func TestGiaComparisonShape(t *testing.T) {
 	}
 }
 
-func TestDHTRoutingShape(t *testing.T) {
-	e := tinyEnv(t)
-	r, err := DHTRouting(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ChordMeanHops <= 0 || r.PastryMeanHops <= 0 {
-		t.Fatalf("degenerate hop counts: %+v", r)
-	}
-	// Pastry's 16-way branching routes in fewer hops than Chord's binary.
-	if r.PastryMeanHops >= r.ChordMeanHops {
-		t.Errorf("pastry %.2f hops not below chord %.2f", r.PastryMeanHops, r.ChordMeanHops)
-	}
-}
-
 func TestQRPEffectShape(t *testing.T) {
 	e := tinyEnv(t)
 	r, err := QRPEffect(e)

@@ -190,9 +190,6 @@ var Runners = []Runner{
 		}
 		return o
 	})},
-	{Name: "dht", Sim: true, Figure: true, run: typed(DHTRouting), out: text(func(r *DHTRoutingResult) output {
-		return summary("dht routing (%d nodes): chord %.2f hops, pastry %.2f hops", r.Nodes, r.ChordMeanHops, r.PastryMeanHops)
-	})},
 	{Name: "churn-repair", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
 		repair := bindRepair(fs)
 		polite := fs.Float64("polite", -1, "fraction of departures announced with a Bye in -mode churn-repair (-1 = default)")

@@ -239,16 +239,6 @@ func (r *ShortcutsResult) Table() [][]string {
 	)
 }
 
-// Table renders Chord and Pastry lookup costs.
-func (r *DHTRoutingResult) Table() [][]string {
-	return kv(
-		"nodes", fmt.Sprintf("%d", r.Nodes),
-		"lookups", fmt.Sprintf("%d", r.Lookups),
-		"chord_mean_hops", fmt.Sprintf("%.2f", r.ChordMeanHops),
-		"pastry_mean_hops", fmt.Sprintf("%.2f", r.PastryMeanHops),
-	)
-}
-
 // Table renders crawl coverage and flood success per fault rate.
 func (r *FaultSweepResult) Table() [][]string {
 	rows := [][]string{{"rate", "coverage", "partial", "failed", "record_frac", "retried", "flood_success"}}

@@ -28,8 +28,12 @@ type ReplicationResult struct {
 // popularity (what a query-centric system would do) or by an uncorrelated
 // file popularity of the same Zipf shape (what annotation-driven systems
 // effectively do), and measure flooding success under the query
-// distribution. Square-root allocation is near-optimal when driven by
-// query popularity and near-worthless when driven by file popularity.
+// distribution. Driven by query popularity both skewed rules beat uniform,
+// proportional by the most; driven by file popularity they land near or
+// below uniform. Square-root allocation minimises the expected search size
+// under random probing (Cohen & Shenker), but it does not maximise success
+// at a fixed, shallow TTL: there success rewards concentrating copies on
+// the most-queried objects, which proportional allocation does more.
 func ReplicationStrategies(e *Env) (*ReplicationResult, error) {
 	nodes := e.P.SimNodes / 8
 	if nodes < 500 {

@@ -9,9 +9,11 @@
 // input, and the paper shows deployed systems effectively feed them *file*
 // popularity while success is scored under *query* popularity. The
 // experiment built on this package allocates replicas both ways and shows
-// that under the measured mismatch even the optimal square-root strategy
-// loses most of its advantage unless it is driven by the query
-// distribution — the query-centric thesis.
+// that under the measured mismatch the skewed strategies lose their
+// advantage over uniform unless they are driven by the query distribution
+// — the query-centric thesis. Square-root allocation is optimal for the
+// expected search size under random probing, not for success at a fixed
+// TTL: at the experiment's TTL 2, proportional allocation beats it.
 package replication
 
 import (

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 
-	"querycentric/internal/bloom"
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
 	"querycentric/internal/search"
@@ -52,7 +51,7 @@ type Network struct {
 	g       *overlay.Graph
 	content []map[string]struct{} // full per-node term sets (ground truth)
 	ordered [][]string            // deterministic ordering of each node's terms
-	syn     []*bloom.Filter       // advertised synopses
+	syn     []*filter             // advertised synopses
 	popular map[string]struct{}
 
 	seen overlay.VertexSet
@@ -79,7 +78,7 @@ func New(g *overlay.Graph, content [][]string, cfg Config) (*Network, error) {
 		g:       g,
 		content: make([]map[string]struct{}, len(content)),
 		ordered: make([][]string, len(content)),
-		syn:     make([]*bloom.Filter, len(content)),
+		syn:     make([]*filter, len(content)),
 		popular: map[string]struct{}{},
 		seen:    overlay.NewVertexSet(g.N()),
 		r:       rng.NewNamed(cfg.Seed, "synopsis/fallback"),
@@ -121,12 +120,12 @@ func (n *Network) SetPopular(terms []string) error {
 func (n *Network) rebuild() error {
 	for v := range n.syn {
 		adv := n.advertised(v)
-		f, err := bloom.New(max(len(adv), 8), n.cfg.FPRate)
+		f, err := newFilter(max(len(adv), 8), n.cfg.FPRate)
 		if err != nil {
 			return err
 		}
 		for _, t := range adv {
-			f.Add(t)
+			f.add(t)
 		}
 		n.syn[v] = f
 	}
@@ -168,7 +167,7 @@ func (n *Network) advertised(v int) []string {
 func (n *Network) claims(v int32, qterms []string) bool {
 	f := n.syn[v]
 	for _, t := range qterms {
-		if !f.Contains(t) {
+		if !f.contains(t) {
 			return false
 		}
 	}

@@ -154,9 +154,6 @@ func TestCLIPipeline(t *testing.T) {
 			t.Errorf("qc-sim -mode %s: output digest %q is not in RUNNER_DIGESTS.txt", r.Name, line)
 		}
 	}
-	if out := sims["dht"]; !strings.Contains(out, "pastry_mean_hops") {
-		t.Errorf("sim output unexpected: %.80s", out)
-	}
 	for mode, keys := range map[string][]string{
 		"recovery":      {"# final_success"},
 		"saturation":    {"ttl", "drop-tail"},
