@@ -39,14 +39,16 @@ determinism:
 # the wire-level flood under any subset of its gates (both against their
 # map-and-slice references), the 64-wide reach-only kernel against
 # per-origin frontier rings, posting indexes encoded from interned term
-# IDs against the tokenize-and-look-up reference, and the online interval
-# engine against the map-based Figures 5–7 analyses: five seconds of
-# mutation each must surface no panics, over-reads or contract violations
-# (ordering, alternation, determinism, round-trip identity, typed errors on
-# damaged bytes, ring/hop/message-count agreement, field-for-field flood
-# results, found-mask agreement, byte-equal indexes and holder lists,
-# field-for-field intervals, series and transients, and a refused
-# backwards time).
+# IDs against the tokenize-and-look-up reference, the online interval
+# engine against the map-based Figures 5–7 analyses, and the
+# X-Try-Ultrapeers header codec against its split-and-Sprintf reference:
+# five seconds of mutation each, ten targets, must surface no panics,
+# over-reads or contract violations (ordering, alternation, determinism,
+# round-trip identity, typed errors on damaged bytes, ring/hop/message-count
+# agreement, field-for-field flood results, found-mask agreement, byte-equal
+# indexes and holder lists, field-for-field intervals, series and
+# transients, a refused backwards time, and equal parsed addresses,
+# parse errors and formatted headers).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
 	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWaveVsFrontier -fuzztime=5s -run '^$$' ./internal/overlay
 	$(GO) test -fuzz=FuzzFloodVsNaive -fuzztime=5s -run '^$$' ./internal/gnet
 	$(GO) test -fuzz=FuzzIndexFromIDsVsTokenized -fuzztime=5s -run '^$$' ./internal/gnet
+	$(GO) test -fuzz=FuzzTryUltrapeers -fuzztime=5s -run '^$$' ./internal/gnet
 	$(GO) test -fuzz=FuzzIntervalEngineVsReference -fuzztime=5s -run '^$$' ./internal/analysis
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
@@ -177,8 +180,9 @@ loc:
 # claims and TestScaleGate's tiny row), the decoder,
 # churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
-# (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized) and
-# interval-engine (FuzzIntervalEngineVsReference) fuzz smokes, the
+# (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized),
+# interval-engine (FuzzIntervalEngineVsReference) and X-Try codec
+# (FuzzTryUltrapeers) fuzz smokes, the
 # sim-digest refactor
 # gate, the published-results gate (out/ against qc-figures), the
 # paper-scale construction gate (with the sharded byte-identity check) and

@@ -175,22 +175,36 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		if e.queue[0].time > e.horizon {
-			break // shed events stay queued, visible through Pending
+	for {
+		more, err := e.step()
+		if err != nil {
+			return err
 		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.time
-		r := e.base.Derive(ev.name)
-		if err := ev.fn(ev.time, r); err != nil {
-			return fmt.Errorf("events: %q at t=%d: %w", ev.name, ev.time, err)
+		if !more {
+			break
 		}
-		e.processed++
-		e.executed.Inc()
-		e.depth.Set(int64(len(e.queue)))
 	}
 	e.now = e.horizon
 	return nil
+}
+
+// step dispatches the next event, reporting false when the queue is empty
+// or the next event lies beyond the horizon (shed events stay queued,
+// visible through Pending).
+func (e *Engine) step() (bool, error) {
+	if len(e.queue) == 0 || e.queue[0].time > e.horizon {
+		return false, nil
+	}
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.time
+	r := e.base.Derive(ev.name)
+	if err := ev.fn(ev.time, r); err != nil {
+		return false, fmt.Errorf("events: %q at t=%d: %w", ev.name, ev.time, err)
+	}
+	e.processed++
+	e.executed.Inc()
+	e.depth.Set(int64(len(e.queue)))
+	return true, nil
 }
 
 // every schedules a self-rescheduling periodic event: fn(round, now) runs

@@ -600,11 +600,18 @@ func (s *Scenario) liveDegree(id int) int {
 // degree (ghost edges excluded) drops below target — at the crash itself —
 // and closes when maintenance restores the target with live edges, so the
 // recorded latency spans detection plus repair.
+//
+// Only the peers the maintainer logged since the previous call are judged
+// again (Maintainer.DrainTouched): every other peer's liveness, neighbor
+// list and neighbors' liveness are as they were at its last judgement, so
+// its verdict — and its clock — cannot have moved. A window sums counts
+// and latencies, so the order peers are judged in does not matter.
 func (s *Scenario) noteDeficits(now int64) {
-	for id := range s.nw.Peers {
-		if !s.m.Online()[id] {
+	online := s.m.Online()
+	s.m.DrainTouched(func(id int) {
+		if !online[id] {
 			s.deficitSince[id] = -1
-			continue
+			return
 		}
 		deficit := s.liveDegree(id) < s.m.TargetDegree(id)
 		switch {
@@ -615,7 +622,7 @@ func (s *Scenario) noteDeficits(now int64) {
 			s.winLatency += now - s.deficitSince[id]
 			s.deficitSince[id] = -1
 		}
-	}
+	})
 }
 
 // closeWindow freezes the current window's metrics and resets the

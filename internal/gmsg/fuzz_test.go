@@ -1,6 +1,9 @@
 package gmsg
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +43,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // FuzzDecodeMessage asserts that Decode never panics or over-reads on
 // arbitrary input: it either returns an error, or a message whose consumed
 // byte count lies inside the input and whose re-encoding round-trips.
+// DecodeInto must agree with it, and AppendEncode after any prefix must
+// append exactly Encode's bytes.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -50,6 +55,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(EncodeHeader(nil, Header{Type: TypeQueryHit, PayloadLen: 27}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, n, err := Decode(b)
+		// DecodeInto a message that already holds stale payloads (the Pong
+		// struct it reuses among them) agrees with Decode.
+		into := Message{Pong: &Pong{Port: 1}, Push: &Push{Port: 2}, Bye: &Bye{Reason: "stale"}}
+		intoN, intoErr := DecodeInto(&into, b)
+		if fmt.Sprint(intoErr) != fmt.Sprint(err) || (err == nil && (intoN != n || !reflect.DeepEqual(into, *m))) {
+			t.Fatalf("DecodeInto = %+v, %d, %v; Decode = %+v, %d, %v", into, intoN, intoErr, m, n, err)
+		}
 		if err != nil {
 			if m != nil {
 				t.Fatalf("Decode returned both a message and an error: %v", err)
@@ -67,8 +79,23 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		// A successfully decoded descriptor must re-encode: Decode may only
 		// accept messages Encode can represent.
-		if _, err := Encode(m); err != nil {
+		enc, err := Encode(m)
+		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
+		}
+		// Encode is AppendEncode onto nothing: appending after any prefix,
+		// into a buffer with or without spare capacity, yields the prefix
+		// followed by exactly Encode's bytes, and leaves the prefix intact.
+		prefix := b[n:]
+		for _, spare := range []int{0, len(enc)} {
+			dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+			got, err := AppendEncode(dst, m)
+			if err != nil {
+				t.Fatalf("AppendEncode after a %d-byte prefix: %v", len(prefix), err)
+			}
+			if want := append(append([]byte(nil), prefix...), enc...); !bytes.Equal(got, want) {
+				t.Fatalf("AppendEncode(prefix, m) = %x, want prefix ‖ Encode(m) = %x", got, want)
+			}
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Descriptor type codes.
@@ -128,16 +129,16 @@ func (p *Pong) encode(dst []byte) []byte {
 	return append(dst, buf[:]...)
 }
 
-func decodePong(b []byte) (*Pong, error) {
+// decode overwrites every field of p from the payload b.
+func (p *Pong) decode(b []byte) error {
 	if len(b) != pongSize {
-		return nil, fmt.Errorf("gmsg: pong payload is %d bytes, want %d", len(b), pongSize)
+		return fmt.Errorf("gmsg: pong payload is %d bytes, want %d", len(b), pongSize)
 	}
-	p := &Pong{}
 	p.Port = binary.LittleEndian.Uint16(b[0:2])
 	copy(p.IP[:], b[2:6])
 	p.FilesCount = binary.LittleEndian.Uint32(b[6:10])
 	p.KBShared = binary.LittleEndian.Uint32(b[10:14])
-	return p, nil
+	return nil
 }
 
 // Bye is the graceful-close descriptor (the Bye extension, widely deployed
@@ -322,87 +323,132 @@ func decodePush(b []byte) (*Push, error) {
 }
 
 // Encode serializes m, computing Header.PayloadLen from the payload.
-func Encode(m *Message) ([]byte, error) {
-	var payload []byte
+func Encode(m *Message) ([]byte, error) { return AppendEncode(nil, m) }
+
+// AppendEncode appends the wire form of m to dst, computing
+// Header.PayloadLen from the payload, and returns the extended slice; on
+// error dst is returned unchanged. It grows dst at most once, so encoding
+// into a reused buffer (AppendEncode(buf[:0], m)) stops allocating once the
+// buffer has reached the largest descriptor's size.
+func AppendEncode(dst []byte, m *Message) ([]byte, error) {
+	n, err := payloadSize(m)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, HeaderSize+n)
+	h := m.Header
+	h.PayloadLen = uint32(n)
+	dst = EncodeHeader(dst, h)
+	switch h.Type {
+	case TypePong:
+		dst = m.Pong.encode(dst)
+	case TypeBye:
+		dst = m.Bye.encode(dst)
+	case TypeQuery:
+		dst = m.Query.encode(dst)
+	case TypeQueryHit:
+		dst = m.QueryHit.encode(dst)
+	case TypePush:
+		dst = m.Push.encode(dst)
+	}
+	return dst, nil
+}
+
+// payloadSize is the encoded payload length of m. It rejects a message
+// whose payload field does not match its type, or that the wire format
+// cannot represent.
+func payloadSize(m *Message) (int, error) {
 	switch m.Header.Type {
 	case TypePing:
+		return 0, nil
 	case TypePong:
 		if m.Pong == nil {
-			return nil, fmt.Errorf("gmsg: pong message without pong payload")
+			return 0, fmt.Errorf("gmsg: pong message without pong payload")
 		}
-		payload = m.Pong.encode(nil)
+		return pongSize, nil
 	case TypeBye:
 		if m.Bye == nil {
-			return nil, fmt.Errorf("gmsg: bye message without bye payload")
+			return 0, fmt.Errorf("gmsg: bye message without bye payload")
 		}
-		payload = m.Bye.encode(nil)
+		return 2 + len(m.Bye.Reason) + 1, nil
 	case TypeQuery:
 		if m.Query == nil {
-			return nil, fmt.Errorf("gmsg: query message without query payload")
+			return 0, fmt.Errorf("gmsg: query message without query payload")
 		}
-		payload = m.Query.encode(nil)
+		return 2 + len(m.Query.Criteria) + 1, nil
 	case TypeQueryHit:
 		if m.QueryHit == nil {
-			return nil, fmt.Errorf("gmsg: queryhit message without queryhit payload")
+			return 0, fmt.Errorf("gmsg: queryhit message without queryhit payload")
 		}
 		if len(m.QueryHit.Results) > 255 {
-			return nil, fmt.Errorf("gmsg: queryhit with %d results exceeds 255", len(m.QueryHit.Results))
+			return 0, fmt.Errorf("gmsg: queryhit with %d results exceeds 255", len(m.QueryHit.Results))
 		}
-		payload = m.QueryHit.encode(nil)
+		n := 1 + 10 + len(m.QueryHit.ServentID)
+		for _, r := range m.QueryHit.Results {
+			n += 8 + len(r.FileName) + 2
+		}
+		return n, nil
 	case TypePush:
 		if m.Push == nil {
-			return nil, fmt.Errorf("gmsg: push message without push payload")
+			return 0, fmt.Errorf("gmsg: push message without push payload")
 		}
-		payload = m.Push.encode(nil)
-	default:
-		return nil, fmt.Errorf("gmsg: unknown descriptor type 0x%02x", m.Header.Type)
+		return pushSize, nil
 	}
-	h := m.Header
-	h.PayloadLen = uint32(len(payload))
-	out := EncodeHeader(make([]byte, 0, HeaderSize+len(payload)), h)
-	return append(out, payload...), nil
+	return 0, fmt.Errorf("gmsg: unknown descriptor type 0x%02x", m.Header.Type)
 }
 
 // Decode parses one descriptor from b, returning the message and the number
 // of bytes consumed.
 func Decode(b []byte) (*Message, int, error) {
-	h, err := DecodeHeader(b)
+	m := new(Message)
+	n, err := DecodeInto(m, b)
 	if err != nil {
 		return nil, 0, err
 	}
+	return m, n, nil
+}
+
+// DecodeInto is Decode into a caller-owned message, returning the number of
+// bytes consumed. Every field of m is overwritten, but a Pong payload struct
+// m already holds is reused: decoding pings and pongs into one message over
+// and over — the keepalive loop — allocates nothing. After an error the
+// contents of m are unspecified.
+func DecodeInto(m *Message, b []byte) (int, error) {
+	h, err := DecodeHeader(b)
+	if err != nil {
+		return 0, err
+	}
 	total := HeaderSize + int(h.PayloadLen)
 	if len(b) < total {
-		return nil, 0, fmt.Errorf("gmsg: truncated payload: have %d of %d bytes", len(b)-HeaderSize, h.PayloadLen)
+		return 0, fmt.Errorf("gmsg: truncated payload: have %d of %d bytes", len(b)-HeaderSize, h.PayloadLen)
 	}
 	payload := b[HeaderSize:total]
-	m := &Message{Header: h}
+	pong := m.Pong
+	*m = Message{Header: h}
 	switch h.Type {
 	case TypePing:
 		if len(payload) != 0 {
-			return nil, 0, fmt.Errorf("gmsg: ping with %d-byte payload", len(payload))
+			return 0, fmt.Errorf("gmsg: ping with %d-byte payload", len(payload))
 		}
 	case TypePong:
-		if m.Pong, err = decodePong(payload); err != nil {
-			return nil, 0, err
+		if pong == nil {
+			pong = new(Pong)
 		}
+		m.Pong = pong
+		err = pong.decode(payload)
 	case TypeBye:
-		if m.Bye, err = decodeBye(payload); err != nil {
-			return nil, 0, err
-		}
+		m.Bye, err = decodeBye(payload)
 	case TypeQuery:
-		if m.Query, err = decodeQuery(payload); err != nil {
-			return nil, 0, err
-		}
+		m.Query, err = decodeQuery(payload)
 	case TypeQueryHit:
-		if m.QueryHit, err = decodeQueryHit(payload); err != nil {
-			return nil, 0, err
-		}
+		m.QueryHit, err = decodeQueryHit(payload)
 	case TypePush:
-		if m.Push, err = decodePush(payload); err != nil {
-			return nil, 0, err
-		}
+		m.Push, err = decodePush(payload)
 	}
-	return m, total, nil
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
 }
 
 // WriteMessage encodes m and writes it to w.

@@ -13,6 +13,7 @@ package gnet
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"querycentric/internal/capacity"
 	"querycentric/internal/catalog"
@@ -29,9 +30,24 @@ type Addr struct {
 	Port uint16
 }
 
+// maxAddrLen is the longest rendered address, "255.255.255.255:65535".
+const maxAddrLen = len("255.255.255.255:65535")
+
 // String renders the address as "a.b.c.d:port".
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d:%d", a.IP[0], a.IP[1], a.IP[2], a.IP[3], a.Port)
+	return string(a.appendTo(make([]byte, 0, maxAddrLen)))
+}
+
+// appendTo appends the "a.b.c.d:port" form of a to dst.
+func (a Addr) appendTo(dst []byte) []byte {
+	for i, o := range a.IP {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, uint64(o), 10)
+	}
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, uint64(a.Port), 10)
 }
 
 // File is one shared library entry.

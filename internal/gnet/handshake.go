@@ -168,29 +168,38 @@ func readResponse(br *bufio.Reader) (code int, msg string, hdrs map[string]strin
 
 // FormatTryUltrapeers renders addresses for the X-Try-Ultrapeers header.
 func FormatTryUltrapeers(addrs []Addr) string {
-	parts := make([]string, len(addrs))
+	var b strings.Builder
+	b.Grow(len(addrs) * (maxAddrLen + 1))
+	var buf [maxAddrLen]byte
 	for i, a := range addrs {
-		parts[i] = a.String()
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(a.appendTo(buf[:0]))
 	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // ParseTryUltrapeers parses an X-Try-Ultrapeers header value. Malformed
 // entries are skipped, as deployed clients do.
-func ParseTryUltrapeers(v string) []Addr {
-	var out []Addr
-	for _, part := range strings.Split(v, ",") {
+func ParseTryUltrapeers(v string) []Addr { return appendTryUltrapeers(nil, v) }
+
+// appendTryUltrapeers appends the well-formed addresses of the header value
+// v to dst: comma-separated entries, each trimmed of surrounding space,
+// with empty and malformed ones skipped.
+func appendTryUltrapeers(dst []Addr, v string) []Addr {
+	for more := true; more; {
+		var part string
+		part, v, more = strings.Cut(v, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		a, err := ParseAddr(part)
-		if err != nil {
-			continue
+		if a, err := ParseAddr(part); err == nil {
+			dst = append(dst, a)
 		}
-		out = append(out, a)
 	}
-	return out
+	return dst
 }
 
 // ParseAddr parses "a.b.c.d:port".
@@ -203,10 +212,17 @@ func ParseAddr(s string) (Addr, error) {
 	if err != nil {
 		return Addr{}, fmt.Errorf("gnet: bad port in %q", s)
 	}
-	octets := strings.Split(host, ".")
-	if len(octets) != 4 {
+	// Exactly four dot-separated octets, counted before any is parsed.
+	var octets [4]string
+	for i := range octets[:3] {
+		if octets[i], host, ok = strings.Cut(host, "."); !ok {
+			return Addr{}, fmt.Errorf("gnet: bad IPv4 in %q", s)
+		}
+	}
+	if strings.Contains(host, ".") {
 		return Addr{}, fmt.Errorf("gnet: bad IPv4 in %q", s)
 	}
+	octets[3] = host
 	var a Addr
 	for i, o := range octets {
 		v, err := strconv.ParseUint(o, 10, 8)

@@ -1,6 +1,8 @@
 package gnet
 
 import (
+	"slices"
+
 	"querycentric/internal/obs"
 	"querycentric/internal/rng"
 )
@@ -12,12 +14,13 @@ import (
 //
 // The cache is deterministic: insertion order is preserved, eviction is
 // oldest-first, and Pick draws uniformly through the caller's rng stream.
+// It keeps no index: at the tens of entries a servent caches, a scan of
+// addrs decides duplicates and removals without a map's memory or hashing.
 // It is not safe for concurrent use; each peer's cache belongs to the
 // single-goroutine maintenance loop.
 type HostCache struct {
 	capacity int
 	addrs    []Addr
-	index    map[Addr]struct{}
 
 	// adds/evicts publish cache pressure to an attached observability
 	// registry; nil (the default) records nothing (see Instrument).
@@ -31,7 +34,7 @@ func NewHostCache(capacity int) *HostCache {
 	if capacity <= 0 {
 		capacity = DefaultHostCacheSize
 	}
-	return &HostCache{capacity: capacity, index: make(map[Addr]struct{}, capacity)}
+	return &HostCache{capacity: capacity}
 }
 
 // DefaultHostCacheSize bounds a peer's candidate pool, matching the small
@@ -49,34 +52,27 @@ func (hc *HostCache) Instrument(adds, evicts *obs.Counter) {
 // Add inserts a, evicting the oldest entry when the cache is full. It
 // reports whether the address was new.
 func (hc *HostCache) Add(a Addr) bool {
-	if _, dup := hc.index[a]; dup {
+	if slices.Contains(hc.addrs, a) {
 		return false
 	}
 	if len(hc.addrs) >= hc.capacity {
-		oldest := hc.addrs[0]
-		hc.addrs = hc.addrs[1:]
-		delete(hc.index, oldest)
+		// Shift in place, so a full cache recycles its backing array.
+		hc.addrs = hc.addrs[:copy(hc.addrs, hc.addrs[1:])]
 		hc.evicts.Inc()
 	}
 	hc.adds.Inc()
 	hc.addrs = append(hc.addrs, a)
-	hc.index[a] = struct{}{}
 	return true
 }
 
 // Remove drops a from the cache (e.g. after repeated failed connection
 // attempts), reporting whether it was present.
 func (hc *HostCache) Remove(a Addr) bool {
-	if _, ok := hc.index[a]; !ok {
+	i := slices.Index(hc.addrs, a)
+	if i < 0 {
 		return false
 	}
-	delete(hc.index, a)
-	for i, x := range hc.addrs {
-		if x == a {
-			hc.addrs = append(hc.addrs[:i], hc.addrs[i+1:]...)
-			break
-		}
-	}
+	hc.addrs = slices.Delete(hc.addrs, i, i+1)
 	return true
 }
 
@@ -91,8 +87,10 @@ func (hc *HostCache) Pick(r *rng.Source, keep func(Addr) bool) (Addr, bool) {
 		return hc.addrs[r.Intn(len(hc.addrs))], true
 	}
 	// Filter into a scratch view first so rejected candidates don't skew
-	// (or extend) the stream consumption.
-	candidates := make([]Addr, 0, len(hc.addrs))
+	// (or extend) the stream consumption. The view lives on the stack up to
+	// the default capacity.
+	var scratch [DefaultHostCacheSize]Addr
+	candidates := scratch[:0]
 	for _, a := range hc.addrs {
 		if keep(a) {
 			candidates = append(candidates, a)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"querycentric/internal/obs"
 	"querycentric/internal/rng"
 )
 
@@ -75,5 +76,122 @@ func TestHostCachePick(t *testing.T) {
 	b2, _ := hc.Pick(rng.New(42), nil)
 	if b1 != b2 {
 		t.Fatalf("same-seed Pick disagreed: %v vs %v", b1, b2)
+	}
+}
+
+// mapHostCache is the host cache before it dropped its index, kept as the
+// model: a map decides duplicates and removals, a slice keeps FIFO order.
+type mapHostCache struct {
+	capacity     int
+	addrs        []Addr
+	index        map[Addr]struct{}
+	adds, evicts int
+}
+
+func newMapHostCache(capacity int) *mapHostCache {
+	return &mapHostCache{capacity: capacity, index: make(map[Addr]struct{}, capacity)}
+}
+
+func (hc *mapHostCache) Add(a Addr) bool {
+	if _, dup := hc.index[a]; dup {
+		return false
+	}
+	if len(hc.addrs) >= hc.capacity {
+		oldest := hc.addrs[0]
+		hc.addrs = hc.addrs[1:]
+		delete(hc.index, oldest)
+		hc.evicts++
+	}
+	hc.adds++
+	hc.addrs = append(hc.addrs, a)
+	hc.index[a] = struct{}{}
+	return true
+}
+
+func (hc *mapHostCache) Remove(a Addr) bool {
+	if _, ok := hc.index[a]; !ok {
+		return false
+	}
+	delete(hc.index, a)
+	for i, x := range hc.addrs {
+		if x == a {
+			hc.addrs = append(hc.addrs[:i], hc.addrs[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+func (hc *mapHostCache) Pick(r *rng.Source, keep func(Addr) bool) (Addr, bool) {
+	if len(hc.addrs) == 0 {
+		return Addr{}, false
+	}
+	if keep == nil {
+		return hc.addrs[r.Intn(len(hc.addrs))], true
+	}
+	candidates := make([]Addr, 0, len(hc.addrs))
+	for _, a := range hc.addrs {
+		if keep(a) {
+			candidates = append(candidates, a)
+		}
+	}
+	if len(candidates) == 0 {
+		return Addr{}, false
+	}
+	return candidates[r.Intn(len(candidates))], true
+}
+
+// TestHostCacheMatchesMapModel runs random Add/Remove/Pick sequences against
+// the cache and the map-indexed model, at every capacity from 1 to 40 (past
+// the stack scratch Pick uses up to DefaultHostCacheSize), over an address
+// pool larger than the capacity so duplicates and evictions both occur.
+// Every return value, the FIFO order after every operation, every Pick from
+// equal streams — including which addresses its filter is shown, in order —
+// and the adds/evicts counters must agree.
+func TestHostCacheMatchesMapModel(t *testing.T) {
+	for capacity := 1; capacity <= 40; capacity++ {
+		reg := obs.NewRegistry()
+		adds, evicts := reg.Counter("adds"), reg.Counter("evicts")
+		hc, model := NewHostCache(capacity), newMapHostCache(capacity)
+		hc.Instrument(adds, evicts)
+		ops := rng.New(uint64(capacity))
+		pool := capacity + capacity/2 + 2
+		for step := 0; step < 3000; step++ {
+			a := hcAddr(ops.Intn(pool))
+			switch op := ops.Intn(10); {
+			case op < 6:
+				if got, want := hc.Add(a), model.Add(a); got != want {
+					t.Fatalf("cap %d step %d: Add(%v) = %v, model %v", capacity, step, a, got, want)
+				}
+			case op < 8:
+				if got, want := hc.Remove(a), model.Remove(a); got != want {
+					t.Fatalf("cap %d step %d: Remove(%v) = %v, model %v", capacity, step, a, got, want)
+				}
+			default:
+				seed, mod := ops.Uint64(), 1+ops.Intn(4)
+				var keep, modelKeep func(Addr) bool
+				var shown, modelShown []Addr
+				if mod > 1 {
+					keep = func(a Addr) bool { shown = append(shown, a); return int(a.IP[3])%mod == 0 }
+					modelKeep = func(a Addr) bool { modelShown = append(modelShown, a); return int(a.IP[3])%mod == 0 }
+				}
+				r, mr := rng.New(seed), rng.New(seed)
+				got, gok := hc.Pick(r, keep)
+				want, wok := model.Pick(mr, modelKeep)
+				if got != want || gok != wok || !slices.Equal(shown, modelShown) || r.Uint64() != mr.Uint64() {
+					t.Fatalf("cap %d step %d: Pick = %v, %v (filter shown %v); model %v, %v (shown %v)",
+						capacity, step, got, gok, shown, want, wok, modelShown)
+				}
+			}
+			if !slices.Equal(hc.addrs, model.addrs) {
+				t.Fatalf("cap %d step %d: order %v, model %v", capacity, step, hc.addrs, model.addrs)
+			}
+		}
+		if adds.Value() != int64(model.adds) || evicts.Value() != int64(model.evicts) {
+			t.Fatalf("cap %d: adds/evicts %d/%d, model %d/%d", capacity, adds.Value(), evicts.Value(), model.adds, model.evicts)
+		}
+		if model.evicts == 0 {
+			t.Fatalf("cap %d: the sequence never evicted", capacity)
+		}
 	}
 }

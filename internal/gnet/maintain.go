@@ -2,6 +2,7 @@ package gnet
 
 import (
 	"fmt"
+	"strconv"
 
 	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
@@ -134,6 +135,22 @@ type Maintainer struct {
 	// when the network is instrumented; its zero value (nil handles) is a
 	// no-op, so the increments below run unconditionally.
 	om maintMetrics
+
+	// touched logs, once each, the peers whose live repair degree or
+	// liveness an event may have moved since the last DrainTouched; marked
+	// is its membership set. It starts with every peer marked.
+	touched []int
+	marked  []bool
+
+	// Scratch reused across events, so a keepalive round allocates
+	// nothing per message: encoded and received descriptors, the stream
+	// name, neighbor-list and X-Try address copies.
+	wire           []byte
+	pingWire       []byte
+	rxPing, rxPong gmsg.Message
+	name           []byte
+	nbScratch      []int
+	tries          []Addr
 }
 
 // NewMaintainer wires a maintainer to nw. initialOnline seeds the liveness
@@ -158,6 +175,8 @@ func NewMaintainer(nw *Network, cfg RepairConfig, initialOnline []bool) (*Mainta
 		fails:   make([]map[Addr]int, n),
 		retryAt: make([]map[Addr]int64, n),
 		base:    rng.NewNamed(cfg.Seed, "gnet/repair"),
+		touched: make([]int, n),
+		marked:  make([]bool, n),
 	}
 	var hostAdds, hostEvicts *obs.Counter
 	if nw.obs != nil {
@@ -166,6 +185,7 @@ func NewMaintainer(nw *Network, cfg RepairConfig, initialOnline []bool) (*Mainta
 		hostEvicts = nw.obs.reg.Counter("gnet_hostcache_evictions_total")
 	}
 	for i := 0; i < n; i++ {
+		m.touched[i], m.marked[i] = i, true
 		if initialOnline == nil {
 			m.online[i] = true
 		} else {
@@ -209,8 +229,7 @@ func defaultBootstrap(nw *Network) []Addr {
 func (m *Maintainer) seedCaches() {
 	for _, p := range m.nw.Peers {
 		for _, nb := range p.Neighbors {
-			hints := FormatTryUltrapeers(m.nw.tryAddrs(m.nw.Peers[nb]))
-			for _, a := range ParseTryUltrapeers(hints) {
+			for _, a := range m.receiveTries(m.nw.Peers[nb]) {
 				if a != p.Addr {
 					m.caches[p.ID].Add(a)
 				}
@@ -219,17 +238,80 @@ func (m *Maintainer) seedCaches() {
 	}
 }
 
+// receiveTries carries from's X-Try-Ultrapeers hints over the wire: the
+// addresses are formatted into the header value and parsed back on receipt.
+// The result aliases scratch valid until the next call.
+func (m *Maintainer) receiveTries(from *Peer) []Addr {
+	m.tries = m.nw.appendTryAddrs(m.tries[:0], from)
+	hdr := FormatTryUltrapeers(m.tries)
+	m.tries = appendTryUltrapeers(m.tries[:0], hdr)
+	return m.tries
+}
+
 // Online exposes the liveness view (shared, read-only for callers).
 func (m *Maintainer) Online() []bool { return m.online }
 
 // Stats returns a copy of the maintenance counters.
 func (m *Maintainer) Stats() RepairStats { return m.stats }
 
-// stream derives the decision stream for peer id's next maintenance event.
+// DrainTouched calls fn once for each peer whose deficit judgement an event
+// may have moved since the previous drain, then empties the log. Only the
+// maintainer mutates topology and liveness during a scenario, and a peer's
+// live repair degree reads only its own liveness, its neighbor list and its
+// neighbors' liveness; so the log holds both endpoints of every edge the
+// maintainer connects or disconnects, and every peer whose liveness flips
+// together with every neighbor it lists then (adjacency is symmetric, and a
+// crash leaves its ghost edges listed). fn must not run maintenance.
+func (m *Maintainer) DrainTouched(fn func(id int)) {
+	for _, id := range m.touched {
+		m.marked[id] = false
+		fn(id)
+	}
+	m.touched = m.touched[:0]
+}
+
+// touch logs peer id for the next DrainTouched.
+func (m *Maintainer) touch(id int) {
+	if !m.marked[id] {
+		m.marked[id] = true
+		m.touched = append(m.touched, id)
+	}
+}
+
+// setOnline flips peer id's liveness, logging it and every neighbor whose
+// live degree counts it.
+func (m *Maintainer) setOnline(id int, up bool) {
+	m.online[id] = up
+	m.touch(id)
+	for _, nb := range m.nw.Peers[id].Neighbors {
+		m.touch(nb)
+	}
+}
+
+// disconnect tears down the edge a–b, logging both endpoints.
+func (m *Maintainer) disconnect(a, b int) {
+	m.nw.DisconnectPeers(a, b)
+	m.touch(a)
+	m.touch(b)
+}
+
+// neighbors copies peer id's neighbor list into scratch, for a loop that
+// disconnects as it goes. The copy is valid until the next call.
+func (m *Maintainer) neighbors(id int) []int {
+	m.nbScratch = append(m.nbScratch[:0], m.nw.Peers[id].Neighbors...)
+	return m.nbScratch
+}
+
+// stream derives the decision stream for peer id's next maintenance event,
+// named "peer/<id>/event/<n>".
 func (m *Maintainer) stream(id int) *rng.Source {
 	s := m.seq[id]
 	m.seq[id]++
-	return m.base.Derive(fmt.Sprintf("peer/%d/event/%d", id, s))
+	m.name = append(m.name[:0], "peer/"...)
+	m.name = strconv.AppendInt(m.name, int64(id), 10)
+	m.name = append(m.name, "/event/"...)
+	m.name = strconv.AppendUint(m.name, s, 10)
+	return m.base.Derive(string(m.name))
 }
 
 // PeerDown applies a departure event. A polite departure sends an encoded
@@ -242,7 +324,7 @@ func (m *Maintainer) PeerDown(id int, polite bool) error {
 	if !m.online[id] {
 		return nil
 	}
-	m.online[id] = false
+	m.setOnline(id, false)
 	m.missed[id] = nil
 	m.stats.Departures++
 	m.om.departures.Inc()
@@ -251,21 +333,22 @@ func (m *Maintainer) PeerDown(id int, polite bool) error {
 	}
 	m.stats.PoliteDepartures++
 	m.om.politeDepartures.Inc()
-	raw, err := gmsg.Encode(&gmsg.Message{
+	raw, err := gmsg.AppendEncode(m.wire[:0], &gmsg.Message{
 		Header: gmsg.Header{GUID: gmsg.GUIDFromUint64s(uint64(id), m.seq[id]), Type: gmsg.TypeBye, TTL: 1},
 		Bye:    &gmsg.Bye{Code: gmsg.ByeCodeShutdown, Reason: "session over"},
 	})
 	if err != nil {
 		return err
 	}
-	for _, nb := range append([]int(nil), m.nw.Peers[id].Neighbors...) {
+	m.wire = raw
+	for _, nb := range m.neighbors(id) {
 		// The Bye travels the wire: each neighbor decodes the descriptor
 		// before acting on it. Connections are reliable, so it always
 		// arrives where a live socket exists.
 		if _, _, err := gmsg.Decode(raw); err != nil {
 			return fmt.Errorf("gnet: bye decode: %w", err)
 		}
-		m.nw.DisconnectPeers(id, nb)
+		m.disconnect(id, nb)
 		if m.missed[nb] != nil {
 			delete(m.missed[nb], id)
 		}
@@ -288,15 +371,15 @@ func (m *Maintainer) PeerUp(id int, now int64) error {
 	if m.online[id] {
 		return nil
 	}
-	m.online[id] = true
+	m.setOnline(id, true)
 	m.missed[id] = nil
 	m.stats.Arrivals++
 	m.om.arrivals.Inc()
 	if !m.cfg.Repair {
 		return nil
 	}
-	for _, nb := range append([]int(nil), m.nw.Peers[id].Neighbors...) {
-		m.nw.DisconnectPeers(id, nb)
+	for _, nb := range m.neighbors(id) {
+		m.disconnect(id, nb)
 		if m.missed[nb] != nil {
 			delete(m.missed[nb], id)
 		}
@@ -334,17 +417,18 @@ func (m *Maintainer) pingSalt(u int) uint64 {
 // for PingTimeout consecutive rounds.
 func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 	nw := m.nw
-	neighbors := append([]int(nil), nw.Peers[u].Neighbors...)
+	neighbors := m.neighbors(u)
 	if len(neighbors) == 0 {
 		return
 	}
 	ping := &gmsg.Message{
 		Header: gmsg.Header{GUID: gmsg.GUIDFromUint64s(r.Uint64(), r.Uint64()), Type: gmsg.TypePing, TTL: 1},
 	}
-	pingRaw, err := gmsg.Encode(ping)
+	pingRaw, err := gmsg.AppendEncode(m.pingWire[:0], ping)
 	if err != nil {
 		panic(err) // static message shape; cannot fail
 	}
+	m.pingWire = pingRaw
 	salt := m.pingSalt(u)
 	for _, v := range neighbors {
 		m.stats.PingsSent++
@@ -380,7 +464,7 @@ func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 		}
 		m.missed[u][v]++
 		if m.missed[u][v] >= m.cfg.PingTimeout {
-			nw.DisconnectPeers(u, v)
+			m.disconnect(u, v)
 			delete(m.missed[u], v)
 			if m.missed[v] != nil {
 				delete(m.missed[v], u)
@@ -398,14 +482,14 @@ func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 // caches fresh as the overlay shifts.
 func (m *Maintainer) receivePongs(u, v int, pingRaw []byte) {
 	nw := m.nw
-	ping, _, err := gmsg.Decode(pingRaw)
-	if err != nil {
+	ping := &m.rxPing
+	if _, err := gmsg.DecodeInto(ping, pingRaw); err != nil {
 		panic(fmt.Sprintf("gnet: ping decode: %v", err))
 	}
 	m.stats.PongsReceived++
 	m.om.pongsReceived.Inc()
 	answer := func(q *Peer, hops byte) {
-		raw, err := gmsg.Encode(&gmsg.Message{
+		raw, err := gmsg.AppendEncode(m.wire[:0], &gmsg.Message{
 			Header: gmsg.Header{GUID: ping.Header.GUID, Type: gmsg.TypePong, TTL: ping.Header.Hops + 1, Hops: hops},
 			Pong: &gmsg.Pong{
 				Port: q.Addr.Port, IP: q.Addr.IP,
@@ -415,11 +499,12 @@ func (m *Maintainer) receivePongs(u, v int, pingRaw []byte) {
 		if err != nil {
 			panic(err)
 		}
-		pong, _, err := gmsg.Decode(raw)
-		if err != nil {
+		m.wire = raw
+		if _, err := gmsg.DecodeInto(&m.rxPong, raw); err != nil {
 			panic(fmt.Sprintf("gnet: pong decode: %v", err))
 		}
-		m.learnAddr(u, Addr{IP: pong.Pong.IP, Port: pong.Pong.Port})
+		pong := m.rxPong.Pong
+		m.learnAddr(u, Addr{IP: pong.IP, Port: pong.Port})
 	}
 	answer(nw.Peers[v], 0)
 	// Deployed pong caches answer with roughly ten entries, not the whole
@@ -556,6 +641,8 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 			if err := nw.ConnectPeers(u, cand.ID); err != nil {
 				panic(err) // keep filtered self and duplicates already
 			}
+			m.touch(u)
+			m.touch(cand.ID)
 			m.stats.RepairSuccesses++
 			m.om.repairSuccesses.Inc()
 			if m.fails[u] != nil {
@@ -564,10 +651,10 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 			}
 			// Handshake X-Try exchange, both directions, over the header
 			// string format the wire uses.
-			for _, a := range ParseTryUltrapeers(FormatTryUltrapeers(nw.tryAddrs(cand))) {
+			for _, a := range m.receiveTries(cand) {
 				m.learnAddr(u, a)
 			}
-			for _, a := range ParseTryUltrapeers(FormatTryUltrapeers(nw.tryAddrs(nw.Peers[u]))) {
+			for _, a := range m.receiveTries(nw.Peers[u]) {
 				m.learnAddr(cand.ID, a)
 			}
 			continue

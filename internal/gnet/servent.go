@@ -90,7 +90,7 @@ func (nw *Network) ServeConn(id int, conn io.ReadWriteCloser) error {
 		"User-Agent":  "querycentric/0.1",
 		"X-Ultrapeer": boolHeader(p.Ultrapeer),
 	}
-	if tries := nw.tryAddrs(p); len(tries) > 0 {
+	if tries := nw.appendTryAddrs(nil, p); len(tries) > 0 {
 		hdrs["X-Try-Ultrapeers"] = FormatTryUltrapeers(tries)
 	}
 	if _, err := Accept(conn, 200, hdrs); err != nil {
@@ -118,16 +118,16 @@ func (nw *Network) ServeConn(id int, conn io.ReadWriteCloser) error {
 	}
 }
 
-// tryAddrs lists the ultrapeer neighbours advertised in X-Try-Ultrapeers.
-func (nw *Network) tryAddrs(p *Peer) []Addr {
-	var out []Addr
+// appendTryAddrs appends to dst the ultrapeer neighbours p advertises in
+// X-Try-Ultrapeers.
+func (nw *Network) appendTryAddrs(dst []Addr, p *Peer) []Addr {
 	for _, nb := range p.Neighbors {
 		q := nw.Peers[nb]
 		if q.Ultrapeer || nw.Config.UltrapeerFrac == 0 {
-			out = append(out, q.Addr)
+			dst = append(dst, q.Addr)
 		}
 	}
-	return out
+	return dst
 }
 
 func boolHeader(b bool) string {
