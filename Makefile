@@ -35,7 +35,10 @@ determinism:
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
-# the varint posting codec, the snapshot loader, the frontier kernel and
+# the varint posting codec, the snapshot loaders (each input loaded as
+# written and again resealed — every section digest and the directory hash
+# recomputed — so mutations reach the decoders behind the digests, both
+# against the sequential verify-then-decode reference), the frontier kernel and
 # the wire-level flood under any subset of its gates (both against their
 # map-and-slice references), the 64-wide reach-only kernel against
 # per-origin frontier rings, posting indexes encoded from interned term
@@ -177,8 +180,10 @@ loc:
 # `determinism` and `api-freeze` select — the registry gates,
 # TestRunnerDigests, TestInternalCodeIsReached and
 # TestConfigKnobsHaveTwoValues among them — the recovery / saturation / query-centric
-# claims and TestScaleGate's tiny row), the decoder,
-# churn-timeline, posting-codec, snapshot-loader, frontier-kernel,
+# claims, TestScaleGate's tiny row and TestOverlappedLoadMatchesSequential,
+# the snapshot loaders' error contract), the decoder,
+# churn-timeline, posting-codec, snapshot-loader (with its resealed-input
+# arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
 # (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized),
 # interval-engine (FuzzIntervalEngineVsReference) and X-Try codec

@@ -10,7 +10,8 @@
 // retaining a lowered copy of the file name it was sliced from). Interning
 // stores each term exactly once, lets posting indexes collapse into flat
 // arrays, and lets the QRP hash of every term be computed once per network
-// instead of once per (peer, flood).
+// instead of once per (peer, flood) — on the first Slot call, so a network
+// that never builds a route table never pays for them.
 //
 // Construction tokenizes every file name once: an Interner resolves each
 // name to the provisional IDs of its distinct tokens while it collects the
@@ -40,6 +41,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"querycentric/internal/parallel"
@@ -55,12 +58,19 @@ type TermID uint32
 const NoTerm TermID = ^TermID(0)
 
 // Dict is an immutable interned term dictionary. Safe for concurrent use
-// after Build returns; Compact must not race with lookups.
+// after Build returns (the first Slot calls may race each other: one builds
+// the QRP products, the rest wait for it); Compact must not race with
+// lookups.
 type Dict struct {
 	termBytes []byte            // all term bytes, concatenated in ID order
 	termOff   []uint32          // TermID → termBytes offset; Len()+1 entries
 	ids       map[string]TermID // lookup map for Lookup/Intern; nil after Compact
-	prods     []uint32          // TermID → QRP hash product (pre-shift)
+	workers   int               // goroutine bound for building prods
+	// prods maps TermID → QRP hash product (pre-shift). It is nil until the
+	// first Slot call builds it under prodsOnce; Slot's fast path is the
+	// one atomic load.
+	prods     atomic.Pointer[[]uint32]
+	prodsOnce sync.Once
 }
 
 // Interner is one shard of a dictionary build. It resolves file names to
@@ -163,8 +173,9 @@ func Merge(ins []*Interner, workers int) (*Dict, [][]TermID) {
 }
 
 // fromSorted lays strictly ascending terms out as a dictionary: arena,
-// offsets, lookup map and QRP products. Only those are retained; sorted
-// and the strings it views are the caller's transients.
+// offsets and lookup map (QRP products wait for the first Slot call). Only
+// those are retained; sorted and the strings it views are the caller's
+// transients.
 func fromSorted(sorted []string, workers int) *Dict {
 	total := 0
 	for _, tok := range sorted {
@@ -174,6 +185,7 @@ func fromSorted(sorted []string, workers int) *Dict {
 		termBytes: make([]byte, 0, total),
 		termOff:   make([]uint32, 1, len(sorted)+1),
 		ids:       make(map[string]TermID, len(sorted)),
+		workers:   workers,
 	}
 	for i, tok := range sorted {
 		d.termBytes = append(d.termBytes, tok...)
@@ -181,8 +193,6 @@ func fromSorted(sorted []string, workers int) *Dict {
 		// Key the map by the arena view, not the interner's token.
 		d.ids[d.Term(TermID(i))] = TermID(i)
 	}
-	d.prods = make([]uint32, len(sorted))
-	d.hashProducts(workers)
 	return d
 }
 
@@ -257,22 +267,24 @@ func Build(libraries [][]string, workers int) (*Dict, *Resolved) {
 	return d, r
 }
 
-// hashProducts fills prods with the QRP hash of every term. Products are
-// pure per term, so parallel chunking cannot change the result.
-func (d *Dict) hashProducts(workers int) {
-	const chunk = 8192
-	nChunks := (d.Len() + chunk - 1) / chunk
-	_ = parallel.ForEach(workers, nChunks, func(c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > d.Len() {
-			hi = d.Len()
-		}
-		for i := lo; i < hi; i++ {
-			d.prods[i] = qrp.HashProduct(d.Term(TermID(i)))
-		}
-		return nil
+// hashProducts builds prods, once: the QRP hash product of every term, in
+// parallel chunks over up to d.workers goroutines. Products are pure per
+// term, so chunking cannot change the result. Callers racing the first
+// build wait for it.
+func (d *Dict) hashProducts() *[]uint32 {
+	d.prodsOnce.Do(func() {
+		prods := make([]uint32, d.Len())
+		const chunk = 8192
+		nChunks := (len(prods) + chunk - 1) / chunk
+		_ = parallel.ForEach(d.workers, nChunks, func(c int) error {
+			for i := c * chunk; i < min((c+1)*chunk, len(prods)); i++ {
+				prods[i] = qrp.HashProduct(d.Term(TermID(i)))
+			}
+			return nil
+		})
+		d.prods.Store(&prods)
 	})
+	return d.prods.Load()
 }
 
 // FromNames builds a dictionary over a flat name list (one "library").
@@ -290,10 +302,10 @@ func (d *Dict) Raw() (termBytes []byte, termOff []uint32) {
 
 // FromRaw reconstructs a dictionary from a persisted arena: offsets are
 // validated (monotone, bounded, terms in strict lexicographic order — the
-// invariant binary-search Lookup depends on) and the QRP hash products are
-// recomputed in parallel chunks over up to `workers` goroutines. The
-// result is Compact (no lookup map) and adopts the given slices without
-// copying.
+// invariant binary-search Lookup depends on). The QRP hash products are
+// not persisted; the first Slot call computes them in parallel chunks over
+// up to `workers` goroutines. The result is Compact (no lookup map) and
+// adopts the given slices without copying.
 func FromRaw(termBytes []byte, termOff []uint32, workers int) (*Dict, error) {
 	if len(termOff) == 0 {
 		return nil, fmt.Errorf("dict: FromRaw: missing offset table")
@@ -302,17 +314,17 @@ func FromRaw(termBytes []byte, termOff []uint32, workers int) (*Dict, error) {
 		return nil, fmt.Errorf("dict: FromRaw: offsets span [%d,%d] over %d arena bytes",
 			termOff[0], termOff[len(termOff)-1], len(termBytes))
 	}
-	d := &Dict{termBytes: termBytes, termOff: termOff}
+	d := &Dict{termBytes: termBytes, termOff: termOff, workers: workers}
 	for i := 1; i < d.Len(); i++ {
-		if termOff[i] > termOff[i+1] {
+		// Bounding each offset by the last keeps both terms compared below
+		// inside the arena before the later offsets have been checked.
+		if termOff[i] > termOff[i+1] || termOff[i+1] > termOff[d.Len()] {
 			return nil, fmt.Errorf("dict: FromRaw: offsets not monotone at term %d", i)
 		}
 		if d.Term(TermID(i-1)) >= d.Term(TermID(i)) {
 			return nil, fmt.Errorf("dict: FromRaw: terms out of order at %d", i)
 		}
 	}
-	d.prods = make([]uint32, d.Len())
-	d.hashProducts(workers)
 	return d, nil
 }
 
@@ -390,19 +402,27 @@ func (d *Dict) Resolve(toks []string, dst []TermID) (ids []TermID, ok bool) {
 	return dst, ok
 }
 
-// Slot returns id's QRP table slot at the given table width.
+// Slot returns id's QRP table slot at the given table width. The first
+// call builds every term's hash product (see hashProducts).
 func (d *Dict) Slot(id TermID, bits uint) uint32 {
-	return qrp.SlotOf(d.prods[id], bits)
+	p := d.prods.Load()
+	if p == nil {
+		p = d.hashProducts()
+	}
+	return qrp.SlotOf((*p)[id], bits)
 }
 
 // HeapBytes estimates the dictionary's retained heap: the term arena,
-// offsets, QRP products, and — until Compact — the lookup map
+// offsets, QRP products once a Slot call has built them, and — until
+// Compact — the lookup map
 // (conservative per-entry estimate; its keys are arena views, so only
 // headers and buckets count).
 func (d *Dict) HeapBytes() uint64 {
 	b := uint64(len(d.termBytes))
 	b += uint64(len(d.termOff)) * 4
-	b += uint64(len(d.prods)) * 4
+	if p := d.prods.Load(); p != nil {
+		b += uint64(len(*p)) * 4
+	}
 	if d.ids != nil {
 		// map[string]TermID: key header + value + ~per-bucket overhead.
 		b += uint64(len(d.ids)) * (uint64(unsafe.Sizeof("")) + 4 + 16)

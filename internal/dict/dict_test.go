@@ -2,9 +2,11 @@ package dict
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"querycentric/internal/qrp"
@@ -114,6 +116,78 @@ func TestProductMatchesQRPHash(t *testing.T) {
 				t.Fatalf("Slot(%q, %d) = %d, want %d", term, bits, got, want)
 			}
 		}
+	}
+}
+
+// TestLazyProducts: dictionaries from Build, FromNames and FromRaw build
+// their QRP hash products on the first Slot call, not before — HeapBytes
+// counts them only from then on — and every term's slot at every table
+// width is the hash of its term. Eight goroutines race the first call.
+func TestLazyProducts(t *testing.T) {
+	built, _ := Build(testLibraries(), 3)
+	arena, off := built.Raw()
+	restored, err := FromRaw(arena, off, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, lib := range testLibraries() {
+		names = append(names, lib...)
+	}
+	for name, mk := range map[string]func() *Dict{
+		"Build":     func() *Dict { d, _ := Build(testLibraries(), 3); return d },
+		"FromNames": func() *Dict { return FromNames(names, 2) },
+		"FromRaw": func() *Dict {
+			d, err := FromRaw(arena, off, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := mk()
+			if d.Checksum() != restored.Checksum() {
+				t.Fatal("the dictionaries differ")
+			}
+			before := d.HeapBytes()
+			if d.prods.Load() != nil {
+				t.Fatal("products built before the first Slot")
+			}
+			var wg sync.WaitGroup
+			errs := make(chan string, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for _, bits := range []uint{1, 8, 12, 16, 20} {
+						for id := 0; id < d.Len(); id++ {
+							term := d.Term(TermID((id + g) % d.Len()))
+							if got, want := d.Slot(TermID((id+g)%d.Len()), bits), qrp.SlotOf(qrp.HashProduct(term), bits); got != want {
+								errs <- fmt.Sprintf("Slot(%q, %d) = %d, want %d", term, bits, got, want)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Fatal(e)
+			}
+			if got, want := d.HeapBytes(), before+4*uint64(d.Len()); got != want {
+				t.Fatalf("HeapBytes %d after the first Slot, want %d (%d before)", got, want, before)
+			}
+		})
+	}
+}
+
+// TestFromRawRejectsOffsetPastArena: an offset past the arena in the middle
+// of the table, behind in-bounds neighbours, is an error, not a panic.
+func TestFromRawRejectsOffsetPastArena(t *testing.T) {
+	if _, err := FromRaw([]byte("abcd"), []uint32{0, 1, 100, 4}, 1); err == nil {
+		t.Fatal("FromRaw accepted an offset past the arena")
 	}
 }
 

@@ -43,7 +43,7 @@ type PeerState struct {
 // NetworkState is the deterministic substrate a snapshot persists: the
 // topology configuration, every peer's identity/links/library/index, the
 // firewalled mask, the shared interned dictionary (as its raw term arena;
-// QRP hash products are recomputed on restore) and the holder index (as
+// QRP hash products are rebuilt on first use) and the holder index (as
 // its raw CSR, so a restore adopts it instead of inverting every posting
 // index again). Fault planes, QRP tables and observability attachments are
 // runtime state and are not part of a snapshot.
@@ -102,9 +102,14 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 // NewFromState reconstructs a network from a persisted state: peers get
 // their identities, links, libraries and ready-built posting indexes back,
 // and the network its holder index, adopted after a structural check
-// (adoptHolders); the dictionary's QRP hash products are recomputed, both
-// over up to `workers` goroutines. The state's slices are adopted, not
-// copied — do not reuse st after a successful call.
+// (adoptHolders), over up to `workers` goroutines; the dictionary is
+// checked by dict.FromRaw and builds its QRP hash products on first use.
+// The state's slices are adopted, not copied — do not reuse st after a
+// successful call.
+//
+// The snapshot loaders call it before their section digests are joined,
+// so it must return an error, never panic, on any state their decoders can
+// produce. It reads no posting arena: those are guarded by the digests.
 //
 // A restored network floods, crawls and serves byte-identically to the
 // freshly built network it was exported from.

@@ -16,9 +16,11 @@
 // so a loader may view them in place — from a heap buffer or straight from
 // an mmap'd file — with at most an endianness/alignment fallback copy.
 // There is no whole-file trailer: each payload carries its own digest in
-// the directory, so a mapped loader verifies exactly the sections it reads
-// and never touches pages it does not need. The file must end exactly at
-// the last payload's final byte; trailing garbage is corruption.
+// the directory, so the six digests can run side by side, and beside the
+// decode: a loader checks the sealed directory first, then hashes the
+// sections while it decodes them and rebuilds the network, and joins every
+// digest before it returns (see parseSnapshot). The file must end exactly
+// at the last payload's final byte; trailing garbage is corruption.
 //
 // The writer is single-pass and streaming: sections are written front to
 // back through a small buffer while their digests accumulate, and the
@@ -31,6 +33,7 @@ package snapshot
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -38,6 +41,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"querycentric/internal/dict"
@@ -505,38 +512,135 @@ func writeSnapshot(f *os.File, st *gnet.NetworkState) (int64, error) {
 // ---------------------------------------------------------------------------
 // Parsing. One parser serves both load paths: the copying loader hands it
 // a heap buffer holding the file, the mapped loader hands it the mmap'd
-// bytes. Each section's digest is verified before that section is
-// decoded — and every section's before a NetworkState is returned — so
-// corruption is reported against the first section that carries it.
+// bytes. Verification overlaps restoration: once the sealed directory, the
+// bounds and the zero padding check out, the six section digests run on
+// other goroutines while the sections are decoded in file order (and
+// while the loader rebuilds the network from them), and the loader joins
+// every digest before it returns anything. So the decoders and
+// gnet.NewFromState see bytes no digest has vouched for yet: they must
+// fail typed, never panic, on any input — FuzzSnapshotLoad's resealed arm
+// holds them to that. The error a damaged file earns is the one a
+// hash-then-decode pass would report: the first section in file order
+// whose digest mismatches or whose decode fails, the digest winning within
+// a section.
 
-// parseSnapshot decodes data (a complete snapshot file) into a NetworkState
-// whose slices view data in place wherever alignment allows.
-func parseSnapshot(data []byte) (*gnet.NetworkState, error) {
+// parseSnapshot checks data's prelude (readDirectory), starts hashing the
+// six sections on other goroutines and, without waiting for them, decodes
+// every section in file order into a NetworkState whose slices view data
+// in place wherever alignment allows. It returns that state — nil once a
+// section has failed to decode — and join, which hashes whatever sections
+// no hasher has claimed yet, waits for the hashers and returns the file's
+// verdict: nil, or the first section in file order whose digest
+// mismatches or whose decode failed (within a section, the digest
+// mismatch). A non-nil err is a prelude failure; no hasher was
+// started. Otherwise the caller must call join, once, before it returns
+// or releases data: no hasher may outlive the load, and a mapped caller
+// unmaps data as soon as an error comes back. Nothing built from st may
+// be handed out unless join returns nil.
+func parseSnapshot(data []byte) (st *gnet.NetworkState, join func() error, err error) {
+	dir, err := readDirectory(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The hashers serve one queue of the six sections, largest first: with
+	// the decode and the rebuild holding one CPU, GOMAXPROCS-1 goroutines
+	// hash from the start, and join makes the caller a hasher too once its
+	// own work is done. More hashers than free CPUs would only time-slice
+	// the decode and the largest section's digest — the two long chains a
+	// cold start waits on.
+	var order [numSections]int
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order[:], func(a, b int) int { return cmp.Compare(dir[b].size, dir[a].size) })
+	var sums [numSections][sha256.Size]byte
+	var next atomic.Int32
+	hash := func() {
+		for k := next.Add(1) - 1; k < numSections; k = next.Add(1) - 1 {
+			i := order[k]
+			sums[i] = sectionSum(payload(data, &dir[i]))
+		}
+	}
+	var wg sync.WaitGroup
+	for range max(min(runtime.GOMAXPROCS(0)-1, numSections), 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hash()
+		}()
+	}
+	var dec decoder
+	failed, decErr := numSections-1, error(nil)
+	for i := range dir {
+		if decErr = dec.section(&dir[i], payload(data, &dir[i])); decErr != nil {
+			failed = i
+			break
+		}
+	}
+	join = func() error {
+		hash()
+		wg.Wait()
+		for i := 0; i <= failed; i++ {
+			if sums[i] != dir[i].sum {
+				return digestError(&dir[i], sums[i])
+			}
+		}
+		return decErr
+	}
+	if decErr != nil {
+		return nil, join, nil
+	}
+	return &dec.st, join, nil
+}
+
+// sectionSum is SHA-256 over a section payload, fed in 1 MiB pieces.
+// SHA-256's block loop is assembly the scheduler cannot preempt, so one
+// call over the 48 MB libraries section would hold off every
+// stop-the-world — the start of a GC cycle the decode's allocations
+// trigger included — until the section was hashed, stalling the decode
+// and the rebuild it overlaps.
+func sectionSum(b []byte) [sha256.Size]byte {
+	h := sha256.New()
+	for len(b) > 0 {
+		n := min(len(b), 1<<20)
+		h.Write(b[:n])
+		b = b[n:]
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// readDirectory judges everything in front of the payloads: magic,
+// version, section count, the directory hash, every entry's kind, place
+// and bounds, the file's end and the zero padding no digest covers. The
+// directory it returns is sealed, so later bounds can trust it.
+func readDirectory(data []byte) ([numSections]dirEntry, error) {
+	var dir [numSections]dirEntry
 	// Magic and version are judged before the prelude length, so a foreign
 	// file or another format revision is named as such however short it is.
 	if len(data) < len(magic)+2 {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold a snapshot header", ErrTruncated, len(data))
+		return dir, fmt.Errorf("%w: %d bytes cannot hold a snapshot header", ErrTruncated, len(data))
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w (bad magic %q)", ErrFormat, data[:len(magic)])
+		return dir, fmt.Errorf("%w (bad magic %q)", ErrFormat, data[:len(magic)])
 	}
 	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != Version {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, v, Version)
+		return dir, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	if len(data) < firstSectionOff {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold a snapshot prelude", ErrTruncated, len(data))
+		return dir, fmt.Errorf("%w: %d bytes cannot hold a snapshot prelude", ErrTruncated, len(data))
 	}
 	if n := data[len(magic)+2]; n != numSections {
-		return nil, fmt.Errorf("%w: %d sections, want %d", ErrCorrupt, n, numSections)
+		return dir, fmt.Errorf("%w: %d sections, want %d", ErrCorrupt, n, numSections)
 	}
 	// The directory hash seals the header and every directory entry; all
 	// later bounds can trust what the directory says.
 	sum := sha256.Sum256(data[:dirHashOff])
 	if !bytes.Equal(sum[:], data[dirHashOff:preludeLen]) {
-		return nil, fmt.Errorf("%w: directory carries %x, hashes to %x (%w)",
+		return dir, fmt.Errorf("%w: directory carries %x, hashes to %x (%w)",
 			ErrFingerprint, data[dirHashOff:dirHashOff+8], sum[:8], ErrCorrupt)
 	}
-	var dir [numSections]dirEntry
 	end := uint64(firstSectionOff)
 	for i := range dir {
 		b := data[dirOff+i*dirEntryLen:]
@@ -544,89 +648,78 @@ func parseSnapshot(data []byte) (*gnet.NetworkState, error) {
 		copy(dir[i].sum[:], b[24:])
 		e := &dir[i]
 		if e.kind != byte(secMeta+i) {
-			return nil, fmt.Errorf("%w: directory entry %d has kind %d", ErrCorrupt, i, e.kind)
+			return dir, fmt.Errorf("%w: directory entry %d has kind %d", ErrCorrupt, i, e.kind)
 		}
 		if e.off%sectionAlign != 0 || e.off < end || e.off-end >= sectionAlign {
-			return nil, fmt.Errorf("%w: section %d at offset %d, previous ends at %d", ErrCorrupt, e.kind, e.off, end)
+			return dir, fmt.Errorf("%w: section %d at offset %d, previous ends at %d", ErrCorrupt, e.kind, e.off, end)
 		}
 		if e.size > uint64(len(data)) || e.off+e.size > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: section %d claims [%d, %d) of a %d-byte file",
+			return dir, fmt.Errorf("%w: section %d claims [%d, %d) of a %d-byte file",
 				ErrTruncated, e.kind, e.off, e.off+e.size, len(data))
 		}
 		end = e.off + e.size
 	}
 	if end != uint64(len(data)) {
-		return nil, fmt.Errorf("%w: %d bytes after the last section", ErrCorrupt, uint64(len(data))-end)
+		return dir, fmt.Errorf("%w: %d bytes after the last section", ErrCorrupt, uint64(len(data))-end)
 	}
 	// Alignment gaps (prelude pad and inter-section pads) must be zero:
 	// they are the only bytes no digest covers.
 	if !allZero(data[preludeLen:firstSectionOff]) {
-		return nil, fmt.Errorf("%w: nonzero prelude padding", ErrCorrupt)
+		return dir, fmt.Errorf("%w: nonzero prelude padding", ErrCorrupt)
 	}
 	prev := uint64(firstSectionOff)
 	for i := range dir {
 		if !allZero(data[prev:dir[i].off]) {
-			return nil, fmt.Errorf("%w: nonzero padding before section %d", ErrCorrupt, dir[i].kind)
+			return dir, fmt.Errorf("%w: nonzero padding before section %d", ErrCorrupt, dir[i].kind)
 		}
 		prev = dir[i].off + dir[i].size
 	}
+	return dir, nil
+}
 
-	// The six payloads are hashed concurrently — SHA-256 over the libraries
-	// section alone is over half of a mapped cold start — while the decode
-	// below stays in section order and waits for each section's digest
-	// before it reads a byte of it. No hasher may outlive this call: a mapped caller
-	// unmaps data as soon as an error comes back.
-	payload := func(i int) []byte {
-		e := &dir[i]
-		return data[e.off : e.off+e.size : e.off+e.size]
-	}
-	var sums [numSections][sha256.Size]byte
-	var hashed [numSections]chan struct{}
-	for i := range dir {
-		hashed[i] = make(chan struct{})
-		go func(i int) {
-			defer close(hashed[i])
-			sums[i] = sha256.Sum256(payload(i))
-		}(i)
-	}
-	defer func() {
-		for _, done := range hashed {
-			<-done
-		}
-	}()
+// payload is section e's bytes within data, capped so no view reaches the
+// next section.
+func payload(data []byte, e *dirEntry) []byte {
+	return data[e.off : e.off+e.size : e.off+e.size]
+}
 
-	st := &gnet.NetworkState{}
-	nPeers := 0
-	for i := range dir {
-		e := &dir[i]
-		<-hashed[i]
-		if sums[i] != e.sum {
-			return nil, fmt.Errorf("%w: section %d carries %x, content hashes to %x (%w)",
-				ErrFingerprint, e.kind, e.sum[:8], sums[i][:8], ErrCorrupt)
-		}
-		r := &cursor{b: payload(i), section: int(e.kind)}
-		switch e.kind {
-		case secMeta:
-			nPeers = decodeMeta(r, st)
-		case secDict:
-			st.DictOff, st.DictBytes = decodeCSR(r)
-		case secTopology:
-			decodeTopology(r, st, nPeers)
-		case secLibraries:
-			decodeLibraries(r, st)
-		case secIndexes:
-			decodeIndexes(r, st)
-		case secHolders:
-			st.HolderOff, st.HolderArena = decodeCSR(r)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.pos != len(r.b) {
-			return nil, fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, e.kind, len(r.b)-r.pos)
-		}
+// digestError reports section e's payload hashing to sum, not its recorded
+// digest.
+func digestError(e *dirEntry, sum [sha256.Size]byte) error {
+	return fmt.Errorf("%w: section %d carries %x, content hashes to %x (%w)",
+		ErrFingerprint, e.kind, e.sum[:8], sum[:8], ErrCorrupt)
+}
+
+// decoder accumulates the sections, fed in file order, into one state.
+type decoder struct {
+	st     gnet.NetworkState
+	nPeers int // the meta section's peer count, which the topology must match
+}
+
+// section decodes one section's payload b; it must consume b exactly.
+func (d *decoder) section(e *dirEntry, b []byte) error {
+	r := &cursor{b: b, section: int(e.kind)}
+	switch e.kind {
+	case secMeta:
+		d.nPeers = decodeMeta(r, &d.st)
+	case secDict:
+		d.st.DictOff, d.st.DictBytes = decodeCSR(r)
+	case secTopology:
+		decodeTopology(r, &d.st, d.nPeers)
+	case secLibraries:
+		decodeLibraries(r, &d.st)
+	case secIndexes:
+		decodeIndexes(r, &d.st)
+	case secHolders:
+		d.st.HolderOff, d.st.HolderArena = decodeCSR(r)
 	}
-	return st, nil
+	if r.err != nil {
+		return r.err
+	}
+	if r.pos != len(r.b) {
+		return fmt.Errorf("%w: section %d has %d trailing bytes", ErrCorrupt, e.kind, len(r.b)-r.pos)
+	}
+	return nil
 }
 
 func allZero(b []byte) bool {
@@ -685,6 +778,10 @@ func decodeTopology(r *cursor, st *gnet.NetworkState, nPeers int) {
 	}
 	if n != uint64(nPeers) {
 		r.fail("topology holds %d peers, meta says %d", n, nPeers)
+		return
+	}
+	if total > uint64(len(r.b))/4 { // bound it before the size sum below can overflow
+		r.fail("%d links cannot fit a %d-byte section", total, len(r.b))
 		return
 	}
 	bitset := uint64((nPeers + 7) / 8)
@@ -893,6 +990,9 @@ func (r *cursor) u64() uint64 {
 // (this is the zero-copy path mapped loads live on); otherwise it decodes
 // into a fresh slice.
 func (r *cursor) u32s(n int) []uint32 {
+	if r.err == nil && (n < 0 || uint64(n) > uint64(len(r.b)-r.pos)/4) {
+		r.fail("needs %d u32s, %d bytes left", n, len(r.b)-r.pos)
+	}
 	p := r.take(4 * uint64(n))
 	if p == nil || n == 0 {
 		return nil

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -18,14 +20,28 @@ import (
 // a fingerprint-verified network — never a panic, never an untyped
 // failure, and never a "valid" network from damaged bytes (the per-section
 // digests make any mutation loud). Both the copying Load and the zero-copy
-// LoadMapped run over every input; mapped networks additionally survive a
-// flood-path probe before their mapping is released: the index checksum
-// reads every posting, and floods of a few dictionary terms decode the
-// persisted holder lists. Seeded with a real snapshot of a small
-// catalog-backed network plus the classic traps: empty file, bare magic,
-// bumped version, the retired version-1 header and a full file stamped
-// version 2, truncated and bit-flipped variants, one of them flipped inside
-// the holder section.
+// LoadMapped run over every input and must agree with the sequential
+// reference (parseSequential: hash, compare, then decode, one section at
+// a time) in error text and sentinels, or in the restored state; mapped
+// networks additionally survive a flood-path probe before their mapping is
+// released: the index checksum reads every posting, and floods of a few
+// dictionary terms decode the persisted holder lists.
+//
+// The resealed arm: the loaders decode sections and rebuild the network
+// before the digests are joined, so the decoders and gnet.NewFromState see
+// damaged bytes on every input, and digests alone no longer keep them
+// safe. Each input is therefore loaded a second time with every section
+// digest and the directory hash recomputed over its bytes, so damage gets
+// past the digests to the structural checks; the same contract holds,
+// except that resealed networks skip the probe — posting arenas are
+// guarded by their section digest, not checked structurally (DESIGN
+// "Mmap-backed loading"), so a probe of resealed garbage may read out of
+// range by design.
+//
+// Seeded with a real snapshot of a small catalog-backed network plus the
+// classic traps: empty file, bare magic, bumped version, the retired
+// version-1 header and a full file stamped version 2, truncated and
+// bit-flipped variants, one of them flipped inside the holder section.
 func FuzzSnapshotLoad(f *testing.F) {
 	cat, err := catalog.Build(catalog.Config{
 		Seed: 11, Peers: 12, UniqueObjects: 48, ReplicaAlpha: 2.45,
@@ -76,45 +92,70 @@ func FuzzSnapshotLoad(f *testing.F) {
 		return false
 	}
 
-	f.Fuzz(func(t *testing.T, b []byte) {
+	write := func(t *testing.T, b []byte) string {
 		p := filepath.Join(t.TempDir(), "fuzz.qcsnap")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Load(p, 0)
-		if err != nil {
-			if !typed(err) {
-				t.Fatalf("Load returned an untyped error: %v", err)
-			}
-		} else if got == nil || len(got.Peers) == 0 {
-			// Only a fingerprint-clean file gets here; the network must be
-			// fully usable.
-			t.Fatalf("Load returned nil error but unusable network %v", got)
-		}
+		return p
+	}
 
-		m, err := LoadMapped(p, 0)
-		if err != nil {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p := write(t, b)
+		if err := checkAgainstReference(t, p, 0); err != nil {
 			if !typed(err) {
-				t.Fatalf("LoadMapped returned an untyped error: %v", err)
+				t.Fatalf("untyped error: %v", err)
 			}
-			return
+		} else {
+			probeMapped(t, p)
 		}
-		if m == nil || len(m.Peers) == 0 || !m.Borrowed() {
-			t.Fatalf("LoadMapped returned nil error but unusable network %v", m)
-		}
-		// Touch the borrowed views before unmapping: a bounds bug in the
-		// zero-copy parse would fault here, inside the test.
-		if _, err := m.IndexChecksum(); err != nil {
-			t.Fatalf("mapped network is not usable: %v", err)
-		}
-		ctx, d := m.NewFloodCtx(), m.TermDict()
-		for id := 0; id < d.Len(); id += max(d.Len()/4, 1) {
-			if _, err := ctx.Flood(id%len(m.Peers), d.Term(dict.TermID(id)), 3, rng.New(uint64(id))); err != nil {
-				t.Fatalf("flood over the mapped network: %v", err)
+		if r := resealed(b); r != nil && !bytes.Equal(r, b) {
+			if err := checkAgainstReference(t, write(t, r), 0); err != nil && !typed(err) {
+				t.Fatalf("untyped error on the resealed input: %v", err)
 			}
-		}
-		if err := m.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
 		}
 	})
+}
+
+// probeMapped maps a digest-verified snapshot and touches its borrowed
+// views before unmapping: a bounds bug in the zero-copy parse would fault
+// here, inside the test.
+func probeMapped(t *testing.T, p string) {
+	m, err := LoadMapped(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.IndexChecksum(); err != nil {
+		t.Fatalf("mapped network is not usable: %v", err)
+	}
+	ctx, d := m.NewFloodCtx(), m.TermDict()
+	for id := 0; id < d.Len(); id += max(d.Len()/4, 1) {
+		if _, err := ctx.Flood(id%len(m.Peers), d.Term(dict.TermID(id)), 3, rng.New(uint64(id))); err != nil {
+			t.Fatalf("flood over the mapped network: %v", err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// resealed returns a copy of b with every section digest whose directory
+// bounds lie inside b, and then the directory hash, recomputed over b's
+// own bytes; nil when b cannot hold a directory.
+func resealed(b []byte) []byte {
+	if len(b) < firstSectionOff {
+		return nil
+	}
+	c := append([]byte(nil), b...)
+	for i := 0; i < numSections; i++ {
+		e := c[dirOff+i*dirEntryLen:]
+		at, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if at <= uint64(len(c)) && n <= uint64(len(c))-at {
+			sum := sha256.Sum256(c[at : at+n])
+			copy(e[24:], sum[:])
+		}
+	}
+	sum := sha256.Sum256(c[:dirHashOff])
+	copy(c[dirHashOff:], sum[:])
+	return c
 }

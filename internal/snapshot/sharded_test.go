@@ -373,7 +373,7 @@ func TestMappedNovelAddFileReinternsOnHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := parseSnapshot(data)
+	st, err := parseSequential(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,18 +10,22 @@
 // before its first flood. A snapshot pays that cost once; later runs
 // deserialize the finished substrate — derived data included: the posting
 // arenas and the holder index are persisted, verified and adopted, not
-// rebuilt — and recompute only the dictionary's QRP hash products. A
-// restored network floods, crawls and serves byte-identically to the one
-// it was exported from.
+// rebuilt; only the dictionary's QRP hash products are recomputed, on the
+// first QRP use. A restored network floods, crawls and serves
+// byte-identically to the one it was exported from.
 //
 // # File format
 //
 // There is one format, version 3 — an aligned, per-section-hashed layout
 // designed for zero-copy mmap loading (see format.go for the layout and
 // the streaming Writer the sharded builder uses). No network is returned
-// over damaged bytes: each section is verified against its directory
-// digest before it is decoded, and the holder index is checked structurally
-// before it is adopted. Every failure mode has a typed sentinel error:
+// over damaged bytes: every section is verified against its directory
+// digest — the digests run while the sections are decoded and the network
+// is rebuilt, and are joined before a loader returns — and the holder index
+// is checked structurally before it is adopted. The error a damaged file
+// gets is the one a verify-then-decode pass would give: the first section
+// in file order whose digest or decode fails. Every failure mode has a
+// typed sentinel error:
 // ErrFormat for foreign files, ErrVersion for snapshots of any other format
 // revision (including the version-1 and version-2 files earlier builds
 // wrote), ErrTruncated for short files, ErrCorrupt for structural damage
@@ -32,6 +36,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"unsafe"
 
@@ -104,10 +109,14 @@ func Save(path string, nw *gnet.Network, workers int) (int64, error) {
 }
 
 // Load reads a snapshot and reconstructs the network, copying everything
-// onto the heap: the file is read whole and verified section by section. No
-// network is returned over bytes that fail verification. The holder index
-// is checked and adopted, and the dictionary's QRP products recomputed,
-// over up to `workers` goroutines.
+// onto the heap: the file is read whole, and its section digests are
+// checked while the sections are decoded and the network is rebuilt (see
+// parseSnapshot). No network is returned over bytes that fail
+// verification, and the error a damaged file gets names the first section,
+// in file order, that fails its digest or its decode. The dictionary and
+// holder-index checks and the peer wiring run over up to `workers`
+// goroutines; a failure there is reported, as ErrCorrupt, only when every
+// digest matched. The dictionary's QRP products are built on first use.
 func Load(path string, workers int) (*gnet.Network, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -118,38 +127,50 @@ func Load(path string, workers int) (*gnet.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := parseSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	nw, err := gnet.NewFromState(st, workers)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return nw, nil
+	return restore(data, nil, workers)
 }
 
 // LoadMapped reconstructs a network over a read-only memory mapping of a
 // snapshot: file names, posting arenas, skip arrays, the dictionary arena
 // and the holder index stay views into the mapping (zero-copy; the kernel
 // pages them in on demand), while mutable structures (neighbor lists, the
-// library and index headers, QRP products) are built fresh on the heap. The returned network owns the mapping — call its
-// Close when done with it; until then the views must outlive any use.
+// library and index headers, QRP products once built) live on the heap.
+// Verification and errors are Load's: the digests run beside the decode
+// and the rebuild, and all of them are joined before LoadMapped returns or
+// unmaps anything. The returned network owns the mapping — call its Close
+// when done with it; until then the views must outlive any use.
 func LoadMapped(path string, workers int) (*gnet.Network, error) {
 	data, backing, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := parseSnapshot(data)
+	nw, err := restore(data, backing, workers)
 	if err != nil {
 		backing.Close()
 		return nil, err
 	}
-	st.Borrowed = true
-	st.Backing = backing
-	nw, err := gnet.NewFromState(st, workers)
+	return nw, nil
+}
+
+// restore is both loaders' body: parse data, rebuild the network from the
+// decoded state while the section digests finish, then join them. A
+// non-nil backing marks data as borrowed from it. The join's verdict
+// outranks whatever NewFromState said about bytes not yet verified, and
+// every hasher has finished when restore returns.
+func restore(data []byte, backing io.Closer, workers int) (*gnet.Network, error) {
+	st, join, err := parseSnapshot(data)
 	if err != nil {
-		backing.Close()
+		return nil, err
+	}
+	var nw *gnet.Network
+	if st != nil {
+		st.Borrowed, st.Backing = backing != nil, backing
+		nw, err = gnet.NewFromState(st, workers)
+	}
+	if jerr := join(); jerr != nil {
+		return nil, jerr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nw, nil
