@@ -51,18 +51,22 @@ determinism:
 # agreement, field-for-field flood results, found-mask agreement, byte-equal
 # indexes and holder lists, field-for-field intervals, series and
 # transients, a refused backwards time, and equal parsed addresses,
-# parse errors and formatted headers).
+# parse errors and formatted headers). Minimization is capped at one
+# execution per new input (-fuzzminimizetime=1x): left at its default it
+# can take the whole five seconds, as it did for FuzzSnapshotLoad, which
+# then ran ~160 inputs instead of mutating for the rest of its time.
+FUZZ = $(GO) test -fuzztime=5s -fuzzminimizetime=1x -run '^$$'
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=5s -run '^$$' ./internal/gmsg
-	$(GO) test -fuzz=FuzzTimelineConfig -fuzztime=5s -run '^$$' ./internal/churn
-	$(GO) test -fuzz=FuzzVarintPostings -fuzztime=5s -run '^$$' ./internal/vpost
-	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=5s -run '^$$' ./internal/snapshot
-	$(GO) test -fuzz=FuzzFrontierVsReference -fuzztime=5s -run '^$$' ./internal/overlay
-	$(GO) test -fuzz=FuzzWaveVsFrontier -fuzztime=5s -run '^$$' ./internal/overlay
-	$(GO) test -fuzz=FuzzFloodVsNaive -fuzztime=5s -run '^$$' ./internal/gnet
-	$(GO) test -fuzz=FuzzIndexFromIDsVsTokenized -fuzztime=5s -run '^$$' ./internal/gnet
-	$(GO) test -fuzz=FuzzTryUltrapeers -fuzztime=5s -run '^$$' ./internal/gnet
-	$(GO) test -fuzz=FuzzIntervalEngineVsReference -fuzztime=5s -run '^$$' ./internal/analysis
+	$(FUZZ) -fuzz=FuzzDecodeMessage ./internal/gmsg
+	$(FUZZ) -fuzz=FuzzTimelineConfig ./internal/churn
+	$(FUZZ) -fuzz=FuzzVarintPostings ./internal/vpost
+	$(FUZZ) -fuzz=FuzzSnapshotLoad ./internal/snapshot
+	$(FUZZ) -fuzz=FuzzFrontierVsReference ./internal/overlay
+	$(FUZZ) -fuzz=FuzzWaveVsFrontier ./internal/overlay
+	$(FUZZ) -fuzz=FuzzFloodVsNaive ./internal/gnet
+	$(FUZZ) -fuzz=FuzzIndexFromIDsVsTokenized ./internal/gnet
+	$(FUZZ) -fuzz=FuzzTryUltrapeers ./internal/gnet
+	$(FUZZ) -fuzz=FuzzIntervalEngineVsReference ./internal/analysis
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
@@ -187,7 +191,8 @@ loc:
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
 # (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized),
 # interval-engine (FuzzIntervalEngineVsReference) and X-Try codec
-# (FuzzTryUltrapeers) fuzz smokes, the
+# (FuzzTryUltrapeers) fuzz smokes (five seconds each, minimization capped
+# at one execution per input so the time goes to mutation), the
 # sim-digest refactor
 # gate, the published-results gate (out/ against qc-figures), the
 # paper-scale construction gate (with the sharded byte-identity check) and

@@ -23,12 +23,11 @@
 //
 // Storage is a single byte arena plus offsets: term id's bytes are
 // termBytes[termOff[id]:termOff[id+1]], and Term returns a zero-copy view
-// into the arena. A map accelerates token→ID lookups; construction
-// resolves names through the interners' own maps, so this one serves only
-// Lookup, Intern and Resolve callers (query resolution, libraries grown
-// after construction, trace interning). Compact drops it once the network
-// is built, leaving binary search over the (lexicographically ordered)
-// arena — a few string compares per query token, paid once per flood.
+// into the arena. Lookup and Resolve binary-search the (lexicographically
+// ordered) arena — a few string compares per query token, paid once per
+// flood — for every dictionary alike, built, merged or restored by
+// FromRaw. Construction never looks a token up here: it resolves names
+// through the interners' own maps.
 //
 // Determinism: IDs are assigned in lexicographic term order, so the
 // dictionary built from a given name multiset — and every name's final IDs
@@ -59,13 +58,11 @@ const NoTerm TermID = ^TermID(0)
 
 // Dict is an immutable interned term dictionary. Safe for concurrent use
 // after Build returns (the first Slot calls may race each other: one builds
-// the QRP products, the rest wait for it); Compact must not race with
-// lookups.
+// the QRP products, the rest wait for it).
 type Dict struct {
-	termBytes []byte            // all term bytes, concatenated in ID order
-	termOff   []uint32          // TermID → termBytes offset; Len()+1 entries
-	ids       map[string]TermID // lookup map for Lookup/Intern; nil after Compact
-	workers   int               // goroutine bound for building prods
+	termBytes []byte   // all term bytes, concatenated in ID order
+	termOff   []uint32 // TermID → termBytes offset; Len()+1 entries
+	workers   int      // goroutine bound for building prods
 	// prods maps TermID → QRP hash product (pre-shift). It is nil until the
 	// first Slot call builds it under prodsOnce; Slot's fast path is the
 	// one atomic load.
@@ -172,10 +169,9 @@ func Merge(ins []*Interner, workers int) (*Dict, [][]TermID) {
 	return fromSorted(sorted, workers), remaps
 }
 
-// fromSorted lays strictly ascending terms out as a dictionary: arena,
-// offsets and lookup map (QRP products wait for the first Slot call). Only
-// those are retained; sorted and the strings it views are the caller's
-// transients.
+// fromSorted lays strictly ascending terms out as a dictionary: arena and
+// offsets (QRP products wait for the first Slot call). Only those are
+// retained; sorted and the strings it views are the caller's transients.
 func fromSorted(sorted []string, workers int) *Dict {
 	total := 0
 	for _, tok := range sorted {
@@ -184,14 +180,11 @@ func fromSorted(sorted []string, workers int) *Dict {
 	d := &Dict{
 		termBytes: make([]byte, 0, total),
 		termOff:   make([]uint32, 1, len(sorted)+1),
-		ids:       make(map[string]TermID, len(sorted)),
 		workers:   workers,
 	}
-	for i, tok := range sorted {
+	for _, tok := range sorted {
 		d.termBytes = append(d.termBytes, tok...)
 		d.termOff = append(d.termOff, uint32(len(d.termBytes)))
-		// Key the map by the arena view, not the interner's token.
-		d.ids[d.Term(TermID(i))] = TermID(i)
 	}
 	return d
 }
@@ -287,12 +280,6 @@ func (d *Dict) hashProducts() *[]uint32 {
 	return d.prods.Load()
 }
 
-// FromNames builds a dictionary over a flat name list (one "library").
-func FromNames(names []string, workers int) *Dict {
-	d, _ := Build([][]string{names}, workers)
-	return d
-}
-
 // Raw returns the dictionary's storage — the concatenated term arena and
 // its Len()+1 offsets — for persistence. The slices are views of the live
 // dictionary; treat them as immutable.
@@ -304,8 +291,8 @@ func (d *Dict) Raw() (termBytes []byte, termOff []uint32) {
 // validated (monotone, bounded, terms in strict lexicographic order — the
 // invariant binary-search Lookup depends on). The QRP hash products are
 // not persisted; the first Slot call computes them in parallel chunks over
-// up to `workers` goroutines. The result is Compact (no lookup map) and
-// adopts the given slices without copying.
+// up to `workers` goroutines. The result adopts the given slices without
+// copying.
 func FromRaw(termBytes []byte, termOff []uint32, workers int) (*Dict, error) {
 	if len(termOff) == 0 {
 		return nil, fmt.Errorf("dict: FromRaw: missing offset table")
@@ -342,16 +329,9 @@ func (d *Dict) Term(id TermID) string {
 	return unsafe.String(&d.termBytes[lo], int(hi-lo))
 }
 
-// Compact drops the lookup map: Lookup, Intern and Resolve fall back to
-// binary search over the arena (terms are stored in lexicographic order).
-// Call once per-peer index construction is done —
-// query resolution touches a handful of tokens per flood, where a few
-// string compares are noise, while the map is tens of bytes per term at
-// paper scale. Must not race with concurrent lookups.
-func (d *Dict) Compact() { d.ids = nil }
-
-// search binary-searches the arena for tok.
-func (d *Dict) search(tok string) (TermID, bool) {
+// Lookup resolves one token by binary search over the arena (terms are
+// stored in lexicographic order).
+func (d *Dict) Lookup(tok string) (TermID, bool) {
 	lo, hi := 0, d.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -365,24 +345,6 @@ func (d *Dict) search(tok string) (TermID, bool) {
 		return TermID(lo), true
 	}
 	return NoTerm, false
-}
-
-// Lookup resolves one token.
-func (d *Dict) Lookup(tok string) (TermID, bool) {
-	if d.ids != nil {
-		id, ok := d.ids[tok]
-		return id, ok
-	}
-	return d.search(tok)
-}
-
-// Intern returns the dictionary's canonical instance of tok (so callers can
-// drop the backing array tok was sliced from) and whether tok is known.
-func (d *Dict) Intern(tok string) (string, bool) {
-	if id, ok := d.Lookup(tok); ok {
-		return d.Term(id), true
-	}
-	return tok, false
 }
 
 // Resolve maps toks to TermIDs, appending to dst (pass dst[:0] to reuse a
@@ -412,27 +374,20 @@ func (d *Dict) Slot(id TermID, bits uint) uint32 {
 	return qrp.SlotOf((*p)[id], bits)
 }
 
-// HeapBytes estimates the dictionary's retained heap: the term arena,
-// offsets, QRP products once a Slot call has built them, and — until
-// Compact — the lookup map
-// (conservative per-entry estimate; its keys are arena views, so only
-// headers and buckets count).
+// HeapBytes is the dictionary's retained heap: the term arena, offsets
+// and QRP products once a Slot call has built them.
 func (d *Dict) HeapBytes() uint64 {
 	b := uint64(len(d.termBytes))
 	b += uint64(len(d.termOff)) * 4
 	if p := d.prods.Load(); p != nil {
 		b += uint64(len(*p)) * 4
 	}
-	if d.ids != nil {
-		// map[string]TermID: key header + value + ~per-bucket overhead.
-		b += uint64(len(d.ids)) * (uint64(unsafe.Sizeof("")) + 4 + 16)
-	}
 	return b
 }
 
 // Checksum folds the dictionary into a 64-bit FNV-1a fingerprint (for
 // worker-count determinism gates). The value depends only on the term
-// sequence, not on storage layout or Compact state.
+// sequence, not on storage layout.
 func (d *Dict) Checksum() uint64 {
 	const (
 		offset64 = 14695981039346656037

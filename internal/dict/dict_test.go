@@ -94,15 +94,60 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestIntern(t *testing.T) {
-	d, _ := Build(testLibraries(), 1)
-	canon, ok := d.Intern("artist")
-	if !ok || canon != "artist" {
-		t.Fatalf("Intern(known) = (%q, %v)", canon, ok)
+// TestLookupMatchesMapReference: every dictionary — built over one or
+// three interner shards, or restored by FromRaw over the same arena —
+// answers Lookup and Resolve as a map over its terms does: on every term,
+// the empty string, tokens sorting before the first and after the last
+// term, and every term's proper prefixes and one-byte extensions (the
+// near misses a binary search can get wrong).
+func TestLookupMatchesMapReference(t *testing.T) {
+	libs := append(testLibraries(), []string{"a ab abc abd b ba", "Ünïcödé Straße.ogg"})
+	built1, _ := Build(libs, 1)
+	built3, _ := Build(libs, 3)
+	arena, off := built3.Raw()
+	restored, err := FromRaw(arena, off, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	missing, ok := d.Intern("nosuchterm")
-	if ok || missing != "nosuchterm" {
-		t.Fatalf("Intern(unknown) = (%q, %v)", missing, ok)
+	ref := map[string]TermID{}
+	for id := 0; id < built1.Len(); id++ {
+		ref[built1.Term(TermID(id))] = TermID(id)
+	}
+	first, last := built1.Term(0), built1.Term(TermID(built1.Len()-1))
+	probes := []string{"", "\x00", string([]byte{first[0] - 1}), last + "\xff", "\xff"}
+	for tok := range ref {
+		for i := 0; i < len(tok); i++ {
+			probes = append(probes, tok[:i])
+		}
+		for _, c := range []byte{0, 'a', 'z', 0x7f, 0xff} {
+			probes = append(probes, tok+string([]byte{c}))
+		}
+		probes = append(probes, tok)
+	}
+	for name, d := range map[string]*Dict{"Build/1": built1, "Build/3": built3, "FromRaw": restored} {
+		for _, tok := range probes {
+			want, known := ref[tok]
+			if !known {
+				want = NoTerm
+			}
+			if got, ok := d.Lookup(tok); got != want || ok != known {
+				t.Fatalf("%s: Lookup(%q) = (%d, %v), want (%d, %v)", name, tok, got, ok, want, known)
+			}
+		}
+		ids, ok := d.Resolve(probes, nil)
+		allKnown := true
+		for i, tok := range probes {
+			want, known := ref[tok]
+			if !known {
+				want, allKnown = NoTerm, false
+			}
+			if ids[i] != want {
+				t.Fatalf("%s: Resolve(probes)[%d] (%q) = %d, want %d", name, i, tok, ids[i], want)
+			}
+		}
+		if ok != allKnown {
+			t.Fatalf("%s: Resolve(probes) ok = %v, want %v", name, ok, allKnown)
+		}
 	}
 }
 
@@ -119,7 +164,7 @@ func TestProductMatchesQRPHash(t *testing.T) {
 	}
 }
 
-// TestLazyProducts: dictionaries from Build, FromNames and FromRaw build
+// TestLazyProducts: dictionaries from Build and FromRaw build
 // their QRP hash products on the first Slot call, not before — HeapBytes
 // counts them only from then on — and every term's slot at every table
 // width is the hash of its term. Eight goroutines race the first call.
@@ -130,13 +175,8 @@ func TestLazyProducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, lib := range testLibraries() {
-		names = append(names, lib...)
-	}
 	for name, mk := range map[string]func() *Dict{
-		"Build":     func() *Dict { d, _ := Build(testLibraries(), 3); return d },
-		"FromNames": func() *Dict { return FromNames(names, 2) },
+		"Build": func() *Dict { d, _ := Build(testLibraries(), 3); return d },
 		"FromRaw": func() *Dict {
 			d, err := FromRaw(arena, off, 2)
 			if err != nil {
@@ -188,13 +228,6 @@ func TestLazyProducts(t *testing.T) {
 func TestFromRawRejectsOffsetPastArena(t *testing.T) {
 	if _, err := FromRaw([]byte("abcd"), []uint32{0, 1, 100, 4}, 1); err == nil {
 		t.Fatal("FromRaw accepted an offset past the arena")
-	}
-}
-
-func TestFromNamesCollapsesDuplicates(t *testing.T) {
-	d := FromNames([]string{"same name.mp3", "Same Name.mp3", "same NAME.mp3"}, 1)
-	if d.Len() != 3 { // same, name, mp3
-		t.Fatalf("got %d terms, want 3", d.Len())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"querycentric/internal/adaptive"
+	"querycentric/internal/catalog"
 	"querycentric/internal/chord"
 	"querycentric/internal/events"
 	"querycentric/internal/gnet"
@@ -94,9 +95,12 @@ type qcPopulation struct {
 	pick  func(r *rng.Source) int
 }
 
-// buildNet constructs a fresh, identical flat degree-4 wire-level network
-// over the population. Each arm gets its own build because the adaptive
-// arm mutates topology and libraries.
+// qcNetConfig is the flat degree-4 topology every arm runs over.
+func qcNetConfig(e *Env) gnet.Config { return gnet.Config{Seed: e.Seed + 121, FlatDegree: 4} }
+
+// buildNet constructs a fresh, identical wire-level network over the
+// population, born indexed. Each wire-level arm gets its own build because
+// the adaptive arm mutates topology and libraries.
 func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 	libs := make([][]string, p.peers)
 	for _, o := range p.objs {
@@ -104,17 +108,9 @@ func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 			libs[h] = append(libs[h], o.Name)
 		}
 	}
-	nw, err := gnet.New(gnet.Config{Seed: e.Seed + 121, FlatDegree: 4}, p.peers)
+	nw, err := gnet.NewFromCatalogWorkers(qcNetConfig(e), &catalog.Catalog{Libraries: libs}, 0)
 	if err != nil {
 		return nil, err
-	}
-	sizeRNG := gnet.NewFileSizeRNG(e.Seed + 121)
-	for id, lib := range libs {
-		files := make([]gnet.File, len(lib))
-		for i, name := range lib {
-			files[i] = gnet.File{Index: uint32(i), Size: gnet.DrawFileSize(sizeRNG), Name: name}
-		}
-		nw.Peers[id].Library = files
 	}
 	e.instrumentNetwork(nw)
 	return nw, nil
@@ -250,8 +246,9 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 	res.Arms = append(res.Arms, armFromStats("qrp", stQRP))
 
 	// Arm 3: interest shortcuts over the projected overlay (graph +
-	// abstract placement; same topology seed, no wire-level messages).
-	nwProj, err := pop.buildNet(e)
+	// abstract placement; same topology seed, no wire-level messages, so
+	// the network is only its topology: no libraries, no dictionary).
+	nwProj, err := gnet.New(qcNetConfig(e), pop.peers)
 	if err != nil {
 		return nil, err
 	}

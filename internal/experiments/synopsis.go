@@ -5,9 +5,9 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"unique"
 
 	"querycentric/internal/analysis"
-	"querycentric/internal/dict"
 	"querycentric/internal/gia"
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
@@ -43,15 +43,9 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-peer content term lists from the crawl. Tokens are interned
-	// through a trace-wide dictionary so the retained lists share one
-	// canonical string per term instead of pinning a lowered copy of every
-	// record name they were sliced from.
-	names := make([]string, len(tr.Records))
-	for i, rec := range tr.Records {
-		names[i] = rec.Name
-	}
-	d := dict.FromNames(names, e.Workers)
+	// Per-peer content term lists from the crawl. Tokens are canonicalised
+	// (unique.Make) so the retained lists share one string per term instead
+	// of pinning a lowered copy of every record name they were sliced from.
 	content := make([][]string, tr.Peers)
 	seen := make([]map[string]struct{}, tr.Peers)
 	for i := range seen {
@@ -66,7 +60,7 @@ func SynopsisAblation(e *Env) (*SynopsisResult, error) {
 			if len(content[rec.Peer]) >= maxTermsPerPeer {
 				break
 			}
-			tok, _ = d.Intern(tok)
+			tok = unique.Make(tok).Value()
 			if _, dup := seen[rec.Peer][tok]; dup {
 				continue
 			}

@@ -200,9 +200,10 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	seen[origin] = epoch
 
 	// Per-flood hoists: the query's deduped token list resolved to the
-	// network's TermIDs (identical for every reached peer), the peers worth
-	// a match probe, the QRP hash of the criteria (identical for every
-	// candidate edge), the liveness mask, and which gates are live. A query
+	// network's TermIDs (identical for every reached peer), the QRP hash of
+	// the criteria (identical for every candidate edge, taken from the
+	// resolved IDs before selectHolders reorders them), the peers worth a
+	// match probe, the liveness mask, and which gates are live. A query
 	// term unknown to the dictionary resolves to NoTerm, which no posting
 	// index contains, so such floods still spread and count messages but hit
 	// nowhere (the paper's query/annotation mismatch case). probeAll asks
@@ -213,11 +214,11 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	var cand []int32
 	if probeAll {
 		c.qids, _ = nw.dict.Resolve(toks, c.qids[:0])
-		if c.selectHolders(c.qids) {
-			probeAll, cand = false, c.cand
-		}
 	}
-	hoist := c.hoistQRPToks(criteria, toks)
+	hoist := c.hoistQRPToks(criteria, toks, c.qids)
+	if probeAll && c.selectHolders(c.qids) {
+		probeAll, cand = false, c.cand
+	}
 	plane := nw.faults
 	alive := plane.LivenessSnapshot()
 	lossy := plane.Config().MessageLoss > 0
@@ -439,13 +440,15 @@ type qrpHoist struct {
 }
 
 // hoistQRPToks computes the flood-wide QRP state from the already-deduped
-// token list, reusing the context's slot scratch. Known terms read their
-// precomputed hash product from the dictionary; unknown query terms are
-// still string-hashed — they can false-positive into a route table, and the
-// forwarding decision must not depend on which path computed the slots.
-// Checking deduped tokens is equivalent to the per-occurrence QueryHashes:
-// duplicate occurrences test the same slot.
-func (c *FloodCtx) hoistQRPToks(criteria string, toks []string) qrpHoist {
+// token list and the IDs the flood resolved it to (ids[i] is toks[i]'s,
+// NoTerm when unknown; unread for a keywordless query), reusing the
+// context's slot scratch; the slots stay in token order. Known terms read
+// their precomputed hash product from the dictionary; unknown query terms
+// are still string-hashed — they can false-positive into a route table,
+// and the forwarding decision must not depend on which path computed the
+// slots. Checking deduped tokens is equivalent to the per-occurrence
+// QueryHashes: duplicate occurrences test the same slot.
+func (c *FloodCtx) hoistQRPToks(criteria string, toks []string, ids []dict.TermID) qrpHoist {
 	nw := c.nw
 	if nw.qrpTables == nil || criteria == BrowseCriteria {
 		return qrpHoist{}
@@ -455,8 +458,8 @@ func (c *FloodCtx) hoistQRPToks(criteria string, toks []string) qrpHoist {
 		return qrpHoist{active: true}
 	}
 	hs := c.qhash[:0]
-	for _, tok := range toks {
-		if id, ok := nw.dict.Lookup(tok); ok {
+	for i, tok := range toks {
+		if id := ids[i]; id != dict.NoTerm {
 			hs = append(hs, nw.dict.Slot(id, nw.qrpBits))
 			continue
 		}

@@ -70,7 +70,7 @@ type Peer struct {
 	// through (nil until the network is indexed), and idx the posting index
 	// over its term IDs (see index.go).
 	dict *dict.Dict
-	idx  postingIndex
+	idx  IndexState
 }
 
 // Config shapes the overlay topology.
@@ -144,7 +144,7 @@ type Network struct {
 	// heap-built networks. borrowed records that state for diagnostics.
 	// Mutating operations never write through the views — neighbor lists
 	// and libraries are freshly allocated heap arenas, and index rebuilds
-	// replace the postingIndex wholesale — so a borrowed network needs no
+	// replace the IndexState wholesale — so a borrowed network needs no
 	// other special casing (see NewFromState).
 	backing  io.Closer
 	borrowed bool
@@ -530,7 +530,6 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 		return nil
 	}
 	nw.holders = holderIndex{}
-	var bs buildScratch
 	in := dict.NewInterner()
 	ids, off := []dict.TermID(nil), []uint32{0}
 	for _, f := range p.Library {
@@ -538,7 +537,7 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 		off = append(off, uint32(len(ids)))
 	}
 	if remap, known := nw.dict.Resolve(in.Vocab(), nil); known {
-		p.idx = encodeFiles(ids, off, remap, &bs)
+		p.idx = new(IndexBuilder).Build(ids, off, remap)
 		return nil
 	}
 	return nw.intern(nw.libraryNames(), 0)

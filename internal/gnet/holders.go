@@ -21,9 +21,11 @@ import (
 // posting index is worth a probe once the peer has processed the query.
 //
 // The index is built once, by BuildIndexes (buildHolders) or by the
-// sharded snapshot builder (HolderEncoder) — one inversion, so the bytes
-// agree — and persisted with the snapshot: a restore adopts the stored
-// lists after checking them (adoptHolders) instead of inverting again.
+// sharded snapshot builder — one inversion, HolderEncoder, over the peers'
+// IndexState values, live or decoded from the snapshot's index rows, so
+// the bytes agree — and persisted with the snapshot: a restore adopts the
+// stored lists after checking them (adoptHolders) instead of inverting
+// again.
 
 // holderIndex maps every shared-dictionary term to the ascending IDs of the
 // peers whose posting index holds it, as one CSR: term t's list is
@@ -49,7 +51,7 @@ func (nw *Network) buildHolders(workers int) error {
 		return nil
 	}
 	n := nw.dict.Len()
-	e, err := newHolderEncoder(n, len(nw.Peers), func(i int) postingIndex { return nw.Peers[i].idx }, workers)
+	e, err := NewHolderEncoder(n, len(nw.Peers), func(i int) IndexState { return nw.Peers[i].idx }, workers)
 	if err != nil {
 		return err
 	}
@@ -69,7 +71,7 @@ func (nw *Network) buildHolders(workers int) error {
 // term, which is what lets the sharded snapshot builder stream a holder
 // index it never holds whole.
 type HolderEncoder struct {
-	index   func(i int) postingIndex // peer i's index; called concurrently
+	index   func(i int) IndexState // peer i's index; called concurrently
 	peers   int
 	workers int
 	// Per-term pass state, side by side so a visit touches one cache line:
@@ -85,13 +87,10 @@ type holderTermState struct {
 }
 
 // NewHolderEncoder runs the sizing pass over the posting indexes of peers
-// [0, peers) — index(i) returns peer i's persisted index and is called
-// concurrently, several times per peer — for a dictionary of terms terms.
+// [0, peers) — index(i) returns peer i's index, live or decoded from a
+// snapshot row, and is called concurrently, several times per peer — for a
+// dictionary of terms terms.
 func NewHolderEncoder(terms, peers int, index func(i int) IndexState, workers int) (*HolderEncoder, error) {
-	return newHolderEncoder(terms, peers, func(i int) postingIndex { return index(i).postings() }, workers)
-}
-
-func newHolderEncoder(terms, peers int, index func(i int) postingIndex, workers int) (*HolderEncoder, error) {
 	e := &HolderEncoder{index: index, peers: peers, workers: workers, state: make([]holderTermState, terms)}
 	e.pass(e.sizingBounds(max(min(parallel.Workers(workers), terms), 1)), nil, 0)
 	for t := range e.state {
@@ -258,7 +257,7 @@ func (nw *Network) adoptHolders(off []uint32, arena []byte, workers int) error {
 	}
 	var want uint64
 	for _, p := range nw.Peers {
-		want += uint64(p.idx.nTerms)
+		want += uint64(p.idx.NTerms)
 	}
 	// Ranges of about equal arena bytes; on a non-monotone off the search
 	// still returns some cut, and clamping keeps the ranges ordered.

@@ -14,21 +14,25 @@ import (
 )
 
 // This file implements the interned-ID query path: per-peer posting indexes
-// keyed by dict.TermID instead of strings. A peer's index is a blocked
-// varint arena — a skip array of every postingBlockLen-th term ID plus one
-// delta-encoded byte arena holding term-ID gaps and posting lists. Lookups
-// binary-search the skip array and scan at most one block; intersections
-// stream posting lists through vpost.Cursor without materializing anything
-// but the rarest list.
+// keyed by dict.TermID instead of strings. A peer's index is one
+// IndexState — a skip array of every postingBlockLen-th term ID plus one
+// delta-encoded byte arena holding term-ID gaps and posting lists — held in
+// memory exactly as a snapshot persists it, so export and restore hand the
+// same value across. One encoder, IndexBuilder, writes every index: the
+// network's own build (intern), AddFile and the sharded snapshot builder.
+// Lookups binary-search the skip array and scan at most one block;
+// intersections stream posting lists through vpost.Cursor without
+// materializing anything but the rarest list.
 
 // postingBlockLen is how many terms share one skip-array entry. Smaller
 // blocks cost more skip-array memory (8 bytes per block) but shorten the
 // in-block scan on the match hot path.
 const postingBlockLen = 16
 
-// postingIndex is a peer's compact term → files index. Terms are grouped
-// into blocks of postingBlockLen in ascending TermID order; blockFirst[b]
-// is block b's first term ID and blockOff[b] its byte offset into arena.
+// IndexState is a peer's compact term → files index, exactly as held in
+// memory and as a snapshot persists it. Terms are grouped into blocks of
+// postingBlockLen in ascending TermID order; BlockFirst[b] is block b's
+// first term ID and BlockOff[b] its byte offset into Arena.
 //
 // Each block splits its term-ID stream from its posting payloads so the
 // hot miss path never touches payload bytes:
@@ -36,17 +40,17 @@ const postingBlockLen = 16
 //	[idLen u8] [multiMask u16le] [id deltas] [payloads]
 //
 // The id section holds uvarint gaps between consecutive term IDs for
-// entries 1..n-1 (entry 0's ID is blockFirst[b], kept out of the arena);
+// entries 1..n-1 (entry 0's ID is BlockFirst[b], kept out of the arena);
 // idLen is its byte length. Bit k of multiMask marks entry k as holding
 // more than one posting. A single-posting payload is one uvarint (the
 // posting itself — identical bytes to a one-element vpost body); a multi
 // payload is uvarint(count≥2) followed by the vpost body.
-type postingIndex struct {
-	nTerms     int
-	nPostings  int
-	blockFirst []dict.TermID
-	blockOff   []uint32
-	arena      []byte
+type IndexState struct {
+	NTerms     int
+	NPostings  int
+	BlockFirst []dict.TermID
+	BlockOff   []uint32
+	Arena      []byte
 }
 
 // blockHeaderLen is the fixed per-block prefix: idLen byte + multiMask.
@@ -78,8 +82,8 @@ func (r postingsRef) cursor() vpost.Cursor {
 // call (see holders.go), so it runs once per (candidate peer, query term)
 // rather than once per reached peer; the varint decodes stay inlined for
 // the networks that have no holder index and probe everyone.
-func (ix *postingIndex) lookup(id dict.TermID) (postingsRef, bool) {
-	first := ix.blockFirst
+func (ix *IndexState) lookup(id dict.TermID) (postingsRef, bool) {
+	first := ix.BlockFirst
 	if len(first) == 0 || id < first[0] {
 		return postingsRef{}, false
 	}
@@ -95,11 +99,11 @@ func (ix *postingIndex) lookup(id dict.TermID) (postingsRef, bool) {
 		}
 	}
 	b := lo - 1
-	n := ix.nTerms - b*postingBlockLen
+	n := ix.NTerms - b*postingBlockLen
 	if n > postingBlockLen {
 		n = postingBlockLen
 	}
-	buf := ix.arena[ix.blockOff[b]:]
+	buf := ix.Arena[ix.BlockOff[b]:]
 	idLen := int(buf[0])
 	mask := uint(buf[1]) | uint(buf[2])<<8
 	ids := buf[blockHeaderLen : blockHeaderLen+idLen]
@@ -160,18 +164,18 @@ func (ix *postingIndex) lookup(id dict.TermID) (postingsRef, bool) {
 
 // forEach calls fn for every term in ascending TermID order. The ref's body
 // aliases the arena and must not be retained past the call.
-func (ix *postingIndex) forEach(fn func(id dict.TermID, ref postingsRef)) {
-	for b := range ix.blockFirst {
-		n := ix.nTerms - b*postingBlockLen
+func (ix *IndexState) forEach(fn func(id dict.TermID, ref postingsRef)) {
+	for b := range ix.BlockFirst {
+		n := ix.NTerms - b*postingBlockLen
 		if n > postingBlockLen {
 			n = postingBlockLen
 		}
-		buf := ix.arena[ix.blockOff[b]:]
+		buf := ix.Arena[ix.BlockOff[b]:]
 		idLen := int(buf[0])
 		mask := uint(buf[1]) | uint(buf[2])<<8
 		ids := buf[blockHeaderLen : blockHeaderLen+idLen]
 		p := buf[blockHeaderLen+idLen:]
-		cur := ix.blockFirst[b]
+		cur := ix.BlockFirst[b]
 		for k := 0; k < n; k++ {
 			if k > 0 {
 				d, dn := vpost.Uvarint(ids)
@@ -200,8 +204,8 @@ func (ix *postingIndex) forEach(fn func(id dict.TermID, ref postingsRef)) {
 // and each block's id-delta section is bounded by its header, so the
 // payload bytes that dominate the arena are never decoded or skipped varint
 // by varint. This is what keeps the holder-index build cheap.
-func (ix *postingIndex) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.TermID)) {
-	first := ix.blockFirst
+func (ix *IndexState) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.TermID)) {
+	first := ix.BlockFirst
 	// Blocks before the last one starting at or below lo end below lo.
 	b := sort.Search(len(first), func(i int) bool { return first[i] > lo }) - 1
 	if b < 0 {
@@ -209,7 +213,7 @@ func (ix *postingIndex) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.Ter
 	}
 	var block [postingBlockLen]dict.TermID
 	for ; b < len(first) && first[b] < hi; b++ {
-		buf := ix.arena[ix.blockOff[b]:]
+		buf := ix.Arena[ix.BlockOff[b]:]
 		deltas := buf[blockHeaderLen : blockHeaderLen+int(buf[0])]
 		cur := first[b]
 		block[0] = cur
@@ -242,16 +246,21 @@ func (ix *postingIndex) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.Ter
 
 // heapBytes is the index's retained heap (skip arrays + arena; the term
 // strings live in the shared dictionary).
-func (ix *postingIndex) heapBytes() uint64 {
-	return uint64(len(ix.blockFirst))*4 + uint64(len(ix.blockOff))*4 + uint64(len(ix.arena))
+func (ix *IndexState) heapBytes() uint64 {
+	return uint64(len(ix.BlockFirst))*4 + uint64(len(ix.BlockOff))*4 + uint64(len(ix.Arena))
 }
 
-// buildScratch is per-worker construction state: the (term, file) keys
-// and the encode buffers exist only for the peer being built, then the
-// exact-size compressed arrays are cut from them — constructing a network
-// never holds more than workers × one-peer of uncompressed intermediate at
-// a time.
-type buildScratch struct {
+// IndexBuilder is the one posting-index encoder: it builds per-peer
+// indexes from libraries already resolved to term IDs, for the network's
+// own build (intern), AddFile and the sharded snapshot builder, which
+// interns every name once as it streams and indexes peers without ever
+// assembling a Network. Its buffers are construction scratch: the (term,
+// file) keys and the encode buffers exist only for the peer being built,
+// then the exact-size compressed arrays are cut from them, so building
+// never holds more than one builder's worth of uncompressed intermediate
+// per worker. The zero value is ready; reuse one builder per worker so the
+// scratch amortizes across thousands of peers. Not safe for concurrent use.
+type IndexBuilder struct {
 	keys  []uint64
 	arena []byte
 	pay   []byte
@@ -259,37 +268,37 @@ type buildScratch struct {
 	off   []uint32
 }
 
-// encodeFiles builds a posting index from a library resolved to term IDs
+// Build encodes the posting index of a library resolved to term IDs
 // (dict.Resolved.Library, or a dict.Interner's output): file i holds the
 // terms remap[id] for id in ids[off[i]:off[i+1]], each once. Each incidence
 // becomes one packed uint64(term)<<32 | file key, so one integer sort
 // orders the postings by term and every posting list ascending.
-func encodeFiles(ids []dict.TermID, off []uint32, remap []dict.TermID, bs *buildScratch) postingIndex {
-	keys := bs.keys[:0]
+func (b *IndexBuilder) Build(ids []dict.TermID, off []uint32, remap []dict.TermID) IndexState {
+	keys := b.keys[:0]
 	for f := 0; f+1 < len(off); f++ {
 		for _, id := range ids[off[f]:off[f+1]] {
 			keys = append(keys, uint64(remap[id])<<32|uint64(f))
 		}
 	}
 	slices.Sort(keys)
-	bs.keys = keys
-	return encodePostings(keys, bs)
+	b.keys = keys
+	return b.encode(keys)
 }
 
-// encodePostings compresses sorted (term, file) keys into a postingIndex,
-// encoding through bs's buffers and returning exact-size copies so no
+// encode compresses sorted (term, file) keys into an index, encoding
+// through the builder's buffers and returning exact-size copies so no
 // append slack is retained for the life of the network. Blocks are
 // assembled one at a time — the id-delta section in a fixed local buffer,
 // the payload section in the reusable pay scratch — then flushed with
 // their header once full.
-func encodePostings(keys []uint64, bs *buildScratch) postingIndex {
-	arena, first, off := bs.arena[:0], bs.first[:0], bs.off[:0]
-	var ix postingIndex
-	ix.nPostings = len(keys)
+func (b *IndexBuilder) encode(keys []uint64) IndexState {
+	arena, first, off := b.arena[:0], b.first[:0], b.off[:0]
+	var ix IndexState
+	ix.NPostings = len(keys)
 
 	var idBuf [postingBlockLen * 5]byte // ≤ 15 deltas × max 5-byte uvarint
 	idLen := 0
-	pay := bs.pay[:0]
+	pay := b.pay[:0]
 	var mask uint
 	prevID := dict.TermID(0)
 	flush := func() {
@@ -304,9 +313,9 @@ func encodePostings(keys []uint64, bs *buildScratch) postingIndex {
 		for j < len(keys) && dict.TermID(keys[j]>>32) == id {
 			j++
 		}
-		e := ix.nTerms % postingBlockLen
+		e := ix.NTerms % postingBlockLen
 		if e == 0 {
-			if ix.nTerms > 0 {
+			if ix.NTerms > 0 {
 				flush()
 			}
 			first = append(first, id)
@@ -327,41 +336,19 @@ func encodePostings(keys []uint64, bs *buildScratch) postingIndex {
 			}
 		}
 		prevID = id
-		ix.nTerms++
+		ix.NTerms++
 		k = j
 	}
-	if ix.nTerms > 0 {
+	if ix.NTerms > 0 {
 		flush()
 	}
-	bs.arena, bs.pay, bs.first, bs.off = arena, pay, first, off
+	b.arena, b.pay, b.first, b.off = arena, pay, first, off
 	if len(arena) > 0 {
-		ix.arena = append(make([]byte, 0, len(arena)), arena...)
-		ix.blockFirst = append(make([]dict.TermID, 0, len(first)), first...)
-		ix.blockOff = append(make([]uint32, 0, len(off)), off...)
+		ix.Arena = append(make([]byte, 0, len(arena)), arena...)
+		ix.BlockFirst = append(make([]dict.TermID, 0, len(first)), first...)
+		ix.BlockOff = append(make([]uint32, 0, len(off)), off...)
 	}
 	return ix
-}
-
-// IndexBuilder builds standalone per-peer posting indexes from libraries
-// already resolved to term IDs — the sharded snapshot construction path,
-// which interns every name once as it streams and indexes peers without
-// ever assembling a Network. The zero value is ready; reuse one builder
-// per worker so the construction scratch amortizes across thousands of
-// peers.
-type IndexBuilder struct {
-	bs buildScratch
-}
-
-// Build encodes the posting index of a library resolved as encodeFiles
-// describes — file i holds the terms remap[id] for id in ids[off[i]:off[i+1]]
-// — and returns it in its persistence form: identical bytes to what a
-// catalog-built network holds for the same library and dictionary.
-func (b *IndexBuilder) Build(ids []dict.TermID, off []uint32, remap []dict.TermID) IndexState {
-	idx := encodeFiles(ids, off, remap, &b.bs)
-	return IndexState{
-		NTerms: idx.nTerms, NPostings: idx.nPostings,
-		BlockFirst: idx.blockFirst, BlockOff: idx.blockOff, Arena: idx.arena,
-	}
 }
 
 // ErrNotIndexed is returned by a flood over a network that has no
@@ -377,11 +364,10 @@ var ErrNotIndexed = errors.New("gnet: network not indexed (call BuildIndexes fir
 // every index built over it are replaced, and the holder index is dropped.
 func (nw *Network) intern(names [][]string, workers int) error {
 	d, res := dict.Build(names, workers)
-	err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
-		func(bs *buildScratch, i int) error {
+	err := parallel.ForEachWith(workers, len(nw.Peers), func() *IndexBuilder { return new(IndexBuilder) },
+		func(b *IndexBuilder, i int) error {
 			p := nw.Peers[i]
-			ids, off, remap := res.Library(i)
-			p.dict, p.idx = d, encodeFiles(ids, off, remap, bs)
+			p.dict, p.idx = d, b.Build(res.Library(i))
 			return nil
 		})
 	if err != nil {
@@ -413,21 +399,16 @@ func (nw *Network) libraryNames() [][]string {
 // building it up front makes construction cost measurable and keeps floods
 // off the slow path. The result is identical for every worker count: each
 // peer's index depends only on its own library and the dictionary, and
-// each term's holder list only on which peers hold it.
+// each term's holder list only on which peers hold it. The dictionary
+// needs no finishing step: it answers query tokens by binary search from
+// the moment it is built.
 func (nw *Network) BuildIndexes(workers int) error {
 	if nw.dict == nil {
 		if err := nw.intern(nw.libraryNames(), workers); err != nil {
 			return err
 		}
 	}
-	if err := nw.buildHolders(workers); err != nil {
-		return err
-	}
-	// Every peer's index is built; queries from here on resolve a handful
-	// of tokens per flood, so trade the lookup map for binary search over
-	// the term arena.
-	nw.dict.Compact()
-	return nil
+	return nw.buildHolders(workers)
 }
 
 // TermDict returns the network's interned dictionary (nil until a
@@ -650,8 +631,8 @@ func (nw *Network) IndexStats() (IndexStats, error) {
 		HeapBytes: nw.dict.HeapBytes() + nw.holders.heapBytes(),
 	}
 	for _, p := range nw.Peers {
-		st.IndexTerms += p.idx.nTerms
-		st.Postings += p.idx.nPostings
+		st.IndexTerms += p.idx.NTerms
+		st.Postings += p.idx.NPostings
 		st.HeapBytes += p.idx.heapBytes()
 		st.ArenaBytes += p.idx.heapBytes()
 	}
@@ -676,7 +657,7 @@ func (nw *Network) IndexChecksum() (uint64, error) {
 	put(nw.dict.Checksum())
 	put(uint64(nw.dict.Len()))
 	for _, p := range nw.Peers {
-		put(uint64(p.idx.nTerms))
+		put(uint64(p.idx.NTerms))
 		p.idx.forEach(func(id dict.TermID, ref postingsRef) {
 			put(uint64(id))
 			put(uint64(ref.count))

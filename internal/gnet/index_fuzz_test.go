@@ -17,7 +17,7 @@ import (
 // replaced, kept as its reference: tokenize every file name again, resolve
 // each token through d.Lookup, dedupe per file, and sort the (term, file)
 // pairs with sort.Slice. It reports ok=false on a token d does not know.
-func buildPostingsNaive(d *dict.Dict, lib []File) (postingIndex, bool) {
+func buildPostingsNaive(d *dict.Dict, lib []File) (IndexState, bool) {
 	type termFile struct {
 		id   dict.TermID
 		file int32
@@ -28,7 +28,7 @@ func buildPostingsNaive(d *dict.Dict, lib []File) (postingIndex, bool) {
 		for _, tok := range terms.Tokenize(f.Name) {
 			id, known := d.Lookup(tok)
 			if !known {
-				return postingIndex{}, false
+				return IndexState{}, false
 			}
 			if !slices.Contains(fileIDs, id) {
 				fileIDs = append(fileIDs, id)
@@ -46,7 +46,7 @@ func buildPostingsNaive(d *dict.Dict, lib []File) (postingIndex, bool) {
 	for i, p := range pairs {
 		keys[i] = uint64(p.id)<<32 | uint64(uint32(p.file))
 	}
-	return encodePostings(keys, new(buildScratch)), true
+	return new(IndexBuilder).encode(keys), true
 }
 
 // fuzzTokens and fuzzSeps are what FuzzIndexFromIDsVsTokenized builds names
@@ -69,12 +69,6 @@ func fuzzName(r *rng.Source) string {
 		b.WriteString(fuzzSeps[r.Intn(len(fuzzSeps))])
 	}
 	return b.String()
-}
-
-// indexOf is ix as the state persistence and IndexBuilder hand out.
-func indexOf(ix postingIndex) IndexState {
-	return IndexState{NTerms: ix.nTerms, NPostings: ix.nPostings,
-		BlockFirst: ix.blockFirst, BlockOff: ix.blockOff, Arena: ix.arena}
 }
 
 // FuzzIndexFromIDsVsTokenized holds every ID-based construction path to
@@ -108,7 +102,7 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 		}
 		// matchesReference holds the network's dictionary, every index and
 		// every holder list to references rebuilt from libs.
-		matchesReference := func(stage string) []postingIndex {
+		matchesReference := func(stage string) []IndexState {
 			t.Helper()
 			if err := nw.BuildIndexes(workers); err != nil {
 				t.Fatal(err)
@@ -116,7 +110,7 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 			if d, _ := dict.Build(libs, 1); d.Checksum() != nw.dict.Checksum() || d.Len() != nw.dict.Len() {
 				t.Fatalf("%s: the network's dictionary differs from a fresh build's", stage)
 			}
-			ref := make([]postingIndex, peers)
+			ref := make([]IndexState, peers)
 			for i, p := range nw.Peers {
 				if p.dict != nw.dict {
 					t.Fatalf("%s: peer %d matches through another dictionary", stage, i)
@@ -125,7 +119,7 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 				if ref[i], ok = buildPostingsNaive(nw.dict, p.Library); !ok {
 					t.Fatalf("%s: peer %d: the dictionary misses a library token", stage, i)
 				}
-				if got, want := indexOf(p.idx), indexOf(ref[i]); !reflect.DeepEqual(got, want) {
+				if got, want := p.idx, ref[i]; !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: peer %d (%d shards): index %+v, reference %+v", stage, i, workers, got, want)
 				}
 			}
@@ -162,7 +156,7 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 		}
 		var b IndexBuilder
 		for p := range libs {
-			if got, want := b.Build(ids, offs[p], remaps[0]), indexOf(ref[p]); !reflect.DeepEqual(got, want) {
+			if got, want := b.Build(ids, offs[p], remaps[0]), ref[p]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("peer %d: IndexBuilder %+v, reference %+v", p, got, want)
 			}
 		}

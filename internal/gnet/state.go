@@ -9,29 +9,9 @@ import (
 	"querycentric/internal/parallel"
 )
 
-// IndexState is the persistable form of one peer's compressed posting
-// index: the raw skip arrays and varint arena, exactly as held in memory.
-type IndexState struct {
-	NTerms     int
-	NPostings  int
-	BlockFirst []dict.TermID
-	BlockOff   []uint32
-	Arena      []byte
-}
-
-// postings views the state as the index it persists.
-func (s IndexState) postings() postingIndex {
-	return postingIndex{
-		nTerms:     s.NTerms,
-		nPostings:  s.NPostings,
-		blockFirst: s.BlockFirst,
-		blockOff:   s.BlockOff,
-		arena:      s.Arena,
-	}
-}
-
 // PeerState is the persistable state of one peer. Addr and ID are derived
-// from the peer's position and are not carried.
+// from the peer's position and are not carried; Index is the peer's
+// posting index itself (index.go).
 type PeerState struct {
 	Ultrapeer bool
 	ServentID gmsg.GUID
@@ -87,13 +67,7 @@ func (nw *Network) ExportState() (*NetworkState, error) {
 			ServentID: p.ServentID,
 			Neighbors: p.Neighbors,
 			Library:   p.Library,
-			Index: IndexState{
-				NTerms:     p.idx.nTerms,
-				NPostings:  p.idx.nPostings,
-				BlockFirst: p.idx.blockFirst,
-				BlockOff:   p.idx.blockOff,
-				Arena:      p.idx.arena,
-			},
+			Index:     p.idx,
 		}
 	}
 	return st, nil
@@ -150,7 +124,7 @@ func NewFromState(st *NetworkState, workers int) (*Network, error) {
 			Neighbors: ps.Neighbors,
 			Library:   ps.Library,
 			dict:      d,
-			idx:       ps.Index.postings(),
+			idx:       ps.Index,
 		}
 		nw.Peers[i] = p
 		return nil

@@ -83,9 +83,6 @@ func TestRoundTripIndexChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// HeapBytes differs only by the construction map the fresh network
-	// already dropped via Compact; everything structural must match.
-	ws.HeapBytes, gs.HeapBytes = 0, 0
 	if ws != gs {
 		t.Fatalf("index stats diverged:\n%+v\nvs\n%+v", gs, ws)
 	}
