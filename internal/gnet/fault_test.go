@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"querycentric/internal/catalog"
@@ -33,7 +34,8 @@ func populatedNet(t *testing.T, peers int) *Network {
 	return populatedNetWith(t, DefaultConfig(5), peers)
 }
 
-// populatedCatalog is the calibrated catalog populatedNet builds over.
+// populatedCatalog builds the calibrated catalog populatedNet builds over,
+// fresh: callers may grow its libraries.
 func populatedCatalog(t *testing.T, peers int) *catalog.Catalog {
 	t.Helper()
 	cat, err := catalog.Build(catalog.Config{
@@ -46,10 +48,27 @@ func populatedCatalog(t *testing.T, peers int) *catalog.Catalog {
 	return cat
 }
 
-// populatedNetWith is populatedNet on the given topology.
+// sharedCatalogs memoises populatedCatalog per size for the builders that
+// only read it (sharedCatalog): a fuzz input would otherwise spend an eighth
+// of its time rebuilding a catalog an earlier input already built.
+var sharedCatalogs sync.Map // peers → *catalog.Catalog
+
+// sharedCatalog is populatedCatalog(t, peers), built once per size; the
+// caller must not mutate it.
+func sharedCatalog(t *testing.T, peers int) *catalog.Catalog {
+	t.Helper()
+	if cat, ok := sharedCatalogs.Load(peers); ok {
+		return cat.(*catalog.Catalog)
+	}
+	cat, _ := sharedCatalogs.LoadOrStore(peers, populatedCatalog(t, peers))
+	return cat.(*catalog.Catalog)
+}
+
+// populatedNetWith is populatedNet on the given topology, built fresh over
+// the shared catalog.
 func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
 	t.Helper()
-	nw, err := NewFromCatalog(cfg, populatedCatalog(t, peers))
+	nw, err := NewFromCatalog(cfg, sharedCatalog(t, peers))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,10 @@ type FloodResult struct {
 // map and per-peer descriptor re-encoding of the naive implementation; the
 // parallel trial engine gives each worker its own context via NewFloodCtx.
 //
-// A FloodCtx must not be shared between goroutines. The network itself
-// (topology, libraries, QRP tables, fault plane) must not be mutated while
-// floods run.
+// A FloodCtx must not be shared between goroutines; floods on separate
+// contexts may run at once (the offset columns they share are built under
+// the holder index's lock). The network itself (topology, libraries, QRP
+// tables, fault plane) must not be mutated while floods run.
 type FloodCtx struct {
 	nw *Network
 
@@ -62,11 +63,16 @@ type FloodCtx struct {
 	next     []int32
 
 	// qids holds the flood's query resolved to the network's TermIDs
-	// (hoisted once per flood); qhash the hoisted QRP slots. ms is the
-	// per-peer match scratch.
-	qids  []dict.TermID
-	qhash []uint32
-	ms    matchScratch
+	// (hoisted once per flood); qhash the hoisted QRP slots; cols, on a
+	// flood whose every term is dense, the terms' offset columns, which
+	// stand in for the per-peer lookups (empty otherwise). ms is the
+	// per-peer match scratch, probes the flood's count of posting indexes
+	// read.
+	qids   []dict.TermID
+	qhash  []uint32
+	cols   [][]uint32
+	ms     matchScratch
+	probes int
 
 	// Path capture (opt-in, see SetPathCapture): pathParent[to] is the peer
 	// whose copy peer `to` processed, epoch-stamped like seen, so AnswerPath
@@ -207,11 +213,13 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	// term unknown to the dictionary resolves to NoTerm, which no posting
 	// index contains, so such floods still spread and count messages but hit
 	// nowhere (the paper's query/annotation mismatch case). probeAll asks
-	// every reached peer; otherwise cand, when set, stamps the only peers
-	// worth asking.
+	// every reached peer (through the offset columns, when selectHolders
+	// found the query all-dense); otherwise cand, when set, stamps the only
+	// peers worth asking.
 	toks := TokenizeQuery(criteria)
 	probeAll := len(toks) > 0
 	var cand []int32
+	c.cols, c.probes = c.cols[:0], 0
 	if probeAll {
 		c.qids, _ = nw.dict.Resolve(toks, c.qids[:0])
 	}
@@ -396,6 +404,10 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 		ob.deadDrops.Add(int64(deadDrops))
 		ob.lossDrops.Add(int64(lossDrops))
 		ob.qrpSuppressed.Add(int64(qrpSkipped))
+		ob.probes.Add(int64(c.probes))
+		if len(c.cols) > 0 {
+			ob.dense.Inc()
+		}
 		ob.msgPerFlood.Observe(int64(res.Messages))
 		for _, h := range res.Hits {
 			ob.hitHops.Observe(int64(h.Hops))
@@ -413,15 +425,21 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	return res, nil
 }
 
-// answer probes peer `to`'s index for the flood's query and, on a match,
-// appends its QueryHit: one allocation per answering peer, straight from the
+// answer matches the flood's query at peer `to` and, on a match, appends
+// its QueryHit: one allocation per answering peer, straight from the
 // library entries the matched indexes name.
 func (c *FloodCtx) answer(res *FloodResult, to, hops int) {
-	peer := c.nw.Peers[to]
-	idx := peer.matchIDs(c.qids, &c.ms)
+	var idx []int32
+	if len(c.cols) > 0 {
+		idx = c.matchColumns(to)
+	} else {
+		c.probes++
+		idx = c.nw.Peers[to].matchIDs(c.qids, &c.ms)
+	}
 	if len(idx) == 0 {
 		return
 	}
+	peer := c.nw.Peers[to]
 	hit := Hit{PeerID: to, Hops: hops, Files: make([]gmsg.Result, len(idx))}
 	for i, fi := range idx {
 		f := &peer.Library[fi]
@@ -429,6 +447,28 @@ func (c *FloodCtx) answer(res *FloodResult, to, hops int) {
 	}
 	res.Hits = append(res.Hits, hit)
 	res.TotalResults += len(idx)
+}
+
+// matchColumns is matchIDs for an all-dense flood, read through the query
+// terms' offset columns: a peer some column has no entry for lacks that
+// term and is passed over without touching its index; the others' posting
+// lists are read straight from the payload offsets and intersected as
+// matchIDs intersects them.
+func (c *FloodCtx) matchColumns(to int) []int32 {
+	for _, col := range c.cols {
+		if col[to] == 0 {
+			return nil
+		}
+	}
+	c.probes++
+	ix := &c.nw.Peers[to].idx
+	sel := c.ms.sel[:0]
+	for _, col := range c.cols {
+		e := col[to]
+		sel = append(sel, ix.payload(e&^columnMulti, e&columnMulti != 0))
+	}
+	c.ms.sel = sel
+	return c.ms.intersect()
 }
 
 // qrpHoist is the per-flood QRP forwarding decision: inactive when QRP is

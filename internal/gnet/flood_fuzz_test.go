@@ -33,7 +33,9 @@ const (
 // 1–5 and the shape of the query — whose bit 3 rebuilds the holder index
 // after the AddFile gate and whose bit 4 assembles the network by hand
 // (New plus the catalog's libraries) instead of building it from the
-// catalog. Every flood must equal floodNaive's result field for field; with
+// catalog. With the AddFile gate and the common-term query, one flood runs
+// before the AddFiles so offset columns exist when the arenas change. Every
+// flood must equal floodNaive's result field for field; with
 // capture on every hit needs a real overlay path of the length its Hops
 // claim; with a recorder attached the recorded rings must add up to the
 // flood's reach.
@@ -44,9 +46,10 @@ func FuzzFloodVsNaive(f *testing.F) {
 	for i := uint8(0); i < 8; i++ { // each gate alone
 		f.Add(uint8(1)<<i, false, uint8(40), uint16(i), 2+i%3, i)
 	}
-	f.Add(uint8(gateBuilt|gateMutated), false, uint8(60), uint16(3), uint8(3), uint8(8))  // AddFile, then BuildIndexes
-	f.Add(uint8(0), true, uint8(50), uint16(9), uint8(3), uint8(16))                      // by hand, indexed as adaptive.New does
-	f.Add(uint8(gateQRP|gateMutated), false, uint8(70), uint16(4), uint8(4), uint8(16+6)) // by hand, indexed by EnableQRP
+	f.Add(uint8(gateBuilt|gateMutated), false, uint8(60), uint16(3), uint8(3), uint8(8))   // AddFile, then BuildIndexes
+	f.Add(uint8(0), true, uint8(50), uint16(9), uint8(3), uint8(16))                       // by hand, indexed as adaptive.New does
+	f.Add(uint8(gateQRP|gateMutated), false, uint8(70), uint16(4), uint8(4), uint8(16+6))  // by hand, indexed by EnableQRP
+	f.Add(uint8(gateBuilt|gateMutated), false, uint8(60), uint16(3), uint8(3), uint8(8+5)) // columns built, AddFile, BuildIndexes, all-dense floods
 	f.Fuzz(func(t *testing.T, gates uint8, flat bool, size uint8, origin uint16, ttl, shape uint8) {
 		peers := 30 + int(size)%90
 		cfg := DefaultConfig(5)
@@ -81,6 +84,18 @@ func FuzzFloodVsNaive(f *testing.F) {
 		}
 		novel := "zzqx unseen replica token"
 		if on(gateMutated) {
+			if shape%8 == 5 && nw.holders.off != nil {
+				// An all-dense flood first, so the holder index holds the
+				// common term's offset column when AddFile re-encodes the
+				// arenas it points into: the floods checked below must not
+				// read it, with or without the rebuild.
+				if _, err := nw.NewFloodCtx().Flood(0, commonTerm(nw), 3, rng.New(1)); err != nil {
+					t.Fatal(err)
+				}
+				if len(nw.holders.cols.col) == 0 {
+					t.Fatal("an all-dense flood built no offset column")
+				}
+			}
 			// After EnableQRP: the route tables must follow the new names.
 			// The novel replica re-interns the network, the known one
 			// re-encodes its peer. With shape's fourth bit BuildIndexes runs
@@ -155,16 +170,25 @@ func FuzzFloodVsNaive(f *testing.F) {
 
 		name := fileOf(t, nw, int(origin)*13+2)
 		toks := TokenizeQuery(name)
-		criteria := []string{
-			name, // every term known
-			strings.Join(toks[:min(2, len(toks))], " "), // a short query: longer holder lists
-			name + " zqxjkwv",    // one term no dictionary knows
-			"!! ?",               // keywordless
-			name + " " + toks[0], // duplicate tokens
-			commonTerm(nw),       // held by a large share: no gate
-			novel,                // a replica AddFile placed (when mutated)
-			novel + " " + name,   // matches nowhere, resolves everywhere
-		}[int(shape)%8]
+		var criteria string
+		switch shape % 8 {
+		case 0:
+			criteria = name // every term known
+		case 1:
+			criteria = strings.Join(toks[:min(2, len(toks))], " ") // a short query: longer holder lists
+		case 2:
+			criteria = name + " zqxjkwv" // one term no dictionary knows
+		case 3:
+			criteria = "!! ?" // keywordless
+		case 4:
+			criteria = name + " " + toks[0] // duplicate tokens
+		case 5:
+			criteria = commonTerm(nw) // held by a large share: the dense path (scanned only here: it reads every library)
+		case 6:
+			criteria = novel // a replica AddFile placed (when mutated)
+		case 7:
+			criteria = novel + " " + name // matches nowhere, resolves everywhere
+		}
 		hops := 1 + int(ttl)%5
 		byOrigin := map[int]*FloodResult{}
 		for k := 0; k < 2; k++ { // the second flood reuses the context's stamps
@@ -212,7 +236,7 @@ func handAssembled(t *testing.T, cfg Config, peers int) *Network {
 		t.Fatal(err)
 	}
 	sizes := NewFileSizeRNG(cfg.Seed)
-	for id, lib := range populatedCatalog(t, peers).Libraries {
+	for id, lib := range sharedCatalog(t, peers).Libraries {
 		files := make([]File, len(lib))
 		for i, name := range lib {
 			files[i] = File{Index: uint32(i), Size: DrawFileSize(sizes), Name: name}

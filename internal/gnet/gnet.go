@@ -110,8 +110,9 @@ type Network struct {
 	// born indexed, a hand-assembled network is indexed by BuildIndexes
 	// (see intern). holders lists, per dictionary term, the peers whose
 	// index holds it: built by BuildIndexes and NewFromState, dropped by
-	// AddFile, consulted once per flood in place of a probe at every
-	// reached peer (see holders.go).
+	// AddFile (with the offset columns of dense terms it holds), consulted
+	// once per flood in place of a probe at every reached peer (see
+	// holders.go).
 	dict    *dict.Dict
 	holders holderIndex
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"querycentric/internal/dict"
 	"querycentric/internal/parallel"
@@ -20,6 +21,14 @@ import (
 // and what it transmits, are untouched: the index only decides whose
 // posting index is worth a probe once the peer has processed the query.
 //
+// The exception is the popular core: a query whose every term is dense
+// (held by more than one peer in holderDenseShare) may be answered by a
+// large share of the peers it reaches, so there is nobody to skip. Such a
+// flood reads each reached peer's postings through the terms' offset
+// columns (denseColumns) — payload offsets per peer, built lazily from
+// the holder lists — instead of searching the peer's index block by
+// block; a peer some column passes over is never touched at all.
+//
 // The index is built once, by BuildIndexes (buildHolders) or by the
 // sharded snapshot builder — one inversion, HolderEncoder, over the peers'
 // IndexState values, live or decoded from the snapshot's index rows, so
@@ -31,10 +40,19 @@ import (
 // peers whose posting index holds it, as one CSR: term t's list is
 // arena[off[t]:off[t+1]], a vpost body (delta uvarints). The byte length of
 // a list stands in for its holder count wherever lists are compared — it is
-// what decoding the list costs.
+// what decoding the list costs. cols holds the offset columns of the dense
+// terms floods have named so far: flood-time state, never persisted, built
+// with the index's arenas in view and dropped with the index (AddFile,
+// intern), so no column outlives the posting arenas its offsets point into.
 type holderIndex struct {
 	off   []uint32 // len = dictionary terms + 1; nil until built
 	arena []byte
+	cols  *denseColumns
+}
+
+// newHolderIndex wraps built or adopted lists, with no column built yet.
+func newHolderIndex(off []uint32, arena []byte) holderIndex {
+	return holderIndex{off: off, arena: arena, cols: &denseColumns{col: map[dict.TermID][]uint32{}}}
 }
 
 func (h *holderIndex) heapBytes() uint64 {
@@ -43,6 +61,12 @@ func (h *holderIndex) heapBytes() uint64 {
 
 // list returns term t's encoded holder list.
 func (h *holderIndex) list(t dict.TermID) []byte { return h.arena[h.off[t]:h.off[t+1]] }
+
+// dense reports whether term t is dense in a network of the given peer
+// count (see holderDenseShare).
+func (h *holderIndex) dense(t dict.TermID, peers int) bool {
+	return len(h.list(t))*holderDenseShare > peers
+}
 
 // buildHolders derives the holder index from the built per-peer indexes,
 // once; the network must be indexed.
@@ -57,7 +81,7 @@ func (nw *Network) buildHolders(workers int) error {
 	}
 	off := make([]uint32, 0, n+1)
 	e.Offsets(func(o []uint32) { off = append(off, o...) })
-	nw.holders = holderIndex{off: off, arena: e.fill(0, dict.TermID(n))}
+	nw.holders = newHolderIndex(off, e.fill(0, dict.TermID(n)))
 	return nil
 }
 
@@ -321,24 +345,95 @@ func (nw *Network) adoptHolders(off []uint32, arena []byte, workers int) error {
 	if got != want {
 		return fmt.Errorf("holder index lists %d entries, the peer indexes hold %d terms", got, want)
 	}
-	nw.holders = holderIndex{off: off, arena: arena}
+	nw.holders = newHolderIndex(off, arena)
 	return nil
 }
 
-// holderDenseShare bounds the lists a flood will decode: a rarest term held
-// by more than one peer in holderDenseShare is no filter worth its decode —
-// the flood may reach a handful of peers while the list names a large share
-// of a million — so such floods probe every reached peer instead.
+// holderDenseShare bounds the lists a flood will decode: a term whose
+// holder list is longer than len(peers)/holderDenseShare bytes (at least
+// as many holders) is dense — no filter worth its decode, since the flood
+// may reach a handful of peers while the list names a large share of a
+// million. A flood whose rarest term is dense reads its postings through
+// the terms' offset columns (denseColumns) instead.
 const holderDenseShare = 8
+
+// denseColumns holds, per dense term a flood has named, its offset column:
+// for every peer, the arena offset of the term's posting payload in that
+// peer's index (0 when the peer does not hold the term; payloads never
+// start at 0, a block header comes first), with columnMulti set when the
+// payload holds more than one posting. The first flood that needs a column
+// builds it — one block walk per holder — under mu, so floods on separate
+// FloodCtxs may share the network; a built column is never written again.
+// A term some holder's arena is too long to address in 31 bits maps to
+// nil, and its floods probe every reached peer.
+type denseColumns struct {
+	mu  sync.Mutex
+	col map[dict.TermID][]uint32
+}
+
+// columnMulti flags a column entry whose payload is a count and a vpost
+// body rather than one inline posting.
+const columnMulti = 1 << 31
+
+// columns refills dst with the offset column of each of qids — every one
+// a dense term of nw — building the missing ones, and leaves it empty when
+// some term has no usable column.
+func (d *denseColumns) columns(nw *Network, qids []dict.TermID, dst [][]uint32) [][]uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dst = dst[:0]
+	for _, t := range qids {
+		col, ok := d.col[t]
+		if !ok {
+			col = buildColumn(nw, t)
+			d.col[t] = col
+		}
+		if col == nil {
+			return dst[:0]
+		}
+		dst = append(dst, col)
+	}
+	return dst
+}
+
+// buildColumn walks term t's holder list and locates t in each holder's
+// index, through the same block walk and payload offsets lookup uses.
+func buildColumn(nw *Network, t dict.TermID) []uint32 {
+	col := make([]uint32, len(nw.Peers))
+	list := nw.holders.list(t)
+	peer := -1
+	for i := 0; i < len(list); {
+		gap, n := vpost.Uvarint(list[i:])
+		i += n
+		peer += int(gap) + 1
+		off, multi, ok := nw.Peers[peer].idx.locate(t)
+		switch {
+		case !ok:
+			// A list naming a peer that lacks the term (only a damaged
+			// snapshot's can): the entry stays 0, as that peer's probe
+			// would miss.
+		case off >= columnMulti:
+			return nil
+		case multi:
+			col[peer] = off | columnMulti
+		default:
+			col[peer] = off
+		}
+	}
+	return col
+}
 
 // selectHolders decides, once per flood, which peers are worth a match
 // probe. It orders qids by holder-list length — the probe order of every
-// per-peer match, rarest first, unknown terms before all — and stamps the
-// rarest term's holders into c.cand with the flood's epoch. It reports
-// false when there is no holder index or the rarest list is dense: the
-// flood then probes every peer it reaches. When it reports true only stamped peers can match; a
-// query carrying NoTerm stamps no holder, since no listed peer holds a term
-// the shared dictionary lacks.
+// per-peer match, rarest first, unknown terms before all — and, when the
+// rarest list is sparse, stamps the rarest term's holders into c.cand with
+// the flood's epoch and reports true: only stamped peers can match. A query
+// carrying NoTerm stamps no holder, since no listed peer holds a term the
+// shared dictionary lacks. It reports false when there is no holder index
+// or the rarest list — and so every list — is dense; the flood then
+// answers at every reached peer, and c.cols holds the query terms' offset
+// columns when they could be had, or nothing, when each reached peer's
+// index must be probed.
 func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
 	h := &c.nw.holders
 	if h.off == nil {
@@ -357,10 +452,11 @@ func (c *FloodCtx) selectHolders(qids []dict.TermID) bool {
 	}
 	var list []byte
 	if qids[0] != dict.NoTerm {
-		list = h.list(qids[0])
-		if len(list)*holderDenseShare > len(c.seen) {
+		if h.dense(qids[0], len(c.seen)) {
+			c.cols = h.cols.columns(c.nw, qids, c.cols)
 			return false
 		}
+		list = h.list(qids[0])
 	}
 	if c.cand == nil {
 		c.cand = make([]int32, len(c.seen))

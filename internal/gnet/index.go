@@ -20,7 +20,9 @@ import (
 // memory exactly as a snapshot persists it, so export and restore hand the
 // same value across. One encoder, IndexBuilder, writes every index: the
 // network's own build (intern), AddFile and the sharded snapshot builder.
-// Lookups binary-search the skip array and scan at most one block;
+// Lookups binary-search the skip array and scan at most one block (locate),
+// then read the payload found there (payload) — the two halves the offset
+// columns of dense terms (holders.go) are built from and read through;
 // intersections stream posting lists through vpost.Cursor without
 // materializing anything but the rarest list.
 
@@ -73,19 +75,33 @@ func (r postingsRef) cursor() vpost.Cursor {
 	return vpost.NewCursor(r.body, r.count)
 }
 
-// lookup finds id's posting list: binary search for the block that could
-// hold it, then an early-exit scan of the block's id-delta section — no
-// payload byte is touched unless the term is present. An absent id
-// (NoTerm included: it sorts past every stored term) misses; the
-// conjunctive match rule turns a miss into an empty result after this
+// lookup finds id's posting list: locate's block walk, then payload's read.
+// An absent id (NoTerm included: it sorts past every stored term) misses;
+// the conjunctive match rule turns a miss into an empty result after this
 // single probe. Floods put the network's holder index in front of this
 // call (see holders.go), so it runs once per (candidate peer, query term)
-// rather than once per reached peer; the varint decodes stay inlined for
-// the networks that have no holder index and probe everyone.
+// of a flood whose rarest term is sparse; a flood whose every term is
+// dense reads the postings through the terms' offset columns instead, and
+// only a network without a holder index probes every reached peer here.
 func (ix *IndexState) lookup(id dict.TermID) (postingsRef, bool) {
+	off, multi, ok := ix.locate(id)
+	if !ok {
+		return postingsRef{}, false
+	}
+	return ix.payload(off, multi), true
+}
+
+// locate is the one block walk: binary search for the block that could
+// hold id, then an early-exit scan of the block's id-delta section — no
+// payload byte is touched unless the term is present. On a hit it skips
+// the block's earlier payloads and returns the arena offset of id's
+// payload (never 0: every block opens with its header) and whether the
+// payload holds more than one posting. The varint decodes stay inlined:
+// this is the per-probe hot path.
+func (ix *IndexState) locate(id dict.TermID) (off uint32, multi bool, ok bool) {
 	first := ix.BlockFirst
 	if len(first) == 0 || id < first[0] {
-		return postingsRef{}, false
+		return 0, false, false
 	}
 	// Branchless-ish manual binary search for the last block with
 	// blockFirst ≤ id (sort.Search costs a closure call per probe).
@@ -111,7 +127,7 @@ func (ix *IndexState) lookup(id dict.TermID) (postingsRef, bool) {
 	k, i := 0, 0
 	for cur < id {
 		if k+1 >= n {
-			return postingsRef{}, false
+			return 0, false, false
 		}
 		// Term-ID gaps are one or two bytes in practice; decode those
 		// without the general continuation loop.
@@ -135,7 +151,7 @@ func (ix *IndexState) lookup(id dict.TermID) (postingsRef, bool) {
 		k++
 	}
 	if cur != id {
-		return postingsRef{}, false
+		return 0, false, false
 	}
 	// Hit: skip the k preceding payloads to reach ours.
 	p := buf[blockHeaderLen+idLen:]
@@ -154,12 +170,20 @@ func (ix *IndexState) lookup(id dict.TermID) (postingsRef, bool) {
 			p = p[o+1:]
 		}
 	}
-	if mask&(1<<uint(k)) == 0 {
+	return uint32(len(ix.Arena) - len(p)), mask&(1<<uint(k)) != 0, true
+}
+
+// payload reads the posting list whose payload starts at arena offset off
+// (as locate found it): one inline posting, or a count and the undecoded
+// vpost body when multi.
+func (ix *IndexState) payload(off uint32, multi bool) postingsRef {
+	p := ix.Arena[off:]
+	if !multi {
 		v, _ := vpost.Uvarint(p)
-		return postingsRef{count: 1, single: int32(v)}, true
+		return postingsRef{count: 1, single: int32(v)}
 	}
 	cnt, cn := vpost.Uvarint(p)
-	return postingsRef{count: int(cnt), body: p[cn:]}, true
+	return postingsRef{count: int(cnt), body: p[cn:]}
 }
 
 // forEach calls fn for every term in ascending TermID order. The ref's body
@@ -492,6 +516,13 @@ func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []int32 {
 		}
 		s.sel = append(s.sel, ref)
 	}
+	return s.intersect()
+}
+
+// intersect intersects the posting lists in s.sel, one per query term,
+// rarest first so the candidate set never grows; the result aliases s.post
+// as matchIDs describes.
+func (s *matchScratch) intersect() []int32 {
 	sel := s.sel
 	// Insertion sort by posting-list length: queries have a handful of
 	// terms.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"querycentric/internal/rng"
@@ -16,11 +17,26 @@ func linearMatch(lib []File, criteria string) []File {
 	q := terms.Tokenize(criteria)
 	var out []File
 	for _, f := range lib {
-		if terms.Matches(q, terms.TokenSet(f.Name)) {
+		if terms.Matches(q, nameTokens(f.Name)) {
 			out = append(out, f)
 		}
 	}
 	return out
+}
+
+// nameTokenSets memoises terms.TokenSet per file name: the oracle's floods
+// match the same fixture libraries again and again, and tokenizing every
+// reached file of every flood was a sixth of a fuzz input's cost.
+var nameTokenSets sync.Map // name → map[string]struct{}
+
+// nameTokens is terms.TokenSet(name), computed once per name; the set is
+// shared and must not be mutated.
+func nameTokens(name string) map[string]struct{} {
+	if set, ok := nameTokenSets.Load(name); ok {
+		return set.(map[string]struct{})
+	}
+	set, _ := nameTokenSets.LoadOrStore(name, terms.TokenSet(name))
+	return set.(map[string]struct{})
 }
 
 // TestMatchEquivalentToLinearScan checks Peer.Match against the linear-scan

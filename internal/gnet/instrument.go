@@ -22,6 +22,8 @@ type netObs struct {
 	lossDrops     *obs.Counter // gnet_flood_loss_drops_total
 	deadDrops     *obs.Counter // gnet_flood_dead_drops_total
 	qrpSuppressed *obs.Counter // gnet_flood_qrp_suppressed_total
+	probes        *obs.Counter // gnet_flood_probes_total: peers whose posting index a flood read
+	dense         *obs.Counter // gnet_flood_dense_total: floods read through offset columns
 
 	hitHops     *obs.Histogram // gnet_flood_hit_hops
 	msgPerFlood *obs.Histogram // gnet_flood_messages
@@ -48,6 +50,8 @@ func (nw *Network) Instrument(reg *obs.Registry, traces *obs.FloodTraces) {
 		lossDrops:     reg.Counter("gnet_flood_loss_drops_total"),
 		deadDrops:     reg.Counter("gnet_flood_dead_drops_total"),
 		qrpSuppressed: reg.Counter("gnet_flood_qrp_suppressed_total"),
+		probes:        reg.Counter("gnet_flood_probes_total"),
+		dense:         reg.Counter("gnet_flood_dense_total"),
 		hitHops:       reg.Histogram("gnet_flood_hit_hops", []int64{1, 2, 3, 4, 5, 6, 8}),
 		msgPerFlood:   reg.Histogram("gnet_flood_messages", []int64{10, 100, 1000, 10000, 100000}),
 		traces:        traces,
