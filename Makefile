@@ -43,15 +43,18 @@ determinism:
 # map-and-slice references), the 64-wide reach-only kernel against
 # per-origin frontier rings, posting indexes encoded from interned term
 # IDs against the tokenize-and-look-up reference, the online interval
-# engine against the map-based Figures 5–7 analyses, and the
-# X-Try-Ultrapeers header codec against its split-and-Sprintf reference:
-# five seconds of mutation each, ten targets, must surface no panics,
+# engine against the map-based Figures 5–7 analyses, the
+# X-Try-Ultrapeers header codec against its split-and-Sprintf reference,
+# and the match path's posting kernel (inline one-byte gap decode) against
+# vpost.Cursor on clean and damaged lists: five seconds of mutation each,
+# eleven targets, must surface no panics,
 # over-reads or contract violations (ordering, alternation, determinism,
 # round-trip identity, typed errors on damaged bytes, ring/hop/message-count
 # agreement, field-for-field flood results, found-mask agreement, byte-equal
 # indexes and holder lists, field-for-field intervals, series and
 # transients, a refused backwards time, and equal parsed addresses,
-# parse errors and formatted headers). Minimization is capped at one
+# parse errors and formatted headers, and equal survivors and postings
+# decoded). Minimization is capped at one
 # execution per new input (-fuzzminimizetime=1x): left at its default it
 # can take the whole five seconds, as it did for FuzzSnapshotLoad, which
 # then ran ~160 inputs instead of mutating for the rest of its time.
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzFloodVsNaive ./internal/gnet
 	$(FUZZ) -fuzz=FuzzIndexFromIDsVsTokenized ./internal/gnet
 	$(FUZZ) -fuzz=FuzzTryUltrapeers ./internal/gnet
+	$(FUZZ) -fuzz=FuzzIntersectVsCursor ./internal/gnet
 	$(FUZZ) -fuzz=FuzzIntervalEngineVsReference ./internal/analysis
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's

@@ -30,6 +30,15 @@ func (s *CrawlStats) String() string {
 		s.Discovered, s.Collected, s.Password, s.Busy, s.Firewalled, s.Failed)
 }
 
+// maxBodyBytes bounds each DAAP response body a crawl reads. The largest
+// is a share's item listing, about 200 bytes a song, so 16 MiB holds some
+// 80,000 songs — past any library the crawl observes — while a share that
+// streams without end costs the crawler at most this much memory.
+const maxBodyBytes = 16 << 20
+
+// ErrBodyTooLarge reports a DAAP response body longer than maxBodyBytes.
+var ErrBodyTooLarge = errors.New("daap: response body too large")
+
 // errFirewalled simulates a TCP connection timeout to a firewalled share.
 var errFirewalled = errors.New("daap: connection timed out (firewalled)")
 
@@ -102,9 +111,12 @@ func CrawlURL(client *http.Client, baseURL string, shareID int) ([]SongMeta, err
 			io.Copy(io.Discard, resp.Body)
 			return nil, &statusError{ShareID: shareID, Code: resp.StatusCode, Op: op}
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 		if err != nil {
 			return nil, err
+		}
+		if len(body) > maxBodyBytes {
+			return nil, fmt.Errorf("%w: share %d: %s body exceeds %d bytes", ErrBodyTooLarge, shareID, op, maxBodyBytes)
 		}
 		return dmap.Decode(body)
 	}

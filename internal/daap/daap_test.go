@@ -1,8 +1,10 @@
 package daap
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"querycentric/internal/stats"
@@ -233,6 +235,32 @@ func TestServerOverRealTCP(t *testing.T) {
 	}
 	if len(songs) != len(share.Songs) {
 		t.Errorf("crawled %d songs over TCP, want %d", len(songs), len(share.Songs))
+	}
+}
+
+// TestCrawlURLBoundsBody: a server that would stream four times the bound
+// fails the crawl with ErrBodyTooLarge, and the crawler stops reading at
+// the bound: the server gets well under twice the bound onto the wire
+// (the rest of its writes fail once the crawler hangs up).
+func TestCrawlURLBoundsBody(t *testing.T) {
+	var chunk [64 << 10]byte
+	var sent atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for sent.Load() < 4*maxBodyBytes {
+			n, err := w.Write(chunk[:])
+			sent.Add(int64(n))
+			if err != nil {
+				return // the crawler hung up
+			}
+		}
+	}))
+	_, err := CrawlURL(ts.Client(), ts.URL, 7)
+	ts.Close() // waits for the handler
+	if !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("oversized body: got %v, want ErrBodyTooLarge", err)
+	}
+	if n := sent.Load(); n >= 2*maxBodyBytes {
+		t.Fatalf("server wrote %d bytes before the crawler hung up, want < %d", n, 2*maxBodyBytes)
 	}
 }
 

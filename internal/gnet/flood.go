@@ -66,8 +66,8 @@ type FloodCtx struct {
 	// (hoisted once per flood); qhash the hoisted QRP slots; cols, on a
 	// flood whose every term is dense, the terms' offset columns, which
 	// stand in for the per-peer lookups (empty otherwise). ms is the
-	// per-peer match scratch, probes the flood's count of posting indexes
-	// read.
+	// per-peer match scratch (its decoded field tallies the flood's
+	// postings decoded), probes the flood's count of posting indexes read.
 	qids   []dict.TermID
 	qhash  []uint32
 	cols   [][]uint32
@@ -219,7 +219,7 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	toks := TokenizeQuery(criteria)
 	probeAll := len(toks) > 0
 	var cand []int32
-	c.cols, c.probes = c.cols[:0], 0
+	c.cols, c.probes, c.ms.decoded = c.cols[:0], 0, 0
 	if probeAll {
 		c.qids, _ = nw.dict.Resolve(toks, c.qids[:0])
 	}
@@ -405,6 +405,7 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 		ob.lossDrops.Add(int64(lossDrops))
 		ob.qrpSuppressed.Add(int64(qrpSkipped))
 		ob.probes.Add(int64(c.probes))
+		ob.postings.Add(int64(c.ms.decoded))
 		if len(c.cols) > 0 {
 			ob.dense.Inc()
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 
@@ -22,9 +23,12 @@ import (
 // network's own build (intern), AddFile and the sharded snapshot builder.
 // Lookups binary-search the skip array and scan at most one block (locate),
 // then read the payload found there (payload) — the two halves the offset
-// columns of dense terms (holders.go) are built from and read through;
-// intersections stream posting lists through vpost.Cursor without
-// materializing anything but the rarest list.
+// columns of dense terms (holders.go) are built from and read through.
+// Intersections (intersect, intersectRef) decode the rarest list into
+// scratch and walk every longer list in place, with the one-byte gap
+// decoded inline and every other gap taken through vpost.Next, the checked
+// step vpost.Cursor is built on; the Cursor stays the reference decoder
+// (IndexChecksum reads every index through it).
 
 // postingBlockLen is how many terms share one skip-array entry. Smaller
 // blocks cost more skip-array memory (8 bytes per block) but shorten the
@@ -490,11 +494,14 @@ func (p *Peer) files(idx []int32) []File {
 }
 
 // matchScratch is per-flood match state, reused across every reached peer:
-// the per-term refs being sorted and the decode buffer the rarest posting
-// list lands in.
+// the per-term refs being sorted, the decode buffer the rarest posting
+// list lands in, and decoded, the running count of postings the
+// intersections through it have read (the flood publishes it as
+// gnet_flood_postings_total).
 type matchScratch struct {
-	sel  []postingsRef
-	post []int32
+	sel     []postingsRef
+	post    []int32
+	decoded int
 }
 
 // matchIDs intersects the posting lists of ids, rarest term first so the
@@ -503,7 +510,7 @@ type matchScratch struct {
 // through s. Any id missing from the index (including
 // NoTerm) matches nothing — the conjunctive rule. Only the rarest list is
 // decoded (into the reusable scratch, which the returned library indexes
-// alias); the rest stream through cursors.
+// alias); the rest are walked in place.
 func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []int32 {
 	if len(ids) == 0 {
 		return nil
@@ -519,9 +526,22 @@ func (p *Peer) matchIDs(ids []dict.TermID, s *matchScratch) []int32 {
 	return s.intersect()
 }
 
+// maxInlinePrev is the largest posting a one-byte gap may follow on the
+// inline decode path: past it, prev+1+gap could exceed MaxInt32, and the
+// checked step (vpost.Next) decides.
+const maxInlinePrev = math.MaxInt32 - 0x80
+
 // intersect intersects the posting lists in s.sel, one per query term,
 // rarest first so the candidate set never grows; the result aliases s.post
 // as matchIDs describes.
+//
+// This and intersectRef are the match path's posting kernel. Both read the
+// network's own arenas, where nearly every gap is one byte, so each decodes
+// a one-byte gap inline in its loop (a call per posting costs more than
+// the decode) and takes every other gap — multi-byte, truncated, or
+// carrying the posting past MaxInt32 — through vpost.Next, the step
+// vpost.Cursor is built on. A damaged body therefore stops both exactly
+// where a Cursor over it stops.
 func (s *matchScratch) intersect() []int32 {
 	sel := s.sel
 	// Insertion sort by posting-list length: queries have a handful of
@@ -535,58 +555,81 @@ func (s *matchScratch) intersect() []int32 {
 	if sel[0].count == 1 {
 		cur = append(cur, sel[0].single)
 	} else {
-		c := vpost.NewCursor(sel[0].body, sel[0].count)
-		for {
-			v, ok := c.Next()
-			if !ok {
-				break
+		body, i, prev := sel[0].body, 0, int32(-1)
+		for left := sel[0].count; left > 0; left-- {
+			if i < len(body) && body[i] < 0x80 && prev <= maxInlinePrev {
+				prev += 1 + int32(body[i])
+				i++
+			} else {
+				v, n := vpost.Next(body[i:], prev)
+				if n == 0 {
+					break
+				}
+				prev, i = v, i+n
 			}
-			cur = append(cur, v)
+			cur = append(cur, prev)
 		}
 	}
 	s.post = cur[:0] // retain the (possibly grown) buffer for the next peer
+	decoded := len(cur)
 	for _, w := range sel[1:] {
 		if len(cur) == 0 {
-			return nil
+			break
 		}
-		cur = intersectRef(cur, w)
+		var n int
+		cur, n = intersectRef(cur, w)
+		decoded += n
 	}
+	s.decoded += decoded
 	return cur
 }
 
-// intersectRef intersects the ascending candidate list cur with w's
-// postings in place: survivors are written back into cur's prefix (the
-// write index never passes the read index, and the arena is never
-// mutated).
-func intersectRef(cur []int32, w postingsRef) []int32 {
+// intersectRef intersects the ascending, non-empty candidate list cur with
+// w's postings in place and reports how many of w's postings it decoded:
+// survivors are written back into cur's prefix (the write index never
+// passes the read index, and the arena is never mutated). The walk stops
+// when cur runs out, when w does, or at a gap vpost.Next refuses.
+func intersectRef(cur []int32, w postingsRef) ([]int32, int) {
 	if w.count == 1 {
 		for _, v := range cur {
 			if v == w.single {
 				cur[0] = v
-				return cur[:1]
+				return cur[:1], 1
 			}
 			if v > w.single {
 				break
 			}
 		}
-		return cur[:0]
+		return cur[:0], 1
 	}
-	c := vpost.NewCursor(w.body, w.count)
 	out := cur[:0]
-	v, ok := c.Next()
-	for i := 0; i < len(cur) && ok; {
-		switch {
-		case cur[i] < v:
-			i++
-		case cur[i] > v:
-			v, ok = c.Next()
-		default:
-			out = append(out, cur[i])
-			i++
-			v, ok = c.Next()
+	body, j, v := w.body, 0, int32(-1)
+	i, left := 0, w.count
+	for left > 0 {
+		if j < len(body) && body[j] < 0x80 && v <= maxInlinePrev {
+			v += 1 + int32(body[j])
+			j++
+		} else {
+			next, n := vpost.Next(body[j:], v)
+			if n == 0 {
+				break
+			}
+			v, j = next, j+n
+		}
+		left--
+		for cur[i] < v {
+			if i++; i == len(cur) {
+				return out, w.count - left
+			}
+		}
+		if cur[i] == v {
+			out = append(out, v)
+			if i++; i == len(cur) {
+				break
+			}
 		}
 	}
-	return out
+	return out, w.count - left
 }
 
 // smallQueryDedupe is the token count below which TokenizeQuery dedupes

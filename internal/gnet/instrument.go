@@ -24,6 +24,7 @@ type netObs struct {
 	qrpSuppressed *obs.Counter // gnet_flood_qrp_suppressed_total
 	probes        *obs.Counter // gnet_flood_probes_total: peers whose posting index a flood read
 	dense         *obs.Counter // gnet_flood_dense_total: floods read through offset columns
+	postings      *obs.Counter // gnet_flood_postings_total: postings a flood's intersections decoded
 
 	hitHops     *obs.Histogram // gnet_flood_hit_hops
 	msgPerFlood *obs.Histogram // gnet_flood_messages
@@ -52,6 +53,7 @@ func (nw *Network) Instrument(reg *obs.Registry, traces *obs.FloodTraces) {
 		qrpSuppressed: reg.Counter("gnet_flood_qrp_suppressed_total"),
 		probes:        reg.Counter("gnet_flood_probes_total"),
 		dense:         reg.Counter("gnet_flood_dense_total"),
+		postings:      reg.Counter("gnet_flood_postings_total"),
 		hitHops:       reg.Histogram("gnet_flood_hit_hops", []int64{1, 2, 3, 4, 5, 6, 8}),
 		msgPerFlood:   reg.Histogram("gnet_flood_messages", []int64{10, 100, 1000, 10000, 100000}),
 		traces:        traces,

@@ -98,6 +98,7 @@ func (t *ObjectTrace) Write(w io.Writer) error {
 
 // ReadObjectTrace parses a trace written by Write.
 func ReadObjectTrace(r io.Reader) (*ObjectTrace, error) {
+	size := inputSize(r)
 	sc := newScanner(r)
 	fields, err := sc.header(objectMagic, 4)
 	if err != nil {
@@ -111,7 +112,7 @@ func ReadObjectTrace(r io.Reader) (*ObjectTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Records = make([]ObjectRecord, 0, n)
+	t.Records = make([]ObjectRecord, 0, recordCap(size, n))
 	for i := 0; i < n; i++ {
 		f, err := sc.record(2)
 		if err != nil {
@@ -146,6 +147,7 @@ func (t *SongTrace) Write(w io.Writer) error {
 
 // ReadSongTrace parses a trace written by Write.
 func ReadSongTrace(r io.Reader) (*SongTrace, error) {
+	size := inputSize(r)
 	sc := newScanner(r)
 	fields, err := sc.header(songMagic, 4)
 	if err != nil {
@@ -159,7 +161,7 @@ func ReadSongTrace(r io.Reader) (*SongTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Records = make([]SongRecord, 0, n)
+	t.Records = make([]SongRecord, 0, recordCap(size, n))
 	for i := 0; i < n; i++ {
 		f, err := sc.record(5)
 		if err != nil {
@@ -197,6 +199,7 @@ func (t *QueryTrace) Write(w io.Writer) error {
 // analyses consume them in; a record that breaks it is an error naming
 // the record.
 func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
+	size := inputSize(r)
 	sc := newScanner(r)
 	fields, err := sc.header(queryMagic, 4)
 	if err != nil {
@@ -210,7 +213,7 @@ func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Records = make([]QueryRecord, 0, n)
+	t.Records = make([]QueryRecord, 0, recordCap(size, n))
 	for i := 0; i < n; i++ {
 		f, err := sc.record(2)
 		if err != nil {
@@ -229,6 +232,37 @@ func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
 		t.Records = append(t.Records, QueryRecord{Time: ts, Query: f[1]})
 	}
 	return t, nil
+}
+
+// minRecordBytes is the fewest bytes a record can take: one field byte
+// and a tab or line end. An input of n bytes holds at most
+// n/minRecordBytes + 1 records, whatever its header claims.
+const minRecordBytes = 2
+
+// unsizedPrealloc is how many records a reader preallocates, at most, when
+// its input's size is unknown (a pipe, a file): the header count is input
+// to be checked, not a promise, and append grows the slice past it.
+const unsizedPrealloc = 1 << 12
+
+// inputSize reports how many bytes r holds, when it can tell (bytes and
+// strings readers and buffers report Len), or -1.
+func inputSize(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return -1
+}
+
+// recordCap is the capacity a reader preallocates for a header claiming n
+// records: n, capped at what an input of the given size (inputSize) could
+// hold, or at unsizedPrealloc when the size is unknown. A header that
+// claims 2^31-1 records on a few bytes of input thus costs a few bytes of
+// capacity, not gigabytes, before the missing records fail the read.
+func recordCap(size, n int) int {
+	if size < 0 {
+		return min(n, unsizedPrealloc)
+	}
+	return min(n, size/minRecordBytes+1)
 }
 
 // scanner wraps line/field parsing with sane limits.

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,6 +237,46 @@ func TestReadRejectsNegativeCounts(t *testing.T) {
 	for name, err := range map[string]error{"streamed header": streamed, "objects": objects, "songs": songs, "queries": queries} {
 		if !errors.Is(err, strconv.ErrSyntax) {
 			t.Errorf("%s: negative count gave %v, want strconv.ErrSyntax", name, err)
+		}
+	}
+}
+
+// TestReadBoundsPreallocationByInput: a header's record count is input,
+// so a reader may not preallocate more than the rest of the input could
+// hold. A 46-byte object trace claiming 2^31-1 records (48 GiB of
+// records at face value) must fail typed — the second record is missing —
+// after allocating under 1 MiB; so must the song and query formats, read
+// from a sized reader and from one that hides its size.
+func TestReadBoundsPreallocationByInput(t *testing.T) {
+	const claim = "\tx\t1\t2147483647\n"
+	cases := []struct {
+		name  string
+		input string
+		read  func(io.Reader) error
+	}{
+		{"objects", objectMagic + claim + "0\ta.mp3\n", func(r io.Reader) error { _, err := ReadObjectTrace(r); return err }},
+		{"songs", songMagic + claim + "0\tt\ta\tb\tg\n", func(r io.Reader) error { _, err := ReadSongTrace(r); return err }},
+		{"queries", queryMagic + "\tsrc\t60\t2147483647\n0\tq\n", func(r io.Reader) error { _, err := ReadQueryTrace(r); return err }},
+	}
+	if n := len(cases[0].input); n != 46 {
+		t.Fatalf("object trace is %d bytes, want 46", n)
+	}
+	for _, c := range cases {
+		for _, sized := range []bool{true, false} {
+			var r io.Reader = strings.NewReader(c.input)
+			if !sized {
+				r = io.MultiReader(r) // hides Len
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.read(r)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s (sized %v): got %v, want io.ErrUnexpectedEOF", c.name, sized, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s (sized %v): allocated %d bytes, want < 1 MiB", c.name, sized, got)
+			}
 		}
 	}
 }

@@ -101,26 +101,41 @@ func NewCursor(body []byte, count int) Cursor {
 	return Cursor{b: body, prev: -1, left: count}
 }
 
+// Next is the one checked decode step of a posting-list body: it decodes
+// the gap at the head of b and returns the posting after prev (-1 before
+// the first) and the gap's byte length n. n == 0 reports a gap that cannot
+// be taken — truncated mid-varint, overflowing 64 bits, past MaxInt32, or
+// carrying the posting past MaxInt32 — and nothing is consumed. Cursor
+// steps through it; decoders that inline the common one-byte gap on a
+// trusted arena fall back to it for every other gap, so they stop exactly
+// where a Cursor stops.
+func Next(b []byte, prev int32) (int32, int) {
+	gap, n := Uvarint(b)
+	if n <= 0 || gap > math.MaxInt32 {
+		return 0, 0
+	}
+	v := int64(prev) + 1 + int64(gap)
+	if v > math.MaxInt32 {
+		return 0, 0
+	}
+	return int32(v), n
+}
+
 // Next decodes the next posting. ok is false once the list is exhausted or
 // the body is corrupt (check Err to distinguish).
 func (c *Cursor) Next() (int32, bool) {
 	if c.left <= 0 || c.bad {
 		return 0, false
 	}
-	gap, n := Uvarint(c.b)
-	if n <= 0 || gap > math.MaxInt32 {
-		c.bad = true
-		return 0, false
-	}
-	next := int64(c.prev) + 1 + int64(gap)
-	if next > math.MaxInt32 {
+	v, n := Next(c.b, c.prev)
+	if n == 0 {
 		c.bad = true
 		return 0, false
 	}
 	c.b = c.b[n:]
-	c.prev = int32(next)
+	c.prev = v
 	c.left--
-	return c.prev, true
+	return v, true
 }
 
 // Err reports whether the cursor stopped on corrupt bytes rather than a

@@ -135,3 +135,40 @@ func TestCursorMatchesDecode(t *testing.T) {
 		t.Fatalf("clean cursor reports %v", c.Err())
 	}
 }
+
+// TestNextStopsWhereCursorMust pins the one checked decode step: it takes
+// any well-formed gap (padded encodings included) whose posting fits
+// int32, and refuses — consuming nothing — a truncated varint, one over 64
+// bits, a gap past MaxInt32 and a gap that carries the posting past it.
+func TestNextStopsWhereCursorMust(t *testing.T) {
+	cases := []struct {
+		name  string
+		b     []byte
+		prev  int32
+		want  int32
+		wantN int
+	}{
+		{"first posting", []byte{0x05}, -1, 5, 1},
+		{"one-byte gap", []byte{0x00, 0xff}, 9, 10, 1},
+		{"two-byte gap", []byte{0x80, 0x01}, 0, 129, 2},
+		{"six-byte padded gap", []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x00}, 3, 5, 6},
+		{"last int32", AppendUvarint(nil, 0), math.MaxInt32 - 1, math.MaxInt32, 1},
+		{"empty", nil, 0, 0, 0},
+		{"truncated", []byte{0x80}, 0, 0, 0},
+		{"over 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 0, 0, 0},
+		{"gap past MaxInt32", AppendUvarint(nil, math.MaxInt32+1), -1, 0, 0},
+		{"posting past MaxInt32", AppendUvarint(nil, 0), math.MaxInt32, 0, 0},
+		{"one-byte gap past MaxInt32", AppendUvarint(nil, 0x7f), math.MaxInt32 - 100, 0, 0},
+	}
+	for _, c := range cases {
+		got, n := Next(c.b, c.prev)
+		if got != c.want || n != c.wantN {
+			t.Errorf("%s: Next = (%d, %d), want (%d, %d)", c.name, got, n, c.want, c.wantN)
+		}
+		cur := Cursor{b: c.b, prev: c.prev, left: 1}
+		v, ok := cur.Next()
+		if ok != (c.wantN > 0) || v != c.want || (cur.Err() != nil) == ok {
+			t.Errorf("%s: Cursor.Next = (%d, %v, err %v), disagrees with Next", c.name, v, ok, cur.Err())
+		}
+	}
+}
