@@ -45,9 +45,11 @@ determinism:
 # IDs against the tokenize-and-look-up reference, the online interval
 # engine against the map-based Figures 5–7 analyses, the
 # X-Try-Ultrapeers header codec against its split-and-Sprintf reference,
-# and the match path's posting kernel (inline one-byte gap decode) against
-# vpost.Cursor on clean and damaged lists: five seconds of mutation each,
-# eleven targets, must surface no panics,
+# the match path's posting kernel (inline one-byte gap decode) against
+# vpost.Cursor on clean and damaged lists, the DMAP decoder (bounded
+# nesting, exact re-encoding) and the three trace readers (write and read
+# back equal): five seconds of mutation each,
+# thirteen targets, must surface no panics,
 # over-reads or contract violations (ordering, alternation, determinism,
 # round-trip identity, typed errors on damaged bytes, ring/hop/message-count
 # agreement, field-for-field flood results, found-mask agreement, byte-equal
@@ -58,19 +60,36 @@ determinism:
 # execution per new input (-fuzzminimizetime=1x): left at its default it
 # can take the whole five seconds, as it did for FuzzSnapshotLoad, which
 # then ran ~160 inputs instead of mutating for the rest of its time.
-FUZZ = $(GO) test -fuzztime=5s -fuzzminimizetime=1x -run '^$$'
+# Each target gets a fresh, empty fuzz cache (-test.fuzzcachedir), so only
+# its f.Add seeds and committed testdata/fuzz inputs replay before it
+# mutates: the shared cache under `go env GOCACHE` grows every run, and
+# once replaying it outlasted the five seconds the target never fuzzed.
+# A target that prints no `execs:` line fails the smoke for that reason.
+FUZZ_TARGETS = \
+	FuzzDecodeMessage:./internal/gmsg \
+	FuzzTimelineConfig:./internal/churn \
+	FuzzVarintPostings:./internal/vpost \
+	FuzzSnapshotLoad:./internal/snapshot \
+	FuzzFrontierVsReference:./internal/overlay \
+	FuzzWaveVsFrontier:./internal/overlay \
+	FuzzFloodVsNaive:./internal/gnet \
+	FuzzIndexFromIDsVsTokenized:./internal/gnet \
+	FuzzTryUltrapeers:./internal/gnet \
+	FuzzIntersectVsCursor:./internal/gnet \
+	FuzzIntervalEngineVsReference:./internal/analysis \
+	FuzzDmapDecode:./internal/dmap \
+	FuzzReadTrace:./internal/trace
 fuzz-smoke:
-	$(FUZZ) -fuzz=FuzzDecodeMessage ./internal/gmsg
-	$(FUZZ) -fuzz=FuzzTimelineConfig ./internal/churn
-	$(FUZZ) -fuzz=FuzzVarintPostings ./internal/vpost
-	$(FUZZ) -fuzz=FuzzSnapshotLoad ./internal/snapshot
-	$(FUZZ) -fuzz=FuzzFrontierVsReference ./internal/overlay
-	$(FUZZ) -fuzz=FuzzWaveVsFrontier ./internal/overlay
-	$(FUZZ) -fuzz=FuzzFloodVsNaive ./internal/gnet
-	$(FUZZ) -fuzz=FuzzIndexFromIDsVsTokenized ./internal/gnet
-	$(FUZZ) -fuzz=FuzzTryUltrapeers ./internal/gnet
-	$(FUZZ) -fuzz=FuzzIntersectVsCursor ./internal/gnet
-	$(FUZZ) -fuzz=FuzzIntervalEngineVsReference ./internal/analysis
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; d=$$(mktemp -d); \
+		echo "$(GO) test -fuzz=$$name $$pkg"; \
+		st=0; out=$$($(GO) test -fuzztime=5s -fuzzminimizetime=1x -run '^$$' -fuzz="^$$name\$$" $$pkg \
+			-args -test.fuzzcachedir=$$d 2>&1) || st=$$?; \
+		rm -rf "$$d"; echo "$$out"; \
+		if [ $$st -ne 0 ]; then exit $$st; fi; \
+		if ! echo "$$out" | grep -q 'execs:'; then \
+			echo "fuzz-smoke: $$name printed no execs: line (it never mutated)"; exit 1; fi; \
+	done
 
 # The repo's one benchmark (see benchmarks/README.md): every workload's
 # end-to-end metrics and per-layer costs, printed as a table.
@@ -124,8 +143,7 @@ digest-check:
 # The published results gate (~6 s): regenerates every figure at the
 # EXPERIMENTS.md settings into a temporary directory and fails unless each
 # .dat file and summary.txt, in either tree, is byte-equal to the committed
-# out/. The RUN_* manifests in out/ are not compared: they record wall-clock
-# time. Refresh out/ only with a change meant to move results, by
+# out/. Refresh out/ only with a change meant to move results, by
 # `go run ./cmd/qc-figures -scale default -seed 42 -out out`.
 results-check:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -194,9 +212,11 @@ loc:
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive
 # (FuzzFloodVsNaive), index-from-IDs (FuzzIndexFromIDsVsTokenized),
-# interval-engine (FuzzIntervalEngineVsReference) and X-Try codec
-# (FuzzTryUltrapeers) fuzz smokes (five seconds each, minimization capped
-# at one execution per input so the time goes to mutation), the
+# interval-engine (FuzzIntervalEngineVsReference), X-Try codec
+# (FuzzTryUltrapeers), posting-kernel (FuzzIntersectVsCursor), DMAP
+# (FuzzDmapDecode) and trace-reader (FuzzReadTrace) fuzz smokes (five
+# seconds each from a fresh fuzz cache, minimization capped at one
+# execution per input so the time goes to mutation), the
 # sim-digest refactor
 # gate, the published-results gate (out/ against qc-figures), the
 # paper-scale construction gate (with the sharded byte-identity check) and

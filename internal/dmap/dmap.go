@@ -12,8 +12,18 @@ package dmap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// maxDepth bounds how many containers Decode nests. DAAP replies nest 4
+// deep; without a bound a 16 MiB body (what daap.CrawlURL accepts) can
+// nest two million 8-byte container headers and overflow the stack.
+const maxDepth = 32
+
+// errTooDeep is wrapped by the error Decode returns for a body that nests
+// containers past maxDepth.
+var errTooDeep = errors.New("dmap: containers nested too deep")
 
 // Kind is a node's payload type.
 type Kind int
@@ -179,9 +189,9 @@ func appendNode(dst []byte, n *Node) ([]byte, error) {
 }
 
 // Decode parses exactly one node (and its subtree) from b, requiring the
-// whole buffer to be consumed.
+// whole buffer to be consumed. Containers nest at most maxDepth deep.
 func Decode(b []byte) (*Node, error) {
-	n, rest, err := decodeOne(b)
+	n, rest, err := decodeOne(b, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +201,9 @@ func Decode(b []byte) (*Node, error) {
 	return n, nil
 }
 
-func decodeOne(b []byte) (*Node, []byte, error) {
+// decodeOne parses the node at the front of b, which depth containers
+// enclose, and returns it with the bytes after it.
+func decodeOne(b []byte, depth int) (*Node, []byte, error) {
 	if len(b) < 8 {
 		return nil, nil, fmt.Errorf("dmap: truncated header: %d bytes", len(b))
 	}
@@ -211,9 +223,12 @@ func decodeOne(b []byte) (*Node, []byte, error) {
 	n := &Node{Code: code, Kind: kind}
 	switch kind {
 	case KindContainer:
+		if depth == maxDepth {
+			return nil, nil, fmt.Errorf("dmap: %s at depth %d: %w", code, depth, errTooDeep)
+		}
 		inner := payload
 		for len(inner) > 0 {
-			child, r, err := decodeOne(inner)
+			child, r, err := decodeOne(inner, depth+1)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dmap: in %s: %w", code, err)
 			}

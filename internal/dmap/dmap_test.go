@@ -3,6 +3,8 @@ package dmap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +209,75 @@ func TestDeepNesting(t *testing.T) {
 	if got.Str != "leaf" {
 		t.Errorf("leaf = %q", got.Str)
 	}
+}
+
+// nestedBody is depth mlcl containers, each wrapping the next, the
+// innermost empty: 8 bytes a level.
+func nestedBody(depth int) []byte {
+	b := make([]byte, 0, 8*depth)
+	for i := 0; i < depth; i++ {
+		b = append(b, "mlcl"...)
+		b = binary.BigEndian.AppendUint32(b, uint32(8*(depth-1-i)))
+	}
+	return b
+}
+
+// TestDecodeBoundsNesting: maxDepth containers decode, one more fails with
+// errTooDeep, and so does the two-million-deep body that fits the 16 MiB
+// a DAAP crawl accepts — which, unbounded, overflowed the stack.
+func TestDecodeBoundsNesting(t *testing.T) {
+	if _, err := Decode(nestedBody(maxDepth)); err != nil {
+		t.Fatalf("%d nested containers: %v", maxDepth, err)
+	}
+	for _, depth := range []int{maxDepth + 1, 2 << 20} {
+		n, err := Decode(nestedBody(depth))
+		if !errors.Is(err, errTooDeep) || n != nil {
+			t.Errorf("%d nested containers: node %v, err %v; want errTooDeep", depth, n, err)
+		}
+	}
+}
+
+// FuzzDmapDecode: any input either decodes or fails with an error, never a
+// panic, and a tree Decode returns re-encodes to exactly the input bytes
+// and decodes back to an equal tree.
+func FuzzDmapDecode(f *testing.F) {
+	listing, err := Encode(Container("adbs",
+		Uint32("mstt", 200),
+		Uint("mtco", 1, 8),
+		Version("mpro", 2, 0),
+		Container("mlcl", Container("mlit", String("minm", "Blue Bayou"), Uint("astn", 4, 1))),
+		&Node{Code: "zzzz", Kind: KindRaw, Raw: []byte{1, 2, 3}},
+	))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(listing)
+	f.Add(listing[:len(listing)-3])
+	f.Add(nestedBody(maxDepth))
+	f.Add(nestedBody(maxDepth + 1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		n, err := Decode(b)
+		if err != nil {
+			if n != nil {
+				t.Fatalf("node %v returned beside error %v", n, err)
+			}
+			return
+		}
+		enc, err := Encode(n)
+		if err != nil {
+			t.Fatalf("decoded tree does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding changed the bytes:\n%x\nvs input\n%x", enc, b)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded tree does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, n) {
+			t.Fatalf("Decode(Encode(n)) = %+v, want %+v", back, n)
+		}
+	})
 }
 
 func BenchmarkEncodeListing(b *testing.B) {

@@ -200,11 +200,11 @@ func (e *Env) workers() int { return parallel.Workers(e.Workers) }
 // Population is the one recipe for "the calibrated Gnutella population":
 // the catalog shape measured by the paper's crawl (catalog.DefaultConfig)
 // at this scale's size, plus the overlay that carries it. Every build path
-// — in-heap, sharded, snapshot round trips, the per-arm rebuilds of the
-// runners, TestScaleGate's construction gates and the facade's
-// GnutellaCrawl — derives from it, so they all draw the identical
-// population. Callers add Workers (and sharded builds ShardSize) as
-// needed.
+// — the crawled population (snapshot.OpenPopulation, behind ObjectTrace
+// and the facade's GnutellaCrawl), the runners' networks (newNetwork) and
+// TestScaleGate's construction gates — derives from it, so they all draw
+// the identical population. Callers add Workers (and sharded builds
+// ShardSize) as needed.
 func (p Params) Population(seed uint64) snapshot.BuildConfig {
 	ccfg := catalog.DefaultConfig(seed)
 	ccfg.Peers, ccfg.UniqueObjects = p.GnutellaPeers, p.UniqueObjects
@@ -225,8 +225,10 @@ func (e *Env) buildCatalog() (*catalog.Catalog, error) {
 // newNetwork builds a fresh instrumented overlay over cat with its holder
 // index: the network is born with its posting indexes, and every runner
 // floods it — without a holder index, a flood probes every peer it
-// reaches. Runners that mutate topology or attach planes call it
-// once per arm or sweep point, so nothing leaks between them. The build
+// reaches. A runner calls it once per arm or sweep point that mutates
+// topology, libraries or liveness, so nothing leaks between them; points
+// that only read the network, or differ by a swappable plane alone
+// (FaultSweepWith's fault planes), share one build. The build
 // resolves its own worker count: the dictionary and the holder index shard
 // by it, so threading e.Workers through would make
 // parallel_map_units_total depend on -workers.

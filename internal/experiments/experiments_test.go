@@ -416,14 +416,21 @@ func TestParamsForScalesMonotone(t *testing.T) {
 
 func TestFaultSweepShape(t *testing.T) {
 	e := tinyEnv(t)
-	res, err := FaultSweepWith(e, FaultSweepConfig{Rates: []float64{0, 0.4}})
+	res, err := FaultSweepWith(e, FaultSweepConfig{Rates: []float64{0, 0.4, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
+	if len(res.Points) != 3 {
 		t.Fatalf("%d sweep points", len(res.Points))
 	}
 	clean, faulted := res.Points[0], res.Points[1]
+	// Every point runs over the one network: a clean crawl after a faulted
+	// one sees exactly what the first did (floods draw per-point streams).
+	again := res.Points[2]
+	again.FloodSuccess = clean.FloodSuccess
+	if again != clean {
+		t.Errorf("clean point after a faulted one differs: %+v vs %+v", res.Points[2], clean)
+	}
 	// The rate-zero point is the inert plane: full coverage, full record
 	// count, no retries, nothing partial or failed.
 	if clean.Coverage+clean.PartialFrac < 0.999 {

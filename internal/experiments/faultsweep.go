@@ -73,6 +73,12 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One network serves every rate: the crawler and the floods only read
+	// it, so each point differs from the others by its fault plane alone.
+	nw, err := e.newNetwork(cat)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &FaultSweepResult{
 		Peers:       e.P.GnutellaPeers,
@@ -86,12 +92,9 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 		if rate < 0 || rate > 1 {
 			return nil, fmt.Errorf("experiments: fault rate %g out of range", rate)
 		}
-		nw, err := e.newNetwork(cat)
-		if err != nil {
-			return nil, err
-		}
+		var plane *faults.Plane // rate zero: no plane, the fault-free substrate
 		if rate > 0 {
-			plane := faults.New(faults.Config{
+			plane = faults.New(faults.Config{
 				Seed:           e.Seed + uint64(i),
 				DialTimeout:    rate,
 				HandshakeStall: rate / 2,
@@ -109,8 +112,8 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 				plane.SetLiveness(mask)
 			}
 			e.instrumentFaults(plane)
-			nw.SetFaults(plane)
 		}
+		nw.SetFaults(plane)
 
 		ccfg := crawler.DefaultConfig()
 		ccfg.Obs = e.Obs

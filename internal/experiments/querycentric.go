@@ -6,7 +6,6 @@ import (
 	"querycentric/internal/adaptive"
 	"querycentric/internal/catalog"
 	"querycentric/internal/chord"
-	"querycentric/internal/events"
 	"querycentric/internal/gnet"
 	"querycentric/internal/overlay"
 	"querycentric/internal/rng"
@@ -95,12 +94,8 @@ type qcPopulation struct {
 	pick  func(r *rng.Source) int
 }
 
-// qcNetConfig is the flat degree-4 topology every arm runs over.
-func qcNetConfig(e *Env) gnet.Config { return gnet.Config{Seed: e.Seed + 121, FlatDegree: 4} }
-
-// buildNet constructs a fresh, identical wire-level network over the
-// population, born indexed. Each wire-level arm gets its own build because
-// the adaptive arm mutates topology and libraries.
+// buildNet constructs a fresh wire-level network over the population, born
+// indexed, on the flat degree-4 topology every arm runs over.
 func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 	libs := make([][]string, p.peers)
 	for _, o := range p.objs {
@@ -108,7 +103,8 @@ func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 			libs[h] = append(libs[h], o.Name)
 		}
 	}
-	nw, err := gnet.NewFromCatalogWorkers(qcNetConfig(e), &catalog.Catalog{Libraries: libs}, 0)
+	cfg := gnet.Config{Seed: e.Seed + 121, FlatDegree: 4}
+	nw, err := gnet.NewFromCatalogWorkers(cfg, &catalog.Catalog{Libraries: libs}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -202,19 +198,22 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 	if cfg.ReplScheme != "" {
 		acfg.ReplScheme = cfg.ReplScheme
 	}
-	warmBatches := 8
-	warmup := warmBatches * acfg.AdaptInterval
+	warmup := 8 * acfg.AdaptInterval
 	measured := max(2*e.P.SimTrials, 300)
 	res := &QueryCentricResult{Objects: len(pop.objs), Peers: pop.peers, Warmup: warmup, Queries: measured}
 	wseed, mseed := e.Seed+124, e.Seed+125
 
-	// Arm 1: static flood — an inert adaptive system (AdaptInterval 0), so
-	// accounting is identical to the adaptive arm's flood path.
-	nwStatic, err := pop.buildNet(e)
+	// Arms 1–3 share one build: the static and QRP arms only flood it (QRP
+	// attaches its route tables after the static arm ends), and the
+	// shortcuts arm reads only its topology.
+	nw, err := pop.buildNet(e)
 	if err != nil {
 		return nil, err
 	}
-	static, err := adaptive.New(nwStatic, pop.objs,
+
+	// Arm 1: static flood — an inert adaptive system (AdaptInterval 0), so
+	// accounting is identical to the adaptive arm's flood path.
+	static, err := adaptive.New(nw, pop.objs,
 		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers})
 	if err != nil {
 		return nil, err
@@ -227,14 +226,10 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 
 	// Arm 2: QRP — same floods over per-peer route tables. Routing on file
 	// terms trims propagation but cannot move success.
-	nwQRP, err := pop.buildNet(e)
-	if err != nil {
+	if err := nw.EnableQRP(16); err != nil {
 		return nil, err
 	}
-	if err := nwQRP.EnableQRP(16); err != nil {
-		return nil, err
-	}
-	qrpSys, err := adaptive.New(nwQRP, pop.objs,
+	qrpSys, err := adaptive.New(nw, pop.objs,
 		adaptive.Config{Seed: e.Seed + 122, TTL: ttl, Workers: e.Workers})
 	if err != nil {
 		return nil, err
@@ -246,17 +241,12 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 	res.Arms = append(res.Arms, armFromStats("qrp", stQRP))
 
 	// Arm 3: interest shortcuts over the projected overlay (graph +
-	// abstract placement; same topology seed, no wire-level messages, so
-	// the network is only its topology: no libraries, no dictionary).
-	nwProj, err := gnet.New(qcNetConfig(e), pop.peers)
-	if err != nil {
-		return nil, err
-	}
+	// abstract placement; no wire-level messages).
 	g, err := overlay.NewGraph(pop.peers)
 	if err != nil {
 		return nil, err
 	}
-	for a, p := range nwProj.Peers {
+	for a, p := range nw.Peers {
 		for _, b := range p.Neighbors {
 			if a < b {
 				if err := g.AddEdge(a, b); err != nil {
@@ -283,9 +273,9 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 	}
 	res.Arms = append(res.Arms, armFromStats("shortcuts", stSC))
 
-	// Arm 4: the adaptive overlay. Warmup runs through the event engine —
-	// query batches at PrioQuery, adaptation rounds at PrioAdapt — then the
-	// measured workload continues adapting inline.
+	// Arm 4: the adaptive overlay, on its own build because it mutates
+	// topology and libraries. The warmup adapts between batches exactly as
+	// the measured workload does; adapted state carries over into it.
 	nwAdapt, err := pop.buildNet(e)
 	if err != nil {
 		return nil, err
@@ -295,30 +285,7 @@ func QueryCentricWith(e *Env, cfg QueryCentricConfig) (*QueryCentricResult, erro
 		return nil, err
 	}
 	adaptSys.Instrument(e.Obs)
-	const roundLen = 60 // simulated seconds per (batch, adaptation) round
-	eng, err := events.New(e.Seed+123, int64(warmBatches-1)*roundLen)
-	if err != nil {
-		return nil, err
-	}
-	warmBase := strategy.WorkloadStream(wseed)
-	for b := 0; b < warmBatches; b++ {
-		start := b * acfg.AdaptInterval
-		err := eng.Schedule(int64(b)*roundLen, events.PrioQuery, fmt.Sprintf("qc-batch/%d", b),
-			func(int64, *rng.Source) error {
-				return adaptSys.RunBatch(warmBase, start, acfg.AdaptInterval, pop.pick)
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	err = events.ScheduleAdaptationRounds(eng, roundLen, roundLen, func(int, int64) error {
-		adaptSys.AdaptRound()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Run(); err != nil {
+	if _, err := adaptSys.RunWorkload(warmup, pop.pick, wseed); err != nil {
 		return nil, err
 	}
 	stAdapt, err := adaptSys.RunWorkload(measured, pop.pick, mseed)

@@ -68,7 +68,7 @@ func TestSnapshotRoundTripMatchesFreshBuild(t *testing.T) {
 	fresh := NewEnv(ScaleTiny, 42)
 	fresh.SnapshotSave = snap
 	if got := fingerprint(fresh); string(got) != string(want) {
-		t.Fatalf("environment built into a snapshot diverged from the in-heap build:\n%s\nvs\n%s", got, want)
+		t.Fatalf("environment built into a named snapshot diverged from the default build:\n%s\nvs\n%s", got, want)
 	}
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("snapshot not written: %v", err)

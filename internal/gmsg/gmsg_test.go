@@ -354,3 +354,48 @@ func BenchmarkDecodeQueryHit(b *testing.B) {
 		}
 	}
 }
+
+// TestWirePathAllocPins pins AppendEncode and DecodeInto into reused
+// buffers at exact allocation counts per message kind: pings and pongs
+// (the keepalive loop) allocate nothing; a decoded Bye or Query costs its
+// payload struct and its string. Allocation counts are exact on any host.
+// Lowering a pin is free; raising one needs a CHANGES.md line that names
+// the cause.
+func TestWirePathAllocPins(t *testing.T) {
+	cases := []struct {
+		m              *Message
+		encode, decode float64
+	}{
+		{&Message{Header: Header{GUID: testGUID(), Type: TypePing, TTL: 7}}, 0, 0},
+		{&Message{Header: Header{GUID: testGUID(), Type: TypePong, TTL: 1},
+			Pong: &Pong{Port: 6346, IP: [4]byte{10, 1, 2, 3}, FilesCount: 321, KBShared: 999}}, 0, 0},
+		{&Message{Header: Header{GUID: testGUID(), Type: TypeQuery, TTL: 3},
+			Query: &Query{MinSpeed: 0, Criteria: "madonna like a prayer"}}, 0, 2},
+		{&Message{Header: Header{GUID: testGUID(), Type: TypeBye, TTL: 1},
+			Bye: &Bye{Code: ByeCodeShutdown, Reason: "going home"}}, 0, 2},
+	}
+	for _, c := range cases {
+		buf, err := AppendEncode(nil, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var into Message
+		if _, err := DecodeInto(&into, buf); err != nil {
+			t.Fatal(err)
+		}
+		enc := testing.AllocsPerRun(100, func() {
+			if buf, err = AppendEncode(buf[:0], c.m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		dec := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeInto(&into, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if enc != c.encode || dec != c.decode {
+			t.Errorf("type 0x%02x: AppendEncode %v, DecodeInto %v allocations; pinned %v, %v",
+				c.m.Header.Type, enc, dec, c.encode, c.decode)
+		}
+	}
+}

@@ -195,3 +195,32 @@ func TestHostCacheMatchesMapModel(t *testing.T) {
 		}
 	}
 }
+
+// TestHostCacheFullAllocPins: on a full cache, Add (evicting the oldest
+// entry) and Pick (filtered or not) allocate nothing — the maintenance
+// loop calls them for every Pong and every repair. Lowering a pin is free;
+// raising one needs a CHANGES.md line that names the cause.
+func TestHostCacheFullAllocPins(t *testing.T) {
+	hc := NewHostCache(DefaultHostCacheSize)
+	for i := 0; i < DefaultHostCacheSize; i++ {
+		hc.Add(hcAddr(i))
+	}
+	r := rng.New(1)
+	next := DefaultHostCacheSize
+	keep := func(a Addr) bool { return a.IP[3]%2 == 0 }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Add", func() { hc.Add(hcAddr(next)); next++ }},
+		{"Pick", func() { hc.Pick(r, nil) }},
+		{"Pick filtered", func() { hc.Pick(r, keep) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s on a full cache: %v allocations, pinned 0", c.name, n)
+		}
+	}
+	if hc.Len() != DefaultHostCacheSize {
+		t.Fatalf("cache holds %d, want it full at %d", hc.Len(), DefaultHostCacheSize)
+	}
+}

@@ -2,8 +2,9 @@ package snapshot
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
-	"querycentric/internal/catalog"
 	"querycentric/internal/gnet"
 	"querycentric/internal/obs"
 )
@@ -11,15 +12,15 @@ import (
 // OpenPopulation produces the Gnutella population a run works on, from
 // wherever the arguments say it lives: restored through a read-only memory
 // mapping of the snapshot at load when that is set (re-saved to save when
-// that is set too), else built shard by shard straight into save and mapped
-// back from that file when save is set — the whole substrate is never
-// resident during construction — else built in-heap from cfg's catalog and
-// network recipes. A mapped network owns its mapping: the caller closes it
-// once nothing views the population's strings. Each leg is timed as an env/…
-// phase on reg; a nil reg records nothing.
+// that is set too), else built shard by shard straight into a snapshot file
+// and mapped back from it — the whole substrate is never resident during
+// construction. That file is save when it is set, else a temporary file
+// under os.TempDir, removed before OpenPopulation returns (the mapping
+// outlives its name). A mapped network owns its mapping: the caller closes
+// it once nothing views the population's strings. Each leg is timed as an
+// env/… phase on reg; a nil reg records nothing.
 func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*gnet.Network, error) {
-	switch {
-	case load != "":
+	if load != "" {
 		stop := reg.StartPhase("env/snapshot-load")
 		nw, err := LoadMapped(load, cfg.Workers)
 		stop()
@@ -36,32 +37,27 @@ func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*gne
 			}
 		}
 		return nw, nil
-	case save != "":
-		stop := reg.StartPhase("env/snapshot-build-sharded")
-		_, err := BuildSharded(save, cfg)
-		stop()
+	}
+	path := save
+	if path == "" {
+		dir, err := os.MkdirTemp("", "population-")
 		if err != nil {
 			return nil, fmt.Errorf("sharded snapshot build: %w", err)
 		}
-		stop = reg.StartPhase("env/snapshot-load")
-		nw, err := LoadMapped(save, cfg.Workers)
-		stop()
-		if err != nil {
-			return nil, fmt.Errorf("loading sharded snapshot: %w", err)
-		}
-		return nw, nil
+		defer os.RemoveAll(dir)
+		path = filepath.Join(dir, "population.qcsnap")
 	}
-	stop := reg.StartPhase("env/catalog")
-	cat, err := catalog.BuildWorkers(cfg.Catalog, cfg.Workers)
+	stop := reg.StartPhase("env/snapshot-build-sharded")
+	_, err := BuildSharded(path, cfg)
 	stop()
 	if err != nil {
-		return nil, fmt.Errorf("building catalog: %w", err)
+		return nil, fmt.Errorf("sharded snapshot build: %w", err)
 	}
-	stop = reg.StartPhase("env/network")
-	nw, err := gnet.NewFromCatalogWorkers(cfg.Network, cat, cfg.Workers)
+	stop = reg.StartPhase("env/snapshot-load")
+	nw, err := LoadMapped(path, cfg.Workers)
 	stop()
 	if err != nil {
-		return nil, fmt.Errorf("building network: %w", err)
+		return nil, fmt.Errorf("loading sharded snapshot: %w", err)
 	}
 	return nw, nil
 }

@@ -274,6 +274,9 @@ func newScanner(r io.Reader) *scanner {
 	return &scanner{sc: sc}
 }
 
+// line returns the next line. The scanner strips a line's trailing CR, so
+// CRLF input reads as LF input; a CR anywhere else would land in a field
+// Write refuses (checkField), so it fails here.
 func (s *scanner) line() (string, error) {
 	if !s.sc.Scan() {
 		if err := s.sc.Err(); err != nil {
@@ -281,7 +284,11 @@ func (s *scanner) line() (string, error) {
 		}
 		return "", io.ErrUnexpectedEOF
 	}
-	return s.sc.Text(), nil
+	line := s.sc.Text()
+	if strings.IndexByte(line, '\r') >= 0 {
+		return "", fmt.Errorf("trace: carriage return inside line %q", line)
+	}
+	return line, nil
 }
 
 func (s *scanner) header(magic string, nf int) ([]string, error) {

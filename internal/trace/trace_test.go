@@ -152,6 +152,23 @@ func TestReadTruncated(t *testing.T) {
 	}
 }
 
+// TestReadLineEnds: CRLF line ends read as LF ones, and a CR inside a
+// line — which would land in a field Write refuses — fails the read.
+func TestReadLineEnds(t *testing.T) {
+	in := &ObjectTrace{Source: "x", Peers: 1, Records: []ObjectRecord{{Peer: 0, Name: "a.mp3"}}}
+	var buf bytes.Buffer
+	if err := in.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadObjectTrace(strings.NewReader(strings.ReplaceAll(buf.String(), "\n", "\r\n")))
+	if err != nil || !reflect.DeepEqual(got, in) {
+		t.Errorf("CRLF trace read as %+v, %v; want %+v", got, err, in)
+	}
+	if _, err := ReadObjectTrace(strings.NewReader(strings.Replace(buf.String(), "a.mp3", "a\r.mp3", 1))); err == nil {
+		t.Error("CR inside a record accepted")
+	}
+}
+
 func TestReadGarbage(t *testing.T) {
 	for _, g := range []string{"", "garbage", "querycentric-objects/1\tx", "querycentric-objects/1\tx\tnotanum\t0\n"} {
 		if _, err := ReadObjectTrace(strings.NewReader(g)); err == nil {
@@ -278,5 +295,53 @@ func TestReadBoundsPreallocationByInput(t *testing.T) {
 				t.Errorf("%s (sized %v): allocated %d bytes, want < 1 MiB", c.name, sized, got)
 			}
 		}
+	}
+}
+
+// FuzzReadTrace drives the three readers over one input: each returns a
+// trace or an error, never a panic, and a trace one returns writes and
+// reads back equal.
+func FuzzReadTrace(f *testing.F) {
+	// The 46-byte object trace of TestReadBoundsPreallocationByInput, and
+	// the same record under a 10M claim.
+	f.Add([]byte(objectMagic + "\tx\t1\t2147483647\n0\ta.mp3\n"))
+	f.Add([]byte(objectMagic + "\tx\t1\t10000000\n0\ta.mp3\n"))
+	for _, tr := range []interface{ Write(io.Writer) error }{
+		&ObjectTrace{Source: "crawl", Peers: 2, Records: []ObjectRecord{{0, "a b.mp3"}, {1, "c.mp3"}}},
+		&SongTrace{Source: "itunes", Peers: 1, Records: []SongRecord{{0, "t", "a", "b", "g"}}},
+		&QueryTrace{Source: "log", Duration: 60, Records: []QueryRecord{{0, "q"}, {59, "r s"}}},
+	} {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if tr, err := ReadObjectTrace(bytes.NewReader(b)); err == nil {
+			rereadEqual(t, tr, ReadObjectTrace)
+		}
+		if tr, err := ReadSongTrace(bytes.NewReader(b)); err == nil {
+			rereadEqual(t, tr, ReadSongTrace)
+		}
+		if tr, err := ReadQueryTrace(bytes.NewReader(b)); err == nil {
+			rereadEqual(t, tr, ReadQueryTrace)
+		}
+	})
+}
+
+// rereadEqual writes tr and fails t unless read returns an equal trace.
+func rereadEqual[T interface{ Write(io.Writer) error }](t *testing.T, tr T, read func(io.Reader) (T, error)) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatalf("%T a reader returned does not write: %v", tr, err)
+	}
+	back, err := read(&buf)
+	if err != nil {
+		t.Fatalf("%T does not read back: %v", tr, err)
+	}
+	if !reflect.DeepEqual(back, tr) {
+		t.Fatalf("%T read back as %+v, want %+v", tr, back, tr)
 	}
 }

@@ -58,11 +58,12 @@ type GnutellaCrawlConfig struct {
 	FloodTraces *FloodTraces
 	// SnapshotLoad, when non-empty, restores the network from this
 	// snapshot file through a read-only memory mapping instead of building
-	// catalog + network (Peers, UniqueObjects and FirewalledFrac are then
-	// ignored — the snapshot carries the population). SnapshotSave, when
-	// non-empty, persists the network to this path before the crawl runs:
-	// a fresh population is built shard by shard straight into the file and
-	// mapped back, a restored one is re-saved.
+	// it (Peers, UniqueObjects and FirewalledFrac are then ignored — the
+	// snapshot carries the population); with SnapshotSave set too, the
+	// restored network is re-saved there. Otherwise the population is built
+	// shard by shard into a snapshot file and mapped back before the crawl
+	// runs: SnapshotSave when non-empty, else a temporary file that is
+	// removed once mapped.
 	SnapshotLoad string
 	SnapshotSave string
 }
