@@ -20,18 +20,16 @@ race:
 	$(GO) test -race ./...
 
 # The registry gates: every experiments.Runners entry is byte-identical at
-# 1 vs 8 workers and on a repeated run, unchanged by an attached metrics
-# plane, identical in metrics snapshot and manifest fingerprint (metrics,
-# flood traces, windows) at 1 vs 8 workers, and equal in output to its
-# RUNNER_DIGESTS.txt line. Beside them: the event-engine recovery curve
-# with its windowed series, the query-centric metrics check, the snapshot
-# round trip (a restored network reproduces the fresh build's figures, a
+# 1 vs 8 workers, unchanged by an attached metrics plane (a second,
+# independent run), identical in metrics snapshot and manifest fingerprint
+# (metrics, flood traces, windows) at 1 vs 8 workers, and equal in output
+# to its RUNNER_DIGESTS.txt line. Beside them: the snapshot round trip (a restored network reproduces the fresh build's figures, a
 # damaged snapshot fails loudly) and the overload plane (a flash-crowd
 # scenario with shedding and breakers is byte-identical at 1 vs 8 workers,
 # and a disabled capacity plane is byte-identical to no plane).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestQueryCentricMetricsInert|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
+	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,

@@ -29,7 +29,7 @@ func testPopulation(t *testing.T, peers, m int, seed uint64) (*gnet.Network, []O
 		}
 		cat.Objects = append(cat.Objects, catalog.Object{ID: i, Name: name, Replicas: len(holders)})
 	}
-	nw, err := gnet.NewFromCatalog(gnet.Config{Seed: seed, FlatDegree: 4}, cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.Config{Seed: seed, FlatDegree: 4}, cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"querycentric/internal/adaptive"
 	"querycentric/internal/obs"
 )
 
@@ -57,46 +56,6 @@ func AddSnapshot(fs *flag.FlagSet) *SnapshotFlags {
 	fs.StringVar(&s.Save, "snapshot-save", "", "persist the built Gnutella population to this snapshot file, building it shard by shard straight into the file")
 	fs.StringVar(&s.Load, "snapshot-load", "", "restore the Gnutella population from this snapshot file, memory-mapped, instead of rebuilding it (byte-identical results)")
 	return s
-}
-
-// AdaptiveFlags holds the query-centric adaptation knobs (qc-sim
-// -mode query-centric).
-type AdaptiveFlags struct {
-	// Interval is the number of queries between adaptation rounds.
-	Interval int
-	// RewireBudget caps edge swaps per round (0 disables rewiring).
-	RewireBudget int
-	// ReplicateBudget caps replica installs per round (0 disables
-	// replication).
-	ReplicateBudget int
-	// Scheme is the replica-placement scheme (adaptive.Schemes()).
-	Scheme string
-}
-
-// AddAdaptive registers -adapt-interval, -rewire-budget,
-// -replicate-budget and -repl-scheme with the adaptive package defaults.
-func AddAdaptive(fs *flag.FlagSet) *AdaptiveFlags {
-	d := adaptive.DefaultConfig(0)
-	a := &AdaptiveFlags{}
-	fs.IntVar(&a.Interval, "adapt-interval", d.AdaptInterval, "queries between overlay adaptation rounds in -mode query-centric")
-	fs.IntVar(&a.RewireBudget, "rewire-budget", d.RewireBudget, "max shortcut rewires per adaptation round in -mode query-centric (0 disables rewiring)")
-	fs.IntVar(&a.ReplicateBudget, "replicate-budget", d.ReplicateBudget, "max replica installs per adaptation round in -mode query-centric (0 disables replication)")
-	fs.StringVar(&a.Scheme, "repl-scheme", string(d.ReplScheme), "replica placement scheme in -mode query-centric (owner|path|random|sqrt)")
-	return a
-}
-
-// Check validates the adaptation knobs after parsing.
-func (a *AdaptiveFlags) Check() error {
-	if err := CheckPositive("-adapt-interval", a.Interval); err != nil {
-		return err
-	}
-	if err := CheckNonNegative("-rewire-budget", a.RewireBudget); err != nil {
-		return err
-	}
-	if err := CheckNonNegative("-replicate-budget", a.ReplicateBudget); err != nil {
-		return err
-	}
-	return CheckOneOf("-repl-scheme", a.Scheme, adaptive.Schemes()...)
 }
 
 // Profiles holds the shared profiling flag values.
@@ -304,9 +263,8 @@ func CheckPositive(name string, v int) error {
 	return nil
 }
 
-// CheckNonNegative rejects negative values for count flags where zero
-// means "use the default".
-func CheckNonNegative[T int | int64](name string, v T) error {
+// CheckNonNegative rejects negative values for count flags.
+func CheckNonNegative(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("%s must be >= 0, got %d", name, v)
 	}

@@ -108,49 +108,6 @@ func TestChecks(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKnobChecks covers the qc-sim query-centric-mode flags: the
-// adaptation interval must be positive, the budgets non-negative (zero
-// disables the mechanism), and the replica scheme must come from the
-// adaptive package's set.
-func TestAdaptiveKnobChecks(t *testing.T) {
-	valid := AddAdaptive(flag.NewFlagSet("x", flag.ContinueOnError))
-	if err := valid.Check(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*AdaptiveFlags)
-		ok     bool
-	}{
-		{"defaults", func(*AdaptiveFlags) {}, true},
-		{"interval one", func(a *AdaptiveFlags) { a.Interval = 1 }, true},
-		{"interval zero", func(a *AdaptiveFlags) { a.Interval = 0 }, false},
-		{"interval negative", func(a *AdaptiveFlags) { a.Interval = -5 }, false},
-		{"rewire zero", func(a *AdaptiveFlags) { a.RewireBudget = 0 }, true},
-		{"rewire negative", func(a *AdaptiveFlags) { a.RewireBudget = -1 }, false},
-		{"replicate zero", func(a *AdaptiveFlags) { a.ReplicateBudget = 0 }, true},
-		{"replicate negative", func(a *AdaptiveFlags) { a.ReplicateBudget = -1 }, false},
-		{"scheme owner", func(a *AdaptiveFlags) { a.Scheme = "owner" }, true},
-		{"scheme path", func(a *AdaptiveFlags) { a.Scheme = "path" }, true},
-		{"scheme random", func(a *AdaptiveFlags) { a.Scheme = "random" }, true},
-		{"scheme sqrt", func(a *AdaptiveFlags) { a.Scheme = "sqrt" }, true},
-		{"scheme empty", func(a *AdaptiveFlags) { a.Scheme = "" }, false},
-		{"scheme unknown", func(a *AdaptiveFlags) { a.Scheme = "square-root" }, false},
-		{"scheme case", func(a *AdaptiveFlags) { a.Scheme = "Owner" }, false},
-	}
-	for _, tc := range cases {
-		a := AddAdaptive(flag.NewFlagSet("x", flag.ContinueOnError))
-		tc.mutate(a)
-		if err := a.Check(); (err == nil) != tc.ok {
-			t.Errorf("%s: got err=%v, want ok=%v", tc.name, err, tc.ok)
-		}
-	}
-	if err := (&AdaptiveFlags{Interval: 1, Scheme: "nope"}).Check(); err == nil ||
-		!strings.Contains(err.Error(), "owner|path|random|sqrt") {
-		t.Errorf("-repl-scheme error %v does not list choices", err)
-	}
-}
-
 // TestCapacityKnobChecks covers the qc-sim saturation-mode flags: queue
 // depth and service cost must be positive, and the shed policy must come
 // from the known set.

@@ -18,7 +18,7 @@ func buildPopulatedNet(t *testing.T, peers int, firewalled float64) *gnet.Networ
 	}
 	cfg := gnet.DefaultConfig(7)
 	cfg.FirewalledFrac = firewalled
-	nw, err := gnet.NewFromCatalog(cfg, cat)
+	nw, err := gnet.NewFromCatalogWorkers(cfg, cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkCrawl(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(7), cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(7), cat, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

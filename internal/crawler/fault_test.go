@@ -132,7 +132,7 @@ func TestPartialBrowseKeepsFilesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcfg := gnet.DefaultConfig(11)
-	nw, err := gnet.NewFromCatalog(gcfg, cat)
+	nw, err := gnet.NewFromCatalogWorkers(gcfg, cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ func testNetwork(t *testing.T, seed uint64) *gnet.Network {
 	if err != nil {
 		t.Fatalf("catalog.Build: %v", err)
 	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(seed), cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(seed), cat, 0)
 	if err != nil {
-		t.Fatalf("NewFromCatalog: %v", err)
+		t.Fatalf("NewFromCatalogWorkers: %v", err)
 	}
 	return nw
 }

@@ -77,19 +77,16 @@ func ChurnRepairWith(e *Env, cfg ChurnRepairConfig) (*ChurnRepairResult, error) 
 	}
 	// The flood count per window scales with the environment's SimTrials.
 	queries := e.queriesPerSample(40, 200)
-	cat, err := e.buildCatalog()
-	if err != nil {
-		return nil, err
-	}
 	duration := cfg.Timeline.Duration
 	res := &ChurnRepairResult{Peers: e.P.GnutellaPeers, TTL: repairTTL}
-	if res.Static, err = e.runScenario(cat, repairScenario(e.Seed, events.SteadyState, duration, queries, cfg.Repair, false, "churn_repair_static_")); err != nil {
+	var err error
+	if res.Static, err = e.runScenario(repairScenario(e.Seed, events.SteadyState, duration, queries, cfg.Repair, false, "churn_repair_static_")); err != nil {
 		return nil, err
 	}
 	arm := func(repair bool, prefix string) (*events.ScenarioResult, error) {
 		scfg := repairScenario(e.Seed, events.SteadyState, duration, queries, cfg.Repair, repair, prefix)
 		scfg.Churn = &cfg.Timeline
-		return e.runScenario(cat, scfg)
+		return e.runScenario(scfg)
 	}
 	if res.NoRepair, err = arm(false, "churn_repair_norepair_"); err != nil {
 		return nil, err

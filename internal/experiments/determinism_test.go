@@ -119,9 +119,11 @@ func runEntry(r Runner, workers int, plane bool) (*entryRun, error) {
 
 // TestWorkerCountDoesNotChangeResults is the parallel-engine determinism
 // regression: every registry entry must marshal byte-identically at one
-// worker and at eight, and again on a repeated run. Each trial owns a
-// derived RNG stream and reductions walk trial order, so the worker count
-// can only change who executes a trial — never what it computes.
+// worker and at eight. Each trial owns a derived RNG stream and reductions
+// walk trial order, so the worker count can only change who executes a
+// trial — never what it computes. Stability across repeated runs is
+// TestMetricsDoNotChangeResults' bare and plane runs at eight workers: two
+// independent runs that must be equal.
 func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 	for _, r := range Runners {
 		t.Run(r.Name, func(t *testing.T) {
@@ -132,13 +134,6 @@ func TestWorkerCountDoesNotChangeResults(t *testing.T) {
 			seq, par := memoRun(t, r, 1, false), memoRun(t, r, 8, false)
 			if !bytes.Equal(seq.result, par.result) {
 				t.Fatalf("diverged between workers=1 and workers=8:\n%s\nvs\n%s", seq.result, par.result)
-			}
-			again, err := runEntry(r, 8, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again.result, par.result) {
-				t.Fatalf("not stable across repeated workers=8 runs:\n%s\nvs\n%s", par.result, again.result)
 			}
 		})
 	}

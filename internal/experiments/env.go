@@ -140,8 +140,9 @@ func ParamsFor(s Scale) Params {
 }
 
 // Env builds and memoizes the shared artifacts (crawled traces, query
-// workload) so several figures can reuse one population, exactly as the
-// paper derived all of Figures 1–3 and 7 from one crawl.
+// workload, the calibrated catalog) so several figures can reuse one
+// population, exactly as the paper derived all of Figures 1–3 and 7 from
+// one crawl.
 type Env struct {
 	Seed uint64
 	P    Params
@@ -157,7 +158,9 @@ type Env struct {
 	// environment builds or drives (crawler funnel, flood counters, fault
 	// fires, maintenance activity) plus per-phase artifact-build timings.
 	// Attaching a registry never changes experiment results, and the
-	// metric values themselves are invariant under Workers.
+	// metric values themselves are invariant under Workers. One counter
+	// still varies with the host's CPU count: parallel_map_units_total,
+	// because the dictionary and holder-index builds shard by GOMAXPROCS.
 	Obs *obs.Registry
 
 	// FloodTraces, when non-nil (and Obs is attached to a network), records
@@ -181,6 +184,7 @@ type Env struct {
 	SnapshotSave string
 
 	mu        sync.Mutex
+	cat       *catalog.Catalog
 	objTrace  *trace.ObjectTrace
 	objStats  *crawler.Stats
 	songTrace *trace.SongTrace
@@ -213,27 +217,37 @@ func (p Params) Population(seed uint64) snapshot.BuildConfig {
 	return snapshot.BuildConfig{Catalog: ccfg, Network: gcfg}
 }
 
-// buildCatalog materializes the calibrated content population.
-func (e *Env) buildCatalog() (*catalog.Catalog, error) {
-	cat, err := catalog.BuildWorkers(e.P.Population(e.Seed).Catalog, e.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: building catalog: %w", err)
+// catalog builds (once) the calibrated content population the runners'
+// networks carry. Nothing mutates it: a network copies each library.
+func (e *Env) catalog() (*catalog.Catalog, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.cat == nil {
+		cat, err := catalog.BuildWorkers(e.P.Population(e.Seed).Catalog, e.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: building catalog: %w", err)
+		}
+		e.cat = cat
 	}
-	return cat, nil
+	return e.cat, nil
 }
 
-// newNetwork builds a fresh instrumented overlay over cat with its holder
-// index: the network is born with its posting indexes, and every runner
-// floods it — without a holder index, a flood probes every peer it
-// reaches. A runner calls it once per arm or sweep point that mutates
-// topology, libraries or liveness, so nothing leaks between them; points
-// that only read the network, or differ by a swappable plane alone
-// (FaultSweepWith's fault planes), share one build. The build
-// resolves its own worker count: the dictionary and the holder index shard
-// by it, so threading e.Workers through would make
+// newNetwork builds a fresh instrumented overlay over the environment's
+// catalog with its holder index: the network is born with its posting
+// indexes, and every runner floods it — without a holder index, a flood
+// probes every peer it reaches. A runner calls it once per arm or sweep
+// point that mutates topology, libraries or liveness, so nothing leaks
+// between them; points that only read the network, or differ by a
+// swappable plane alone (FaultSweepWith's fault planes), share one build.
+// The build resolves its own worker count: the dictionary and the holder
+// index shard by it, so threading e.Workers through would make
 // parallel_map_units_total depend on -workers.
-func (e *Env) newNetwork(cat *catalog.Catalog) (*gnet.Network, error) {
-	nw, err := gnet.NewFromCatalog(e.P.Population(e.Seed).Network, cat)
+func (e *Env) newNetwork() (*gnet.Network, error) {
+	cat, err := e.catalog()
+	if err != nil {
+		return nil, err
+	}
+	nw, err := gnet.NewFromCatalogWorkers(e.P.Population(e.Seed).Network, cat, 0)
 	if err == nil {
 		err = nw.BuildIndexes(0)
 	}
@@ -246,8 +260,8 @@ func (e *Env) newNetwork(cat *catalog.Catalog) (*gnet.Network, error) {
 
 // runScenario runs one event-engine scenario over a fresh overlay, with the
 // environment's worker bound and observability plane attached.
-func (e *Env) runScenario(cat *catalog.Catalog, scfg events.ScenarioConfig) (*events.ScenarioResult, error) {
-	nw, err := e.newNetwork(cat)
+func (e *Env) runScenario(scfg events.ScenarioConfig) (*events.ScenarioResult, error) {
+	nw, err := e.newNetwork()
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,8 @@ type FaultSweepConfig struct {
 	// fraction of peers offline for every non-zero rate (the liveness
 	// mask shared with internal/churn).
 	DeadFrac float64
-	// MaxAttempts is the crawler's per-peer attempt budget (0 → 3).
+	// MaxAttempts is the crawler's per-peer attempt budget; 0 keeps
+	// crawler.DefaultConfig's.
 	MaxAttempts int
 }
 
@@ -66,24 +67,29 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 	if rates == nil {
 		rates = DefaultFaultRates
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	cat, err := e.buildCatalog()
-	if err != nil {
-		return nil, err
-	}
 	// One network serves every rate: the crawler and the floods only read
 	// it, so each point differs from the others by its fault plane alone.
-	nw, err := e.newNetwork(cat)
+	nw, err := e.newNetwork()
 	if err != nil {
 		return nil, err
+	}
+	ccfg := crawler.DefaultConfig()
+	ccfg.Obs = e.Obs
+	ccfg.Seed = e.Seed
+	if cfg.MaxAttempts > 0 {
+		ccfg.MaxAttempts = cfg.MaxAttempts
+	}
+	ccfg.BackoffBase = 0 // bounded retries; no wall-clock waits in experiments
+	// A production crawler bootstraps from several addresses so one dead
+	// seed cannot zero the crawl; spread four across the population.
+	for s := 0; s < 4; s++ {
+		ccfg.Seeds = append(ccfg.Seeds, nw.Peers[s*len(nw.Peers)/4].Addr)
 	}
 
 	res := &FaultSweepResult{
 		Peers:       e.P.GnutellaPeers,
 		DeadFrac:    cfg.DeadFrac,
-		MaxAttempts: cfg.MaxAttempts,
+		MaxAttempts: ccfg.MaxAttempts,
 	}
 	queries := e.queriesPerSample(50, 300)
 
@@ -114,18 +120,6 @@ func FaultSweepWith(e *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 			e.instrumentFaults(plane)
 		}
 		nw.SetFaults(plane)
-
-		ccfg := crawler.DefaultConfig()
-		ccfg.Obs = e.Obs
-		ccfg.Seed = e.Seed
-		ccfg.MaxAttempts = cfg.MaxAttempts
-		ccfg.BackoffBase = 0 // bounded retries; no wall-clock waits in experiments
-		// A production crawler bootstraps from several addresses so one
-		// dead seed cannot zero the crawl; spread four across the
-		// population.
-		for s := 0; s < 4; s++ {
-			ccfg.Seeds = append(ccfg.Seeds, nw.Peers[s*len(nw.Peers)/4].Addr)
-		}
 		tr, st, err := crawler.Crawl(nw, ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crawling at rate %g: %w", rate, err)

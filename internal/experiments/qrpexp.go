@@ -34,7 +34,7 @@ func QRPEffect(e *Env) (*QRPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(e.Seed+70), cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(e.Seed+70), cat, 0)
 	if err == nil {
 		err = nw.BuildIndexes(0) // the plain pass floods before EnableQRP would
 	}

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
+	"flag"
+	"strings"
 	"testing"
-
-	"querycentric/internal/obs"
 )
 
 // TestQueryCentric pins the experiment's headline claims at tiny scale:
@@ -45,6 +44,15 @@ func TestQueryCentric(t *testing.T) {
 		t.Errorf("chord success %v, want 1", chordArm.Success)
 	}
 
+	// The adaptive arm's counters reach an attached registry.
+	var sawAdaptive bool
+	for _, m := range memoRun(t, entry(t, "query-centric"), 8, true).manifest.Metrics.Metrics {
+		sawAdaptive = sawAdaptive || m.Name == "adaptive_rewires_total" && m.Value > 0
+	}
+	if !sawAdaptive {
+		t.Error("instrumented run recorded no adaptive rewires")
+	}
+
 	rows := res.Table()
 	if len(rows) != 7 { // header + five arms + gain row
 		t.Fatalf("table has %d rows, want 7", len(rows))
@@ -56,38 +64,51 @@ func TestQueryCentric(t *testing.T) {
 	}
 }
 
-// TestQueryCentricMetricsInert pins the observability contract for the new
-// experiment: attaching a registry changes nothing, and the adaptive arm's
-// counters land in it.
-func TestQueryCentricMetricsInert(t *testing.T) {
-	run := func(withObs bool) ([]byte, *obs.Registry) {
-		e := NewEnv(ScaleTiny, 42)
-		e.Workers = 2
-		if withObs {
-			e.Obs = obs.NewRegistry()
+// TestQueryCentricKnobChecks covers the qc-sim query-centric-mode flags:
+// the adaptation interval must be positive, the budgets non-negative (zero
+// disables the mechanism), and the replica scheme must come from the
+// adaptive package's set.
+func TestQueryCentricKnobChecks(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-adapt-interval", "1"}, true},
+		{[]string{"-adapt-interval", "0"}, false},
+		{[]string{"-adapt-interval", "-5"}, false},
+		{[]string{"-rewire-budget", "0"}, true},
+		{[]string{"-rewire-budget", "-1"}, false},
+		{[]string{"-replicate-budget", "0"}, true},
+		{[]string{"-replicate-budget", "-1"}, false},
+		{[]string{"-repl-scheme", "owner"}, true},
+		{[]string{"-repl-scheme", "path"}, true},
+		{[]string{"-repl-scheme", "random"}, true},
+		{[]string{"-repl-scheme", "sqrt"}, true},
+		{[]string{"-repl-scheme", ""}, false},
+		{[]string{"-repl-scheme", "square-root"}, false},
+		{[]string{"-repl-scheme", "Owner"}, false},
+	} {
+		fs := flag.NewFlagSet("query-centric", flag.ContinueOnError)
+		cfg := bindQueryCentric(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
 		}
-		res, err := QueryCentricWith(e, DefaultQueryCentricConfig())
-		if err != nil {
-			t.Fatal(err)
+		if err := cfg.check(); (err == nil) != tc.ok {
+			t.Errorf("%v: got err=%v, want ok=%v", tc.args, err, tc.ok)
 		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, e.Obs
 	}
-	bare, _ := run(false)
-	instrumented, reg := run(true)
-	if string(bare) != string(instrumented) {
-		t.Fatalf("attaching metrics changed query-centric results:\n%s\nvs\n%s", bare, instrumented)
+	cfg := QueryCentricConfig{AdaptInterval: 1, ReplScheme: "nope"}
+	if err := cfg.check(); err == nil || !strings.Contains(err.Error(), "owner|path|random|sqrt") {
+		t.Errorf("-repl-scheme error %v does not list choices", err)
 	}
-	var sawAdaptive bool
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Name == "adaptive_rewires_total" && m.Value > 0 {
-			sawAdaptive = true
-		}
+	// The flags bind straight into the config the run receives.
+	fs := flag.NewFlagSet("query-centric", flag.ContinueOnError)
+	bound := bindQueryCentric(fs)
+	if err := fs.Parse([]string{"-adapt-interval", "32", "-rewire-budget", "4", "-replicate-budget", "0", "-repl-scheme", "owner"}); err != nil {
+		t.Fatal(err)
 	}
-	if !sawAdaptive {
-		t.Error("instrumented run recorded no adaptive rewires")
+	if want := (QueryCentricConfig{AdaptInterval: 32, RewireBudget: 4, ReplScheme: "owner"}); *bound != want {
+		t.Errorf("bound config %+v, want %+v", *bound, want)
 	}
 }

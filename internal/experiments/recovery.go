@@ -125,15 +125,11 @@ func RecoveryWith(e *Env, cfg RecoveryConfig) (*RecoveryResult, error) {
 	// The measurement flood volume per window scales with the
 	// environment's SimTrials.
 	queries := e.queriesPerSample(40, 200)
-	cat, err := e.buildCatalog()
-	if err != nil {
-		return nil, err
-	}
 
 	run := func(repair bool, prefix string) (*events.ScenarioResult, error) {
 		scfg := repairScenario(e.Seed, events.FaultRecovery, recoveryDuration, queries, cfg.Repair, repair, prefix)
 		scfg.Bursts = []faults.Burst{{Time: cfg.BurstTime, Frac: cfg.BurstFrac}}
-		return e.runScenario(cat, scfg)
+		return e.runScenario(scfg)
 	}
 
 	withRepair, err := run(true, "recovery_repair_")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"testing"
 
 	"querycentric/internal/obs"
@@ -86,31 +85,4 @@ func TestRecoveryQualitative(t *testing.T) {
 			t.Fatalf("repair arm ended at %.3f, below no-repair %.3f", res.RepairFinal, res.NoRepairFinal)
 		}
 	})
-}
-
-// TestRecoveryWindowWorkerInvariance is the event-engine half of the
-// determinism gate: the full windowed output — including the obs window
-// series — must be byte-identical at workers=1 and workers=8.
-func TestRecoveryWindowWorkerInvariance(t *testing.T) {
-	marshal := func(workers int) []byte {
-		e := NewEnv(ScaleTiny, 42)
-		e.Workers = workers
-		e.Windows = obs.NewWindowLog()
-		res, err := RecoveryWith(e, DefaultRecoveryConfig(e.Seed))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		b, err := json.Marshal(map[string]any{
-			"result": res,
-			"series": e.Windows.Snapshot(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	seq, par := marshal(1), marshal(8)
-	if string(seq) != string(par) {
-		t.Fatalf("recovery windows diverged between workers=1 and workers=8:\n%s\nvs\n%s", seq, par)
-	}
 }

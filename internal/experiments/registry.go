@@ -10,6 +10,7 @@ import (
 
 	"querycentric/internal/adaptive"
 	"querycentric/internal/cliflags"
+	"querycentric/internal/crawler"
 	"querycentric/internal/gnet"
 )
 
@@ -38,9 +39,9 @@ type runFunc = func(*Env) (Result, error)
 // qc-sim writes to stderr.
 type output struct{ header, footer, summary []string }
 
-// Bind registers the entry's mode-only flags on fs and returns its run,
-// which reads them once fs is parsed and rejects out-of-range values before
-// running. Flags left at their defaults mean the runner's defaults.
+// Bind registers the entry's mode-only flags on fs, each defaulted to the
+// value the runner uses, and returns its run, which reads them once fs is
+// parsed and rejects out-of-range values before running.
 func (r Runner) Bind(fs *flag.FlagSet) func(*Env) (Result, error) {
 	if r.bind == nil {
 		return r.run
@@ -191,15 +192,15 @@ var Runners = []Runner{
 		return o
 	})},
 	{Name: "churn-repair", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
-		repair := bindRepair(fs)
-		polite := fs.Float64("polite", -1, "fraction of departures announced with a Bye in -mode churn-repair (-1 = default)")
+		d := DefaultChurnRepairConfig(0)
+		interval, timeout := bindRepair(fs, d.Repair)
+		polite := fs.Float64("polite", d.Timeline.PoliteFrac, "fraction of departures announced with a Bye in -mode churn-repair")
 		return func(e *Env) (Result, error) {
 			cfg := DefaultChurnRepairConfig(e.Seed)
-			if err := errors.Join(repair(&cfg.Repair), checkFracFlag("-polite", *polite)); err != nil {
+			cfg.Repair.PingInterval, cfg.Repair.PingTimeout = *interval, *timeout
+			cfg.Timeline.PoliteFrac = *polite
+			if err := errors.Join(checkRepair(cfg.Repair), cliflags.CheckFrac("-polite", *polite)); err != nil {
 				return nil, err
-			}
-			if *polite != -1 {
-				cfg.Timeline.PoliteFrac = *polite
 			}
 			return ChurnRepairWith(e, cfg)
 		}
@@ -215,20 +216,17 @@ var Runners = []Runner{
 		}
 	})},
 	{Name: "recovery", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
-		repair := bindRepair(fs)
-		burstTime := fs.Int64("burst-time", 0, "seconds into the run the correlated crash fires in -mode recovery (0 = default)")
-		burstFrac := fs.Float64("burst-frac", -1, "fraction of the population crashing in -mode recovery (-1 = default 0.3)")
+		d := DefaultRecoveryConfig(0)
+		interval, timeout := bindRepair(fs, d.Repair)
+		burstTime := fs.Int64("burst-time", d.BurstTime, "seconds into the run the correlated crash fires in -mode recovery")
+		burstFrac := fs.Float64("burst-frac", d.BurstFrac, "fraction of the population crashing in -mode recovery")
 		return func(e *Env) (Result, error) {
 			cfg := DefaultRecoveryConfig(e.Seed)
-			if err := errors.Join(repair(&cfg.Repair), cliflags.CheckNonNegative("-burst-time", *burstTime),
-				checkFracFlag("-burst-frac", *burstFrac)); err != nil {
+			cfg.Repair.PingInterval, cfg.Repair.PingTimeout = *interval, *timeout
+			cfg.BurstTime, cfg.BurstFrac = *burstTime, *burstFrac
+			if err := errors.Join(checkRepair(cfg.Repair), cliflags.CheckPositiveSeconds("-burst-time", *burstTime),
+				cliflags.CheckFrac("-burst-frac", *burstFrac)); err != nil {
 				return nil, err
-			}
-			if *burstTime > 0 {
-				cfg.BurstTime = *burstTime
-			}
-			if *burstFrac != -1 {
-				cfg.BurstFrac = *burstFrac
 			}
 			return RecoveryWith(e, cfg)
 		}
@@ -274,22 +272,24 @@ var Runners = []Runner{
 	{Name: "shortcuts", Sim: true, run: typed(ShortcutsExperiment), out: func(Result) output { return output{} }},
 	{Name: "faults", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
 		dead := fs.Float64("dead", 0, "fraction of peers offline in -mode faults (churn liveness mask)")
-		rates := fs.String("fault-rates", "", "comma-separated fault rates to sweep in -mode faults (default 0,0.05,0.1,0.2,0.3,0.4,0.5)")
-		attempts := fs.Int("attempts", 0, "per-peer crawl attempt budget in -mode faults (0 = default 3)")
+		var defRates []string
+		for _, r := range DefaultFaultRates {
+			defRates = append(defRates, strconv.FormatFloat(r, 'g', -1, 64))
+		}
+		rates := fs.String("fault-rates", strings.Join(defRates, ","), "comma-separated fault rates to sweep in -mode faults")
+		attempts := fs.Int("attempts", crawler.DefaultConfig().MaxAttempts, "per-peer crawl attempt budget in -mode faults")
 		return func(e *Env) (Result, error) {
 			cfg := FaultSweepConfig{DeadFrac: *dead, MaxAttempts: *attempts}
-			errs := []error{cliflags.CheckFrac("-dead", *dead), cliflags.CheckNonNegative("-attempts", *attempts)}
-			if *rates != "" {
-				for _, part := range strings.Split(*rates, ",") {
-					r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-					if err != nil {
-						err = fmt.Errorf("bad fault rate %q: %w", part, err)
-					} else {
-						err = cliflags.CheckFrac("-fault-rates", r)
-					}
-					errs = append(errs, err)
-					cfg.Rates = append(cfg.Rates, r)
+			errs := []error{cliflags.CheckFrac("-dead", *dead), cliflags.CheckPositive("-attempts", *attempts)}
+			for _, part := range strings.Split(*rates, ",") {
+				r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+				if err != nil {
+					err = fmt.Errorf("bad fault rate %q: %w", part, err)
+				} else {
+					err = cliflags.CheckFrac("-fault-rates", r)
 				}
+				errs = append(errs, err)
+				cfg.Rates = append(cfg.Rates, r)
 			}
 			if err := errors.Join(errs...); err != nil {
 				return nil, err
@@ -300,13 +300,12 @@ var Runners = []Runner{
 		return output{header: line("# fault sweep: %d peers, dead_frac %.2f, %d attempts/peer", r.Peers, r.DeadFrac, r.MaxAttempts)}
 	})},
 	{Name: "query-centric", Sim: true, bind: func(fs *flag.FlagSet) runFunc {
-		a := cliflags.AddAdaptive(fs)
+		cfg := bindQueryCentric(fs)
 		return func(e *Env) (Result, error) {
-			if err := a.Check(); err != nil {
+			if err := cfg.check(); err != nil {
 				return nil, err
 			}
-			return QueryCentricWith(e, QueryCentricConfig{AdaptInterval: a.Interval, RewireBudget: a.RewireBudget,
-				ReplicateBudget: a.ReplicateBudget, ReplScheme: adaptive.Scheme(a.Scheme)})
+			return QueryCentricWith(e, *cfg)
 		}
 	}, out: text(func(r *QueryCentricResult) output {
 		return output{header: line("# query-centric: %d peers, %d objects, %d warmup + %d measured queries/arm", r.Peers, r.Objects, r.Warmup, r.Queries),
@@ -314,27 +313,34 @@ var Runners = []Runner{
 	})},
 }
 
-// bindRepair registers the keepalive flags churn-repair and recovery share
-// and returns the function that checks them and applies them to a repair
-// config; zero keeps the config's value.
-func bindRepair(fs *flag.FlagSet) func(*gnet.RepairConfig) error {
-	interval := fs.Int64("ping-interval", 0, "seconds between keepalive rounds in -mode churn-repair/recovery (0 = default)")
-	timeout := fs.Int("ping-timeout", 0, "silent rounds before a neighbor is declared dead in -mode churn-repair/recovery (0 = default)")
-	return func(rp *gnet.RepairConfig) error {
-		if *interval > 0 {
-			rp.PingInterval = *interval
-		}
-		if *timeout > 0 {
-			rp.PingTimeout = *timeout
-		}
-		return errors.Join(cliflags.CheckNonNegative("-ping-interval", *interval), cliflags.CheckNonNegative("-ping-timeout", *timeout))
-	}
+// bindRepair registers the keepalive flags churn-repair and recovery
+// share, with rp's values as their defaults.
+func bindRepair(fs *flag.FlagSet, rp gnet.RepairConfig) (interval *int64, timeout *int) {
+	return fs.Int64("ping-interval", rp.PingInterval, "seconds between keepalive rounds in -mode churn-repair/recovery"),
+		fs.Int("ping-timeout", rp.PingTimeout, "silent rounds before a neighbor is declared dead in -mode churn-repair/recovery")
 }
 
-// checkFracFlag checks a fraction flag whose -1 means "use the default".
-func checkFracFlag(name string, v float64) error {
-	if v == -1 {
-		return nil
-	}
-	return cliflags.CheckFrac(name, v)
+// checkRepair checks the keepalive flags bindRepair registers.
+func checkRepair(rp gnet.RepairConfig) error {
+	return errors.Join(cliflags.CheckPositiveSeconds("-ping-interval", rp.PingInterval), cliflags.CheckPositive("-ping-timeout", rp.PingTimeout))
+}
+
+// bindQueryCentric registers the adaptation knobs of -mode query-centric,
+// bound straight into a DefaultQueryCentricConfig value.
+func bindQueryCentric(fs *flag.FlagSet) *QueryCentricConfig {
+	cfg := DefaultQueryCentricConfig()
+	fs.IntVar(&cfg.AdaptInterval, "adapt-interval", cfg.AdaptInterval, "queries between overlay adaptation rounds in -mode query-centric")
+	fs.IntVar(&cfg.RewireBudget, "rewire-budget", cfg.RewireBudget, "max shortcut rewires per adaptation round in -mode query-centric (0 disables rewiring)")
+	fs.IntVar(&cfg.ReplicateBudget, "replicate-budget", cfg.ReplicateBudget, "max replica installs per adaptation round in -mode query-centric (0 disables replication)")
+	fs.StringVar((*string)(&cfg.ReplScheme), "repl-scheme", string(cfg.ReplScheme), "replica placement scheme in -mode query-centric (owner|path|random|sqrt)")
+	return &cfg
+}
+
+// check rejects the knob values qc-sim refuses; QueryCentricWith itself
+// reads a zero AdaptInterval or empty ReplScheme as the default.
+func (c QueryCentricConfig) check() error {
+	return errors.Join(cliflags.CheckPositive("-adapt-interval", c.AdaptInterval),
+		cliflags.CheckNonNegative("-rewire-budget", c.RewireBudget),
+		cliflags.CheckNonNegative("-replicate-budget", c.ReplicateBudget),
+		cliflags.CheckOneOf("-repl-scheme", string(c.ReplScheme), adaptive.Schemes()...))
 }

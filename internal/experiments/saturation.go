@@ -209,18 +209,13 @@ func (r *SaturationResult) Peak(arm string) *SaturationPoint {
 }
 
 // SaturationWith sweeps the flash-crowd scenario over offered load for
-// every capacity arm. All points share one catalog; each gets a fresh
-// overlay so topology mutations (maintenance under overload degrades
-// failure detection) never leak across points.
+// every capacity arm. All points share the environment's catalog; each
+// gets a fresh overlay so topology mutations (maintenance under overload
+// degrades failure detection) never leak across points.
 func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cat, err := e.buildCatalog()
-	if err != nil {
-		return nil, err
-	}
-
 	res := &SaturationResult{
 		Peers:      e.P.GnutellaPeers,
 		TTL:        saturationTTL,
@@ -244,7 +239,7 @@ func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 		a := SaturationArm{Arm: armName(arm)}
 		for _, load := range cfg.Loads {
 			prefix := fmt.Sprintf("saturation_%s_%d_", armName(arm), load)
-			sr, err := e.runScenario(cat, cfg.scenarioConfig(e.Seed, arm, load, prefix))
+			sr, err := e.runScenario(cfg.scenarioConfig(e.Seed, arm, load, prefix))
 			if err != nil {
 				return nil, err
 			}

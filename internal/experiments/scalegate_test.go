@@ -198,7 +198,7 @@ func measureGate(t *testing.T, scale Scale, shardSize int, inHeap bool) *gateRun
 		t0 := time.Now()
 		cat, err := catalog.Build(bcfg.Catalog)
 		check(err)
-		nw, err := gnet.NewFromCatalog(bcfg.Network, cat)
+		nw, err := gnet.NewFromCatalogWorkers(bcfg.Network, cat, 0)
 		check(err)
 		check(nw.BuildIndexes(0))
 		r.build = time.Since(t0)

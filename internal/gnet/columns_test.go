@@ -22,7 +22,7 @@ func columnNet(t *testing.T) *gnet.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(5), cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(5), cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

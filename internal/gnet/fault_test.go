@@ -68,7 +68,7 @@ func sharedCatalog(t *testing.T, peers int) *catalog.Catalog {
 // the shared catalog.
 func populatedNetWith(t *testing.T, cfg Config, peers int) *Network {
 	t.Helper()
-	nw, err := NewFromCatalog(cfg, sharedCatalog(t, peers))
+	nw, err := NewFromCatalogWorkers(cfg, sharedCatalog(t, peers), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func BenchmarkMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw, err := NewFromCatalog(DefaultConfig(5), cat)
+	nw, err := NewFromCatalogWorkers(DefaultConfig(5), cat, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

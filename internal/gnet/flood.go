@@ -22,9 +22,6 @@ type Hit struct {
 
 // FloodResult summarizes one flooded query.
 type FloodResult struct {
-	GUID         gmsg.GUID
-	Criteria     string
-	TTL          int
 	PeersReached int   // peers that processed the query (excluding origin)
 	Hits         []Hit // responding peers and their matching files
 	TotalResults int   // total matching files across all hits
@@ -195,12 +192,12 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	if len(criteria)+3 > gmsg.MaxPayload {
 		return nil, fmt.Errorf("gnet: %d-byte criteria exceed the descriptor payload limit", len(criteria))
 	}
-	ga, gb := r.Uint64(), r.Uint64()
-	guid := gmsg.GUIDFromUint64s(ga, gb)
-	// The salt ties this flood's fault schedule to its own randomness, so
+	// The two draws are the query's GUID on the wire; the salt made from
+	// them ties this flood's fault schedule to its own randomness, so
 	// schedules are per-trial deterministic regardless of worker count.
+	ga, gb := r.Uint64(), r.Uint64()
 	salt := ga ^ bits.RotateLeft64(gb, 32)
-	res := &FloodResult{GUID: guid, Criteria: criteria, TTL: ttl}
+	res := &FloodResult{}
 	epoch := c.bump()
 	seen := c.seen
 	seen[origin] = epoch

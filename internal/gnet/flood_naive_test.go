@@ -36,7 +36,7 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 		Header: gmsg.Header{GUID: guid, Type: gmsg.TypeQuery, TTL: byte(ttl)},
 		Query:  &gmsg.Query{Criteria: criteria},
 	}
-	res := &FloodResult{GUID: guid, Criteria: criteria, TTL: ttl}
+	res := &FloodResult{}
 	seen := map[int]bool{origin: true}
 	lossAttempts := map[int]uint64{}
 	plane := nw.faults

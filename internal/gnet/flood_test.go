@@ -222,7 +222,7 @@ func benchNet(b *testing.B, peers int) *Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw, err := NewFromCatalog(DefaultConfig(5), cat)
+	nw, err := NewFromCatalogWorkers(DefaultConfig(5), cat, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -263,16 +263,10 @@ func (nw *Network) markRelays() {
 	}
 }
 
-// NewFromCatalog builds a network whose peers share the libraries of a
-// content catalog. The catalog must have been built for the same number of
-// peers the network will have. Dictionary construction fans out over
-// GOMAXPROCS workers; see NewFromCatalogWorkers.
-func NewFromCatalog(cfg Config, cat *catalog.Catalog) (*Network, error) {
-	return NewFromCatalogWorkers(cfg, cat, 0)
-}
-
-// NewFromCatalogWorkers is NewFromCatalog with an explicit worker bound for
-// the parallel construction phases. The network is born indexed (intern);
+// NewFromCatalogWorkers builds a network whose peers share the libraries of
+// a content catalog, which must have been built for the same number of
+// peers the network will have. workers bounds the parallel construction
+// phases (0: GOMAXPROCS). The network is born indexed (intern);
 // BuildIndexes then only adds the holder index. The built network is
 // byte-identical for every worker count: dictionary IDs are assigned in
 // sorted term order and the file-size draws stay on one sequential named

@@ -205,7 +205,7 @@ func TestNewFromCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewFromCatalog(DefaultConfig(3), cat)
+	nw, err := NewFromCatalogWorkers(DefaultConfig(3), cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestHolderIndexInvertsPeerIndexes(t *testing.T) {
 	}
 	cat := populatedCatalog(t, 90)
 	cat.Libraries[7] = append(cat.Libraries[7], "Zzzz Novel Tokens Everywhere.mp3")
-	grown, err := NewFromCatalog(DefaultConfig(5), cat)
+	grown, err := NewFromCatalogWorkers(DefaultConfig(5), cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMutationDropsHolderIndex(t *testing.T) {
 		if err := nw.BuildIndexes(2); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewFromCatalog(DefaultConfig(5), cat)
+		fresh, err := NewFromCatalogWorkers(DefaultConfig(5), cat, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

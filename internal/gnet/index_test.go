@@ -139,7 +139,7 @@ func TestAddFileNovelTermReinterns(t *testing.T) {
 	}
 	cat := populatedCatalog(t, 40)
 	cat.Libraries[5] = append(cat.Libraries[5], novel)
-	fresh, err := NewFromCatalog(DefaultConfig(5), cat)
+	fresh, err := NewFromCatalogWorkers(DefaultConfig(5), cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -371,3 +371,34 @@ func TestHostCacheScreensSelfAndDead(t *testing.T) {
 		t.Fatalf("gnet_hostcache_rejected_total = %d, RepairStats.HostRejected = %d", counter, st.HostRejected)
 	}
 }
+
+// TestMaintenanceCostPins pins the keepalive wire path exactly: one Tick
+// with repair on over a fixed, settled overlay (everyone online, no loss)
+// sends and answers a known number of pings for a known number of
+// allocations, and one X-Try exchange carries a known number of hints for
+// a known number of allocations. Lowering a pin is free; raising one needs
+// a CHANGES.md line that names the cause.
+func TestMaintenanceCostPins(t *testing.T) {
+	cfg := DefaultRepairConfig(7)
+	nw, m := maintTestNetwork(t, 7, cfg)
+	now := int64(0)
+	var pings, pongs int
+	tick := func() {
+		before := m.Stats()
+		now += cfg.PingInterval
+		m.Tick(now)
+		after := m.Stats()
+		pings, pongs = after.PingsSent-before.PingsSent, after.PongsReceived-before.PongsReceived
+	}
+	if allocs := testing.AllocsPerRun(1, tick); allocs != 120 || pings != 816 || pongs != 816 {
+		t.Errorf("one keepalive round: %v allocs, %d pings sent, %d pongs received; pinned 120, 816, 816",
+			allocs, pings, pongs)
+	}
+
+	from := nw.Peers[firstUltra(nw)]
+	var hints int
+	exchange := func() { hints = len(m.receiveTries(from)) }
+	if allocs := testing.AllocsPerRun(20, exchange); allocs != 1 || hints != 12 {
+		t.Errorf("one X-Try exchange: %v allocs, %d hints; pinned 1, 12", allocs, hints)
+	}
+}

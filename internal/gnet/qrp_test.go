@@ -15,7 +15,7 @@ func qrpNet(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewFromCatalog(DefaultConfig(17), cat)
+	nw, err := NewFromCatalogWorkers(DefaultConfig(17), cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	nw, err := gnet.NewFromCatalog(gnet.DefaultConfig(11), cat)
+	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(11), cat, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func buildNet(t *testing.T, peers int) *gnet.Network {
 	}
 	cfg := gnet.DefaultConfig(11)
 	cfg.FirewalledFrac = 0.1
-	nw, err := gnet.NewFromCatalog(cfg, cat)
+	nw, err := gnet.NewFromCatalogWorkers(cfg, cat, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,3 +283,28 @@ func TestSaveRoundTripsHandAssembledNetwork(t *testing.T) {
 // magic, u16le version 1, section count. Both loaders must name such a file
 // with ErrVersion rather than calling it truncated or corrupt.
 var v1Header = []byte{'Q', 'C', 'S', 'N', 'A', 'P', 1, 0, 5}
+
+// TestLoadMappedCostPin pins what a mapped load of a fixed small snapshot
+// costs in allocations, load and Close together: the restore of every
+// section into a network that borrows its arenas from the mapping. Lowering
+// the pin is free; raising it needs a CHANGES.md line that names the cause.
+func TestLoadMappedCostPin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "net.qcsnap")
+	if _, err := Save(path, buildNet(t, 40), 0); err != nil {
+		t.Fatal(err)
+	}
+	var peers int
+	load := func() {
+		nw, err := LoadMapped(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers = len(nw.Peers)
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, load); allocs != 75 || peers != 40 {
+		t.Errorf("LoadMapped of a 40-peer snapshot: %v allocs, %d peers; pinned 75, 40", allocs, peers)
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -298,24 +301,99 @@ func TestReadBoundsPreallocationByInput(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace drives the three readers over one input: each returns a
-// trace or an error, never a panic, and a trace one returns writes and
-// reads back equal.
-func FuzzReadTrace(f *testing.F) {
-	// The 46-byte object trace of TestReadBoundsPreallocationByInput, and
-	// the same record under a 10M claim.
-	f.Add([]byte(objectMagic + "\tx\t1\t2147483647\n0\ta.mp3\n"))
-	f.Add([]byte(objectMagic + "\tx\t1\t10000000\n0\ta.mp3\n"))
+// readTraceSeeds are FuzzReadTrace's seeds: the 46-byte object trace of
+// TestReadBoundsPreallocationByInput, the same record under a 10M claim,
+// one small trace of each kind as Write writes it, and a 300-record one,
+// large enough that its per-record cost outweighs the readers' fixed one.
+func readTraceSeeds(tb testing.TB) [][]byte {
+	seeds := [][]byte{
+		[]byte(objectMagic + "\tx\t1\t2147483647\n0\ta.mp3\n"),
+		[]byte(objectMagic + "\tx\t1\t10000000\n0\ta.mp3\n"),
+	}
+	long := &ObjectTrace{Source: "crawl", Peers: 300}
+	for i := range 300 {
+		long.Records = append(long.Records, ObjectRecord{i, "f" + strconv.Itoa(i) + ".mp3"})
+	}
 	for _, tr := range []interface{ Write(io.Writer) error }{
 		&ObjectTrace{Source: "crawl", Peers: 2, Records: []ObjectRecord{{0, "a b.mp3"}, {1, "c.mp3"}}},
 		&SongTrace{Source: "itunes", Peers: 1, Records: []SongRecord{{0, "t", "a", "b", "g"}}},
 		&QueryTrace{Source: "log", Duration: 60, Records: []QueryRecord{{0, "q"}, {59, "r s"}}},
+		long,
 	} {
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		seeds = append(seeds, buf.Bytes())
+	}
+	return seeds
+}
+
+// committedInputs reads the inputs committed under testdata/fuzz/<target>,
+// each a one-value "go test fuzz v1" file holding a []byte.
+func committedInputs(tb testing.TB, target string) [][]byte {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no committed inputs for %s (%v)", target, err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		head, val, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(val, "[]byte(")
+		b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if head != "go test fuzz v1" || !ok || err != nil {
+			tb.Fatalf("%s: not a one-[]byte corpus file (%v)", p, err)
+		}
+		out = append(out, []byte(b))
+	}
+	return out
+}
+
+// TestReadAllocatesByInput: on every FuzzReadTrace seed and committed
+// input, each reader allocates at most readAllocPerByte bytes per input
+// byte plus readAllocFixed, whether it returns a trace or an error. The
+// fixed part is the scanner's 64 KiB line buffer and 1 KiB besides. The
+// most any input here takes is 5.8 bytes per byte above that (the
+// 300-record object trace: 88,256 bytes for 3,717).
+func TestReadAllocatesByInput(t *testing.T) {
+	const readAllocPerByte, readAllocFixed = 8, 64<<10 + 1<<10
+	readers := []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"objects", func(r io.Reader) error { _, err := ReadObjectTrace(r); return err }},
+		{"songs", func(r io.Reader) error { _, err := ReadSongTrace(r); return err }},
+		{"queries", func(r io.Reader) error { _, err := ReadQueryTrace(r); return err }},
+	}
+	for i, in := range append(readTraceSeeds(t), committedInputs(t, "FuzzReadTrace")...) {
+		for _, rd := range readers {
+			// The least of three reads: TotalAlloc also counts what other
+			// goroutines of the test binary allocate meanwhile.
+			got := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				rd.read(bytes.NewReader(in))
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
+			if limit := uint64(readAllocPerByte*len(in) + readAllocFixed); got > limit {
+				t.Errorf("input %d (%d bytes), %s reader: allocated %d bytes, bound %d", i, len(in), rd.name, got, limit)
+			}
+		}
+	}
+}
+
+// FuzzReadTrace drives the three readers over one input: each returns a
+// trace or an error, never a panic, and a trace one returns writes and
+// reads back equal.
+func FuzzReadTrace(f *testing.F) {
+	for _, b := range readTraceSeeds(f) {
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if tr, err := ReadObjectTrace(bytes.NewReader(b)); err == nil {

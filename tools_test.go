@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -178,12 +179,20 @@ func TestCLIPipeline(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-mode", "recovery", "-burst-time", "-10"}, "-burst-time must be >= 0"},
-		{[]string{"-mode", "recovery", "-ping-interval", "-5"}, "-ping-interval must be >= 0"},
-		{[]string{"-mode", "churn-repair", "-ping-timeout", "-3"}, "-ping-timeout must be >= 0"},
+		{[]string{"-mode", "recovery", "-burst-time", "-10"}, "-burst-time must be a positive number of seconds"},
+		{[]string{"-mode", "recovery", "-ping-interval", "-5"}, "-ping-interval must be a positive number of seconds"},
+		{[]string{"-mode", "churn-repair", "-ping-timeout", "-3"}, "-ping-timeout must be positive"},
 		{[]string{"-mode", "faults", "-fault-rates", "2"}, "-fault-rates must be"},
 		{[]string{"-mode", "faults", "-fault-rates", "0,x"}, `bad fault rate "x"`},
-		{[]string{"-mode", "faults", "-attempts", "-1"}, "-attempts must be >= 0"},
+		{[]string{"-mode", "faults", "-attempts", "-1"}, "-attempts must be positive"},
+		// A flag's default is the value its runner uses; no placeholder
+		// stands for it.
+		{[]string{"-mode", "recovery", "-burst-time", "0"}, "-burst-time must be a positive number of seconds"},
+		{[]string{"-mode", "recovery", "-burst-frac", "-1"}, "-burst-frac must be in [0,1]"},
+		{[]string{"-mode", "churn-repair", "-polite", "-1"}, "-polite must be in [0,1]"},
+		{[]string{"-mode", "recovery", "-ping-interval", "0"}, "-ping-interval must be a positive number of seconds"},
+		{[]string{"-mode", "churn-repair", "-ping-timeout", "0"}, "-ping-timeout must be positive"},
+		{[]string{"-mode", "faults", "-attempts", "0"}, "-attempts must be positive"},
 		{[]string{"-mode", "fig8", "-dead", "0.5"}, "-dead does not apply to -mode fig8"},
 		{[]string{"-mode", "recovery", "-polite", "0.5"}, "-polite does not apply to -mode recovery"},
 		{[]string{"-mode", "fig8", "-snapshot-save", snap}, "-snapshot-save does not apply to -mode fig8"},
@@ -192,6 +201,21 @@ func TestCLIPipeline(t *testing.T) {
 		out, err := exec.Command(bins["qc-sim"], append(tc.args, "-scale", "tiny")...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), tc.want) {
 			t.Errorf("qc-sim %v: want a failure naming %q, got %v\n%s", tc.args, tc.want, err, out)
+		}
+	}
+
+	// -h prints each mode flag's real default.
+	help, _ := exec.Command(bins["qc-sim"], "-h").CombinedOutput()
+	if strings.Contains(string(help), "= default") {
+		t.Errorf("qc-sim -h names a placeholder default:\n%s", help)
+	}
+	for flag, def := range map[string]string{
+		"polite float": "0.67", "burst-time int": "2400", "burst-frac float": "0.3",
+		"ping-interval int": "60", "ping-timeout int": "2", "attempts int": "3",
+		"fault-rates string": `"0,0.05,0.1,0.2,0.3,0.4,0.5"`,
+	} {
+		if !regexp.MustCompile(`-` + flag + `\n[^\n]*\(default ` + regexp.QuoteMeta(def) + `\)\n`).Match(help) {
+			t.Errorf("qc-sim -h does not print -%s's default %s:\n%s", flag, def, help)
 		}
 	}
 }
