@@ -24,13 +24,18 @@ race:
 # independent run), identical in metrics snapshot and manifest fingerprint
 # (metrics, flood traces, windows) at 1 vs 8 workers, and equal in output
 # to its RUNNER_DIGESTS.txt line. Beside them: the snapshot round trip (a restored network reproduces the fresh build's figures, a
-# damaged snapshot fails loudly) and the overload plane (a flash-crowd
+# damaged snapshot fails every consumer of the population loudly), restored
+# networks under mutation (a scenario with churn, repair, breakers and loss
+# over a population restore equals the heap build's, and mutating one
+# restore leaves every other restore's floods unchanged) and the overload
+# plane (a flash-crowd
 # scenario with shedding and breakers is byte-identical at 1 vs 8 workers,
 # and a disabled capacity plane is byte-identical to no plane).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
+	$(GO) test -race -run 'TestRestoredNetworksUnderMutation' ./internal/snapshot/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec, the snapshot loaders (each input loaded as
@@ -204,8 +209,9 @@ loc:
 # `determinism` and `api-freeze` select — the registry gates,
 # TestRunnerDigests, TestInternalCodeIsReached and
 # TestConfigKnobsHaveTwoValues among them — the recovery / saturation / query-centric
-# claims, TestScaleGate's tiny row and TestOverlappedLoadMatchesSequential,
-# the snapshot loaders' error contract), the decoder,
+# claims, TestScaleGate's tiny row, TestOverlappedLoadMatchesSequential,
+# the snapshot loaders' error contract, and TestRestoredNetworksUnderMutation,
+# the copy-on-write reference for restored networks), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

@@ -22,6 +22,7 @@ import (
 
 	qc "querycentric"
 	"querycentric/internal/cliflags"
+	"querycentric/internal/crawler"
 	"querycentric/internal/parallel"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		faultDepart    = flag.Float64("fault-depart", 0, "per-descriptor probability the peer departs mid-session")
 		faultLoss      = flag.Float64("fault-loss", 0, "per-hop probability a flooded descriptor is lost")
 		faultSeed      = flag.Uint64("fault-seed", 0, "fault schedule seed (default: root seed)")
-		attempts       = flag.Int("attempts", 0, "per-peer crawl attempt budget (0 = crawler default)")
+		attempts       = flag.Int("attempts", crawler.DefaultConfig().MaxAttempts, "per-peer crawl attempt budget")
 
 		profiles  = cliflags.AddProfiles(flag.CommandLine)
 		obsFlags  = cliflags.AddObs(flag.CommandLine, "qc-crawl")
@@ -55,7 +56,7 @@ func main() {
 	if err := cliflags.CheckPositive("-objects", *objects); err != nil {
 		fail(err)
 	}
-	if err := cliflags.CheckNonNegative("-attempts", *attempts); err != nil {
+	if err := cliflags.CheckPositive("-attempts", *attempts); err != nil {
 		fail(err)
 	}
 	for _, fr := range []struct {

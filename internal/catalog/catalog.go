@@ -83,16 +83,11 @@ type Sink struct {
 	Place  func(peer int, name string) error
 }
 
-// Build constructs the population for cfg. Identical configs build
-// identical catalogs. Canonical name generation fans out over GOMAXPROCS
-// workers; see BuildWorkers.
-func Build(cfg Config) (*Catalog, error) {
-	return BuildWorkers(cfg, 0)
-}
-
-// BuildWorkers is Build with an explicit worker bound for the parallel
-// phase. It materializes the population Stream emits, so the two are
-// draw-for-draw identical by construction.
+// BuildWorkers constructs the population for cfg, fanning canonical name
+// generation out over up to `workers` goroutines (≤ 0 means GOMAXPROCS).
+// Identical configs build identical catalogs at every worker count. It
+// materializes the population Stream emits, so the two are draw-for-draw
+// identical by construction.
 func BuildWorkers(cfg Config, workers int) (*Catalog, error) {
 	c := &Catalog{Config: cfg}
 	if cfg.UniqueObjects > 0 {

@@ -27,18 +27,18 @@ func TestBuildValidation(t *testing.T) {
 		{Peers: 10, UniqueObjects: 10, ReplicaAlpha: 2, NonSpecificPeerFrac: -0.1},
 	}
 	for i, cfg := range bad {
-		if _, err := Build(cfg); err == nil {
+		if _, err := BuildWorkers(cfg, 0); err == nil {
 			t.Errorf("config %d: expected error", i)
 		}
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, err := Build(smallConfig(5))
+	a, err := BuildWorkers(smallConfig(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(smallConfig(5))
+	b, err := BuildWorkers(smallConfig(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildSeedsDiffer(t *testing.T) {
-	a, _ := Build(smallConfig(1))
-	b, _ := Build(smallConfig(2))
+	a, _ := BuildWorkers(smallConfig(1), 0)
+	b, _ := BuildWorkers(smallConfig(2), 0)
 	if a.Objects[0].Name == b.Objects[0].Name && a.Objects[1].Name == b.Objects[1].Name &&
 		a.Objects[0].Replicas == b.Objects[0].Replicas && a.TotalPlacements == b.TotalPlacements {
 		t.Error("different seeds produced suspiciously identical catalogs")
@@ -69,7 +69,7 @@ func TestBuildSeedsDiffer(t *testing.T) {
 func TestReplicaDistributionShape(t *testing.T) {
 	// The calibration targets from DESIGN.md §5: ~70% singletons (we accept
 	// 0.60–0.85 at this scale), ≥97% of objects on ≤37 peers, mean 1.2–2.5.
-	c, err := Build(smallConfig(7))
+	c, err := BuildWorkers(smallConfig(7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReplicaDistributionShape(t *testing.T) {
 func TestPlacementsMatchReplicas(t *testing.T) {
 	cfg := smallConfig(9)
 	cfg.NonSpecificPeerFrac = 0 // so placements == sum of replicas
-	c, err := Build(cfg)
+	c, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestNoVariantsMeansExactNames(t *testing.T) {
 	cfg := smallConfig(11)
 	cfg.VariantProb = 0
 	cfg.NonSpecificPeerFrac = 0
-	c, err := Build(cfg)
+	c, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestNoVariantsMeansExactNames(t *testing.T) {
 func TestNonSpecificNamesAppear(t *testing.T) {
 	cfg := smallConfig(13)
 	cfg.NonSpecificPeerFrac = 0.10
-	c, err := Build(cfg)
+	c, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNonSpecificNamesAppear(t *testing.T) {
 func TestReplicasWithinPeerBound(t *testing.T) {
 	cfg := smallConfig(15)
 	cfg.Peers = 20 // force the cap to bind
-	c, err := Build(cfg)
+	c, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReplicasOnDistinctPeers(t *testing.T) {
 	cfg := smallConfig(17)
 	cfg.VariantProb = 0
 	cfg.NonSpecificPeerFrac = 0
-	c, err := Build(cfg)
+	c, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestReplicasOnDistinctPeers(t *testing.T) {
 }
 
 func TestLibrarySizesHeterogeneous(t *testing.T) {
-	c, err := Build(smallConfig(19))
+	c, err := BuildWorkers(smallConfig(19), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDefaultConfigBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale build in -short mode")
 	}
-	c, err := Build(DefaultConfig(21))
+	c, err := BuildWorkers(DefaultConfig(21), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,19 +241,19 @@ func BenchmarkBuild(b *testing.B) {
 	cfg := smallConfig(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(cfg); err != nil {
+		if _, err := BuildWorkers(cfg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // TestStreamMatchesBuild pins the Sink contract the sharded snapshot
-// builder depends on: Stream emits exactly Build's population — the same
+// builder depends on: Stream emits exactly BuildWorkers' population — the same
 // objects in ID order and, per peer, placements in exactly library order —
 // at every worker count.
 func TestStreamMatchesBuild(t *testing.T) {
 	cfg := smallConfig(7)
-	want, err := Build(cfg)
+	want, err := BuildWorkers(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

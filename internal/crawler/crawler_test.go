@@ -9,10 +9,10 @@ import (
 
 func buildPopulatedNet(t *testing.T, peers int, firewalled float64) *gnet.Network {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 7, Peers: peers, UniqueObjects: peers * 20, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,9 @@ func TestCrawlEmptyNetwork(t *testing.T) {
 }
 
 func BenchmarkCrawl(b *testing.B) {
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 7, Peers: 100, UniqueObjects: 2000, ReplicaAlpha: 2.45,
-	})
+	}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -124,10 +124,10 @@ func TestPartialBrowseKeepsFilesRead(t *testing.T) {
 	// Large libraries (multi-batch browses) + mid-session departures and
 	// truncations: peers that die mid-browse must still contribute the
 	// files already enumerated.
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 11, Peers: 30, UniqueObjects: 9000, ReplicaAlpha: 1.6,
 		VariantProb: 0.05,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,16 +18,16 @@ import (
 // scenarios mutate topology).
 func testNetwork(t *testing.T, seed uint64) *gnet.Network {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed:                seed,
 		Peers:               120,
 		UniqueObjects:       2500,
 		ReplicaAlpha:        2.45,
 		VariantProb:         0.08,
 		NonSpecificPeerFrac: 0.05,
-	})
+	}, 0)
 	if err != nil {
-		t.Fatalf("catalog.Build: %v", err)
+		t.Fatalf("catalog.BuildWorkers: %v", err)
 	}
 	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(seed), cat, 0)
 	if err != nil {

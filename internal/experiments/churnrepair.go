@@ -14,7 +14,7 @@ import (
 // (ping/pong failure detection plus host-cache repair). Windowed
 // known-item floods measure search success over time; a steady-state arm
 // on the untouched fault-free overlay anchors the comparison. All three
-// arms are event-engine scenarios over one catalog and share the query
+// arms are event-engine scenarios over one population and share the query
 // streams, so they differ only through topology and liveness.
 
 // ChurnRepairConfig tunes the experiment.

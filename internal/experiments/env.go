@@ -139,10 +139,12 @@ func ParamsFor(s Scale) Params {
 	}
 }
 
-// Env builds and memoizes the shared artifacts (crawled traces, query
-// workload, the calibrated catalog) so several figures can reuse one
+// Env builds and memoizes the shared artifacts (the Gnutella population,
+// crawled traces, query workload) so several figures can reuse one
 // population, exactly as the paper derived all of Figures 1–3 and 7 from
-// one crawl.
+// one crawl. The population is one snapshot mapping, opened on first use
+// and kept for the Env's whole life: every network the Env hands out is a
+// fresh restore that views it, so the Env never unmaps it.
 type Env struct {
 	Seed uint64
 	P    Params
@@ -172,19 +174,19 @@ type Env struct {
 	// manifest next to the scalar metrics and are fingerprinted with them.
 	Windows *obs.WindowLog
 
-	// SnapshotLoad, when non-empty, restores the Gnutella population from
-	// this snapshot file, memory-mapped, instead of building catalog +
-	// network + indexes (ObjectTrace still runs the crawler against the
-	// restored network; a restored network behaves byte-identically to a
-	// fresh build, so every downstream figure is unchanged). SnapshotSave,
-	// when non-empty, persists the population to this path: a fresh one is
-	// built shard by shard straight into the file and mapped back, a loaded
-	// one is re-saved.
+	// SnapshotLoad, when non-empty, maps the Gnutella population from this
+	// snapshot file instead of building it, so ObjectTrace's crawl and
+	// every runner network are restores of it (byte-identical to a fresh
+	// build). SnapshotSave, when non-empty, persists the population there:
+	// a fresh one is built shard by shard straight into the file, a loaded
+	// one is copied once a restore has verified it.
 	SnapshotLoad string
 	SnapshotSave string
 
+	popMu sync.Mutex
+	pop   *snapshot.Population
+
 	mu        sync.Mutex
-	cat       *catalog.Catalog
 	objTrace  *trace.ObjectTrace
 	objStats  *crawler.Stats
 	songTrace *trace.SongTrace
@@ -204,11 +206,10 @@ func (e *Env) workers() int { return parallel.Workers(e.Workers) }
 // Population is the one recipe for "the calibrated Gnutella population":
 // the catalog shape measured by the paper's crawl (catalog.DefaultConfig)
 // at this scale's size, plus the overlay that carries it. Every build path
-// — the crawled population (snapshot.OpenPopulation, behind ObjectTrace
-// and the facade's GnutellaCrawl), the runners' networks (newNetwork) and
-// TestScaleGate's construction gates — derives from it, so they all draw
-// the identical population. Callers add Workers (and sharded builds
-// ShardSize) as needed.
+// — the Env's population (snapshot.OpenPopulation, behind ObjectTrace and
+// every runner's newNetwork), the facade's GnutellaCrawl and TestScaleGate's
+// construction gates — derives from it, so they all draw the identical
+// population. Callers add Workers (and sharded builds ShardSize) as needed.
 func (p Params) Population(seed uint64) snapshot.BuildConfig {
 	ccfg := catalog.DefaultConfig(seed)
 	ccfg.Peers, ccfg.UniqueObjects = p.GnutellaPeers, p.UniqueObjects
@@ -217,42 +218,26 @@ func (p Params) Population(seed uint64) snapshot.BuildConfig {
 	return snapshot.BuildConfig{Catalog: ccfg, Network: gcfg}
 }
 
-// catalog builds (once) the calibrated content population the runners'
-// networks carry. Nothing mutates it: a network copies each library.
-func (e *Env) catalog() (*catalog.Catalog, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cat == nil {
-		cat, err := catalog.BuildWorkers(e.P.Population(e.Seed).Catalog, e.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: building catalog: %w", err)
-		}
-		e.cat = cat
-	}
-	return e.cat, nil
-}
-
-// newNetwork builds a fresh instrumented overlay over the environment's
-// catalog with its holder index: the network is born with its posting
-// indexes, and every runner floods it — without a holder index, a flood
-// probes every peer it reaches. A runner calls it once per arm or sweep
-// point that mutates topology, libraries or liveness, so nothing leaks
-// between them; points that only read the network, or differ by a
-// swappable plane alone (FaultSweepWith's fault planes), share one build.
-// The build resolves its own worker count: the dictionary and the holder
-// index shard by it, so threading e.Workers through would make
-// parallel_map_units_total depend on -workers.
+// newNetwork restores a fresh instrumented overlay, indexes included,
+// from the environment's population, opened on first use (under popMu:
+// ObjectTrace holds e.mu). A runner calls it once per arm or sweep point
+// that mutates topology, libraries or liveness; points that only read it
+// or differ by a swappable plane (FaultSweepWith's fault planes) share
+// one. Restores resolve their own worker count: the dictionary and holder
+// index shard by it, so e.Workers would leak into parallel_map_units_total.
 func (e *Env) newNetwork() (*gnet.Network, error) {
-	cat, err := e.catalog()
-	if err != nil {
-		return nil, err
+	e.popMu.Lock()
+	defer e.popMu.Unlock()
+	if e.pop == nil {
+		pop, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.P.Population(e.Seed), e.Obs)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		e.pop = pop
 	}
-	nw, err := gnet.NewFromCatalogWorkers(e.P.Population(e.Seed).Network, cat, 0)
-	if err == nil {
-		err = nw.BuildIndexes(0)
-	}
+	nw, err := e.pop.Network()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building network: %w", err)
+		return nil, fmt.Errorf("experiments: restoring network: %w", err)
 	}
 	e.instrumentNetwork(nw)
 	return nw, nil
@@ -324,22 +309,15 @@ func (e *Env) ObjectTrace() (*trace.ObjectTrace, *crawler.Stats, error) {
 	if e.objTrace != nil {
 		return e.objTrace, e.objStats, nil
 	}
-	// Like newNetwork, the build resolves its own worker count: the
-	// dictionary shards by it, so e.Workers would leak into
-	// parallel_map_units_total.
-	nw, err := snapshot.OpenPopulation(e.SnapshotLoad, e.SnapshotSave, e.P.Population(e.Seed), e.Obs)
+	nw, err := e.newNetwork()
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %w", err)
+		return nil, nil, err
 	}
-	e.instrumentNetwork(nw)
 	ccfg := crawler.DefaultConfig()
 	ccfg.Obs = e.Obs
 	stop := e.Obs.StartPhase("env/crawl")
 	tr, st, err := crawler.Crawl(nw, ccfg)
 	stop()
-	// The trace's names were decoded from wire bytes, so nothing it holds
-	// views a snapshot mapping; release the mapping now, not at exit.
-	nw.Close()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: crawling: %w", err)
 	}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+
 	"querycentric/internal/catalog"
 	"querycentric/internal/gnet"
 	"querycentric/internal/rng"
+	"querycentric/internal/snapshot"
 	"querycentric/internal/strategy"
 	"querycentric/internal/terms"
 )
@@ -28,18 +31,17 @@ type QRPResult struct {
 // query-vocabulary terms (the mismatched majority, per Figure 7).
 func QRPEffect(e *Env) (*QRPResult, error) {
 	peers := max(e.P.GnutellaPeers/2, 200)
-	cat, err := catalog.Build(catalog.Config{
-		Seed: e.Seed + 70, Peers: peers, UniqueObjects: peers * 20, ReplicaAlpha: 2.45,
-	})
+	pop, err := snapshot.OpenPopulation("", "", snapshot.BuildConfig{
+		Catalog: catalog.Config{Seed: e.Seed + 70, Peers: peers, UniqueObjects: peers * 20, ReplicaAlpha: 2.45},
+		Network: gnet.DefaultConfig(e.Seed + 70),
+	}, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	nw, err := gnet.NewFromCatalogWorkers(gnet.DefaultConfig(e.Seed+70), cat, 0)
-	if err == nil {
-		err = nw.BuildIndexes(0) // the plain pass floods before EnableQRP would
-	}
+	defer pop.Close()
+	nw, err := pop.Network()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: restoring network: %w", err)
 	}
 	e.instrumentNetwork(nw)
 

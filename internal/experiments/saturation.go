@@ -209,9 +209,9 @@ func (r *SaturationResult) Peak(arm string) *SaturationPoint {
 }
 
 // SaturationWith sweeps the flash-crowd scenario over offered load for
-// every capacity arm. All points share the environment's catalog; each
-// gets a fresh overlay so topology mutations (maintenance under overload
-// degrades failure detection) never leak across points.
+// every capacity arm. Each point gets a fresh restore of the environment's
+// population, so topology mutations (maintenance under overload degrades
+// failure detection) never leak across points.
 func SaturationWith(e *Env, cfg SaturationConfig) (*SaturationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

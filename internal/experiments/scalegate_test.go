@@ -196,7 +196,7 @@ func measureGate(t *testing.T, scale Scale, shardSize int, inHeap bool) *gateRun
 	if inHeap {
 		file = filepath.Join(dir, "heap.qcsnap")
 		t0 := time.Now()
-		cat, err := catalog.Build(bcfg.Catalog)
+		cat, err := catalog.BuildWorkers(bcfg.Catalog, 0)
 		check(err)
 		nw, err := gnet.NewFromCatalogWorkers(bcfg.Network, cat, 0)
 		check(err)

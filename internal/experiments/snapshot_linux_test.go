@@ -9,30 +9,36 @@ import (
 	"testing"
 )
 
-// TestObjectTraceUnmapsSnapshot: ObjectTrace keeps only the crawl's trace,
-// whose names are decoded copies, so the snapshot mapping a save or a load
-// opened must be gone from the process once it returns rather than pinned
-// for the life of the process.
-func TestObjectTraceUnmapsSnapshot(t *testing.T) {
+// TestEnvMapsPopulationOnce: an environment maps its population snapshot
+// once, on first use, and every network it hands out afterwards — the
+// crawl's and each runner's — is a restore of that one mapping, whether
+// the snapshot was just saved or loaded.
+func TestEnvMapsPopulationOnce(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "tiny.qcsnap")
-	mapped := func() bool {
+	mappings := func() int {
 		t.Helper()
 		maps, err := os.ReadFile("/proc/self/maps")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Contains(maps, []byte(snap))
+		return bytes.Count(maps, []byte(snap))
 	}
 	save := NewEnv(ScaleTiny, 42)
 	save.SnapshotSave = snap
 	load := NewEnv(ScaleTiny, 42)
 	load.SnapshotLoad = snap
-	for _, e := range []*Env{save, load} {
+	for i, e := range []*Env{save, load} {
 		if _, _, err := e.ObjectTrace(); err != nil {
 			t.Fatal(err)
 		}
-		if mapped() {
-			t.Fatalf("the snapshot is still mapped after ObjectTrace returned (save=%q load=%q)", e.SnapshotSave, e.SnapshotLoad)
+		for range 2 {
+			if _, err := e.newNetwork(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := mappings(); got != i+1 {
+			t.Fatalf("%d mappings of the snapshot after %d environments each crawled and restored two networks (save=%q load=%q), want %d",
+				got, i+1, e.SnapshotSave, e.SnapshotLoad, i+1)
 		}
 	}
 }

@@ -102,8 +102,9 @@ func TestSnapshotRoundTripMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotLoadFailsLoudlyInEnv: a damaged snapshot must abort the
-// environment build with a typed snapshot error, never fall back to a
+// TestSnapshotLoadFailsLoudlyInEnv: a damaged snapshot must abort every
+// consumer of the environment's population — the crawl, a runner, a bare
+// runner network — with a typed snapshot error, never fall back to a
 // silent rebuild.
 func TestSnapshotLoadFailsLoudlyInEnv(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "tiny.qcsnap")
@@ -120,17 +121,26 @@ func TestSnapshotLoadFailsLoudlyInEnv(t *testing.T) {
 	if err := os.WriteFile(snap, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := NewEnv(ScaleTiny, 42)
-	bad.SnapshotLoad = snap
-	_, _, err = bad.ObjectTrace()
-	if err == nil {
-		t.Fatal("ObjectTrace accepted a corrupted snapshot")
+	bad := func() *Env {
+		e := NewEnv(ScaleTiny, 42)
+		e.SnapshotLoad = snap
+		return e
 	}
-	for _, sentinel := range []error{snapshot.ErrFingerprint, snapshot.ErrCorrupt, snapshot.ErrTruncated} {
-		if errors.Is(err, sentinel) {
-			t.Logf("rejected with: %v", err)
-			return
+	crawlEnv := bad()
+	_, _, crawlErr := crawlEnv.ObjectTrace()
+	_, sweepErr := FaultSweepWith(bad(), FaultSweepConfig{Rates: []float64{0}})
+	_, netErr := crawlEnv.newNetwork() // the population stays open after a failed restore
+	for name, err := range map[string]error{"ObjectTrace": crawlErr, "FaultSweepWith": sweepErr, "newNetwork": netErr} {
+		if err == nil {
+			t.Errorf("%s accepted a corrupted snapshot", name)
+			continue
+		}
+		typed := false
+		for _, sentinel := range []error{snapshot.ErrFingerprint, snapshot.ErrCorrupt, snapshot.ErrTruncated} {
+			typed = typed || errors.Is(err, sentinel)
+		}
+		if !typed {
+			t.Errorf("%s: corruption produced an untyped error: %v", name, err)
 		}
 	}
-	t.Fatalf("corruption produced an untyped error: %v", err)
 }

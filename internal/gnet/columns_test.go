@@ -15,10 +15,10 @@ import (
 // columnNet builds a catalog network with its holder index.
 func columnNet(t *testing.T) *gnet.Network {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 5, Peers: 150, UniqueObjects: 150 * 25, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,10 @@ func populatedNet(t *testing.T, peers int) *Network {
 // fresh: callers may grow its libraries.
 func populatedCatalog(t *testing.T, peers int) *catalog.Catalog {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +306,9 @@ func naiveMatch(p *Peer, criteria string) []File {
 }
 
 func BenchmarkMatch(b *testing.B) {
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 5, Peers: 50, UniqueObjects: 4000, ReplicaAlpha: 2.45,
-	})
+	}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

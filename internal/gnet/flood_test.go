@@ -215,10 +215,10 @@ func BenchmarkFloodCtx(b *testing.B) {
 // benchNet is populatedNet for benchmarks.
 func benchNet(b *testing.B, peers int) *Network {
 	b.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 5, Peers: peers, UniqueObjects: peers * 25, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

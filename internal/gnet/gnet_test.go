@@ -199,9 +199,9 @@ func TestMatch(t *testing.T) {
 }
 
 func TestNewFromCatalog(t *testing.T) {
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 3, Peers: 100, UniqueObjects: 2000, ReplicaAlpha: 2.45,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

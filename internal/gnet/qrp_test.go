@@ -9,9 +9,9 @@ import (
 
 func qrpNet(t *testing.T) *Network {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 17, Peers: 400, UniqueObjects: 8000, ReplicaAlpha: 2.45,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

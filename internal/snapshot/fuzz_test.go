@@ -43,10 +43,10 @@ import (
 // version-1 header and a full file stamped version 2, truncated and
 // bit-flipped variants, one of them flipped inside the holder section.
 func FuzzSnapshotLoad(f *testing.F) {
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 11, Peers: 12, UniqueObjects: 48, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

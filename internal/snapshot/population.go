@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -9,55 +10,74 @@ import (
 	"querycentric/internal/obs"
 )
 
-// OpenPopulation produces the Gnutella population a run works on, from
-// wherever the arguments say it lives: restored through a read-only memory
-// mapping of the snapshot at load when that is set (re-saved to save when
-// that is set too), else built shard by shard straight into a snapshot file
-// and mapped back from it — the whole substrate is never resident during
-// construction. That file is save when it is set, else a temporary file
-// under os.TempDir, removed before OpenPopulation returns (the mapping
-// outlives its name). A mapped network owns its mapping: the caller closes
-// it once nothing views the population's strings. Each leg is timed as an
-// env/… phase on reg; a nil reg records nothing.
-func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*gnet.Network, error) {
-	if load != "" {
-		stop := reg.StartPhase("env/snapshot-load")
-		nw, err := LoadMapped(load, cfg.Workers)
-		stop()
-		if err != nil {
-			return nil, fmt.Errorf("loading snapshot: %w", err)
-		}
-		if save != "" {
-			stop := reg.StartPhase("env/snapshot-save")
-			_, err := Save(save, nw, cfg.Workers)
-			stop()
-			if err != nil {
-				nw.Close()
-				return nil, fmt.Errorf("saving snapshot: %w", err)
-			}
-		}
-		return nw, nil
-	}
-	path := save
+// Population is one read-only mapping of a population snapshot, from which
+// any number of independent networks are restored.
+type Population struct {
+	data    []byte
+	backing io.Closer
+	workers int
+}
+
+// OpenPopulation maps the population a run works on: the snapshot at load
+// when that is set (copied byte for byte to save when that is set too,
+// once a restore has verified it), else one built shard by shard — the
+// whole substrate is never resident — into save, or into a temporary file
+// under os.TempDir that is removed before OpenPopulation returns (the
+// mapping outlives its name). Restores run over cfg.Workers goroutines.
+// Each leg is timed as an env/… phase on reg; a nil reg records nothing.
+func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*Population, error) {
+	path := load
 	if path == "" {
-		dir, err := os.MkdirTemp("", "population-")
+		if path = save; path == "" {
+			dir, err := os.MkdirTemp("", "population-")
+			if err != nil {
+				return nil, fmt.Errorf("sharded snapshot build: %w", err)
+			}
+			defer os.RemoveAll(dir)
+			path = filepath.Join(dir, "population.qcsnap")
+		}
+		stop := reg.StartPhase("env/snapshot-build-sharded")
+		_, err := BuildSharded(path, cfg)
+		stop()
 		if err != nil {
 			return nil, fmt.Errorf("sharded snapshot build: %w", err)
 		}
-		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "population.qcsnap")
 	}
-	stop := reg.StartPhase("env/snapshot-build-sharded")
-	_, err := BuildSharded(path, cfg)
+	stop := reg.StartPhase("env/snapshot-load")
+	data, backing, err := mapFile(path)
 	stop()
 	if err != nil {
-		return nil, fmt.Errorf("sharded snapshot build: %w", err)
+		return nil, fmt.Errorf("loading snapshot: %w", err)
 	}
-	stop = reg.StartPhase("env/snapshot-load")
-	nw, err := LoadMapped(path, cfg.Workers)
-	stop()
-	if err != nil {
-		return nil, fmt.Errorf("loading sharded snapshot: %w", err)
+	p := &Population{data: data, backing: backing, workers: cfg.Workers}
+	if load != "" && save != "" {
+		stop := reg.StartPhase("env/snapshot-save")
+		_, err := p.Network()
+		if err == nil {
+			_, err = writeAtomic(save, func(f *os.File) (int64, error) {
+				n, err := f.Write(data)
+				return int64(n), err
+			})
+		}
+		stop()
+		if err != nil {
+			p.Close()
+			return nil, fmt.Errorf("saving snapshot: %w", err)
+		}
 	}
-	return nw, nil
+	return p, nil
 }
+
+// Network restores a fresh network from the population, checking every
+// section digest (a damaged file fails with Load's typed errors). Its
+// names, posting arenas and dictionary view the mapping; everything a
+// mutation touches is its own heap copy, so no two restores share mutable
+// state. The network is Borrowed and its Close is a no-op: it is valid
+// until the Population is closed.
+func (p *Population) Network() (*gnet.Network, error) {
+	return restore(p.data, nopCloser{}, p.workers)
+}
+
+// Close unmaps the population, invalidating every network restored from
+// it. Close is idempotent.
+func (p *Population) Close() error { return p.backing.Close() }

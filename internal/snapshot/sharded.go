@@ -93,7 +93,7 @@ type BuildStats struct {
 // without ever holding the whole substrate in memory.
 // The file is written to path+".tmp" and renamed into place on success.
 // The output is byte-identical to Save over the equivalent in-heap build
-// (catalog.Build → gnet.NewFromCatalogWorkers → Save).
+// (catalog.BuildWorkers → gnet.NewFromCatalogWorkers → Save).
 func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 	n := cfg.Catalog.Peers
 	if n <= 0 {

@@ -213,37 +213,6 @@ func TestMappedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenPopulationLeavesNoFile: with neither load nor save set, the
-// population is built into a temporary snapshot and mapped back — the
-// same index checksum as the in-heap build — and the temporary file is
-// gone by the time OpenPopulation returns.
-func TestOpenPopulationLeavesNoFile(t *testing.T) {
-	want, err := buildNet(t, 150).IndexChecksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
-	nw, err := OpenPopulation("", "", testBuildConfig(150), nil)
-	if err != nil {
-		t.Fatalf("OpenPopulation: %v", err)
-	}
-	defer nw.Close()
-	if !nw.Borrowed() {
-		t.Fatal("population is not mapped from a snapshot")
-	}
-	got, err := nw.IndexChecksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("index checksum %#x, in-heap build %#x", got, want)
-	}
-	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
-		t.Fatalf("temporary directory holds %v (err %v), want nothing", left, err)
-	}
-}
-
 // TestMappedFloodsIdentical floods a mapped restore against the original
 // network: results must be byte-identical, and overlay mutation on the
 // mapped network (which rewires heap neighbor arenas, never the mapping)

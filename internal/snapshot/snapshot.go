@@ -88,12 +88,19 @@ func Save(path string, nw *gnet.Network, workers int) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
 	}
+	return writeAtomic(path, func(f *os.File) (int64, error) { return writeSnapshot(f, st) })
+}
+
+// writeAtomic writes path through write, atomically: the bytes land in
+// path+".tmp", which is renamed into place only after a successful
+// sync-free close. Returns what write returned.
+func writeAtomic(path string, write func(*os.File) (int64, error)) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	n, err := writeSnapshot(f, st)
+	n, err := write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

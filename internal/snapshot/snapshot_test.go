@@ -16,10 +16,10 @@ import (
 // buildNet constructs a small catalog-backed network.
 func buildNet(t *testing.T, peers int) *gnet.Network {
 	t.Helper()
-	cat, err := catalog.Build(catalog.Config{
+	cat, err := catalog.BuildWorkers(catalog.Config{
 		Seed: 11, Peers: peers, UniqueObjects: peers * 20, ReplicaAlpha: 2.45,
 		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,31 +98,21 @@ func (t *ObjectTrace) Write(w io.Writer) error {
 
 // ReadObjectTrace parses a trace written by Write.
 func ReadObjectTrace(r io.Reader) (*ObjectTrace, error) {
-	size := inputSize(r)
-	sc := newScanner(r)
-	fields, err := sc.header(objectMagic, 4)
-	if err != nil {
-		return nil, err
-	}
-	t := &ObjectTrace{Source: fields[1]}
-	if t.Peers, err = headerCount("peer", fields[2]); err != nil {
-		return nil, err
-	}
-	n, err := headerCount("record", fields[3])
-	if err != nil {
-		return nil, err
-	}
-	t.Records = make([]ObjectRecord, 0, recordCap(size, n))
-	for i := 0; i < n; i++ {
-		f, err := sc.record(2)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
+	t := &ObjectTrace{}
+	err := readTrace(r, objectMagic, 2, func(h []string) (err error) {
+		t.Source = h[1]
+		t.Peers, err = headerCount("peer", h[2])
+		return err
+	}, func(n int) { t.Records = make([]ObjectRecord, 0, n) }, func(i int, f []string) error {
 		peer, err := strconv.Atoi(f[0])
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d peer: %w", i, err)
+			return fmt.Errorf("trace: record %d peer: %w", i, err)
 		}
 		t.Records = append(t.Records, ObjectRecord{Peer: peer, Name: f[1]})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -147,33 +137,21 @@ func (t *SongTrace) Write(w io.Writer) error {
 
 // ReadSongTrace parses a trace written by Write.
 func ReadSongTrace(r io.Reader) (*SongTrace, error) {
-	size := inputSize(r)
-	sc := newScanner(r)
-	fields, err := sc.header(songMagic, 4)
-	if err != nil {
-		return nil, err
-	}
-	t := &SongTrace{Source: fields[1]}
-	if t.Peers, err = headerCount("peer", fields[2]); err != nil {
-		return nil, err
-	}
-	n, err := headerCount("record", fields[3])
-	if err != nil {
-		return nil, err
-	}
-	t.Records = make([]SongRecord, 0, recordCap(size, n))
-	for i := 0; i < n; i++ {
-		f, err := sc.record(5)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
+	t := &SongTrace{}
+	err := readTrace(r, songMagic, 5, func(h []string) (err error) {
+		t.Source = h[1]
+		t.Peers, err = headerCount("peer", h[2])
+		return err
+	}, func(n int) { t.Records = make([]SongRecord, 0, n) }, func(i int, f []string) error {
 		peer, err := strconv.Atoi(f[0])
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d peer: %w", i, err)
+			return fmt.Errorf("trace: record %d peer: %w", i, err)
 		}
-		t.Records = append(t.Records, SongRecord{
-			Peer: peer, Track: f[1], Artist: f[2], Album: f[3], Genre: f[4],
-		})
+		t.Records = append(t.Records, SongRecord{Peer: peer, Track: f[1], Artist: f[2], Album: f[3], Genre: f[4]})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -199,71 +177,81 @@ func (t *QueryTrace) Write(w io.Writer) error {
 // analyses consume them in; a record that breaks it is an error naming
 // the record.
 func ReadQueryTrace(r io.Reader) (*QueryTrace, error) {
-	size := inputSize(r)
-	sc := newScanner(r)
-	fields, err := sc.header(queryMagic, 4)
-	if err != nil {
-		return nil, err
-	}
-	t := &QueryTrace{Source: fields[1]}
-	if t.Duration, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-		return nil, fmt.Errorf("trace: bad duration: %w", err)
-	}
-	n, err := headerCount("record", fields[3])
-	if err != nil {
-		return nil, err
-	}
-	t.Records = make([]QueryRecord, 0, recordCap(size, n))
-	for i := 0; i < n; i++ {
-		f, err := sc.record(2)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+	t := &QueryTrace{}
+	err := readTrace(r, queryMagic, 2, func(h []string) (err error) {
+		t.Source = h[1]
+		if t.Duration, err = strconv.ParseInt(h[2], 10, 64); err != nil {
+			return fmt.Errorf("trace: bad duration: %w", err)
 		}
+		return nil
+	}, func(n int) { t.Records = make([]QueryRecord, 0, n) }, func(i int, f []string) error {
 		ts, err := strconv.ParseInt(f[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d time: %w", i, err)
-		}
-		if ts < 0 || ts >= t.Duration {
-			return nil, fmt.Errorf("trace: record %d time %d outside [0, %d)", i, ts, t.Duration)
-		}
-		if i > 0 && ts < t.Records[i-1].Time {
-			return nil, fmt.Errorf("trace: record %d time %d precedes record %d's %d", i, ts, i-1, t.Records[i-1].Time)
+		switch {
+		case err != nil:
+			return fmt.Errorf("trace: record %d time: %w", i, err)
+		case ts < 0 || ts >= t.Duration:
+			return fmt.Errorf("trace: record %d time %d outside [0, %d)", i, ts, t.Duration)
+		case i > 0 && ts < t.Records[i-1].Time:
+			return fmt.Errorf("trace: record %d time %d precedes record %d's %d", i, ts, i-1, t.Records[i-1].Time)
 		}
 		t.Records = append(t.Records, QueryRecord{Time: ts, Query: f[1]})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// minRecordBytes is the fewest bytes a record can take: one field byte
-// and a tab or line end. An input of n bytes holds at most
-// n/minRecordBytes + 1 records, whatever its header claims.
-const minRecordBytes = 2
+// readTrace reads a header line (magic and three fields, which head
+// parses) and the header's count of nf-field records: grow gets the
+// capacity to preallocate, then rec parses each record. A record takes at
+// least nf+1 bytes (a one-digit peer or time, a tab per further field, the
+// line end), so a sized input of n bytes holds at most n/(nf+1) + 1: a
+// header claiming more fails before any record is read, with an error
+// wrapping io.ErrUnexpectedEOF, and costs no capacity. An input of unknown
+// size preallocates at most unsizedPrealloc records.
+func readTrace(r io.Reader, magic string, nf int, head func([]string) error, grow func(int), rec func(int, []string) error) error {
+	size := -1
+	if l, ok := r.(interface{ Len() int }); ok { // bytes and strings readers, buffers
+		size = l.Len()
+	}
+	sc := newScanner(r)
+	fields, err := sc.header(magic, 4)
+	if err != nil {
+		return err
+	}
+	if err := head(fields); err != nil {
+		return err
+	}
+	n, err := headerCount("record", fields[3])
+	if err != nil {
+		return err
+	}
+	capacity := min(n, unsizedPrealloc)
+	if size >= 0 {
+		if most := size/(nf+1) + 1; n > most {
+			return fmt.Errorf("trace: header claims %d records, a %d-byte input holds at most %d: %w", n, size, most, io.ErrUnexpectedEOF)
+		}
+		capacity = n
+	}
+	grow(capacity)
+	for i := 0; i < n; i++ {
+		f, err := sc.record(nf)
+		if err != nil {
+			return fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		if err := rec(i, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-// unsizedPrealloc is how many records a reader preallocates, at most, when
-// its input's size is unknown (a pipe, a file): the header count is input
-// to be checked, not a promise, and append grows the slice past it.
+// unsizedPrealloc is how many records a reader of an input of unknown size
+// preallocates, at most: the header count is input to be checked, not a
+// promise.
 const unsizedPrealloc = 1 << 12
-
-// inputSize reports how many bytes r holds, when it can tell (bytes and
-// strings readers and buffers report Len), or -1.
-func inputSize(r io.Reader) int {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return l.Len()
-	}
-	return -1
-}
-
-// recordCap is the capacity a reader preallocates for a header claiming n
-// records: n, capped at what an input of the given size (inputSize) could
-// hold, or at unsizedPrealloc when the size is unknown. A header that
-// claims 2^31-1 records on a few bytes of input thus costs a few bytes of
-// capacity, not gigabytes, before the missing records fail the read.
-func recordCap(size, n int) int {
-	if size < 0 {
-		return min(n, unsizedPrealloc)
-	}
-	return min(n, size/minRecordBytes+1)
-}
 
 // scanner wraps line/field parsing with sane limits.
 type scanner struct{ sc *bufio.Scanner }

@@ -358,7 +358,13 @@ func committedInputs(tb testing.TB, target string) [][]byte {
 // byte plus readAllocFixed, whether it returns a trace or an error. The
 // fixed part is the scanner's 64 KiB line buffer and 1 KiB besides. The
 // most any input here takes is 5.8 bytes per byte above that (the
-// 300-record object trace: 88,256 bytes for 3,717).
+// 300-record object trace: 88,256 bytes for 3,717). The committed
+// song-claims-max-records input is a 1,017-byte song trace whose header
+// claims 2^31-1 records: capped by a shared two-byte record minimum, its
+// reader preallocated 110,320 bytes; capped by the song record's own
+// six-byte minimum alone it would still take about 83,000 (72-byte
+// records, 12 bytes per input byte), so the readers refuse such a header
+// before reading any record.
 func TestReadAllocatesByInput(t *testing.T) {
 	const readAllocPerByte, readAllocFixed = 8, 64<<10 + 1<<10
 	readers := []struct {

@@ -84,6 +84,13 @@ func TestCLIPipeline(t *testing.T) {
 			t.Fatalf("a failed qc-crawl %v changed its -o file (%v)", bad, err)
 		}
 	}
+	// -attempts carries the crawler's real budget and refuses zero.
+	if help, _ := exec.Command(bins["qc-crawl"], "-h").CombinedOutput(); !regexp.MustCompile(`-attempts int\n[^\n]*\(default 3\)\n`).Match(help) {
+		t.Errorf("qc-crawl -h does not print -attempts' default 3:\n%s", help)
+	}
+	if out, err := exec.Command(bins["qc-crawl"], "-attempts", "0", "-o", crawl).CombinedOutput(); err == nil || !strings.Contains(string(out), "-attempts must be positive") {
+		t.Errorf("qc-crawl -attempts 0: want a failure naming \"-attempts must be positive\", got %v\n%s", err, out)
+	}
 	for _, gone := range [][]string{
 		{"-snapshot-load", snap, "-mmap"},
 		{"-snapshot-save", snap, "-shard-size", "64"},

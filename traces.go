@@ -60,10 +60,10 @@ type GnutellaCrawlConfig struct {
 	// snapshot file through a read-only memory mapping instead of building
 	// it (Peers, UniqueObjects and FirewalledFrac are then ignored — the
 	// snapshot carries the population); with SnapshotSave set too, the
-	// restored network is re-saved there. Otherwise the population is built
-	// shard by shard into a snapshot file and mapped back before the crawl
-	// runs: SnapshotSave when non-empty, else a temporary file that is
-	// removed once mapped.
+	// snapshot is copied there once a restore has verified it. Otherwise
+	// the population is built shard by shard into a snapshot file and
+	// mapped back before the crawl runs: SnapshotSave when non-empty, else
+	// a temporary file that is removed once mapped.
 	SnapshotLoad string
 	SnapshotSave string
 }
@@ -75,11 +75,15 @@ func GnutellaCrawl(cfg GnutellaCrawlConfig) (*ObjectTrace, *CrawlStats, error) {
 	bcfg := experiments.Params{
 		GnutellaPeers: cfg.Peers, UniqueObjects: cfg.UniqueObjects, FirewalledFrac: cfg.FirewalledFrac,
 	}.Population(cfg.Seed)
-	nw, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, bcfg, nil)
+	pop, err := snapshot.OpenPopulation(cfg.SnapshotLoad, cfg.SnapshotSave, bcfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer nw.Close() // the trace holds decoded copies, never views of a mapping
+	defer pop.Close() // the trace holds decoded copies, never views of a mapping
+	nw, err := pop.Network()
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.Obs != nil {
 		nw.Instrument(cfg.Obs, cfg.FloodTraces)
 	}
