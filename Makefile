@@ -103,28 +103,33 @@ bench:
 # alternating pairs of the benchmark at BASE and at the working tree on one
 # workload, which side runs first alternating, then the noise-aware
 # -compare over the two sets of reports (a = BASE, b = working tree).
+# Every pair prints each end-to-end metric of both sides (setup_s,
+# queries_per_s, query_p50_us, heap_after_setup_mib, failed_frac), so a
+# claim on any of them can be read pair by pair.
 #
 #	make bench-pairs BASE=HEAD~1 WL=flood_miss N=10 [SEED=1]
 #
-# BASE is built from a git worktree under .bench_build/ (removed on exit);
-# reports stay in .bench_build/pairs/ for the record. Not part of `make ci`:
-# wall-clock on a shared host is advisory (ROADMAP item 1).
+# BASE is exported with `git archive` into .bench_build/pairs/src and built
+# there without VCS stamping (its reports say commit=unknown rather than the
+# working tree's revision); the sources are removed once both binaries are
+# built. Reports stay in .bench_build/pairs/ for the record. Not part of
+# `make ci`: wall-clock on a shared host is advisory (ROADMAP item 1).
 BASE ?= HEAD
 WL ?= flood_miss
 N ?= 10
 SEED ?= 1
 bench-pairs:
-	@set -e; d=.bench_build/pairs; rm -rf $$d; mkdir -p $$d; \
-	git worktree add --detach --force $$d/src $(BASE) >/dev/null; \
-	trap "git worktree remove --force $$d/src" EXIT; \
-	(cd $$d/src && $(GO) build -o ../base.bin ./benchmarks); \
+	@set -e; d=.bench_build/pairs; rm -rf $$d; mkdir -p $$d/src; \
+	git archive $(BASE) | tar -x -C $$d/src; \
+	(cd $$d/src && $(GO) build -buildvcs=false -o ../base.bin ./benchmarks); \
+	rm -rf $$d/src; \
 	$(GO) build -o $$d/head.bin ./benchmarks; \
 	a=""; b=""; \
 	for i in $$(seq 1 $(N)); do \
 		order="base head"; if [ $$((i % 2)) -eq 0 ]; then order="head base"; fi; \
 		for side in $$order; do \
 			$$d/$$side.bin -workload $(WL) -seed $(SEED) -json $$d/$$side.$$i.json \
-				| awk -v tag="pair $$i $$side" '/metric=queries_per_s/ { print tag, $$1, $$2, $$3 }'; \
+				| awk -v tag="pair $$i $$side" '/ metric=/ && !/ layer=/ { print tag, $$2, $$3, $$4 }'; \
 		done; \
 		a="$$a,$$d/base.$$i.json"; b="$$b,$$d/head.$$i.json"; \
 	done; \

@@ -323,9 +323,8 @@ func TestInternalCodeIsReached(t *testing.T) {
 			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
 		}
 		for _, line := range strings.Split(string(out), "\n") {
-			f := strings.Fields(line)
-			if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
-				held[stripTypeArgs(f[2])] = true
+			if sym, ok := nmTextSymbol(line); ok {
+				held[stripTypeArgs(sym)] = true
 			}
 		}
 	}
@@ -388,6 +387,43 @@ func TestInternalCodeIsReached(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("reachKeep names %s, which internal/ no longer declares", name)
 		}
+	}
+}
+
+// nmTextSymbol parses one `go tool nm` line, "address type symbol", and
+// returns the symbol of a text (code) entry. The symbol is the rest of the
+// line after the type, not one more field: a generic function instantiated
+// over a struct type prints with spaces in its type argument
+// (pkg.F[go.shape.struct { Peer int; Name string }]).
+func nmTextSymbol(line string) (string, bool) {
+	_, rest, _ := strings.Cut(strings.TrimLeft(line, " "), " ")
+	typ, sym, _ := strings.Cut(strings.TrimLeft(rest, " "), " ")
+	sym = strings.TrimSpace(sym)
+	return sym, (typ == "T" || typ == "t") && sym != ""
+}
+
+// TestNmTextSymbol holds the reachability gate's nm parser to the line
+// shapes go tool nm prints: a text symbol whose type argument has spaces
+// keeps its whole name, and undefined and data entries are not code.
+func TestNmTextSymbol(t *testing.T) {
+	const generic = "querycentric/internal/trace.readTrace[go.shape.struct { Peer int; Name string }]"
+	for _, tc := range []struct {
+		line, sym string
+		ok        bool
+	}{
+		{"  4a1b20 T " + generic, generic, true},
+		{"  4a1b20 t querycentric/internal/gnet.(*IndexBuilder).sortByTerm", "querycentric/internal/gnet.(*IndexBuilder).sortByTerm", true},
+		{"  9f0e40 D querycentric/internal/namegen.NonSpecificNames", "", false},
+		{"         U __errno_location", "", false},
+		{"", "", false},
+	} {
+		sym, ok := nmTextSymbol(tc.line)
+		if ok != tc.ok || ok && sym != tc.sym {
+			t.Errorf("nmTextSymbol(%q) = %q, %v; want %q, %v", tc.line, sym, ok, tc.sym, tc.ok)
+		}
+	}
+	if got, want := stripTypeArgs(generic), "querycentric/internal/trace.readTrace"; got != want {
+		t.Errorf("stripTypeArgs(%q) = %q, want %q", generic, got, want)
 	}
 }
 

@@ -177,28 +177,29 @@ func (nw *Network) Close() error {
 // the leaf's posting index: one precomputed hash per distinct library term,
 // instead of re-tokenizing and re-hashing every file name. The marked slots
 // are those qrp.Table.AddName would mark (duplicate keyword occurrences map
-// to the same slot).
+// to the same slot). Every table still travels encoded, as a leaf would
+// ship it, but the leaves share one scratch table and one blob: a leaf
+// costs only the decoded table it keeps. The build is serial.
 func (nw *Network) EnableQRP(bits uint) error {
-	if _, err := qrp.NewTable(bits); err != nil {
+	scratch, err := qrp.NewTable(bits)
+	if err != nil {
 		return err
 	}
 	if err := nw.BuildIndexes(0); err != nil {
 		return err
 	}
 	tables := make([]*qrp.Table, len(nw.Peers))
+	var blob []byte
 	for _, p := range nw.Peers {
 		if p.Ultrapeer {
 			continue
 		}
-		t, err := qrp.NewTable(bits)
-		if err != nil {
-			return err
-		}
+		scratch.Reset()
 		p.idx.forEach(func(id dict.TermID, _ postingsRef) {
-			t.AddSlot(nw.dict.Slot(id, bits))
+			scratch.AddSlot(nw.dict.Slot(id, bits))
 		})
-		// The table travels encoded, as a leaf would ship it.
-		back, err := qrp.Decode(t.Encode())
+		blob = scratch.AppendEncode(blob[:0])
+		back, err := qrp.Decode(blob)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -283,34 +284,88 @@ func (ix *IndexState) heapBytes() uint64 {
 // own build (intern), AddFile and the sharded snapshot builder, which
 // interns every name once as it streams and indexes peers without ever
 // assembling a Network. Its buffers are construction scratch: the (term,
-// file) keys and the encode buffers exist only for the peer being built,
-// then the exact-size compressed arrays are cut from them, so building
-// never holds more than one builder's worth of uncompressed intermediate
-// per worker. The zero value is ready; reuse one builder per worker so the
-// scratch amortizes across thousands of peers. Not safe for concurrent use.
+// file) keys, the radix sort's second buffer and counters, and the encode
+// buffers exist only for the peer being built, then the exact-size
+// compressed arrays are cut from them, so building never holds more than
+// one builder's worth of uncompressed intermediate per worker. A warmed
+// builder's Build allocates only those three exact-size arrays. The zero
+// value is ready; reuse one builder per worker so the scratch amortizes
+// across thousands of peers. Not safe for concurrent use.
 type IndexBuilder struct {
 	keys  []uint64
+	tmp   []uint64
+	count [1 << radixBits]uint32
 	arena []byte
 	pay   []byte
 	first []dict.TermID
 	off   []uint32
 }
 
+// radixBits is the width of one radix digit over a key's term bits: the
+// 2^11 counters fit in L1, and two passes order every term ID below 2^22
+// (a TermID needs at most three). radixMinKeys is the library size below
+// which a comparison sort beats clearing and summing the counters.
+const (
+	radixBits    = 11
+	radixMinKeys = 256
+)
+
 // Build encodes the posting index of a library resolved to term IDs
 // (dict.Resolved.Library, or a dict.Interner's output): file i holds the
 // terms remap[id] for id in ids[off[i]:off[i+1]], each once. Each incidence
-// becomes one packed uint64(term)<<32 | file key, so one integer sort
-// orders the postings by term and every posting list ascending.
+// becomes one packed uint64(term)<<32 | file key. The keys are appended in
+// file order, so ordering them stably by term alone orders the postings by
+// term and every posting list ascending: a least-significant-digit radix
+// sort over the term bits does that in one or two passes over a typical
+// library.
 func (b *IndexBuilder) Build(ids []dict.TermID, off []uint32, remap []dict.TermID) IndexState {
 	keys := b.keys[:0]
+	var maxTerm dict.TermID
 	for f := 0; f+1 < len(off); f++ {
 		for _, id := range ids[off[f]:off[f+1]] {
-			keys = append(keys, uint64(remap[id])<<32|uint64(f))
+			t := remap[id]
+			maxTerm = max(maxTerm, t)
+			keys = append(keys, uint64(t)<<32|uint64(f))
 		}
 	}
-	slices.Sort(keys)
 	b.keys = keys
-	return b.encode(keys)
+	return b.encode(b.sortByTerm(keys, maxTerm))
+}
+
+// sortByTerm orders keys appended in file order by (term, file), using the
+// builder's second buffer and counters, and returns the buffer holding the
+// result (the builder keeps both for the next peer). A pass in which every
+// key has the same digit moves nothing and is skipped.
+func (b *IndexBuilder) sortByTerm(keys []uint64, maxTerm dict.TermID) []uint64 {
+	if len(keys) < radixMinKeys {
+		slices.Sort(keys) // keys are distinct, so the full order is the same
+		return keys
+	}
+	tmp := slices.Grow(b.tmp[:0], len(keys))[:len(keys)]
+	count := &b.count
+	const mask = 1<<radixBits - 1
+	for shift := uint(32); shift < 32+uint(bits.Len32(uint32(maxTerm))); shift += radixBits {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>shift&mask]++
+		}
+		if count[keys[0]>>shift&mask] == uint32(len(keys)) {
+			continue
+		}
+		sum := uint32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	b.keys, b.tmp = keys, tmp
+	return keys
 }
 
 // encode compresses sorted (term, file) keys into an index, encoding

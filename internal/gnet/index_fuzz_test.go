@@ -77,10 +77,12 @@ func fuzzName(r *rng.Source) string {
 // shards: a catalog network's born indexes, the single-interner
 // IndexBuilder path the sharded snapshot builder takes, and AddFile's two
 // paths (one peer re-encoded against the dictionary for a name of known
-// terms, the whole network re-interned for a novel one). Every index must
-// be byte-equal to the reference's, every dictionary equal to a fresh
-// build's over the same libraries, and every holder list equal to the peers
-// whose reference index holds the term.
+// terms, the whole network re-interned for a novel one). A size of 240 or
+// more gives peer 0 a library of radixMinKeys names, past IndexBuilder's
+// radix cutoff (committed input radix-library). Every index must be
+// byte-equal to the reference's, every dictionary equal to a fresh build's
+// over the same libraries, and every holder list equal to the peers whose
+// reference index holds the term.
 func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(1), false)
 	f.Add(uint64(2), uint8(7), uint8(3), true)
@@ -92,7 +94,11 @@ func FuzzIndexFromIDsVsTokenized(f *testing.F) {
 		workers := 1 + int(shards)%8
 		libs := make([][]string, peers)
 		for p := range libs {
-			for n := r.Intn(8); n > 0; n-- { // 0 leaves the library empty
+			n := r.Intn(8) // 0 leaves the library empty
+			if p == 0 && size >= 240 {
+				n = radixMinKeys // about 2.3 distinct tokens a name: the radix path
+			}
+			for ; n > 0; n-- {
 				libs[p] = append(libs[p], fuzzName(r))
 			}
 		}

@@ -171,3 +171,36 @@ func TestAddFileExtendsRouteTable(t *testing.T) {
 		t.Fatalf("flood for the replica's novel terms under QRP: hits %+v, want one from leaf %d", res.Hits, leaf)
 	}
 }
+
+// TestEnableQRPCostPin pins EnableQRP's allocations exactly, over a network
+// already indexed at one worker: each leaf costs the two allocations of
+// the decoded table it keeps (the table and its slot words), and the build
+// as a whole four more (the shared scratch table and its slots, the blob,
+// the per-peer table slice). Lowering the pin is free; raising it needs a
+// CHANGES.md line naming the cause.
+func TestEnableQRPCostPin(t *testing.T) {
+	nw := populatedNet(t, 150)
+	if err := nw.BuildIndexes(1); err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for _, p := range nw.Peers {
+		if !p.Ultrapeer {
+			leaves++
+		}
+	}
+	if leaves == 0 {
+		t.Fatal("fixture has no leaves")
+	}
+	if err := nw.EnableQRP(16); err != nil { // builds the dictionary's hash products
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if err := nw.EnableQRP(16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2*leaves + 4); got != want {
+		t.Errorf("EnableQRP over %d leaves: %v allocations, pinned at %v (2 per leaf + 4)", leaves, got, want)
+	}
+}

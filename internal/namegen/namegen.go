@@ -12,6 +12,7 @@ package namegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"querycentric/internal/rng"
@@ -91,53 +92,78 @@ func New(v *vocab.Vocabulary, seed uint64) (*Generator, error) {
 // of them, and they are what makes the term-level distribution of Figure 3
 // so heavy-tailed — 71% of the 1.22M distinct terms appeared on a single
 // peer.
+//
+// Canonical runs once per object, 8.1M times at paper scale, so it builds
+// the stream name and the shared name in stack buffers with strconv: one
+// allocation per call, the returned string.
 func (g *Generator) Canonical(objID int) string {
-	r := rng.NewNamed(g.seed, fmt.Sprintf("namegen/obj/%d", objID))
+	var key [32]byte
+	r := rng.NewNamed(g.seed, string(strconv.AppendInt(append(key[:0], "namegen/obj/"...), int64(objID), 10)))
 	artist := g.vocab.Artists[r.Intn(len(g.vocab.Artists))]
 	title := g.vocab.Titles[r.Intn(len(g.vocab.Titles))]
 	ext := extensions[r.WeightedIndex(g.cum)].ext
-	var base string
+	var stack [128]byte
+	b := stack[:0]
 	switch r.Intn(10) {
 	case 0: // track-number prefix
-		base = fmt.Sprintf("%02d - %s - %s", 1+r.Intn(15), artist, title)
+		b = appendPadded(b, 1+r.Intn(15), 2)
+		b = append(append(append(append(b, " - "...), artist...), " - "...), title...)
 	case 1: // underscores instead of spaces
-		base = strings.ReplaceAll(fmt.Sprintf("%s - %s", artist, title), " ", "_")
+		b = append(append(append(b, artist...), " - "...), title...)
+		for i, c := range b {
+			if c == ' ' {
+				b[i] = '_'
+			}
+		}
 	case 2: // title only
-		base = title
+		b = append(b, title...)
 	default:
-		base = fmt.Sprintf("%s - %s", artist, title)
+		b = append(append(append(b, artist...), " - "...), title...)
 	}
 	if r.Bool(0.65) {
-		base += " " + junkToken(r)
+		b = appendJunkToken(append(b, ' '), r)
 		if r.Bool(0.25) {
-			base += " " + junkToken(r)
+			b = appendJunkToken(append(b, ' '), r)
 		}
 	}
-	return base + ext
+	return string(append(b, ext...))
 }
 
-// junkToken fabricates the rip-specific tags real shared names carry.
-func junkToken(r *rng.Source) string {
+// appendJunkToken appends one of the rip-specific tags real shared names
+// carry.
+func appendJunkToken(b []byte, r *rng.Source) []byte {
 	const hexdigits = "0123456789abcdef"
 	switch r.Intn(4) {
 	case 0: // release-group style tag
-		b := make([]byte, 6)
-		for i := range b {
-			b[i] = hexdigits[r.Intn(16)]
+		b = append(b, '[')
+		for range 6 {
+			b = append(b, hexdigits[r.Intn(16)])
 		}
-		return "[" + string(b) + "]"
+		return append(b, ']')
 	case 1: // rip hash
-		b := make([]byte, 8)
-		for i := range b {
-			b[i] = hexdigits[r.Intn(16)]
+		for range 8 {
+			b = append(b, hexdigits[r.Intn(16)])
 		}
-		return string(b)
+		return b
 	case 2: // bitrate/encoder tag with a unique suffix
-		return fmt.Sprintf("(%dkbps-%c%c)", 64*(1+r.Intn(4)),
-			'a'+byte(r.Intn(26)), 'a'+byte(r.Intn(26)))
+		b = strconv.AppendInt(append(b, '('), int64(64*(1+r.Intn(4))), 10)
+		b = append(b, "kbps-"...)
+		b = append(b, 'a'+byte(r.Intn(26)))
+		return append(b, 'a'+byte(r.Intn(26)), ')')
 	default: // catalog number
-		return fmt.Sprintf("cat%06d", r.Intn(1000000))
+		return appendPadded(append(b, "cat"...), r.Intn(1000000), 6)
 	}
+}
+
+// appendPadded appends the decimal form of a non-negative n, zero-padded
+// to width digits (fmt's %0*d).
+func appendPadded(b []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Variant derives a replica-name variant of name: it perturbs case,

@@ -14,6 +14,8 @@
 package qrp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"querycentric/internal/terms"
@@ -137,29 +139,36 @@ func (t *Table) ContainsAll(hs []uint32) bool {
 // patchMagic guards decoding.
 var patchMagic = []byte{'Q', 'R', 'P', '1'}
 
-// Encode serializes the table as a RESET+PATCH blob.
-func (t *Table) Encode() []byte {
-	out := make([]byte, 0, 8+len(t.slots)*8)
-	out = append(out, patchMagic...)
-	out = append(out, byte(t.bits))
-	out = append(out, byte(t.n>>16), byte(t.n>>8), byte(t.n))
-	for _, w := range t.slots {
-		for shift := 0; shift < 64; shift += 8 {
-			out = append(out, byte(w>>shift))
-		}
+// AppendEncode appends the table's RESET+PATCH blob to dst and returns the
+// extended slice; AppendEncode(nil) is a fresh blob. A builder that ships
+// many tables reuses one blob (and one table, through Reset), so a table
+// costs no allocation to encode. Slot words travel little-endian.
+func (t *Table) AppendEncode(dst []byte) []byte {
+	if need := 8 + len(t.slots)*8; cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
-	return out
+	dst = append(dst, patchMagic...)
+	dst = append(dst, byte(t.bits), byte(t.n>>16), byte(t.n>>8), byte(t.n))
+	for _, w := range t.slots {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
 }
 
-// Decode parses a blob produced by Encode.
+// Reset clears every slot and the keyword count, keeping the table's
+// width and storage.
+func (t *Table) Reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
+// Decode parses a blob produced by AppendEncode into a new table.
 func Decode(b []byte) (*Table, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("qrp: blob too short: %d bytes", len(b))
 	}
-	for i, m := range patchMagic {
-		if b[i] != m {
-			return nil, fmt.Errorf("qrp: bad magic")
-		}
+	if !bytes.Equal(b[:4], patchMagic) {
+		return nil, fmt.Errorf("qrp: bad magic")
 	}
 	bits := uint(b[4])
 	t, err := NewTable(bits)
@@ -171,14 +180,8 @@ func Decode(b []byte) (*Table, error) {
 	if len(b) != want {
 		return nil, fmt.Errorf("qrp: blob is %d bytes, want %d for %d-bit table", len(b), want, bits)
 	}
-	p := b[8:]
 	for i := range t.slots {
-		var w uint64
-		for shift := 0; shift < 64; shift += 8 {
-			w |= uint64(p[0]) << shift
-			p = p[1:]
-		}
-		t.slots[i] = w
+		t.slots[i] = binary.LittleEndian.Uint64(b[8+8*i:])
 	}
 	return t, nil
 }

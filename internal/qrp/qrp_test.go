@@ -1,7 +1,9 @@
 package qrp
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -109,7 +111,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tab.AddKeyword(fmt.Sprintf("kw%d", i))
 	}
-	blob := tab.Encode()
+	blob := tab.AppendEncode(nil)
 	back, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +128,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	tab, _ := NewTable(10)
-	blob := tab.Encode()
+	blob := tab.AppendEncode(nil)
 	if _, err := Decode(blob[:4]); err == nil {
 		t.Error("short blob accepted")
 	}
@@ -201,5 +203,89 @@ func TestAddSlotMatchesAddKeyword(t *testing.T) {
 	}
 	if !reflect.DeepEqual(byKeyword, bySlot) {
 		t.Fatal("AddKeyword and AddSlot built different tables")
+	}
+}
+
+// encodeRef is the byte-loop encoder AppendEncode replaced, kept as its
+// reference.
+func encodeRef(t *Table) []byte {
+	out := make([]byte, 0, 8+len(t.slots)*8)
+	out = append(out, patchMagic...)
+	out = append(out, byte(t.bits))
+	out = append(out, byte(t.n>>16), byte(t.n>>8), byte(t.n))
+	for _, w := range t.slots {
+		for shift := 0; shift < 64; shift += 8 {
+			out = append(out, byte(w>>shift))
+		}
+	}
+	return out
+}
+
+// decodeRef is the byte-loop decoder Decode replaced, kept as its
+// reference.
+func decodeRef(b []byte) (*Table, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("qrp: blob too short: %d bytes", len(b))
+	}
+	for i, m := range patchMagic {
+		if b[i] != m {
+			return nil, fmt.Errorf("qrp: bad magic")
+		}
+	}
+	bits := uint(b[4])
+	t, err := NewTable(bits)
+	if err != nil {
+		return nil, err
+	}
+	t.n = int(b[5])<<16 | int(b[6])<<8 | int(b[7])
+	want := 8 + len(t.slots)*8
+	if len(b) != want {
+		return nil, fmt.Errorf("qrp: blob is %d bytes, want %d for %d-bit table", len(b), want, bits)
+	}
+	p := b[8:]
+	for i := range t.slots {
+		var w uint64
+		for shift := 0; shift < 64; shift += 8 {
+			w |= uint64(p[0]) << shift
+			p = p[1:]
+		}
+		t.slots[i] = w
+	}
+	return t, nil
+}
+
+// TestEncodeDecodeMatchReference holds AppendEncode and Decode to the
+// byte-loop references at widths 1, 6, 16 and 24 (one partial word, one
+// full word, many words, the largest table): the same blob appended after
+// a reused buffer's old contents, the same decoded table, and a Reset
+// table refilled to the same slots encoding like a fresh one.
+func TestEncodeDecodeMatchReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(4, 2))
+	var blob []byte
+	for _, bits := range []uint{1, 6, 16, 24} {
+		fresh, _ := NewTable(bits)
+		reused, _ := NewTable(bits)
+		for _, adds := range []int{0, 1, 1 << (bits / 2), 3000} {
+			reused.Reset()
+			fresh, _ = NewTable(bits)
+			for range adds {
+				slot := uint32(r.Uint64N(1 << bits))
+				fresh.AddSlot(slot)
+				reused.AddSlot(slot)
+			}
+			want := encodeRef(fresh)
+			blob = reused.AppendEncode(append(blob[:0], "old"...))
+			if !bytes.Equal(blob[3:], want) || string(blob[:3]) != "old" {
+				t.Fatalf("bits %d, %d adds: AppendEncode differs from the reference", bits, adds)
+			}
+			if got := fresh.AppendEncode(nil); !bytes.Equal(got, want) {
+				t.Fatalf("bits %d, %d adds: AppendEncode(nil) differs from the reference", bits, adds)
+			}
+			got, err := Decode(want)
+			ref, refErr := decodeRef(want)
+			if err != nil || refErr != nil || !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("bits %d, %d adds: Decode %+v (%v), reference %+v (%v)", bits, adds, got, err, ref, refErr)
+			}
+		}
 	}
 }

@@ -16,6 +16,9 @@
 //     to its shard's spill bucket (varint peer, varint length, name bytes,
 //     varint count and the varint provisional term IDs of the name's
 //     distinct tokens) while per-peer file and term-ID counts accumulate.
+//     A name placed again straight after itself (a canonical name's
+//     replicas, a non-specific name's peers) reuses the IDs already
+//     resolved rather than being tokenized again.
 //  3. dict.Merge turns the interner into the dictionary — byte-identical
 //     to the in-heap dict because IDs are assigned in sorted term order —
 //     and the provisional→final remap table, and the meta, dict and
@@ -145,9 +148,12 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 	idCount := make([]int32, n) // resolved term IDs per peer, summed over its files
 	var rec []byte
 	var ids []dict.TermID
+	var prev string // ids holds prev's term IDs
 	placed, err := catalog.Stream(cfg.Catalog, cfg.Workers, catalog.Sink{
 		Place: func(peer int, name string) error {
-			ids = in.AppendIDs(ids[:0], name)
+			if name != prev { // a repeat reuses ids (file comment, step 2)
+				ids, prev = in.AppendIDs(ids[:0], name), name
+			}
 			counts[peer]++
 			idCount[peer] += int32(len(ids))
 			rec = vpost.AppendUvarint(rec[:0], uint64(peer))

@@ -206,14 +206,19 @@ func New(cfg Config) (*Vocabulary, error) {
 	return v, nil
 }
 
-// title uppercases the first letter of each space-separated word.
+// title upper-cases the first letter of each space-separated word. Every
+// input is ASCII (syllable words, their digit discriminators, the common
+// function words), so a word start is upper-cased by one byte offset as the
+// one copy is written.
 func title(s string) string {
-	parts := strings.Split(s, " ")
-	for i, p := range parts {
-		if p == "" {
-			continue
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (i == 0 || s[i-1] == ' ') && 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
 		}
-		parts[i] = strings.ToUpper(p[:1]) + p[1:]
+		b.WriteByte(c)
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
