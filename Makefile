@@ -30,12 +30,16 @@ race:
 # restore leaves every other restore's floods unchanged) and the overload
 # plane (a flash-crowd
 # scenario with shedding and breakers is byte-identical at 1 vs 8 workers,
-# and a disabled capacity plane is byte-identical to no plane).
+# and a disabled capacity plane is byte-identical to no plane), and the
+# keepalive's value path (the addresses Pongs and X-Try hints hand over
+# equal the encoded descriptors' and formatted headers' after churn, repair,
+# loss and shedding, on flat and two-tier overlays).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 	$(GO) test -race -run 'TestRestoredNetworksUnderMutation' ./internal/snapshot/
+	$(GO) test -race -run 'TestKeepaliveMatchesWireReference' ./internal/gnet/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec, the snapshot loaders (each input loaded as
@@ -215,8 +219,10 @@ loc:
 # TestRunnerDigests, TestInternalCodeIsReached and
 # TestConfigKnobsHaveTwoValues among them — the recovery / saturation / query-centric
 # claims, TestScaleGate's tiny row, TestOverlappedLoadMatchesSequential,
-# the snapshot loaders' error contract, and TestRestoredNetworksUnderMutation,
-# the copy-on-write reference for restored networks), the decoder,
+# the snapshot loaders' error contract, TestRestoredNetworksUnderMutation,
+# the copy-on-write reference for restored networks, and
+# TestKeepaliveMatchesWireReference, the encoded reference for the
+# keepalive's Pongs and X-Try hints), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

@@ -411,8 +411,8 @@ func Decode(b []byte) (*Message, int, error) {
 // DecodeInto is Decode into a caller-owned message, returning the number of
 // bytes consumed. Every field of m is overwritten, but a Pong payload struct
 // m already holds is reused: decoding pings and pongs into one message over
-// and over — the keepalive loop — allocates nothing. After an error the
-// contents of m are unspecified.
+// and over allocates nothing. After an error the contents of m are
+// unspecified.
 func DecodeInto(m *Message, b []byte) (int, error) {
 	h, err := DecodeHeader(b)
 	if err != nil {

@@ -357,8 +357,8 @@ func BenchmarkDecodeQueryHit(b *testing.B) {
 
 // TestWirePathAllocPins pins AppendEncode and DecodeInto into reused
 // buffers at exact allocation counts per message kind: pings and pongs
-// (the keepalive loop) allocate nothing; a decoded Bye or Query costs its
-// payload struct and its string. Allocation counts are exact on any host.
+// allocate nothing; a decoded Bye or Query costs its payload struct and its
+// string. Allocation counts are exact on any host.
 // Lowering a pin is free; raising one needs a CHANGES.md line that names
 // the cause.
 func TestWirePathAllocPins(t *testing.T) {

@@ -20,17 +20,22 @@ import (
 //     crashed peer leaves ghost edges behind — neighbors still count the
 //     dead connection toward their degree and floods silently die there.
 //   - Failure detection: every PingInterval seconds each live peer pings
-//     its neighbors with real Ping descriptors and awaits encoded Pongs.
-//     After PingTimeout consecutive silent rounds the neighbor is declared
-//     dead and the edge is torn down. Ping and Pong transmissions roll the
-//     fault plane's message-loss schedule, so a lossy substrate produces
-//     false positives exactly as it would in deployment.
+//     its neighbors and awaits their Pongs. After PingTimeout consecutive
+//     silent rounds the neighbor is declared dead and the edge is torn
+//     down. Ping and Pong transmissions roll the fault plane's
+//     message-loss schedule, so a lossy substrate produces false positives
+//     exactly as it would in deployment.
 //   - Repair: peers below their target degree draw replacement candidates
 //     from a bounded per-peer HostCache — seeded from handshake
-//     X-Try-Ultrapeers hints and refilled from the addresses of decoded
-//     Pongs — and dial them under the fault plane's transient-failure
-//     discipline, with bounded retries and exponential backoff per
-//     candidate.
+//     X-Try-Ultrapeers hints and refilled from the addresses Pongs carry —
+//     and dial them under the fault plane's transient-failure discipline,
+//     with bounded retries and exponential backoff per candidate.
+//
+// Keepalive Pongs and X-Try hints are handed over as values: the addresses
+// a decoded Pong or a parsed header would yield are read straight from the
+// network. TestKeepaliveMatchesWireReference holds them to the encoded
+// descriptors and formatted headers, which live on in maintain_test.go as
+// the reference; only the Bye is encoded here.
 //
 // Every decision derives from an rng stream keyed by (peer, event index),
 // so a maintenance run is a pure function of (topology seed, repair seed,
@@ -142,15 +147,12 @@ type Maintainer struct {
 	touched []int
 	marked  []bool
 
-	// Scratch reused across events, so a keepalive round allocates
-	// nothing per message: encoded and received descriptors, the stream
-	// name, neighbor-list and X-Try address copies.
-	wire           []byte
-	pingWire       []byte
-	rxPing, rxPong gmsg.Message
-	name           []byte
-	nbScratch      []int
-	tries          []Addr
+	// Scratch reused across events, so no message allocates: the encoded
+	// Bye, the stream name, neighbor-list and X-Try address copies.
+	wire      []byte
+	name      []byte
+	nbScratch []int
+	tries     []Addr
 }
 
 // NewMaintainer wires a maintainer to nw. initialOnline seeds the liveness
@@ -224,8 +226,7 @@ func defaultBootstrap(nw *Network) []Addr {
 }
 
 // seedCaches fills each peer's host cache the way the handshake does: every
-// neighbor advertises its own X-Try-Ultrapeers hints, which travel as a
-// formatted header and are re-parsed on receipt.
+// neighbor advertises its own X-Try-Ultrapeers hints.
 func (m *Maintainer) seedCaches() {
 	for _, p := range m.nw.Peers {
 		for _, nb := range p.Neighbors {
@@ -238,13 +239,12 @@ func (m *Maintainer) seedCaches() {
 	}
 }
 
-// receiveTries carries from's X-Try-Ultrapeers hints over the wire: the
-// addresses are formatted into the header value and parsed back on receipt.
-// The result aliases scratch valid until the next call.
+// receiveTries returns the X-Try-Ultrapeers hints from advertises, as the
+// receiving side of a handshake parses them: the header round trip returns
+// the addresses it was given, so they are handed over as values. The
+// result aliases scratch valid until the next call.
 func (m *Maintainer) receiveTries(from *Peer) []Addr {
 	m.tries = m.nw.appendTryAddrs(m.tries[:0], from)
-	hdr := FormatTryUltrapeers(m.tries)
-	m.tries = appendTryUltrapeers(m.tries[:0], hdr)
 	return m.tries
 }
 
@@ -412,23 +412,19 @@ func (m *Maintainer) pingSalt(u int) uint64 {
 	return m.cfg.Seed ^ (uint64(u) * 0x9e3779b97f4a7c15) ^ (uint64(m.round) * 0xbf58476d1ce4e5b9)
 }
 
-// pingNeighbors runs peer u's keepalive round: encode one Ping, send it to
-// every neighbor, count Pongs, and tear down edges that have been silent
-// for PingTimeout consecutive rounds.
+// pingNeighbors runs peer u's keepalive round: ping every neighbor, count
+// Pongs, and tear down edges that have been silent for PingTimeout
+// consecutive rounds.
 func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 	nw := m.nw
 	neighbors := m.neighbors(u)
 	if len(neighbors) == 0 {
 		return
 	}
-	ping := &gmsg.Message{
-		Header: gmsg.Header{GUID: gmsg.GUIDFromUint64s(r.Uint64(), r.Uint64()), Type: gmsg.TypePing, TTL: 1},
-	}
-	pingRaw, err := gmsg.AppendEncode(m.pingWire[:0], ping)
-	if err != nil {
-		panic(err) // static message shape; cannot fail
-	}
-	m.pingWire = pingRaw
+	// The Ping's GUID takes two draws. Nothing reads it, but drawing it
+	// keeps every later decision of the stream where it was.
+	r.Uint64()
+	r.Uint64()
 	salt := m.pingSalt(u)
 	for _, v := range neighbors {
 		m.stats.PingsSent++
@@ -450,7 +446,7 @@ func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 				m.om.pingsLost.Inc()
 			} else {
 				answered = true
-				m.receivePongs(u, v, pingRaw)
+				m.receivePongs(u, v)
 			}
 		}
 		if answered {
@@ -475,52 +471,39 @@ func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 	}
 }
 
-// receivePongs delivers peer v's answer to u's ping: the Ping is decoded at
-// v, which responds with a Pong for itself plus cached Pongs for its
-// neighbors (pong caching); u decodes each Pong and feeds the carried
-// address into its host cache — the Pong address semantics that keep
-// caches fresh as the overlay shifts.
-func (m *Maintainer) receivePongs(u, v int, pingRaw []byte) {
-	nw := m.nw
-	ping := &m.rxPing
-	if _, err := gmsg.DecodeInto(ping, pingRaw); err != nil {
-		panic(fmt.Sprintf("gnet: ping decode: %v", err))
-	}
+// receivePongs delivers peer v's answer to u's ping: a Pong for v itself
+// plus cached Pongs for its neighbors (pong caching). u feeds each carried
+// address into its host cache — the Pong address semantics that keep caches
+// fresh as the overlay shifts.
+func (m *Maintainer) receivePongs(u, v int) {
 	m.stats.PongsReceived++
 	m.om.pongsReceived.Inc()
-	answer := func(q *Peer, hops byte) {
-		raw, err := gmsg.AppendEncode(m.wire[:0], &gmsg.Message{
-			Header: gmsg.Header{GUID: ping.Header.GUID, Type: gmsg.TypePong, TTL: ping.Header.Hops + 1, Hops: hops},
-			Pong: &gmsg.Pong{
-				Port: q.Addr.Port, IP: q.Addr.IP,
-				FilesCount: uint32(len(q.Library)),
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		m.wire = raw
-		if _, err := gmsg.DecodeInto(&m.rxPong, raw); err != nil {
-			panic(fmt.Sprintf("gnet: pong decode: %v", err))
-		}
-		pong := m.rxPong.Pong
-		m.learnAddr(u, Addr{IP: pong.IP, Port: pong.Port})
+	var buf [1 + maxCachedPongs]Addr
+	for _, a := range m.nw.pongAddrs(buf[:0], u, v) {
+		m.learnAddr(u, a)
 	}
-	answer(nw.Peers[v], 0)
-	// Deployed pong caches answer with roughly ten entries, not the whole
-	// neighbor list; the first maxCachedPongs in neighbor order keeps the
-	// reply bounded and deterministic.
-	const maxCachedPongs = 10
+}
+
+// maxCachedPongs bounds the cached Pongs in one answer: deployed pong caches
+// answer with roughly ten entries, not the whole neighbor list.
+const maxCachedPongs = 10
+
+// pongAddrs appends to dst the addresses peer v's Pongs carry back to u:
+// v's own, then those of the first maxCachedPongs of v's other neighbors in
+// neighbor order, which keeps the reply bounded and deterministic.
+func (nw *Network) pongAddrs(dst []Addr, u, v int) []Addr {
+	dst = append(dst, nw.Peers[v].Addr)
 	sent := 0
 	for _, nb := range nw.Peers[v].Neighbors {
 		if nb == u {
 			continue
 		}
-		answer(nw.Peers[nb], 1)
+		dst = append(dst, nw.Peers[nb].Addr)
 		if sent++; sent >= maxCachedPongs {
 			break
 		}
 	}
+	return dst
 }
 
 // learnAddr feeds a discovered address into peer u's host cache, keeping
@@ -649,8 +632,7 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 				delete(m.fails[u], addr)
 				delete(m.retryAt[u], addr)
 			}
-			// Handshake X-Try exchange, both directions, over the header
-			// string format the wire uses.
+			// Handshake X-Try exchange, both directions.
 			for _, a := range m.receiveTries(cand) {
 				m.learnAddr(u, a)
 			}

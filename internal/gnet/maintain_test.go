@@ -2,8 +2,12 @@ package gnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"querycentric/internal/capacity"
+	"querycentric/internal/faults"
+	"querycentric/internal/gmsg"
 	"querycentric/internal/obs"
 )
 
@@ -11,9 +15,20 @@ import (
 // everyone initially online.
 func maintTestNetwork(t *testing.T, seed uint64, cfg RepairConfig) (*Network, *Maintainer) {
 	t.Helper()
-	nw, err := New(DefaultConfig(seed), 120)
+	return maintNetwork(t, DefaultConfig(seed), cfg, nil)
+}
+
+// maintNetwork builds a 120-peer overlay of shape ncfg, lets setup (when
+// non-nil) attach planes or a registry before the maintainer is wired, and
+// wires one with everyone initially online.
+func maintNetwork(t *testing.T, ncfg Config, cfg RepairConfig, setup func(*Network)) (*Network, *Maintainer) {
+	t.Helper()
+	nw, err := New(ncfg, 120)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	if setup != nil {
+		setup(nw)
 	}
 	m, err := NewMaintainer(nw, cfg, nil)
 	if err != nil {
@@ -372,33 +387,201 @@ func TestHostCacheScreensSelfAndDead(t *testing.T) {
 	}
 }
 
-// TestMaintenanceCostPins pins the keepalive wire path exactly: one Tick
-// with repair on over a fixed, settled overlay (everyone online, no loss)
-// sends and answers a known number of pings for a known number of
-// allocations, and one X-Try exchange carries a known number of hints for
-// a known number of allocations. Lowering a pin is free; raising one needs
-// a CHANGES.md line that names the cause.
+// TestMaintenanceCostPins pins the keepalive exactly: one Tick with repair
+// on over a fixed, settled overlay (everyone online, no loss, a registry
+// attached) sends and answers a known number of pings for a known number of
+// allocations and host-cache adds, the first round on a flat overlay makes a
+// known number of adds, and one X-Try exchange hands over a known number of
+// hints for a known number of allocations. The adds pins fail a Pong value
+// path that drops or repeats an address. Lowering an allocation pin is
+// free; raising one needs a CHANGES.md line that names the cause. The
+// message, add and hint counts are behaviour and do not move.
 func TestMaintenanceCostPins(t *testing.T) {
 	cfg := DefaultRepairConfig(7)
-	nw, m := maintTestNetwork(t, 7, cfg)
+	reg := obs.NewRegistry()
+	nw, m := maintNetwork(t, DefaultConfig(7), cfg, func(nw *Network) { nw.Instrument(reg, nil) })
+	hostAdds := reg.Counter("gnet_hostcache_adds_total")
 	now := int64(0)
 	var pings, pongs int
+	adds := make([]int64, 0, 2) // host-cache adds per tick
 	tick := func() {
-		before := m.Stats()
+		before, addsBefore := m.Stats(), hostAdds.Value()
 		now += cfg.PingInterval
 		m.Tick(now)
 		after := m.Stats()
 		pings, pongs = after.PingsSent-before.PingsSent, after.PongsReceived-before.PongsReceived
+		adds = append(adds, hostAdds.Value()-addsBefore)
 	}
-	if allocs := testing.AllocsPerRun(1, tick); allocs != 120 || pings != 816 || pongs != 816 {
-		t.Errorf("one keepalive round: %v allocs, %d pings sent, %d pongs received; pinned 120, 816, 816",
-			allocs, pings, pongs)
+	// AllocsPerRun warms up with one tick: the first round's Pongs fill
+	// the caches the X-Try seeding left, the second finds them learned.
+	if allocs := testing.AllocsPerRun(1, tick); allocs != 120 || pings != 816 || pongs != 816 || !slices.Equal(adds, []int64{55, 0}) {
+		t.Errorf("keepalive rounds: %v allocs, %d pings sent, %d pongs received, %v host-cache adds; pinned 120, 816, 816, [55 0]",
+			allocs, pings, pongs, adds)
+	}
+
+	// A flat overlay keeps every address its Pongs carry, where a two-tier
+	// one drops the leaves', so its first round pins every Pong's address.
+	flat := DefaultConfig(7)
+	flat.UltrapeerFrac = 0
+	flatReg := obs.NewRegistry()
+	_, fm := maintNetwork(t, flat, cfg, func(nw *Network) { nw.Instrument(flatReg, nil) })
+	flatAdds := flatReg.Counter("gnet_hostcache_adds_total")
+	seeded := flatAdds.Value()
+	fm.Tick(cfg.PingInterval)
+	if got := flatAdds.Value() - seeded; got != 8555 {
+		t.Errorf("flat keepalive round: %d host-cache adds; pinned 8555", got)
 	}
 
 	from := nw.Peers[firstUltra(nw)]
 	var hints int
 	exchange := func() { hints = len(m.receiveTries(from)) }
-	if allocs := testing.AllocsPerRun(20, exchange); allocs != 1 || hints != 12 {
-		t.Errorf("one X-Try exchange: %v allocs, %d hints; pinned 1, 12", allocs, hints)
+	if allocs := testing.AllocsPerRun(20, exchange); allocs != 0 || hints != 12 {
+		t.Errorf("one X-Try exchange: %v allocs, %d hints; pinned 0, 12", allocs, hints)
+	}
+}
+
+// wirePongAddrs is the encoded keepalive exchange that receivePongs hands
+// over as values, kept as its reference: u's Ping is encoded and decoded at
+// v, which answers with a Pong for itself and cached Pongs for the first ten
+// of its other neighbors in neighbor order; each Pong is encoded, decoded at
+// u, and the address it carries collected.
+func wirePongAddrs(t *testing.T, nw *Network, u, v int) []Addr {
+	t.Helper()
+	pingRaw, err := gmsg.Encode(&gmsg.Message{
+		Header: gmsg.Header{GUID: gmsg.GUIDFromUint64s(uint64(u), uint64(v)), Type: gmsg.TypePing, TTL: 1},
+	})
+	if err != nil {
+		t.Fatalf("ping encode: %v", err)
+	}
+	ping, _, err := gmsg.Decode(pingRaw)
+	if err != nil {
+		t.Fatalf("ping decode: %v", err)
+	}
+	var addrs []Addr
+	answer := func(q *Peer, hops byte) {
+		raw, err := gmsg.Encode(&gmsg.Message{
+			Header: gmsg.Header{GUID: ping.Header.GUID, Type: gmsg.TypePong, TTL: ping.Header.Hops + 1, Hops: hops},
+			Pong:   &gmsg.Pong{Port: q.Addr.Port, IP: q.Addr.IP, FilesCount: uint32(len(q.Library))},
+		})
+		if err != nil {
+			t.Fatalf("pong encode: %v", err)
+		}
+		pong, _, err := gmsg.Decode(raw)
+		if err != nil {
+			t.Fatalf("pong decode: %v", err)
+		}
+		addrs = append(addrs, Addr{IP: pong.Pong.IP, Port: pong.Pong.Port})
+	}
+	answer(nw.Peers[v], 0)
+	sent := 0
+	for _, nb := range nw.Peers[v].Neighbors {
+		if nb == u {
+			continue
+		}
+		answer(nw.Peers[nb], 1)
+		if sent++; sent >= 10 {
+			break
+		}
+	}
+	return addrs
+}
+
+// wireTries is the X-Try-Ultrapeers exchange that receiveTries hands over as
+// values, kept as its reference: from's hints (its ultrapeer neighbors, or
+// every neighbor on a flat overlay) are formatted into the header value and
+// parsed back on receipt.
+func wireTries(nw *Network, from *Peer) []Addr {
+	var hints []Addr
+	for _, nb := range from.Neighbors {
+		if q := nw.Peers[nb]; q.Ultrapeer || nw.Config.UltrapeerFrac == 0 {
+			hints = append(hints, q.Addr)
+		}
+	}
+	return ParseTryUltrapeers(FormatTryUltrapeers(hints))
+}
+
+// TestKeepaliveMatchesWireReference holds the keepalive's value path to the
+// encoded one: after ticks with churn, repair, 5% message loss and a
+// shedding capacity plane have left neighbor lists ragged, the addresses
+// every online edge's Pongs carry equal wirePongAddrs, in order, and every
+// peer's X-Try hints equal wireTries, on flat and two-tier overlays.
+func TestKeepaliveMatchesWireReference(t *testing.T) {
+	flat := DefaultConfig(23)
+	flat.UltrapeerFrac = 0
+	// excluded counts answers where u sits among v's first eleven
+	// neighbors (so skipping it moves the list); capped counts answers the
+	// ten-Pong bound cut short.
+	var excluded, capped int
+	for _, tc := range []struct {
+		name string
+		ncfg Config
+	}{{"two-tier", DefaultConfig(23)}, {"flat", flat}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultRepairConfig(23)
+			ccfg := capacity.DefaultConfig(23)
+			ccfg.QueueDepth, ccfg.Policy = 6, capacity.RED
+			var plane *capacity.Plane
+			nw, m := maintNetwork(t, tc.ncfg, cfg, func(nw *Network) {
+				nw.SetFaults(faults.New(faults.Config{Seed: 23, MessageLoss: 0.05}))
+				var err error
+				if plane, err = capacity.New(ccfg, len(nw.Peers)); err != nil {
+					t.Fatalf("capacity.New: %v", err)
+				}
+				nw.SetCapacity(plane)
+			})
+			n := len(nw.Peers)
+			for id := 0; id < n; id += 9 {
+				if err := m.PeerDown(id, id%2 == 0); err != nil {
+					t.Fatalf("PeerDown: %v", err)
+				}
+			}
+			for round := int64(1); round <= 4; round++ {
+				now := round * cfg.PingInterval
+				plane.Advance(now)
+				if round == 3 {
+					for id := 0; id < n; id += 18 {
+						if err := m.PeerUp(id, now); err != nil {
+							t.Fatalf("PeerUp: %v", err)
+						}
+					}
+				}
+				m.Tick(now)
+				plane.Commit(now)
+			}
+			st := m.Stats()
+			if st.FailuresDetected == 0 || st.RepairSuccesses == 0 || st.PingsLost == 0 || plane.Stats().Shed == 0 {
+				t.Fatalf("setup left the overlay settled: %+v, capacity %+v", st, plane.Stats())
+			}
+
+			var buf [1 + maxCachedPongs]Addr
+			for u, p := range nw.Peers {
+				if !m.online[u] {
+					continue
+				}
+				for _, v := range p.Neighbors {
+					if !m.online[v] {
+						continue
+					}
+					got, want := nw.pongAddrs(buf[:0], u, v), wirePongAddrs(t, nw, u, v)
+					if !slices.Equal(got, want) {
+						t.Fatalf("Pongs %d -> %d: value path %v, wire reference %v", v, u, got, want)
+					}
+					if i := slices.Index(nw.Peers[v].Neighbors, u); i >= 0 && i <= maxCachedPongs {
+						excluded++
+					}
+					if len(want) == 1+maxCachedPongs {
+						capped++
+					}
+				}
+			}
+			for _, p := range nw.Peers {
+				if got, want := m.receiveTries(p), wireTries(nw, p); !slices.Equal(got, want) {
+					t.Fatalf("X-Try hints of %d: value path %v, wire reference %v", p.ID, got, want)
+				}
+			}
+		})
+	}
+	if excluded == 0 || capped == 0 {
+		t.Fatalf("no answer exercised the edge cases: %d with u among the first eleven, %d capped", excluded, capped)
 	}
 }

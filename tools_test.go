@@ -15,7 +15,8 @@ import (
 )
 
 // TestCLIPipeline builds the shipped binaries and runs the full trace
-// pipeline through them: crawl → queries → analyze (track included) → sim.
+// pipeline through them: crawl → queries → analyze (track included) → sim,
+// and holds qc-figures' Figure 1 to the replica analysis of the same crawl.
 // This is the only test that shells out; skip it with -short.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
@@ -23,7 +24,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, tool := range []string{"qc-crawl", "qc-itunes", "qc-queries", "qc-analyze", "qc-sim"} {
+	for _, tool := range []string{"qc-crawl", "qc-itunes", "qc-queries", "qc-analyze", "qc-sim", "qc-figures"} {
 		bin := filepath.Join(dir, tool)
 		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+tool)
 		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
@@ -108,8 +109,13 @@ func TestCLIPipeline(t *testing.T) {
 	run("qc-queries", "-n", "15000", "-days", "1", "-crawl", crawl, "-o", queries)
 
 	// Analyses over the traces.
-	if out := run("qc-analyze", "-mode", "replicas", "-in", crawl); !strings.Contains(out, "rank\tcount") {
-		t.Errorf("replicas output unexpected: %.80s", out)
+	// Figure 1 at tiny scale is the replica table of this very crawl, so
+	// qc-figures' fig1.dat must be byte-equal to qc-analyze's stdout.
+	figs := filepath.Join(dir, "figs")
+	run("qc-figures", "-scale", "tiny", "-seed", "42", "-out", figs)
+	replicas := run("qc-analyze", "-mode", "replicas", "-in", crawl)
+	if fig1, err := os.ReadFile(filepath.Join(figs, "fig1.dat")); err != nil || string(fig1) != replicas {
+		t.Errorf("qc-figures fig1.dat differs from qc-analyze -mode replicas over the crawl (%v):\n%.200s\nvs\n%.200s", err, fig1, replicas)
 	}
 	if out := run("qc-analyze", "-mode", "annotations", "-in", itunes); !strings.Contains(out, "artist") {
 		t.Errorf("annotations output unexpected: %.80s", out)
