@@ -30,16 +30,19 @@ race:
 # restore leaves every other restore's floods unchanged) and the overload
 # plane (a flash-crowd
 # scenario with shedding and breakers is byte-identical at 1 vs 8 workers,
-# and a disabled capacity plane is byte-identical to no plane), and the
-# keepalive's value path (the addresses Pongs and X-Try hints hand over
-# equal the encoded descriptors' and formatted headers' after churn, repair,
-# loss and shedding, on flat and two-tier overlays).
+# and a disabled capacity plane is byte-identical to no plane), the
+# keepalive's value path (the addresses of the peers Pongs and X-Try hints
+# hand over equal the encoded descriptors' and formatted headers' after
+# churn, repair, loss and shedding, on flat and two-tier overlays) and the
+# QRP route matrix (every holder's pass bit equals the match of the table
+# its library rebuilds, on flat and two-tier overlays at 12 and 16 bits,
+# after AddFile and after DisableQRP and EnableQRP).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 	$(GO) test -race -run 'TestRestoredNetworksUnderMutation' ./internal/snapshot/
-	$(GO) test -race -run 'TestKeepaliveMatchesWireReference' ./internal/gnet/
+	$(GO) test -race -run 'TestKeepaliveMatchesWireReference|TestQRPMatrixMatchesWireTables' ./internal/gnet/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec, the snapshot loaders (each input loaded as
@@ -222,7 +225,8 @@ loc:
 # the snapshot loaders' error contract, TestRestoredNetworksUnderMutation,
 # the copy-on-write reference for restored networks, and
 # TestKeepaliveMatchesWireReference, the encoded reference for the
-# keepalive's Pongs and X-Try hints), the decoder,
+# keepalive's Pongs and X-Try hints, and TestQRPMatrixMatchesWireTables,
+# the rebuilt-table reference for the QRP route matrix), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

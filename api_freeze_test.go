@@ -451,8 +451,6 @@ func stripTypeArgs(sym string) string {
 // compares a fast path against; code a ROADMAP item needs; or a test
 // oracle for state no reached function exposes.
 var reachKeep = map[string]string{
-	"qrp.Table.MatchesQuery":    "slow reference for the hoisted QRP gate (qrp_test, gnet flood_naive_test)",
-	"qrp.QueryHashes":           "slow reference for the dictionary's precomputed query slots (qrp_test)",
 	"terms.Matches":             "slow reference for the posting-index probe (gnet index_test)",
 	"terms.TokenSet":            "slow reference for the posting-index probe (gnet index_test)",
 	"vpost.Encode":              "slow reference codec the cursor is checked against (vpost_test)",

@@ -183,8 +183,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// siteRED names the RED decision stream.
-const siteRED = "capacity/red"
+// siteRED is the hash of "capacity/red", the RED decision stream's name,
+// taken once rather than on every roll.
+var siteRED = rng.NameHash("capacity/red")
 
 // Breaker states.
 const (
@@ -395,7 +396,7 @@ func (p *Plane) admits(salt uint64, to int, n uint64, ttl, floodTTL int) bool {
 		prob := float64(d-minTh+1) / float64(cap64-minTh)
 		derived := p.cfg.Seed ^ (salt * 0x94d049bb133111eb) ^
 			(uint64(to) * 0x9e3779b97f4a7c15) ^ (n * 0xbf58476d1ce4e5b9)
-		return !rng.NewNamed(derived, siteRED).Bool(prob)
+		return !rng.NewHashed(derived, siteRED).Bool(prob)
 	case TTLAware:
 		if ttl < 1 {
 			ttl = 1

@@ -55,15 +55,24 @@ func (c Config) Enabled() bool {
 		c.TruncateWrite > 0 || c.PeerDepart > 0 || c.MessageLoss > 0
 }
 
-// Injection sites, used as stream names so each fault class draws from an
-// independent sequence.
-const (
-	siteDial      = "faults/dial"
-	siteHandshake = "faults/handshake"
-	siteReset     = "faults/reset"
-	siteTruncate  = "faults/truncate"
-	siteDepart    = "faults/depart"
-	siteLoss      = "faults/loss"
+// site is one injection site: its stream name, so each fault class draws
+// from an independent sequence, and that name's hash, taken once so a roll
+// does not hash a constant string.
+type site struct {
+	name string
+	hash uint64
+}
+
+func newSite(name string) site { return site{name, rng.NameHash(name)} }
+
+// The injection sites.
+var (
+	siteDial      = newSite("faults/dial")
+	siteHandshake = newSite("faults/handshake")
+	siteReset     = newSite("faults/reset")
+	siteTruncate  = newSite("faults/truncate")
+	siteDepart    = newSite("faults/depart")
+	siteLoss      = newSite("faults/loss")
 )
 
 // Plane is one fault-injection engine. It is safe for concurrent use (the
@@ -111,8 +120,8 @@ func (p *Plane) Instrument(reg *obs.Registry) {
 }
 
 // fired records one fire decision at site.
-func (p *Plane) fired(site string) {
-	switch site {
+func (p *Plane) fired(s site) {
+	switch s {
 	case siteDial:
 		p.om.dial.Inc()
 	case siteHandshake:
@@ -186,8 +195,8 @@ func (p *Plane) LivenessSnapshot() []bool {
 }
 
 // next returns the per-(site, key) call counter, post-incremented.
-func (p *Plane) next(site string, key uint64) uint64 {
-	ck := counterKey{site, key}
+func (p *Plane) next(s site, key uint64) uint64 {
+	ck := counterKey{s.name, key}
 	p.mu.Lock()
 	n := p.counters[ck]
 	p.counters[ck] = n + 1
@@ -196,24 +205,24 @@ func (p *Plane) next(site string, key uint64) uint64 {
 }
 
 // stream derives the decision stream for the nth event at (site, key).
-func (p *Plane) stream(site string, key, n uint64) *rng.Source {
+func (p *Plane) stream(s site, key, n uint64) *rng.Source {
 	// Mix key and call index into the seed with distinct odd constants so
 	// nearby keys and consecutive calls land on unrelated streams.
 	derived := p.cfg.Seed ^ (key * 0x9e3779b97f4a7c15) ^ (n * 0xbf58476d1ce4e5b9)
-	return rng.NewNamed(derived, site)
+	return rng.NewHashed(derived, s.hash)
 }
 
 // roll decides one fault event. Zero probability returns false without
 // touching any state, keeping the plane inert when disabled.
-func (p *Plane) roll(site string, key uint64, prob float64) (*rng.Source, bool) {
+func (p *Plane) roll(s site, key uint64, prob float64) (*rng.Source, bool) {
 	if p == nil || prob <= 0 {
 		return nil, false
 	}
-	r := p.stream(site, key, p.next(site, key))
+	r := p.stream(s, key, p.next(s, key))
 	if !r.Bool(prob) {
 		return nil, false
 	}
-	p.fired(site)
+	p.fired(s)
 	return r, true
 }
 
@@ -286,7 +295,7 @@ func (p *Plane) MessageLossAt(salt uint64, to int, n uint64) bool {
 	}
 	derived := p.cfg.Seed ^ (salt * 0x94d049bb133111eb) ^
 		(uint64(to) * 0x9e3779b97f4a7c15) ^ (n * 0xbf58476d1ce4e5b9)
-	if rng.NewNamed(derived, siteLoss).Bool(prob) {
+	if rng.NewHashed(derived, siteLoss.hash).Bool(prob) {
 		p.om.loss.Inc()
 		return true
 	}

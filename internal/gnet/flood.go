@@ -60,13 +60,15 @@ type FloodCtx struct {
 	next     []int32
 
 	// qids holds the flood's query resolved to the network's TermIDs
-	// (hoisted once per flood); qhash the hoisted QRP slots; cols, on a
+	// (hoisted once per flood); qhash the hoisted QRP slots and qpass the
+	// route-table pass mask they give (see qrpHoist); cols, on a
 	// flood whose every term is dense, the terms' offset columns, which
 	// stand in for the per-peer lookups (empty otherwise). ms is the
 	// per-peer match scratch (its decoded field tallies the flood's
 	// postings decoded), probes the flood's count of posting indexes read.
 	qids   []dict.TermID
 	qhash  []uint32
+	qpass  []uint64
 	cols   [][]uint32
 	ms     matchScratch
 	probes int
@@ -365,7 +367,7 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 						continue
 					}
 					if hoist.active && (copyTTL <= 2 || (relay != nil && !relay[nb])) {
-						if t := nw.qrpTables[nb]; t != nil && !t.ContainsAll(hoist.hashes) {
+						if hoist.blocks(nb) {
 							qrpSkipped++
 							continue
 						}
@@ -470,39 +472,46 @@ func (c *FloodCtx) matchColumns(to int) []int32 {
 }
 
 // qrpHoist is the per-flood QRP forwarding decision: inactive when QRP is
-// off or the query is a browse (always forward); otherwise the criteria's
-// pre-hashed slots (nil for a keywordless query, which no table matches).
+// off or the query is a browse (always forward); otherwise the route
+// matrix's holder numbers and the flood's pass mask, one bit per holder,
+// set when the holder's table hits every query keyword (none set for a
+// keywordless query, which no table matches).
 type qrpHoist struct {
 	active bool
-	hashes []uint32
+	ord    []int32
+	pass   []uint64
+}
+
+// blocks reports whether peer p pushed a route table the query misses.
+func (h qrpHoist) blocks(p int) bool {
+	o := h.ord[p]
+	return o >= 0 && h.pass[o>>6]&(1<<(o&63)) == 0
 }
 
 // hoistQRPToks computes the flood-wide QRP state from the already-deduped
 // token list and the IDs the flood resolved it to (ids[i] is toks[i]'s,
 // NoTerm when unknown; unread for a keywordless query), reusing the
-// context's slot scratch; the slots stay in token order. Known terms read
-// their precomputed hash product from the dictionary; unknown query terms
-// are still string-hashed — they can false-positive into a route table,
-// and the forwarding decision must not depend on which path computed the
-// slots. Checking deduped tokens is equivalent to the per-occurrence
-// QueryHashes: duplicate occurrences test the same slot.
+// context's slot and mask scratch. Known terms read their precomputed hash
+// product from the dictionary; unknown query terms are still
+// string-hashed — they can false-positive into a route table, and the
+// forwarding decision must not depend on which path computed the slots.
+// Checking deduped tokens is equivalent to checking every occurrence:
+// duplicate occurrences test the same slot.
 func (c *FloodCtx) hoistQRPToks(criteria string, toks []string, ids []dict.TermID) qrpHoist {
 	nw := c.nw
-	if nw.qrpTables == nil || criteria == BrowseCriteria {
+	q := nw.qrp
+	if q == nil || criteria == BrowseCriteria {
 		return qrpHoist{}
-	}
-	if len(toks) == 0 {
-		// Keywordless query: active with no hashes, which no table matches.
-		return qrpHoist{active: true}
 	}
 	hs := c.qhash[:0]
 	for i, tok := range toks {
 		if id := ids[i]; id != dict.NoTerm {
-			hs = append(hs, nw.dict.Slot(id, nw.qrpBits))
+			hs = append(hs, nw.dict.Slot(id, q.bits))
 			continue
 		}
-		hs = append(hs, qrp.Hash(tok, nw.qrpBits))
+		hs = append(hs, qrp.Hash(tok, q.bits))
 	}
 	c.qhash = hs
-	return qrpHoist{active: true, hashes: hs}
+	c.qpass = q.pass(c.qpass, hs)
+	return qrpHoist{active: true, ord: q.ord, pass: c.qpass}
 }

@@ -38,6 +38,7 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 	}
 	res := &FloodResult{}
 	seen := map[int]bool{origin: true}
+	tables := map[int]routeTable{} // route tables rebuilt so far (qrpAllows)
 	lossAttempts := map[int]uint64{}
 	plane := nw.faults
 	alive := plane.LivenessSnapshot()
@@ -127,7 +128,7 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 				// Route tables trim only the last hop: a recipient that would
 				// relay the query on is never filtered.
 				lastHop := m.Header.TTL <= 2 || (nw.Config.UltrapeerFrac > 0 && !nw.Peers[nb].Ultrapeer)
-				if (lastHop && !nw.qrpAllows(nb, criteria)) || cp.Blocked(nb) {
+				if (lastHop && !nw.qrpAllows(nb, criteria, tables)) || cp.Blocked(nb) {
 					continue
 				}
 				next = append(next, envelope{to: nb, raw: fraw})
@@ -141,13 +142,20 @@ func floodNaive(nw *Network, origin int, criteria string, ttl int, r *rng.Source
 
 // qrpAllows is the reference's per-edge routing test: may a query be
 // forwarded to peer id under the current route tables? Always true when QRP
-// is off, for a browse, or when id pushed no table; otherwise the criteria
-// are tokenized and hashed afresh against the table, on every edge.
-func (nw *Network) qrpAllows(id int, criteria string) bool {
-	if nw.qrpTables == nil || criteria == BrowseCriteria || nw.qrpTables[id] == nil {
+// is off, for a browse, or when id pushed no table (an ultrapeer of a
+// two-tier network); otherwise the peer's table is rebuilt from its library
+// (leafTable, once per flood: tables holds those rebuilt so far) and the
+// criteria tokenized and hashed afresh against it, on every edge.
+func (nw *Network) qrpAllows(id int, criteria string, tables map[int]routeTable) bool {
+	if nw.qrp == nil || criteria == BrowseCriteria || nw.Peers[id].Ultrapeer {
 		return true
 	}
-	return nw.qrpTables[id].MatchesQuery(criteria)
+	t, ok := tables[id]
+	if !ok {
+		t = leafTable(nw.Peers[id].Library, nw.qrp.bits)
+		tables[id] = t
+	}
+	return t.matches(criteria)
 }
 
 // TestFloodMatchesNaiveReference cross-checks the optimised FloodCtx — the

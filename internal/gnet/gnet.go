@@ -20,7 +20,6 @@ import (
 	"querycentric/internal/dict"
 	"querycentric/internal/faults"
 	"querycentric/internal/gmsg"
-	"querycentric/internal/qrp"
 	"querycentric/internal/rng"
 )
 
@@ -122,11 +121,9 @@ type Network struct {
 	// rather than one bool behind each nw.Peers[p] pointer.
 	relay []bool
 
-	// qrpTables[p] is leaf p's query-route table, held by its ultrapeers;
-	// nil while QRP is disabled. qrpBits is the table width, recorded so
-	// floods can hash a query's criteria once instead of per edge.
-	qrpTables []*qrp.Table
-	qrpBits   uint
+	// qrp holds the leaves' query-route tables, which their ultrapeers
+	// keep, as one bit matrix (see qrpMatrix); nil while QRP is disabled.
+	qrp *qrpMatrix
 
 	// faults is the injection plane consulted by Dial, servent sessions
 	// and Flood; nil injects nothing (see SetFaults).
@@ -167,51 +164,6 @@ func (nw *Network) Close() error {
 	}
 	return b.Close()
 }
-
-// EnableQRP builds a QRP table for every leaf from its shared library, as
-// deployed leaves push to their ultrapeers. Floods then apply last-hop
-// filtering: an ultrapeer forwards a query to a leaf only if every query
-// keyword hits the leaf's table. Only meaningful on two-tier topologies.
-//
-// It indexes the network first (BuildIndexes) and builds each table from
-// the leaf's posting index: one precomputed hash per distinct library term,
-// instead of re-tokenizing and re-hashing every file name. The marked slots
-// are those qrp.Table.AddName would mark (duplicate keyword occurrences map
-// to the same slot). Every table still travels encoded, as a leaf would
-// ship it, but the leaves share one scratch table and one blob: a leaf
-// costs only the decoded table it keeps. The build is serial.
-func (nw *Network) EnableQRP(bits uint) error {
-	scratch, err := qrp.NewTable(bits)
-	if err != nil {
-		return err
-	}
-	if err := nw.BuildIndexes(0); err != nil {
-		return err
-	}
-	tables := make([]*qrp.Table, len(nw.Peers))
-	var blob []byte
-	for _, p := range nw.Peers {
-		if p.Ultrapeer {
-			continue
-		}
-		scratch.Reset()
-		p.idx.forEach(func(id dict.TermID, _ postingsRef) {
-			scratch.AddSlot(nw.dict.Slot(id, bits))
-		})
-		blob = scratch.AppendEncode(blob[:0])
-		back, err := qrp.Decode(blob)
-		if err != nil {
-			return err
-		}
-		tables[p.ID] = back
-	}
-	nw.qrpTables = tables
-	nw.qrpBits = bits
-	return nil
-}
-
-// DisableQRP removes route tables (floods forward to every leaf again).
-func (nw *Network) DisableQRP() { nw.qrpTables = nil }
 
 // New builds a network of n peers with empty libraries.
 func New(cfg Config, n int) (*Network, error) {
@@ -519,8 +471,8 @@ func (nw *Network) AddFile(id int, name string, size uint32) error {
 	copy(lib, p.Library)
 	lib[len(p.Library)] = File{Index: uint32(len(p.Library)), Size: size, Name: name}
 	p.Library = lib
-	if nw.qrpTables != nil && nw.qrpTables[id] != nil {
-		nw.qrpTables[id].AddName(name)
+	if q := nw.qrp; q != nil && q.ord[id] >= 0 {
+		q.addName(name, q.ord[id])
 	}
 	if nw.dict == nil {
 		return nil

@@ -8,43 +8,45 @@ import (
 	"querycentric/internal/rng"
 )
 
-func hcAddr(i int) Addr {
-	return Addr{IP: [4]byte{10, 0, byte(i >> 8), byte(i)}, Port: 6346}
+// hcOrder returns the cache's entries oldest first.
+func hcOrder(hc *HostCache) []int32 {
+	a, b := hc.entries()
+	return append(append([]int32{}, a...), b...)
 }
 
 func TestHostCacheAddDedupEvict(t *testing.T) {
 	hc := NewHostCache(3)
 	for i := 0; i < 3; i++ {
-		if !hc.Add(hcAddr(i)) {
+		if !hc.Add(int32(i)) {
 			t.Fatalf("Add(%d) reported duplicate on fresh cache", i)
 		}
 	}
-	if hc.Add(hcAddr(1)) {
+	if hc.Add(int32(1)) {
 		t.Fatal("Add reported a duplicate address as new")
 	}
 	if hc.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", hc.Len())
 	}
 	// A fourth insert evicts the oldest entry (FIFO).
-	hc.Add(hcAddr(3))
-	if want := []Addr{hcAddr(1), hcAddr(2), hcAddr(3)}; !slices.Equal(hc.addrs, want) {
-		t.Fatalf("cache after eviction = %v, want %v", hc.addrs, want)
+	hc.Add(int32(3))
+	if want := []int32{1, 2, 3}; !slices.Equal(hcOrder(hc), want) {
+		t.Fatalf("cache after eviction = %v, want %v", hcOrder(hc), want)
 	}
 }
 
 func TestHostCacheRemove(t *testing.T) {
 	hc := NewHostCache(4)
 	for i := 0; i < 3; i++ {
-		hc.Add(hcAddr(i))
+		hc.Add(int32(i))
 	}
-	if !hc.Remove(hcAddr(1)) {
+	if !hc.Remove(int32(1)) {
 		t.Fatal("Remove missed a present address")
 	}
-	if hc.Remove(hcAddr(1)) {
+	if hc.Remove(int32(1)) {
 		t.Fatal("Remove reported an absent address as present")
 	}
-	if want := []Addr{hcAddr(0), hcAddr(2)}; !slices.Equal(hc.addrs, want) {
-		t.Fatalf("cache after Remove = %v, want %v", hc.addrs, want)
+	if want := []int32{0, 2}; !slices.Equal(hcOrder(hc), want) {
+		t.Fatalf("cache after Remove = %v, want %v", hcOrder(hc), want)
 	}
 }
 
@@ -54,21 +56,21 @@ func TestHostCachePick(t *testing.T) {
 		t.Fatal("Pick on empty cache returned a value")
 	}
 	for i := 0; i < 5; i++ {
-		hc.Add(hcAddr(i))
+		hc.Add(int32(i))
 	}
 	// The filtered draw consumes exactly one rng value when a candidate
 	// qualifies, regardless of how many candidates the filter rejects.
-	only2 := func(a Addr) bool { return a == hcAddr(2) }
+	only2 := func(id int32) bool { return id == 2 }
 	r1, r2 := rng.New(7), rng.New(7)
 	a, ok := hc.Pick(r1, only2)
-	if !ok || a != hcAddr(2) {
-		t.Fatalf("filtered Pick = %v, %v; want %v, true", a, ok, hcAddr(2))
+	if !ok || a != 2 {
+		t.Fatalf("filtered Pick = %v, %v; want 2, true", a, ok)
 	}
 	r2.Intn(1)
 	if r1.Uint64() != r2.Uint64() {
 		t.Fatal("filtered Pick consumed a different stream length than one draw")
 	}
-	if _, ok := hc.Pick(rng.New(7), func(Addr) bool { return false }); ok {
+	if _, ok := hc.Pick(rng.New(7), func(int32) bool { return false }); ok {
 		t.Fatal("Pick with all-rejecting filter returned a value")
 	}
 	// Same seed, same draw.
@@ -83,71 +85,72 @@ func TestHostCachePick(t *testing.T) {
 // model: a map decides duplicates and removals, a slice keeps FIFO order.
 type mapHostCache struct {
 	capacity     int
-	addrs        []Addr
-	index        map[Addr]struct{}
+	ids          []int32
+	index        map[int32]struct{}
 	adds, evicts int
 }
 
 func newMapHostCache(capacity int) *mapHostCache {
-	return &mapHostCache{capacity: capacity, index: make(map[Addr]struct{}, capacity)}
+	return &mapHostCache{capacity: capacity, index: make(map[int32]struct{}, capacity)}
 }
 
-func (hc *mapHostCache) Add(a Addr) bool {
-	if _, dup := hc.index[a]; dup {
+func (hc *mapHostCache) Add(id int32) bool {
+	if _, dup := hc.index[id]; dup {
 		return false
 	}
-	if len(hc.addrs) >= hc.capacity {
-		oldest := hc.addrs[0]
-		hc.addrs = hc.addrs[1:]
+	if len(hc.ids) >= hc.capacity {
+		oldest := hc.ids[0]
+		hc.ids = hc.ids[1:]
 		delete(hc.index, oldest)
 		hc.evicts++
 	}
 	hc.adds++
-	hc.addrs = append(hc.addrs, a)
-	hc.index[a] = struct{}{}
+	hc.ids = append(hc.ids, id)
+	hc.index[id] = struct{}{}
 	return true
 }
 
-func (hc *mapHostCache) Remove(a Addr) bool {
-	if _, ok := hc.index[a]; !ok {
+func (hc *mapHostCache) Remove(id int32) bool {
+	if _, ok := hc.index[id]; !ok {
 		return false
 	}
-	delete(hc.index, a)
-	for i, x := range hc.addrs {
-		if x == a {
-			hc.addrs = append(hc.addrs[:i], hc.addrs[i+1:]...)
+	delete(hc.index, id)
+	for i, x := range hc.ids {
+		if x == id {
+			hc.ids = append(hc.ids[:i], hc.ids[i+1:]...)
 			break
 		}
 	}
 	return true
 }
 
-func (hc *mapHostCache) Pick(r *rng.Source, keep func(Addr) bool) (Addr, bool) {
-	if len(hc.addrs) == 0 {
-		return Addr{}, false
+func (hc *mapHostCache) Pick(r *rng.Source, keep func(int32) bool) (int32, bool) {
+	if len(hc.ids) == 0 {
+		return 0, false
 	}
 	if keep == nil {
-		return hc.addrs[r.Intn(len(hc.addrs))], true
+		return hc.ids[r.Intn(len(hc.ids))], true
 	}
-	candidates := make([]Addr, 0, len(hc.addrs))
-	for _, a := range hc.addrs {
-		if keep(a) {
-			candidates = append(candidates, a)
+	candidates := make([]int32, 0, len(hc.ids))
+	for _, id := range hc.ids {
+		if keep(id) {
+			candidates = append(candidates, id)
 		}
 	}
 	if len(candidates) == 0 {
-		return Addr{}, false
+		return 0, false
 	}
 	return candidates[r.Intn(len(candidates))], true
 }
 
 // TestHostCacheMatchesMapModel runs random Add/Remove/Pick sequences against
 // the cache and the map-indexed model, at every capacity from 1 to 40 (past
-// the stack scratch Pick uses up to DefaultHostCacheSize), over an address
+// the stack scratch Pick uses up to DefaultHostCacheSize), over an ID
 // pool larger than the capacity so duplicates and evictions both occur.
 // Every return value, the FIFO order after every operation, every Pick from
-// equal streams — including which addresses its filter is shown, in order —
-// and the adds/evicts counters must agree.
+// equal streams — including which IDs its filter is shown, in order —
+// and the adds/evicts counters must agree, and every free ring slot must
+// hold the -1 the duplicate scan relies on.
 func TestHostCacheMatchesMapModel(t *testing.T) {
 	for capacity := 1; capacity <= 40; capacity++ {
 		reg := obs.NewRegistry()
@@ -157,7 +160,7 @@ func TestHostCacheMatchesMapModel(t *testing.T) {
 		ops := rng.New(uint64(capacity))
 		pool := capacity + capacity/2 + 2
 		for step := 0; step < 3000; step++ {
-			a := hcAddr(ops.Intn(pool))
+			a := int32(ops.Intn(pool))
 			switch op := ops.Intn(10); {
 			case op < 6:
 				if got, want := hc.Add(a), model.Add(a); got != want {
@@ -169,11 +172,11 @@ func TestHostCacheMatchesMapModel(t *testing.T) {
 				}
 			default:
 				seed, mod := ops.Uint64(), 1+ops.Intn(4)
-				var keep, modelKeep func(Addr) bool
-				var shown, modelShown []Addr
+				var keep, modelKeep func(int32) bool
+				var shown, modelShown []int32
 				if mod > 1 {
-					keep = func(a Addr) bool { shown = append(shown, a); return int(a.IP[3])%mod == 0 }
-					modelKeep = func(a Addr) bool { modelShown = append(modelShown, a); return int(a.IP[3])%mod == 0 }
+					keep = func(id int32) bool { shown = append(shown, id); return int(id)%mod == 0 }
+					modelKeep = func(id int32) bool { modelShown = append(modelShown, id); return int(id)%mod == 0 }
 				}
 				r, mr := rng.New(seed), rng.New(seed)
 				got, gok := hc.Pick(r, keep)
@@ -183,8 +186,17 @@ func TestHostCacheMatchesMapModel(t *testing.T) {
 						capacity, step, got, gok, shown, want, wok, modelShown)
 				}
 			}
-			if !slices.Equal(hc.addrs, model.addrs) {
-				t.Fatalf("cap %d step %d: order %v, model %v", capacity, step, hc.addrs, model.addrs)
+			if !slices.Equal(hcOrder(hc), model.ids) {
+				t.Fatalf("cap %d step %d: order %v, model %v", capacity, step, hcOrder(hc), model.ids)
+			}
+			free := 0
+			for _, x := range hc.ring {
+				if x == -1 {
+					free++
+				}
+			}
+			if free != len(hc.ring)-hc.Len() {
+				t.Fatalf("cap %d step %d: ring %v holds %d free slots, want %d", capacity, step, hc.ring, free, len(hc.ring)-hc.Len())
 			}
 		}
 		if adds.Value() != int64(model.adds) || evicts.Value() != int64(model.evicts) {
@@ -203,16 +215,16 @@ func TestHostCacheMatchesMapModel(t *testing.T) {
 func TestHostCacheFullAllocPins(t *testing.T) {
 	hc := NewHostCache(DefaultHostCacheSize)
 	for i := 0; i < DefaultHostCacheSize; i++ {
-		hc.Add(hcAddr(i))
+		hc.Add(int32(i))
 	}
 	r := rng.New(1)
 	next := DefaultHostCacheSize
-	keep := func(a Addr) bool { return a.IP[3]%2 == 0 }
+	keep := func(id int32) bool { return id%2 == 0 }
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
-		{"Add", func() { hc.Add(hcAddr(next)); next++ }},
+		{"Add", func() { hc.Add(int32(next)); next++ }},
 		{"Pick", func() { hc.Pick(r, nil) }},
 		{"Pick filtered", func() { hc.Pick(r, keep) }},
 	} {

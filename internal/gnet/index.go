@@ -227,6 +227,30 @@ func (ix *IndexState) forEach(fn func(id dict.TermID, ref postingsRef)) {
 	}
 }
 
+// blockTermIDs decodes posting block b's term IDs into block and returns
+// them, reading only the block's id-delta section.
+func (ix *IndexState) blockTermIDs(b int, block *[postingBlockLen]dict.TermID) []dict.TermID {
+	buf := ix.Arena[ix.BlockOff[b]:]
+	deltas := buf[blockHeaderLen : blockHeaderLen+int(buf[0])]
+	cur := ix.BlockFirst[b]
+	block[0] = cur
+	n := 1
+	for i := 0; i < len(deltas); n++ {
+		// Gaps are one or two bytes in practice, as in lookup.
+		c := deltas[i]
+		i++
+		d := uint32(c & 0x7f)
+		for s := 7; c >= 0x80; s += 7 {
+			c = deltas[i]
+			i++
+			d |= uint32(c&0x7f) << s
+		}
+		cur += dict.TermID(d)
+		block[n] = cur
+	}
+	return block[:n]
+}
+
 // forEachTermID calls fn with the term IDs in [lo, hi), ascending, one
 // posting block's worth per call (the slice is reused), without touching
 // posting payloads: the skip array seeks to the block that could hold lo,
@@ -242,25 +266,7 @@ func (ix *IndexState) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.TermI
 	}
 	var block [postingBlockLen]dict.TermID
 	for ; b < len(first) && first[b] < hi; b++ {
-		buf := ix.Arena[ix.BlockOff[b]:]
-		deltas := buf[blockHeaderLen : blockHeaderLen+int(buf[0])]
-		cur := first[b]
-		block[0] = cur
-		n := 1
-		for i := 0; i < len(deltas); n++ {
-			// Gaps are one or two bytes in practice, as in lookup.
-			c := deltas[i]
-			i++
-			d := uint32(c & 0x7f)
-			for s := 7; c >= 0x80; s += 7 {
-				c = deltas[i]
-				i++
-				d |= uint32(c&0x7f) << s
-			}
-			cur += dict.TermID(d)
-			block[n] = cur
-		}
-		ids := block[:n]
+		ids := ix.blockTermIDs(b, &block)
 		for len(ids) > 0 && ids[0] < lo {
 			ids = ids[1:]
 		}

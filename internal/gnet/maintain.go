@@ -31,9 +31,11 @@ import (
 //     and dial them under the fault plane's transient-failure discipline,
 //     with bounded retries and exponential backoff per candidate.
 //
-// Keepalive Pongs and X-Try hints are handed over as values: the addresses
-// a decoded Pong or a parsed header would yield are read straight from the
-// network. TestKeepaliveMatchesWireReference holds them to the encoded
+// Keepalive Pongs and X-Try hints are handed over as values: the peers
+// whose addresses a decoded Pong or a parsed header would yield are read
+// straight from the network, as peer IDs (PeerByAddr maps addresses to IDs
+// one to one, so the host caches, dial screens and backoff state hold IDs
+// too). TestKeepaliveMatchesWireReference holds them to the encoded
 // descriptors and formatted headers, which live on in maintain_test.go as
 // the reference; only the Bye is encoded here.
 //
@@ -123,15 +125,15 @@ type Maintainer struct {
 	nw    *Network
 	cfg   RepairConfig
 	plane *faults.Plane
-	// bootstrap lists well-known fallback addresses (the GWebCache role).
-	bootstrap []Addr
+	// bootstrap lists well-known fallback peers (the GWebCache role).
+	bootstrap []int32
 
 	online  []bool
 	caches  []*HostCache
-	missed  []map[int]int    // consecutive silent ping rounds, per directed edge
-	seq     []uint64         // per-peer event index for stream derivation
-	fails   []map[Addr]int   // consecutive dial failures per candidate
-	retryAt []map[Addr]int64 // earliest next dial per backed-off candidate
+	missed  [][]silentEdge    // per peer, its neighbors' unanswered ping rounds
+	seq     []uint64          // per-peer event index for stream derivation
+	fails   []map[int32]int   // consecutive dial failures per candidate
+	retryAt []map[int32]int64 // earliest next dial per backed-off candidate
 	base    *rng.Source
 	round   int64
 	stats   RepairStats
@@ -148,12 +150,17 @@ type Maintainer struct {
 	marked  []bool
 
 	// Scratch reused across events, so no message allocates: the encoded
-	// Bye, the stream name, neighbor-list and X-Try address copies.
+	// Bye, the stream name, neighbor-list and X-Try hint copies.
 	wire      []byte
 	name      []byte
 	nbScratch []int
-	tries     []Addr
+	tries     []int32
 }
+
+// silentEdge counts the consecutive keepalive rounds in which a peer's
+// ping to neighbor nb went unanswered. A peer lists only the neighbors
+// with a count above zero: an answer drops the entry.
+type silentEdge struct{ nb, rounds int32 }
 
 // NewMaintainer wires a maintainer to nw. initialOnline seeds the liveness
 // view (nil marks everyone online; the slice is copied). If the network has
@@ -172,10 +179,10 @@ func NewMaintainer(nw *Network, cfg RepairConfig, initialOnline []bool) (*Mainta
 		cfg:     cfg,
 		online:  make([]bool, n),
 		caches:  make([]*HostCache, n),
-		missed:  make([]map[int]int, n),
+		missed:  make([][]silentEdge, n),
 		seq:     make([]uint64, n),
-		fails:   make([]map[Addr]int, n),
-		retryAt: make([]map[Addr]int64, n),
+		fails:   make([]map[int32]int, n),
+		retryAt: make([]map[int32]int64, n),
 		base:    rng.NewNamed(cfg.Seed, "gnet/repair"),
 		touched: make([]int, n),
 		marked:  make([]bool, n),
@@ -210,14 +217,14 @@ func NewMaintainer(nw *Network, cfg RepairConfig, initialOnline []bool) (*Mainta
 // defaultBootstrap picks a deterministic handful of well-known hosts —
 // ultrapeers when the topology has them — standing in for the GWebCache
 // list every deployed client ships with.
-func defaultBootstrap(nw *Network) []Addr {
+func defaultBootstrap(nw *Network) []int32 {
 	const want = 4
-	var out []Addr
+	var out []int32
 	for _, p := range nw.Peers {
 		if nw.Config.UltrapeerFrac > 0 && !p.Ultrapeer {
 			continue
 		}
-		out = append(out, p.Addr)
+		out = append(out, int32(p.ID))
 		if len(out) == want {
 			break
 		}
@@ -230,21 +237,21 @@ func defaultBootstrap(nw *Network) []Addr {
 func (m *Maintainer) seedCaches() {
 	for _, p := range m.nw.Peers {
 		for _, nb := range p.Neighbors {
-			for _, a := range m.receiveTries(m.nw.Peers[nb]) {
-				if a != p.Addr {
-					m.caches[p.ID].Add(a)
+			for _, id := range m.receiveTries(m.nw.Peers[nb]) {
+				if int(id) != p.ID {
+					m.caches[p.ID].Add(id)
 				}
 			}
 		}
 	}
 }
 
-// receiveTries returns the X-Try-Ultrapeers hints from advertises, as the
-// receiving side of a handshake parses them: the header round trip returns
-// the addresses it was given, so they are handed over as values. The
-// result aliases scratch valid until the next call.
-func (m *Maintainer) receiveTries(from *Peer) []Addr {
-	m.tries = m.nw.appendTryAddrs(m.tries[:0], from)
+// receiveTries returns the peers whose addresses the X-Try-Ultrapeers hints
+// from advertises, as the receiving side of a handshake parses them: the
+// header round trip returns the addresses it was given, so they are handed
+// over as values. The result aliases scratch valid until the next call.
+func (m *Maintainer) receiveTries(from *Peer) []int32 {
+	m.tries = m.nw.appendTries(m.tries[:0], from)
 	return m.tries
 }
 
@@ -325,7 +332,7 @@ func (m *Maintainer) PeerDown(id int, polite bool) error {
 		return nil
 	}
 	m.setOnline(id, false)
-	m.missed[id] = nil
+	m.missed[id] = m.missed[id][:0]
 	m.stats.Departures++
 	m.om.departures.Inc()
 	if !polite {
@@ -349,9 +356,7 @@ func (m *Maintainer) PeerDown(id int, polite bool) error {
 			return fmt.Errorf("gnet: bye decode: %w", err)
 		}
 		m.disconnect(id, nb)
-		if m.missed[nb] != nil {
-			delete(m.missed[nb], id)
-		}
+		m.clearSilent(nb, id)
 		if m.online[nb] {
 			m.stats.ByesReceived++
 			m.om.byesReceived.Inc()
@@ -372,7 +377,7 @@ func (m *Maintainer) PeerUp(id int, now int64) error {
 		return nil
 	}
 	m.setOnline(id, true)
-	m.missed[id] = nil
+	m.missed[id] = m.missed[id][:0]
 	m.stats.Arrivals++
 	m.om.arrivals.Inc()
 	if !m.cfg.Repair {
@@ -380,9 +385,7 @@ func (m *Maintainer) PeerUp(id int, now int64) error {
 	}
 	for _, nb := range m.neighbors(id) {
 		m.disconnect(id, nb)
-		if m.missed[nb] != nil {
-			delete(m.missed[nb], id)
-		}
+		m.clearSilent(nb, id)
 	}
 	m.connectToward(id, now, m.stream(id))
 	return nil
@@ -450,37 +453,56 @@ func (m *Maintainer) pingNeighbors(u int, r *rng.Source) {
 			}
 		}
 		if answered {
-			if m.missed[u] != nil {
-				delete(m.missed[u], v)
-			}
+			m.clearSilent(u, v)
 			continue
 		}
-		if m.missed[u] == nil {
-			m.missed[u] = make(map[int]int)
-		}
-		m.missed[u][v]++
-		if m.missed[u][v] >= m.cfg.PingTimeout {
+		if m.countSilent(u, v) >= m.cfg.PingTimeout {
 			m.disconnect(u, v)
-			delete(m.missed[u], v)
-			if m.missed[v] != nil {
-				delete(m.missed[v], u)
-			}
+			m.clearSilent(u, v)
+			m.clearSilent(v, u)
 			m.stats.FailuresDetected++
 			m.om.failuresDetected.Inc()
 		}
 	}
 }
 
+// clearSilent resets u's count of silent rounds toward v: v answered, or the
+// edge is gone.
+func (m *Maintainer) clearSilent(u, v int) {
+	s := m.missed[u]
+	for i, e := range s {
+		if int(e.nb) == v {
+			s[i] = s[len(s)-1]
+			m.missed[u] = s[:len(s)-1]
+			return
+		}
+	}
+}
+
+// countSilent counts one more unanswered round of u's pings to v and returns
+// the consecutive count.
+func (m *Maintainer) countSilent(u, v int) int {
+	s := m.missed[u]
+	for i := range s {
+		if int(s[i].nb) == v {
+			s[i].rounds++
+			return int(s[i].rounds)
+		}
+	}
+	m.missed[u] = append(s, silentEdge{nb: int32(v), rounds: 1})
+	return 1
+}
+
 // receivePongs delivers peer v's answer to u's ping: a Pong for v itself
-// plus cached Pongs for its neighbors (pong caching). u feeds each carried
-// address into its host cache — the Pong address semantics that keep caches
+// plus cached Pongs for its neighbors (pong caching). u feeds the peer each
+// carries into its host cache — the Pong address semantics that keep caches
 // fresh as the overlay shifts.
 func (m *Maintainer) receivePongs(u, v int) {
 	m.stats.PongsReceived++
 	m.om.pongsReceived.Inc()
-	var buf [1 + maxCachedPongs]Addr
-	for _, a := range m.nw.pongAddrs(buf[:0], u, v) {
-		m.learnAddr(u, a)
+	var buf [1 + maxCachedPongs]int32
+	for _, id := range m.nw.pongPeers(buf[:0], u, v) {
+		m.learnPeer(u, id)
 	}
 }
 
@@ -488,17 +510,17 @@ func (m *Maintainer) receivePongs(u, v int) {
 // answer with roughly ten entries, not the whole neighbor list.
 const maxCachedPongs = 10
 
-// pongAddrs appends to dst the addresses peer v's Pongs carry back to u:
-// v's own, then those of the first maxCachedPongs of v's other neighbors in
-// neighbor order, which keeps the reply bounded and deterministic.
-func (nw *Network) pongAddrs(dst []Addr, u, v int) []Addr {
-	dst = append(dst, nw.Peers[v].Addr)
+// pongPeers appends to dst the peers whose addresses peer v's Pongs carry
+// back to u: v itself, then the first maxCachedPongs of v's other neighbors
+// in neighbor order, which keeps the reply bounded and deterministic.
+func (nw *Network) pongPeers(dst []int32, u, v int) []int32 {
+	dst = append(dst, int32(v))
 	sent := 0
 	for _, nb := range nw.Peers[v].Neighbors {
 		if nb == u {
 			continue
 		}
-		dst = append(dst, nw.Peers[nb].Addr)
+		dst = append(dst, int32(nb))
 		if sent++; sent >= maxCachedPongs {
 			break
 		}
@@ -506,17 +528,13 @@ func (nw *Network) pongAddrs(dst []Addr, u, v int) []Addr {
 	return dst
 }
 
-// learnAddr feeds a discovered address into peer u's host cache, keeping
-// only viable repair candidates (ultrapeers, on two-tier topologies).
-func (m *Maintainer) learnAddr(u int, a Addr) {
-	p := m.nw.PeerByAddr(a)
-	if p == nil || p.ID == u {
+// learnPeer feeds a discovered peer into peer u's host cache, keeping only
+// viable repair candidates (ultrapeers, on two-tier topologies).
+func (m *Maintainer) learnPeer(u int, id int32) {
+	if int(id) == u || (m.nw.relay != nil && !m.nw.relay[id]) {
 		return
 	}
-	if m.nw.Config.UltrapeerFrac > 0 && !p.Ultrapeer {
-		return
-	}
-	m.caches[u].Add(a)
+	m.caches[u].Add(id)
 }
 
 // TargetDegree exposes peer id's repair target (see targetDegree) so a
@@ -580,46 +598,44 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 		return
 	}
 	if m.caches[u].Len() == 0 {
-		for _, a := range m.bootstrap {
-			if a != nw.Peers[u].Addr {
-				m.caches[u].Add(a)
+		for _, id := range m.bootstrap {
+			if int(id) != u {
+				m.caches[u].Add(id)
 			}
 		}
 	}
-	self := nw.Peers[u].Addr
-	keep := func(a Addr) bool {
+	keep := func(id int32) bool {
 		// Hints that resolve to the repairing peer itself or to a peer that
 		// is currently offline are rejected before any dial is attempted:
 		// dialing a dead address can only burn a ConnectAttempt and push
 		// the candidate into backoff, so the cache screens them out (they
 		// stay cached — a dead peer may return). Each screening is counted.
-		if a == self {
+		if int(id) == u {
 			m.stats.HostRejected++
 			m.om.hostRejected.Inc()
 			return false
 		}
-		p := nw.PeerByAddr(a)
-		if p == nil || nw.connected(u, p.ID) {
+		if nw.connected(u, int(id)) {
 			return false
 		}
-		if !m.online[p.ID] {
+		if !m.online[id] {
 			m.stats.HostRejected++
 			m.om.hostRejected.Inc()
 			return false
 		}
-		if at, ok := m.retryAt[u][a]; ok && now < at {
+		if at, ok := m.retryAt[u][id]; ok && now < at {
 			return false
 		}
 		return true
 	}
 	for attempt := 0; attempt < connectAttempts && m.repairDegree(u) < target; attempt++ {
-		addr, ok := m.caches[u].Pick(r, keep)
+		id, ok := m.caches[u].Pick(r, keep)
 		if !ok {
 			return
 		}
 		m.stats.RepairAttempts++
 		m.om.repairAttempts.Inc()
-		cand := nw.PeerByAddr(addr)
+		cand := nw.Peers[id]
 		if !m.plane.DialTimeout(cand.ID) && m.acceptsConnection(u, cand) {
 			if err := nw.ConnectPeers(u, cand.ID); err != nil {
 				panic(err) // keep filtered self and duplicates already
@@ -629,32 +645,32 @@ func (m *Maintainer) connectToward(u int, now int64, r *rng.Source) {
 			m.stats.RepairSuccesses++
 			m.om.repairSuccesses.Inc()
 			if m.fails[u] != nil {
-				delete(m.fails[u], addr)
-				delete(m.retryAt[u], addr)
+				delete(m.fails[u], id)
+				delete(m.retryAt[u], id)
 			}
 			// Handshake X-Try exchange, both directions.
-			for _, a := range m.receiveTries(cand) {
-				m.learnAddr(u, a)
+			for _, hint := range m.receiveTries(cand) {
+				m.learnPeer(u, hint)
 			}
-			for _, a := range m.receiveTries(nw.Peers[u]) {
-				m.learnAddr(cand.ID, a)
+			for _, hint := range m.receiveTries(nw.Peers[u]) {
+				m.learnPeer(cand.ID, hint)
 			}
 			continue
 		}
 		m.stats.RepairFailures++
 		m.om.repairFailures.Inc()
 		if m.fails[u] == nil {
-			m.fails[u] = make(map[Addr]int)
-			m.retryAt[u] = make(map[Addr]int64)
+			m.fails[u] = make(map[int32]int)
+			m.retryAt[u] = make(map[int32]int64)
 		}
-		m.fails[u][addr]++
-		if m.fails[u][addr] >= candidateFailLimit {
-			m.caches[u].Remove(addr)
-			delete(m.fails[u], addr)
-			delete(m.retryAt[u], addr)
+		m.fails[u][id]++
+		if m.fails[u][id] >= candidateFailLimit {
+			m.caches[u].Remove(id)
+			delete(m.fails[u], id)
+			delete(m.retryAt[u], id)
 			continue
 		}
-		backoff := repairBackoffBase << (m.fails[u][addr] - 1)
-		m.retryAt[u][addr] = now + backoff
+		backoff := repairBackoffBase << (m.fails[u][id] - 1)
+		m.retryAt[u][id] = now + backoff
 	}
 }

@@ -347,9 +347,9 @@ func TestHostCacheScreensSelfAndDead(t *testing.T) {
 		t.Fatalf("NewMaintainer: %v", err)
 	}
 	u := firstUltra(nw)
-	// Poison u's cache with its own address; seeding and Pong learning
-	// never insert it, but a hostile or buggy hint source could.
-	m.caches[u].Add(nw.Peers[u].Addr)
+	// Poison u's cache with itself; seeding and Pong learning never insert
+	// it, but a hostile or buggy hint source could.
+	m.caches[u].Add(int32(u))
 	// Crash an ultrapeer neighbor of u silently: u drops below target once
 	// detection fires and repairs from a cache that still holds dead (and
 	// now self) addresses.
@@ -500,11 +500,28 @@ func wireTries(nw *Network, from *Peer) []Addr {
 	return ParseTryUltrapeers(FormatTryUltrapeers(hints))
 }
 
+// peerAddrs returns the addresses of the peers ids names, in order,
+// failing t unless each resolves back to its peer through PeerByAddr.
+func peerAddrs(t *testing.T, nw *Network, ids []int32) []Addr {
+	t.Helper()
+	out := make([]Addr, len(ids))
+	for i, id := range ids {
+		a := nw.Peers[id].Addr
+		if p := nw.PeerByAddr(a); p == nil || p.ID != int(id) {
+			t.Fatalf("address %v of peer %d resolves to %v", a, id, p)
+		}
+		out[i] = a
+	}
+	return out
+}
+
 // TestKeepaliveMatchesWireReference holds the keepalive's value path to the
 // encoded one: after ticks with churn, repair, 5% message loss and a
-// shedding capacity plane have left neighbor lists ragged, the addresses
-// every online edge's Pongs carry equal wirePongAddrs, in order, and every
-// peer's X-Try hints equal wireTries, on flat and two-tier overlays.
+// shedding capacity plane have left neighbor lists ragged, the addresses of
+// the peers every online edge's Pongs carry equal wirePongAddrs, in order,
+// every peer's X-Try hints equal wireTries, and each of those addresses
+// resolves back to its peer through PeerByAddr, on flat and two-tier
+// overlays.
 func TestKeepaliveMatchesWireReference(t *testing.T) {
 	flat := DefaultConfig(23)
 	flat.UltrapeerFrac = 0
@@ -553,7 +570,7 @@ func TestKeepaliveMatchesWireReference(t *testing.T) {
 				t.Fatalf("setup left the overlay settled: %+v, capacity %+v", st, plane.Stats())
 			}
 
-			var buf [1 + maxCachedPongs]Addr
+			var buf [1 + maxCachedPongs]int32
 			for u, p := range nw.Peers {
 				if !m.online[u] {
 					continue
@@ -562,7 +579,7 @@ func TestKeepaliveMatchesWireReference(t *testing.T) {
 					if !m.online[v] {
 						continue
 					}
-					got, want := nw.pongAddrs(buf[:0], u, v), wirePongAddrs(t, nw, u, v)
+					got, want := peerAddrs(t, nw, nw.pongPeers(buf[:0], u, v)), wirePongAddrs(t, nw, u, v)
 					if !slices.Equal(got, want) {
 						t.Fatalf("Pongs %d -> %d: value path %v, wire reference %v", v, u, got, want)
 					}
@@ -575,7 +592,7 @@ func TestKeepaliveMatchesWireReference(t *testing.T) {
 				}
 			}
 			for _, p := range nw.Peers {
-				if got, want := m.receiveTries(p), wireTries(nw, p); !slices.Equal(got, want) {
+				if got, want := peerAddrs(t, nw, m.receiveTries(p)), wireTries(nw, p); !slices.Equal(got, want) {
 					t.Fatalf("X-Try hints of %d: value path %v, wire reference %v", p.ID, got, want)
 				}
 			}

@@ -90,8 +90,12 @@ func (nw *Network) ServeConn(id int, conn io.ReadWriteCloser) error {
 		"User-Agent":  "querycentric/0.1",
 		"X-Ultrapeer": boolHeader(p.Ultrapeer),
 	}
-	if tries := nw.appendTryAddrs(nil, p); len(tries) > 0 {
-		hdrs["X-Try-Ultrapeers"] = FormatTryUltrapeers(tries)
+	if tries := nw.appendTries(nil, p); len(tries) > 0 {
+		addrs := make([]Addr, len(tries))
+		for i, id := range tries {
+			addrs[i] = nw.Peers[id].Addr
+		}
+		hdrs["X-Try-Ultrapeers"] = FormatTryUltrapeers(addrs)
 	}
 	if _, err := Accept(conn, 200, hdrs); err != nil {
 		return err
@@ -118,13 +122,13 @@ func (nw *Network) ServeConn(id int, conn io.ReadWriteCloser) error {
 	}
 }
 
-// appendTryAddrs appends to dst the ultrapeer neighbours p advertises in
-// X-Try-Ultrapeers.
-func (nw *Network) appendTryAddrs(dst []Addr, p *Peer) []Addr {
+// appendTries appends to dst the neighbours whose addresses p advertises
+// in X-Try-Ultrapeers: its ultrapeers, or every neighbour on a flat
+// network.
+func (nw *Network) appendTries(dst []int32, p *Peer) []int32 {
 	for _, nb := range p.Neighbors {
-		q := nw.Peers[nb]
-		if q.Ultrapeer || nw.Config.UltrapeerFrac == 0 {
-			dst = append(dst, q.Addr)
+		if nw.relay == nil || nw.relay[nb] {
+			dst = append(dst, int32(nb))
 		}
 	}
 	return dst

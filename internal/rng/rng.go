@@ -33,7 +33,17 @@ func New(seed uint64) *Source {
 // Distinct names yield statistically independent streams; the mapping is
 // stable across runs and platforms.
 func NewNamed(seed uint64, name string) *Source {
-	h := fnv64a(name)
+	return NewHashed(seed, NameHash(name))
+}
+
+// NameHash is the stream-name hash NewNamed mixes into its seed. A caller
+// that opens many streams under one constant name hashes it once and opens
+// each through NewHashed.
+func NameHash(name string) uint64 { return fnv64a(name) }
+
+// NewHashed returns NewNamed(seed, name) for h == NameHash(name), without
+// hashing the name again.
+func NewHashed(seed, h uint64) *Source {
 	// Mix the name hash into the seed through one SplitMix64 round so that
 	// related seeds (seed, seed+1) with the same name still diverge fully.
 	return &Source{state: mix64(seed ^ h)}

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,31 @@ func TestNamedStreamStable(t *testing.T) {
 	again := NewNamed(1, "x").Uint64()
 	if got != again {
 		t.Fatalf("NewNamed not stable: %d vs %d", got, again)
+	}
+}
+
+// TestNewHashedMatchesNewNamed: a stream opened from a precomputed name
+// hash is the stream NewNamed opens, for random seeds and names (empty and
+// non-ASCII ones included), and NameHash is FNV-1a as hash/fnv computes it.
+func TestNewHashedMatchesNewNamed(t *testing.T) {
+	r := New(5)
+	for i := 0; i < 2000; i++ {
+		name := make([]byte, r.Intn(24))
+		for j := range name {
+			name[j] = byte(r.Uint64())
+		}
+		seed := r.Uint64()
+		h := fnv.New64a()
+		h.Write(name)
+		if got, want := NameHash(string(name)), h.Sum64(); got != want {
+			t.Fatalf("NameHash(%q) = %#x, hash/fnv %#x", name, got, want)
+		}
+		a, b := NewHashed(seed, NameHash(string(name))), NewNamed(seed, string(name))
+		for k := 0; k < 4; k++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("seed %#x name %q draw %d: NewHashed %#x, NewNamed %#x", seed, name, k, x, y)
+			}
+		}
 	}
 }
 
