@@ -36,13 +36,19 @@ race:
 # churn, repair, loss and shedding, on flat and two-tier overlays) and the
 # QRP route matrix (every holder's pass bit equals the match of the table
 # its library rebuilds, on flat and two-tier overlays at 12 and 16 bits,
-# after AddFile and after DisableQRP and EnableQRP).
+# after AddFile and after DisableQRP and EnableQRP), and the 64-wide
+# reach-only kernel behind Figure 8 (TestWaveMatchesFrontier: every found
+# mask equals the per-origin Frontier rings' on flat, NewGnutella and
+# hand-marked two-tier graphs; TestSuccessRateNMatchesReference: the
+# batched success rate equals the per-trial fold at 1 and 8 workers).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 	$(GO) test -race -run 'TestRestoredNetworksUnderMutation' ./internal/snapshot/
 	$(GO) test -race -run 'TestKeepaliveMatchesWireReference|TestQRPMatrixMatchesWireTables' ./internal/gnet/
+	$(GO) test -race -run 'TestWaveMatchesFrontier' ./internal/overlay/
+	$(GO) test -race -run 'TestSuccessRateNMatchesReference' ./internal/search/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec, the snapshot loaders (each input loaded as
@@ -226,7 +232,9 @@ loc:
 # the copy-on-write reference for restored networks, and
 # TestKeepaliveMatchesWireReference, the encoded reference for the
 # keepalive's Pongs and X-Try hints, and TestQRPMatrixMatchesWireTables,
-# the rebuilt-table reference for the QRP route matrix), the decoder,
+# the rebuilt-table reference for the QRP route matrix, and
+# TestWaveMatchesFrontier and TestSuccessRateNMatchesReference, the
+# Frontier and per-trial references for Figure 8's wave kernel), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

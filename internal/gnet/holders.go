@@ -87,8 +87,8 @@ func (nw *Network) buildHolders(workers int) error {
 
 // HolderEncoder inverts per-peer posting indexes into the holder index, in
 // the two passes every build takes: a sizing pass over every peer's term
-// IDs (forEachTermID; posting payloads are never touched), then a fill
-// pass that writes each term's delta-uvarint list. Each pass is sharded by
+// IDs (posting payloads are never touched), then a fill pass that writes
+// each term's delta-uvarint list. Each pass is sharded by
 // contiguous term-ID range so workers write disjoint state and arena
 // ranges — the bytes are the same at any worker count and any piece size.
 // Beside the arena piece being filled it holds 8 bytes of pass state per
@@ -204,10 +204,24 @@ func (e *HolderEncoder) pass(bounds []dict.TermID, arena []byte, base uint32) {
 		for t := lo; t < hi; t++ {
 			state[t].last = -1
 		}
+		// A peer's term IDs in [lo, hi) are read without touching posting
+		// payloads: the skip array seeks to the block that could hold lo,
+		// and blockTermIDs reads only each block's id-delta section, which
+		// its header bounds. This is what keeps the holder-index build cheap.
+		var block [postingBlockLen]dict.TermID
 		for i := 0; i < e.peers; i++ {
 			ix := e.index(i)
-			ix.forEachTermID(lo, hi, func(ids []dict.TermID) {
-				for _, t := range ids {
+			first := ix.BlockFirst
+			// Blocks before the last one starting at or below lo end below lo.
+			b := max(sort.Search(len(first), func(j int) bool { return first[j] > lo })-1, 0)
+			for ; b < len(first) && first[b] < hi; b++ {
+				for _, t := range ix.blockTermIDs(b, &block) {
+					if t < lo {
+						continue
+					}
+					if t >= hi {
+						break
+					}
 					st := &state[t]
 					gap := uint32(int32(i) - st.last - 1)
 					st.last = int32(i)
@@ -217,7 +231,7 @@ func (e *HolderEncoder) pass(bounds []dict.TermID, arena []byte, base uint32) {
 						st.at += uint32(len(vpost.AppendUvarint(arena[st.at-base:st.at-base], uint64(gap))))
 					}
 				}
-			})
+			}
 		}
 		return nil
 	})
@@ -241,14 +255,16 @@ func (e *HolderEncoder) sizingBounds(shards int) []dict.TermID {
 	const buckets = 1 << 10
 	var hist [buckets]int
 	total := 0
+	var block [postingBlockLen]dict.TermID
 	for i := 0; i < e.peers; i += 64 {
 		ix := e.index(i)
-		ix.forEachTermID(0, dict.TermID(n), func(ids []dict.TermID) {
+		for b := range ix.BlockFirst {
+			ids := ix.blockTermIDs(b, &block)
 			for _, t := range ids {
 				hist[uint64(t)*buckets/uint64(n)]++
 			}
 			total += len(ids)
-		})
+		}
 	}
 	seen, s := 0, 1
 	for b := 0; b < buckets && s < shards; b++ {

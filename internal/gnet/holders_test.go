@@ -345,3 +345,27 @@ func TestKnownAddFileNeverLosesHit(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildHoldersCostPin pins the holder inversion's allocations exactly,
+// at one worker, and at two peer counts: each pass decodes every peer's
+// term IDs into one block per term range, so nothing is allocated per peer.
+// Fifty runs, so that the runtime's own one-off allocations (the first
+// collection starting its mark workers) cannot move the average. Lowering
+// the pin is free; raising it needs a CHANGES.md line naming the cause.
+func TestBuildHoldersCostPin(t *testing.T) {
+	for _, peers := range []int{90, 360} {
+		nw := populatedNet(t, peers)
+		if err := nw.BuildIndexes(1); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			nw.holders = holderIndex{}
+			if err := nw.buildHolders(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 18 {
+			t.Errorf("buildHolders over %d peers: %v allocations, pinned at 18", peers, got)
+		}
+	}
+}

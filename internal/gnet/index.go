@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"querycentric/internal/dict"
 	"querycentric/internal/parallel"
@@ -249,34 +248,6 @@ func (ix *IndexState) blockTermIDs(b int, block *[postingBlockLen]dict.TermID) [
 		block[n] = cur
 	}
 	return block[:n]
-}
-
-// forEachTermID calls fn with the term IDs in [lo, hi), ascending, one
-// posting block's worth per call (the slice is reused), without touching
-// posting payloads: the skip array seeks to the block that could hold lo,
-// and each block's id-delta section is bounded by its header, so the
-// payload bytes that dominate the arena are never decoded or skipped varint
-// by varint. This is what keeps the holder-index build cheap.
-func (ix *IndexState) forEachTermID(lo, hi dict.TermID, fn func(ids []dict.TermID)) {
-	first := ix.BlockFirst
-	// Blocks before the last one starting at or below lo end below lo.
-	b := sort.Search(len(first), func(i int) bool { return first[i] > lo }) - 1
-	if b < 0 {
-		b = 0
-	}
-	var block [postingBlockLen]dict.TermID
-	for ; b < len(first) && first[b] < hi; b++ {
-		ids := ix.blockTermIDs(b, &block)
-		for len(ids) > 0 && ids[0] < lo {
-			ids = ids[1:]
-		}
-		for len(ids) > 0 && ids[len(ids)-1] >= hi {
-			ids = ids[:len(ids)-1]
-		}
-		if len(ids) > 0 {
-			fn(ids)
-		}
-	}
 }
 
 // heapBytes is the index's retained heap (skip arrays + arena; the term

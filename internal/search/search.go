@@ -296,7 +296,7 @@ func (e *Engine) SuccessRate(ttl, trials int, pick func(r *rng.Source) int, seed
 
 // waves recycles SuccessRateN's kernels across calls and engines: the
 // curves of a sweep are engines over one graph, and a kernel over it is
-// 32 bytes a vertex.
+// 40 bytes a vertex, plus its relaying core on a two-tier graph.
 var waves sync.Pool
 
 // SuccessRateN is SuccessRate fanned out over a bounded worker pool. Trial

@@ -16,7 +16,7 @@ import (
 
 // TestCLIPipeline builds the shipped binaries and runs the full trace
 // pipeline through them: crawl → queries → analyze (track included) → sim,
-// and holds qc-figures' Figure 1 to the replica analysis of the same crawl.
+// and holds qc-figures' Figures 1–3 to the analyses of the same crawl.
 // This is the only test that shells out; skip it with -short.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
@@ -109,13 +109,23 @@ func TestCLIPipeline(t *testing.T) {
 	run("qc-queries", "-n", "15000", "-days", "1", "-crawl", crawl, "-o", queries)
 
 	// Analyses over the traces.
-	// Figure 1 at tiny scale is the replica table of this very crawl, so
-	// qc-figures' fig1.dat must be byte-equal to qc-analyze's stdout.
+	// Figures 1–3 at tiny scale are the replica, sanitized replica and term
+	// tables of this very crawl, so each of qc-figures' files must be
+	// byte-equal to qc-analyze's stdout.
 	figs := filepath.Join(dir, "figs")
 	run("qc-figures", "-scale", "tiny", "-seed", "42", "-out", figs)
-	replicas := run("qc-analyze", "-mode", "replicas", "-in", crawl)
-	if fig1, err := os.ReadFile(filepath.Join(figs, "fig1.dat")); err != nil || string(fig1) != replicas {
-		t.Errorf("qc-figures fig1.dat differs from qc-analyze -mode replicas over the crawl (%v):\n%.200s\nvs\n%.200s", err, fig1, replicas)
+	for _, fig := range []struct {
+		file string
+		args []string
+	}{
+		{"fig1.dat", []string{"-mode", "replicas"}},
+		{"fig2.dat", []string{"-mode", "replicas", "-sanitize"}},
+		{"fig3.dat", []string{"-mode", "terms"}},
+	} {
+		out := run("qc-analyze", append(fig.args, "-in", crawl)...)
+		if want, err := os.ReadFile(filepath.Join(figs, fig.file)); err != nil || string(want) != out {
+			t.Errorf("qc-figures %s differs from qc-analyze %v over the crawl (%v):\n%.200s\nvs\n%.200s", fig.file, fig.args, err, want, out)
+		}
 	}
 	if out := run("qc-analyze", "-mode", "annotations", "-in", itunes); !strings.Contains(out, "artist") {
 		t.Errorf("annotations output unexpected: %.80s", out)
