@@ -40,12 +40,15 @@ race:
 # reach-only kernel behind Figure 8 (TestWaveMatchesFrontier: every found
 # mask equals the per-origin Frontier rings' on flat, NewGnutella and
 # hand-marked two-tier graphs; TestSuccessRateNMatchesReference: the
-# batched success rate equals the per-trial fold at 1 and 8 workers).
+# batched success rate equals the per-trial fold at 1 and 8 workers), and
+# the sharded build's pipelined placement pass (TestShardedByteIdentical:
+# BuildSharded writes Save's bytes at every shard size;
+# TestShardedWorkerInvariant: and at 1, 2 and 8 workers).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
-	$(GO) test -race -run 'TestRestoredNetworksUnderMutation' ./internal/snapshot/
+	$(GO) test -race -run 'TestRestoredNetworksUnderMutation|TestShardedByteIdentical|TestShardedWorkerInvariant' ./internal/snapshot/
 	$(GO) test -race -run 'TestKeepaliveMatchesWireReference|TestQRPMatrixMatchesWireTables' ./internal/gnet/
 	$(GO) test -race -run 'TestWaveMatchesFrontier' ./internal/overlay/
 	$(GO) test -race -run 'TestSuccessRateNMatchesReference' ./internal/search/
@@ -234,7 +237,10 @@ loc:
 # keepalive's Pongs and X-Try hints, and TestQRPMatrixMatchesWireTables,
 # the rebuilt-table reference for the QRP route matrix, and
 # TestWaveMatchesFrontier and TestSuccessRateNMatchesReference, the
-# Frontier and per-trial references for Figure 8's wave kernel), the decoder,
+# Frontier and per-trial references for Figure 8's wave kernel, and
+# TestShardedByteIdentical and TestShardedWorkerInvariant, Save's bytes as
+# the reference for the sharded build at every shard size and worker
+# count), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

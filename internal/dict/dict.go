@@ -113,30 +113,101 @@ func (in *Interner) AppendIDs(dst []TermID, name string) []TermID {
 // Vocab returns the tokens interned so far, indexed by provisional ID.
 func (in *Interner) Vocab() []string { return in.vocab }
 
-// sortVocab orders the provisional IDs by term, once.
+// sortVocab orders the provisional IDs by term, once, on the calling
+// goroutine.
 func (in *Interner) sortVocab() {
-	if len(in.order) == len(in.vocab) {
+	if in.sorted() {
 		return
 	}
-	in.order = make([]TermID, len(in.vocab))
-	for i := range in.order {
-		in.order[i] = TermID(i)
-	}
-	slices.SortFunc(in.order, func(a, b TermID) int { return strings.Compare(in.vocab[a], in.vocab[b]) })
+	in.order = in.provisional()
+	slices.SortFunc(in.order, in.compare)
 }
+
+// sortRun is the run length Merge sorts a vocabulary in: one run per
+// started sortRun terms, so the runs — and the parallel counters — depend
+// on the vocabulary's size and never on the worker count. The benchmark
+// network's 256,180 terms sort as two halves.
+const sortRun = 1 << 17
+
+// sortVocabOn orders the provisional IDs by term, once: it cuts them into
+// equal runs, one per started runLen terms, sorts the runs on up to
+// workers goroutines, then merges neighbouring runs pairwise, a round at a
+// time, each round's merges on the workers too (a run without a partner is
+// merged with nothing, a copy). Terms are distinct, so the order is the
+// one sortVocab gives. The rounds alternate between in.order and spare,
+// which holds one TermID per term; sortVocabOn returns whichever of the
+// two in.order does not keep, so Merge reuses it as the remap table.
+func (in *Interner) sortVocabOn(workers, runLen int, spare []TermID) []TermID {
+	if in.sorted() {
+		return spare
+	}
+	n := len(in.vocab)
+	runs := (n + runLen - 1) / runLen
+	if runs <= 1 {
+		in.sortVocab()
+		return spare
+	}
+	order := in.provisional()
+	at := func(r int) int { return min(r, runs) * n / runs } // run r starts here
+	_ = parallel.ForEach(workers, runs, func(r int) error {
+		slices.SortFunc(order[at(r):at(r+1)], in.compare)
+		return nil
+	})
+	for width := 1; width < runs; width *= 2 {
+		pairs := (runs + 2*width - 1) / (2 * width)
+		_ = parallel.ForEach(workers, pairs, func(p int) error {
+			lo, mid, hi := at(2*p*width), at((2*p+1)*width), at((2*p+2)*width)
+			in.mergeRuns(spare[lo:hi], order[lo:mid], order[mid:hi])
+			return nil
+		})
+		order, spare = spare, order
+	}
+	in.order = order
+	return spare
+}
+
+// mergeRuns merges the term-ordered runs a and b into dst.
+func (in *Interner) mergeRuns(dst, a, b []TermID) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && in.vocab[a[i]] < in.vocab[b[j]]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
+}
+
+func (in *Interner) sorted() bool { return len(in.order) == len(in.vocab) }
+
+// provisional returns the provisional IDs in ascending order.
+func (in *Interner) provisional() []TermID {
+	order := make([]TermID, len(in.vocab))
+	for i := range order {
+		order[i] = TermID(i)
+	}
+	return order
+}
+
+func (in *Interner) compare(a, b TermID) int { return strings.Compare(in.vocab[a], in.vocab[b]) }
 
 // Merge finishes a build over interners: it k-way merges their sorted
 // vocabularies into the dictionary of their union, IDs in lexicographic
 // term order, and returns per interner the remap table from its
 // provisional IDs to final ones. The dictionary depends only on the union,
-// not on how names were split among interners.
+// not on how names were split among interners. An interner not yet sorted
+// (Build's shards sort inside their workers) is sorted here in runs on up
+// to workers goroutines (sortVocabOn).
 func Merge(ins []*Interner, workers int) (*Dict, [][]TermID) {
 	remaps := make([][]TermID, len(ins))
 	pos := make([]int, len(ins))
 	n := 0
 	for s, in := range ins {
-		in.sortVocab()
-		remaps[s] = make([]TermID, len(in.vocab))
+		// Every provisional ID is written below, so the sort's spare
+		// buffer serves as the remap table.
+		remaps[s] = in.sortVocabOn(workers, sortRun, make([]TermID, len(in.vocab)))
 		n = max(n, len(in.vocab))
 	}
 	head := func(s int) (string, bool) {

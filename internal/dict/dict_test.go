@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"querycentric/internal/obs"
+	"querycentric/internal/parallel"
 	"querycentric/internal/qrp"
 	"querycentric/internal/terms"
 )
@@ -338,6 +340,80 @@ func TestMergeRemapsEveryInterner(t *testing.T) {
 		for pid, tok := range in.Vocab() {
 			if got := d.Term(remaps[s][pid]); got != tok {
 				t.Fatalf("interner %d: provisional %d (%q) remaps to %q", s, pid, tok, got)
+			}
+		}
+	}
+}
+
+// TestSortVocabOnMatchesSerialSort: sorting a vocabulary in runs on the
+// workers and merging them pairwise gives the serial sort's order for
+// every run count — one run, two, an odd count whose last run waits a
+// round, and one run per term — at 1 and 3 workers, and hands the
+// parallel engine the same batches and units at both.
+func TestSortVocabOnMatchesSerialSort(t *testing.T) {
+	reg := obs.NewRegistry()
+	parallel.Instrument(reg)
+	defer parallel.Instrument(nil)
+	batches, units := reg.Counter("parallel_batches_total"), reg.Counter("parallel_map_units_total")
+	var names []string
+	for _, lib := range testLibraries() {
+		names = append(names, lib...)
+	}
+	for i := range 40 {
+		names = append(names, fmt.Sprintf("w%03d z%d", (i*37)%41, i%7))
+	}
+	fill := func() *Interner {
+		in := NewInterner()
+		for _, n := range names {
+			in.AppendIDs(nil, n)
+		}
+		return in
+	}
+	ref := fill()
+	ref.sortVocab()
+	n := len(ref.vocab)
+	for _, runLen := range []int{n, (n + 1) / 2, (n + 2) / 3, 7, 2, 1} {
+		var work [][2]int64
+		for _, workers := range []int{1, 3} {
+			in := fill()
+			b0, u0 := batches.Value(), units.Value()
+			in.sortVocabOn(workers, runLen, make([]TermID, len(in.vocab)))
+			work = append(work, [2]int64{batches.Value() - b0, units.Value() - u0})
+			if !slices.Equal(in.order, ref.order) {
+				t.Fatalf("runLen=%d workers=%d: order %v, serial sort %v", runLen, workers, in.order, ref.order)
+			}
+		}
+		if work[0] != work[1] {
+			t.Fatalf("runLen=%d: (batches, units) %v at 1 worker, %v at 3", runLen, work[0], work[1])
+		}
+	}
+}
+
+// TestMergeSortsLargeVocabInRuns: a vocabulary past sortRun terms, as the
+// sharded build's one interner holds, is sorted in runs on the workers;
+// the dictionary comes out in term order and the remap table, which
+// reuses the sort's spare buffer, sends every provisional ID to its own
+// term, at 1 and 3 workers.
+func TestMergeSortsLargeVocabInRuns(t *testing.T) {
+	const terms = sortRun + sortRun/2 + 7 // two runs, unequal to the sort's halves
+	for _, workers := range []int{1, 3} {
+		in := NewInterner()
+		for i := range terms {
+			// A permutation of 0..terms-1, so first appearance is not term order.
+			in.AppendIDs(nil, fmt.Sprintf("t%07d", (i*7919)%terms))
+		}
+		d, remaps := Merge([]*Interner{in}, workers)
+		if d.Len() != terms {
+			t.Fatalf("workers=%d: %d terms, want %d", workers, d.Len(), terms)
+		}
+		for id := 1; id < d.Len(); id++ {
+			if d.Term(TermID(id-1)) >= d.Term(TermID(id)) {
+				t.Fatalf("workers=%d: terms %d and %d out of order", workers, id-1, id)
+			}
+		}
+		for pid, tok := range in.Vocab() {
+			if got := d.Term(remaps[0][pid]); got != tok {
+				t.Fatalf("workers=%d: provisional %d (%q) remaps to %q", workers, pid, tok, got)
 			}
 		}
 	}

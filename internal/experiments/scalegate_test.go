@@ -235,8 +235,8 @@ func measureGate(t *testing.T, scale Scale, shardSize int, inHeap bool) *gateRun
 		st, err := snapshot.BuildSharded(file, bcfg)
 		check(err)
 		r.build = time.Since(t0)
-		t.Logf("sharded build %v: %d shards of %d peers, %d placements, %d dict terms, %d MiB file",
-			r.build, st.Shards, st.ShardSize, st.Placements, st.DictTerms, st.FileBytes>>20)
+		t.Logf("sharded build %v: %d shards of %d peers, %d placements, %d dict terms, %d MiB file; %s",
+			r.build, st.Shards, st.ShardSize, st.Placements, st.DictTerms, st.FileBytes>>20, buildLegs(st))
 	}
 
 	t0 := time.Now()
@@ -272,12 +272,19 @@ func measureGate(t *testing.T, scale Scale, shardSize int, inHeap bool) *gateRun
 		t0 = time.Now()
 		st, err := snapshot.BuildSharded(r.shardedFile, bcfg)
 		check(err)
-		t.Logf("sharded build %v (%d shards of %d peers)", time.Since(t0), st.Shards, st.ShardSize)
+		t.Logf("sharded build %v (%d shards of %d peers); %s", time.Since(t0), st.Shards, st.ShardSize, buildLegs(st))
 		r.heapSHA, r.shardedSHA = fileSHA256(t, file), fileSHA256(t, r.shardedFile)
 	}
 	r.peakRSS = peakRSSBytes()
 	t.Logf("peak RSS %d MiB", r.peakRSS>>20)
 	return r
+}
+
+// buildLegs formats where a sharded build's wall time went.
+func buildLegs(st *snapshot.BuildStats) string {
+	return fmt.Sprintf("placements %v, merge %v, shards %v, holders %v",
+		st.Placing.Round(time.Millisecond), st.Merging.Round(time.Millisecond),
+		st.Sharding.Round(time.Millisecond), st.Holding.Round(time.Millisecond))
 }
 
 // peakRSSBytes reads the process high-water resident set (VmHWM) from

@@ -310,15 +310,16 @@ func (m *Maintainer) neighbors(id int) []int {
 }
 
 // stream derives the decision stream for peer id's next maintenance event,
-// named "peer/<id>/event/<n>".
-func (m *Maintainer) stream(id int) *rng.Source {
+// named "peer/<id>/event/<n>". It returns the stream by value, so a
+// caller's stream lives on its stack.
+func (m *Maintainer) stream(id int) rng.Source {
 	s := m.seq[id]
 	m.seq[id]++
 	m.name = append(m.name[:0], "peer/"...)
 	m.name = strconv.AppendInt(m.name, int64(id), 10)
 	m.name = append(m.name, "/event/"...)
 	m.name = strconv.AppendUint(m.name, s, 10)
-	return m.base.Derive(string(m.name))
+	return *m.base.Derive(string(m.name))
 }
 
 // PeerDown applies a departure event. A polite departure sends an encoded
@@ -387,7 +388,8 @@ func (m *Maintainer) PeerUp(id int, now int64) error {
 		m.disconnect(id, nb)
 		m.clearSilent(nb, id)
 	}
-	m.connectToward(id, now, m.stream(id))
+	r := m.stream(id)
+	m.connectToward(id, now, &r)
 	return nil
 }
 
@@ -404,8 +406,8 @@ func (m *Maintainer) Tick(now int64) {
 			continue
 		}
 		r := m.stream(u)
-		m.pingNeighbors(u, r)
-		m.connectToward(u, now, r)
+		m.pingNeighbors(u, &r)
+		m.connectToward(u, now, &r)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilSafety: the disabled plane must be a total no-op — nil registries
@@ -26,6 +27,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil handles accumulated state")
 	}
 	r.StartPhase("p")()
+	r.RecordPhase("q", time.Second)
 	if ph := r.Phases(); ph != nil {
 		t.Fatalf("nil registry recorded phases: %v", ph)
 	}

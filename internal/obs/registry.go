@@ -219,12 +219,18 @@ func (r *Registry) StartPhase(name string) func() {
 		return func() {}
 	}
 	start := time.Now()
-	return func() {
-		secs := time.Since(start).Seconds()
-		r.mu.Lock()
-		r.phases = append(r.phases, PhaseTiming{Name: name, Seconds: secs})
-		r.mu.Unlock()
+	return func() { r.RecordPhase(name, time.Since(start)) }
+}
+
+// RecordPhase records a phase timed elsewhere, under the same rules as
+// StartPhase's. Nil-safe.
+func (r *Registry) RecordPhase(name string, d time.Duration) {
+	if r == nil {
+		return
 	}
+	r.mu.Lock()
+	r.phases = append(r.phases, PhaseTiming{Name: name, Seconds: d.Seconds()})
+	r.mu.Unlock()
 }
 
 // Phases returns the recorded phase timings in completion order (a copy).

@@ -52,7 +52,15 @@ func NewHashed(seed, h uint64) *Source {
 // Split returns a child Source whose stream is independent of the parent's
 // subsequent output. The parent advances by one step.
 func (s *Source) Split(name string) *Source {
-	return &Source{state: mix64(s.Uint64() ^ fnv64a(name))}
+	return &Source{state: s.splitState(name)}
+}
+
+// splitState advances s by one step and returns the state of its child
+// stream name. It holds the hashing and mixing, so Split and Derive stay
+// within the inlining budget and a child that does not escape its caller
+// lives on the caller's stack.
+func (s *Source) splitState(name string) uint64 {
+	return mix64(s.Uint64() ^ fnv64a(name))
 }
 
 // Derive returns the child Source that Split(name) would return, without

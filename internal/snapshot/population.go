@@ -24,7 +24,9 @@ type Population struct {
 // whole substrate is never resident — into save, or into a temporary file
 // under os.TempDir that is removed before OpenPopulation returns (the
 // mapping outlives its name). Restores run over cfg.Workers goroutines.
-// Each leg is timed as an env/… phase on reg; a nil reg records nothing.
+// Each leg is timed as an env/… phase on reg, and a build's four legs
+// (BuildStats) as env/snapshot-build-sharded/… phases beside it; a nil reg
+// records nothing.
 func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*Population, error) {
 	path := load
 	if path == "" {
@@ -37,11 +39,15 @@ func OpenPopulation(load, save string, cfg BuildConfig, reg *obs.Registry) (*Pop
 			path = filepath.Join(dir, "population.qcsnap")
 		}
 		stop := reg.StartPhase("env/snapshot-build-sharded")
-		_, err := BuildSharded(path, cfg)
+		st, err := BuildSharded(path, cfg)
 		stop()
 		if err != nil {
 			return nil, fmt.Errorf("sharded snapshot build: %w", err)
 		}
+		reg.RecordPhase("env/snapshot-build-sharded/placements", st.Placing)
+		reg.RecordPhase("env/snapshot-build-sharded/merge", st.Merging)
+		reg.RecordPhase("env/snapshot-build-sharded/shards", st.Sharding)
+		reg.RecordPhase("env/snapshot-build-sharded/holders", st.Holding)
 	}
 	stop := reg.StartPhase("env/snapshot-load")
 	data, backing, err := mapFile(path)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"querycentric/internal/capacity"
@@ -13,6 +15,7 @@ import (
 	"querycentric/internal/events"
 	"querycentric/internal/faults"
 	"querycentric/internal/gnet"
+	"querycentric/internal/obs"
 	"querycentric/internal/rng"
 	"querycentric/internal/terms"
 )
@@ -33,7 +36,8 @@ func openTestPopulation(t *testing.T, peers int) *Population {
 // population is built into a temporary snapshot and mapped back, and the
 // temporary file is gone by the time OpenPopulation returns; networks
 // restored afterwards still read the mapping and carry the in-heap
-// build's indexes.
+// build's indexes. The build and each of its four legs are recorded as
+// phases.
 func TestOpenPopulationLeavesNoFile(t *testing.T) {
 	want, err := buildNet(t, 150).IndexChecksum()
 	if err != nil {
@@ -41,9 +45,32 @@ func TestOpenPopulationLeavesNoFile(t *testing.T) {
 	}
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	pop := openTestPopulation(t, 150)
+	reg := obs.NewRegistry()
+	pop, err := OpenPopulation("", "", testBuildConfig(150), reg)
+	if err != nil {
+		t.Fatalf("OpenPopulation: %v", err)
+	}
+	defer pop.Close()
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
 		t.Fatalf("temporary directory holds %v (err %v), want nothing", left, err)
+	}
+	// The build is timed whole and leg by leg; the legs fit inside it.
+	var names []string
+	var whole, legs float64
+	for _, ph := range reg.Phases() {
+		names = append(names, ph.Name)
+		if leg, ok := strings.CutPrefix(ph.Name, "env/snapshot-build-sharded/"); ok && leg != "" {
+			legs += ph.Seconds
+		} else if ph.Name == "env/snapshot-build-sharded" {
+			whole = ph.Seconds
+		}
+	}
+	wantNames := []string{"env/snapshot-build-sharded",
+		"env/snapshot-build-sharded/placements", "env/snapshot-build-sharded/merge",
+		"env/snapshot-build-sharded/shards", "env/snapshot-build-sharded/holders",
+		"env/snapshot-load"}
+	if !slices.Equal(names, wantNames) || legs <= 0 || legs > whole {
+		t.Fatalf("phases %v, legs %.6fs of a %.6fs build; want %v, legs within the build", names, legs, whole, wantNames)
 	}
 	for range 2 {
 		nw, err := pop.Network()

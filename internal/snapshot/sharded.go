@@ -10,19 +10,29 @@
 //
 //  1. Topology skeleton. gnet.New draws identities, the firewalled mask
 //     and the overlay from the same named streams as the in-heap path.
-//  2. Placement pass. catalog.Stream generates the content population
-//     without retaining it; one dict.Interner tokenizes each placed name —
-//     the only time the build tokenizes it — and the placement is appended
-//     to its shard's spill bucket (varint peer, varint length, name bytes,
-//     varint count and the varint provisional term IDs of the name's
-//     distinct tokens) while per-peer file and term-ID counts accumulate.
-//     A name placed again straight after itself (a canonical name's
-//     replicas, a non-specific name's peers) reuses the IDs already
-//     resolved rather than being tokenized again.
+//  2. Placement pass, a two-stage pipeline (streamPlacements).
+//     catalog.Stream generates the content population without retaining
+//     it, and its sink only appends each (peer, name) placement to a batch
+//     of placeBatch; full batches go, in stream order, to one interning
+//     goroutine, and come back empty through a free list. That goroutine
+//     runs the per-placement body: one dict.Interner tokenizes each placed
+//     name — the only time the build tokenizes it — and the placement is
+//     appended to its shard's spill bucket (varint peer, varint length,
+//     name bytes, varint count and the varint provisional term IDs of the
+//     name's distinct tokens) while per-peer file and term-ID counts
+//     accumulate. A name placed again straight after itself (a canonical
+//     name's replicas, a non-specific name's peers) reuses the IDs already
+//     resolved rather than being tokenized again. The body sees the
+//     placements in the order a direct sink would, so provisional IDs and
+//     spilled bytes do not depend on the pipeline. A spill failure stops
+//     the stream at its next handoff, and the pass returns only after the
+//     interning goroutine has exited.
 //  3. dict.Merge turns the interner into the dictionary — byte-identical
 //     to the in-heap dict because IDs are assigned in sorted term order —
-//     and the provisional→final remap table, and the meta, dict and
-//     topology sections stream out. The skeleton is then released.
+//     and the provisional→final remap table, sorting the vocabulary in
+//     runs on the workers and merging the runs (their number follows the
+//     vocabulary's size, not the worker count). The meta, dict and
+//     topology sections stream out, and the skeleton is released.
 //  4. Shard pass, ascending. Each bucket is read back, its libraries are
 //     rebuilt (names are zero-copy views of the bucket buffer, sizes come
 //     off the one sequential gnet/file-sizes stream, which ascending order
@@ -48,11 +58,14 @@ package snapshot
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
+	"time"
 
 	"querycentric/internal/catalog"
 	"querycentric/internal/dict"
@@ -82,7 +95,11 @@ type BuildConfig struct {
 	ShardSize int
 }
 
-// BuildStats reports what a sharded build produced.
+// BuildStats reports what a sharded build produced and where its wall
+// time went. The four legs tile the build: Placing runs from the call to
+// the end of the placement pass (skeleton included), Merging covers
+// dict.Merge and the meta, dict and topology sections, Sharding the shard
+// pass, and Holding the indexes and holders sections through the rename.
 type BuildStats struct {
 	Peers      int
 	Placements int   // total (peer, name) placements = total library files
@@ -90,6 +107,8 @@ type BuildStats struct {
 	ShardSize  int   // effective peers per shard after clamping
 	DictTerms  int   // distinct terms in the shared dictionary
 	FileBytes  int64 // final snapshot size
+
+	Placing, Merging, Sharding, Holding time.Duration
 }
 
 // BuildSharded builds the network of cfg directly into a snapshot at path
@@ -98,6 +117,7 @@ type BuildStats struct {
 // The output is byte-identical to Save over the equivalent in-heap build
 // (catalog.BuildWorkers → gnet.NewFromCatalogWorkers → Save).
 func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
+	t0 := time.Now()
 	n := cfg.Catalog.Peers
 	if n <= 0 {
 		return nil, fmt.Errorf("snapshot: BuildSharded: catalog has no peers")
@@ -133,7 +153,9 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 
 	// Placement pass: intern every placed name once and spill it, with its
 	// provisional term IDs, to its shard's bucket while the vocabulary and
-	// per-peer counts accumulate.
+	// per-peer counts accumulate. The body below runs on the interning
+	// goroutine, which alone touches its state until streamPlacements
+	// returns.
 	buckets := make([]*spillFile, nShards)
 	for s := range buckets {
 		b, err := newSpillFile(tmpDir, "qcsnap-bucket-*")
@@ -149,27 +171,27 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 	var rec []byte
 	var ids []dict.TermID
 	var prev string // ids holds prev's term IDs
-	placed, err := catalog.Stream(cfg.Catalog, cfg.Workers, catalog.Sink{
-		Place: func(peer int, name string) error {
-			if name != prev { // a repeat reuses ids (file comment, step 2)
-				ids, prev = in.AppendIDs(ids[:0], name), name
-			}
-			counts[peer]++
-			idCount[peer] += int32(len(ids))
-			rec = vpost.AppendUvarint(rec[:0], uint64(peer))
-			rec = vpost.AppendUvarint(rec, uint64(len(name)))
-			rec = append(rec, name...)
-			rec = vpost.AppendUvarint(rec, uint64(len(ids)))
-			for _, id := range ids {
-				rec = vpost.AppendUvarint(rec, uint64(id))
-			}
-			_, err := buckets[peer/shardSize].bw.Write(rec)
-			return err
-		},
+	placed, err := streamPlacements(cfg.Catalog, cfg.Workers, func(peer int, name string) error {
+		if name != prev { // a repeat reuses ids (file comment, step 2)
+			ids, prev = in.AppendIDs(ids[:0], name), name
+		}
+		counts[peer]++
+		idCount[peer] += int32(len(ids))
+		rec = vpost.AppendUvarint(rec[:0], uint64(peer))
+		rec = vpost.AppendUvarint(rec, uint64(len(name)))
+		rec = append(rec, name...)
+		rec = vpost.AppendUvarint(rec, uint64(len(ids)))
+		for _, id := range ids {
+			rec = vpost.AppendUvarint(rec, uint64(id))
+		}
+		_, err := buckets[peer/shardSize].bw.Write(rec)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: BuildSharded: %w", err)
 	}
+	stats := &BuildStats{Peers: n, Placements: placed, Shards: nShards, ShardSize: shardSize}
+	stats.Placing, t0 = time.Since(t0), time.Now()
 
 	d, remaps := dict.Merge([]*dict.Interner{in}, cfg.Workers)
 	remap := remaps[0]
@@ -206,6 +228,7 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		return nil, err
 	}
 	cleanup = append(cleanup, side.discard)
+	stats.Merging, t0 = time.Since(t0), time.Now()
 
 	writeLibrariesHeader(w, n, placed)
 	sizeRNG := gnet.NewFileSizeRNG(netCfg.Seed)
@@ -296,6 +319,7 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		}
 	}
 	w.EndSection()
+	stats.Sharding, t0 = time.Since(t0), time.Now()
 
 	// Replay the spilled index rows as the final section, now that the
 	// header's totals are known. The writer hashes them as they pass.
@@ -321,14 +345,89 @@ func BuildSharded(path string, cfg BuildConfig) (*BuildStats, error) {
 		os.Remove(path + ".tmp")
 		return nil, err
 	}
-	return &BuildStats{
-		Peers:      n,
-		Placements: placed,
-		Shards:     nShards,
-		ShardSize:  shardSize,
-		DictTerms:  d.Len(),
-		FileBytes:  size,
-	}, nil
+	stats.DictTerms, stats.FileBytes = d.Len(), size
+	stats.Holding = time.Since(t0)
+	return stats, nil
+}
+
+// placeBatch is how many placements the placement pass hands its
+// interning goroutine at once, and placeBatches how many batches circulate
+// between the two: enough for the stream to run a batch or two ahead.
+const (
+	placeBatch   = 4096
+	placeBatches = 4
+)
+
+// placement is one (peer, name) pair of the catalog stream.
+type placement struct {
+	peer int
+	name string
+}
+
+// errPlaceStopped ends the catalog stream once place has failed; the
+// caller sees place's own error instead.
+var errPlaceStopped = errors.New("snapshot: placement pass stopped")
+
+// streamPlacements runs the placement pass (file comment, step 2) as a
+// two-stage pipeline. catalog.Stream draws the population on the calling
+// goroutine, and its sink only appends each placement to a batch; full
+// batches go, in stream order, to one interning goroutine that calls place
+// on every placement, so place sees exactly the sequence a direct sink
+// would. Batches return through a free list. After place fails it is not
+// called again: the stream stops at its next handoff, and that error is
+// returned. streamPlacements returns only once the interning goroutine has
+// exited.
+func streamPlacements(cfg catalog.Config, workers int, place func(peer int, name string) error) (int, error) {
+	// Each channel can hold every batch, so no send blocks: the stream
+	// waits only for a free batch, and the interning goroutine only for a
+	// full one.
+	full := make(chan []placement, placeBatches)
+	free := make(chan []placement, placeBatches)
+	for range placeBatches - 1 {
+		free <- make([]placement, 0, placeBatch)
+	}
+	var (
+		placeErr error // written by the interning goroutine, read after done
+		failed   atomic.Bool
+		done     = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		for b := range full {
+			for _, p := range b {
+				if placeErr != nil {
+					break
+				}
+				if placeErr = place(p.peer, p.name); placeErr != nil {
+					failed.Store(true)
+				}
+			}
+			free <- b[:0]
+		}
+	}()
+	batch := make([]placement, 0, placeBatch)
+	placed, err := catalog.Stream(cfg, workers, catalog.Sink{
+		Place: func(peer int, name string) error {
+			if batch = append(batch, placement{peer, name}); len(batch) < placeBatch {
+				return nil
+			}
+			full <- batch
+			batch = <-free
+			if failed.Load() {
+				return errPlaceStopped
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		full <- batch
+	}
+	close(full)
+	<-done
+	if placeErr != nil {
+		return 0, placeErr
+	}
+	return placed, err
 }
 
 // holderPieceBytesPerPeer sizes the holders section's streamed pieces in
@@ -389,12 +488,16 @@ type spillFile struct {
 	bw *bufio.Writer
 }
 
+// spillWriter is what a spill file's buffer flushes through: the file
+// itself. Tests swap it to make spill writes fail.
+var spillWriter = func(f *os.File) io.Writer { return f }
+
 func newSpillFile(dir, pattern string) (*spillFile, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
 	}
-	return &spillFile{f: f, bw: bufio.NewWriterSize(f, 1<<18)}, nil
+	return &spillFile{f: f, bw: bufio.NewWriterSize(spillWriter(f), 1<<18)}, nil
 }
 
 // consume flushes, reads the whole file back and removes it.

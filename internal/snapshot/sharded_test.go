@@ -6,12 +6,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"querycentric/internal/catalog"
@@ -75,6 +79,95 @@ func TestShardedByteIdentical(t *testing.T) {
 		if wantShards := (peers + stats.ShardSize - 1) / stats.ShardSize; stats.Shards != wantShards {
 			t.Fatalf("shard=%d: %d shards for effective size %d", shard, stats.Shards, stats.ShardSize)
 		}
+	}
+}
+
+// TestShardedWorkerInvariant: the placement pass's pipeline and Merge's
+// parallel sort leave the bytes alone — BuildSharded writes Save's file at
+// 1, 2 and 8 workers, over a stream long enough that the interning
+// goroutine receives several full batches and a partial one.
+func TestShardedWorkerInvariant(t *testing.T) {
+	const peers = 400
+	_, heapPath := saveTo(t, buildNet(t, peers))
+	want, err := os.ReadFile(heapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := testBuildConfig(peers)
+		cfg.Workers, cfg.ShardSize = workers, peers/3
+		path := filepath.Join(t.TempDir(), "sharded.qcsnap")
+		stats, err := BuildSharded(path, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if stats.Placements < 3*placeBatch || stats.Placements%placeBatch == 0 {
+			t.Fatalf("workers=%d: %d placements do not fill several batches of %d and part of one",
+				workers, stats.Placements, placeBatch)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: sharded snapshot (%d bytes) differs from in-heap save (%d bytes)",
+				workers, len(got), len(want))
+		}
+		if stats.Placing <= 0 || stats.Merging <= 0 || stats.Sharding <= 0 || stats.Holding <= 0 {
+			t.Fatalf("workers=%d: a build leg reads no time: %+v", workers, stats)
+		}
+	}
+}
+
+// failingWriter passes its first ok writes through to w and fails every
+// later one with err.
+type failingWriter struct {
+	w   io.Writer
+	ok  *atomic.Int64
+	err error
+}
+
+func (f failingWriter) Write(p []byte) (int, error) {
+	if f.ok.Add(-1) < 0 {
+		return 0, f.err
+	}
+	return f.w.Write(p)
+}
+
+// TestShardedSpillFailure: when the bucket writes start failing in the
+// middle of the placement pass, BuildSharded returns that error, its
+// interning goroutine has exited, and no spill file or .tmp is left.
+func TestShardedSpillFailure(t *testing.T) {
+	errSpill := errors.New("spill device full")
+	var ok atomic.Int64
+	ok.Store(1) // one bucket flush lands, the next fails
+	spillWriter = func(f *os.File) io.Writer { return failingWriter{f, &ok, errSpill} }
+	defer func() { spillWriter = func(f *os.File) io.Writer { return f } }()
+
+	dir := t.TempDir()
+	cfg := testBuildConfig(1200)
+	cfg.ShardSize = cfg.Catalog.Peers // one bucket, flushed every 256 KiB
+	base := runtime.NumGoroutine()
+	_, err := BuildSharded(filepath.Join(dir, "net.qcsnap"), cfg)
+	if !errors.Is(err, errSpill) {
+		t.Fatalf("BuildSharded with failing spill writes: %v, want %v", err, errSpill)
+	}
+	if ok.Load() >= 0 {
+		t.Fatalf("the failing writer was never reached: the build did not fail mid-stream")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the failed build, %d before", n, base)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("failed build left %s behind", e.Name())
 	}
 }
 
