@@ -43,11 +43,21 @@ race:
 # batched success rate equals the per-trial fold at 1 and 8 workers), and
 # the sharded build's pipelined placement pass (TestShardedByteIdentical:
 # BuildSharded writes Save's bytes at every shard size;
-# TestShardedWorkerInvariant: and at 1, 2 and 8 workers).
+# TestShardedWorkerInvariant: and at 1, 2 and 8 workers), and the
+# persistent fan-out the scenario and the adaptive overlay run their
+# batches on (TestPoolMatchesSerial: one pool's outputs and errors over
+# hundreds of batches equal a serial reference and a one-shot MapWith's
+# at 1, 2 and 8 workers, its scratch is built once per worker and no
+# goroutine outlives Close; TestScenarioFloodContextsPerRun: a scenario
+# builds one flood context per worker per run and leaves no goroutine;
+# TestWorkerInvariance: the adaptive overlay's stats and rewire log are
+# identical at 1 and 8 workers).
 # For by-hand use: `make ci` runs every test named here once, under `race`.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestMetricsSnapshotWorkerInvariance|TestRunnerDigests|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
-	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
+	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert|TestScenarioFloodContextsPerRun' ./internal/events/
+	$(GO) test -race -run 'TestPoolMatchesSerial' ./internal/parallel/
+	$(GO) test -race -run '^TestWorkerInvariance$$' ./internal/adaptive/
 	$(GO) test -race -run 'TestRestoredNetworksUnderMutation|TestShardedByteIdentical|TestShardedWorkerInvariant' ./internal/snapshot/
 	$(GO) test -race -run 'TestKeepaliveMatchesWireReference|TestQRPMatrixMatchesWireTables' ./internal/gnet/
 	$(GO) test -race -run 'TestWaveMatchesFrontier' ./internal/overlay/
@@ -240,7 +250,8 @@ loc:
 # Frontier and per-trial references for Figure 8's wave kernel, and
 # TestShardedByteIdentical and TestShardedWorkerInvariant, Save's bytes as
 # the reference for the sharded build at every shard size and worker
-# count), the decoder,
+# count, and TestPoolMatchesSerial, the serial reference for the
+# persistent pool), the decoder,
 # churn-timeline, posting-codec, snapshot-loader (with its resealed-input
 # arm), frontier-kernel,
 # wave-vs-frontier (FuzzWaveVsFrontier), flood-vs-naive

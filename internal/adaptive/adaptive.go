@@ -279,12 +279,16 @@ func (s *System) RunWorkload(queries int, pick func(r *rng.Source) int, seed uin
 	if interval <= 0 {
 		interval = queries
 	}
+	// One pool serves every batch of the call: its workers and their
+	// flood contexts outlive the adaptation rounds between batches.
+	pool := parallel.NewPool(min(parallel.Workers(s.cfg.Workers), interval), s.newBatchScratch)
+	defer pool.Close()
 	for start := 0; start < queries; start += interval {
 		count := interval
 		if start+count > queries {
 			count = queries - start
 		}
-		if err := s.RunBatch(base, start, count, pick); err != nil {
+		if err := s.foldBatch(parallel.MapOn(pool, count, s.batchQuery(base, start, pick))); err != nil {
 			return nil, err
 		}
 		if !s.inert() && start+count < queries {
@@ -338,16 +342,32 @@ type batchScratch struct {
 // AdaptRound) so an event engine can schedule measurement and adaptation
 // as alternating simulated-time events; RunWorkload is the inline driver.
 func (s *System) RunBatch(base *rng.Source, start, count int, pick func(r *rng.Source) int) error {
-	capture := !s.inert() && (s.cfg.RewireBudget > 0 || s.cfg.ReplicateBudget > 0)
-	recs, err := parallel.MapWith(s.cfg.Workers, count,
-		func() *batchScratch {
-			sc := &batchScratch{ctx: s.nw.NewFloodCtx()}
-			sc.ctx.SetPathCapture(capture)
-			return sc
-		},
-		func(sc *batchScratch, i int) (queryRecord, error) {
-			return s.runQuery(sc, base, start+i, pick, capture)
-		})
+	return s.foldBatch(parallel.MapWith(s.cfg.Workers, count, s.newBatchScratch, s.batchQuery(base, start, pick)))
+}
+
+// capture reports whether queries record answer paths, which only the
+// rewiring and replication a live system performs consume.
+func (s *System) capture() bool {
+	return !s.inert() && (s.cfg.RewireBudget > 0 || s.cfg.ReplicateBudget > 0)
+}
+
+// newBatchScratch builds one worker's scratch.
+func (s *System) newBatchScratch() *batchScratch {
+	sc := &batchScratch{ctx: s.nw.NewFloodCtx()}
+	sc.ctx.SetPathCapture(s.capture())
+	return sc
+}
+
+// batchQuery runs query start+i of the workload on a worker.
+func (s *System) batchQuery(base *rng.Source, start int, pick func(r *rng.Source) int) func(*batchScratch, int) (queryRecord, error) {
+	capture := s.capture()
+	return func(sc *batchScratch, i int) (queryRecord, error) {
+		return s.runQuery(sc, base, start+i, pick, capture)
+	}
+}
+
+// foldBatch folds a batch's observations in query order.
+func (s *System) foldBatch(recs []queryRecord, err error) error {
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,10 @@ package adaptive
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"querycentric/internal/catalog"
 	"querycentric/internal/gnet"
@@ -158,6 +161,42 @@ func TestWorkerInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(l1, l8) {
 		t.Errorf("rewire logs diverged across worker counts: %d vs %d decisions", len(l1), len(l8))
+	}
+}
+
+// TestRunWorkloadClosesItsPool: no worker of RunWorkload's pool outlives
+// the call, whether the workload completes or a query fails mid-way.
+func TestRunWorkloadClosesItsPool(t *testing.T) {
+	const peers, m, seed = 150, 40, 13
+	base := runtime.NumGoroutine()
+	for _, failAt := range []int{-1, 130} {
+		nw, objs := testPopulation(t, peers, m, seed)
+		cfg := DefaultConfig(seed)
+		cfg.TTL = 2
+		cfg.AdaptInterval = 50
+		cfg.Workers = 4
+		sys, err := New(nw, objs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int32
+		pick := func(r *rng.Source) int {
+			if failAt >= 0 && calls.Add(1) > int32(failAt) {
+				return -1
+			}
+			return headPick(m)(r)
+		}
+		_, err = sys.RunWorkload(400, pick, 99)
+		if (failAt >= 0) != (err != nil) {
+			t.Fatalf("failAt=%d: RunWorkload error %v", failAt, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after RunWorkload returned, %d before", n, base)
 	}
 }
 

@@ -2,10 +2,17 @@ package events
 
 import (
 	"encoding/json"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"querycentric/internal/capacity"
+	"querycentric/internal/churn"
+	"querycentric/internal/faults"
+	"querycentric/internal/gnet"
 	"querycentric/internal/obs"
+	"querycentric/internal/parallel"
 )
 
 // capacityScenario is a flash-crowd config with a tight bounded-capacity
@@ -97,5 +104,79 @@ func TestCapacityDisabledIsInert(t *testing.T) {
 	}
 	if nilWin != zeroWin {
 		t.Fatal("disabled capacity config changed window series vs nil")
+	}
+}
+
+// TestScenarioFloodContextsPerRun pins the scenario's flood pool: a run
+// builds one flood context per worker, not one per sub-batch, however many
+// CommitEvery sub-batches its query batches split into; and once Run has
+// returned, no goroutine of the pool is left.
+func TestScenarioFloodContextsPerRun(t *testing.T) {
+	var built atomic.Int32
+	newFloodCtx = func(nw *gnet.Network) *gnet.FloodCtx {
+		built.Add(1)
+		return nw.NewFloodCtx()
+	}
+	defer func() { newFloodCtx = (*gnet.Network).NewFloodCtx }()
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 3} {
+		built.Store(0)
+		reg := obs.NewRegistry()
+		parallel.Instrument(reg)
+		runScenario(t, testNetwork(t, 61), capacityScenario(61, capacity.TTLAware, workers))
+		parallel.Instrument(nil)
+		if sub := reg.Counter("parallel_batches_total").Value(); sub < 10*int64(workers) {
+			t.Fatalf("workers=%d: only %d sub-batches ran, too few to tell contexts per run from per sub-batch", workers, sub)
+		}
+		if b := built.Load(); b != int32(workers) {
+			t.Errorf("workers=%d: the run built %d flood contexts, want one per worker", workers, b)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the runs returned, %d before", n, base)
+	}
+}
+
+// TestScenarioRecordsLegs: with a registry attached, Run records its four
+// legs as phases, once each, and they fit inside the run's wall time.
+func TestScenarioRecordsLegs(t *testing.T) {
+	cfg := capacityScenario(61, capacity.TTLAware, 2)
+	tl := churn.DefaultTimelineConfig(61)
+	cfg.Churn = &tl
+	cfg.Bursts = []faults.Burst{{Time: 1800, Frac: 0.1}}
+	s, err := NewScenario(testNetwork(t, 61), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	start := time.Now()
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	got := map[string]float64{}
+	var sum float64
+	for _, ph := range reg.Phases() {
+		if _, dup := got[ph.Name]; dup {
+			t.Errorf("phase %s recorded twice", ph.Name)
+		}
+		got[ph.Name] = ph.Seconds
+		sum += ph.Seconds
+	}
+	for _, name := range legNames {
+		if d, ok := got[name]; !ok || d <= 0 {
+			t.Errorf("phase %s: %v s, recorded %v; want a positive time", name, d, ok)
+		}
+	}
+	if len(got) != len(legNames) {
+		t.Errorf("recorded phases %v, want exactly %v", got, legNames)
+	}
+	if sum > wall {
+		t.Errorf("legs sum to %.6f s, more than the run's %.6f s", sum, wall)
 	}
 }

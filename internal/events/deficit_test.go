@@ -6,6 +6,7 @@ import (
 
 	"querycentric/internal/churn"
 	"querycentric/internal/faults"
+	"querycentric/internal/parallel"
 )
 
 // fullScanDeficits is the reference the incremental deficit clocks are
@@ -41,6 +42,10 @@ func TestDeficitClocksMatchFullScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewScenario: %v", err)
 			}
+			// Stepping the engine by hand, the test opens the flood pool
+			// Run would.
+			s.pool = parallel.NewPool(cfg.Workers, nw.NewFloodCtx)
+			defer s.pool.Close()
 			first := cfg.Bursts[0].Time
 			if len(s.tl.Events) > 0 {
 				first = min(first, s.tl.Events[0].Time)

@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"querycentric/internal/capacity"
 	"querycentric/internal/churn"
@@ -92,8 +93,8 @@ type ScenarioConfig struct {
 	BatchesPerWindow int
 	// TTL bounds the measurement floods.
 	TTL int
-	// Workers bounds the per-batch flood fan-out (0 = GOMAXPROCS).
-	// Results are byte-identical for every value.
+	// Workers sizes the run's flood pool (0 = GOMAXPROCS), which every
+	// query batch fans out on. Results are byte-identical for every value.
 	Workers int
 	// Repair shapes the maintenance loop; Repair.Repair false disables
 	// failure detection and rewiring (the no-maintenance arm).
@@ -251,6 +252,56 @@ type Scenario struct {
 	windows []Window
 	wlog    *obs.WindowLog
 	prefix  string
+
+	// pool runs the query batches' floods for the length of Run: its
+	// workers and their flood contexts outlive every sub-batch.
+	pool *parallel.Pool[*gnet.FloodCtx]
+
+	// reg receives the run's legs (see legClock) when attached.
+	reg  *obs.Registry
+	legs legClock
+}
+
+// newFloodCtx builds a pool worker's flood context; tests count its calls.
+var newFloodCtx = (*gnet.Network).NewFloodCtx
+
+// A leg is one share of a run's wall time that Run records as a manifest
+// phase when a registry is attached. Bursts count as churn. Window closes
+// and the event queue itself fall in no leg.
+type leg int
+
+const (
+	legMaint leg = iota
+	legChurn
+	legQueries
+	legCommit
+	nLegs
+)
+
+var legNames = [nLegs]string{"scenario/maintenance", "scenario/churn", "scenario/queries", "scenario/commit"}
+
+// legClock sums wall time per leg. Its zero value is off and reads no
+// clock, so an uninstrumented run pays one branch per lap.
+type legClock struct {
+	on   bool
+	last time.Time
+	sum  [nLegs]time.Duration
+}
+
+// start begins timing a handler.
+func (c *legClock) start() {
+	if c.on {
+		c.last = time.Now()
+	}
+}
+
+// lap charges the time since the last start or lap to l.
+func (c *legClock) lap(l leg) {
+	if c.on {
+		now := time.Now()
+		c.sum[l] += now.Sub(c.last)
+		c.last = now
+	}
 }
 
 // NewScenario wires cfg onto nw: builds the maintenance loop (seeded from
@@ -325,6 +376,7 @@ func (s *Scenario) Instrument(reg *obs.Registry, wl *obs.WindowLog) {
 	s.eng.Instrument(reg)
 	s.capPlane.Instrument(reg)
 	s.wlog = wl
+	s.reg = reg
 }
 
 // CapacityStats exposes the overload plane's committed tallies (zero when
@@ -376,6 +428,8 @@ func (s *Scenario) schedule() error {
 		b := b
 		name := fmt.Sprintf("burst/%d", b.Time)
 		err := s.eng.Schedule(b.Time, PrioFault, name, func(now int64, r *rng.Source) error {
+			s.legs.start()
+			defer s.legs.lap(legChurn)
 			for _, id := range b.Victims(cfg.Seed, len(s.nw.Peers)) {
 				if err := s.m.PeerDown(id, r.Bool(b.Polite)); err != nil {
 					return err
@@ -396,10 +450,14 @@ func (s *Scenario) schedule() error {
 		err := every(s.eng, interval, interval, PrioMaint, "maint", func(_ int, now int64) error {
 			// Service time elapses before the round's pings charge the
 			// queues; the round's admissions fold immediately after.
+			s.legs.start()
 			s.capPlane.Advance(now)
 			s.m.Tick(now)
+			s.legs.lap(legMaint)
 			s.capPlane.Commit(now)
+			s.legs.lap(legCommit)
 			s.noteDeficits(now)
+			s.legs.lap(legMaint)
 			return nil
 		})
 		if err != nil {
@@ -447,6 +505,8 @@ func (s *Scenario) schedule() error {
 // applyChurn applies one timeline transition to the maintained overlay and
 // updates the degree-deficit clocks.
 func (s *Scenario) applyChurn(ev churn.Event, now int64) error {
+	s.legs.start()
+	defer s.legs.lap(legChurn)
 	var err error
 	if ev.Up {
 		err = s.m.PeerUp(int(ev.Peer), now)
@@ -496,6 +556,7 @@ func (s *Scenario) flashFrac(at int64) float64 {
 // is worker-invariant. An unanswered — or untimely — query retries up to
 // QueryRetries extra floods on its own derived streams.
 func (s *Scenario) queryBatch(now int64, name string, count int) error {
+	s.legs.start()
 	online := s.m.Online()
 	flashFrac := s.flashFrac(now)
 	pl := s.capPlane
@@ -537,13 +598,14 @@ func (s *Scenario) queryBatch(now int64, name string, count int) error {
 		stride = ce
 	}
 	for lo := 0; lo < count; lo += stride {
-		t, err := strategy.RunTrials(parallel.Workers(s.cfg.Workers), lo, min(lo+stride, count),
-			s.qbase, name+"/trial/", s.nw.NewFloodCtx, runTrial)
+		t, err := strategy.RunTrialsOn(s.pool, lo, min(lo+stride, count), s.qbase, name+"/trial/", runTrial)
 		if err != nil {
 			return err
 		}
 		s.win.Merge(t)
+		s.legs.lap(legQueries)
 		pl.Commit(now)
+		s.legs.lap(legCommit)
 	}
 	return nil
 }
@@ -673,9 +735,24 @@ func (s *Scenario) closeWindow(start, end int64) {
 }
 
 // Run executes the scenario to the horizon and returns the windowed
-// result.
+// result. The query batches run on one pool of flood contexts, open for
+// the run only. With a registry attached (Instrument), Run records the
+// run's legs as the phases scenario/maintenance, scenario/churn,
+// scenario/queries and scenario/commit.
 func (s *Scenario) Run() (*ScenarioResult, error) {
-	if err := s.eng.Run(); err != nil {
+	s.pool = parallel.NewPool(s.cfg.Workers, func() *gnet.FloodCtx { return newFloodCtx(s.nw) })
+	defer func() {
+		s.pool.Close()
+		s.pool = nil
+	}()
+	s.legs = legClock{on: s.reg != nil}
+	err := s.eng.Run()
+	if s.reg != nil {
+		for l, d := range s.legs.sum {
+			s.reg.RecordPhase(legNames[l], d)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	res := &ScenarioResult{

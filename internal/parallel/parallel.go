@@ -26,12 +26,12 @@ import (
 // engine. Generic functions cannot hang methods off a receiver without
 // threading a handle through every call site, so instrumentation is
 // installed once per process (by the command entry point) via Instrument.
-// Batch and unit counts are schedule-invariant: one batch per MapWith
-// call, one unit per index, regardless of worker count.
+// Batch and unit counts are schedule-invariant: one batch per MapWith or
+// MapOn call with work, one unit per index, regardless of worker count.
 var instr atomic.Pointer[engineObs]
 
 type engineObs struct {
-	batches *obs.Counter // parallel_batches_total: MapWith invocations
+	batches *obs.Counter // parallel_batches_total: MapWith and MapOn calls with work
 	units   *obs.Counter // parallel_map_units_total: indices executed
 }
 
@@ -91,79 +91,57 @@ func ForEachWith[S any](workers, n int, newScratch func() S, fn func(scratch S, 
 // goroutine (not per index) and its value is threaded into every fn call
 // that worker executes. Use it for reusable state that is expensive to
 // allocate per trial and unsafe to share — flood contexts, search
-// scratch, encode buffers.
+// scratch, encode buffers. It runs a Pool's claim loop on at most n
+// fresh goroutines while the caller waits: for one batch that starts
+// sooner than a pool whose caller works as worker 0, since the waiting
+// caller's thread picks up a worker at once instead of the helper
+// waiting for another thread to wake.
 func MapWith[S, T any](workers, n int, newScratch func() S, fn func(scratch S, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	count(n)
+	workers = min(Workers(workers), n)
+	if workers == 1 {
+		return mapSerial(newScratch(), n, fn)
+	}
+	out := make([]T, n)
+	var c claims[S]
+	c.reset(&mapBatch[S, T]{fn: fn, out: out}, n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			c.work(newScratch())
+		}()
+	}
+	wg.Wait()
+	if c.err != nil {
+		return nil, c.err
+	}
+	return out, nil
+}
+
+// count publishes one batch of n units.
+func count(n int) {
 	if ob := instr.Load(); ob != nil {
 		ob.batches.Inc()
 		ob.units.Add(int64(n))
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	if workers == 1 {
-		// Inline fast path: no goroutines, no atomics. Byte-identical to
-		// the fanned-out path by the determinism contract.
-		scratch := newScratch()
-		for i := 0; i < n; i++ {
-			v, err := fn(scratch, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
+}
 
-	var (
-		next   atomic.Int64 // next unclaimed index
-		failed atomic.Int64 // lowest failing index + 1 (0 = none)
-		errs   sync.Map     // index → error
-		wg     sync.WaitGroup
-	)
-	failed.Store(int64(n) + 1)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || int64(i) >= failed.Load() {
-					return
-				}
-				v, err := fn(scratch, i)
-				if err != nil {
-					errs.Store(i, err)
-					// Keep the lowest failing index so the returned error
-					// does not depend on scheduling among racing failures
-					// (later indices may still fail first in wall-clock).
-					for {
-						cur := failed.Load()
-						if int64(i)+1 >= cur || failed.CompareAndSwap(cur, int64(i)+1) {
-							break
-						}
-					}
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if f := failed.Load(); f <= int64(n) {
-		// Workers race past the failure marker, so an index below the
-		// marker may have failed after the marker was set; report the
-		// lowest error actually recorded.
-		for i := 0; i < n; i++ {
-			if err, ok := errs.Load(i); ok {
-				return nil, err.(error)
-			}
+// mapSerial is the one-worker path: no goroutines, no atomics, stopping at
+// the first failure. It is byte-identical to the fanned-out path by the
+// determinism contract.
+func mapSerial[S, T any](s S, n int, fn func(scratch S, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	for i := range out {
+		v, err := fn(s, i)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"querycentric/internal/rng"
 )
@@ -169,5 +170,109 @@ func raceTrial(base *rng.Source, shared []uint64) func(i int) (uint64, error) {
 			acc ^= shared[r.Intn(len(shared))]
 		}
 		return acc, nil
+	}
+}
+
+// TestPoolMatchesSerial drives one pool through many batches of random
+// sizes, some with failures injected at random indices: every batch's
+// outputs and error equal a serial reference's and MapWith's, the pool
+// builds each worker's scratch exactly once for its whole life, and after
+// Close no goroutine of the pool or of a one-shot MapWith is left.
+func TestPoolMatchesSerial(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var built atomic.Int32
+			newScratch := func() *[]int {
+				built.Add(1)
+				s := make([]int, 0, 4)
+				return &s
+			}
+			p := NewPool(workers, newScratch)
+			defer p.Close() // on a failure; closing twice does nothing
+			r := rng.NewNamed(uint64(workers), "parallel/pool")
+			for batch := 0; batch < 300; batch++ {
+				n := r.Intn(70)
+				fail := map[int]bool{}
+				if n > 0 && r.Bool(0.3) {
+					for k := 1 + r.Intn(3); k > 0; k-- {
+						fail[r.Intn(n)] = true
+					}
+				}
+				fn := func(s *[]int, i int) (uint64, error) {
+					*s = append((*s)[:0], i) // worker-local scratch in use
+					if fail[i] {
+						return 0, fmt.Errorf("batch %d: fail-%d", batch, i)
+					}
+					// Enough work that helpers join batches mid-way.
+					v := uint64(batch)<<32 | uint64(i)
+					for k := 0; k < 2000; k++ {
+						v = v*6364136223846793005 + 1442695040888963407
+					}
+					return v, nil
+				}
+				want, wantErr := serialMap(n, new([]int), fn)
+				got, err := MapOn(p, n, fn)
+				if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("batch %d (n=%d): MapOn = %v, %v; serial = %v, %v", batch, n, got, err, want, wantErr)
+				}
+				got, err = MapWith(workers, n, func() *[]int { return new([]int) }, fn)
+				if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("batch %d (n=%d): MapWith = %v, %v; serial = %v, %v", batch, n, got, err, want, wantErr)
+				}
+			}
+			p.Close()
+			if b := built.Load(); b != int32(workers) {
+				t.Errorf("pool built %d scratches for %d workers over 300 batches", b, workers)
+			}
+		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after every pool closed, %d before", n, base)
+	}
+}
+
+// serialMap is the reference MapOn must equal: indices in order, stopping
+// at the first failure.
+func serialMap[S, T any](n int, s S, fn func(S, int) (T, error)) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		v, err := fn(s, i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// TestMapOnAllocatesOnlyOutput pins a warm MapOn's allocations: the output
+// slice, nothing else — no goroutine, scratch or batch state per call.
+func TestMapOnAllocatesOnlyOutput(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := NewPool(workers, func() []int { return make([]int, 64) })
+		fn := func(s []int, i int) (int, error) {
+			s[i%len(s)] = i
+			return i, nil
+		}
+		if _, err := MapOn(p, 64, fn); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := MapOn(p, 64, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p.Close()
+		if allocs != 1 {
+			t.Errorf("workers=%d: a warm MapOn allocates %.2f times, want 1 (the output)", workers, allocs)
+		}
 	}
 }

@@ -375,8 +375,9 @@ var errPlaceStopped = errors.New("snapshot: placement pass stopped")
 // on every placement, so place sees exactly the sequence a direct sink
 // would. Batches return through a free list. After place fails it is not
 // called again: the stream stops at its next handoff, and that error is
-// returned. streamPlacements returns only once the interning goroutine has
-// exited.
+// returned. The count is the placements the sink accepted: the whole
+// population, or those until the stream stopped. streamPlacements returns
+// only once the interning goroutine has exited.
 func streamPlacements(cfg catalog.Config, workers int, place func(peer int, name string) error) (int, error) {
 	// Each channel can hold every batch, so no send blocks: the stream
 	// waits only for a free batch, and the interning goroutine only for a
@@ -406,8 +407,10 @@ func streamPlacements(cfg catalog.Config, workers int, place func(peer int, name
 		}
 	}()
 	batch := make([]placement, 0, placeBatch)
-	placed, err := catalog.Stream(cfg, workers, catalog.Sink{
+	accepted := 0
+	_, err := catalog.Stream(cfg, workers, catalog.Sink{
 		Place: func(peer int, name string) error {
+			accepted++
 			if batch = append(batch, placement{peer, name}); len(batch) < placeBatch {
 				return nil
 			}
@@ -425,9 +428,9 @@ func streamPlacements(cfg catalog.Config, workers int, place func(peer int, name
 	close(full)
 	<-done
 	if placeErr != nil {
-		return 0, placeErr
+		err = placeErr
 	}
-	return placed, err
+	return accepted, err
 }
 
 // holderPieceBytesPerPeer sizes the holders section's streamed pieces in

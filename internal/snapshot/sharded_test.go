@@ -169,6 +169,23 @@ func TestShardedSpillFailure(t *testing.T) {
 	for _, e := range left {
 		t.Errorf("failed build left %s behind", e.Name())
 	}
+
+	// The stream itself stops: a place that fails on its first call sees
+	// the sink take at most the batches in flight, far from the whole
+	// population.
+	big := testBuildConfig(4000).Catalog
+	total, err := streamPlacements(big, 1, func(int, string) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := streamPlacements(big, 1, func(int, string) error { return errSpill })
+	if !errors.Is(err, errSpill) {
+		t.Fatalf("streamPlacements with a failing place: %v, want %v", err, errSpill)
+	}
+	if limit := placeBatches * placeBatch; accepted > limit || total < 4*limit {
+		t.Fatalf("the sink accepted %d of %d placements after the first failed, want at most %d of at least %d",
+			accepted, total, limit, 4*limit)
+	}
 }
 
 // TestPersistedHoldersEqualRebuild: the holder index a load adopts from

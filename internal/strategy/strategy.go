@@ -111,10 +111,27 @@ func ratio(num, den int) float64 {
 // stream prefix ("trial/", "sample/3/trial/", ...) and with it their numbers.
 func RunTrials[S any](workers, lo, hi int, base *rng.Source, stream string, newScratch func() S,
 	trial func(scratch S, i int, r *rng.Source) (Outcome, error)) (Tally, error) {
-	outs, err := parallel.MapWith(workers, hi-lo, newScratch, func(s S, j int) (Outcome, error) {
+	return fold(parallel.MapWith(workers, hi-lo, newScratch, trialUnit(lo, base, stream, trial)))
+}
+
+// RunTrialsOn is RunTrials on an open pool, whose workers and scratch
+// outlive the call: for a caller that runs many small trial batches.
+func RunTrialsOn[S any](p *parallel.Pool[S], lo, hi int, base *rng.Source, stream string,
+	trial func(scratch S, i int, r *rng.Source) (Outcome, error)) (Tally, error) {
+	return fold(parallel.MapOn(p, hi-lo, trialUnit(lo, base, stream, trial)))
+}
+
+// trialUnit runs trial lo+j on its own derived stream.
+func trialUnit[S any](lo int, base *rng.Source, stream string,
+	trial func(scratch S, i int, r *rng.Source) (Outcome, error)) func(S, int) (Outcome, error) {
+	return func(s S, j int) (Outcome, error) {
 		i := lo + j
 		return trial(s, i, base.Derive(stream+strconv.Itoa(i)))
-	})
+	}
+}
+
+// fold adds outcomes to a tally in index order.
+func fold(outs []Outcome, err error) (Tally, error) {
 	var t Tally
 	for _, o := range outs {
 		t.Add(o)
